@@ -9,8 +9,10 @@ deployment of the paper's system would serve.  This example runs one:
 * ``method="auto"`` lets the cost-based planner pick the engine per
   batch,
 * a deliberately undersized device shows degradation to the index-free
-  ``cpu_scan`` baseline,
-* a multi-device pool runs database shards concurrently.
+  ``cpu_scan`` baseline.
+
+Partitioning the database across shards is a deployment decision, not a
+request option: see ``examples/sharded_failover.py``.
 
 Run:  python examples/batch_service.py
 """
@@ -48,22 +50,11 @@ def main():
           f"{stats['cached_engines']} engine(s) resident "
           f"({stats['cache_resident_bytes'] / (1 << 20):.1f} MiB)\n")
 
-    # -- sharded execution across the pool -----------------------------------
+    # -- degradation: the index does not fit ---------------------------------
     queries = queries_from_database(db, 4, rng=rng)
     whole = service.submit(SearchRequest(
         queries=queries, d=0.05, method="gpu_temporal",
         params={"num_bins": 200}, request_id="whole"))
-    sharded = service.submit(SearchRequest(
-        queries=queries, d=0.05, method="gpu_temporal",
-        params={"num_bins": 200}, shards=2, request_id="sharded"))
-    same = sharded.outcome.results.equivalent_to(whole.outcome.results)
-    print(f"2-way sharded search: {len(sharded.outcome.results)} "
-          f"results, identical to whole-database search: {same}")
-    print(f"  whole-db modeled {whole.metrics.modeled_seconds:.6f} s, "
-          f"sharded (slowest shard) "
-          f"{sharded.metrics.modeled_seconds:.6f} s\n")
-
-    # -- degradation: the index does not fit ---------------------------------
     tiny = DeviceSpec(name="tiny-gpu", num_cores=64, num_sms=2,
                       warp_size=32, clock_hz=TESLA_C2075.clock_hz,
                       global_mem_bytes=1 << 16,

@@ -16,9 +16,9 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from .core import (DistanceThresholdSearch, ENGINE_REGISTRY, ResultSet,
-                   SearchOutcome, SegmentArray, Trajectory,
-                   brute_force_search, register_engine)
+from .core import (DistanceThresholdSearch, ResultSet, SearchOutcome,
+                   SegmentArray, Trajectory, brute_force_search,
+                   register_engine)
 from .data import (merger_dataset, queries_from_database, random_dataset,
                    random_dense_dataset)
 from .engines import (ConfigError, CpuRTreeEngine, GpuSpatialEngine,
@@ -33,7 +33,7 @@ __version__ = "1.1.0"
 
 __all__ = [
     "ConfigError", "CpuCostModel", "CpuRTreeEngine",
-    "DistanceThresholdSearch", "ENGINE_REGISTRY", "GpuCostModel",
+    "DistanceThresholdSearch", "GpuCostModel",
     "GpuSpatialEngine", "GpuSpatioTemporalEngine", "GpuTemporalEngine",
     "HybridEngine", "QueryService", "ResultSet", "SearchOutcome",
     "SearchRequest", "SearchResponse", "SegmentArray", "Telemetry",

@@ -396,9 +396,6 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
                    help="engine, or 'auto' for planner-driven selection")
     p.add_argument("--num-devices", type=int, default=1,
                    help="size of the simulated GPU pool")
-    p.add_argument("--shards", type=int, default=1,
-                   help="partition the database across this many "
-                        "concurrent shards per request")
     p.add_argument("--query-trajectories", type=int, default=4,
                    help="trajectories sampled per synthesized batch")
     p.add_argument("--num-bins", type=int, default=1000)
@@ -546,8 +543,7 @@ def _batch_requests(args: argparse.Namespace, database):
             rng=np.random.default_rng(args.seed + i))
         requests.append(SearchRequest(
             queries=queries, d=args.d, method=args.method,
-            params=params, shards=args.shards,
-            request_id=f"batch-{i}"))
+            params=params, request_id=f"batch-{i}"))
     return requests
 
 

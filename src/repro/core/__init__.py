@@ -8,13 +8,13 @@ from .geometry import MBB, expand, mbb_min_distance, overlaps, segment_mbbs
 from .knn import KnnResult, TrajectoryKnn, knn_brute_force
 from .planner import PlanEstimate, WorkloadStats, plan_search
 from .result import ResultSet, merge_intervals
-from .search import (DistanceThresholdSearch, ENGINE_REGISTRY,
-                     SearchOutcome, register_engine)
+from .search import (DistanceThresholdSearch, SearchOutcome,
+                     register_engine)
 from .types import SegmentArray, Trajectory, concatenate
 from .verify import VerificationReport, verify_results
 
 __all__ = [
-    "DistanceThresholdSearch", "ENGINE_REGISTRY", "KnnResult", "MBB",
+    "DistanceThresholdSearch", "KnnResult", "MBB",
     "PairIntervals", "PlanEstimate", "ResultSet", "SearchOutcome",
     "SegmentArray", "Trajectory", "TrajectoryKnn", "VerificationReport",
     "WorkloadStats", "brute_force_search", "co_travel_time",

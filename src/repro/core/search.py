@@ -36,9 +36,7 @@ decorator::
         ...
 
 Enumerate engines with :func:`repro.engines.available` and resolve a
-name with :func:`repro.engines.get_engine`; the historical
-``ENGINE_REGISTRY`` mapping remains importable from here as a read-only
-view that emits a ``DeprecationWarning`` on every read.
+name with :func:`repro.engines.get_engine`.
 """
 
 from __future__ import annotations
@@ -47,15 +45,14 @@ from dataclasses import dataclass
 
 from ..engines.base import SearchEngine
 from ..engines.config import EngineConfig
-from ..engines.registry import (ENGINE_REGISTRY, available, get_engine,
-                                register_engine)
+from ..engines.registry import available, get_engine, register_engine
 from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
 from ..gpu.device import VirtualGPU
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
 from .result import ResultSet
 from .types import SegmentArray
 
-__all__ = ["DistanceThresholdSearch", "SearchOutcome", "ENGINE_REGISTRY",
+__all__ = ["DistanceThresholdSearch", "SearchOutcome",
            "register_engine"]
 
 

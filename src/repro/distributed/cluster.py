@@ -6,8 +6,9 @@ Executes the paper's multi-node vision (§III): each node holds a shard of
 fits in any single GPU's memory) is broadcast; every node runs the search
 locally; the host union of the per-node result sets is the answer.
 Because shards are disjoint and covering, the merged result set equals a
-single-node search of the whole database — a property the integration
-tests assert.
+single-node search of the whole database — the merge
+(:func:`repro.core.merge.merge_disjoint`) checks disjointness, and the
+integration tests assert the equality.
 
 Response time under the model is ``max`` over nodes (nodes run
 concurrently) plus a broadcast term, so the cluster report exposes load
@@ -22,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.merge import merge_disjoint
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..engines.base import GpuEngineBase
@@ -97,7 +99,7 @@ class GpuCluster:
                 exclude_same_trajectory=exclude_same_trajectory)
             parts.append(res)
             profiles.append(prof)
-        merged = ResultSet.from_parts(parts).deduplicated()
+        merged = merge_disjoint(parts)
         profile = ClusterProfile(
             num_nodes=self.num_nodes,
             node_profiles=profiles,

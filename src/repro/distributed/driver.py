@@ -18,13 +18,15 @@ runs in-process for tests (:class:`LoopbackComm`) and under
 
 Shards are produced by :func:`repro.distributed.partition_database`; the
 merged result equals the single-node search because shards are disjoint
-and covering (same invariant the simulated :class:`GpuCluster` asserts).
+and covering — :func:`repro.core.merge.merge_disjoint` checks it, as it
+does for the simulated :class:`GpuCluster`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.merge import merge_disjoint
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..engines.base import SearchEngine
@@ -58,7 +60,7 @@ class SpmdSearchDriver:
         if self.comm.rank != root:
             return None
         assert gathered is not None
-        return ResultSet.from_parts(gathered).deduplicated()
+        return merge_disjoint(gathered)
 
 
 def run_spmd_search(comms: list[Communicator],

@@ -15,14 +15,12 @@ from .gpu_spatial import GpuSpatialEngine
 from .gpu_spatiotemporal import GpuSpatioTemporalEngine
 from .gpu_temporal import GpuTemporalEngine
 from .hybrid import HybridEngine, HybridProfile
-from .registry import (ENGINE_REGISTRY, available, get_engine,
-                       register_engine)
+from .registry import available, get_engine, register_engine
 
 __all__ = [
     "CONFIG_REGISTRY", "ConfigError", "CpuRTreeConfig", "CpuRTreeEngine",
     "CpuScanConfig", "CpuScanEngine", "Deadline",
-    "DeadlineExceededError", "ENGINE_REGISTRY", "EngineConfig",
-    "GpuEngineBase",
+    "DeadlineExceededError", "EngineConfig", "GpuEngineBase",
     "GpuSpatialConfig", "GpuSpatialEngine", "GpuSpatioTemporalConfig",
     "GpuSpatioTemporalEngine", "GpuTemporalConfig", "GpuTemporalEngine",
     "HybridEngine", "HybridProfile", "KernelInvocationLimitError",

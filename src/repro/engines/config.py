@@ -212,7 +212,7 @@ class CpuScanConfig(EngineConfig):
     engine = "cpu_scan"
 
 
-#: engine name -> typed config class (mirrors ``ENGINE_REGISTRY``).
+#: engine name -> typed config class (mirrors the engine registry).
 CONFIG_REGISTRY: dict[str, type[EngineConfig]] = {
     "gpu_spatial": GpuSpatialConfig,
     "gpu_temporal": GpuTemporalConfig,

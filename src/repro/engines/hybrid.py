@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.merge import merge_disjoint
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
@@ -111,7 +112,7 @@ class HybridEngine(SearchEngine):
             cpu_prof = CpuSearchProfile(engine=self.cpu_engine.name,
                                         num_queries=0)
 
-        result = ResultSet.from_parts([gpu_res, cpu_res]).deduplicated()
+        result = merge_disjoint([gpu_res, cpu_res])
         profile = HybridProfile(
             engine=self.name,
             num_queries=len(queries),

@@ -2,15 +2,10 @@
 
 :func:`available` and :func:`get_engine` are the supported way to
 enumerate and resolve engines by name; :func:`register_engine` is the
-extension point for third-party engines.  The historical
-``ENGINE_REGISTRY`` mapping survives as a read-only view that emits a
-``DeprecationWarning`` on every read and rejects mutation.
+extension point for third-party engines.
 """
 
 from __future__ import annotations
-
-import warnings
-from collections.abc import Iterator, Mapping
 
 from .base import SearchEngine
 from .cpu_rtree import CpuRTreeEngine
@@ -19,8 +14,7 @@ from .gpu_spatial import GpuSpatialEngine
 from .gpu_spatiotemporal import GpuSpatioTemporalEngine
 from .gpu_temporal import GpuTemporalEngine
 
-__all__ = ["ENGINE_REGISTRY", "available", "get_engine",
-           "register_engine"]
+__all__ = ["available", "get_engine", "register_engine"]
 
 #: The canonical name -> class mapping; mutate only via
 #: :func:`register_engine`.
@@ -71,58 +65,6 @@ def register_engine(name: str):
         return cls
 
     return decorator
-
-
-class _DeprecatedRegistryView(Mapping):
-    """Read-only compatibility view over the engine registry.
-
-    Every read warns, steering callers to :func:`available` /
-    :func:`get_engine`; writes raise, steering them to
-    :func:`register_engine`.
-    """
-
-    def __init__(self, registry: dict[str, type[SearchEngine]]) -> None:
-        self._registry = registry
-
-    @staticmethod
-    def _warn() -> None:
-        warnings.warn(
-            "ENGINE_REGISTRY is deprecated; use "
-            "repro.engines.available() / repro.engines.get_engine()",
-            DeprecationWarning, stacklevel=3)
-
-    def __getitem__(self, key: str) -> type[SearchEngine]:
-        self._warn()
-        return self._registry[key]
-
-    def __iter__(self) -> Iterator[str]:
-        self._warn()
-        return iter(tuple(self._registry))
-
-    def __len__(self) -> int:
-        self._warn()
-        return len(self._registry)
-
-    def __contains__(self, key: object) -> bool:
-        self._warn()
-        return key in self._registry
-
-    def __setitem__(self, key: str, value: type[SearchEngine]) -> None:
-        raise TypeError(
-            "ENGINE_REGISTRY is read-only; register engines with the "
-            "@register_engine(name) decorator")
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError(
-            "ENGINE_REGISTRY is read-only; it cannot be unregistered "
-            "from")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ENGINE_REGISTRY(view of {sorted(self._registry)})"
-
-
-#: Deprecated read-only view; use :func:`available` / :func:`get_engine`.
-ENGINE_REGISTRY = _DeprecatedRegistryView(_REGISTRY)
 
 
 register_engine("gpu_spatial")(GpuSpatialEngine)

@@ -39,7 +39,7 @@ Fault taxonomy (``FaultSpec.kind``):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..gpu.memory import DeviceOutOfMemoryError
 

@@ -19,7 +19,7 @@ time.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -114,8 +114,7 @@ def warp_work(thread_work: np.ndarray, warp_size: int) -> int:
 class LaunchSpec:
     """Declarative description of one kernel invocation.
 
-    Replaces the imperative per-block ``launcher.launch(...)`` context
-    dance: an engine states *what* is launched — grid size, named device
+    An engine states *what* is launched — grid size, named device
     inputs to ship, and the fault-hook point — and hands the launcher a
     kernel callable executed once for the whole batch of logical
     threads.
@@ -176,7 +175,7 @@ class BatchResult:
 class KernelLauncher:
     """Creates kernel invocations against a :class:`VirtualGPU`.
 
-    Whole-batch usage (the production path)::
+    Usage::
 
         launcher = KernelLauncher(gpu)
 
@@ -191,10 +190,7 @@ class KernelLauncher:
         out.value          # what `kernel` returned
         out.thread_work    # per-thread op counts, post stall inflation
 
-    The legacy context-manager form (``with launcher.launch(...) as k:``)
-    is kept as a thin compatibility shim over the same machinery.
-
-    Either way the stats are validated on completion and appended to
+    The stats are validated on completion and appended to
     ``gpu.kernel_stats``; the cost model later charges one
     ``kernel_launch_s`` per entry plus the modeled execution time.
     """
@@ -207,7 +203,7 @@ class KernelLauncher:
         """Execute ``kernel`` once for the whole batch described by
         ``spec``; returns the recorded stats plus the kernel's return
         value.  Failed launches (fault aborts, kernel errors) propagate
-        and record nothing, as before."""
+        and record nothing."""
         for label, nbytes in spec.inputs:
             self.gpu.transfers.h2d(label, nbytes)
         ctx = _LaunchContext(self.gpu, spec.name, spec.num_threads,
@@ -215,13 +211,6 @@ class KernelLauncher:
         with ctx:
             value = kernel(ctx)
         return BatchResult(stats=ctx.stats, value=value)
-
-    def launch(self, name: str, num_threads: int) -> "_LaunchContext":
-        """Compatibility shim: the pre-:class:`LaunchSpec` imperative
-        form.  Equivalent to ``run`` with no declared inputs."""
-        if num_threads < 0:
-            raise ValueError("num_threads must be non-negative")
-        return _LaunchContext(self.gpu, name, num_threads)
 
 
 class _LaunchContext:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.geometry import MBB, segment_mbbs
+from ..core.geometry import segment_mbbs
 from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
 

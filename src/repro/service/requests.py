@@ -45,13 +45,6 @@ class SearchRequest:
     exclude_same_trajectory:
         Self-join mode: drop results pairing a query with its own
         trajectory.
-    shards:
-        Split the database into this many shards executed concurrently
-        on the device pool (reuses the cluster partitioner); 1 = search
-        the whole database on one device.
-    partition_strategy:
-        Shard assignment rule when ``shards > 1`` (see
-        :mod:`repro.distributed.partition`).
     deadline_s:
         Wall-clock budget for serving this request; the service
         propagates it into engine retry loops and the failover ladder,
@@ -59,6 +52,11 @@ class SearchRequest:
         runs out.  ``None`` (default) = no per-request deadline.
     request_id:
         Client-chosen correlation id echoed in the response.
+
+    A request always searches the whole database of the service it is
+    submitted to.  Partitioning is a deployment decision: front the
+    database with a :class:`repro.sharding.ShardedService`, which takes
+    the same requests.
     """
 
     queries: SegmentArray
@@ -66,8 +64,6 @@ class SearchRequest:
     method: str = "auto"
     params: dict = field(default_factory=dict)
     exclude_same_trajectory: bool = False
-    shards: int = 1
-    partition_strategy: str = "round_robin"
     deadline_s: float | None = None
     request_id: str = ""
 
@@ -77,11 +73,8 @@ class SearchRequest:
         if not (self.d >= 0.0):
             raise ValueError(f"distance threshold must be >= 0, "
                              f"got {self.d!r}")
-        if int(self.shards) < 1:
-            raise ValueError("shards must be >= 1")
         if self.deadline_s is not None and not (self.deadline_s > 0):
             raise ValueError("deadline_s must be positive (or None)")
-        self.shards = int(self.shards)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
@@ -91,8 +84,6 @@ class SearchRequest:
             "method": self.method,
             "params": dict(self.params),
             "exclude_same_trajectory": bool(self.exclude_same_trajectory),
-            "shards": int(self.shards),
-            "partition_strategy": self.partition_strategy,
             "deadline_s": self.deadline_s,
             "request_id": self.request_id,
         }
@@ -100,7 +91,16 @@ class SearchRequest:
     @classmethod
     def from_dict(cls, payload: dict) -> "SearchRequest":
         """Inverse of :meth:`to_dict` (missing optional keys take their
-        defaults, so hand-written request files stay short)."""
+        defaults, so hand-written request files stay short).
+
+        A ``shards`` key other than ``1`` — which older ``to_dict``
+        output carries — is refused: per-request partitioning is gone.
+        """
+        if payload.get("shards", 1) != 1:
+            raise ValueError(
+                f"per-request 'shards' ({payload['shards']!r}) is not "
+                f"supported; partition the database with "
+                f"repro.sharding.ShardedService instead")
         return cls(
             queries=SegmentArray.from_dict(payload["queries"]),
             d=float(payload["d"]),
@@ -108,9 +108,6 @@ class SearchRequest:
             params=dict(payload.get("params", {})),
             exclude_same_trajectory=bool(
                 payload.get("exclude_same_trajectory", False)),
-            shards=int(payload.get("shards", 1)),
-            partition_strategy=payload.get("partition_strategy",
-                                           "round_robin"),
             deadline_s=payload.get("deadline_s"),
             request_id=payload.get("request_id", ""),
         )

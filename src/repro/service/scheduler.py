@@ -14,9 +14,9 @@ repository already knows how to do:
 * **Device pool** — a :class:`DevicePool` of virtual GPUs with modeled
   per-lane clocks: concurrent batches queue on the lane their engine is
   homed on, and a request's ``queue_wait_s`` is the modeled time it
-  spent waiting for its device.  ``shards > 1`` partitions the database
-  across lanes (reusing :mod:`repro.distributed.partition`) and runs the
-  shards concurrently.
+  spent waiting for its device.  (Partitioning the database is a
+  deployment decision, not a per-request one: see
+  :class:`repro.sharding.ShardedService`.)
 
 And the failure-handling layer (see ``docs/ARCHITECTURE.md``,
 *Failure model & resilience*):
@@ -56,13 +56,12 @@ the same modeled clock — chaos tests run at full wall speed.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..core.planner import plan_search
-from ..core.result import ResultSet
 from ..core.search import SearchOutcome
 from ..core.types import SegmentArray
-from ..distributed.partition import partition_database
 from ..durability import DurabilityManager, DurabilityPolicy
 from ..engines.base import (Deadline, DeadlineExceededError, GpuEngineBase,
                             RetryPolicy, deadline_scope)
@@ -71,7 +70,7 @@ from ..engines.registry import available, get_engine
 from ..engines.cpu_scan import CpuScanEngine
 from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
 from ..gpu.device import DeviceSpec, TESLA_C2075, VirtualGPU
-from ..gpu.profiler import CpuSearchProfile, RequestMetrics, SearchProfile
+from ..gpu.profiler import CpuSearchProfile, RequestMetrics
 from ..ingest import (CompactionPolicy, CompactionResult, IngestError,
                       IngestReceipt, Snapshot, VersionedDatabase,
                       as_segments, overlay_search)
@@ -201,16 +200,6 @@ class DevicePool:
         return self.lanes[index].health.record_success()
 
 
-@dataclass
-class _ShardRun:
-    """One shard's contribution to a (possibly sharded) execution."""
-
-    entry: CacheEntry
-    results: ResultSet
-    profile: SearchProfile | CpuSearchProfile
-    modeled: CostBreakdown
-
-
 class QueryService:
     """Batched distance-threshold query service over one database.
 
@@ -337,7 +326,6 @@ class QueryService:
         self._breaker_states: dict[str, str] = {}
         self._lane_states: dict[int, str] = {}
         self._truth_cache: tuple[int, CpuScanEngine] | None = None
-        self._shard_cache: dict[tuple, list[SegmentArray]] = {}
         self._fp_version = -1
         self._fp = ""
         self._prewarm_failures = 0
@@ -389,18 +377,6 @@ class QueryService:
             self._fp = database_fingerprint(self.versioned.base)
             self._fp_version = self.versioned.base_version
         return self._fp
-
-    @property
-    def events(self) -> list[dict]:
-        """Degradation and eviction records, oldest first.
-
-        Backed by the structured event log (each entry is a typed,
-        timestamped :class:`~repro.obs.Event`); this view keeps the
-        original ``{"type": ..., ...}`` dict shape.
-        """
-        return [{"type": e.kind, **e.fields}
-                for e in self.telemetry.events
-                if e.kind in ("degradation", "eviction")]
 
     # -- public API ---------------------------------------------------------------
 
@@ -598,7 +574,7 @@ class QueryService:
         """
         old_fp = self.fingerprint
         warm = [(e.key[1], e.key[2]) for e in self.cache.entries()
-                if self._key_base(e.key) == old_fp]
+                if e.key[0] == old_fp]
         with self.telemetry.span("service.compaction",
                                  trigger=trigger) as span:
             if self.durability is not None:
@@ -618,7 +594,6 @@ class QueryService:
                           "compaction wall seconds").observe(
                 result.wall_seconds)
             stale = self._invalidate_stale_bases()
-            self._shard_cache.clear()
             self._gauge_ingest()
             # Compaction cannot change any answer (it preserves
             # logical()), but the pass still settles carried-over
@@ -660,18 +635,11 @@ class QueryService:
                 "compaction_prewarm_failed", engine=method,
                 error=f"{type(exc).__name__}: {exc}")
 
-    @staticmethod
-    def _key_base(key: tuple):
-        """The base fingerprint a cache key is rooted at (shard keys
-        nest it as the first element of a tuple)."""
-        db_key = key[0]
-        return db_key[0] if isinstance(db_key, tuple) else db_key
-
     def _invalidate_stale_bases(self) -> int:
         """Drop cached engines whose base was compacted away."""
         current = self.fingerprint
         return self.cache.invalidate_where(
-            lambda e: self._key_base(e.key) != current)
+            lambda e: e.key[0] != current)
 
     def _gauge_ingest(self) -> None:
         reg = self.telemetry.metrics
@@ -766,18 +734,11 @@ class QueryService:
 
     def _warm_engines(self) -> list[tuple[str, dict, object]]:
         """``(method, params, engine)`` triples worth persisting in a
-        checkpoint: whole-database engines over the current base.
-        Shard engines are skipped — their keys embed the partition
-        layout and they rebuild quickly relative to artifact size."""
+        checkpoint: the engines over the current base."""
         current = self.fingerprint
-        triples = []
-        for entry in self.cache.entries():
-            db_key = entry.key[0]
-            if isinstance(db_key, tuple) or db_key != current:
-                continue
-            triples.append((entry.key[1], dict(entry.key[2]),
-                            entry.engine))
-        return triples
+        return [(entry.key[1], dict(entry.key[2]), entry.engine)
+                for entry in self.cache.entries()
+                if entry.key[0] == current]
 
     @classmethod
     def recover(cls, durability_dir, *,
@@ -1075,18 +1036,21 @@ class QueryService:
                  params: dict, hop: int, arrival: float,
                  metrics: RequestMetrics,
                  snapshot: Snapshot) -> SearchResponse:
-        """Build (or fetch) the engines for one rung and execute."""
-        if hop == 0:
-            runs = self._engines_for(request, method, params, metrics,
-                                     snapshot)
-            return self._execute(request, method, runs, arrival,
-                                 metrics, snapshot)
-        with self.telemetry.span("service.failover",
-                                 request_id=request.request_id,
-                                 engine=method, hop=hop):
-            runs = self._engines_for(request, method, params, metrics,
-                                     snapshot)
-            return self._execute(request, method, runs, arrival,
+        """Build (or fetch) the engine for one rung and execute.
+
+        The cache key is rooted at the snapshot's *base* fingerprint,
+        which ingestion does not change: a warm engine keeps hitting
+        across appends/deletes, and only a compaction (new base) misses.
+        """
+        span = (self.telemetry.span("service.failover",
+                                    request_id=request.request_id,
+                                    engine=method, hop=hop)
+                if hop else nullcontext())
+        with span:
+            entry, metrics.cache_hit = self._engine_entry(
+                snapshot.base, method, params,
+                self._base_fingerprint(snapshot), metrics)
+            return self._execute(request, method, entry, arrival,
                                  metrics, snapshot)
 
     def _failover_ladder(self, method: str) -> list[str]:
@@ -1219,50 +1183,12 @@ class QueryService:
                            if k in valid})
         return best.engine, params
 
-    def _engines_for(self, request: SearchRequest, method: str,
-                     params: dict, metrics: RequestMetrics,
-                     snapshot: Snapshot) -> list[CacheEntry]:
-        """Cached engines serving this request — one per shard.
-
-        Keys are rooted at the snapshot's *base* fingerprint, which
-        ingestion does not change: a warm engine keeps hitting across
-        appends/deletes, and only a compaction (new base) misses.
-        """
-        base_fp = self._base_fingerprint(snapshot)
-        if request.shards == 1:
-            shard_dbs = [(snapshot.base, base_fp)]
-        else:
-            shard_dbs = [
-                (shard, (base_fp, request.partition_strategy,
-                         request.shards, i))
-                for i, shard in enumerate(
-                    self._shards(snapshot, request.partition_strategy,
-                                 request.shards))
-            ]
-        entries = []
-        all_hit = True
-        for shard, db_key in shard_dbs:
-            entry, hit = self._engine_entry(shard, method, params,
-                                            db_key, metrics)
-            entries.append(entry)
-            all_hit = all_hit and hit
-        metrics.cache_hit = all_hit
-        return entries
-
     def _base_fingerprint(self, snapshot: Snapshot) -> str:
         """Fingerprint of a snapshot's base (fast path: the current
         one is cached on the service)."""
         if snapshot.base_version == self.versioned.base_version:
             return self.fingerprint
         return database_fingerprint(snapshot.base)
-
-    def _shards(self, snapshot: Snapshot, strategy: str, n: int
-                ) -> list[SegmentArray]:
-        key = (snapshot.base_version, strategy, n)
-        if key not in self._shard_cache:
-            self._shard_cache[key] = partition_database(
-                snapshot.base, n, strategy)
-        return self._shard_cache[key]
 
     def _engine_entry(self, database: SegmentArray, method: str,
                       params: dict, db_key, metrics: RequestMetrics
@@ -1325,55 +1251,47 @@ class QueryService:
         return entry, False
 
     def _execute(self, request: SearchRequest, method: str,
-                 entries: list[CacheEntry], arrival: float,
+                 entry: CacheEntry, arrival: float,
                  metrics: RequestMetrics,
                  snapshot: Snapshot) -> SearchResponse:
-        runs: list[_ShardRun] = []
-        with self.telemetry.span("service.execute",
-                                 shards=len(entries)) as exec_span:
-            for entry in entries:
-                try:
-                    results, profile = entry.engine.search(
-                        request.queries, request.d,
-                        exclude_same_trajectory=request
-                        .exclude_same_trajectory)
-                except DeadlineExceededError:
-                    raise  # budget ran out: not the lane's fault
-                except Exception as exc:
-                    self._note_lane_failure(entry.lane, exc)
-                    raise
-                self._note_lane_success(entry.lane)
-                if isinstance(profile, CpuSearchProfile):
-                    modeled = profile.modeled_time(self.cpu_model)
-                else:
-                    modeled = profile.modeled_time(self.gpu_model)
-                    if profile.backoff_s:
-                        # Retry backoff is host-side modeled waiting;
-                        # charge it so lane occupancy reflects it.
-                        modeled = modeled + CostBreakdown(
-                            host=profile.backoff_s)
-                runs.append(_ShardRun(entry, results, profile, modeled))
+        with self.telemetry.span("service.execute") as exec_span:
+            try:
+                results, profile = entry.engine.search(
+                    request.queries, request.d,
+                    exclude_same_trajectory=request
+                    .exclude_same_trajectory)
+            except DeadlineExceededError:
+                raise  # budget ran out: not the lane's fault
+            except Exception as exc:
+                self._note_lane_failure(entry.lane, exc)
+                raise
+            self._note_lane_success(entry.lane)
+            if isinstance(profile, CpuSearchProfile):
+                modeled = profile.modeled_time(self.cpu_model)
+            else:
+                modeled = profile.modeled_time(self.gpu_model)
+                if profile.backoff_s:
+                    # Retry backoff is host-side modeled waiting;
+                    # charge it so lane occupancy reflects it.
+                    modeled = modeled + CostBreakdown(
+                        host=profile.backoff_s)
 
-        # Lane occupancy: each shard queues on its engine's home lane;
-        # shards on distinct lanes overlap in modeled time.
-        latest_start = arrival
-        for i, run in enumerate(runs):
-            lane = self.pool.lane(run.entry.lane)
-            start = max(arrival, lane.busy_until)
-            lane.busy_until = start + run.modeled.total
-            latest_start = max(latest_start, start)
-            metrics.lane_spans.append({
-                "lane": run.entry.lane, "start_s": start,
-                "dur_s": run.modeled.total, "shard": i,
-            })
-            # Each shard's search produced one engine.search child
-            # span; now that the lane schedule priced it, pin it to
-            # the modeled timeline.
-            if i < len(exec_span.children):
-                exec_span.children[i].set_modeled(
-                    start, run.modeled.total)
+        # Lane occupancy: the search queues on its engine's home lane.
+        lane = self.pool.lane(entry.lane)
+        start = max(arrival, lane.busy_until)
+        lane.busy_until = start + modeled.total
+        metrics.queue_wait_s = start - arrival
+        metrics.lane_spans.append({
+            "lane": entry.lane, "start_s": start,
+            "dur_s": modeled.total, "shard": 0,
+        })
+        # The search produced one engine.search child span; now that
+        # the lane schedule priced it, pin it to the modeled timeline.
+        if exec_span.children:
+            exec_span.children[0].set_modeled(start, modeled.total)
 
-        outcome = self._merge_outcome(method, runs)
+        outcome = SearchOutcome(results=results, profile=profile,
+                                modeled=modeled)
         if not snapshot.clean:
             # Delta overlay: filter tombstones out of the base results
             # and union in a brute-force scan of the live delta.  The
@@ -1403,69 +1321,14 @@ class QueryService:
                     })
                     dsp.set_modeled(start, delta_cost.total)
         metrics.engine = method
-        metrics.queue_wait_s = latest_start - arrival
-        metrics.invocations = sum(
-            len(r.profile.kernel_stats)
-            for r in runs if isinstance(r.profile, SearchProfile))
         metrics.modeled_seconds = outcome.modeled_seconds
-        metrics.wall_seconds = sum(r.profile.wall_seconds for r in runs)
-        gpu_profiles = [r.profile for r in runs
-                        if isinstance(r.profile, SearchProfile)]
-        if gpu_profiles:
-            metrics.attempts = max(p.attempts for p in gpu_profiles)
-            metrics.backoff_s = sum(p.backoff_s for p in gpu_profiles)
+        metrics.wall_seconds = profile.wall_seconds
+        if not isinstance(profile, CpuSearchProfile):
+            metrics.invocations = len(profile.kernel_stats)
+            metrics.attempts = profile.attempts
+            metrics.backoff_s = profile.backoff_s
         return SearchResponse(request_id=request.request_id,
                               outcome=outcome, metrics=metrics)
-
-    def _merge_outcome(self, method: str,
-                       runs: list[_ShardRun]) -> SearchOutcome:
-        if len(runs) == 1:
-            run = runs[0]
-            return SearchOutcome(results=run.results,
-                                 profile=run.profile,
-                                 modeled=run.modeled)
-        # Sharded execution: shards are disjoint and covering, so the
-        # union of the per-shard result sets is the whole answer; the
-        # modeled response time is the slowest shard (shards run
-        # concurrently, as in the cluster model).
-        results = ResultSet.from_parts(
-            [r.results for r in runs]).deduplicated()
-        slowest = max(runs, key=lambda r: r.modeled.total)
-        profiles = [r.profile for r in runs]
-        if all(isinstance(p, SearchProfile) for p in profiles):
-            merged: SearchProfile | CpuSearchProfile = SearchProfile(
-                engine=method,
-                num_queries=profiles[0].num_queries,
-                kernel_stats=[s for p in profiles for s in p.kernel_stats],
-                h2d_bytes=sum(p.h2d_bytes for p in profiles),
-                d2h_bytes=sum(p.d2h_bytes for p in profiles),
-                num_transfers=sum(p.num_transfers for p in profiles),
-                schedule_items=sum(p.schedule_items for p in profiles),
-                redo_queries=sum(p.redo_queries for p in profiles),
-                defaulted_queries=sum(p.defaulted_queries
-                                      for p in profiles),
-                raw_result_items=sum(p.raw_result_items
-                                     for p in profiles),
-                result_items=len(results),
-                index_bytes=sum(p.index_bytes for p in profiles),
-                wall_seconds=sum(p.wall_seconds for p in profiles),
-                attempts=max(p.attempts for p in profiles),
-                backoff_s=sum(p.backoff_s for p in profiles),
-            )
-        else:
-            merged = CpuSearchProfile(
-                engine=method,
-                num_queries=profiles[0].num_queries,
-                node_visits=sum(getattr(p, "node_visits", 0)
-                                for p in profiles),
-                comparisons=sum(getattr(p, "comparisons", 0)
-                                for p in profiles),
-                result_items=len(results),
-                index_bytes=sum(p.index_bytes for p in profiles),
-                wall_seconds=sum(p.wall_seconds for p in profiles),
-            )
-        return SearchOutcome(results=results, profile=merged,
-                             modeled=slowest.modeled)
 
     # -- resilience bookkeeping ---------------------------------------------------
 

@@ -52,12 +52,13 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core.merge import MergeInvariantError, merge_outcomes
 from ..core.result import ResultSet
 from ..core.search import SearchOutcome
 from ..core.types import SegmentArray
 from ..engines.base import Deadline
 from ..gpu.costmodel import CostBreakdown
-from ..gpu.profiler import CpuSearchProfile, RequestMetrics, SearchProfile
+from ..gpu.profiler import CpuSearchProfile, RequestMetrics
 from ..ingest import IngestError, as_segments
 from ..obs import Telemetry
 from ..service import (QueryService, SearchRequest, SearchResponse)
@@ -65,11 +66,6 @@ from ..service.resilience import CircuitBreaker
 from .plan import ShardMap
 
 __all__ = ["MergeInvariantError", "Replica", "Shard", "ShardedService"]
-
-
-class MergeInvariantError(RuntimeError):
-    """The scatter-gather merge violated disjointness: the union of
-    per-shard result sets lost or duplicated items."""
 
 
 @dataclass
@@ -472,56 +468,12 @@ class ShardedService:
                     engine="router",
                     num_queries=len(request.queries)),
                 modeled=CostBreakdown())
-        results = ResultSet.from_parts(
-            [o.results for o in outcomes]).deduplicated()
-        expected = sum(len(o.results) for o in outcomes)
-        if len(results) != expected:
+        try:
+            return merge_outcomes(outcomes)
+        except MergeInvariantError:
             self._counter("repro_router_merge_violations_total",
                           "merges that lost or duplicated items").inc()
-            raise MergeInvariantError(
-                f"shards are not disjoint: union has {len(results)} "
-                f"items, shard parts sum to {expected}")
-        profiles = [o.profile for o in outcomes]
-        engines = {p.engine for p in profiles}
-        label = engines.pop() if len(engines) == 1 else "mixed"
-        if all(isinstance(p, SearchProfile) for p in profiles):
-            profile: SearchProfile | CpuSearchProfile = SearchProfile(
-                engine=label,
-                num_queries=profiles[0].num_queries,
-                kernel_stats=[s for p in profiles
-                              for s in p.kernel_stats],
-                h2d_bytes=sum(p.h2d_bytes for p in profiles),
-                d2h_bytes=sum(p.d2h_bytes for p in profiles),
-                num_transfers=sum(p.num_transfers for p in profiles),
-                schedule_items=sum(p.schedule_items for p in profiles),
-                redo_queries=sum(p.redo_queries for p in profiles),
-                defaulted_queries=sum(p.defaulted_queries
-                                      for p in profiles),
-                raw_result_items=sum(p.raw_result_items
-                                     for p in profiles),
-                result_items=len(results),
-                index_bytes=sum(p.index_bytes for p in profiles),
-                wall_seconds=sum(p.wall_seconds for p in profiles),
-                attempts=max(p.attempts for p in profiles),
-                backoff_s=sum(p.backoff_s for p in profiles),
-            )
-        else:
-            profile = CpuSearchProfile(
-                engine=label,
-                num_queries=profiles[0].num_queries,
-                node_visits=sum(getattr(p, "node_visits", 0)
-                                for p in profiles),
-                comparisons=sum(getattr(p, "comparisons", 0)
-                                for p in profiles),
-                result_items=len(results),
-                index_bytes=sum(p.index_bytes for p in profiles),
-                wall_seconds=sum(p.wall_seconds for p in profiles),
-            )
-        # Shards run concurrently: modeled response time is the slowest
-        # shard leg, exactly like the cluster model.
-        slowest = max(outcomes, key=lambda o: o.modeled.total)
-        return SearchOutcome(results=results, profile=profile,
-                             modeled=slowest.modeled)
+            raise
 
     @staticmethod
     def _merge_metrics(parts: list[tuple[Shard, SearchResponse]]

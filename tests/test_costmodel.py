@@ -6,7 +6,7 @@ import pytest
 from repro.gpu.costmodel import (CostBreakdown, CpuCostModel, GpuCostModel,
                                  XEON_W3690)
 from repro.gpu.device import VirtualGPU
-from repro.gpu.kernel import KernelLauncher, KernelStats
+from repro.gpu.kernel import KernelLauncher, KernelStats, LaunchSpec
 from repro.gpu.profiler import CpuSearchProfile, SearchProfile
 
 
@@ -103,10 +103,13 @@ class TestSearchProfile:
     def _profile(self):
         gpu = VirtualGPU()
         launcher = KernelLauncher(gpu)
+
+        def kernel(k):
+            k.thread_work[:] = 10
+            k.add_atomics(5)
+
         for _ in range(3):
-            with launcher.launch("k", 64) as k:
-                k.thread_work[:] = 10
-                k.add_atomics(5)
+            launcher.run(LaunchSpec("k", 64), kernel)
         gpu.transfers.h2d("q", 1000)
         gpu.transfers.d2h("r", 2000)
         return SearchProfile.capture("engine", gpu, num_queries=64,

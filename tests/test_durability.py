@@ -9,8 +9,8 @@ import pytest
 
 from repro.core.types import SegmentArray
 from repro.data.io import load_segments, save_segments
-from repro.durability import (DurabilityError, DurabilityManager,
-                              DurabilityPolicy, KillSwitch,
+from repro.durability import (DurabilityError, DurabilityPolicy,
+                              KillSwitch,
                               SimulatedCrash, WalCorruptionError,
                               WriteAheadLog, list_checkpoints,
                               load_checkpoint, read_wal,

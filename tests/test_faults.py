@@ -10,7 +10,7 @@ from repro.faults import (CampaignConfig, FAULT_KINDS, FaultInjector,
                           FaultSpec, KernelAbortError, LaneBlackoutError,
                           TransferFault, run_campaign)
 from repro.gpu.device import TESLA_C2075, VirtualGPU
-from repro.gpu.kernel import KernelLauncher
+from repro.gpu.kernel import KernelLauncher, LaunchSpec
 from repro.gpu.memory import DeviceOutOfMemoryError
 
 
@@ -47,6 +47,13 @@ class TestFaultSpec:
         blk = FaultSpec(kind="lane_blackout")
         for site in ("alloc", "h2d", "d2h", "kernel"):
             assert blk.matches(site, lane=None)
+
+
+def _constant_work(units: int):
+    """A kernel in which every thread does ``units`` comparisons."""
+    def kernel(k):
+        k.thread_work[:] = units
+    return kernel
 
 
 def _fired_ordinals(seed: int, rate: float, ops: int = 300) -> list[int]:
@@ -125,17 +132,17 @@ class TestFaultKindsOnDevice:
         gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=0)
         launcher = KernelLauncher(gpu)
         with pytest.raises(KernelAbortError):
-            with launcher.launch("gpu_temporal", num_threads=4) as k:
-                k.thread_work[:] = 5
+            launcher.run(LaunchSpec("gpu_temporal", num_threads=4),
+                         _constant_work(5))
         assert gpu.kernel_stats == []
 
     def test_kernel_stall_inflates_thread_work(self):
         inj = FaultInjector(
             [FaultSpec(kind="kernel_stall", stall_factor=4.0)], seed=0)
         gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=0)
-        with KernelLauncher(gpu).launch("gpu_temporal",
-                                        num_threads=4) as k:
-            k.thread_work[:] = 10
+        KernelLauncher(gpu).run(
+            LaunchSpec("gpu_temporal", num_threads=4),
+            _constant_work(10))
         [stats] = gpu.kernel_stats
         assert stats.thread_work.tolist() == [40, 40, 40, 40]
 

@@ -16,7 +16,7 @@ from repro.gateway import (BROWNOUT_LEVELS, BrownoutLadder,
                            OverloadConfig, SimClock, TenantConfig,
                            TenantRegistry, TokenBucket,
                            retry_with_backoff, run_overload_campaign)
-from repro.service import QueryService, SearchRequest
+from repro.service import QueryService, SearchRequest, SearchResponse
 from tests.conftest import make_walk_trajectories
 
 D = 2.5
@@ -505,6 +505,47 @@ class TestHTTPSurface:
         assert out["lost"][0] == 404
         assert out["verb"][0] == 405
         assert out["garbled"][0] == 400
+        gw.backend.shutdown()
+
+    def test_shards_on_the_wire_cannot_poison_the_breakers(
+            self, small_db, small_queries):
+        """Regression: ``"shards": 2`` with a bogus strategy used to
+        raise inside every ladder rung, so three such bodies opened
+        all five engine breakers and the next well-formed request was
+        refused ``overloaded``.  The field is now refused at decode —
+        400, before admission — and the breakers never see it."""
+        gw = _gateway(small_db)
+        good = _request(small_queries, method="gpu_temporal",
+                        params={"num_bins": 40}).to_dict()
+        poison = json.dumps({**good, "shards": 2,
+                             "partition_strategy": "bogus"}).encode()
+        headers = {"x-api-key": "key-alpha"}
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                host, port = server.host, server.port
+                refused = [await _http(host, port, "POST", "/v1/search",
+                                       poison, headers)
+                           for _ in range(3)]
+                served = await _http(host, port, "POST", "/v1/search",
+                                     json.dumps(good).encode(), headers)
+                return refused, served
+
+        # Bounded: before the fix the first poisoned body never got a
+        # reply at all.
+        refused, served = asyncio.run(asyncio.wait_for(drive(), 60))
+        for status, _, payload in refused:
+            assert status == 400
+            assert "ShardedService" in json.loads(payload)["error"]
+        breakers = gw.backend.stats()["breakers"]
+        assert breakers and all(b["state"] == "closed"
+                                for b in breakers.values())
+        status, _, payload = served
+        assert status == 200
+        answer = SearchResponse.from_dict(
+            json.loads(payload)["response"]).outcome.results
+        truth, _ = CpuScanEngine(small_db).search(small_queries, D)
+        assert _result_bytes(answer) == _result_bytes(truth)
         gw.backend.shutdown()
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.gpu.atomics import AtomicIntList, AtomicResultBuffer
 from repro.gpu.device import DeviceSpec, TESLA_C2075, VirtualGPU
-from repro.gpu.kernel import KernelLauncher, KernelStats, warp_work
+from repro.gpu.kernel import (KernelLauncher, KernelStats, LaunchSpec,
+                              warp_work)
 from repro.gpu.transfers import TransferLedger
 
 
@@ -62,9 +63,12 @@ class TestKernelLauncher:
     def test_launch_records_stats(self):
         gpu = VirtualGPU()
         launcher = KernelLauncher(gpu)
-        with launcher.launch("k1", num_threads=10) as k:
+
+        def kernel(k):
             k.thread_work[:] = 5
             k.add_atomics(3)
+
+        launcher.run(LaunchSpec("k1", num_threads=10), kernel)
         assert gpu.num_kernel_invocations == 1
         s = gpu.kernel_stats[0]
         assert s.name == "k1"
@@ -74,26 +78,31 @@ class TestKernelLauncher:
     def test_failed_launch_not_recorded(self):
         gpu = VirtualGPU()
         launcher = KernelLauncher(gpu)
+
+        def kernel(k):
+            raise RuntimeError("kernel crashed")
+
         with pytest.raises(RuntimeError):
-            with launcher.launch("bad", num_threads=4):
-                raise RuntimeError("kernel crashed")
+            launcher.run(LaunchSpec("bad", num_threads=4), kernel)
         assert gpu.num_kernel_invocations == 0
 
     def test_negative_counts_rejected(self):
         gpu = VirtualGPU()
         launcher = KernelLauncher(gpu)
         with pytest.raises(ValueError):
-            launcher.launch("k", num_threads=-1)
-        with launcher.launch("k", num_threads=1) as k:
+            LaunchSpec("k", num_threads=-1)
+
+        def kernel(k):
             with pytest.raises(ValueError):
                 k.add_atomics(-2)
             k.add_atomics(0)
 
+        launcher.run(LaunchSpec("k", num_threads=1), kernel)
+
     def test_reset_counters_keeps_memory(self):
         gpu = VirtualGPU()
         gpu.memory.alloc("db", 10)
-        with KernelLauncher(gpu).launch("k", 1):
-            pass
+        KernelLauncher(gpu).run(LaunchSpec("k", 1), lambda k: None)
         gpu.transfers.h2d("q", 100)
         gpu.reset_counters()
         assert gpu.num_kernel_invocations == 0

@@ -15,7 +15,7 @@ import pytest
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import SegmentArray, Trajectory
 from repro.engines.cpu_scan import CpuScanEngine
-from repro.ingest import (CompactionPolicy, IngestError, Snapshot,
+from repro.ingest import (CompactionPolicy, IngestError,
                           VersionedDatabase, overlay_search)
 from repro.service import QueryService, SearchRequest
 from tests.conftest import make_walk_trajectories

@@ -80,26 +80,6 @@ def test_service_layer_entry_points_exist():
     assert GpuTemporalConfig and CpuRTreeConfig
 
 
-def test_registry_view_deprecated():
-    """ENGINE_REGISTRY survives as a read-only view: reads warn,
-    writes raise."""
-    from repro.core.search import ENGINE_REGISTRY
-    from repro.engines import CpuScanEngine
-
-    with pytest.warns(DeprecationWarning):
-        assert ENGINE_REGISTRY["cpu_scan"] is CpuScanEngine
-    with pytest.warns(DeprecationWarning):
-        assert "cpu_scan" in ENGINE_REGISTRY
-    with pytest.warns(DeprecationWarning):
-        assert set(ENGINE_REGISTRY) == {
-            "gpu_spatial", "gpu_temporal", "gpu_spatiotemporal",
-            "cpu_rtree", "cpu_scan"}
-    with pytest.raises(TypeError):
-        ENGINE_REGISTRY["_legacy_test_engine"] = CpuScanEngine
-    with pytest.raises(TypeError):
-        del ENGINE_REGISTRY["cpu_scan"]
-
-
 def test_register_engine_decorator():
     """@register_engine is the supported extension point."""
     import pytest

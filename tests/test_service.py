@@ -33,8 +33,22 @@ class TestRequestValidation:
             SearchRequest(queries=small_queries, d=-1.0)
 
     def test_zero_shards_rejected(self, small_queries):
-        with pytest.raises(ValueError):
-            SearchRequest(queries=small_queries, d=1.0, shards=0)
+        payload = _request(small_queries).to_dict()
+        with pytest.raises(ValueError, match="ShardedService"):
+            SearchRequest.from_dict({**payload, "shards": 0})
+
+    def test_from_dict_accepts_only_one_shard(self, small_queries):
+        """Per-request partitioning is gone: ``"shards": 1`` (which
+        pre-removal ``to_dict`` output carries) still loads, anything
+        else is refused by name."""
+        payload = _request(small_queries).to_dict()
+        assert "shards" not in payload
+        old = {**payload, "shards": 1,
+               "partition_strategy": "round_robin"}
+        assert SearchRequest.from_dict(old).to_dict() == payload
+        for bad in (2, 200, "2", None):
+            with pytest.raises(ValueError, match="ShardedService"):
+                SearchRequest.from_dict({**payload, "shards": bad})
 
     def test_unknown_method_rejected(self, service, small_queries):
         with pytest.raises(ValueError, match="unknown method"):
@@ -45,7 +59,7 @@ class TestRequestValidation:
         with pytest.raises(ConfigError, match="did you mean"):
             service.submit(_request(small_queries, method="gpu_temporal",
                                     params={"num_bin": 40}))
-        assert service.events == []
+        assert not service.telemetry.events.of_kind("degradation")
 
 
 class TestCorrectness:
@@ -61,15 +75,6 @@ class TestCorrectness:
                                        "gpu_temporal", "gpu_spatial",
                                        "gpu_spatiotemporal")
         assert resp.metrics.modeled_seconds > 0
-
-    def test_sharded_matches_whole(self, service, db_queries_truth):
-        db, queries, d, truth = db_queries_truth
-        for strategy in ("round_robin", "temporal", "spatial"):
-            resp = service.submit(_request(
-                queries, d, method="gpu_temporal",
-                params={"num_bins": 40}, shards=2,
-                partition_strategy=strategy))
-            assert resp.outcome.results.equivalent_to(truth), strategy
 
 
 class TestCaching:
@@ -125,7 +130,7 @@ class TestCaching:
         # The evicted engine's bytes were released from its lane.
         lane_bytes = sum(l.resident_bytes for l in svc2.pool.lanes)
         assert lane_bytes == svc2.cache.resident_bytes
-        assert any(e["type"] == "eviction" for e in svc2.events)
+        assert svc2.telemetry.events.of_kind("eviction")
         assert one.outcome.results is not None
 
     def test_hit_ratio_defined_before_first_lookup(self):
@@ -234,10 +239,9 @@ class TestDegradation:
         assert resp.metrics.failovers == 3
         assert "DeviceOutOfMemoryError" in resp.metrics.degradation_reason
         assert resp.outcome.results.equivalent_to(truth)
-        events = [e for e in svc.events if e["type"] == "degradation"]
-        assert len(events) == 1
-        assert events[0]["request_id"] == "r1"
-        assert events[0]["fallback"] == "cpu_rtree"
+        [event] = svc.telemetry.events.of_kind("degradation")
+        assert event.fields["request_id"] == "r1"
+        assert event.fields["fallback"] == "cpu_rtree"
         assert svc.stats()["degradations"] == 1
         assert svc.cache.stats.failed_builds == 3
 
@@ -314,14 +318,13 @@ class TestScheduling:
 class TestSerialization:
     def test_request_round_trip(self, small_queries):
         req = _request(small_queries, d=1.5, method="gpu_temporal",
-                       params={"num_bins": 40}, shards=2,
-                       request_id="rt-1")
+                       params={"num_bins": 40}, request_id="rt-1")
         back = SearchRequest.from_dict(json.loads(json.dumps(
             req.to_dict())))
         assert back.queries == small_queries
         assert back.d == 1.5 and back.method == "gpu_temporal"
         assert back.params == {"num_bins": 40}
-        assert back.shards == 2 and back.request_id == "rt-1"
+        assert back.request_id == "rt-1"
 
     @pytest.mark.parametrize("method", ["gpu_spatiotemporal", "cpu_rtree"])
     def test_response_round_trip(self, service, db_queries_truth, method):

@@ -6,9 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.types import SegmentArray, Trajectory
-from repro.distributed import PARTITION_STRATEGIES
-from repro.engines.cpu_scan import CpuScanEngine
+from repro.core.types import SegmentArray, Trajectory, concatenate
+from repro.distributed import (PARTITION_STRATEGIES, GpuCluster,
+                               LoopbackComm, partition_database,
+                               run_spmd_search)
+from repro.engines import (CpuRTreeEngine, CpuScanEngine,
+                           GpuTemporalEngine, HybridEngine)
 from repro.faults import (SHARD_FAULT_KINDS, ShardCampaignConfig,
                           ShardCampaignReport, run_shard_campaign)
 from repro.faults.crashes import _result_bytes
@@ -295,6 +298,82 @@ class TestDivergenceDetection:
             with pytest.raises(MergeInvariantError):
                 svc._merge_outcomes(_request(queries),
                                     [(shard, leg), (shard, leg)])
+
+
+def _gpu(db):
+    return GpuTemporalEngine(db, num_bins=8)
+
+
+def _merge_via_router(db, queries, strategy, n):
+    with ShardedService(db, num_shards=n, replicas_per_shard=1,
+                        strategy=strategy) as svc:
+        resp = svc.submit(_request(queries))
+        assert resp.ok, resp.reason
+        return resp.outcome.results
+
+
+def _merge_via_cluster(db, queries, strategy, n):
+    return GpuCluster(db, n, _gpu, strategy=strategy).search(queries, D)[0]
+
+
+def _merge_via_spmd(db, queries, strategy, n):
+    shards = partition_database(db, n, strategy)
+    return run_spmd_search(LoopbackComm.make_world(n),
+                           [CpuScanEngine(s) for s in shards],
+                           queries, D)
+
+
+def _merge_via_hybrid(db, queries, _strategy, n):
+    # The hybrid splits Q, not D: 1/n of the queries go to the GPU side.
+    return HybridEngine(_gpu(db), CpuRTreeEngine(db),
+                        gpu_fraction=1.0 / n).search(queries, D)[0]
+
+
+_PARTS = (1, 2, 3, 8)
+_MERGES = [
+    pytest.param(merge, strategy, n, id=f"{name}-{strategy}-{n}")
+    for name, merge in (("router", _merge_via_router),
+                        ("cluster", _merge_via_cluster),
+                        ("spmd", _merge_via_spmd))
+    for strategy in sorted(PARTITION_STRATEGIES) for n in _PARTS
+] + [pytest.param(_merge_via_hybrid, None, n, id=f"hybrid-{n}")
+     for n in _PARTS]
+
+
+class TestOneMerge:
+    """Every partition-and-merge path goes through
+    ``repro.core.merge``: each is byte-identical to the whole-database
+    referee, and each refuses overlapping parts (the router's refusal
+    is ``test_merge_invariant_raises_on_overlap`` above)."""
+
+    @pytest.mark.parametrize("merge, strategy, n", _MERGES)
+    def test_merge_matches_whole_database(self, merge, strategy, n,
+                                          queries):
+        db = _db()
+        merged = merge(db, queries, strategy, n)
+        assert len(merged) > 0, "vacuous truth"
+        assert _result_bytes(merged) == _truth_bytes(db, queries)
+
+    def test_cluster_refuses_overlapping_shards(self, queries):
+        # Every node indexes the whole database, not its shard.
+        cluster = GpuCluster(_db(), 2, lambda _shard: _gpu(_db()))
+        with pytest.raises(MergeInvariantError):
+            cluster.search(queries, D)
+
+    def test_spmd_refuses_overlapping_shards(self, queries):
+        with pytest.raises(MergeInvariantError):
+            run_spmd_search(LoopbackComm.make_world(2),
+                            [CpuScanEngine(_db())] * 2, queries, D)
+
+    def test_hybrid_refuses_a_query_on_both_sides(self, queries):
+        db = _db()
+        truth, _ = CpuScanEngine(db).search(queries, D)
+        row = queries.take(np.flatnonzero(
+            queries.seg_ids == truth.q_ids[0]))
+        hybrid = HybridEngine(_gpu(db), CpuRTreeEngine(db),
+                              gpu_fraction=0.5)
+        with pytest.raises(MergeInvariantError):
+            hybrid.search(concatenate([row, row]), D)
 
 
 class TestShardMap:

@@ -200,12 +200,13 @@ class TestEventLog:
         back = EventLog.from_jsonl(path.read_text())
         assert [e.to_dict() for e in back] == [e.to_dict() for e in log]
 
-    def test_legacy_events_view_unchanged(self, service, small_queries):
+    def test_clean_request_logs_no_degradation_or_eviction(
+            self, service, small_queries):
         service.submit(_request(small_queries))
-        # request/engine_build events exist in the log but the legacy
-        # view only surfaces degradations and evictions.
-        assert len(service.telemetry.events) >= 2
-        assert service.events == []
+        log = service.telemetry.events
+        assert log.of_kind("request") and log.of_kind("engine_build")
+        assert not log.of_kind("degradation")
+        assert not log.of_kind("eviction")
 
 
 class TestSerializationRoundTrips:
@@ -214,14 +215,14 @@ class TestSerializationRoundTrips:
         resp = service.submit(_request(small_queries,
                                        method="gpu_temporal",
                                        params={"num_bins": 40},
-                                       shards=2, request_id="rt"))
+                                       request_id="rt"))
         back = SearchResponse.from_dict(json.loads(json.dumps(
             resp.to_dict())))
         assert isinstance(back.outcome.profile, SearchProfile)
         assert back.metrics.to_dict() == resp.metrics.to_dict()
         assert back.metrics.lane_spans == resp.metrics.lane_spans
         assert back.metrics.arrival_s == resp.metrics.arrival_s
-        assert len(back.metrics.lane_spans) == 2
+        assert len(back.metrics.lane_spans) == 1
 
     def test_cpu_profile_and_metrics_round_trip(self, service,
                                                 small_queries):

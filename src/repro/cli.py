@@ -19,21 +19,14 @@ stats      index-statistics report for a dataset
 figures    regenerate the paper's figures (series tables) at a scale
 report     assemble results/ artifacts into results/REPORT.md
 calibrate  re-fit and verify the cost-model constants
-chaos      run a seeded fault-injection campaign against the query
-           service and print the survival report (ingests fresh
-           trajectories mid-campaign so compaction runs under faults;
-           --shards N switches to the shard-kill campaign against a
-           sharded, replicated service)
-standing   run the standing-query exactness campaign: continuous
-           subscriptions over a streaming fleet, compactions and a
-           mid-stream crash + recovery, every epoch's incremental
-           answer pinned byte-identical to from-scratch evaluation
-overload   run the seeded overload campaign against the admission-
-           controlled gateway: many tenants storm the front door,
-           refusals stay typed with retry hints, keyed mutations are
-           retried blind (including across a crash + recovery) and
-           apply exactly once, every answered search byte-identical
-           to a cpu_scan referee
+campaign   run one seeded failure campaign and print its report:
+           chaos (device faults under a request storm), crash (process
+           death at every durable-write kill point), shards (replica
+           kills and shard blackouts), standing (standing queries
+           pinned epoch by epoch across a crash) or overload (a
+           many-tenant storm past the gateway's saturation); every
+           answer is checked byte for byte against a cpu_scan referee,
+           and each scenario's config fields are its flags
 shard      serve query batches through a sharded, replicated service
            (scatter-gather merges checked against a whole-database
            referee; --kill-shard demonstrates partial answers and
@@ -54,11 +47,12 @@ python -m repro metrics merger.npz --d 1.5 --batches 8
 python -m repro trace merger.npz --d 1.5 --num-devices 2 \\
     --out trace.json --spans spans.json --events events.jsonl
 python -m repro figures fig5 --scale 0.01
-python -m repro chaos --seed 7 --requests 200 --rate 0.15
-python -m repro chaos --seed 7 --requests 120 --shards 3 \\
-    --kill-shard-every 11
-python -m repro standing --seed 7 --epochs 16 --subs 6 --json
-python -m repro overload --seed 7 --bursts 10 \\
+python -m repro campaign chaos --seed 7 --num-requests 200 \\
+    --injection-rate 0.15
+python -m repro campaign crash --seed 7 --crash-on-op 5
+python -m repro campaign shards --seed 7 --num-shards 3 --kill-every 11
+python -m repro campaign standing --seed 7 --stream-epochs 16 --json
+python -m repro campaign overload --seed 7 \\
     --bench-out benchmarks/BENCH_gateway.json
 python -m repro shard merger.npz --d 1.5 --shards 3 --replicas 2 \\
     --kill-shard 1 --recover
@@ -69,12 +63,14 @@ python -m repro ingest merger.npz --d 1.5 --rounds 6 \\
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import sys
+import typing
 
 import numpy as np
 
 from .core.search import DistanceThresholdSearch
-from .durability import KILL_POINTS
 from .engines import available
 from .data.io import load_segments, save_segments
 from .data.merger import MergerConfig, merger_dataset
@@ -175,51 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("calibrate",
                    help="re-fit and verify cost-model constants")
 
-    p = sub.add_parser(
-        "chaos", help="run a seeded fault-injection campaign and "
-                      "print the survival report")
-    p.add_argument("--seed", type=int, default=0,
-                   help="campaign seed: dataset, request schedule, and "
-                        "fault activations all derive from it")
-    p.add_argument("--requests", type=int, default=200,
-                   help="requests to drive through the service "
-                        "(default 200)")
-    p.add_argument("--rate", type=float, default=0.15,
-                   help="base per-operation fault activation rate "
-                        "(default 0.15)")
-    p.add_argument("--num-devices", type=int, default=2,
-                   help="size of the simulated GPU pool (default 2)")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="requests per submitted batch (default 8)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full report as JSON instead of the "
-                        "rendered summary")
-    p.add_argument("--ingest-every", type=int, default=13,
-                   help="ingest one fresh trajectory every Nth request "
-                        "(0 disables mid-campaign ingestion; "
-                        "default 13)")
-    p.add_argument("--events", default=None, metavar="PATH",
-                   help="write the structured telemetry event log as "
-                        "JSON lines")
-    p.add_argument("--crash-every", type=int, default=0, metavar="N",
-                   help="crash-recovery mode: run the durability "
-                        "kill-point campaign instead, simulating a "
-                        "process crash on the Nth mutation at each "
-                        "WAL kill point (0 = ordinary fault-injection "
-                        "campaign)")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="shard-chaos mode: run the shard-kill campaign "
-                        "against a sharded service with N shards "
-                        "(0 = ordinary fault-injection campaign)")
-    p.add_argument("--kill-shard-every", type=int, default=11,
-                   metavar="K",
-                   help="in shard-chaos mode, fire one shard fault "
-                        "(replica kill or whole-shard blackout) every "
-                        "Kth request (default 11)")
-    p.add_argument("--shard-strategy", default="round_robin",
-                   choices=["round_robin", "temporal", "spatial"],
-                   help="partition strategy for shard-chaos mode "
-                        "(default round_robin)")
+    _add_campaign_parsers(sub)
 
     p = sub.add_parser(
         "shard", help="serve query batches through a sharded, "
@@ -302,59 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "crash is recoverable with 'repro recover'")
 
     p = sub.add_parser(
-        "standing", help="run the standing-query exactness campaign: "
-                         "a streaming fleet, continuous subscriptions, "
-                         "forced compactions, and a mid-stream crash + "
-                         "recovery, every epoch pinned byte-identical "
-                         "to from-scratch evaluation")
-    p.add_argument("--seed", type=int, default=0,
-                   help="campaign seed: fleet stream, subscriptions, "
-                        "and crash point all derive from it")
-    p.add_argument("--epochs", type=int, default=16,
-                   help="workload epochs streamed (default 16)")
-    p.add_argument("--subs", type=int, default=6,
-                   help="standing subscriptions registered (default 6)")
-    p.add_argument("--d", type=float, default=3.0,
-                   help="subscription distance threshold (default 3)")
-    p.add_argument("--kill-point", default="wal_post_append",
-                   choices=list(KILL_POINTS),
-                   help="kill-point class for the mid-stream crash "
-                        "(default wal_post_append)")
-    p.add_argument("--crash-on-op", type=int, default=None, metavar="N",
-                   help="crash on exactly the Nth mutation (default: "
-                        "mid-schedule; WAL kill points only)")
-    p.add_argument("--faults", action="store_true",
-                   help="also wire a device fault injector and probe "
-                        "the one-shot path mid-campaign")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full report as JSON instead of the "
-                        "rendered summary")
-
-    p = sub.add_parser(
-        "overload", help="run the seeded overload campaign against "
-                         "the admission-controlled gateway: tenant "
-                         "rate limits, priority shedding, brownout, "
-                         "idempotent retries across a crash, and a "
-                         "byte-identical cpu_scan referee")
-    p.add_argument("--seed", type=int, default=0,
-                   help="campaign seed: dataset, tenants, arrival "
-                        "schedule, and fault activations all derive "
-                        "from it")
-    p.add_argument("--bursts", type=int, default=10,
-                   help="arrival bursts to drive (default 10)")
-    p.add_argument("--queue-depth", type=int, default=5,
-                   help="per-priority admission queue depth "
-                        "(default 5; the interactive flood "
-                        "deliberately exceeds it)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the full report as JSON instead of the "
-                        "rendered summary")
-    p.add_argument("--bench-out", default=None, metavar="PATH",
-                   help="merge this run's modeled latency/outcome "
-                        "entry (keyed by seed) into a benchmark JSON "
-                        "file")
-
-    p = sub.add_parser(
         "checkpoint", help="force a durable checkpoint of a "
                            "durability directory")
     p.add_argument("dir", help="durability directory (as passed to "
@@ -376,6 +275,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="emit the recovery summary as JSON")
     return parser
+
+
+def _add_campaign_parsers(sub) -> None:
+    """``campaign <name>``: one sub-subcommand per scenario, its flags
+    generated from the scenario's config fields."""
+    from .campaigns import SCENARIOS
+
+    p = sub.add_parser(
+        "campaign", help="run a seeded failure campaign (chaos, crash, "
+                         "shards, standing, overload), every answer "
+                         "refereed byte for byte against cpu_scan")
+    names = p.add_subparsers(dest="name", required=True)
+    for name, (config_cls, _run) in SCENARIOS.items():
+        doc = sys.modules[config_cls.__module__].__doc__
+        q = names.add_parser(
+            name, help=doc.partition("\n")[0], description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+            epilog=inspect.getdoc(config_cls))
+        hints = typing.get_type_hints(config_cls)
+        for f in dataclasses.fields(config_cls):
+            flag = "--" + f.name.replace("_", "-")
+            hint = hints[f.name]
+            # ``int | None`` parses as int; a plain type as itself.
+            kind = [t for t in typing.get_args(hint) or (hint,)
+                    if t is not type(None)][0]
+            if kind is bool:
+                q.add_argument(flag, default=f.default,
+                               action=argparse.BooleanOptionalAction)
+            elif typing.get_origin(hint) is tuple:
+                q.add_argument(flag, nargs="+", default=f.default,
+                               help=f"default: {' '.join(f.default)}")
+            else:
+                q.add_argument(flag, type=kind, default=f.default,
+                               help=f"default: {f.default}")
+        q.add_argument("--json", action="store_true",
+                       help="emit the full report as JSON instead of "
+                            "the rendered table")
+        if name == "overload":
+            q.add_argument("--bench-out", default=None, metavar="PATH",
+                           help="merge this run's modeled latency/"
+                                "outcome entry (keyed by seed) into a "
+                                "benchmark JSON file")
+        q.set_defaults(parser=q)
 
 
 def _add_batch_args(p: argparse.ArgumentParser) -> None:
@@ -758,93 +700,29 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from .faults import CampaignConfig, run_campaign
-    from .obs import Telemetry
-
-    if args.crash_every:
-        from .faults import CrashCampaignConfig, run_crash_campaign
-        cfg = CrashCampaignConfig(
-            seed=args.seed,
-            num_ops=max(12, 2 * args.crash_every),
-            crash_on_op=args.crash_every)
-        report = run_crash_campaign(cfg)
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.render())
-        return 0 if report.ok else 1
-
-    telemetry = Telemetry() if args.events else None
-    if args.shards:
-        from .faults import ShardCampaignConfig, run_shard_campaign
-        cfg = ShardCampaignConfig(seed=args.seed,
-                                  num_requests=args.requests,
-                                  num_shards=args.shards,
-                                  kill_every=args.kill_shard_every,
-                                  strategy=args.shard_strategy)
-        report = run_shard_campaign(cfg, telemetry=telemetry)
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(report.render())
-        if args.events:
-            telemetry.events.write_jsonl(args.events)
-            print(f"event log written to {args.events} "
-                  f"({len(telemetry.events)} events)")
-        return 0 if report.ok else 1
-
-    cfg = CampaignConfig(seed=args.seed, num_requests=args.requests,
-                         injection_rate=args.rate,
-                         num_devices=args.num_devices,
-                         batch_size=args.batch_size,
-                         ingest_every=args.ingest_every)
-    report = run_campaign(cfg, telemetry=telemetry)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    if args.events:
-        telemetry.events.write_jsonl(args.events)
-        print(f"event log written to {args.events} "
-              f"({len(telemetry.events)} events)")
-    return 0 if report.ok else 1
-
-
-def cmd_standing(args: argparse.Namespace) -> int:
-    import json
-
-    from .standing import StandingCampaignConfig, run_standing_campaign
-
-    cfg = StandingCampaignConfig(
-        seed=args.seed, stream_epochs=args.epochs,
-        num_subscriptions=args.subs, d=args.d,
-        kill_point=args.kill_point, crash_on_op=args.crash_on_op,
-        faults=args.faults)
-    report = run_standing_campaign(cfg)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
-
-
-def cmd_overload(args: argparse.Namespace) -> int:
+def cmd_campaign(args: argparse.Namespace) -> int:
     import json
     import pathlib
 
-    from .gateway import OverloadConfig, run_overload_campaign
+    from .campaigns import SCENARIOS
 
-    cfg = OverloadConfig(seed=args.seed, num_bursts=args.bursts,
-                         queue_depth=args.queue_depth)
-    report = run_overload_campaign(cfg)
+    config_cls, run = SCENARIOS[args.name]
+    values = {}
+    for f in dataclasses.fields(config_cls):
+        value = getattr(args, f.name)
+        # nargs="+" collects a list; the configs hold tuples.
+        values[f.name] = (tuple(value) if isinstance(value, list)
+                          else value)
+    try:
+        config = config_cls(**values)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    report = run(config)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.render())
-    if args.bench_out:
+    if getattr(args, "bench_out", None):
         path = pathlib.Path(args.bench_out)
         bench: dict = {"benchmark": "gateway_overload", "entries": []}
         if path.exists():
@@ -863,8 +741,8 @@ def cmd_overload(args: argparse.Namespace) -> int:
 def cmd_shard(args: argparse.Namespace) -> int:
     import json
 
+    from .campaigns.harness import result_bytes
     from .engines.cpu_scan import CpuScanEngine
-    from .faults.crashes import _result_bytes
     from .service import SearchRequest
     from .sharding import ShardedService
 
@@ -872,7 +750,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     queries = queries_from_database(
         database, args.query_trajectories,
         rng=np.random.default_rng(args.seed))
-    truth = _result_bytes(
+    truth = result_bytes(
         CpuScanEngine(database).search(queries, args.d)[0])
     kill_at = (args.batches // 2
                if args.kill_shard is not None else None)
@@ -896,7 +774,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
             summary["statuses"][resp.status] = \
                 summary["statuses"].get(resp.status, 0) + 1
             if resp.status == "ok":
-                if _result_bytes(resp.outcome.results) == truth:
+                if result_bytes(resp.outcome.results) == truth:
                     summary["exact"] += 1
             elif resp.status == "partial":
                 summary["partial"] += 1
@@ -912,7 +790,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
                 request_id="final"))
             summary["final_exact"] = bool(
                 resp.ok
-                and _result_bytes(resp.outcome.results) == truth)
+                and result_bytes(resp.outcome.results) == truth)
         summary["stats"] = svc.stats()
     if args.json:
         print(json.dumps(summary, indent=2))
@@ -961,11 +839,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
     faults = None
     if args.rate > 0:
-        from .faults import CampaignConfig, FaultInjector
-        faults = FaultInjector(
-            CampaignConfig(seed=args.seed,
-                           injection_rate=args.rate).fault_specs(),
-            seed=args.seed)
+        from .campaigns.chaos import fault_specs
+        from .faults import FaultInjector
+        faults = FaultInjector(fault_specs(args.rate), seed=args.seed)
     policy = (CompactionPolicy(max_delta_segments=args.max_delta)
               if args.max_delta is not None else None)
     svc = QueryService(base, num_devices=args.num_devices,
@@ -1122,9 +998,7 @@ def main(argv: list[str] | None = None) -> int:
         "report": cmd_report,
         "figures": cmd_figures,
         "calibrate": cmd_calibrate,
-        "chaos": cmd_chaos,
-        "standing": cmd_standing,
-        "overload": cmd_overload,
+        "campaign": cmd_campaign,
         "shard": cmd_shard,
         "ingest": cmd_ingest,
         "checkpoint": cmd_checkpoint,

@@ -17,8 +17,8 @@ compactions — is made restartable here:
   WAL tail;
 * :mod:`repro.durability.crashpoints` supplies the seeded
   :class:`KillSwitch` the crash campaign
-  (:func:`repro.faults.run_crash_campaign`) uses to die at exact
-  points in the apply path.
+  (:mod:`repro.campaigns.crash`) uses to die at exact points in the
+  apply path.
 
 Entry points::
 

@@ -1,44 +1,22 @@
-"""Deterministic fault injection and chaos campaigns.
+"""Deterministic fault injection.
 
 :mod:`repro.faults.injector` supplies the failures — a seed-driven
 :class:`FaultInjector` threaded through the virtual GPU stack so device
 OOM, transfer faults, kernel aborts/stalls, and lane blackouts can be
-injected at exact, replayable operations.  :mod:`repro.faults.campaign`
-drives a fault-injected :class:`~repro.service.QueryService` through a
-seeded request storm and verifies that every response is either correct
-or a typed rejection — the survival report behind the ``chaos`` CLI
-subcommand and the CI chaos job.  :mod:`repro.faults.shards` lifts the
-same discipline to the sharded serving layer: seeded shard kills and
-blackouts against a :class:`~repro.sharding.ShardedService`, with
-mid-storm crash recovery and a byte-identity referee.
+injected at exact, replayable operations.  The seeded storms that use
+it to prove the serving layers survive live in :mod:`repro.campaigns`.
 """
 
-from .campaign import CampaignConfig, CampaignReport, run_campaign
-from .crashes import (CrashCampaignConfig, CrashCampaignReport,
-                      CrashRun, run_crash_campaign)
 from .injector import (FAULT_KINDS, FaultInjector, FaultSpec,
                        InjectedFault, KernelAbortError,
                        LaneBlackoutError, TransferFault)
-from .shards import (SHARD_FAULT_KINDS, ShardCampaignConfig,
-                     ShardCampaignReport, run_shard_campaign)
 
 __all__ = [
-    "CampaignConfig",
-    "CampaignReport",
-    "CrashCampaignConfig",
-    "CrashCampaignReport",
-    "CrashRun",
     "FAULT_KINDS",
     "FaultInjector",
     "FaultSpec",
     "InjectedFault",
     "KernelAbortError",
     "LaneBlackoutError",
-    "SHARD_FAULT_KINDS",
-    "ShardCampaignConfig",
-    "ShardCampaignReport",
     "TransferFault",
-    "run_campaign",
-    "run_crash_campaign",
-    "run_shard_campaign",
 ]

@@ -24,10 +24,12 @@ __all__ = ["GATEWAY_STATUSES", "PRIORITIES", "RETRYABLE_STATUSES",
 PRIORITIES = ("interactive", "batch")
 
 #: every status a gateway response can carry.  ``ok``/``partial``
-#: wrap a backend answer; the rest are typed refusals with no answer.
+#: wrap a backend answer; the rest are typed refusals with no answer
+#: (``internal``: the backend raised — not the request's fault, and
+#: not something a retry of the same request is known to fix).
 GATEWAY_STATUSES = ("ok", "partial", "unauthenticated", "rate_limited",
                     "quota_exceeded", "overloaded", "deadline_exceeded",
-                    "writes_disabled", "invalid")
+                    "writes_disabled", "invalid", "internal")
 
 #: refusals a client should retry (after ``retry_after_s``); the
 #: others need a different request, not a later one.

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -317,7 +318,27 @@ class Gateway:
             job = self._next_job()
             if job is None:
                 return
-            response = self._dispatch(job)
+            try:
+                response = self._dispatch(job)
+            except ValueError as exc:
+                # The backend refused the request itself (a ConfigError
+                # for a misspelled engine param): the caller's fault,
+                # so breakers and the error counter stay untouched.
+                response = self._refuse(
+                    "search", job.request.request_id, job.tenant,
+                    job.priority, "invalid", str(exc))
+            except Exception as exc:  # noqa: BLE001 - the worker must keep draining
+                self.telemetry.metrics.counter(
+                    "repro_gateway_backend_errors_total",
+                    "backend exceptions answered as internal").inc()
+                self.telemetry.events.emit(
+                    "gateway_backend_error",
+                    request_id=job.request.request_id,
+                    traceback=traceback.format_exc())
+                response = self._refuse(
+                    "search", job.request.request_id, job.tenant,
+                    job.priority, "internal",
+                    f"{type(exc).__name__}: {exc}")
             if not job.future.done():
                 job.future.set_result(response)
             self._gauge_queues()

@@ -19,7 +19,8 @@ POST   /v1/delete     ``{"traj_id": int}``; optional
 Status mapping keeps refusals machine-readable on the wire: 401
 unauthenticated, 429 rate/quota (with ``Retry-After``), 503
 overloaded / writes-disabled (with ``Retry-After``), 504 deadline
-exceeded, 400 invalid, 206 partial.  The JSON body is always the full
+exceeded, 400 invalid, 500 internal (the backend raised), 206
+partial.  The JSON body is always the full
 :meth:`~repro.gateway.admission.GatewayResponse.to_dict`, so a client
 never has to parse prose to learn why it was refused.
 """
@@ -47,12 +48,14 @@ STATUS_CODES = {
     "overloaded": 503,
     "writes_disabled": 503,
     "deadline_exceeded": 504,
+    "internal": 500,
 }
 
 _REASONS = {200: "OK", 206: "Partial Content", 400: "Bad Request",
             401: "Unauthorized", 404: "Not Found",
             405: "Method Not Allowed", 429: "Too Many Requests",
-            503: "Service Unavailable", 504: "Gateway Timeout"}
+            500: "Internal Server Error", 503: "Service Unavailable",
+            504: "Gateway Timeout"}
 
 #: request bodies above this are refused outright (slow-loris cap).
 MAX_BODY_BYTES = 8 * 1024 * 1024

@@ -552,7 +552,7 @@ class ShardedService:
             receipt = {"segments": n, "routed": {}, "epochs": {}}
             for shard_index, rows in routed:
                 shard = self.shards[shard_index]
-                self._apply(shard, "append", rows)
+                self._apply_to_shard(shard, "append", rows)
                 receipt["routed"][shard_index] = len(rows)
                 receipt["epochs"][shard_index] = shard.epoch
                 self._maybe_compact(shard)
@@ -597,7 +597,7 @@ class ShardedService:
             hidden = 0
             for shard_index in self.plan.shards_of(tid):
                 shard = self.shards[shard_index]
-                hidden += self._apply(shard, "delete", tid) or 0
+                hidden += self._apply_to_shard(shard, "delete", tid) or 0
                 self._maybe_compact(shard)
             self._tombstones.add(tid)
             self.plan.note_delete(tid)
@@ -615,9 +615,9 @@ class ShardedService:
                        if shard_index is not None else
                        [s for s in self.shards if s.replicas])
             for shard in targets:
-                self._apply(shard, "compact", None)
+                self._apply_to_shard(shard, "compact", None)
 
-    def _apply(self, shard: Shard, op: str, payload):
+    def _apply_to_shard(self, shard: Shard, op: str, payload):
         """Apply one mutation to every live replica of a shard,
         op-log it, and advance the shard's expected epoch.  A replica
         that fails the mutation is marked dead (divergence is fatal
@@ -659,7 +659,7 @@ class ShardedService:
         replays deterministically from the op log on recovery)."""
         live = shard.live_replicas()
         if live and live[0].service.versioned.should_compact():
-            self._apply(shard, "compact", None)
+            self._apply_to_shard(shard, "compact", None)
 
     # -- chaos hooks -------------------------------------------------------------
 

@@ -5,8 +5,8 @@ Clients register :class:`Subscription`\\ s against a live
 :class:`StandingQueryManager` re-evaluates only the subscriptions the
 epoch's delta could have affected and streams typed ``match_added`` /
 ``match_removed`` events.  :class:`StandingStore` makes the whole thing
-survive crashes; :mod:`repro.standing.campaign` is the seeded
-epoch-replay harness that pins incremental answers byte-identical to
+survive crashes; :mod:`repro.campaigns.standing` is the seeded
+epoch-replay campaign that pins incremental answers byte-identical to
 from-scratch evaluation.
 """
 
@@ -15,25 +15,10 @@ from .store import StandingStore, StandingStoreError
 from .subscription import (CandidateEnvelope, Subscription,
                            matches_from_results, matches_from_rows,
                            matches_to_rows, results_from_matches)
-#: campaign names resolved lazily (PEP 562): the campaign drives
-#: repro.service and repro.faults, which both import this package —
-#: loading it eagerly here would close the cycle over half-initialized
-#: modules whichever side an import starts from.
-_CAMPAIGN_NAMES = ("StandingCampaignConfig", "StandingCampaignReport",
-                   "run_standing_campaign")
-
-
-def __getattr__(name: str):
-    if name in _CAMPAIGN_NAMES:
-        from . import campaign
-        return getattr(campaign, name)
-    raise AttributeError(f"module {__name__!r} has no attribute "
-                         f"{name!r}")
 
 __all__ = [
-    "CandidateEnvelope", "EpochReport", "StandingCampaignConfig",
-    "StandingCampaignReport", "StandingPolicy", "StandingQueryManager",
-    "StandingStore", "StandingStoreError", "Subscription",
-    "matches_from_results", "matches_from_rows", "matches_to_rows",
-    "results_from_matches", "run_standing_campaign",
+    "CandidateEnvelope", "EpochReport", "StandingPolicy",
+    "StandingQueryManager", "StandingStore", "StandingStoreError",
+    "Subscription", "matches_from_results", "matches_from_rows",
+    "matches_to_rows", "results_from_matches",
 ]

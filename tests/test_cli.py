@@ -137,9 +137,9 @@ class TestShardCommand:
 
     def test_chaos_shard_mode(self, capsys):
         import json
-        assert main(["chaos", "--seed", "3", "--requests", "30",
-                     "--shards", "3", "--kill-shard-every", "7",
-                     "--json"]) == 0
+        assert main(["campaign", "shards", "--seed", "3",
+                     "--num-requests", "30", "--num-shards", "3",
+                     "--kill-every", "7", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert payload["fired_by_kind"].get("shard_kill", 0) > 0
@@ -148,8 +148,10 @@ class TestShardCommand:
         assert payload["mismatches"] == []
 
     def test_chaos_shard_mode_renders(self, capsys):
-        assert main(["chaos", "--seed", "5", "--requests", "24",
-                     "--shards", "3", "--kill-shard-every", "5"]) == 0
+        assert main(["campaign", "shards", "--seed", "5",
+                     "--num-requests", "24", "--num-shards", "3",
+                     "--kill-every", "5"]) == 0
         out = capsys.readouterr().out
-        assert "shard-chaos campaign report" in out
-        assert "survived            yes" in out
+        assert "shards campaign report" in out
+        assert ["ok", "True"] in [line.split()
+                                  for line in out.splitlines()]

@@ -5,31 +5,31 @@ from __future__ import annotations
 import pytest
 
 from repro.durability import KILL_POINTS
-from repro.faults import CrashCampaignConfig, run_crash_campaign
+from repro.campaigns.crash import CrashConfig, run as run_crash_campaign
 
 
-def _small(**overrides) -> CrashCampaignConfig:
+def _small(**overrides) -> CrashConfig:
     """A campaign sized for the test suite (two CPU engines, tiny
     walks) — the full five-engine sweep runs in CI's crash job."""
     kw = dict(seed=0, num_ops=6, num_trajectories=8, steps=6,
               queries=2, checkpoint_every=2, sync="flush",
               methods=("cpu_scan", "cpu_rtree"))
     kw.update(overrides)
-    return CrashCampaignConfig(**kw)
+    return CrashConfig(**kw)
 
 
 class TestConfigValidation:
     def test_too_few_ops_rejected(self):
         with pytest.raises(ValueError, match="num_ops"):
-            CrashCampaignConfig(num_ops=3)
+            CrashConfig(num_ops=3)
 
     def test_unknown_kill_point_rejected(self):
         with pytest.raises(ValueError, match="kill points"):
-            CrashCampaignConfig(kill_points=("wal_mid_append", "oops"))
+            CrashConfig(kill_points=("wal_mid_append", "oops"))
 
     def test_crash_on_op_bounds(self):
         with pytest.raises(ValueError, match="crash_on_op"):
-            CrashCampaignConfig(num_ops=6, crash_on_op=7)
+            CrashConfig(num_ops=6, crash_on_op=7)
 
 
 class TestCampaign:
@@ -63,7 +63,7 @@ class TestCampaign:
     def test_every_engine_byte_identical(self, report):
         for run in report.runs:
             assert set(run.identical) == {"cpu_scan", "cpu_rtree"}
-            assert all(run.identical.values()), run.to_dict()
+            assert all(run.identical.values()), run
 
     def test_report_round_trips_to_dict(self, report):
         payload = report.to_dict()

@@ -6,9 +6,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.faults import (CampaignConfig, FAULT_KINDS, FaultInjector,
-                          FaultSpec, KernelAbortError, LaneBlackoutError,
-                          TransferFault, run_campaign)
+from repro.campaigns.chaos import ChaosConfig, run as run_campaign
+from repro.faults import (FAULT_KINDS, FaultInjector, FaultSpec,
+                          KernelAbortError, LaneBlackoutError,
+                          TransferFault)
 from repro.gpu.device import TESLA_C2075, VirtualGPU
 from repro.gpu.kernel import KernelLauncher, LaunchSpec
 from repro.gpu.memory import DeviceOutOfMemoryError
@@ -186,12 +187,12 @@ class TestFaultKindsOnDevice:
 class TestCampaign:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="num_requests"):
-            CampaignConfig(num_requests=0)
+            ChaosConfig(num_requests=0)
         with pytest.raises(ValueError, match="injection_rate"):
-            CampaignConfig(injection_rate=1.5)
+            ChaosConfig(injection_rate=1.5)
 
     def test_campaign_survives_with_every_fault_kind(self):
-        report = run_campaign(CampaignConfig(seed=0))
+        report = run_campaign(ChaosConfig(seed=0))
         assert report.ok, report.render()
         assert report.total == 200
         # Everything answered was verified exact against cpu_scan
@@ -207,7 +208,7 @@ class TestCampaign:
         assert report.outcomes["degraded"] > 0
 
     def test_campaign_is_deterministic(self):
-        cfg = CampaignConfig(seed=11, num_requests=60)
+        cfg = ChaosConfig(seed=11, num_requests=60)
         a = run_campaign(cfg)
         b = run_campaign(cfg)
         assert a.outcomes == b.outcomes
@@ -216,15 +217,15 @@ class TestCampaign:
         assert a.failover_hops == b.failover_hops
 
     def test_seed_changes_the_campaign(self):
-        a = run_campaign(CampaignConfig(seed=0, num_requests=60))
-        b = run_campaign(CampaignConfig(seed=1, num_requests=60))
+        a = run_campaign(ChaosConfig(seed=0, num_requests=60))
+        b = run_campaign(ChaosConfig(seed=1, num_requests=60))
         assert (a.injector["fired_by_kind"]
                 != b.injector["fired_by_kind"])
 
     def test_report_roundtrips_to_dict(self):
         import json
-        report = run_campaign(CampaignConfig(seed=3, num_requests=24))
+        report = run_campaign(ChaosConfig(seed=3, num_requests=24))
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] == report.ok
         assert payload["outcomes"] == report.outcomes
-        assert "survived" in report.render()
+        assert "chaos campaign report" in report.render()

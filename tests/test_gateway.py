@@ -9,13 +9,14 @@ import pytest
 
 from repro.core.types import SegmentArray
 from repro.engines.cpu_scan import CpuScanEngine
-from repro.faults.crashes import _result_bytes
+from repro.campaigns import overload
+from repro.campaigns.harness import result_bytes
+from repro.campaigns.overload import OverloadConfig, SimClock
 from repro.gateway import (BROWNOUT_LEVELS, BrownoutLadder,
                            GATEWAY_STATUSES, Gateway,
                            GatewayHTTPServer, GatewayResponse,
-                           OverloadConfig, SimClock, TenantConfig,
-                           TenantRegistry, TokenBucket,
-                           retry_with_backoff, run_overload_campaign)
+                           TenantConfig, TenantRegistry, TokenBucket,
+                           retry_with_backoff)
 from repro.service import QueryService, SearchRequest, SearchResponse
 from tests.conftest import make_walk_trajectories
 
@@ -214,8 +215,8 @@ class TestGatewayAdmission:
         assert resp.ok and resp.status == "ok"
         assert resp.kind == "search" and resp.tenant == "alpha"
         assert resp.response is not None
-        assert _result_bytes(resp.response.outcome.results) == \
-            _result_bytes(CpuScanEngine(small_db)
+        assert result_bytes(resp.response.outcome.results) == \
+            result_bytes(CpuScanEngine(small_db)
                           .search(small_queries, D)[0])
         gw.backend.shutdown()
 
@@ -329,8 +330,8 @@ class TestGatewayAdmission:
             "key-alpha", _request(small_queries, method="auto")))
         assert resp.ok
         assert resp.response.metrics.engine == "cpu_scan"
-        assert _result_bytes(resp.response.outcome.results) == \
-            _result_bytes(CpuScanEngine(small_db)
+        assert result_bytes(resp.response.outcome.results) == \
+            result_bytes(CpuScanEngine(small_db)
                           .search(small_queries, D)[0])
         assert gw.telemetry.metrics.counter(
             "repro_gateway_brownout_degrades_total").total() == 1
@@ -545,14 +546,85 @@ class TestHTTPSurface:
         answer = SearchResponse.from_dict(
             json.loads(payload)["response"]).outcome.results
         truth, _ = CpuScanEngine(small_db).search(small_queries, D)
-        assert _result_bytes(answer) == _result_bytes(truth)
+        assert result_bytes(answer) == result_bytes(truth)
+        gw.backend.shutdown()
+
+    def test_backend_exception_does_not_silence_the_gateway(
+            self, small_db, small_queries):
+        """Regression: a request that passes decode but makes the
+        backend raise (a misspelled engine param -> ``ConfigError``)
+        used to kill the drain worker — its caller never got a reply
+        and everything queued behind it hung.  Now it is a typed 400
+        and the worker keeps draining."""
+        gw = _gateway(small_db)
+        bad = json.dumps(_request(
+            small_queries, rid="bad", method="gpu_temporal",
+            params={"num_binz": 5}).to_dict()).encode()
+        good = json.dumps(_request(
+            small_queries, rid="good", method="cpu_scan"
+        ).to_dict()).encode()
+        headers = {"x-api-key": "key-alpha"}
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                host, port = server.host, server.port
+                # Both in flight at once: the good one queues behind
+                # the bad one.
+                return await asyncio.gather(
+                    _http(host, port, "POST", "/v1/search", bad,
+                          headers),
+                    _http(host, port, "POST", "/v1/search", good,
+                          headers))
+
+        refused, served = asyncio.run(asyncio.wait_for(drive(), 10))
+        status, _, payload = refused
+        assert status == 400
+        body = json.loads(payload)
+        assert body["status"] == "invalid" and "num_binz" in body["reason"]
+        status, _, payload = served
+        assert status == 200
+        answer = SearchResponse.from_dict(
+            json.loads(payload)["response"]).outcome.results
+        truth, _ = CpuScanEngine(small_db).search(small_queries, D)
+        assert result_bytes(answer) == result_bytes(truth)
+        breakers = gw.backend.stats()["breakers"]
+        assert all(b["state"] == "closed" for b in breakers.values())
+        gw.backend.shutdown()
+
+    def test_backend_crash_is_a_typed_internal_500(
+            self, small_db, small_queries):
+        """Any other backend exception is answered ``internal`` (HTTP
+        500, not retryable), counted, and the next request is served."""
+        gw = _gateway(small_db)
+        real_submit = gw.backend.submit
+
+        def flaky(request):
+            if request.request_id == "boom":
+                raise RuntimeError("backend fell over")
+            return real_submit(request)
+
+        gw.backend.submit = flaky
+
+        async def drive():
+            return await asyncio.gather(
+                gw.search("key-alpha", _request(small_queries, "boom")),
+                gw.search("key-alpha", _request(small_queries, "next",
+                                                method="cpu_scan")))
+
+        boom, served = asyncio.run(asyncio.wait_for(drive(), 10))
+        assert boom.status == "internal" and not boom.retryable
+        assert "backend fell over" in boom.reason
+        assert GatewayHTTPServer._encode(boom)[0] == 500
+        assert served.ok
+        assert gw.telemetry.metrics.counter(
+            "repro_gateway_backend_errors_total").total() == 1
         gw.backend.shutdown()
 
 
 class TestOverloadCampaign:
     @pytest.fixture(scope="class")
     def report(self):
-        return run_overload_campaign(OverloadConfig(seed=1))
+        return overload.run(OverloadConfig(seed=1))
 
     def test_campaign_stays_civilized(self, report):
         assert report.ok, report.render()
@@ -586,11 +658,12 @@ class TestOverloadCampaign:
         assert set(entry) == {"seed", "requests", "answered",
                               "latency", "outcomes"}
         text = report.render()
-        assert "civilized           yes" in text
-        assert "post-recovery: yes" in text
+        assert "overload campaign report" in text
+        assert ["post_recovery_dedup", "True"] in [
+            line.split() for line in text.splitlines()]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="saturate"):
-            OverloadConfig(queue_depth=9, interactive_per_burst=9)
+            OverloadConfig(queue_depth=9)
         with pytest.raises(ValueError, match="inside the campaign"):
             OverloadConfig(num_bursts=4, crash_at_burst=4)

@@ -12,9 +12,10 @@ from repro.distributed import (PARTITION_STRATEGIES, GpuCluster,
                                run_spmd_search)
 from repro.engines import (CpuRTreeEngine, CpuScanEngine,
                            GpuTemporalEngine, HybridEngine)
-from repro.faults import (SHARD_FAULT_KINDS, ShardCampaignConfig,
-                          ShardCampaignReport, run_shard_campaign)
-from repro.faults.crashes import _result_bytes
+from repro.campaigns.harness import result_bytes
+from repro.campaigns.shards import (SHARD_FAULT_KINDS, ShardsConfig,
+                                    ShardsReport,
+                                    run as run_shard_campaign)
 from repro.ingest import IngestError
 from repro.obs import Telemetry
 from repro.service import SearchRequest
@@ -45,7 +46,7 @@ def _truth_bytes(db, queries, keep_seg_ids=None):
     if keep_seg_ids is not None:
         mask = np.isin(db.seg_ids, keep_seg_ids)
         logical = db.take(np.flatnonzero(mask))
-    return _result_bytes(CpuScanEngine(logical).search(queries, D)[0])
+    return result_bytes(CpuScanEngine(logical).search(queries, D)[0])
 
 
 def _request(queries, method="cpu_scan", rid="r0"):
@@ -75,7 +76,7 @@ class TestExactScatterGather:
             resp = svc.submit(_request(queries))
             assert resp.ok
             assert len(resp.outcome.results) > 0, "vacuous truth"
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(db, queries)
 
     def test_gpu_methods_merge_exactly(self, queries):
@@ -84,7 +85,7 @@ class TestExactScatterGather:
             for method in ("gpu_temporal", "cpu_rtree", "auto"):
                 resp = svc.submit(_request(queries, method=method))
                 assert resp.ok, resp.reason
-                assert _result_bytes(resp.outcome.results) == \
+                assert result_bytes(resp.outcome.results) == \
                     _truth_bytes(db, queries)
 
     def test_more_shards_than_trajectories(self, queries):
@@ -93,7 +94,7 @@ class TestExactScatterGather:
             assert len([s for s in svc.shards if s.replicas]) <= 2
             resp = svc.submit(_request(queries))
             assert resp.ok
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(db, queries)
 
     def test_modeled_time_is_slowest_leg(self, queries):
@@ -115,7 +116,7 @@ class TestMutationRouting:
             assert sum(receipt["routed"].values()) == len(fresh)
             resp = svc.submit(_request(queries))
             assert resp.ok
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(_whole(db, fresh), queries)
 
     def test_global_seg_ids_are_unique_across_shards(self, tmp_path):
@@ -137,7 +138,7 @@ class TestMutationRouting:
             assert hidden > 0
             keep = db.take(np.flatnonzero(db.traj_ids != victim))
             resp = svc.submit(_request(queries))
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(keep, queries)
             # Idempotent: a second delete is a no-op.
             assert svc.delete_trajectory(victim) == 0
@@ -167,7 +168,7 @@ class TestMutationRouting:
             assert any(op == "compact" for s in svc.shards
                        for _, op, _ in s.oplog)
             resp = svc.submit(_request(queries))
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(_whole(db, *appends), queries)
 
 
@@ -182,7 +183,7 @@ class TestFailover:
             for i in range(3):
                 resp = svc.submit(_request(queries, rid=f"k{i}"))
                 assert resp.ok
-                assert _result_bytes(resp.outcome.results) == \
+                assert result_bytes(resp.outcome.results) == \
                     _truth_bytes(db, queries)
 
     def test_blackout_answers_partial_over_survivors(self, queries,
@@ -197,7 +198,7 @@ class TestFailover:
             assert resp.missing_shards == (1,)
             surviving = np.concatenate(
                 [svc.plan.seg_ids_of(s) for s in (0, 2)])
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(db, queries, keep_seg_ids=surviving)
 
     def test_partial_requires_both_replicas_down(self, queries,
@@ -226,7 +227,7 @@ class TestFailover:
                     svc.shards[0].epoch
             resp = svc.submit(_request(queries))
             assert resp.status == "ok"
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(whole, queries)
 
     def test_memory_only_recovery_replays_full_oplog(self, queries):
@@ -277,7 +278,7 @@ class TestDivergenceDetection:
             shard.rr = 1                    # stale replica tried first
             resp = svc.submit(_request(queries))
             assert resp.status == "ok"
-            assert _result_bytes(resp.outcome.results) == \
+            assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(_whole(db, fresh), queries)
             mism = telemetry.metrics.get(
                 "repro_router_epoch_mismatch_total")
@@ -352,7 +353,7 @@ class TestOneMerge:
         db = _db()
         merged = merge(db, queries, strategy, n)
         assert len(merged) > 0, "vacuous truth"
-        assert _result_bytes(merged) == _truth_bytes(db, queries)
+        assert result_bytes(merged) == _truth_bytes(db, queries)
 
     def test_cluster_refuses_overlapping_shards(self, queries):
         # Every node indexes the whole database, not its shard.
@@ -468,10 +469,10 @@ class TestPartialResponseContract:
 
 class TestShardCampaign:
     def test_small_campaign_survives(self, tmp_path):
-        cfg = ShardCampaignConfig(seed=0, num_requests=40,
+        cfg = ShardsConfig(seed=0, num_requests=40,
                                   kill_every=7, recover_after=4,
                                   methods=("cpu_scan", "cpu_rtree"))
-        report = run_shard_campaign(cfg, durability_root=tmp_path)
+        report = run_shard_campaign(cfg, directory=tmp_path)
         assert report.ok, report.to_dict()
         assert report.total == 40
         assert all(report.fired_by_kind.get(k, 0) > 0
@@ -480,19 +481,19 @@ class TestShardCampaign:
         assert report.mismatches == []
 
     def test_report_round_trip_and_render(self, tmp_path):
-        cfg = ShardCampaignConfig(seed=1, num_requests=24,
+        cfg = ShardsConfig(seed=1, num_requests=24,
                                   kill_every=5, recover_after=3,
                                   methods=("cpu_scan",))
-        report = run_shard_campaign(cfg, durability_root=tmp_path)
+        report = run_shard_campaign(cfg, directory=tmp_path)
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] == report.ok
         assert payload["config"]["seed"] == 1
         text = report.render()
-        assert "shard-chaos campaign report" in text
-        assert "survived" in text
+        assert "shards campaign report" in text
+        assert "final_exact" in text
 
     def test_memory_only_campaign(self):
-        cfg = ShardCampaignConfig(seed=2, num_requests=24,
+        cfg = ShardsConfig(seed=2, num_requests=24,
                                   kill_every=5, recover_after=3,
                                   durable=False,
                                   methods=("cpu_scan",))
@@ -501,13 +502,12 @@ class TestShardCampaign:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ShardCampaignConfig(num_requests=0)
+            ShardsConfig(num_requests=0)
         with pytest.raises(ValueError):
-            ShardCampaignConfig(recover_after=0)
+            ShardsConfig(recover_after=0)
 
     def test_ok_gate_demands_all_kinds(self):
-        report = ShardCampaignReport(
-            config=ShardCampaignConfig(num_requests=1).to_dict())
+        report = ShardsReport(config=ShardsConfig(num_requests=1))
         report.outcomes = {"ok": 1}
         report.verified = 1
         report.final_exact = True

@@ -25,13 +25,13 @@ from repro.core.types import SegmentArray, Trajectory
 from repro.durability import (DurabilityPolicy, KILL_POINTS,
                               KillSwitch, SimulatedCrash)
 from repro.engines.cpu_scan import CpuScanEngine
-from repro.faults.crashes import _result_bytes
+from repro.campaigns.harness import apply_op, result_bytes
+from repro.campaigns.standing import (FLEET, POLICY, StandingConfig,
+                                      _make_subscriptions, _materialize,
+                                      run as run_standing_campaign)
 from repro.obs import Telemetry
 from repro.service import QueryService
-from repro.standing import (StandingCampaignConfig, Subscription,
-                            run_standing_campaign)
-from repro.standing.campaign import (_apply, _make_subscriptions,
-                                     _materialize)
+from repro.standing import Subscription
 from repro.data.moving import MovingObjectsWorkload
 from tests.conftest import make_walk_trajectories
 
@@ -58,14 +58,14 @@ def _exact(service, sub):
         service.current_snapshot().logical()).search(
         sub.queries, sub.d,
         exclude_same_trajectory=sub.exclude_same_trajectory)
-    want = _result_bytes(sub.apply_window(results))
-    return want == _result_bytes(service.standing.results(sub.sub_id))
+    want = result_bytes(sub.apply_window(results))
+    return want == result_bytes(service.standing.results(sub.sub_id))
 
 
 class TestKillPointCampaigns:
     @pytest.mark.parametrize("point", KILL_POINTS)
     def test_campaign_survives_kill_point(self, point):
-        report = run_standing_campaign(StandingCampaignConfig(
+        report = run_standing_campaign(StandingConfig(
             seed=4, kill_point=point))
         assert report.crash_fired, report.render()
         assert report.ok, report.render()
@@ -79,9 +79,9 @@ class TestEventStreamParity:
 
     @pytest.mark.parametrize("seed", [0, 11])
     def test_streams_identical_across_crash(self, seed, tmp_path):
-        cfg = StandingCampaignConfig(seed=seed)
+        cfg = StandingConfig(seed=seed)
         deltas = MovingObjectsWorkload(
-            config=cfg.fleet, seed=cfg.seed).epochs(cfg.stream_epochs)
+            config=FLEET, seed=cfg.seed).epochs(cfg.stream_epochs)
         base, schedule = _materialize(cfg, deltas)
         subs = _make_subscriptions(cfg, deltas)
 
@@ -91,18 +91,16 @@ class TestEventStreamParity:
         for sub in subs:
             ref.register_subscription(sub)
         for op in schedule:
-            _apply(ref, op)
+            apply_op(ref, op)
         ref_stream = [_event_key(r)
                       for r in ref.standing.events_since(0)]
         ref_final = {sub.sub_id: ref.standing.matches(sub.sub_id)
                      for sub in subs}
 
         # Durable run that dies mid-schedule and recovers.
-        policy = DurabilityPolicy(sync=cfg.sync,
-                                  checkpoint_every=cfg.checkpoint_every)
         crash_op = max(2, len(schedule) // 2)
         svc = QueryService(
-            base, durability_dir=tmp_path / "dur", durability=policy,
+            base, durability_dir=tmp_path / "dur", durability=POLICY,
             durability_kill=KillSwitch("wal_post_append",
                                        occurrence=crash_op),
             auto_compact=False, telemetry=_quiet())
@@ -110,16 +108,16 @@ class TestEventStreamParity:
             svc.register_subscription(sub)
         with pytest.raises(SimulatedCrash):
             for op in schedule:
-                _apply(svc, op)
+                apply_op(svc, op)
         stream = [_event_key(r) for r in svc.standing.events_since(0)]
         pre_crash_seq = svc.standing.last_seq
-        svc = QueryService.recover(tmp_path / "dur", policy=policy,
+        svc = QueryService.recover(tmp_path / "dur", policy=POLICY,
                                    auto_compact=False,
                                    telemetry=_quiet())
         # Replayed events keep their pre-crash seqs (already in
         # `stream`); everything new continues after them.
         for op in schedule[svc.last_recovery.epoch:]:
-            _apply(svc, op)
+            apply_op(svc, op)
         stream += [_event_key(r) for r in
                    svc.standing.events_since(pre_crash_seq)]
 

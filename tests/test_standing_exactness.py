@@ -16,12 +16,13 @@ import pytest
 
 from repro.core.types import SegmentArray, Trajectory
 from repro.engines.cpu_scan import CpuScanEngine
-from repro.faults.crashes import _result_bytes
+from repro.campaigns.harness import result_bytes
+from repro.campaigns.standing import (StandingConfig,
+                                      run as run_standing_campaign)
 from repro.ingest import VersionedDatabase
 from repro.service import QueryService
-from repro.standing import (StandingCampaignConfig, StandingPolicy,
-                            StandingQueryManager, Subscription,
-                            run_standing_campaign)
+from repro.standing import (StandingPolicy, StandingQueryManager,
+                            Subscription)
 from tests.conftest import make_walk_trajectories
 
 D = 2.5
@@ -51,12 +52,12 @@ def referee_bytes(sub, snapshot):
     results, _ = CpuScanEngine(snapshot.logical()).search(
         sub.queries, sub.d,
         exclude_same_trajectory=sub.exclude_same_trajectory)
-    return _result_bytes(sub.apply_window(results))
+    return result_bytes(sub.apply_window(results))
 
 
 def assert_exact(mgr, subs, snapshot):
     for sub in subs:
-        assert (_result_bytes(mgr.results(sub.sub_id))
+        assert (result_bytes(mgr.results(sub.sub_id))
                 == referee_bytes(sub, snapshot)), sub.sub_id
 
 
@@ -178,11 +179,11 @@ class TestManagerExactness:
         segs = _db(num_traj=3, seed=9, id_offset=700)
         vdb.append(segs)
         mgr.process_epoch(vdb.snapshot(), "append", appended=segs)
-        before = _result_bytes(mgr.results("sub-a"))
+        before = result_bytes(mgr.results("sub-a"))
         vdb.compact()
         report = mgr.process_epoch(vdb.snapshot(), "compact")
         assert report.affected == [] and report.skipped == 1
-        assert _result_bytes(mgr.results("sub-a")) == before
+        assert result_bytes(mgr.results("sub-a")) == before
         assert_exact(mgr, subs, vdb.snapshot())
 
 
@@ -326,7 +327,7 @@ class TestCampaign:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_seeded_campaign_is_exact(self, seed):
         report = run_standing_campaign(
-            StandingCampaignConfig(seed=seed))
+            StandingConfig(seed=seed))
         assert report.ok, report.render()
         assert report.mismatches == []
         assert report.event_violations == []
@@ -339,7 +340,7 @@ class TestCampaign:
     def test_maintenance_is_delta_aware(self):
         """Affected re-evaluations strictly fewer than registered
         subscriptions on delta epochs — the envelope skipping works."""
-        report = run_standing_campaign(StandingCampaignConfig(seed=0))
+        report = run_standing_campaign(StandingConfig(seed=0))
         totals = report.standing
         assert totals["skipped"] > 0
         assert totals["affected"] < (totals["delta_epochs"]
@@ -347,7 +348,7 @@ class TestCampaign:
         assert totals["events_added"] > 0
 
     def test_campaign_with_device_faults_stays_exact(self):
-        report = run_standing_campaign(StandingCampaignConfig(
+        report = run_standing_campaign(StandingConfig(
             seed=5, faults=True, probe_every=2, fault_rate=0.3))
         assert report.ok, report.render()
         assert report.probes_sent > 0
@@ -355,8 +356,8 @@ class TestCampaign:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            StandingCampaignConfig(stream_epochs=3)
+            StandingConfig(stream_epochs=3)
         with pytest.raises(ValueError):
-            StandingCampaignConfig(kill_point="nonsense")
+            StandingConfig(kill_point="nonsense")
         with pytest.raises(ValueError):
-            StandingCampaignConfig(num_subscriptions=0)
+            StandingConfig(num_subscriptions=0)

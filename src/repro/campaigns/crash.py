@@ -38,11 +38,11 @@ import numpy as np
 
 from ..core.types import SegmentArray
 from ..durability import DurabilityPolicy, KILL_POINTS, KillSwitch
-from ..ingest import VersionedDatabase
+from ..ingest import Mutation, VersionedDatabase
 from ..obs import Telemetry
 from ..service import QueryService, SearchRequest
-from .harness import (CrashResume, Referee, Report, apply_op,
-                      durability_dir, result_bytes, walk_db)
+from .harness import (CrashResume, Referee, Report, durability_dir,
+                      result_bytes, walk_db)
 
 __all__ = ["CrashConfig", "CrashReport", "CrashRun", "run"]
 
@@ -149,7 +149,8 @@ class CrashReport(Report):
         return out
 
 
-def _build_schedule(cfg: CrashConfig, base: SegmentArray) -> list[tuple]:
+def _build_schedule(cfg: CrashConfig,
+                    base: SegmentArray) -> list[Mutation]:
     """A deterministic, always-valid mutation schedule.
 
     Validity (no deleting a tombstoned or unknown id, never emptying
@@ -158,36 +159,30 @@ def _build_schedule(cfg: CrashConfig, base: SegmentArray) -> list[tuple]:
     """
     rng = np.random.default_rng(cfg.seed + 0xC4A54)
     scratch = VersionedDatabase(base)
-    schedule: list[tuple] = []
+    schedule: list[Mutation] = []
     next_offset = 1000
     for i in range(cfg.num_ops):
+        mutation = None
         # Guarantee compactions mid-stream so compact_mid and the
         # replay-a-compaction path are always exercised.
         if i in (cfg.num_ops // 3, 2 * cfg.num_ops // 3):
-            kind = "compact"
-        else:
-            kind = rng.choice(["append", "append", "append", "delete"])
-        if kind == "delete":
+            mutation = Mutation("compact")
+        elif rng.choice(["append", "append", "append",
+                         "delete"]) == "delete":
             snap = scratch.snapshot()
             live = sorted(set(np.unique(snap.base.traj_ids).tolist())
                           | set(np.unique(snap.delta.traj_ids).tolist()))
             live = [t for t in live if t not in snap.tombstones]
-            if len(live) < 2:
-                kind = "append"  # never empty the database
-            else:
-                victim = int(live[int(rng.integers(len(live)))])
-                scratch.delete_trajectory(victim)
-                schedule.append(("delete", victim))
-                continue
-        if kind == "compact":
-            scratch.compact()
-            schedule.append(("compact",))
-            continue
-        segs = walk_db(int(rng.integers(1, 3)), cfg.steps,
-                       seed=cfg.seed + 31 * i, id_offset=next_offset)
-        next_offset += 100
-        scratch.append(segs)
-        schedule.append(("append", segs))
+            if len(live) >= 2:  # else append: never empty the database
+                mutation = Mutation("delete", traj_id=live[
+                    int(rng.integers(len(live)))])
+        if mutation is None:
+            mutation = Mutation("append", segments=walk_db(
+                int(rng.integers(1, 3)), cfg.steps,
+                seed=cfg.seed + 31 * i, id_offset=next_offset))
+            next_offset += 100
+        scratch.apply(mutation)
+        schedule.append(mutation)
     return schedule
 
 
@@ -211,7 +206,7 @@ def _occurrences(cfg: CrashConfig) -> dict[str, int]:
 
 
 def _crash_run(cfg: CrashConfig, base: SegmentArray,
-               schedule: list[tuple], queries: SegmentArray,
+               schedule: list[Mutation], queries: SegmentArray,
                point: str, occurrence: int,
                truth: tuple[bytes, ...], directory: Path) -> CrashRun:
     run = CrashRun(point=point, occurrence=occurrence)
@@ -278,8 +273,8 @@ def run(config: CrashConfig | None = None, *,
     # Uninterrupted reference: same schedule, no durability, no kill.
     reference = QueryService(base, auto_compact=False,
                              telemetry=Telemetry(enabled=False))
-    for op in schedule:
-        apply_op(reference, op)
+    for mutation in schedule:
+        reference.apply(mutation)
     report.reference_epoch = reference.versioned.epoch
     referee = Referee()
     truth = referee.truth(referee.pin(reference.current_snapshot()),

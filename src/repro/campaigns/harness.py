@@ -3,11 +3,12 @@
 A campaign is a seeded storm against some serving layer whose every
 answer is checked, byte for byte, against ``cpu_scan``.  The parts more
 than one scenario needs live here: the random-walk dataset, canonical
-result bytes, the one ``cpu_scan`` referee, ``apply_op`` and the
-crash → recover → resume driver for mutation schedules, a durability
-directory, and the report base.  Schedules, injected faults and
-scenario-specific checks stay in the scenario modules; this module has
-no hooks for them to plug into — scenarios call it, it never calls
+result bytes, the one ``cpu_scan`` referee, the crash → recover →
+resume driver for mutation schedules (lists of
+:class:`~repro.ingest.Mutation`, applied with ``service.apply``), a
+durability directory, and the report base.  Schedules, injected faults
+and scenario-specific checks stay in the scenario modules; this module
+has no hooks for them to plug into — scenarios call it, it never calls
 back.
 """
 
@@ -24,11 +25,12 @@ from ..core.result import ResultSet
 from ..core.types import SegmentArray, Trajectory
 from ..durability import DurabilityPolicy, KillSwitch, SimulatedCrash
 from ..engines.cpu_scan import CpuScanEngine
+from ..ingest import Mutation
 from ..obs import Telemetry
 from ..service import QueryService
 
-__all__ = ["CrashResume", "Referee", "Report", "apply_op",
-           "durability_dir", "result_bytes", "walk_db"]
+__all__ = ["CrashResume", "Referee", "Report", "durability_dir",
+           "result_bytes", "walk_db"]
 
 
 def walk_db(num_traj: int, steps: int, *, seed: int,
@@ -107,17 +109,6 @@ class Referee:
         return self._truths[epoch, key]
 
 
-def apply_op(service: QueryService, op: tuple) -> None:
-    """Apply one schedule op — ``("append", SegmentArray)``,
-    ``("delete", traj_id)`` or ``("compact",)``."""
-    if op[0] == "append":
-        service.ingest(op[1])
-    elif op[0] == "delete":
-        service.delete_trajectory(op[1])
-    else:
-        service.compact()
-
-
 class CrashResume:
     """A durable service driven through a mutation schedule, killed
     once by a :class:`~repro.durability.KillSwitch`, recovered from its
@@ -132,7 +123,7 @@ class CrashResume:
     recovered process a fresh injector).
     """
 
-    def __init__(self, base: SegmentArray, schedule: list[tuple],
+    def __init__(self, base: SegmentArray, schedule: list[Mutation],
                  directory: Path, *, policy: DurabilityPolicy,
                  kill: KillSwitch, **service_kwargs) -> None:
         self.schedule = schedule
@@ -151,7 +142,7 @@ class CrashResume:
         switch fires."""
         try:
             for i, op in enumerate(self.schedule, start=1):
-                apply_op(self.service, op)
+                self.service.apply(op)
                 yield i
         except SimulatedCrash:
             self.crashed = True
@@ -169,7 +160,7 @@ class CrashResume:
         positions as :meth:`until_crash` does."""
         landed = self.service.last_recovery.epoch
         for i, op in enumerate(self.schedule[landed:], start=landed + 1):
-            apply_op(self.service, op)
+            self.service.apply(op)
             self.resumed_ops += 1
             yield i
 

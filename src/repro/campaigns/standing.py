@@ -38,6 +38,7 @@ from ..data.random_walk import make_random_walks
 from ..durability import DurabilityPolicy, KILL_POINTS, KillSwitch
 from ..engines.base import RetryPolicy
 from ..faults import FaultInjector, FaultSpec
+from ..ingest import Mutation
 from ..service import QueryService, SearchRequest
 from ..standing import Subscription
 from .harness import (CrashResume, Referee, Report, durability_dir,
@@ -156,7 +157,7 @@ class StandingReport(Report):
 
 
 def _materialize(cfg: StandingConfig, deltas: list
-                 ) -> tuple[SegmentArray, list[tuple]]:
+                 ) -> tuple[SegmentArray, list[Mutation]]:
     """Fold the streamed epochs into a base + deterministic op schedule.
 
     The first epoch's segments seed the base; every later epoch becomes
@@ -168,15 +169,15 @@ def _materialize(cfg: StandingConfig, deltas: list
     ingested = set(np.unique(base.traj_ids).tolist())
     compact_at = {max(1, cfg.stream_epochs // 3),
                   max(2, 2 * cfg.stream_epochs // 3)}
-    schedule: list[tuple] = []
+    schedule: list[Mutation] = []
     for delta in deltas[1:]:
         for tid in delta.departures:
             if tid in ingested:  # never emitted -> nothing to delete
-                schedule.append(("delete", int(tid)))
-        schedule.append(("append", delta.segments))
+                schedule.append(Mutation("delete", traj_id=tid))
+        schedule.append(Mutation("append", segments=delta.segments))
         ingested.update(np.unique(delta.segments.traj_ids).tolist())
         if delta.index in compact_at:
-            schedule.append(("compact",))
+            schedule.append(Mutation("compact"))
     return base, schedule
 
 
@@ -342,7 +343,7 @@ def run(config: StandingConfig | None = None) -> StandingReport:
     subs = _make_subscriptions(cfg, deltas)
     report = StandingReport(config=cfg)
     report.num_ops = len(schedule)
-    report.compactions = sum(op[0] == "compact" for op in schedule)
+    report.compactions = sum(m.op == "compact" for m in schedule)
     report.crash_occurrence = _crash_occurrence(cfg, len(schedule))
     client = _Client(report)
     referee = Referee()

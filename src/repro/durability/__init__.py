@@ -11,8 +11,8 @@ compactions — is made restartable here:
   ``os.replace``) snapshots of the versioned database, including
   pickled warm-engine artifacts for restart prewarm;
 * :mod:`repro.durability.manager` composes both:
-  :class:`DurabilityPolicy` controls sync mode, checkpoint cadence and
-  WAL truncation; :meth:`DurabilityManager.recover` restores the exact
+  :class:`DurabilityPolicy` sets the sync mode and the checkpoint
+  cadence; :meth:`DurabilityManager.recover` restores the exact
   pre-crash logical epoch from the newest valid checkpoint plus the
   WAL tail;
 * :mod:`repro.durability.crashpoints` supplies the seeded

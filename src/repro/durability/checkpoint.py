@@ -145,6 +145,11 @@ def checkpoint_name(epoch: int) -> str:
     return f"{CHECKPOINT_PREFIX}{epoch:012d}"
 
 
+def checkpoint_epoch(path: Path) -> int:
+    """The epoch a committed ``ckpt-<epoch>`` directory name encodes."""
+    return int(path.name[len(CHECKPOINT_PREFIX):])
+
+
 def write_checkpoint(directory: str | Path, state: dict, *,
                      engines: list[tuple[str, dict, object | None]] = (),
                      kill=None, kill_point: str = "checkpoint_mid"

@@ -10,35 +10,45 @@
         events.jsonl        # telemetry event log, flushed at shutdown
         slow_queries.jsonl  # slow-query log, flushed at shutdown
 
-The write path follows classic WAL discipline: every mutation is framed,
-written, and synced *before* it is applied to the in-memory
+The write path follows classic WAL discipline: every
+:class:`~repro.ingest.Mutation` is framed, written, and synced *before*
+it is applied to the in-memory
 :class:`~repro.ingest.VersionedDatabase`; periodic checkpoints bound
-replay time; the WAL is truncated through each checkpoint's epoch.
+replay time; the WAL is truncated through the *oldest retained*
+checkpoint's epoch, so every checkpoint on disk can still be replayed
+forward to the present.
 
 :meth:`DurabilityManager.recover` inverts it: load the newest valid
 checkpoint (skipping crash debris and corrupt directories), replay the
 WAL tail (dropping a CRC-torn final record), and hand back a database
 at the exact pre-crash logical epoch plus the warm-engine recipes the
-service uses to prewarm its cache.
+service uses to prewarm its cache — or raise when the replay ends
+short of a checkpoint that was committed.
 """
 
 from __future__ import annotations
 
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..core.types import SegmentArray
-from ..ingest import VersionedDatabase
+from ..ingest import Mutation, VersionedDatabase
 from ..obs import current as current_telemetry
-from .checkpoint import (CheckpointError, EngineRecipe, clean_tmp_dirs,
+from .checkpoint import (CheckpointError, EngineRecipe,
+                         checkpoint_epoch, clean_tmp_dirs,
                          list_checkpoints, load_checkpoint,
                          write_checkpoint)
 from .wal import SYNC_MODES, WalCorruptionError, WriteAheadLog
 
 __all__ = ["DurabilityError", "DurabilityManager", "DurabilityPolicy",
            "RecoveryResult"]
+
+#: Committed checkpoints retained; older ones are pruned after each
+#: successful checkpoint.  Two, so a corrupt newest one still leaves a
+#: floor — which the WAL reaches back to (see
+#: :meth:`DurabilityManager.checkpoint`).
+KEEP_CHECKPOINTS = 2
 
 
 class DurabilityError(RuntimeError):
@@ -57,27 +67,10 @@ class DurabilityPolicy:
         Mutations between periodic checkpoints (0 = only at
         compactions and explicit :meth:`DurabilityManager.checkpoint`
         calls).
-    checkpoint_on_compact:
-        Checkpoint right after every compaction — replaying a
-        compaction from the WAL is the most expensive replay step, so
-        fold it into a snapshot immediately.
-    truncate_wal:
-        Drop WAL records covered by each new checkpoint (atomic
-        rewrite); False keeps the full history.
-    keep_checkpoints:
-        Committed checkpoints retained; older ones are pruned after
-        each successful checkpoint.
-    persist_engines:
-        Pickle warm engines into checkpoints as prewarm artifacts
-        (best-effort; recipes are always persisted).
     """
 
     sync: str = "fsync"
     checkpoint_every: int = 16
-    checkpoint_on_compact: bool = True
-    truncate_wal: bool = True
-    keep_checkpoints: int = 2
-    persist_engines: bool = True
 
     def __post_init__(self) -> None:
         if self.sync not in SYNC_MODES:
@@ -85,17 +78,10 @@ class DurabilityPolicy:
                              f"expected one of {SYNC_MODES}")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.keep_checkpoints < 1:
-            raise ValueError("keep_checkpoints must be >= 1")
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
-        return {"sync": self.sync,
-                "checkpoint_every": self.checkpoint_every,
-                "checkpoint_on_compact": self.checkpoint_on_compact,
-                "truncate_wal": self.truncate_wal,
-                "keep_checkpoints": self.keep_checkpoints,
-                "persist_engines": self.persist_engines}
+        return asdict(self)
 
 
 @dataclass
@@ -204,47 +190,18 @@ class DurabilityManager:
                 f"attaching a new one")
         return self.checkpoint(database, warm_engines=warm_engines)
 
-    def log_append(self, database: VersionedDatabase,
-                   segments: SegmentArray, *,
-                   keep_seg_ids: bool = False,
-                   idempotency_key: str | None = None) -> None:
-        """WAL one append *before* it is applied.  The payload is the
-        caller's (pre-stamping) segments: replay re-runs
-        :meth:`~repro.ingest.VersionedDatabase.append`, which assigns
-        the identical seg_ids because ``next_seg_id`` is restored.
-        ``keep_seg_ids`` appends (router-stamped global ids) persist the
-        flag so replay preserves the caller's ids the same way; an
-        ``idempotency_key`` rides in the record so replay re-registers
-        it in the dedup table — a client retry stays exactly-once even
-        when the crash landed between the WAL write and a checkpoint."""
-        payload = {"segments": segments.to_dict()}
-        if keep_seg_ids:
-            payload["keep_seg_ids"] = True
-        if idempotency_key is not None:
-            payload["idempotency_key"] = str(idempotency_key)
-        self._log("append", database.epoch + 1, payload)
-
-    def log_delete(self, database: VersionedDatabase,
-                   traj_id: int, *,
-                   idempotency_key: str | None = None) -> None:
-        """WAL one tombstone before it is applied."""
-        payload: dict = {"traj_id": int(traj_id)}
-        if idempotency_key is not None:
-            payload["idempotency_key"] = str(idempotency_key)
-        self._log("delete", database.epoch + 1, payload)
-
-    def log_compact(self, database: VersionedDatabase) -> None:
-        """WAL one compaction before it is applied (replay re-runs the
-        deterministic fold)."""
-        self._log("compact", database.epoch + 1, {})
-
-    def _log(self, op: str, epoch: int, payload: dict) -> None:
+    def log(self, database: VersionedDatabase,
+            mutation: Mutation) -> None:
+        """WAL one mutation *before* it is applied to ``database``
+        (see :meth:`~repro.ingest.Mutation.to_payload` for what rides
+        in the record and why replay reproduces the same state)."""
         before = self.wal.bytes_written
-        self.wal.append(op, epoch, payload)
+        self.wal.append(mutation.op, database.epoch + 1,
+                        mutation.to_payload())
         self._ops_since_checkpoint += 1
         reg = current_telemetry().metrics
         reg.counter("repro_wal_appends_total",
-                    "mutations framed into the WAL").inc(op=op)
+                    "mutations framed into the WAL").inc(op=mutation.op)
         reg.counter("repro_wal_bytes_total",
                     "framed WAL bytes written").inc(
             self.wal.bytes_written - before)
@@ -261,17 +218,19 @@ class DurabilityManager:
     def checkpoint(self, database: VersionedDatabase,
                    warm_engines=(), *,
                    kill_point: str = "checkpoint_mid") -> Path:
-        """Write one checkpoint now, truncate the WAL through it, and
-        prune old checkpoints.
+        """Write one checkpoint now, prune old checkpoints, and
+        truncate the WAL through the oldest one retained — through
+        the *newest* would strand the older one: were the newest to
+        turn out corrupt, recovery would fall back to a floor with no
+        log to replay forward from.
 
         ``warm_engines`` is an iterable of ``(method, params, engine)``
         triples describing the service's warm cache; engines are
-        pickled as prewarm artifacts when the policy allows.
+        pickled as prewarm artifacts (best-effort; recipes are always
+        persisted).
         """
         snap = database.snapshot()
-        triples = [(method, params,
-                    engine if self.policy.persist_engines else None)
-                   for method, params, engine in warm_engines]
+        triples = list(warm_engines)
         wall0 = time.perf_counter()
         path = write_checkpoint(
             self.checkpoints_dir,
@@ -297,10 +256,12 @@ class DurabilityManager:
         self.checkpoints_written += 1
         self.last_checkpoint_epoch = database.epoch
         self._ops_since_checkpoint = 0
-        if self.policy.truncate_wal:
-            self.wal_truncated_records += self.wal.truncate_through(
-                database.epoch)
-        self._prune()
+        committed = list_checkpoints(self.checkpoints_dir)
+        for stale in committed[KEEP_CHECKPOINTS:]:
+            shutil.rmtree(stale)
+        oldest_retained = committed[:KEEP_CHECKPOINTS][-1]
+        self.wal_truncated_records += self.wal.truncate_through(
+            checkpoint_epoch(oldest_retained))
         reg = current_telemetry().metrics
         reg.counter("repro_checkpoints_total",
                     "checkpoints committed").inc()
@@ -310,11 +271,6 @@ class DurabilityManager:
             "checkpoint", epoch=database.epoch, path=str(path),
             wall_seconds=wall_s, engines=len(triples))
         return path
-
-    def _prune(self) -> None:
-        for stale in list_checkpoints(
-                self.checkpoints_dir)[self.policy.keep_checkpoints:]:
-            shutil.rmtree(stale)
 
     def close(self) -> None:
         self.wal.close()
@@ -350,12 +306,7 @@ class DurabilityManager:
             next_seg_id=checkpoint.next_seg_id,
             counters=checkpoint.counters,
             applied_keys=checkpoint.applied_keys)
-        scan = self.wal.read()
-        if scan.torn_records:
-            # Tolerating the torn final record means removing its
-            # half-written bytes too — future appends must start at a
-            # clean frame boundary.
-            self.wal.drop_torn_tail(scan.valid_bytes)
+        scan = self.wal.recover()
         replayed = skipped = 0
         for record in scan.records:
             if record.epoch <= checkpoint.epoch:
@@ -366,23 +317,16 @@ class DurabilityManager:
                     f"{self.wal.path}: record lsn={record.lsn} produces "
                     f"epoch {record.epoch} but the database is at "
                     f"epoch {db.epoch} — the log has a gap")
-            if record.op == "append":
-                db.append(
-                    SegmentArray.from_dict(record.payload["segments"]),
-                    keep_seg_ids=bool(
-                        record.payload.get("keep_seg_ids", False)),
-                    idempotency_key=record.payload.get(
-                        "idempotency_key"))
-            elif record.op == "delete":
-                db.delete_trajectory(
-                    record.payload["traj_id"],
-                    idempotency_key=record.payload.get(
-                        "idempotency_key"))
-            else:
-                db.compact()
+            db.apply(Mutation.from_payload(record.op, record.payload))
             replayed += 1
-        self.wal._next_lsn = (scan.records[-1].lsn + 1
-                              if scan.records else 1)
+        committed = checkpoint_epoch(candidates[0])
+        if db.epoch < committed:
+            # Returning would silently roll acknowledged writes back.
+            raise DurabilityError(
+                f"{self.directory}: recovery ended at epoch {db.epoch} "
+                f"but {candidates[0].name} was committed at epoch "
+                f"{committed}; that checkpoint is unreadable and the "
+                f"WAL no longer reaches back to the one before it")
         result = RecoveryResult(
             database=db, checkpoint_epoch=checkpoint.epoch,
             epoch=db.epoch, replayed=replayed, skipped=skipped,

@@ -1,9 +1,13 @@
-"""The write-ahead log: CRC32-framed JSONL mutation records.
+"""The write-ahead log: CRC32-framed JSONL records, the one append log
+on disk.
 
-Every mutation of the versioned database (append / delete / compact) is
-written here *before* it is applied in memory, so a crash at any instant
-loses at most the record being written — and that torn tail is detected
-by its CRC frame and dropped during recovery, never half-applied.
+The database's ``wal.jsonl`` (one record per
+:class:`~repro.ingest.Mutation`, whose ``op`` and payload this module
+does not interpret) and the standing sidecar's ``events.jsonl`` are
+both written *before* the change they record is applied in memory, so
+a crash at any instant loses at most the record being written — and
+that torn tail is detected by its CRC frame and dropped during
+recovery, never half-applied.
 
 Record framing
 --------------
@@ -14,20 +18,19 @@ One record per line::
 ``crc`` is the CRC32 of the canonical JSON encoding of the record
 *without* the ``crc`` key (sorted keys, compact separators).  A record
 whose line is incomplete, whose JSON does not parse, or whose CRC does
-not match its body is invalid.  During :func:`WriteAheadLog.read` an
+not match its body is invalid.  During :func:`read_wal` an
 invalid *final* record is tolerated (a torn write: the process died
 mid-``write``) — it is dropped and counted.  An invalid record with
 valid records *after* it is real corruption and raises
 :class:`WalCorruptionError`: replaying past a hole would silently skip
-a mutation.
+a change.
 
 Sync modes
 ----------
 ``"fsync"`` (default) flushes and ``os.fsync``\\ s after every append —
 the durability the recovery guarantees assume.  ``"flush"`` flushes to
 the OS but skips the fsync (crash-consistent against process death, not
-power loss).  ``"none"`` leaves buffering to the runtime (fastest; for
-tests and bulk loads).
+power loss).
 """
 
 from __future__ import annotations
@@ -41,10 +44,7 @@ from pathlib import Path
 __all__ = ["SYNC_MODES", "WalCorruptionError", "WalRecord",
            "WriteAheadLog", "encode_record", "decode_line"]
 
-SYNC_MODES = ("fsync", "flush", "none")
-
-#: mutation kinds a WAL record may carry.
-WAL_OPS = ("append", "delete", "compact")
+SYNC_MODES = ("fsync", "flush")
 
 
 class WalCorruptionError(RuntimeError):
@@ -53,22 +53,18 @@ class WalCorruptionError(RuntimeError):
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One framed mutation record.
+    """One framed record.
 
     ``lsn`` is the log sequence number (monotonic, starts at 1);
-    ``epoch`` is the database epoch the mutation *produced*, which is
-    what replay checks against the restored checkpoint.
+    ``epoch`` is the database epoch the recorded change *produced*,
+    which is what replay checks against the restored checkpoint and
+    what truncation cuts by.
     """
 
     lsn: int
     op: str
     epoch: int
     payload: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.op not in WAL_OPS:
-            raise ValueError(f"unknown WAL op {self.op!r}; expected "
-                             f"one of {WAL_OPS}")
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (no CRC frame)."""
@@ -124,6 +120,9 @@ class WalReadResult:
     torn_records: int = 0
     #: bytes of valid framed records (torn tail excluded).
     valid_bytes: int = 0
+    #: each record's framed line as read (newline excluded), so a
+    #: truncation copies survivors instead of re-encoding them.
+    lines: list[bytes] = field(default_factory=list)
 
 
 class WriteAheadLog:
@@ -164,35 +163,44 @@ class WriteAheadLog:
         return self._fh
 
     def _sync(self, fh) -> None:
-        if self.sync == "none":
-            return
         fh.flush()
         if self.sync == "fsync":
             os.fsync(fh.fileno())
 
     def append(self, op: str, epoch: int, payload: dict) -> WalRecord:
-        """Frame, write, and sync one mutation record; returns it.
+        """Frame, write, and sync one record; returns it.
 
         The record is durable (per the sync mode) when this returns —
-        the caller applies the mutation in memory only afterwards
+        the caller applies the change in memory only afterwards
         (write-ahead discipline).
         """
-        record = WalRecord(lsn=self._next_lsn, op=op, epoch=epoch,
-                           payload=payload)
-        line = encode_record(record)
-        fh = self._handle()
         if self.kill is not None and self.kill.matches("wal_mid_append"):
             # Simulated crash mid-write: leave a physically torn record
             # (a prefix of the framed line) on disk, then die.
+            line = encode_record(WalRecord(self._next_lsn, op, epoch,
+                                           payload))
+            fh = self._handle()
             fh.write(line[:max(1, len(line) // 2)])
             self._sync(fh)
             self.kill.fire("wal_mid_append")
-        fh.write(line)
+        return self.append_batch([(op, epoch, payload)])[0]
+
+    def append_batch(self, entries: list[tuple[str, int, dict]]
+                     ) -> list[WalRecord]:
+        """Frame and write ``(op, epoch, payload)`` entries in order,
+        then sync once: all of them are durable when this returns."""
+        records = [WalRecord(self._next_lsn + i, op, epoch, payload)
+                   for i, (op, epoch, payload) in enumerate(entries)]
+        if not records:
+            return records
+        data = b"".join(encode_record(record) for record in records)
+        fh = self._handle()
+        fh.write(data)
         self._sync(fh)
-        self._next_lsn += 1
-        self.appends += 1
-        self.bytes_written += len(line)
-        return record
+        self._next_lsn += len(records)
+        self.appends += len(records)
+        self.bytes_written += len(data)
+        return records
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:
@@ -201,10 +209,15 @@ class WriteAheadLog:
 
     # -- reading -----------------------------------------------------------------
 
-    def read(self) -> WalReadResult:
-        """Scan the log, validating every frame (see module docstring
-        for the torn-tail rule)."""
-        return read_wal(self.path)
+    def recover(self) -> WalReadResult:
+        """Scan the log for replay (see module docstring for the
+        torn-tail rule) and make it appendable again: a torn tail is
+        physically dropped, the next append continues the LSNs."""
+        scan = read_wal(self.path)
+        if scan.torn_records:
+            self.drop_torn_tail(scan.valid_bytes)
+        self._next_lsn = scan.records[-1].lsn + 1 if scan.records else 1
+        return scan
 
     # -- truncation --------------------------------------------------------------
 
@@ -232,19 +245,18 @@ class WriteAheadLog:
         """
         self.close()
         result = read_wal(self.path)
-        keep = [r for r in result.records if r.epoch > epoch]
-        dropped = len(result.records) - len(keep)
+        keep = [line for record, line
+                in zip(result.records, result.lines)
+                if record.epoch > epoch]
         tmp = self.path.with_name(self.path.name + f".tmp-{os.getpid()}")
         with open(tmp, "wb") as fh:
-            for record in keep:
-                fh.write(encode_record(record))
+            fh.write(b"".join(line + b"\n" for line in keep))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
-        self._next_lsn = (keep[-1].lsn + 1 if keep
-                          else result.records[-1].lsn + 1
-                          if result.records else self._next_lsn)
-        return dropped
+        if result.records:
+            self._next_lsn = result.records[-1].lsn + 1
+        return len(result.records) - len(keep)
 
 
 def read_wal(path: str | Path) -> WalReadResult:
@@ -280,4 +292,5 @@ def read_wal(path: str | Path) -> WalReadResult:
         valid_bytes += len(line) + 1
     return WalReadResult(records=records,
                          torn_records=0 if invalid_at is None else 1,
-                         valid_bytes=valid_bytes)
+                         valid_bytes=valid_bytes,
+                         lines=lines[:len(records)])

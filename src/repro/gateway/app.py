@@ -39,7 +39,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from ..ingest import IngestError, IngestReceipt
+from ..ingest import IngestReceipt
 from ..obs import Telemetry
 from ..obs.metrics import MetricsRegistry
 from ..service import SearchRequest, SearchResponse
@@ -320,30 +320,36 @@ class Gateway:
                 return
             try:
                 response = self._dispatch(job)
-            except ValueError as exc:
-                # The backend refused the request itself (a ConfigError
-                # for a misspelled engine param): the caller's fault,
-                # so breakers and the error counter stay untouched.
-                response = self._refuse(
-                    "search", job.request.request_id, job.tenant,
-                    job.priority, "invalid", str(exc))
             except Exception as exc:  # noqa: BLE001 - the worker must keep draining
-                self.telemetry.metrics.counter(
-                    "repro_gateway_backend_errors_total",
-                    "backend exceptions answered as internal").inc()
-                self.telemetry.events.emit(
-                    "gateway_backend_error",
-                    request_id=job.request.request_id,
-                    traceback=traceback.format_exc())
-                response = self._refuse(
+                response = self._backend_raised(
                     "search", job.request.request_id, job.tenant,
-                    job.priority, "internal",
-                    f"{type(exc).__name__}: {exc}")
+                    job.priority, exc)
             if not job.future.done():
                 job.future.set_result(response)
             self._gauge_queues()
             # Yield so admitted-but-unawaited callers get scheduled.
             await asyncio.sleep(0)
+
+    def _backend_raised(self, kind: str, request_id: str, tenant: str,
+                        priority: str,
+                        exc: Exception) -> GatewayResponse:
+        """The typed reply to a backend call that raised (call from
+        the ``except``).  A ``ValueError`` is the backend refusing the
+        request itself (a ``ConfigError`` for a misspelled engine
+        param, an ``IngestError``): the caller's fault, so ``invalid``
+        with breakers and the error counter untouched.  Anything else
+        is ``internal``, counted and logged with its traceback."""
+        if isinstance(exc, ValueError):
+            return self._refuse(kind, request_id, tenant, priority,
+                                "invalid", str(exc))
+        self.telemetry.metrics.counter(
+            "repro_gateway_backend_errors_total",
+            "backend exceptions answered as internal").inc()
+        self.telemetry.events.emit(
+            "gateway_backend_error", request_id=request_id,
+            traceback=traceback.format_exc())
+        return self._refuse(kind, request_id, tenant, priority,
+                            "internal", f"{type(exc).__name__}: {exc}")
 
     def _dispatch(self, job: _Job) -> GatewayResponse:
         """Serve one dequeued job against the backend."""
@@ -421,9 +427,10 @@ class Gateway:
                 retry_after_s=self._drain_hint())
         try:
             receipt = apply()
-        except IngestError as exc:
-            return self._refuse(kind, request_id, tenant.tenant_id,
-                                tenant.priority, "invalid", str(exc))
+        except Exception as exc:  # noqa: BLE001 - every request gets a reply
+            return self._backend_raised(kind, request_id,
+                                        tenant.tenant_id,
+                                        tenant.priority, exc)
         if isinstance(receipt, IngestReceipt):
             receipt = receipt.to_dict()
         elif not isinstance(receipt, dict):

@@ -106,7 +106,8 @@ class GatewayHTTPServer:
                 status, payload, extra = await self._route(
                     method, path, headers, body)
                 await self._respond(writer, status, payload, extra)
-                if headers.get("connection", "").lower() == "close":
+                if body is None or \
+                        headers.get("connection", "").lower() == "close":
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -137,8 +138,13 @@ class GatewayHTTPServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length > MAX_BODY_BYTES:
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Unreadable framing: where the next request starts is
+            # unknown, so the caller answers 400 and hangs up.
             return method, path, headers, None
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
@@ -146,7 +152,8 @@ class GatewayHTTPServer:
     async def _route(self, method: str, path: str,
                      headers: dict[str, str], body: bytes | None):
         if body is None:
-            return 400, {"error": "request body too large"}, {}
+            return 400, {"error": f"Content-Length must be an integer "
+                                  f"in 0..{MAX_BODY_BYTES}"}, {}
         if method == "GET" and path == "/metrics":
             return 200, self.gateway.metrics_text(), {
                 "content-type": "text/plain; version=0.0.4"}

@@ -23,18 +23,24 @@ while writers append.  The serving layer
 (:class:`~repro.service.QueryService`) keys its engine cache by the
 *base* fingerprint, which appends do not change — a warm base index is
 reused across ingests instead of invalidated.
+
+Every change is one :class:`Mutation` value (append / delete / compact
+plus exactly its arguments), which is what the service pipeline, the
+WAL, the shard router's op log and campaign schedules pass around.
 """
 
+from .mutation import AppliedKeys, IngestError, Mutation, as_segments
 from .overlay import overlay_search
-from .versioned import (CompactionPolicy, CompactionResult, IngestError,
-                        IngestReceipt, Snapshot, VersionedDatabase,
-                        as_segments)
+from .versioned import (CompactionPolicy, CompactionResult,
+                        IngestReceipt, Snapshot, VersionedDatabase)
 
 __all__ = [
+    "AppliedKeys",
     "CompactionPolicy",
     "CompactionResult",
     "IngestError",
     "IngestReceipt",
+    "Mutation",
     "Snapshot",
     "VersionedDatabase",
     "as_segments",

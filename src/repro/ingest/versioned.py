@@ -28,31 +28,10 @@ import numpy as np
 
 from ..core.result import ResultSet
 from ..core.types import SegmentArray, Trajectory, concatenate
+from .mutation import AppliedKeys, IngestError, Mutation, as_segments
 
-__all__ = ["CompactionPolicy", "CompactionResult", "IngestError",
-           "IngestReceipt", "Snapshot", "VersionedDatabase",
-           "as_segments"]
-
-
-def as_segments(segments: SegmentArray | Trajectory |
-                list[Trajectory]) -> SegmentArray:
-    """Normalize the polymorphic append input to one SegmentArray.
-
-    Shared by :meth:`VersionedDatabase.append` and the durability
-    layer, which must WAL exactly what the append will see.
-    """
-    if isinstance(segments, Trajectory):
-        segments = [segments]
-    if isinstance(segments, list):
-        segments = SegmentArray.from_trajectories(segments)
-    if not isinstance(segments, SegmentArray):
-        raise TypeError("append expects a SegmentArray, a "
-                        "Trajectory, or a list of Trajectory")
-    return segments
-
-
-class IngestError(ValueError):
-    """A mutation the versioned database cannot honor."""
+__all__ = ["CompactionPolicy", "CompactionResult", "IngestReceipt",
+           "Snapshot", "VersionedDatabase"]
 
 
 @dataclass(frozen=True)
@@ -293,8 +272,9 @@ class VersionedDatabase:
         Compaction trigger bounds (default :class:`CompactionPolicy`).
 
     Mutations (:meth:`append`, :meth:`delete_trajectory`,
-    :meth:`compact`) bump the epoch and invalidate the cached snapshot;
-    :meth:`snapshot` is cheap when nothing changed.
+    :meth:`compact`, or :meth:`apply` of the value naming one) bump the
+    epoch and invalidate the cached snapshot; :meth:`snapshot` is cheap
+    when nothing changed.
     """
 
     def __init__(self, base: SegmentArray, *,
@@ -314,7 +294,7 @@ class VersionedDatabase:
         #: idempotency dedup table: client key -> JSON summary of the
         #: mutation it already named (checkpointed and WAL-carried, so
         #: retried client mutations stay exactly-once across a crash).
-        self._applied_keys: dict[str, dict] = {}
+        self.applied_keys = AppliedKeys()
         #: lifetime counters (exposed through service stats).
         self.total_appends = 0
         self.total_appended_segments = 0
@@ -349,8 +329,7 @@ class VersionedDatabase:
         for name in ("total_appends", "total_appended_segments",
                      "total_deletes", "total_compactions"):
             setattr(db, name, int((counters or {}).get(name, 0)))
-        db._applied_keys = {str(k): dict(v) for k, v
-                            in (applied_keys or {}).items()}
+        db.applied_keys = AppliedKeys(applied_keys or {})
         return db
 
     # -- introspection -----------------------------------------------------------
@@ -385,19 +364,6 @@ class VersionedDatabase:
         checkpoints so WAL replay re-stamps identically)."""
         return self._next_seg_id
 
-    def applied_key(self, key: str) -> dict | None:
-        """The JSON summary of the mutation ``key`` already named, or
-        None when the key is fresh.  Callers check this *before*
-        WAL-logging a keyed mutation — a duplicate client retry must
-        neither re-log nor re-apply."""
-        entry = self._applied_keys.get(str(key))
-        return dict(entry) if entry is not None else None
-
-    @property
-    def applied_keys(self) -> dict[str, dict]:
-        """The idempotency dedup table (checkpointed verbatim)."""
-        return {k: dict(v) for k, v in self._applied_keys.items()}
-
     def should_compact(self) -> bool:
         """Has the delta (or tombstone load) crossed the policy bounds?"""
         return self.policy.should_compact(
@@ -418,7 +384,7 @@ class VersionedDatabase:
             "appended_segments": self.total_appended_segments,
             "deletes": self.total_deletes,
             "compactions": self.total_compactions,
-            "idempotency_keys": len(self._applied_keys),
+            "idempotency_keys": len(self.applied_keys),
         }
 
     # -- reads -------------------------------------------------------------------
@@ -439,6 +405,18 @@ class VersionedDatabase:
     # The durability layer WALs a mutation *before* applying it, so it
     # must be able to reject an invalid mutation without logging it
     # (a logged-but-unappliable record would poison every replay).
+
+    def check(self, mutation: Mutation) -> bool:
+        """Raise :class:`IngestError` iff :meth:`apply` would; returns
+        whether the mutation will actually mutate (False = deleting an
+        already-tombstoned id, a no-op that must not be WAL-logged)."""
+        self.applied_keys.require_fresh(mutation.idempotency_key)
+        if mutation.op == "append":
+            self.check_append(mutation.segments,
+                              keep_seg_ids=mutation.keep_seg_ids)
+        elif mutation.op == "delete":
+            return bool(self.check_delete(mutation.traj_id))
+        return True
 
     def check_append(self, segments: SegmentArray, *,
                      keep_seg_ids: bool = False) -> None:
@@ -464,13 +442,13 @@ class VersionedDatabase:
                     f"{int(ids.min())} < next_seg_id "
                     f"{self._next_seg_id}")
 
-    def check_delete(self, traj_id: int) -> bool:
-        """Raise iff :meth:`delete_trajectory` would; returns whether
-        the delete will actually mutate (False = already tombstoned,
-        a no-op that must not be WAL-logged)."""
+    def check_delete(self, traj_id: int) -> int:
+        """Raise iff :meth:`delete_trajectory` would; returns how many
+        segments the tombstone will hide (0 = already tombstoned, a
+        no-op that must not be WAL-logged)."""
         traj_id = int(traj_id)
         if traj_id in self._tombstones:
-            return False
+            return 0
         hidden = int((self._base.traj_ids == traj_id).sum())
         for part in self._delta_parts:
             hidden += int((part.traj_ids == traj_id).sum())
@@ -481,9 +459,40 @@ class VersionedDatabase:
             raise IngestError(
                 "refusing to delete the last live trajectory: the "
                 "database must stay non-empty")
-        return True
+        return hidden
 
     # -- mutations ---------------------------------------------------------------
+
+    def apply(self, mutation: Mutation):
+        """Apply one :class:`~repro.ingest.Mutation`; returns what the
+        method it names returns (receipt / hidden count / compaction
+        result).  WAL replay, the service pipeline and the router all
+        come through here."""
+        if mutation.op == "append":
+            return self.append(
+                mutation.segments, keep_seg_ids=mutation.keep_seg_ids,
+                idempotency_key=mutation.idempotency_key)
+        if mutation.op == "delete":
+            return self.delete_trajectory(
+                mutation.traj_id,
+                idempotency_key=mutation.idempotency_key)
+        return self.compact()
+
+    def replayed(self, mutation: Mutation):
+        """The reply a keyed retry gets — the original receipt with
+        ``deduplicated=True``, or the original hidden count — or None
+        when ``mutation`` is unkeyed or its key is fresh.  Owners ask
+        *before* WAL-logging: a duplicate client retry must neither
+        re-log nor re-apply."""
+        prior = self.applied_keys.lookup(mutation)
+        if prior is None:
+            return None
+        if mutation.op == "delete":
+            return int(prior["hidden"])
+        # ``prior`` is the original receipt's to_dict(), JSON-typed.
+        return IngestReceipt(**{
+            **prior, "trajectory_ids": tuple(prior["trajectory_ids"]),
+            "seg_ids": tuple(prior["seg_ids"]), "deduplicated": True})
 
     def append(self, segments: SegmentArray | Trajectory |
                list[Trajectory], *,
@@ -506,16 +515,11 @@ class VersionedDatabase:
 
         ``idempotency_key`` registers the append in the dedup table; a
         key that is already registered raises — the owner must consult
-        :meth:`applied_key` first and replay the stored receipt instead
+        :meth:`replayed` first and hand back the stored receipt instead
         of re-applying (exactly-once under client retries).
         """
         segments = as_segments(segments)
-        if idempotency_key is not None \
-                and str(idempotency_key) in self._applied_keys:
-            raise IngestError(
-                f"idempotency key {idempotency_key!r} was already "
-                f"applied; look it up with applied_key() instead of "
-                f"re-appending")
+        self.applied_keys.require_fresh(idempotency_key)
         self.check_append(segments, keep_seg_ids=keep_seg_ids)
         n = len(segments)
         if keep_seg_ids:
@@ -541,9 +545,7 @@ class VersionedDatabase:
                                  np.unique(stamped.traj_ids)),
             seg_ids=tuple(int(s) for s in seg_ids),
             compaction_due=self.should_compact())
-        if idempotency_key is not None:
-            self._applied_keys[str(idempotency_key)] = {
-                "op": "append", **receipt.to_dict()}
+        self.applied_keys.record(idempotency_key, "append", receipt.to_dict())
         return receipt
 
     def delete_trajectory(self, traj_id: int, *,
@@ -553,24 +555,16 @@ class VersionedDatabase:
         (a typo should not silently 'succeed').  ``idempotency_key``
         registers the delete in the dedup table (see :meth:`append`)."""
         traj_id = int(traj_id)
-        if idempotency_key is not None \
-                and str(idempotency_key) in self._applied_keys:
-            raise IngestError(
-                f"idempotency key {idempotency_key!r} was already "
-                f"applied; look it up with applied_key() instead of "
-                f"re-deleting")
-        if not self.check_delete(traj_id):
+        self.applied_keys.require_fresh(idempotency_key)
+        hidden = self.check_delete(traj_id)
+        if not hidden:
             return 0
-        hidden = int((self._base.traj_ids == traj_id).sum())
-        for part in self._delta_parts:
-            hidden += int((part.traj_ids == traj_id).sum())
         self._tombstones.add(traj_id)
         self._bump(delta=True)
         self.total_deletes += 1
-        if idempotency_key is not None:
-            self._applied_keys[str(idempotency_key)] = {
-                "op": "delete", "epoch": self._epoch,
-                "traj_id": traj_id, "hidden": hidden}
+        self.applied_keys.record(
+            idempotency_key, "delete",
+            {"epoch": self._epoch, "traj_id": traj_id, "hidden": hidden})
         return hidden
 
     def compact(self) -> CompactionResult:

@@ -71,9 +71,9 @@ from ..engines.cpu_scan import CpuScanEngine
 from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
 from ..gpu.device import DeviceSpec, TESLA_C2075, VirtualGPU
 from ..gpu.profiler import CpuSearchProfile, RequestMetrics
-from ..ingest import (CompactionPolicy, CompactionResult, IngestError,
-                      IngestReceipt, Snapshot, VersionedDatabase,
-                      as_segments, overlay_search)
+from ..ingest import (CompactionPolicy, CompactionResult,
+                      IngestReceipt, Mutation, Snapshot,
+                      VersionedDatabase, overlay_search)
 from ..obs import Telemetry
 from ..standing import (StandingPolicy, StandingQueryManager,
                         StandingStore, Subscription)
@@ -339,20 +339,18 @@ class QueryService:
                                         policy=durability,
                                         kill=durability_kill)
             with self.telemetry.activate():
-                if isinstance(database, VersionedDatabase):
-                    # A recovered database re-attaches to its own
-                    # directory: the state on disk *is* this database,
-                    # so no bootstrap checkpoint is needed.
-                    if not manager.has_state:
-                        manager.attach(self.versioned)
-                else:
+                # A recovered database re-attaches to its own
+                # directory: the state on disk *is* this database, so
+                # no bootstrap checkpoint is needed.
+                if not (isinstance(database, VersionedDatabase)
+                        and manager.has_state):
                     manager.attach(self.versioned)
             self.durability = manager
         #: continuous subscriptions maintained delta-aware per epoch
         #: (durable alongside the WAL when the service is durable).
         self.standing = StandingQueryManager(
             policy=standing,
-            store=(StandingStore(self.durability.directory / "standing")
+            store=(StandingStore(self.durability.wal)
                    if self.durability is not None else None),
             telemetry=self.telemetry)
 
@@ -445,66 +443,9 @@ class QueryService:
         returned with ``deduplicated=True``.  The table is carried in
         WAL records and checkpoints, so dedup survives a crash/recover.
         """
-        with self.telemetry.activate(), \
-                self.telemetry.span("service.ingest") as span:
-            segments = as_segments(segments)
-            if idempotency_key is not None:
-                prior = self.versioned.applied_key(idempotency_key)
-                if prior is not None:
-                    return self._replay_receipt(idempotency_key, prior)
-            if self.durability is not None:
-                # WAL discipline: validate, log + sync, then apply.
-                self.versioned.check_append(segments,
-                                            keep_seg_ids=keep_seg_ids)
-                self.durability.log_append(
-                    self.versioned, segments,
-                    keep_seg_ids=keep_seg_ids,
-                    idempotency_key=idempotency_key)
-            receipt = self.versioned.append(
-                segments, keep_seg_ids=keep_seg_ids,
-                idempotency_key=idempotency_key)
-            span.set_attributes(epoch=receipt.epoch,
-                                segments=receipt.num_segments)
-            reg = self.telemetry.metrics
-            reg.counter("repro_ingest_total",
-                        "ingest (append) operations").inc()
-            reg.counter("repro_ingest_segments_total",
-                        "segments appended to the delta").inc(
-                receipt.num_segments)
-            self._gauge_ingest()
-            self.telemetry.events.emit(
-                "ingest", epoch=receipt.epoch,
-                delta_epoch=receipt.delta_epoch,
-                segments=receipt.num_segments,
-                trajectories=list(receipt.trajectory_ids),
-                compaction_due=receipt.compaction_due)
-            self._standing_epoch("append", appended=segments)
-            if receipt.compaction_due and self.auto_compact:
-                self._compact(trigger="policy")
-            self._maybe_checkpoint()
-        return receipt
-
-    def _replay_receipt(self, key: str, prior: dict) -> IngestReceipt:
-        """Rebuild the receipt a deduplicated ingest retry gets."""
-        if prior.get("op") != "append":
-            raise IngestError(
-                f"idempotency key {key!r} named a "
-                f"{prior.get('op')!r} mutation, not an append")
-        self.telemetry.metrics.counter(
-            "repro_idempotent_dedups_total",
-            "keyed mutation retries deduplicated").inc(op="append")
-        self.telemetry.events.emit(
-            "idempotent_dedup", op="append", key=str(key),
-            epoch=int(prior["epoch"]))
-        return IngestReceipt(
-            epoch=int(prior["epoch"]),
-            delta_epoch=int(prior["delta_epoch"]),
-            num_segments=int(prior["num_segments"]),
-            trajectory_ids=tuple(int(t)
-                                 for t in prior["trajectory_ids"]),
-            seg_ids=tuple(int(s) for s in prior["seg_ids"]),
-            compaction_due=bool(prior["compaction_due"]),
-            deduplicated=True)
+        return self.apply(Mutation(
+            "append", segments=segments, keep_seg_ids=keep_seg_ids,
+            idempotency_key=idempotency_key))
 
     def delete_trajectory(self, traj_id: int, *,
                           idempotency_key: str | None = None) -> int:
@@ -513,53 +454,73 @@ class QueryService:
         rows are physically dropped at the next compaction.  Returns
         the number of segments hidden.  ``idempotency_key`` deduplicates
         client retries exactly like :meth:`ingest`."""
-        with self.telemetry.activate(), \
-                self.telemetry.span("service.delete",
-                                    traj_id=int(traj_id)):
-            if idempotency_key is not None:
-                prior = self.versioned.applied_key(idempotency_key)
-                if prior is not None:
-                    if prior.get("op") != "delete":
-                        raise IngestError(
-                            f"idempotency key {idempotency_key!r} "
-                            f"named a {prior.get('op')!r} mutation, "
-                            f"not a delete")
-                    self.telemetry.metrics.counter(
-                        "repro_idempotent_dedups_total",
-                        "keyed mutation retries deduplicated").inc(
-                        op="delete")
-                    self.telemetry.events.emit(
-                        "idempotent_dedup", op="delete",
-                        key=str(idempotency_key),
-                        epoch=int(prior["epoch"]))
-                    return int(prior["hidden"])
-            if self.durability is not None \
-                    and self.versioned.check_delete(traj_id):
-                # Only a delete that actually mutates is logged: an
-                # already-tombstoned id is a no-op that must not
-                # consume an epoch in the WAL.
-                self.durability.log_delete(
-                    self.versioned, traj_id,
-                    idempotency_key=idempotency_key)
-            hidden = self.versioned.delete_trajectory(
-                traj_id, idempotency_key=idempotency_key)
-            reg = self.telemetry.metrics
-            reg.counter("repro_tombstones_total",
-                        "trajectories tombstoned").inc()
-            self._gauge_ingest()
-            self.telemetry.events.emit(
-                "delete", traj_id=int(traj_id),
-                epoch=self.versioned.epoch, hidden_segments=hidden)
-            self._standing_epoch("delete", deleted_traj=int(traj_id))
-            if self.auto_compact and self.versioned.should_compact():
-                self._compact(trigger="policy")
-            self._maybe_checkpoint()
-        return hidden
+        return self.apply(Mutation("delete", traj_id=traj_id,
+                                   idempotency_key=idempotency_key))
 
     def compact(self) -> CompactionResult:
         """Force a compaction now (policy thresholds ignored)."""
+        return self.apply(Mutation("compact"))
+
+    def apply(self, mutation: Mutation):
+        """The write pipeline, of which :meth:`ingest` /
+        :meth:`delete_trajectory` / :meth:`compact` are the public
+        spellings: keyed dedup, :meth:`_commit` (validate, WAL,
+        apply), the op's telemetry, the standing pass for the new
+        epoch, a policy compaction and a periodic checkpoint when due.
+        A compact is :meth:`_compact` whole, as a policy compaction is.
+        """
         with self.telemetry.activate():
-            return self._compact(trigger="manual")
+            if mutation.op == "compact":
+                return self._compact(trigger="manual")
+            scope = (self.telemetry.span("service.ingest")
+                     if mutation.op == "append" else
+                     self.telemetry.span("service.delete",
+                                         traj_id=mutation.traj_id))
+            with scope as span:
+                result = self.versioned.replayed(mutation)
+                if result is not None:
+                    return result
+                result = self._commit(mutation)
+                self._gauge_ingest()
+                reg = self.telemetry.metrics
+                if mutation.op == "append":
+                    span.set_attributes(epoch=result.epoch,
+                                        segments=result.num_segments)
+                    reg.counter("repro_ingest_total",
+                                "ingest (append) operations").inc()
+                    reg.counter("repro_ingest_segments_total",
+                                "segments appended to the delta").inc(
+                        result.num_segments)
+                    self.telemetry.events.emit(
+                        "ingest", epoch=result.epoch,
+                        delta_epoch=result.delta_epoch,
+                        segments=result.num_segments,
+                        trajectories=list(result.trajectory_ids),
+                        compaction_due=result.compaction_due)
+                else:
+                    reg.counter("repro_tombstones_total",
+                                "trajectories tombstoned").inc()
+                    self.telemetry.events.emit(
+                        "delete", traj_id=mutation.traj_id,
+                        epoch=self.versioned.epoch,
+                        hidden_segments=result)
+                self._standing_epoch(mutation)
+                if self.auto_compact and self.versioned.should_compact():
+                    self._compact(trigger="policy")
+                if self.durability is not None \
+                        and self.durability.checkpoint_due():
+                    self._checkpoint()
+        return result
+
+    def _commit(self, mutation: Mutation):
+        """The write-ahead order every mutation takes: validate, log +
+        sync (durable services), apply in memory.  A no-op (deleting
+        an already-tombstoned id) is not logged: it must not consume
+        an epoch in the WAL."""
+        if self.durability is not None \
+                and self.versioned.check(mutation):
+            self.durability.log(self.versioned, mutation)
+        return self.versioned.apply(mutation)
 
     def _compact(self, *, trigger: str) -> CompactionResult:
         """Fold the delta into a fresh base and re-warm the cache.
@@ -572,17 +533,13 @@ class QueryService:
         failed prewarm build is logged and skipped: the next request
         simply pays a cache miss (or walks the failover ladder).
         """
+        mutation = Mutation("compact")
         old_fp = self.fingerprint
         warm = [(e.key[1], e.key[2]) for e in self.cache.entries()
                 if e.key[0] == old_fp]
         with self.telemetry.span("service.compaction",
                                  trigger=trigger) as span:
-            if self.durability is not None:
-                # Compaction is deterministic given the pre-state, so
-                # the WAL record carries no payload: replay re-runs
-                # the fold and lands on the identical base.
-                self.durability.log_compact(self.versioned)
-            result = self.versioned.compact()
+            result = self._commit(mutation)
             span.set_attributes(merged=result.merged_segments,
                                 dropped=result.dropped_segments,
                                 base_rows=result.new_base_rows)
@@ -598,7 +555,7 @@ class QueryService:
             # Compaction cannot change any answer (it preserves
             # logical()), but the pass still settles carried-over
             # re-evaluations and stamps the epoch.
-            self._standing_epoch("compact")
+            self._standing_epoch(mutation)
             self.telemetry.events.emit(
                 "compaction", trigger=trigger, epoch=result.epoch,
                 base_version=result.base_version,
@@ -609,12 +566,13 @@ class QueryService:
             snapshot = self.versioned.snapshot()
             for method, canon in warm:
                 self._prewarm(snapshot, method, canon)
-            if self.durability is not None \
-                    and self.durability.policy.checkpoint_on_compact:
-                # Checkpoint after the prewarm so the rebuilt engines
-                # land in the snapshot as restart artifacts.  The
-                # crash campaign kills here: the compact WAL record is
-                # durable, the checkpoint rename has not happened.
+            if self.durability is not None:
+                # Replaying a compaction is the most expensive replay
+                # step, so every one is folded into a checkpoint —
+                # after the prewarm, so the rebuilt engines land in it
+                # as restart artifacts.  The crash campaign kills here:
+                # the compact WAL record is durable, the checkpoint
+                # rename has not happened.
                 self._checkpoint(kill_point="compact_mid")
         return result
 
@@ -683,16 +641,16 @@ class QueryService:
         with self.telemetry.activate():
             return self.standing.flush(self.current_snapshot())
 
-    def _standing_epoch(self, kind: str, *, appended=None,
-                        deleted_traj: int | None = None) -> None:
-        """Run the standing maintenance pass for the epoch just
-        applied.  Skipped entirely while nothing is registered."""
+    def _standing_epoch(self, mutation: Mutation) -> None:
+        """Run the standing maintenance pass for the epoch
+        ``mutation`` just produced.  Skipped entirely while nothing is
+        registered."""
         if not self.standing.subscriptions \
                 and not self.standing.pending:
             return
         self.standing.process_epoch(
-            self.versioned.snapshot(), kind, appended=appended,
-            deleted_traj=deleted_traj,
+            self.versioned.snapshot(), mutation.op,
+            appended=mutation.segments, deleted_traj=mutation.traj_id,
             pressure=self._queue_pressure())
 
     def _queue_pressure(self) -> bool:
@@ -709,8 +667,8 @@ class QueryService:
 
     def checkpoint(self):
         """Write a durable checkpoint now; returns its path.  The WAL
-        is truncated through the checkpointed epoch and warm engines
-        are persisted as restart artifacts."""
+        is truncated through the oldest checkpoint kept and warm
+        engines are persisted as restart artifacts."""
         if self.durability is None:
             raise ValueError("service has no durability_dir; there is "
                              "nothing to checkpoint to")
@@ -726,11 +684,6 @@ class QueryService:
         # checkpoint must leave the standing tail replayable).
         self.standing.checkpoint(self.versioned.epoch)
         return path
-
-    def _maybe_checkpoint(self) -> None:
-        if self.durability is not None \
-                and self.durability.checkpoint_due():
-            self._checkpoint()
 
     def _warm_engines(self) -> list[tuple[str, dict, object]]:
         """``(method, params, engine)`` triples worth persisting in a
@@ -766,8 +719,7 @@ class QueryService:
             service.durability = manager
             service.last_recovery = result
             prewarmed = service._prewarm_recovered(result)
-            service.standing.store = StandingStore(
-                manager.directory / "standing")
+            service.standing.store = StandingStore(manager.wal)
             standing = service.standing.recover(
                 service.versioned.snapshot())
             sp.set_attributes(

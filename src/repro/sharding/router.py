@@ -59,7 +59,7 @@ from ..core.types import SegmentArray
 from ..engines.base import Deadline
 from ..gpu.costmodel import CostBreakdown
 from ..gpu.profiler import CpuSearchProfile, RequestMetrics
-from ..ingest import IngestError, as_segments
+from ..ingest import AppliedKeys, IngestError, Mutation
 from ..obs import Telemetry
 from ..service import (QueryService, SearchRequest, SearchResponse)
 from ..service.resilience import CircuitBreaker
@@ -110,9 +110,9 @@ class Shard:
         self.replicas = replicas
         #: router-side expected epoch: mutations applied to this shard.
         self.epoch = 0
-        #: ``(epoch_after, op, payload)`` per mutation, replayed (from
+        #: ``(epoch_after, mutation)`` per mutation, replayed (from
         #: ``epoch_after > recovered_epoch``) when a replica rejoins.
-        self.oplog: list[tuple[int, str, object]] = []
+        self.oplog: list[tuple[int, Mutation]] = []
         #: rotation pointer for replica selection.
         self.rr = 0
 
@@ -181,7 +181,7 @@ class ShardedService:
         #: router-level idempotency dedup table (key -> receipt); the
         #: router is the single writer stamping global seg_ids, so a
         #: retried keyed mutation must dedup *before* re-stamping.
-        self._applied_keys: dict[str, dict] = {}
+        self._applied_keys = AppliedKeys()
         self._requests = 0
         self._partial_answers = 0
         self._kill_rotation = 0
@@ -228,14 +228,6 @@ class ShardedService:
 
     def _counter(self, name: str, help_text: str):
         return self.telemetry.metrics.counter(name, help_text)
-
-    def _note_dedup(self, op: str, key: str) -> None:
-        """Count + log one idempotent-retry dedup hit at the router."""
-        self._counter("repro_idempotent_dedups_total",
-                      "mutations deduplicated by idempotency key").inc(
-            op=op)
-        self.telemetry.events.emit("idempotent_dedup", op=op,
-                                   key=str(key), component="router")
 
     def _mark_dead(self, replica: Replica, reason: str) -> None:
         """A replica that failed a *mutation* is divergent: kill it so
@@ -517,20 +509,14 @@ class ShardedService:
         deduplicates client retries: a known key returns the original
         receipt (``deduplicated: True``) without re-stamping or
         re-routing anything."""
+        whole = Mutation("append", segments=segments,
+                         idempotency_key=idempotency_key)
         with self.telemetry.activate(), \
                 self.telemetry.span("router.ingest") as span:
-            if idempotency_key is not None:
-                prior = self._applied_keys.get(str(idempotency_key))
-                if prior is not None:
-                    if prior.get("op") != "append":
-                        raise IngestError(
-                            f"idempotency key {idempotency_key!r} "
-                            f"named a {prior.get('op')!r} mutation, "
-                            f"not an append")
-                    self._note_dedup("append", idempotency_key)
-                    return {**{k: v for k, v in prior.items()
-                               if k != "op"}, "deduplicated": True}
-            segments = as_segments(segments)
+            prior = self._applied_keys.lookup(whole)
+            if prior is not None:
+                return {**prior, "deduplicated": True}
+            segments = whole.segments
             if len(segments) == 0:
                 raise IngestError("nothing to append: the segment set "
                                   "is empty")
@@ -552,7 +538,8 @@ class ShardedService:
             receipt = {"segments": n, "routed": {}, "epochs": {}}
             for shard_index, rows in routed:
                 shard = self.shards[shard_index]
-                self._apply_to_shard(shard, "append", rows)
+                self._apply_to_shard(shard, Mutation(
+                    "append", segments=rows, keep_seg_ids=True))
                 receipt["routed"][shard_index] = len(rows)
                 receipt["epochs"][shard_index] = shard.epoch
                 self._maybe_compact(shard)
@@ -560,9 +547,7 @@ class ShardedService:
                                 shards=len(receipt["routed"]))
             self._counter("repro_router_ingest_total",
                           "router appends").inc()
-            if idempotency_key is not None:
-                self._applied_keys[str(idempotency_key)] = {
-                    "op": "append", **receipt}
+            self._applied_keys.record(idempotency_key, "append", receipt)
             return receipt
 
     def delete_trajectory(self, traj_id: int, *,
@@ -570,20 +555,14 @@ class ShardedService:
         """Tombstone one trajectory on every shard holding it; returns
         the total number of segments hidden.  ``idempotency_key``
         deduplicates client retries the same way :meth:`ingest` does."""
+        whole = Mutation("delete", traj_id=traj_id,
+                         idempotency_key=idempotency_key)
+        tid = whole.traj_id
         with self.telemetry.activate(), \
-                self.telemetry.span("router.delete",
-                                    traj_id=int(traj_id)):
-            if idempotency_key is not None:
-                prior = self._applied_keys.get(str(idempotency_key))
-                if prior is not None:
-                    if prior.get("op") != "delete":
-                        raise IngestError(
-                            f"idempotency key {idempotency_key!r} "
-                            f"named a {prior.get('op')!r} mutation, "
-                            f"not a delete")
-                    self._note_dedup("delete", idempotency_key)
-                    return int(prior["hidden"])
-            tid = int(traj_id)
+                self.telemetry.span("router.delete", traj_id=tid):
+            prior = self._applied_keys.lookup(whole)
+            if prior is not None:
+                return int(prior["hidden"])
             if tid in self._tombstones:
                 return 0
             if not self.plan.knows(tid):
@@ -597,15 +576,15 @@ class ShardedService:
             hidden = 0
             for shard_index in self.plan.shards_of(tid):
                 shard = self.shards[shard_index]
-                hidden += self._apply_to_shard(shard, "delete", tid) or 0
+                hidden += self._apply_to_shard(
+                    shard, Mutation("delete", traj_id=tid)) or 0
                 self._maybe_compact(shard)
             self._tombstones.add(tid)
             self.plan.note_delete(tid)
             self._counter("repro_router_deletes_total",
                           "router tombstones").inc()
-            if idempotency_key is not None:
-                self._applied_keys[str(idempotency_key)] = {
-                    "op": "delete", "traj_id": tid, "hidden": hidden}
+            self._applied_keys.record(idempotency_key, "delete",
+                                      {"traj_id": tid, "hidden": hidden})
             return hidden
 
     def compact(self, shard_index: int | None = None) -> None:
@@ -615,21 +594,21 @@ class ShardedService:
                        if shard_index is not None else
                        [s for s in self.shards if s.replicas])
             for shard in targets:
-                self._apply_to_shard(shard, "compact", None)
+                self._apply_to_shard(shard, Mutation("compact"))
 
-    def _apply_to_shard(self, shard: Shard, op: str, payload):
+    def _apply_to_shard(self, shard: Shard, mutation: Mutation):
         """Apply one mutation to every live replica of a shard,
         op-log it, and advance the shard's expected epoch.  A replica
         that fails the mutation is marked dead (divergence is fatal
         for a replica, never for the shard)."""
         expected = shard.epoch + 1
-        shard.oplog.append((expected, op, payload))
+        shard.oplog.append((expected, mutation))
         result = None
         for replica in list(shard.live_replicas()):
             try:
-                result = self._apply_one(replica.service, op, payload)
+                result = replica.service.apply(mutation)
             except Exception:  # noqa: BLE001 - divergence boundary
-                self._mark_dead(replica, reason=f"{op}_failed")
+                self._mark_dead(replica, reason=f"{mutation.op}_failed")
                 continue
             got = replica.service.versioned.epoch
             if got != expected:
@@ -644,14 +623,6 @@ class ShardedService:
             len(shard.live_replicas()), shard=str(shard.index))
         return result
 
-    @staticmethod
-    def _apply_one(service: QueryService, op: str, payload):
-        if op == "append":
-            return service.ingest(payload, keep_seg_ids=True)
-        if op == "delete":
-            return service.delete_trajectory(payload)
-        return service.compact()
-
     def _maybe_compact(self, shard: Shard) -> None:
         """Router-driven compaction: replicas share one policy, so the
         primary's verdict schedules an explicit, op-logged compaction
@@ -659,7 +630,7 @@ class ShardedService:
         replays deterministically from the op log on recovery)."""
         live = shard.live_replicas()
         if live and live[0].service.versioned.should_compact():
-            self._apply_to_shard(shard, "compact", None)
+            self._apply_to_shard(shard, Mutation("compact"))
 
     # -- chaos hooks -------------------------------------------------------------
 
@@ -734,10 +705,10 @@ class ShardedService:
                                        **self.service_kwargs)
             recovered_epoch = service.versioned.epoch
             replayed = 0
-            for epoch, op, payload in shard.oplog:
+            for epoch, mutation in shard.oplog:
                 if epoch <= recovered_epoch:
                     continue
-                self._apply_one(service, op, payload)
+                service.apply(mutation)
                 if service.versioned.epoch != epoch:
                     raise RuntimeError(
                         f"{replica.name}: op-log catch-up produced "

@@ -43,6 +43,7 @@ from ..core.search import SearchOutcome
 from ..engines.base import Deadline
 from ..engines.cpu_scan import CpuScanEngine
 from ..gpu.costmodel import CpuCostModel
+from ..ingest.mutation import OPS
 from ..ingest.overlay import overlay_search
 from ..ingest.versioned import Snapshot
 from ..obs import Telemetry
@@ -52,9 +53,6 @@ from .subscription import (CandidateEnvelope, MatchDict, Subscription,
                            matches_to_rows, results_from_matches)
 
 __all__ = ["EpochReport", "StandingPolicy", "StandingQueryManager"]
-
-#: epoch kinds :meth:`StandingQueryManager.process_epoch` accepts.
-EPOCH_KINDS = ("append", "delete", "compact")
 
 
 @dataclass(frozen=True)
@@ -287,7 +285,7 @@ class StandingQueryManager:
             Owner-reported queue pressure; with
             ``policy.defer_on_pressure`` the pass is deferred whole.
         """
-        if kind not in EPOCH_KINDS:
+        if kind not in OPS:
             raise ValueError(f"unknown epoch kind {kind!r}")
         if kind == "append" and appended is None:
             raise ValueError("append epoch needs the appended segments")
@@ -388,7 +386,11 @@ class StandingQueryManager:
             raise RuntimeError("recover() needs a StandingStore")
         if self.subscriptions:
             raise RuntimeError("recover() must run on an empty manager")
-        state, events, torn = self.store.load()
+        state = self.store.load_state()
+        # Raises on a damaged frame or a hole (never replays a wrong
+        # match); only a torn final record is dropped.
+        scan = self.store.events.recover()
+        events = [record.payload for record in scan.records]
         folded_seq = 0
         if state is not None:
             folded_seq = int(state["last_seq"])
@@ -416,11 +418,12 @@ class StandingQueryManager:
         self.totals["recoveries"] += 1
         self.totals["replayed_events"] += replayed
         self.totals["caught_up_events"] += caught_added + caught_removed
-        self.totals["torn_events"] += torn
+        self.totals["torn_events"] += scan.torn_records
         self._count("repro_standing_recoveries_total", 1)
         self._set_gauge()
         summary = {"subscriptions": len(self.subscriptions),
-                   "replayed_events": replayed, "torn_events": torn,
+                   "replayed_events": replayed,
+                   "torn_events": scan.torn_records,
                    "caught_up_events": caught_added + caught_removed,
                    "epoch": snapshot.epoch}
         self._emit_event("standing_recovered", **summary)
@@ -501,7 +504,8 @@ class StandingQueryManager:
                                             snapshot.epoch, key, lo,
                                             hi))
         if self.store is not None:
-            self.store.append_events(records)
+            self.store.events.append_batch(
+                [(rec["kind"], rec["epoch"], rec) for rec in records])
         added = removed = 0
         for sub_id, new in fresh.items():
             self._matches[sub_id] = new

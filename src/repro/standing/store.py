@@ -5,16 +5,19 @@ Standing subscriptions and their maintained match sets must survive
 database WAL: a standing record interleaved there would break the
 epoch-continuity check replay enforces (every database record must
 produce ``epoch + 1``).  Instead the standing layer keeps its own two
-files next to the database's ``wal/`` and ``checkpoints/``:
+files next to the database's ``wal.jsonl`` and ``checkpoints/``:
 
 .. code-block:: text
 
     standing/
         state.json      # atomic snapshot: subscriptions + match sets
-        events.jsonl    # fsync'd append log of match delta events
+        events.jsonl    # framed append log of match delta events
 
-The discipline mirrors the database's WAL-before-apply rule: match
-delta events are appended (and fsync'd) *before* they are applied to
+``events.jsonl`` is a :class:`~repro.durability.WriteAheadLog` (same
+CRC frame, torn-tail drop and hole detection, the service's own sync
+mode; per event, ``op`` is its kind, ``epoch`` its epoch, ``payload``
+the event) and the discipline is the database's: match delta events
+are appended, one sync per settle batch, *before* they are applied to
 the in-memory match sets, so a crash can lose at most work that was
 never acknowledged — never acknowledged work.  ``state.json`` is
 written with the same tmp-file + ``os.replace`` + directory-fsync
@@ -35,9 +38,9 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
 from ..durability.checkpoint import _fsync_dir
+from ..durability.wal import WriteAheadLog
 
 __all__ = ["StandingStore", "StandingStoreError"]
 
@@ -56,82 +59,44 @@ class StandingStore:
 
     Parameters
     ----------
-    directory:
-        The ``standing/`` directory (created if missing).
-    sync:
-        fsync event appends and state writes (the default; tests that
-        only need the format can turn it off for speed).
+    wal:
+        The log of the database this is the sidecar of: the store
+        lives in ``standing/`` (created if missing) next to it and
+        syncs its events the same way.
     """
 
-    def __init__(self, directory: str | Path, *,
-                 sync: bool = True) -> None:
-        self.directory = Path(directory)
+    def __init__(self, wal: WriteAheadLog) -> None:
+        self.directory = wal.path.parent / "standing"
         self.directory.mkdir(parents=True, exist_ok=True)
         self.state_path = self.directory / STATE_NAME
-        self.events_path = self.directory / EVENTS_NAME
-        self.sync = bool(sync)
-        #: lifetime write counters (surfaced through manager stats).
-        self.events_appended = 0
+        #: the framed event log (no kill switch: the kill points are
+        #: instants of the database's write path).
+        self.events = WriteAheadLog(self.directory / EVENTS_NAME,
+                                    sync=wal.sync)
+        #: lifetime write counter (surfaced through manager stats).
         self.state_saves = 0
 
-    # -- reads --------------------------------------------------------------------
+    @property
+    def events_appended(self) -> int:
+        return self.events.appends
 
-    def load(self) -> tuple[dict | None, list[dict], int]:
-        """``(state, events, torn_lines)``.
-
-        ``state`` is None when no state was ever saved.  Events are
-        returned in file order with corrupt/torn lines skipped and
-        counted — the final line of an interrupted append is the
-        expected casualty, and dropping it is correct because an event
-        that never became durable was never acknowledged.
-        A corrupt ``state.json`` raises: state writes are atomic, so
-        corruption there is damage, not a crash artifact.
-        """
-        state: dict | None = None
-        if self.state_path.exists():
-            try:
-                state = json.loads(self.state_path.read_text())
-            except (json.JSONDecodeError, OSError) as exc:
-                raise StandingStoreError(
-                    f"standing state {self.state_path} is unreadable: "
-                    f"{exc}") from exc
-            if state.get("format") != FORMAT_VERSION:
-                raise StandingStoreError(
-                    f"standing state format "
-                    f"{state.get('format')!r} != {FORMAT_VERSION}")
-        events: list[dict] = []
-        torn = 0
-        if self.events_path.exists():
-            for line in self.events_path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                    if not isinstance(rec, dict) or "seq" not in rec:
-                        raise ValueError("not an event record")
-                except (json.JSONDecodeError, ValueError):
-                    torn += 1
-                    continue
-                events.append(rec)
-        return state, events, torn
-
-    # -- writes -------------------------------------------------------------------
-
-    def append_events(self, records: list[dict]) -> None:
-        """Durably append event records (one JSON line each).
-
-        Called *before* the events are applied in memory — the
-        WAL-before-apply discipline.
-        """
-        if not records:
-            return
-        with open(self.events_path, "a", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
-            fh.flush()
-            if self.sync:
-                os.fsync(fh.fileno())
-        self.events_appended += len(records)
+    def load_state(self) -> dict | None:
+        """The last saved state, None when none ever was.  A corrupt
+        ``state.json`` raises: state writes are atomic, so corruption
+        there is damage, not a crash artifact."""
+        if not self.state_path.exists():
+            return None
+        try:
+            state = json.loads(self.state_path.read_text())
+        except (json.JSONDecodeError, OSError) as exc:
+            raise StandingStoreError(
+                f"standing state {self.state_path} is unreadable: "
+                f"{exc}") from exc
+        if state.get("format") != FORMAT_VERSION:
+            raise StandingStoreError(
+                f"standing state format "
+                f"{state.get('format')!r} != {FORMAT_VERSION}")
+        return state
 
     def save_state(self, state: dict) -> None:
         """Atomically replace ``state.json`` (tmp + fsync +
@@ -143,30 +108,17 @@ class StandingStore:
         with open(tmp, "wb") as fh:
             fh.write(data)
             fh.flush()
-            if self.sync:
-                os.fsync(fh.fileno())
+            os.fsync(fh.fileno())
         os.replace(tmp, self.state_path)
-        if self.sync:
-            _fsync_dir(self.directory)
+        _fsync_dir(self.directory)
         self.state_saves += 1
 
-    def truncate_events(self) -> None:
-        """Atomically empty the event log (its content is folded into
-        the state by the caller first)."""
-        tmp = self.events_path.with_name(".tmp-" + EVENTS_NAME)
-        with open(tmp, "wb") as fh:
-            fh.flush()
-            if self.sync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, self.events_path)
-        if self.sync:
-            _fsync_dir(self.directory)
-
     def checkpoint(self, state: dict) -> None:
-        """Fold: save the state, then truncate the event log.
+        """Fold: save the state, then truncate the event log through
+        the state's epoch (every event logged so far).
 
         Crash between the two steps is safe — the events still in the
         log carry ``seq <= state["last_seq"]`` and replay skips them.
         """
         self.save_state(state)
-        self.truncate_events()
+        self.events.truncate_through(state["epoch"])

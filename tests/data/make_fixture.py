@@ -1,0 +1,102 @@
+"""Provenance, not a test: how ``wal_golden.jsonl`` and
+``durable_d7f7855/`` were made.  It runs against commit d7f7855 only
+(``PYTHONPATH=<d7f7855 checkout>/src python make_fixture.py OUT``) — it
+calls names this repository has since deleted, which is the point: the
+files are what *that* code wrote, and ``tests/test_write_path.py`` holds
+today's code to them.  Everything is literal or integer-derived so the
+test can rebuild the inputs without an RNG."""
+import hashlib
+import json
+import shutil
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from repro.core.types import SegmentArray, Trajectory
+from repro.obs import Telemetry
+from repro.service import QueryService, SearchRequest
+from repro.standing import Subscription
+
+out = Path(sys.argv[1])
+shutil.rmtree(out, ignore_errors=True)
+out.mkdir(parents=True)
+
+
+def line(traj_id, x0, y0, t0=0.0, steps=4, dx=1.0, dy=0.5):
+    """A straight-line trajectory on exactly representable floats."""
+    times = t0 + np.arange(steps, dtype=np.float64)
+    pos = np.column_stack([x0 + dx * np.arange(steps),
+                           y0 + dy * np.arange(steps),
+                           np.zeros(steps)])
+    return Trajectory(traj_id, times, pos)
+
+
+def segs(*trajs):
+    return SegmentArray.from_trajectories(list(trajs))
+
+
+def result_sha256(results):
+    """SHA-256 over the canonical result bytes (q_ids, e_ids, t_lo, t_hi)."""
+    c = results.canonical()
+    return hashlib.sha256(b"".join(
+        a.tobytes() for a in (c.q_ids, c.e_ids, c.t_lo, c.t_hi))).hexdigest()
+
+
+# -- golden WAL lines ---------------------------------------------------------
+svc = QueryService(segs(line(0, 0.0, 0.0), line(1, 5.0, 5.0)),
+                   durability_dir=out / "golden-wal", auto_compact=False,
+                   telemetry=Telemetry(enabled=False))
+svc.ingest(segs(line(7, 1.0, 2.0, steps=3)))
+kept = segs(line(8, 2.0, 3.0, steps=3))
+kept = SegmentArray(kept.xs, kept.ys, kept.zs, kept.ts, kept.xe, kept.ye,
+                    kept.ze, kept.te, kept.traj_ids,
+                    np.array([500, 501], dtype=np.int64))
+svc.ingest(kept, keep_seg_ids=True, idempotency_key="put-8")
+svc.delete_trajectory(1)
+svc.delete_trajectory(7, idempotency_key="del-7")
+# compact() would checkpoint and truncate the log: frame the record the
+# way _compact does, without the checkpoint.
+svc.durability.log_compact(svc.versioned)
+svc.durability.close()
+golden = (out / "golden-wal" / "wal.jsonl").read_bytes()
+(out / "wal_golden.jsonl").write_bytes(golden)
+shutil.rmtree(out / "golden-wal")
+
+# -- a small durable service, cleanly shut down -------------------------------
+base = segs(*(line(k, 3.0 * k, 2.0 * k, t0=0.5 * k) for k in range(6)))
+queries = segs(line(900, 1.0, 0.5, steps=5), line(901, 9.0, 7.0, t0=1.0))
+directory = out / "durable_d7f7855"
+svc = QueryService(base, durability_dir=directory, auto_compact=False,
+                   telemetry=Telemetry(enabled=False))
+svc.register_subscription(Subscription(sub_id="sub-a", queries=queries,
+                                       d=2.5))
+put1 = segs(line(10, 1.5, 1.0, steps=5))
+svc.ingest(put1, idempotency_key="put-1")                       # epoch 1
+svc.delete_trajectory(2, idempotency_key="del-2")               # epoch 2
+svc.compact()                                                   # epoch 3
+kept = segs(line(11, 9.5, 7.5, t0=1.0))
+kept = SegmentArray(kept.xs, kept.ys, kept.zs, kept.ts, kept.xe, kept.ye,
+                    kept.ze, kept.te, kept.traj_ids,
+                    np.arange(7000, 7000 + len(kept), dtype=np.int64))
+svc.ingest(kept, keep_seg_ids=True)                             # epoch 4
+svc.delete_trajectory(4)                                        # epoch 5
+svc.ingest(segs(line(12, 0.5, 0.0, steps=5)))                   # epoch 6
+response = svc.submit(SearchRequest(queries=queries, d=2.5,
+                                    method="cpu_scan"))
+expected = {
+    "epoch": svc.versioned.epoch,
+    "num_results": len(response.outcome.results),
+    "d": 2.5,
+    "queries": queries.to_dict(),
+    "result_sha256": result_sha256(response.outcome.results),
+    "standing_sha256": result_sha256(svc.standing.results("sub-a")),
+    "last_seq": svc.standing.last_seq,
+    "applied_keys": sorted(svc.versioned.applied_keys),
+    "put_1": {"segments": put1.to_dict(),
+              "epoch": svc.versioned.applied_key("put-1")["epoch"]},
+}
+svc.shutdown()
+(directory / "expected.json").write_text(json.dumps(expected, indent=1))
+print(json.dumps({k: expected[k] for k in ("epoch", "last_seq",
+                                           "applied_keys")}))

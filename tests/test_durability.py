@@ -260,7 +260,7 @@ class TestRecovery:
     def test_recover_with_empty_wal_tail(self, tmp_path):
         svc = self._durable_service(tmp_path)
         svc.ingest(_db(seed=3, n=2, offset=50))
-        svc.checkpoint()  # truncates the WAL through the epoch
+        svc.checkpoint()
         epoch, fp = svc.versioned.epoch, svc.fingerprint
         svc.shutdown()
         rec = QueryService.recover(tmp_path / "state",
@@ -360,16 +360,16 @@ class TestRecovery:
         assert len(list_checkpoints(
             svc.durability.checkpoints_dir)) == 2
 
-    def test_corrupt_newest_checkpoint_skipped(self, tmp_path):
-        # truncate_wal=False keeps the full history, so recovery can
-        # fall back past a corrupt checkpoint and still replay to the
-        # exact pre-crash epoch.
-        svc = self._durable_service(
-            tmp_path, durability=DurabilityPolicy(
-                checkpoint_every=100, truncate_wal=False))
+    def _recover_past_corrupt_newest(self, tmp_path, tail_ops):
+        """Default policy: checkpoint, ``tail_ops`` more acknowledged
+        writes, clean shutdown, then the newest checkpoint rots."""
+        svc = QueryService(_db(), durability_dir=tmp_path / "state",
+                           auto_compact=False)
         svc.ingest(_db(seed=3, n=2, offset=50))
         svc.checkpoint()
-        epoch = svc.versioned.epoch
+        for i in range(tail_ops):
+            svc.ingest(_db(seed=4 + i, n=1, offset=80 + 10 * i))
+        epoch, fp = svc.versioned.epoch, svc.fingerprint
         svc.shutdown()
         newest = list_checkpoints(
             tmp_path / "state" / "checkpoints")[0]
@@ -377,7 +377,36 @@ class TestRecovery:
         rec = QueryService.recover(tmp_path / "state",
                                    auto_compact=False)
         assert rec.last_recovery.invalid_checkpoints == 1
+        assert rec.last_recovery.checkpoint_epoch == 0
         assert rec.versioned.epoch == epoch
+        assert rec.fingerprint == fp
+
+    def test_corrupt_newest_checkpoint_skipped(self, tmp_path):
+        # The WAL is truncated through the *oldest retained*
+        # checkpoint, so recovery can fall back past a corrupt newest
+        # one and still replay to the exact acknowledged epoch.
+        self._recover_past_corrupt_newest(tmp_path, tail_ops=0)
+
+    def test_corrupt_newest_checkpoint_skipped_with_wal_tail(
+            self, tmp_path):
+        self._recover_past_corrupt_newest(tmp_path, tail_ops=2)
+
+    def test_recovery_short_of_a_committed_checkpoint_raises(
+            self, tmp_path):
+        # A directory whose log no longer reaches back to the older
+        # checkpoint (what d7f7855 left behind): falling back would
+        # silently roll acknowledged writes back, so recovery refuses.
+        svc = QueryService(_db(), durability_dir=tmp_path / "state",
+                           auto_compact=False)
+        svc.ingest(_db(seed=3, n=2, offset=50))
+        svc.checkpoint()
+        svc.shutdown()
+        (tmp_path / "state" / "wal.jsonl").write_bytes(b"")
+        newest = list_checkpoints(
+            tmp_path / "state" / "checkpoints")[0]
+        (newest / "MANIFEST.json").write_text("{broken")
+        with pytest.raises(DurabilityError, match="committed at epoch 1"):
+            QueryService.recover(tmp_path / "state")
 
     def test_recover_empty_directory_raises(self, tmp_path):
         with pytest.raises(DurabilityError, match="no checkpoints"):

@@ -430,10 +430,13 @@ class TestRetryWithBackoff:
             retry_with_backoff(self._ok, max_attempts=0)
 
 
-async def _http(host, port, method, path, body=b"", headers=None):
+async def _http(host, port, method, path, body=b"", headers=None,
+                content_length=None):
     reader, writer = await asyncio.open_connection(host, port)
+    if content_length is None:
+        content_length = len(body)
     head = [f"{method} {path} HTTP/1.1", f"host: {host}",
-            f"content-length: {len(body)}", "connection: close"]
+            f"content-length: {content_length}", "connection: close"]
     head += [f"{k}: {v}" for k, v in (headers or {}).items()]
     writer.write(("\r\n".join(head) + "\r\n\r\n")
                  .encode("latin-1") + body)
@@ -487,6 +490,13 @@ class TestHTTPSurface:
                 out["garbled"] = await _http(
                     host, port, "POST", "/v1/search", b"{nope",
                     {"x-api-key": "key-alpha"})
+                # Regression: either used to escape _read_request as an
+                # unhandled exception — the client read b"".
+                for length in ("abc", "-5"):
+                    out[f"length {length}"] = await _http(
+                        host, port, "POST", "/v1/search", query,
+                        {"x-api-key": "key-alpha"},
+                        content_length=length)
                 return out
 
         out = asyncio.run(drive())
@@ -506,6 +516,10 @@ class TestHTTPSurface:
         assert out["lost"][0] == 404
         assert out["verb"][0] == 405
         assert out["garbled"][0] == 400
+        for length in ("abc", "-5"):
+            status, _, payload = out[f"length {length}"]
+            assert status == 400
+            assert "Content-Length" in json.loads(payload)["error"]
         gw.backend.shutdown()
 
     def test_shards_on_the_wire_cannot_poison_the_breakers(
@@ -618,6 +632,54 @@ class TestHTTPSurface:
         assert served.ok
         assert gw.telemetry.metrics.counter(
             "repro_gateway_backend_errors_total").total() == 1
+        gw.backend.shutdown()
+
+
+    def test_mutation_backend_crash_gets_a_reply(self, small_db,
+                                                 small_queries):
+        """Regression: ``_mutate`` caught ``IngestError`` only, so any
+        other backend exception on a mutation escaped the connection
+        handler — the client read ``b""``.  Now it mirrors the search
+        path over the real server: 500 ``internal`` (400 ``invalid``
+        for a ``ValueError``), counted, and the same gateway serves
+        the next request."""
+        gw = _gateway(small_db)
+        real_delete = gw.backend.delete_trajectory
+
+        def flaky(traj_id, **kwargs):
+            if traj_id == 1:
+                raise RuntimeError("disk fell off")
+            if traj_id == 2:
+                raise ValueError("not like that")
+            return real_delete(traj_id, **kwargs)
+
+        gw.backend.delete_trajectory = flaky
+        headers = {"x-api-key": "key-alpha"}
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                return [await _http(
+                    server.host, server.port, "POST", "/v1/delete",
+                    json.dumps({"traj_id": tid}).encode(), headers)
+                    for tid in (1, 2, 0)]
+
+        boom, refused, served = asyncio.run(
+            asyncio.wait_for(drive(), 10))
+        status, _, payload = boom
+        assert status == 500
+        body = json.loads(payload)
+        assert body["status"] == "internal"
+        assert "disk fell off" in body["reason"]
+        status, _, payload = refused
+        assert status == 400
+        assert json.loads(payload)["status"] == "invalid"
+        status, _, payload = served
+        assert status == 200
+        assert json.loads(payload)["receipt"]["hidden"] > 0
+        assert gw.telemetry.metrics.counter(
+            "repro_gateway_backend_errors_total").total() == 1
+        assert any(e.kind == "gateway_backend_error"
+                   for e in gw.telemetry.events)
         gw.backend.shutdown()
 
 

@@ -165,8 +165,8 @@ class TestMutationRouting:
                        for k in range(3)]
             for fresh in appends:
                 svc.ingest(fresh)
-            assert any(op == "compact" for s in svc.shards
-                       for _, op, _ in s.oplog)
+            assert any(mutation.op == "compact" for s in svc.shards
+                       for _, mutation in s.oplog)
             resp = svc.submit(_request(queries))
             assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(_whole(db, *appends), queries)

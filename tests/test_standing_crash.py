@@ -25,7 +25,7 @@ from repro.core.types import SegmentArray, Trajectory
 from repro.durability import (DurabilityPolicy, KILL_POINTS,
                               KillSwitch, SimulatedCrash)
 from repro.engines.cpu_scan import CpuScanEngine
-from repro.campaigns.harness import apply_op, result_bytes
+from repro.campaigns.harness import result_bytes
 from repro.campaigns.standing import (FLEET, POLICY, StandingConfig,
                                       _make_subscriptions, _materialize,
                                       run as run_standing_campaign)
@@ -91,7 +91,7 @@ class TestEventStreamParity:
         for sub in subs:
             ref.register_subscription(sub)
         for op in schedule:
-            apply_op(ref, op)
+            ref.apply(op)
         ref_stream = [_event_key(r)
                       for r in ref.standing.events_since(0)]
         ref_final = {sub.sub_id: ref.standing.matches(sub.sub_id)
@@ -108,7 +108,7 @@ class TestEventStreamParity:
             svc.register_subscription(sub)
         with pytest.raises(SimulatedCrash):
             for op in schedule:
-                apply_op(svc, op)
+                svc.apply(op)
         stream = [_event_key(r) for r in svc.standing.events_since(0)]
         pre_crash_seq = svc.standing.last_seq
         svc = QueryService.recover(tmp_path / "dur", policy=POLICY,
@@ -117,7 +117,7 @@ class TestEventStreamParity:
         # Replayed events keep their pre-crash seqs (already in
         # `stream`); everything new continues after them.
         for op in schedule[svc.last_recovery.epoch:]:
-            apply_op(svc, op)
+            svc.apply(op)
         stream += [_event_key(r) for r in
                    svc.standing.events_since(pre_crash_seq)]
 

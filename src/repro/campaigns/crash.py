@@ -107,7 +107,9 @@ class CrashRun:
     prewarmed: int = 0
     #: the first post-recovery request on the prewarmed engine was a
     #: cache hit (None when the crash predates the first checkpoint
-    #: that persisted an engine).
+    #: that persisted an engine; False when the resumed schedule
+    #: compacts twice before that request — a compaction re-warms
+    #: only engines served since the one before).
     prewarm_hit: bool | None = None
     #: per-engine byte-identity vs the uninterrupted reference.
     identical: dict = field(default_factory=dict)

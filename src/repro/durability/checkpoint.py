@@ -2,17 +2,24 @@
 
 A checkpoint is one directory under ``<dir>/checkpoints/`` holding the
 full physical state of the :class:`~repro.ingest.VersionedDatabase` at
-one epoch, plus serialized artifacts of the engines that were warm in
-the service cache when it was taken:
+one epoch, plus what a restart needs to re-warm the engines that were
+in the service cache when it was taken — a *recipe* for every one, and
+a pickled artifact only for those whose index is much slower to rebuild
+than to load (:attr:`~repro.engines.base.SearchEngine.persist_index`):
 
 .. code-block:: text
 
     checkpoints/ckpt-000000000013/
-        base.npz        # the immutable base SegmentArray
+        base.npz        # the immutable base SegmentArray (uncompressed)
         delta.npz       # delta rows pending compaction (may be empty)
         engines/        # pickled warm engines (best-effort)
-            0.pickle
+            3.pickle
         MANIFEST.json   # epochs, counters, recipes, SHA-1 per file
+
+The arrays are stored uncompressed: float64 random-walk coordinates
+deflate to ~60 % at ~70x the cost of writing them as they are, and a
+compaction waits for its checkpoint.  (Checkpoints written compressed,
+or with an artifact per engine, load unchanged.)
 
 Atomicity is tmp-directory + ``os.replace``: every file is written and
 fsync'd into ``.tmp-ckpt-<epoch>``, the manifest last, then the
@@ -20,13 +27,17 @@ directory is renamed into place.  A crash mid-checkpoint leaves a tmp
 directory that :func:`list_checkpoints` ignores (and
 :func:`clean_tmp_dirs` sweeps), so recovery falls back to the previous
 checkpoint + the WAL.  A checkpoint whose manifest is missing or whose
-file checksums mismatch is invalid and skipped the same way.
+database files fail their checksums is invalid and skipped the same
+way.
 
 Engine artifacts are best-effort by design: they are a restart-latency
 optimization (recovered services prewarm the cache from them instead of
 rebuilding indexes), never a correctness dependency — an artifact that
-fails to pickle, unpickle, or fingerprint-match is simply rebuilt from
-its recipe.
+fails to pickle, checksum, unpickle, or fingerprint-match is simply
+rebuilt from its recipe.  So an artifact's checksum is verified when it
+is about to be unpickled (:meth:`Checkpoint.load_engine_artifact`), not
+when the checkpoint is loaded: a damaged artifact costs one rebuild,
+not the checkpoint, and an artifact recovery will not use is not read.
 """
 
 from __future__ import annotations
@@ -107,23 +118,31 @@ class Checkpoint:
     #: idempotency dedup table at checkpoint time (key -> summary);
     #: absent in pre-gateway checkpoints, which load as empty.
     applied_keys: dict = field(default_factory=dict)
+    #: the manifest's SHA-1 per relative file path.
+    digests: dict = field(default_factory=dict)
 
     def load_engine_artifact(self, recipe: EngineRecipe):
-        """Unpickle one engine artifact (None when absent or broken)."""
+        """Unpickle one engine artifact; None when it is absent,
+        unreadable, or its bytes are not the ones the manifest
+        recorded (unverified bytes are never unpickled)."""
         if recipe.artifact is None:
             return None
-        artifact = self.path / recipe.artifact
         try:
-            with open(artifact, "rb") as fh:
-                return pickle.load(fh)
+            blob = (self.path / recipe.artifact).read_bytes()
+        except OSError:
+            return None
+        if hashlib.sha1(blob).hexdigest() \
+                != self.digests.get(recipe.artifact):
+            return None
+        try:
+            return pickle.loads(blob)
         except Exception:  # noqa: BLE001 - artifacts are best-effort
             return None
 
 
 def _npz_bytes(segments: SegmentArray) -> bytes:
     buf = io.BytesIO()
-    np.savez_compressed(buf, **{f: getattr(segments, f)
-                                for f in _FIELDS})
+    np.savez(buf, **{f: getattr(segments, f) for f in _FIELDS})
     return buf.getvalue()
 
 
@@ -167,8 +186,9 @@ def write_checkpoint(directory: str | Path, state: dict, *,
         (dict).
     engines:
         ``(method, params, engine_or_None)`` triples for the warm
-        engines; an engine object is pickled best-effort as the
-        prewarm artifact.
+        engines; an engine object that declares ``persist_index`` is
+        pickled best-effort as the prewarm artifact, the others are
+        rebuilt from their recipe.
     kill, kill_point:
         Crash-campaign hook: the named kill-point is checked after the
         data files are written but *before* the atomic rename — a
@@ -188,17 +208,16 @@ def write_checkpoint(directory: str | Path, state: dict, *,
     files["delta.npz"] = _write_file(tmp / "delta.npz",
                                      _npz_bytes(state["delta"]))
     recipes: list[dict] = []
-    if engines:
-        (tmp / "engines").mkdir()
     for i, (method, params, engine) in enumerate(engines):
         artifact = None
-        if engine is not None:
+        if getattr(engine, "persist_index", False):
             rel = f"engines/{i}.pickle"
             try:
                 blob = pickle.dumps(engine)
             except Exception:  # noqa: BLE001 - artifacts are best-effort
                 blob = None
             if blob is not None:
+                (tmp / "engines").mkdir(exist_ok=True)
                 files[rel] = _write_file(tmp / rel, blob)
                 artifact = rel
         recipes.append(EngineRecipe(method=method, params=params,
@@ -245,7 +264,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load and validate one checkpoint directory.
 
     Raises :class:`CheckpointError` when the manifest is missing or
-    malformed, a referenced file is absent, or any checksum mismatches.
+    malformed, or a database file is absent or fails its checksum.
+    Engine artifacts are verified where they are unpickled
+    (:meth:`Checkpoint.load_engine_artifact`).
     """
     path = Path(path)
     manifest_path = path / "MANIFEST.json"
@@ -260,7 +281,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format "
             f"{manifest.get('format')!r} (expected {FORMAT_VERSION})")
-    for rel, digest in manifest.get("files", {}).items():
+    digests = dict(manifest.get("files", {}))
+    recipes = [EngineRecipe.from_dict(r)
+               for r in manifest.get("engines", [])]
+    artifacts = {recipe.artifact for recipe in recipes}
+    for rel, digest in digests.items():
+        if rel in artifacts:
+            continue
         fpath = path / rel
         if not fpath.exists():
             raise CheckpointError(f"{path}: missing file {rel}")
@@ -277,9 +304,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         tombstones=frozenset(int(t)
                              for t in manifest.get("tombstones", [])),
         counters=dict(manifest.get("counters", {})),
-        engines=[EngineRecipe.from_dict(r)
-                 for r in manifest.get("engines", [])],
+        engines=recipes,
         applied_keys=dict(manifest.get("applied_keys", {})),
+        digests=digests,
     )
 
 

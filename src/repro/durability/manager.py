@@ -225,9 +225,9 @@ class DurabilityManager:
         log to replay forward from.
 
         ``warm_engines`` is an iterable of ``(method, params, engine)``
-        triples describing the service's warm cache; engines are
-        pickled as prewarm artifacts (best-effort; recipes are always
-        persisted).
+        triples describing the service's warm cache; every recipe is
+        persisted, and an engine that declares ``persist_index`` is
+        also pickled as a prewarm artifact (best-effort).
         """
         snap = database.snapshot()
         triples = list(warm_engines)

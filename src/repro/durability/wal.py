@@ -86,10 +86,14 @@ def _body_bytes(body: dict) -> bytes:
 
 
 def encode_record(record: WalRecord) -> bytes:
-    """Frame one record as a CRC'd JSON line (trailing newline)."""
-    body = record.to_dict()
-    body["crc"] = zlib.crc32(_body_bytes(record.to_dict()))
-    return _body_bytes(body) + b"\n"
+    """Frame one record as a CRC'd JSON line (trailing newline).
+
+    The line is the canonical encoding of the record with ``crc``
+    added; keys are sorted and ``"crc"`` sorts first, so it is spliced
+    into the one serialisation the checksum was taken over.
+    """
+    canonical = _body_bytes(record.to_dict())
+    return b'{"crc":%d,%s\n' % (zlib.crc32(canonical), canonical[1:])
 
 
 def decode_line(line: bytes) -> WalRecord | None:

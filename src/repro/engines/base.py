@@ -222,6 +222,11 @@ class SearchEngine(abc.ABC):
     #: typed configuration class; ``None`` for engines without one
     #: (third-party engines registered via ``@register_engine``).
     config_type: type[EngineConfig] | None = None
+    #: checkpoints pickle the built engine as a restart artifact only
+    #: where this is set: worth it when the index is much slower to
+    #: rebuild than to read back (the GPU indexes are vectorised sorts
+    #: that rebuild faster than their pickles load).
+    persist_index: bool = False
 
     @abc.abstractmethod
     def search(self, queries: SegmentArray, d: float, *,

@@ -163,14 +163,11 @@ class RTree:
             np.where(run_break, np.arange(len(seg)), 0))
         chunk_break = run_break | ((np.arange(len(seg)) - run_start_of)
                                    % r == 0)
-        chunk_id = np.cumsum(chunk_break) - 1
-        num_chunks = int(chunk_id[-1]) + 1
-
-        chunk_lo = np.full((num_chunks, ndim), np.inf)
-        chunk_hi = np.full((num_chunks, ndim), -np.inf)
-        np.minimum.at(chunk_lo, chunk_id, boxes.lo)
-        np.maximum.at(chunk_hi, chunk_id, boxes.hi)
+        # Chunks are contiguous row runs, so one reduceat per bound.
         first = np.flatnonzero(chunk_break)
+        num_chunks = first.shape[0]
+        chunk_lo = np.minimum.reduceat(boxes.lo, first, axis=0)
+        chunk_hi = np.maximum.reduceat(boxes.hi, first, axis=0)
         last = np.empty_like(first)
         last[:-1] = first[1:] - 1
         last[-1] = len(seg) - 1
@@ -188,9 +185,9 @@ class RTree:
                 insert_order = np.argsort(chunk_lo[:, 3], kind="stable")
             else:
                 insert_order = np.arange(num_chunks)
-            for c in insert_order:
-                builder.insert(chunk_lo[c], chunk_hi[c],
-                               (int(ranges[c, 0]), int(ranges[c, 1])))
+            for c, row_range in zip(insert_order,
+                                    ranges[insert_order].tolist()):
+                builder.insert(chunk_lo[c], chunk_hi[c], tuple(row_range))
             return cls(segments=seg, root=builder.finalize(),
                        segments_per_mbb=r, fanout=fanout,
                        num_nodes=builder.num_nodes,

@@ -86,6 +86,11 @@ class CacheEntry:
     #: wall seconds the one-time build took (reported, not charged to
     #: response time — the offline phase of §V-B).
     build_wall_s: float
+    #: requests this entry has served (hit, or the miss that built
+    #: it).  A compaction re-warms only entries with a nonzero count:
+    #: one a prewarm built and nobody asked for since is dropped, not
+    #: rebuilt at every compaction.
+    served: int = 0
 
 
 @dataclass

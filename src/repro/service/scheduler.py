@@ -525,8 +525,9 @@ class QueryService:
     def _compact(self, *, trigger: str) -> CompactionResult:
         """Fold the delta into a fresh base and re-warm the cache.
 
-        Engines cached for the outgoing base are remembered, the stale
-        entries invalidated, and the same (method, params) engines are
+        Engines cached for the outgoing base that served a request
+        since they were built are remembered, the stale entries
+        invalidated, and the same (method, params) engines are
         rebuilt over the new base *inside this call* — off the query
         hot path, but on the virtual GPU like any other build, so
         injected faults (chaos) can and do fire mid-compaction.  A
@@ -535,8 +536,8 @@ class QueryService:
         """
         mutation = Mutation("compact")
         old_fp = self.fingerprint
-        warm = [(e.key[1], e.key[2]) for e in self.cache.entries()
-                if e.key[0] == old_fp]
+        cached = [e for e in self.cache.entries() if e.key[0] == old_fp]
+        warm = [(e.key[1], e.key[2]) for e in cached if e.served]
         with self.telemetry.span("service.compaction",
                                  trigger=trigger) as span:
             result = self._commit(mutation)
@@ -562,7 +563,8 @@ class QueryService:
                 merged_segments=result.merged_segments,
                 dropped_segments=result.dropped_segments,
                 new_base_rows=result.new_base_rows,
-                stale_entries=stale, prewarm=len(warm))
+                stale_entries=stale, prewarm=len(warm),
+                prewarm_skipped=len(cached) - len(warm))
             snapshot = self.versioned.snapshot()
             for method, canon in warm:
                 self._prewarm(snapshot, method, canon)
@@ -764,13 +766,17 @@ class QueryService:
             reg.counter("repro_recovery_prewarmed_total",
                         "engines prewarmed during recovery").inc(
                 engine=recipe.method, source=source)
+        # The checkpoint listed these engines because they were being
+        # served; a restart must not make the next compaction forget it.
+        for entry in self.cache.entries():
+            entry.served += 1
         return prewarmed
 
     def _install_artifact(self, result, recipe) -> bool:
         """Install one pickled engine artifact under its cache key;
-        False means the caller must rebuild from the recipe (missing
-        or unloadable artifact, or the WAL replay compacted past the
-        base the artifact indexes)."""
+        False means the caller must rebuild from the recipe (missing,
+        damaged or unloadable artifact, or the WAL replay compacted
+        past the base the artifact indexes — then it is not read)."""
         checkpoint = result.checkpoint
         if checkpoint is None or recipe.artifact is None:
             return False
@@ -1002,6 +1008,7 @@ class QueryService:
             entry, metrics.cache_hit = self._engine_entry(
                 snapshot.base, method, params,
                 self._base_fingerprint(snapshot), metrics)
+            entry.served += 1
             return self._execute(request, method, entry, arrival,
                                  metrics, snapshot)
 

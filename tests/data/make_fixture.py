@@ -1,10 +1,14 @@
-"""Provenance, not a test: how ``wal_golden.jsonl`` and
-``durable_d7f7855/`` were made.  It runs against commit d7f7855 only
-(``PYTHONPATH=<d7f7855 checkout>/src python make_fixture.py OUT``) — it
-calls names this repository has since deleted, which is the point: the
-files are what *that* code wrote, and ``tests/test_write_path.py`` holds
-today's code to them.  Everything is literal or integer-derived so the
-test can rebuild the inputs without an RNG."""
+"""Provenance, not a test: how ``wal_golden.jsonl``,
+``durable_d7f7855/`` and ``durable_f7a6f96/`` were made.  Each part runs
+against the commit it is named for only
+(``PYTHONPATH=<checkout>/src python make_fixture.py <commit> OUT``) — the
+d7f7855 part calls names this repository has since deleted, which is the
+point: the files are what *that* code wrote, and
+``tests/test_write_path.py`` (WAL bytes, recovery) and
+``tests/test_durability.py`` (checkpoint layout: f7a6f96 wrote compressed
+arrays and a pickled artifact for every warm engine) hold today's code to
+them.  Everything is literal or integer-derived so the tests can rebuild
+the inputs without an RNG."""
 import hashlib
 import json
 import shutil
@@ -18,7 +22,7 @@ from repro.obs import Telemetry
 from repro.service import QueryService, SearchRequest
 from repro.standing import Subscription
 
-out = Path(sys.argv[1])
+commit, out = sys.argv[1], Path(sys.argv[2])
 shutil.rmtree(out, ignore_errors=True)
 out.mkdir(parents=True)
 
@@ -43,60 +47,101 @@ def result_sha256(results):
         a.tobytes() for a in (c.q_ids, c.e_ids, c.t_lo, c.t_hi))).hexdigest()
 
 
-# -- golden WAL lines ---------------------------------------------------------
-svc = QueryService(segs(line(0, 0.0, 0.0), line(1, 5.0, 5.0)),
-                   durability_dir=out / "golden-wal", auto_compact=False,
-                   telemetry=Telemetry(enabled=False))
-svc.ingest(segs(line(7, 1.0, 2.0, steps=3)))
-kept = segs(line(8, 2.0, 3.0, steps=3))
-kept = SegmentArray(kept.xs, kept.ys, kept.zs, kept.ts, kept.xe, kept.ye,
-                    kept.ze, kept.te, kept.traj_ids,
-                    np.array([500, 501], dtype=np.int64))
-svc.ingest(kept, keep_seg_ids=True, idempotency_key="put-8")
-svc.delete_trajectory(1)
-svc.delete_trajectory(7, idempotency_key="del-7")
-# compact() would checkpoint and truncate the log: frame the record the
-# way _compact does, without the checkpoint.
-svc.durability.log_compact(svc.versioned)
-svc.durability.close()
-golden = (out / "golden-wal" / "wal.jsonl").read_bytes()
-(out / "wal_golden.jsonl").write_bytes(golden)
-shutil.rmtree(out / "golden-wal")
+def at_d7f7855():
+    # -- golden WAL lines ---------------------------------------------------------
+    svc = QueryService(segs(line(0, 0.0, 0.0), line(1, 5.0, 5.0)),
+                       durability_dir=out / "golden-wal", auto_compact=False,
+                       telemetry=Telemetry(enabled=False))
+    svc.ingest(segs(line(7, 1.0, 2.0, steps=3)))
+    kept = segs(line(8, 2.0, 3.0, steps=3))
+    kept = SegmentArray(kept.xs, kept.ys, kept.zs, kept.ts, kept.xe, kept.ye,
+                        kept.ze, kept.te, kept.traj_ids,
+                        np.array([500, 501], dtype=np.int64))
+    svc.ingest(kept, keep_seg_ids=True, idempotency_key="put-8")
+    svc.delete_trajectory(1)
+    svc.delete_trajectory(7, idempotency_key="del-7")
+    # compact() would checkpoint and truncate the log: frame the record the
+    # way _compact does, without the checkpoint.
+    svc.durability.log_compact(svc.versioned)
+    svc.durability.close()
+    golden = (out / "golden-wal" / "wal.jsonl").read_bytes()
+    (out / "wal_golden.jsonl").write_bytes(golden)
+    shutil.rmtree(out / "golden-wal")
 
-# -- a small durable service, cleanly shut down -------------------------------
-base = segs(*(line(k, 3.0 * k, 2.0 * k, t0=0.5 * k) for k in range(6)))
-queries = segs(line(900, 1.0, 0.5, steps=5), line(901, 9.0, 7.0, t0=1.0))
-directory = out / "durable_d7f7855"
-svc = QueryService(base, durability_dir=directory, auto_compact=False,
-                   telemetry=Telemetry(enabled=False))
-svc.register_subscription(Subscription(sub_id="sub-a", queries=queries,
-                                       d=2.5))
-put1 = segs(line(10, 1.5, 1.0, steps=5))
-svc.ingest(put1, idempotency_key="put-1")                       # epoch 1
-svc.delete_trajectory(2, idempotency_key="del-2")               # epoch 2
-svc.compact()                                                   # epoch 3
-kept = segs(line(11, 9.5, 7.5, t0=1.0))
-kept = SegmentArray(kept.xs, kept.ys, kept.zs, kept.ts, kept.xe, kept.ye,
-                    kept.ze, kept.te, kept.traj_ids,
-                    np.arange(7000, 7000 + len(kept), dtype=np.int64))
-svc.ingest(kept, keep_seg_ids=True)                             # epoch 4
-svc.delete_trajectory(4)                                        # epoch 5
-svc.ingest(segs(line(12, 0.5, 0.0, steps=5)))                   # epoch 6
-response = svc.submit(SearchRequest(queries=queries, d=2.5,
-                                    method="cpu_scan"))
-expected = {
-    "epoch": svc.versioned.epoch,
-    "num_results": len(response.outcome.results),
-    "d": 2.5,
-    "queries": queries.to_dict(),
-    "result_sha256": result_sha256(response.outcome.results),
-    "standing_sha256": result_sha256(svc.standing.results("sub-a")),
-    "last_seq": svc.standing.last_seq,
-    "applied_keys": sorted(svc.versioned.applied_keys),
-    "put_1": {"segments": put1.to_dict(),
-              "epoch": svc.versioned.applied_key("put-1")["epoch"]},
-}
-svc.shutdown()
-(directory / "expected.json").write_text(json.dumps(expected, indent=1))
-print(json.dumps({k: expected[k] for k in ("epoch", "last_seq",
-                                           "applied_keys")}))
+    # -- a small durable service, cleanly shut down -------------------------------
+    base = segs(*(line(k, 3.0 * k, 2.0 * k, t0=0.5 * k) for k in range(6)))
+    queries = segs(line(900, 1.0, 0.5, steps=5), line(901, 9.0, 7.0, t0=1.0))
+    directory = out / "durable_d7f7855"
+    svc = QueryService(base, durability_dir=directory, auto_compact=False,
+                       telemetry=Telemetry(enabled=False))
+    svc.register_subscription(Subscription(sub_id="sub-a", queries=queries,
+                                           d=2.5))
+    put1 = segs(line(10, 1.5, 1.0, steps=5))
+    svc.ingest(put1, idempotency_key="put-1")                       # epoch 1
+    svc.delete_trajectory(2, idempotency_key="del-2")               # epoch 2
+    svc.compact()                                                   # epoch 3
+    kept = segs(line(11, 9.5, 7.5, t0=1.0))
+    kept = SegmentArray(kept.xs, kept.ys, kept.zs, kept.ts, kept.xe, kept.ye,
+                        kept.ze, kept.te, kept.traj_ids,
+                        np.arange(7000, 7000 + len(kept), dtype=np.int64))
+    svc.ingest(kept, keep_seg_ids=True)                             # epoch 4
+    svc.delete_trajectory(4)                                        # epoch 5
+    svc.ingest(segs(line(12, 0.5, 0.0, steps=5)))                   # epoch 6
+    response = svc.submit(SearchRequest(queries=queries, d=2.5,
+                                        method="cpu_scan"))
+    expected = {
+        "epoch": svc.versioned.epoch,
+        "num_results": len(response.outcome.results),
+        "d": 2.5,
+        "queries": queries.to_dict(),
+        "result_sha256": result_sha256(response.outcome.results),
+        "standing_sha256": result_sha256(svc.standing.results("sub-a")),
+        "last_seq": svc.standing.last_seq,
+        "applied_keys": sorted(svc.versioned.applied_keys),
+        "put_1": {"segments": put1.to_dict(),
+                  "epoch": svc.versioned.applied_key("put-1")["epoch"]},
+    }
+    svc.shutdown()
+    (directory / "expected.json").write_text(json.dumps(expected, indent=1))
+    print(json.dumps({k: expected[k] for k in ("epoch", "last_seq",
+                                               "applied_keys")}))
+
+
+def at_f7a6f96():
+    # -- two warm engines, checkpointed: compressed npz, two artifacts --------
+    # A tiny database, few bins and a 64-item result buffer keep the
+    # gpu_temporal pickle (it carries its device's buffers) small.
+    base = segs(*(line(k, 3.0 * k, 2.0 * k, t0=0.5 * k) for k in range(6)))
+    queries = segs(line(900, 1.0, 0.5, steps=5), line(901, 9.0, 7.0, t0=1.0))
+    engines = {
+        "gpu_temporal": {"num_bins": 4, "result_buffer_items": 64},
+        "cpu_rtree": {"segments_per_mbb": 2, "fanout": 4},
+    }
+    directory = out / "durable_f7a6f96"
+    svc = QueryService(base, durability_dir=directory, auto_compact=False,
+                       telemetry=Telemetry(enabled=False))
+    svc.ingest(segs(line(10, 1.5, 1.0, steps=5)))               # epoch 1
+    svc.compact()                                               # epoch 2
+    for method, params in engines.items():
+        svc.submit(SearchRequest(queries=queries, d=2.5, method=method,
+                                 params=params))
+    svc.ingest(segs(line(11, 9.5, 7.5, t0=1.0)))                # epoch 3
+    svc.checkpoint()
+    svc.delete_trajectory(3)                                    # epoch 4
+    response = svc.submit(SearchRequest(queries=queries, d=2.5,
+                                        method="cpu_scan"))
+    expected = {
+        "epoch": svc.versioned.epoch,
+        "checkpoint_epoch": 3,
+        "num_results": len(response.outcome.results),
+        "d": 2.5,
+        "queries": queries.to_dict(),
+        "engines": engines,
+        "result_sha256": result_sha256(response.outcome.results),
+    }
+    svc.shutdown()
+    (directory / "expected.json").write_text(json.dumps(expected, indent=1))
+    print(json.dumps({k: expected[k] for k in ("epoch", "num_results")}))
+
+
+{"d7f7855": at_d7f7855, "f7a6f96": at_f7a6f96}[commit]()

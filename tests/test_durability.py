@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
+import zipfile
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.campaigns.harness import result_bytes
 from repro.core.types import SegmentArray
 from repro.data.io import load_segments, save_segments
 from repro.durability import (DurabilityError, DurabilityPolicy,
@@ -38,6 +44,19 @@ class TestWalFraming:
         rec = WalRecord(lsn=3, op="delete", epoch=7,
                         payload={"traj_id": 4})
         assert decode_line(encode_record(rec).rstrip(b"\n")) == rec
+
+    def test_frame_is_the_crc_spliced_into_the_canonical_body(self):
+        # encode_record serialises once and splices the CRC in front;
+        # the bytes are those of serialising the framed dict whole.
+        rec = WalRecord(lsn=12, op="append", epoch=13,
+                        payload={"segments": {"xs": [0.5, -1e-9]},
+                                 "idempotency_key": "k\u00e9y"})
+        body = rec.to_dict()
+        canonical = json.dumps(body, sort_keys=True,
+                               separators=(",", ":")).encode()
+        framed = dict(body, crc=zlib.crc32(canonical))
+        assert encode_record(rec) == json.dumps(
+            framed, sort_keys=True, separators=(",", ":")).encode() + b"\n"
 
     def test_crc_guards_every_byte(self):
         # Any single-byte flip either fails the frame outright or
@@ -429,6 +448,148 @@ class TestRecovery:
                                    auto_compact=False)
         assert rec.fingerprint == fp
         assert rec.versioned.base_version == svc.versioned.base_version
+
+
+# -- engine artifacts ---------------------------------------------------------
+
+
+def _prewarmed(svc, **labels):
+    return svc.telemetry.metrics.counter(
+        "repro_recovery_prewarmed_total").value(**labels)
+
+
+class TestEngineArtifacts:
+    """What a checkpoint keeps of the warm engines and how a restart
+    uses it: a recipe for each, a pickled artifact only where the
+    engine declares its index expensive to rebuild."""
+
+    WARM = {"gpu_temporal": {"num_bins": 4},
+            "cpu_rtree": {"segments_per_mbb": 2, "fanout": 4}}
+    QUERIES = _db(seed=9, n=2, offset=900)
+
+    def _search(self, svc, method):
+        return svc.submit(SearchRequest(
+            queries=self.QUERIES, d=2.5, method=method,
+            params=self.WARM.get(method, {})))
+
+    def _checkpointed(self, tmp_path):
+        """search -> ingest -> checkpoint() -> shutdown(); returns the
+        checkpoint's path and the epoch it was taken at."""
+        svc = QueryService(_db(), durability_dir=tmp_path / "state",
+                           auto_compact=False)
+        for method in self.WARM:
+            self._search(svc, method)
+        svc.ingest(_db(seed=3, n=2, offset=50))
+        path = svc.checkpoint()
+        svc.shutdown()
+        return path, svc.versioned.epoch
+
+    def test_artifact_only_for_the_engine_that_asks(self, tmp_path):
+        path, _ = self._checkpointed(tmp_path)
+        ckpt = load_checkpoint(path)
+        assert {r.method: r.artifact is not None
+                for r in ckpt.engines} \
+            == {"gpu_temporal": False, "cpu_rtree": True}
+        assert len(list((path / "engines").iterdir())) == 1
+        for name in ("base.npz", "delta.npz"):
+            with zipfile.ZipFile(path / name) as npz:
+                assert all(info.compress_type == zipfile.ZIP_STORED
+                           for info in npz.infolist())
+        # Recovery still prewarms every recipe: one from its
+        # artifact, one rebuilt.
+        rec = QueryService.recover(tmp_path / "state",
+                                   auto_compact=False)
+        assert _prewarmed(rec, engine="cpu_rtree",
+                          source="artifact") == 1
+        assert _prewarmed(rec, engine="gpu_temporal",
+                          source="rebuild") == 1
+        for method in self.WARM:
+            assert self._search(rec, method).metrics.cache_hit
+
+    def test_flipped_artifact_byte_costs_a_rebuild_not_the_checkpoint(
+            self, tmp_path):
+        path, epoch = self._checkpointed(tmp_path)
+        artifact = path / next(
+            r.artifact for r in load_checkpoint(path).engines
+            if r.method == "cpu_rtree")
+        blob = bytearray(artifact.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        artifact.write_bytes(bytes(blob))
+        rec = QueryService.recover(tmp_path / "state",
+                                   auto_compact=False)
+        assert rec.last_recovery.invalid_checkpoints == 0
+        assert rec.last_recovery.checkpoint_epoch == epoch
+        assert rec.last_recovery.replayed == 0
+        assert _prewarmed(rec, engine="cpu_rtree",
+                          source="rebuild") == 1
+        assert self._search(rec, "cpu_rtree").metrics.cache_hit
+
+    def test_recovered_engines_stay_warm_across_one_compaction(
+            self, tmp_path):
+        # The checkpoint listed them because they were being served,
+        # so the first compaction after a restart re-warms them; a
+        # second one with still no request does not.
+        self._checkpointed(tmp_path)
+        rec = QueryService.recover(tmp_path / "state",
+                                   auto_compact=False)
+        rec.ingest(_db(seed=4, n=1, offset=80))
+        rec.compact()
+        assert self._search(rec, "cpu_rtree").metrics.cache_hit
+        rec.ingest(_db(seed=5, n=1, offset=100))
+        rec.compact()
+        assert self._search(rec, "cpu_rtree").metrics.cache_hit
+        assert not self._search(rec, "gpu_temporal").metrics.cache_hit
+
+    def test_unverifiable_artifact_is_not_unpickled(self, tmp_path):
+        path, _ = self._checkpointed(tmp_path)
+        ckpt = load_checkpoint(path)
+        recipe, = (r for r in ckpt.engines if r.artifact)
+        assert ckpt.load_engine_artifact(recipe) is not None
+        del ckpt.digests[recipe.artifact]
+        assert ckpt.load_engine_artifact(recipe) is None
+        (path / recipe.artifact).unlink()
+        assert load_checkpoint(path).load_engine_artifact(recipe) is None
+
+    # -- checkpoints older code wrote -------------------------------------
+
+    def _answer_sha256(self, svc, want, method):
+        response = svc.submit(SearchRequest(
+            queries=SegmentArray.from_dict(want["queries"]), d=want["d"],
+            method=method, params=want["engines"].get(method, {})))
+        return response, hashlib.sha256(b"".join(
+            result_bytes(response.outcome.results))).hexdigest()
+
+    @pytest.mark.parametrize("artifacts", ["installed", "rebuilt"])
+    def test_directory_written_by_f7a6f96_recovers(self, tmp_path,
+                                                   artifacts):
+        # f7a6f96 wrote compressed arrays and a pickle per warm
+        # engine (tests/data/make_fixture.py): both still load, and a
+        # restart answers the same bytes from the old artifacts or —
+        # with them gone — from their recipes.
+        fixture = Path(__file__).parent / "data" / "durable_f7a6f96"
+        shutil.copytree(fixture, tmp_path / "d")
+        want = json.loads((tmp_path / "d" / "expected.json").read_text())
+        newest = list_checkpoints(tmp_path / "d" / "checkpoints")[0]
+        assert len(list((newest / "engines").iterdir())) == 2
+        with zipfile.ZipFile(newest / "base.npz") as npz:
+            assert all(info.compress_type == zipfile.ZIP_DEFLATED
+                       for info in npz.infolist())
+        if artifacts == "rebuilt":
+            shutil.rmtree(newest / "engines")
+        source = {"installed": "artifact", "rebuilt": "rebuild"}[artifacts]
+        svc = QueryService.recover(tmp_path / "d", auto_compact=False)
+        assert svc.versioned.epoch == want["epoch"]
+        assert svc.last_recovery.checkpoint_epoch \
+            == want["checkpoint_epoch"]
+        assert svc.last_recovery.invalid_checkpoints == 0
+        for method in want["engines"]:
+            assert _prewarmed(svc, engine=method, source=source) == 1
+            response, sha = self._answer_sha256(svc, want, method)
+            assert response.metrics.cache_hit
+            assert sha == want["result_sha256"]
+        response, sha = self._answer_sha256(svc, want, "cpu_scan")
+        assert len(response.outcome.results) == want["num_results"]
+        assert sha == want["result_sha256"]
 
 
 # -- atomic dataset saves (satellite) ----------------------------------------

@@ -298,6 +298,48 @@ class TestServiceIngestion:
         kinds = [e.kind for e in svc.telemetry.events]
         assert "compaction" in kinds and "ingest" in kinds
 
+    def test_prewarm_covers_only_engines_served_since_last_compaction(
+            self, base, queries):
+        svc = QueryService(base, auto_compact=False)
+        requests = {
+            method: SearchRequest(queries=queries, d=D, method=method,
+                                  params=params)
+            for method, params in (("gpu_temporal", {"num_bins": 16}),
+                                   ("cpu_rtree", {"segments_per_mbb": 2}))}
+
+        fresh = iter(range(5000, 5003))
+
+        def compact_and_count_builds():
+            traj_id = next(fresh)
+            svc.ingest(_db(num_traj=1, seed=traj_id, id_offset=traj_id))
+            before = len(svc.telemetry.events.of_kind("engine_build"))
+            svc.compact()
+            event = svc.telemetry.events.of_kind("compaction")[-1]
+            return (len(svc.telemetry.events.of_kind("engine_build"))
+                    - before, event.fields)
+
+        for request in requests.values():
+            svc.submit(request)
+        builds, event = compact_and_count_builds()
+        assert builds == 2 and event["prewarm"] == 2
+        # Only gpu_temporal is asked for again: the cpu_rtree entry
+        # exists because the compaction prewarmed it, and is not
+        # rebuilt a second time.
+        assert svc.submit(requests["gpu_temporal"]).metrics.cache_hit
+        builds, event = compact_and_count_builds()
+        assert builds == 1
+        assert (event["prewarm"], event["prewarm_skipped"]) == (1, 1)
+        # A later cpu_rtree request is an ordinary miss, answered
+        # right — and served again, so the next compaction keeps it.
+        resp = svc.submit(requests["cpu_rtree"])
+        assert not resp.metrics.cache_hit
+        truth = brute_force_search(
+            queries, svc.current_snapshot().logical(), D)
+        assert resp.outcome.results.equivalent_to(truth)
+        assert svc.submit(requests["gpu_temporal"]).metrics.cache_hit
+        builds, event = compact_and_count_builds()
+        assert builds == 2 and event["prewarm_skipped"] == 0
+
     def test_forced_compaction(self, base):
         svc = QueryService(base)
         svc.ingest(_db(num_traj=1, seed=60, id_offset=6000))

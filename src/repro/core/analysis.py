@@ -8,15 +8,20 @@ connected components; the most perturbation-exposed star is the node
 with the greatest weighted degree; convoys are long-dwell edges.
 
 Built on :mod:`networkx` so downstream users get its whole algorithm
-library on top of the search results.
+library on top of the search results.  It is an optional dependency
+(``pip install repro[analysis]``), imported where a graph is built or
+traversed — ``import repro`` must not need it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .result import ResultSet, merge_intervals
 from .types import SegmentArray
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["proximity_graph", "interaction_groups",
            "most_exposed", "co_travel_time"]
@@ -36,6 +41,8 @@ def proximity_graph(results: ResultSet, queries: SegmentArray,
     Self-pairs are ignored.  ``min_dwell`` drops edges whose cumulative
     proximity time is shorter (GPS noise suppression).
     """
+    import networkx as nx
+
     q_map = {int(s): int(t) for s, t in zip(queries.seg_ids,
                                             queries.traj_ids)}
     e_map = {int(s): int(t) for s, t in zip(entries.seg_ids,
@@ -67,6 +74,8 @@ def proximity_graph(results: ResultSet, queries: SegmentArray,
 def interaction_groups(graph: nx.Graph, *,
                        min_size: int = 2) -> list[set[int]]:
     """Connected components with at least one edge, largest first."""
+    import networkx as nx
+
     groups = [set(c) for c in nx.connected_components(graph)
               if len(c) >= min_size]
     return sorted(groups, key=len, reverse=True)

@@ -122,29 +122,6 @@ class PairCoefficients:
                    + self.t1.nbytes + self.a.nbytes + self.b.nbytes
                    + self.c0.nbytes)
 
-    def subset(self, positions: np.ndarray) -> "PairCoefficients":
-        """Coefficients of the sub-batch at ``positions`` (sorted,
-        strictly increasing positions into this pair batch).
-
-        A re-processed (redo) invocation's pairs are a subset of the
-        first invocation's, so its coefficients are a gather of the
-        cached ones — recomputing the quadratic from the segment store
-        would produce bit-for-bit the same values, just slower.
-        """
-        if positions.shape[0] == 0:
-            z = np.zeros(0)
-            return PairCoefficients(
-                num_pairs=0, alive_idx=np.zeros(0, dtype=np.int64),
-                t0=z, t1=z.copy(), a=z.copy(), b=z.copy(), c0=z.copy())
-        locs = np.searchsorted(positions, self.alive_idx)
-        locs_c = np.minimum(locs, positions.shape[0] - 1)
-        keep = positions[locs_c] == self.alive_idx
-        return PairCoefficients(
-            num_pairs=int(positions.shape[0]),
-            alive_idx=locs_c[keep],
-            t0=self.t0[keep], t1=self.t1[keep], a=self.a[keep],
-            b=self.b[keep], c0=self.c0[keep])
-
     def alive_map(self) -> np.ndarray:
         """Pair position -> row in the compacted arrays (-1 when the
         pair was culled at build time), memoized."""
@@ -160,9 +137,12 @@ class PairCoefficients:
         """Coefficients of an arbitrary (possibly unsorted) selection
         of this batch's pair positions, as a standalone batch.
 
-        Unlike :meth:`subset`, ``positions`` need not be sorted — the
-        spatiotemporal scheme's per-``d`` pair set visits the cached
-        superset in schedule order, not pair order.
+        A redo invocation's pairs are a subset of the first
+        invocation's, so its coefficients are a gather of the cached
+        ones — recomputing the quadratic from the segment store would
+        produce bit-for-bit the same values, just slower.  ``positions``
+        need not be sorted: the spatiotemporal scheme's per-``d`` pair
+        set visits the cached superset in schedule order.
         """
         src_all = self.alive_map()[positions]
         keep = np.flatnonzero(src_all >= 0)

@@ -1,17 +1,28 @@
-"""Common machinery shared by the three GPU search engines.
+"""The execution skeleton the three GPU search engines share.
 
 All engines implement the same contract: ``search(queries, d)`` returns a
 ``(ResultSet, profile)`` pair — the exact result set plus the execution
 record the cost model turns into modeled response time.
 
-The GPU engines share the paper's execution skeleton:
+The paper gives its GPU schemes one skeleton, and it is written once, in
+:meth:`GpuEngineBase._search_once`:
 
 * one query segment per GPU thread (load balancing, §IV);
 * a fixed-capacity device result buffer filled through atomic appends;
-* when the buffer cannot hold everything, the query set is processed
-  *incrementally*: queries that could not publish their results are
-  re-processed by a follow-up kernel invocation after the host drains the
-  buffer (§V-D/V-E) — the engines implement this loop once, here.
+* *incremental processing* (§V-D/V-E): the host invokes the kernel,
+  drains the buffer, and re-invokes it for the queries that could not
+  publish, until none is left.
+
+A scheme is what distinguishes it in the paper, three hooks:
+
+* :meth:`GpuEngineBase._host_plan` — what the host does before the first
+  launch: sort ``Q`` and compute a schedule (Algorithms 2-3), or nothing
+  (Algorithm 1);
+* :meth:`GpuEngineBase._thread_work` — which candidates each live thread
+  refines in one invocation, what the gather cost, and which threads
+  terminated on a full candidate slice ``U_k``;
+* :meth:`GpuEngineBase._resubmit_limit` — which of the unpublished
+  queries the host resubmits, and when it gives up.
 
 Within one invocation the model completes queries in thread-id order
 (first-fit): a deterministic idealization of the hardware's nondeterministic
@@ -27,22 +38,27 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from ..core.distance import (PairCoefficients, compare_pairs,
                              pair_coefficients, solve_intervals)
 from ..core.execmode import current_execution_mode
+from ..core.ranges import expand_ranges
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.atomics import AtomicResultBuffer
 from ..gpu.device import VirtualGPU
+from ..gpu.kernel import KernelLauncher, LaunchSpec
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
+from ..indexes.temporal import TemporalIndex
 from ..obs.telemetry import current as current_telemetry
 from .config import EngineConfig
 
-__all__ = ["SearchEngine", "GpuEngineBase", "NO_RETRY", "RangeBatch",
-           "RefineCache", "RetryPolicy", "ResultBufferOverflowError",
+__all__ = ["SearchEngine", "GpuEngineBase", "HostPlan", "NO_RETRY",
+           "QuerySetMemo", "RangeBatch", "RefineCache", "RetryPolicy",
+           "ThreadWork", "ResultBufferOverflowError",
            "KernelInvocationLimitError", "Deadline",
            "DeadlineExceededError", "current_deadline", "deadline_scope",
            "refine_ranges", "first_fit_accept", "index_build_phase"]
@@ -285,12 +301,57 @@ class RangeBatch:
         if self.cand_start.shape != (self.q_rows.shape[0] + 1,):
             raise ValueError("cand_start must have len(q_rows)+1 entries")
 
+    @classmethod
+    def from_lengths(cls, q_rows: np.ndarray, candidate_rows: np.ndarray,
+                     lens: np.ndarray) -> "RangeBatch":
+        """The batch whose thread ``i`` owns the next ``lens[i]`` rows."""
+        cand_start = np.zeros(lens.shape[0] + 1, dtype=np.int64)
+        np.cumsum(lens, out=cand_start[1:])
+        return cls(q_rows, candidate_rows, cand_start)
+
     @property
     def num_threads(self) -> int:
         return int(self.q_rows.shape[0])
 
     def lengths(self) -> np.ndarray:
         return np.diff(self.cand_start)
+
+
+@dataclass
+class HostPlan:
+    """What the host prepared before the first launch of one attempt.
+
+    ``queries`` is ``Q`` in thread-id order, as uploaded; the first
+    invocation runs threads ``0 .. num_threads - 1`` and a redo list
+    names a subset of them.  ``schedule_bytes`` is the size of the
+    schedule ``S`` shipped next to ``Q`` (None: the scheme computes no
+    schedule); ``schedule`` is whatever the scheme's own
+    :meth:`GpuEngineBase._thread_work` reads back.
+    """
+
+    queries: SegmentArray
+    num_threads: int
+    schedule_bytes: int | None = None
+    defaulted_queries: int = 0
+    schedule: Any = None
+
+
+@dataclass
+class ThreadWork:
+    """One invocation's work, one slot per live thread.
+
+    ``coefficients`` are the ``d``-invariant refinement coefficients of
+    exactly ``batch``'s pairs when the scheme has them memoised;
+    ``gather_work`` the index-probe / buffer-fill units charged on top
+    of the comparisons (None: none); ``blocked`` flags threads that
+    overflowed their candidate slice ``U_k`` and terminated without
+    refining — one atomic each, for the redo append (None: none can).
+    """
+
+    batch: RangeBatch
+    coefficients: PairCoefficients | None = None
+    gather_work: np.ndarray | None = None
+    blocked: np.ndarray | None = None
 
 
 def _chunk_bounds(lens: np.ndarray) -> np.ndarray:
@@ -425,56 +486,81 @@ def _refine_ranges_perthread(
     return hits_per_thread, zi, zi.copy(), z, z.copy()
 
 
+class QuerySetMemo(NamedTuple):
+    """What :class:`RefineCache` hands back for one query-set object."""
+
+    #: ``Q`` sorted by non-decreasing start time (thread-id order).
+    q_sorted: SegmentArray
+    #: first database row of each query's temporal-bin range ``E_k``.
+    row_lo: np.ndarray
+    #: every (query, row) pair inside those ranges, query ``k`` = thread
+    #: ``k`` — GPUTemporal's whole schedule, and a superset of anything
+    #: GPUSpatioTemporal schedules for any ``d``.
+    batch: RangeBatch
+    #: the quadratic coefficients of ``batch``'s pairs, or None (see
+    #: :meth:`RefineCache.lookup`) — then pairs are refined from scratch.
+    coefficients: PairCoefficients | None
+
+
 class RefineCache:
-    """Per-engine cache of ``d``-invariant refinement coefficients.
+    """The one thing a temporal-scheme engine remembers between searches.
 
-    The temporal scheme's candidate schedule does not depend on ``d``
-    (§IV-B): across a ``d``-sweep over one query set, every invocation-0
-    pair and its quadratic coefficients are identical — only the constant
-    term shifts.  The cache keys on the *identity* of the query set (a
-    strong reference is held, so the id cannot be recycled) plus the
-    exclusion flag, and stores the :class:`PairCoefficients` of the full
-    first-invocation batch.  A hit turns refinement into root-solving
-    only; results are bit-identical because the coefficients are the
-    same arrays either way.
+    Sorting ``Q``, each query's temporal-bin row range (§IV-B) and the
+    quadratic coefficients of every pair inside it do not depend on
+    ``d`` — only the constant term shifts.  Across a ``d``-sweep over one
+    query set all three are therefore reusable verbatim, and a search
+    reduces to root solving; results are bit-identical because the
+    arrays are the same either way.  The memo holds one query set, keyed
+    on the *identity* of the caller's object (a strong reference is
+    kept, so the id cannot be recycled), and one exclusion flag's
+    coefficients.
 
-    ``max_pairs`` bounds the host memory the cache may pin (~56 bytes
-    per alive pair); oversized batches are simply not cached.
+    ``max_pairs`` bounds the host memory the coefficients may pin (~56
+    bytes per alive pair); oversized batches are simply refined from
+    scratch every time.
     """
+
+    #: class-level so engines pickled before the memo existed load.
+    _source: SegmentArray | None = None
+    _memo: QuerySetMemo | None = None
+    _exclude: bool | None = None
 
     def __init__(self, max_pairs: int = 64_000_000) -> None:
         self.max_pairs = int(max_pairs)
-        self._queries: SegmentArray | None = None
-        self._key: tuple | None = None
-        self._coef: PairCoefficients | None = None
 
-    def lookup(self, queries: SegmentArray,
-               exclude_same_trajectory: bool
-               ) -> PairCoefficients | None:
-        """The cached coefficients for this exact query-set object."""
-        if (self._queries is not None
-                and queries is self._queries
-                and self._key == (len(queries), exclude_same_trajectory)):
-            return self._coef
-        return None
+    def lookup(self, queries: SegmentArray, index: TemporalIndex,
+               database: SegmentArray, *,
+               exclude_same_trajectory: bool) -> QuerySetMemo:
+        """Fetch-or-compute everything ``d``-invariant about ``queries``.
 
-    def coefficients_for(self, queries: SegmentArray,
-                         database: SegmentArray, batch: RangeBatch,
-                         *, exclude_same_trajectory: bool
-                         ) -> PairCoefficients | None:
-        """Fetch-or-compute the coefficients of ``batch``.
-
-        Returns None (and caches nothing) when the batch exceeds
-        ``max_pairs`` or the perthread reference mode is active — callers
-        then fall back to the plain chunked refinement.
+        ``coefficients`` is None — and nothing is remembered, so the
+        next search asks again — under the ``"perthread"`` reference
+        mode, for an empty batch, and past ``max_pairs``.
         """
+        memo = self._memo
+        if memo is None or self._source is not queries:
+            q_sorted = queries.sorted_by_start_time()
+            row_lo, row_hi = index.candidate_rows(q_sorted.ts, q_sorted.te)
+            lens = np.maximum(row_hi - row_lo + 1, 0)
+            memo = QuerySetMemo(q_sorted, row_lo, RangeBatch.from_lengths(
+                np.arange(len(q_sorted), dtype=np.int64),
+                expand_ranges(row_lo, lens), lens), None)
+            self._source, self._memo = queries, memo
         if current_execution_mode() != "batch":
-            return None
-        coef = self.lookup(queries, exclude_same_trajectory)
-        if coef is not None:
-            return coef
+            return memo._replace(coefficients=None)
+        if (memo.coefficients is None
+                or self._exclude != exclude_same_trajectory):
+            memo = self._memo = memo._replace(
+                coefficients=self._coefficients(
+                    memo, database, exclude_same_trajectory))
+            self._exclude = exclude_same_trajectory
+        return memo
+
+    def _coefficients(self, memo: QuerySetMemo, database: SegmentArray,
+                      exclude: bool) -> PairCoefficients | None:
+        batch = memo.batch
         num_pairs = int(batch.cand_start[-1])
-        if num_pairs > self.max_pairs:
+        if not 0 < num_pairs <= self.max_pairs:
             return None
         lens = batch.lengths()
         # Build in MAX_PAIRS_PER_CHUNK chunks (concatenated afterwards):
@@ -488,28 +574,18 @@ class RefineCache:
             span = slice(batch.cand_start[t], batch.cand_start[t_end])
             q_idx = np.repeat(batch.q_rows[t:t_end], lens[t:t_end])
             parts.append(pair_coefficients(
-                queries, database, q_idx, batch.candidate_rows[span],
-                exclude_same_trajectory=exclude_same_trajectory))
+                memo.q_sorted, database, q_idx, batch.candidate_rows[span],
+                exclude_same_trajectory=exclude))
             bases.append(int(batch.cand_start[t]))
-        if parts:
-            coef = PairCoefficients(
-                num_pairs=num_pairs,
-                alive_idx=np.concatenate(
-                    [b + c.alive_idx for b, c in zip(bases, parts)]),
-                t0=np.concatenate([c.t0 for c in parts]),
-                t1=np.concatenate([c.t1 for c in parts]),
-                a=np.concatenate([c.a for c in parts]),
-                b=np.concatenate([c.b for c in parts]),
-                c0=np.concatenate([c.c0 for c in parts]))
-        else:  # pragma: no cover - engines never launch empty batches
-            z = np.zeros(0)
-            coef = PairCoefficients(
-                num_pairs=0, alive_idx=np.zeros(0, dtype=np.int64),
-                t0=z, t1=z.copy(), a=z.copy(), b=z.copy(), c0=z.copy())
-        self._queries = queries
-        self._key = (len(queries), exclude_same_trajectory)
-        self._coef = coef
-        return coef
+        return PairCoefficients(
+            num_pairs=num_pairs,
+            alive_idx=np.concatenate(
+                [b + c.alive_idx for b, c in zip(bases, parts)]),
+            t0=np.concatenate([c.t0 for c in parts]),
+            t1=np.concatenate([c.t1 for c in parts]),
+            a=np.concatenate([c.a for c in parts]),
+            b=np.concatenate([c.b for c in parts]),
+            c0=np.concatenate([c.c0 for c in parts]))
 
 
 def first_fit_accept(hits_per_thread: np.ndarray,
@@ -535,14 +611,22 @@ def first_fit_accept(hits_per_thread: np.ndarray,
 
 
 class GpuEngineBase(SearchEngine):
-    """Shared state and the incremental-processing loop for GPU engines.
+    """Shared state, the incremental-processing loop and its retry policy.
 
-    Subclasses implement :meth:`_search_once` — one full search attempt
-    with the current buffer sizes.  :meth:`search` wraps it in the
+    :meth:`_search_once` is one full search attempt with the current
+    buffer sizes; a scheme supplies :meth:`_host_plan`,
+    :meth:`_thread_work` and, if its give-up rule differs,
+    :meth:`_resubmit_limit`.  :meth:`search` wraps the attempt in the
     bounded-retry policy: on result-buffer pressure the buffer is grown
     (deadline- and attempt-bounded) and the attempt repeated, instead of
     the loop burning through ``MAX_KERNEL_INVOCATIONS``.
     """
+
+    #: True where the paper's algorithm gathers candidates on the device
+    #: (Algorithm 1): :meth:`_thread_work` then runs inside the launch —
+    #: its wall time is kernel time and its failures are kernel failures.
+    #: Otherwise the host builds the batch before launching.
+    gathers_on_device = False
 
     def __init__(self, database: SegmentArray, *,
                  gpu: VirtualGPU | None = None,
@@ -554,15 +638,142 @@ class GpuEngineBase(SearchEngine):
         self.result_buffer = AtomicResultBuffer(result_buffer_items)
         self.retry = retry or RetryPolicy()
         self.database = database  # subclass may replace with sorted order
-        self._sort_cache: tuple[SegmentArray, SegmentArray] | None = None
 
-    # -- the retried search ----------------------------------------------------------
+    # -- what a scheme is ------------------------------------------------------------
 
     @abc.abstractmethod
+    def _host_plan(self, queries: SegmentArray, d: float,
+                   exclude_same_trajectory: bool) -> HostPlan:
+        """Order the queries and compute the schedule, if the scheme
+        has one.  Host-side only: no transfer, no launch."""
+
+    @abc.abstractmethod
+    def _thread_work(self, plan: HostPlan, live: np.ndarray,
+                     d: float) -> ThreadWork:
+        """The candidates of threads ``live`` (ids into ``plan``) for
+        one invocation."""
+
+    def _resubmit_limit(self, num_live: int, num_pending: int,
+                        redo_hits: np.ndarray,
+                        redo_blocked: np.ndarray | None) -> int:
+        """How many of the pending queries the next invocation takes,
+        given the hit counts (and ``U_k`` flags) of the ``num_live``
+        threads' rejects; raises once a query can never publish.
+
+        Default (Algorithms 2-3): resubmit everything, unless some
+        reject alone exceeds the buffer.
+        """
+        worst = int(redo_hits.max())
+        if worst > self.result_buffer.capacity_items:
+            raise self._overflow_error(worst)
+        return num_pending
+
+    def _overflow_error(self, items: int) -> ResultBufferOverflowError:
+        return ResultBufferOverflowError(
+            "result buffer too small for a single query "
+            f"({items} items > {self.result_buffer.capacity_items} "
+            "capacity); increase result_buffer_items or let the retry "
+            "policy grow it", required_items=items)
+
+    # -- the incremental loop (§V-D/V-E) ---------------------------------------------
+
     def _search_once(self, queries: SegmentArray, d: float, *,
                      exclude_same_trajectory: bool = False
                      ) -> tuple[ResultSet, SearchProfile]:
         """One search attempt with the current buffer capacities."""
+        wall0 = time.perf_counter()
+        self.gpu.reset_counters()
+        launcher = KernelLauncher(self.gpu)
+        transfers = self.gpu.transfers
+
+        plan = self._host_plan(queries, d, exclude_same_trajectory)
+        q_sorted = plan.queries
+        # Q fits on the GPU by assumption (§III); charged at search time.
+        transfers.h2d("query_set", len(q_sorted) * QUERY_ITEM_BYTES)
+        if plan.schedule_bytes is not None:
+            transfers.h2d("schedule", plan.schedule_bytes)
+
+        pending = np.arange(plan.num_threads, dtype=np.int64)
+        limit = pending.size
+        parts: list[ResultSet] = []
+        redo_total = 0
+        raw_items = 0
+
+        for invocation in range(MAX_KERNEL_INVOCATIONS):
+            if pending.size == 0:
+                break
+            live = pending[:limit]
+            work = None if self.gathers_on_device \
+                else self._thread_work(plan, live, d)
+
+            def kernel(k, live=live, work=work):
+                if work is None:
+                    work = self._thread_work(plan, live, d)
+                hits, pq, pe, plo, phi = refine_ranges(
+                    q_sorted, self.database, work.batch, d,
+                    exclude_same_trajectory=exclude_same_trajectory,
+                    coefficients=work.coefficients)
+                k.thread_work[:] = work.batch.lengths()
+                if work.gather_work is not None:
+                    k.gather_work[:] = work.gather_work
+                # Every produced result attempts one atomic append.
+                k.add_atomics(int(hits.sum()))
+                accept = first_fit_accept(hits,
+                                          self.result_buffer.free_items)
+                if work.blocked is not None:
+                    k.add_atomics(int(np.count_nonzero(work.blocked)))
+                    accept &= ~work.blocked
+                pair_accept = np.repeat(accept, hits)
+                if not self.result_buffer.try_append(
+                        pq[pair_accept], pe[pair_accept],
+                        plo[pair_accept], phi[pair_accept]):
+                    raise RuntimeError("internal: accepted batch overflow")
+                return hits, accept, work.blocked
+
+            out = launcher.run(LaunchSpec(
+                name=self.name, num_threads=live.size,
+                inputs=(("redo_query_ids", live.size * 8),)
+                if invocation else ()), kernel)
+            hits, accept, blocked = out.value
+
+            qd, ed, lod, hid = self.result_buffer.drain()
+            transfers.d2h("result_set", qd.size * 32)
+            raw_items += qd.size
+            parts.append(ResultSet(q_sorted.seg_ids[qd],
+                                   self.database.seg_ids[ed], lod, hid))
+
+            rejected = ~accept
+            redo = live[rejected]
+            pending = np.concatenate([redo, pending[limit:]])
+            redo_total += int(redo.size)
+            limit = pending.size
+            if redo.size:
+                transfers.d2h("redo_list", redo.size * 8)
+                limit = self._resubmit_limit(
+                    live.size, pending.size, hits[rejected],
+                    None if blocked is None else blocked[rejected])
+        else:   # the limit ran out, whether or not the last one rejected
+            if pending.size:
+                raise KernelInvocationLimitError(
+                    "kernel re-invocation limit reached; increase the "
+                    "result buffer capacity",
+                    required_items=self.result_buffer.capacity_items * 2)
+
+        final = ResultSet.from_parts(parts).deduplicated()
+        profile = SearchProfile.capture(
+            self.name, self.gpu, num_queries=len(queries),
+            schedule_items=0 if plan.schedule_bytes is None
+            else len(queries),
+            redo_queries=redo_total,
+            defaulted_queries=plan.defaulted_queries,
+            raw_result_items=raw_items,
+            result_items=len(final),
+            index_bytes=self.index.nbytes(),
+            wall_seconds=time.perf_counter() - wall0,
+        )
+        return final, profile
+
+    # -- the retried search ----------------------------------------------------------
 
     def search(self, queries: SegmentArray, d: float, *,
                exclude_same_trajectory: bool = False
@@ -667,25 +878,3 @@ class GpuEngineBase(SearchEngine):
         if "result_buffer" not in mem:
             mem.alloc("result_buffer",
                       (self.result_buffer.capacity_items, 4))
-
-    def _sorted_queries(self, queries: SegmentArray) -> SegmentArray:
-        """``queries`` sorted by start time, memoized per query-set object.
-
-        Returning the *same* sorted object for repeated searches over one
-        query set lets identity-keyed caches downstream (notably
-        :class:`RefineCache`) recognize the query set across a
-        ``d``-sweep.  The sort itself is deterministic, so memoization
-        never changes results.
-        """
-        cached = self._sort_cache
-        if cached is not None and cached[0] is queries:
-            return cached[1]
-        q_sorted = queries.sorted_by_start_time()
-        self._sort_cache = (queries, q_sorted)
-        return q_sorted
-
-    def _upload_queries(self, queries: SegmentArray) -> None:
-        """Charge the h2d transfer of the query set (it fits on the GPU by
-        assumption, §III) at search time."""
-        nbytes = len(queries) * QUERY_ITEM_BYTES
-        self.gpu.transfers.h2d("query_set", nbytes)

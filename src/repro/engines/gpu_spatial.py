@@ -26,23 +26,16 @@ on large datasets (the other being buffer-pressure re-invocations).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..core.execmode import current_execution_mode
 from ..core.geometry import expand, segment_mbbs
-from ..core.result import ResultSet
+from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
-from ..gpu.kernel import KernelLauncher, LaunchSpec
-from ..gpu.profiler import SearchProfile
 from ..indexes.fsg import FlatGrid
-from .base import (GpuEngineBase, KernelInvocationLimitError,
-                   MAX_KERNEL_INVOCATIONS, RangeBatch,
-                   ResultBufferOverflowError, first_fit_accept,
-                   index_build_phase, refine_ranges)
+from .base import (GpuEngineBase, HostPlan, RangeBatch, ThreadWork,
+                   index_build_phase)
 from .config import GpuSpatialConfig
-from .gpu_temporal import _expand_ranges
 
 __all__ = ["GpuSpatialEngine"]
 
@@ -56,6 +49,7 @@ class GpuSpatialEngine(GpuEngineBase):
 
     name = "gpu_spatial"
     config_type = GpuSpatialConfig
+    gathers_on_device = True    # Algorithm 1 lines 1-12 run in the kernel
 
     def __init__(self, database: SegmentArray, *,
                  cells_per_dim: int | tuple[int, int, int] = 50,
@@ -82,15 +76,39 @@ class GpuSpatialEngine(GpuEngineBase):
             mem.alloc("fsg_U", self.candidate_buffer_items,
                       dtype=np.int32)
 
+    def _host_plan(self, queries: SegmentArray, d: float,
+                   exclude_same_trajectory: bool) -> HostPlan:
+        # No sorting of Q and no schedule for the spatial scheme
+        # (§IV-A.2).
+        return HostPlan(queries, len(queries))
+
+    def _resubmit_limit(self, num_live, num_pending, redo_hits,
+                        redo_blocked) -> int:
+        # The redo mechanism lets the host choose which query ids to
+        # resubmit.  After progress: all of them.  When an invocation
+        # completed no query (every live thread overflowed an
+        # identical-size U_k): half, doubling the per-thread slice — so
+        # convergence is unconditional, down to one query alone.
+        if redo_hits.size < num_live:
+            return num_pending
+        if num_live > 1:
+            return num_live // 2
+        if redo_blocked[0]:
+            raise RuntimeError(
+                "candidate buffer too small: one query's candidate set "
+                f"exceeds the whole buffer (s={self.candidate_buffer_items}"
+                "); increase candidate_buffer_items or coarsen the grid")
+        raise self._overflow_error(int(redo_hits[0]))
+
     # -- candidate gathering (kernel steps 1-3) -----------------------------------
 
-    def _gather(self, q_sorted: SegmentArray, live: np.ndarray, d: float
-                ) -> tuple[RangeBatch, np.ndarray, np.ndarray, np.ndarray]:
+    def _thread_work(self, plan: HostPlan, live: np.ndarray,
+                     d: float) -> ThreadWork:
         """Fill per-thread candidate slices.
 
-        Returns ``(batch, overflowed, probe_ops, gather_ops)`` where
-        ``overflowed`` flags threads that exceeded ``|U_k|`` (their
-        candidate lists are left empty — the thread terminated).
+        ``blocked`` flags threads that exceeded ``|U_k|`` (their
+        candidate lists are left empty — the thread terminated);
+        ``gather_work`` is probe + fill units.
 
         The batch path exploits the grid's physical layout: ``lookup``
         ranges of consecutive non-empty cells are contiguous
@@ -103,10 +121,10 @@ class GpuSpatialEngine(GpuEngineBase):
         modeled exactly as the reference per-cell gather records them.
         """
         if current_execution_mode() == "perthread":
-            return self._gather_perthread(q_sorted, live, d)
+            return self._gather_perthread(plan.queries, live, d)
 
         slice_cap = self.candidate_buffer_items // max(live.size, 1)
-        boxes = expand(segment_mbbs(q_sorted).take(live), d)
+        boxes = expand(segment_mbbs(plan.queries).take(live), d)
         log_g = max(1, int(np.ceil(np.log2(max(self.index
                                                .num_nonempty_cells, 2)))))
         m = live.size
@@ -174,18 +192,14 @@ class GpuSpatialEngine(GpuEngineBase):
             else np.zeros(0, dtype=np.int64)
         counts_f = np.concatenate(count_parts)[keep] if count_parts \
             else np.zeros(0, dtype=np.int64)
-        candidate_rows = index.lookup[_expand_ranges(starts_f, counts_f)]
+        candidate_rows = index.lookup[expand_ranges(starts_f, counts_f)]
 
-        cand_start = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(lens, out=cand_start[1:])
-        batch = RangeBatch(q_rows=live, candidate_rows=candidate_rows,
-                           cand_start=cand_start)
-        return batch, overflowed, probe_ops, gather_ops
+        return ThreadWork(
+            RangeBatch.from_lengths(live, candidate_rows, lens),
+            gather_work=probe_ops + gather_ops, blocked=overflowed)
 
     def _gather_perthread(self, q_sorted: SegmentArray, live: np.ndarray,
-                          d: float
-                          ) -> tuple[RangeBatch, np.ndarray, np.ndarray,
-                                     np.ndarray]:
+                          d: float) -> ThreadWork:
         """Legacy reference: gather one logical thread at a time."""
         slice_cap = self.candidate_buffer_items // max(live.size, 1)
         boxes = expand(segment_mbbs(q_sorted).take(live), d)
@@ -224,125 +238,8 @@ class GpuSpatialEngine(GpuEngineBase):
             else:
                 cand_lists.append(empty)
 
-        cand_start = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=cand_start[1:])
         candidate_rows = (np.concatenate(cand_lists) if cand_lists
                           else empty)
-        batch = RangeBatch(q_rows=live, candidate_rows=candidate_rows,
-                           cand_start=cand_start)
-        return batch, overflowed, probe_ops, gather_ops
-
-    # -- search ---------------------------------------------------------------------
-
-    def _search_once(self, queries: SegmentArray, d: float, *,
-                     exclude_same_trajectory: bool = False
-                     ) -> tuple[ResultSet, SearchProfile]:
-        wall0 = time.perf_counter()
-        self.gpu.reset_counters()
-        launcher = KernelLauncher(self.gpu)
-
-        # No sorting of Q for the spatial scheme (§IV-A.2).
-        q_sorted = queries
-        self._upload_queries(q_sorted)
-
-        pending = np.arange(len(q_sorted), dtype=np.int64)
-        # Host-side progress guarantee: when an invocation completes no
-        # query (every live thread overflowed an identical-size U_k), the
-        # host passes only half the redo list to the next invocation,
-        # doubling the per-thread slice.  The paper's redo mechanism
-        # already lets the host choose which query ids to resubmit; this
-        # policy just makes its convergence unconditional.
-        limit = pending.size
-        parts: list[ResultSet] = []
-        redo_total = 0
-        raw_items = 0
-
-        for invocation in range(MAX_KERNEL_INVOCATIONS):
-            if pending.size == 0:
-                break
-            live = pending[:limit]
-            inputs: tuple[tuple[str, int], ...] = ()
-            if invocation > 0:
-                inputs = (("redo_query_ids", live.size * 8),)
-
-            def kernel(k, live=live):
-                batch, overflowed, probe_ops, gather_ops = self._gather(
-                    q_sorted, live, d)
-                lens = batch.lengths()
-                hits, pq, pe, plo, phi = refine_ranges(
-                    q_sorted, self.database, batch, d,
-                    exclude_same_trajectory=exclude_same_trajectory)
-                k.thread_work[:] = lens
-                k.gather_work[:] = probe_ops + gather_ops
-                k.add_atomics(int(hits.sum())
-                              + int(np.count_nonzero(overflowed)))
-
-                accept = first_fit_accept(hits,
-                                          self.result_buffer.free_items)
-                accept &= ~overflowed
-                pair_accept = np.repeat(accept, hits)
-                if not self.result_buffer.try_append(
-                        pq[pair_accept], pe[pair_accept],
-                        plo[pair_accept], phi[pair_accept]):
-                    raise RuntimeError("internal: accepted batch overflow")
-                return hits, accept, overflowed
-
-            out = launcher.run(
-                LaunchSpec(name=self.name, num_threads=live.size,
-                           inputs=inputs), kernel)
-            hits, accept, overflowed = out.value
-
-            qd, ed, lod, hid = self.result_buffer.drain()
-            self.gpu.transfers.d2h("result_set", qd.size * 32)
-            raw_items += qd.size
-            parts.append(ResultSet(q_sorted.seg_ids[qd],
-                                   self.database.seg_ids[ed], lod, hid))
-
-            rejected = ~accept
-            redo = live[rejected]
-            pending = np.concatenate([redo, pending[limit:]])
-            redo_total += int(redo.size)
-            if redo.size:
-                self.gpu.transfers.d2h("redo_list", redo.size * 8)
-                if redo.size == live.size:
-                    # No progress this invocation.
-                    if live.size == 1:
-                        if bool(overflowed[rejected][0]):
-                            raise RuntimeError(
-                                "candidate buffer too small: one query's "
-                                "candidate set exceeds the whole buffer "
-                                f"(s={self.candidate_buffer_items}); "
-                                "increase candidate_buffer_items or "
-                                "coarsen the grid")
-                        worst = int(hits[rejected].max())
-                        raise ResultBufferOverflowError(
-                            "result buffer too small for a single query "
-                            f"({worst} items > "
-                            f"{self.result_buffer.capacity_items} "
-                            "capacity); increase result_buffer_items or "
-                            "let the retry policy grow it",
-                            required_items=worst)
-                    limit = max(1, live.size // 2)
-                else:
-                    limit = pending.size
-                if invocation == MAX_KERNEL_INVOCATIONS - 1:
-                    raise KernelInvocationLimitError(
-                        "kernel re-invocation limit reached; increase the "
-                        "result buffer capacity",
-                        required_items=self.result_buffer.capacity_items
-                        * 2)
-            else:
-                limit = pending.size if pending.size else 1
-
-        raw = ResultSet.from_parts(parts)
-        final = raw.deduplicated()
-        profile = SearchProfile.capture(
-            self.name, self.gpu, num_queries=len(queries),
-            schedule_items=0,   # no host-side schedule for this scheme
-            redo_queries=redo_total,
-            raw_result_items=raw_items,
-            result_items=len(final),
-            index_bytes=self.index.nbytes(),
-            wall_seconds=time.perf_counter() - wall0,
-        )
-        return final, profile
+        return ThreadWork(
+            RangeBatch.from_lengths(live, candidate_rows, lens),
+            gather_work=probe_ops + gather_ops, blocked=overflowed)

@@ -20,9 +20,13 @@ actually computed, so correctness is independent of the timing model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .memory import MemoryManager
 from .transfers import TransferLedger
+
+if TYPE_CHECKING:   # kernel.py imports this module
+    from .kernel import KernelStats
 
 __all__ = ["DeviceSpec", "VirtualGPU", "TESLA_C2075"]
 
@@ -92,7 +96,7 @@ class VirtualGPU:
                                     device_name=spec.name,
                                     faults=faults, lane=lane)
         self.transfers = TransferLedger(faults=faults, lane=lane)
-        self.kernel_stats: list["KernelStats"] = []  # filled by launcher
+        self.kernel_stats: list[KernelStats] = []  # filled by launcher
 
     def set_lane(self, lane: int | None) -> None:
         """Record the pool lane this device is homed on (the pool calls

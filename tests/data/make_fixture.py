@@ -8,7 +8,19 @@ point: the files are what *that* code wrote, and
 ``tests/test_durability.py`` (checkpoint layout: f7a6f96 wrote compressed
 arrays and a pickled artifact for every warm engine) hold today's code to
 them.  Everything is literal or integer-derived so the tests can rebuild
-the inputs without an RNG."""
+the inputs without an RNG.
+
+When may a ``durable_<commit>/`` directory be retired?  Never while
+``FORMAT_VERSION`` is unchanged: a pickled engine is part of the format.
+``durable_f7a6f96`` holds a ``GpuTemporalEngine`` whose ``__dict__`` has
+the attributes of its day (``_batch_cache``, ``_sort_cache``, a
+``RefineCache`` with other fields) and none invented since; PR 22 moved
+the kernel loop and merged those memos, and an ``AttributeError`` inside
+``search`` would have surfaced only as a silent failover to a rebuilt
+engine (``cache_hit`` False) — which ``test_durability.py`` and
+``test_kernel_loop.py`` catch because this directory exists.  Anything a
+loaded engine reads that an older pickle lacks needs a class-level
+default or a ``__setstate__``."""
 import hashlib
 import json
 import shutil

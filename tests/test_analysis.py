@@ -1,5 +1,7 @@
 """Tests for proximity-graph analysis and the CPU scan baseline."""
 
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ def trio():
     return db, results
 
 
+@pytest.mark.skipif(importlib.util.find_spec("networkx") is None,
+                    reason="networkx (the `analysis` extra) not installed")
 class TestProximityGraph:
     def test_edges_and_weights(self, trio):
         db, results = trio

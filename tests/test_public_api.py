@@ -2,6 +2,10 @@
 and `__all__` stays truthful."""
 
 import importlib
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,3 +126,33 @@ def test_public_docstrings_everywhere():
                 if not (inspect.getdoc(obj) or "").strip():
                     missing.append(f"{module_name}.{name}")
     assert not missing, f"undocumented public items: {missing}"
+
+
+def test_imports_need_only_declared_dependencies():
+    """`import repro` (and every entry point a process starts from)
+    succeeds with every top-level module that is neither standard
+    library nor a declared runtime dependency made unimportable."""
+    root = Path(__file__).resolve().parent.parent
+    declared = re.search(r'^dependencies = \[(.*)\]$',
+                         (root / "pyproject.toml").read_text(), re.M)
+    allowed = re.findall(r'"([A-Za-z0-9_]+)', declared.group(1))
+    program = f"""
+import sys
+
+class OnlyDeclared:
+    allowed = set({allowed!r}) | sys.stdlib_module_names | {{"repro"}}
+
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in self.allowed:
+            raise ModuleNotFoundError(
+                f"No module named {{name!r}} (not a declared dependency)",
+                name=name)
+
+sys.meta_path.insert(0, OnlyDeclared())
+import repro, repro.cli, repro.gateway, repro.sharding
+import repro.campaigns, repro.experiments
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True,
+        env={"PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr

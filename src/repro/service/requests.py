@@ -41,7 +41,10 @@ class SearchRequest:
         Engine tuning knobs.  With an explicit ``method`` they are
         validated against that engine's typed config; with ``"auto"``
         they act as hints — keys the chosen engine does not understand
-        are ignored.
+        are ignored, but the planner's own knobs (``num_bins``,
+        ``num_subbins``, ``cells_per_dim``, ``segments_per_mbb``) must
+        be positive integers or the request is refused with
+        :class:`~repro.engines.config.ConfigError`.
     exclude_same_trajectory:
         Self-join mode: drop results pairing a query with its own
         trajectory.

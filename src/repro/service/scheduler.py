@@ -59,13 +59,15 @@ import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..core.planner import plan_search
+import numpy as np
+
+from ..core.planner import DatabaseProfile, plan_search
 from ..core.search import SearchOutcome
 from ..core.types import SegmentArray
 from ..durability import DurabilityManager, DurabilityPolicy
 from ..engines.base import (Deadline, DeadlineExceededError, GpuEngineBase,
                             RetryPolicy, deadline_scope)
-from ..engines.config import ConfigError
+from ..engines.config import ConfigError, _require_positive_int
 from ..engines.registry import available, get_engine
 from ..engines.cpu_scan import CpuScanEngine
 from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
@@ -328,6 +330,8 @@ class QueryService:
         self._truth_cache: tuple[int, CpuScanEngine] | None = None
         self._fp_version = -1
         self._fp = ""
+        #: the planner's (base_version, profile) of the current base.
+        self._plan_profile: tuple[int, DatabaseProfile] | None = None
         self._prewarm_failures = 0
         #: write-ahead logging + checkpoints (None = memory-only).
         self.durability: DurabilityManager | None = None
@@ -1113,20 +1117,30 @@ class QueryService:
                     f"unknown method {request.method!r}; available: "
                     f"{sorted(available())} or 'auto'")
             return request.method, dict(request.params)
-        hints = {k: v for k, v in request.params.items()
+        # Hints are caller input like any engine parameter: a bad one
+        # is refused, not planned around (NumPy scalars collapse to
+        # builtins first, as ``EngineConfig.from_params`` does).
+        hints = {k: (v.item() if isinstance(v, np.generic) else v)
+                 for k, v in request.params.items()
                  if k in _PLANNER_HINTS}
+        for name, value in hints.items():
+            _require_positive_int("auto", name, value)
         try:
             with self.telemetry.span("service.plan",
                                      sample=self.planner_sample) as sp:
                 # Plan over the snapshot's base: that is what the index
                 # serves; the delta overlay costs the same regardless
                 # of which engine wins.
-                plans = plan_search(snapshot.base, request.queries,
+                profile, cached = self._planner_profile(snapshot)
+                plans = plan_search(profile, request.queries,
                                     request.d,
                                     sample=self.planner_sample,
                                     gpu_model=self.gpu_model,
                                     cpu_model=self.cpu_model, **hints)
-                sp.set_attribute("winner", plans[0].engine)
+                sp.set_attributes(
+                    winner=plans[0].engine,
+                    profile="hit" if cached else "built",
+                    rows_scanned=sum(p.rows_scanned for p in plans))
         except Exception as exc:  # noqa: BLE001 - degrade, don't fail
             self._record_degradation(request, "auto", exc, metrics,
                                      fallback=self.FALLBACK_METHOD)
@@ -1141,6 +1155,29 @@ class QueryService:
             params.update({k: v for k, v in request.params.items()
                            if k in valid})
         return best.engine, params
+
+    def _planner_profile(self, snapshot: Snapshot
+                         ) -> tuple[DatabaseProfile, bool]:
+        """The planner's profile of a snapshot's base, and whether it
+        was already there.
+
+        Kept like :attr:`fingerprint`: one for the current base, valid
+        until a compaction installs the next (appends and deletes never
+        touch the base).  A snapshot pinned to an older base gets a
+        profile of *its* base, which is not kept.  The pair is published
+        in one assignment, after the build, so a concurrent reader sees
+        a whole profile or none.
+        """
+        kept = self._plan_profile
+        if kept is not None and kept[0] == snapshot.base_version:
+            return kept[1], True
+        profile = DatabaseProfile.build(snapshot.base)
+        self.telemetry.metrics.counter(
+            "repro_planner_profile_builds_total",
+            "planner database profiles built").inc()
+        if snapshot.base_version == self.versioned.base_version:
+            self._plan_profile = (snapshot.base_version, profile)
+        return profile, False
 
     def _base_fingerprint(self, snapshot: Snapshot) -> str:
         """Fingerprint of a snapshot's base (fast path: the current

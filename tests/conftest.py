@@ -8,6 +8,12 @@ import pytest
 from repro.core.types import SegmentArray, Trajectory
 
 
+#: ``method="auto"`` planner hints no engine would accept either.
+BAD_PLANNER_HINTS = [{"num_bins": 0}, {"num_bins": "x"},
+                     {"segments_per_mbb": 0}, {"num_subbins": 0},
+                     {"cells_per_dim": -3}]
+
+
 def make_walk_trajectories(num_traj: int, steps: int, *,
                            box: float = 20.0, step_sigma: float = 1.0,
                            start_spread: float = 5.0, dt: float = 1.0,

@@ -18,7 +18,7 @@ from repro.gateway import (BROWNOUT_LEVELS, BrownoutLadder,
                            TenantConfig, TenantRegistry, TokenBucket,
                            retry_with_backoff)
 from repro.service import QueryService, SearchRequest, SearchResponse
-from tests.conftest import make_walk_trajectories
+from tests.conftest import BAD_PLANNER_HINTS, make_walk_trajectories
 
 D = 2.5
 
@@ -561,6 +561,38 @@ class TestHTTPSurface:
             json.loads(payload)["response"]).outcome.results
         truth, _ = CpuScanEngine(small_db).search(small_queries, D)
         assert result_bytes(answer) == result_bytes(truth)
+        gw.backend.shutdown()
+
+    def test_bad_planner_hint_is_refused_not_degraded(
+            self, small_db, small_queries):
+        """A bad hint on ``method="auto"`` is the caller's error like a
+        bad engine parameter: ``invalid`` / 400, not ``200 ok`` from
+        ``cpu_scan`` with a degradation nobody asked for."""
+        gw = _gateway(small_db)
+        bodies = [json.dumps(_request(
+            small_queries, rid=f"hint-{i}", method="auto",
+            params=params).to_dict()).encode()
+            for i, params in enumerate(BAD_PLANNER_HINTS)]
+        direct = asyncio.run(gw.search("key-alpha", _request(
+            small_queries, method="auto", params=BAD_PLANNER_HINTS[0])))
+        assert direct.status == "invalid"
+        assert "num_bins must be a positive integer" in direct.reason
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                return [await _http(server.host, server.port, "POST",
+                                    "/v1/search", body,
+                                    {"x-api-key": "key-alpha"})
+                        for body in bodies]
+
+        for status, _, payload in asyncio.run(
+                asyncio.wait_for(drive(), 30)):
+            assert status == 400
+            assert json.loads(payload)["status"] == "invalid"
+        events = gw.backend.telemetry.events
+        assert not events.of_kind("degradation")
+        assert all(b["state"] == "closed"
+                   for b in gw.backend.stats()["breakers"].values())
         gw.backend.shutdown()
 
     def test_backend_exception_does_not_silence_the_gateway(

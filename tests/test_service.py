@@ -2,6 +2,7 @@
 pool scheduling, sharding, serialization."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.gpu.device import DeviceSpec
 from repro.service import (EngineCache, QueryService, SearchRequest,
                            SearchResponse, canonical_params,
                            database_fingerprint)
+from tests.conftest import BAD_PLANNER_HINTS
 
 
 @pytest.fixture
@@ -60,6 +62,26 @@ class TestRequestValidation:
             service.submit(_request(small_queries, method="gpu_temporal",
                                     params={"num_bin": 40}))
         assert not service.telemetry.events.of_kind("degradation")
+
+    @pytest.mark.parametrize("hints", BAD_PLANNER_HINTS)
+    def test_bad_planner_hints_raise_config_error(self, service,
+                                                  small_queries, hints):
+        """With ``method="auto"`` the same values used to be served by
+        ``cpu_scan`` as a degradation (or ranked from NaNs)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConfigError, match="positive integer"):
+                service.submit(_request(small_queries, method="auto",
+                                        params=hints))
+        assert not service.telemetry.events.of_kind("degradation")
+        assert service.stats()["degradations"] == 0
+
+    def test_planner_failure_still_degrades(self, service, small_queries):
+        """Not a caller error: the planner cannot window d = inf."""
+        resp = service.submit(_request(small_queries, d=float("inf"),
+                                       method="auto"))
+        assert resp.ok and resp.metrics.degraded
+        assert resp.metrics.engine == QueryService.FALLBACK_METHOD
 
 
 class TestCorrectness:

@@ -40,12 +40,25 @@ import numpy as np
 from .types import SegmentArray
 
 __all__ = ["compare_pairs", "pair_coefficients", "solve_intervals",
-           "PairCoefficients", "PairIntervals"]
+           "magnitude", "surviving_pairs", "PairCoefficients",
+           "PairIntervals"]
 
 # Relative tolerance used when deciding whether the quadratic coefficient
 # is numerically zero (parallel motion).  Scaled by the magnitude of the
 # velocities involved so the test is unit-free.
 _EPS = 1e-30
+
+#: ``tau / S`` of :func:`surviving_pairs`: how far past ``d`` two
+#: bounding boxes must be apart, relative to the data's magnitude,
+#: before the pair is dropped unsolved.
+_REJECT_MARGIN = 1e-6
+
+#: Pairs tested per block of the reject: its few temporaries are 256 KiB
+#: each and stay cache-resident whatever the batch size.
+_REJECT_BLOCK = 1 << 15
+
+#: Pairs of a batch sampled to put the most selective test first.
+_REJECT_SAMPLE = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -92,9 +105,6 @@ class PairCoefficients:
     squared distance on the overlap ``[t0, t1]`` is the quadratic
     ``f(t) = a t^2 + b t + c0``; a threshold query only shifts the
     constant term (``f(t) <= d^2  <=>  a t^2 + b t + (c0 - d^2) <= 0``).
-    Engines whose candidate schedule does not depend on ``d`` (the
-    temporal scheme's signature property) therefore compute these
-    coefficients once per query set and re-solve per threshold.
 
     ``alive_idx`` maps the compacted coefficient rows back to positions
     in the original pair batch; every other array is compacted (one slot
@@ -109,100 +119,12 @@ class PairCoefficients:
     b: np.ndarray
     c0: np.ndarray
 
-    def __len__(self) -> int:
-        return self.num_pairs
 
-    @property
-    def num_alive(self) -> int:
-        return int(self.alive_idx.shape[0])
-
-    def nbytes(self) -> int:
-        """Host memory held by the cached coefficient arrays."""
-        return int(self.alive_idx.nbytes + self.t0.nbytes
-                   + self.t1.nbytes + self.a.nbytes + self.b.nbytes
-                   + self.c0.nbytes)
-
-    def alive_map(self) -> np.ndarray:
-        """Pair position -> row in the compacted arrays (-1 when the
-        pair was culled at build time), memoized."""
-        cached = getattr(self, "_alive_map", None)
-        if cached is None:
-            cached = np.full(self.num_pairs, -1, dtype=np.int64)
-            cached[self.alive_idx] = np.arange(self.alive_idx.shape[0],
-                                               dtype=np.int64)
-            object.__setattr__(self, "_alive_map", cached)
-        return cached
-
-    def take(self, positions: np.ndarray) -> "PairCoefficients":
-        """Coefficients of an arbitrary (possibly unsorted) selection
-        of this batch's pair positions, as a standalone batch.
-
-        A redo invocation's pairs are a subset of the first
-        invocation's, so its coefficients are a gather of the cached
-        ones — recomputing the quadratic from the segment store would
-        produce bit-for-bit the same values, just slower.  ``positions``
-        need not be sorted: the spatiotemporal scheme's per-``d`` pair
-        set visits the cached superset in schedule order.
-        """
-        src_all = self.alive_map()[positions]
-        keep = np.flatnonzero(src_all >= 0)
-        src = src_all[keep]
-        return PairCoefficients(
-            num_pairs=int(positions.shape[0]), alive_idx=keep,
-            t0=self.t0[src], t1=self.t1[src], a=self.a[src],
-            b=self.b[src], c0=self.c0[src])
-
-    def partition(self) -> "_SolvePartition":
-        """The ``d``-invariant part of root solving, memoized.
-
-        Splitting alive pairs into the constant-distance and genuine
-        quadratic cases — and pre-gathering the per-case operands — does
-        not depend on the threshold, so a cached coefficient set being
-        re-solved across a ``d``-sweep pays for it once.  Every derived
-        array holds exactly the intermediate values
-        :func:`solve_intervals` historically computed, so solving from
-        the partition is bit-identical.
-        """
-        cached = getattr(self, "_partition", None)
-        if cached is None:
-            const = self.a <= _EPS
-            quad = ~const
-            bq = self.b[quad]
-            aq = self.a[quad]
-            cached = _SolvePartition(
-                const_alive=self.alive_idx[const],
-                c0_const=self.c0[const],
-                t0_const=self.t0[const],
-                t1_const=self.t1[const],
-                quad_alive=self.alive_idx[quad],
-                bb=bq * bq,
-                foura=4.0 * aq,
-                negb=-bq,
-                twoa=2.0 * aq,
-                c0q=self.c0[quad],
-                t0q=self.t0[quad],
-                t1q=self.t1[quad],
-            )
-            object.__setattr__(self, "_partition", cached)
-        return cached
-
-
-@dataclass(frozen=True)
 class _SolvePartition:
-    """Pre-gathered operands for per-threshold root solving."""
-
-    const_alive: np.ndarray
-    c0_const: np.ndarray
-    t0_const: np.ndarray
-    t1_const: np.ndarray
-    quad_alive: np.ndarray
-    bb: np.ndarray
-    foura: np.ndarray
-    negb: np.ndarray
-    twoa: np.ndarray
-    c0q: np.ndarray
-    t0q: np.ndarray
-    t1q: np.ndarray
+    """Never constructed.  GPU engines pickled before the reject (the
+    f7a6f96 checkpoint fixture holds one) carry a coefficient memo that
+    names this class; it has to resolve for the pickle to load, and the
+    memo it belonged to is ignored."""
 
 
 def pair_coefficients(
@@ -274,37 +196,36 @@ def solve_intervals(coef: PairCoefficients, d: float) -> PairIntervals:
     The ``d``-dependent half of :func:`compare_pairs`: roots of
     ``a t^2 + b t + (c0 - d^2)``, intersected with the temporal overlap.
     """
-    if d < 0:
+    if not d >= 0:     # refuses NaN as well as negatives
         raise ValueError("query distance d must be non-negative")
     n = coef.num_pairs
     t_lo = np.empty(n)
     t_hi = np.empty(n)
     mask = np.zeros(n, dtype=bool)
     d2 = d * d
-    p = coef.partition()
 
     # Case 1: constant relative distance (a == 0 numerically).
-    hit_const = p.c0_const - d2 <= 0.0
-    idx = p.const_alive[hit_const]
-    t_lo[idx] = p.t0_const[hit_const]
-    t_hi[idx] = p.t1_const[hit_const]
+    const = coef.a <= _EPS
+    hit = const & (coef.c0 - d2 <= 0.0)
+    idx = coef.alive_idx[hit]
+    t_lo[idx] = coef.t0[hit]
+    t_hi[idx] = coef.t1[hit]
     mask[idx] = True
 
     # Case 2: genuine quadratic.  f <= 0 between the roots.
-    if p.quad_alive.size:
-        cq = p.c0q - d2
-        disc = p.bb - p.foura * cq
-        has_roots = disc >= 0.0
+    quad = ~const
+    if quad.any():
+        a = coef.a[quad]
+        b = coef.b[quad]
+        disc = b * b - 4.0 * a * (coef.c0[quad] - d2)
         sq = np.sqrt(np.maximum(disc, 0.0))
-        r_lo = (p.negb - sq) / p.twoa
-        r_hi = (p.negb + sq) / p.twoa
-        lo = np.maximum(r_lo, p.t0q)
-        hi = np.minimum(r_hi, p.t1q)
-        hit = has_roots & (lo <= hi)
-        quad_idx = p.quad_alive[hit]
-        t_lo[quad_idx] = lo[hit]
-        t_hi[quad_idx] = hi[hit]
-        mask[quad_idx] = True
+        lo = np.maximum((-b - sq) / (2.0 * a), coef.t0[quad])
+        hi = np.minimum((-b + sq) / (2.0 * a), coef.t1[quad])
+        hit = (disc >= 0.0) & (lo <= hi)
+        idx = coef.alive_idx[quad][hit]
+        t_lo[idx] = lo[hit]
+        t_hi[idx] = hi[hit]
+        mask[idx] = True
 
     return PairIntervals(mask, t_lo, t_hi)
 
@@ -339,12 +260,111 @@ def compare_pairs(
     -------
     PairIntervals with one slot per input pair.
     """
-    if d < 0:
+    if not d >= 0:     # refuses NaN as well as negatives
         raise ValueError("query distance d must be non-negative")
     coef = pair_coefficients(
         queries, entries, q_idx, e_idx,
         exclude_same_trajectory=exclude_same_trajectory)
     return solve_intervals(coef, d)
+
+
+def magnitude(seg: SegmentArray) -> float:
+    """``S`` of :func:`surviving_pairs`, one segment set's share: a bound
+    on every term :func:`pair_coefficients` sums for it — coordinates
+    *and* ``|v| |t|`` (with timestamps near 1e6 the second dwarfs the
+    first) — plus the drift the constant-distance branch ignores."""
+    if len(seg) == 0:
+        return 0.0
+    coord = float(np.abs([seg.xs, seg.ys, seg.zs,
+                          seg.xe, seg.ye, seg.ze]).max())
+    speed = float(np.abs(seg.velocities()).max())
+    t = float(np.abs([seg.ts, seg.te]).max())
+    # a <= _EPS means |w| <= 1e-15 per axis; the branch then treats a
+    # distance that drifts by up to |w| |t| as constant.
+    return coord + speed * t + 2.0 * _EPS ** 0.5 / _REJECT_MARGIN * t
+
+
+def surviving_pairs(
+    queries: SegmentArray,
+    entries: SegmentArray,
+    q_idx: np.ndarray,
+    e_idx: np.ndarray,
+    d: float,
+    scale: float,
+) -> np.ndarray:
+    """Positions (ascending) of the candidate pairs that can hit at all.
+
+    A conservative reject in front of :func:`compare_pairs`: a pair is
+    dropped when the segments' closed time intervals are disjoint
+    (``ets <= qte and qts <= ete`` fails — exactly the ``t0 <= t1``
+    aliveness test, margin 0: time is the fourth axis, with no reach)
+    or when, on one spatial axis alone, the entry's extent
+    ``[min(s, e), max(s, e)]`` stays further than ``d + tau`` from the
+    query's.  Everything else is returned for the exact solve.
+
+    Why no dropped pair can be a hit of the exact *floating-point* path.
+    Let ``S = scale = magnitude(queries) + magnitude(entries)``; it
+    bounds ``|u|`` and ``|w t|`` per axis for every ``t`` in a pair's
+    overlap.  Rounding in ``u`` and ``w`` (velocities included) moves the
+    displacement the float path works with by at most ``~25 eps S`` per
+    axis, so on the separated axis it still exceeds
+    ``d + tau - 25 eps S`` throughout ``[t0, t1]`` and the squared
+    distance exceeds ``d^2`` by ``tau^2 = 1e-12 S^2`` (more when
+    ``d > 0``).  Against that: the sums forming ``a``, ``b``, ``c0``
+    err by ``<= 7 eps (a t^2 + c0) <= 42 eps S^2`` at any such ``t``;
+    and a computed root ``r`` satisfies ``|f(r) - d^2| <=
+    eps (20 c0 + 12 |c0 - d^2|) <= 96 eps S^2`` wherever it lies
+    (``d < S`` whenever a pair can be dropped at all), because the root-position error maps back through ``b^2 <= 4 a c0``
+    (Cauchy-Schwarz) — so by convexity the computed ``[r_lo, r_hi]``
+    cannot reach into ``[t0, t1]``.  Together ``~140 eps S^2 = 3e-14
+    S^2``, a thirtieth of the margin on worst-case constants (typical
+    error is a few ``eps S^2``, four orders below).  The
+    constant-distance branch (``a <= _EPS``) is covered by the drift
+    term of :func:`magnitude`.  ``d = inf`` widens every extent to the
+    whole line and only the temporal test remains.
+
+    Pairs are tested in blocks of ``_REJECT_BLOCK``, one axis at a time,
+    each test reading only the survivors of the one before.  Which test
+    is selective depends on what the index already selected on — grid
+    candidates are spatially close but mostly not contemporaneous,
+    temporal-bin candidates the reverse — so the tests are ordered by
+    how much of a strided sample of the batch each one keeps.  The
+    surviving set is the same in any order.
+    """
+    if not d >= 0:     # a NaN reach would silently drop every pair
+        raise ValueError("query distance d must be non-negative")
+    reach = d + _REJECT_MARGIN * scale
+    bounds = [(np.minimum(qs, qe) - r, np.maximum(qs, qe) + r, es, ee)
+              for qs, qe, es, ee, r in (
+                  (queries.ts, queries.te, entries.ts, entries.te, 0.0),
+                  (queries.xs, queries.xe, entries.xs, entries.xe, reach),
+                  (queries.ys, queries.ye, entries.ys, entries.ye, reach),
+                  (queries.zs, queries.ze, entries.zs, entries.ze, reach))]
+
+    def near(bound, qi, ei):
+        q_lo, q_hi, es, ee = bound
+        s, e = es.take(ei), ee.take(ei)
+        return ((np.minimum(s, e) <= q_hi.take(qi))
+                & (np.maximum(s, e) >= q_lo.take(qi)))
+
+    n = q_idx.shape[0]
+    if n > _REJECT_SAMPLE:
+        sample = slice(None, None, n // _REJECT_SAMPLE)
+        qi, ei = q_idx[sample], e_idx[sample]
+        bounds.sort(key=lambda b: np.count_nonzero(near(b, qi, ei)))
+    kept = []
+    for base in range(0, n, _REJECT_BLOCK):
+        qi = q_idx[base:base + _REJECT_BLOCK]
+        ei = e_idx[base:base + _REJECT_BLOCK]
+        pos = np.arange(base, base + ei.shape[0])
+        for bound in bounds:
+            keep = np.flatnonzero(near(bound, qi, ei))
+            if keep.size < pos.size:
+                pos, qi, ei = pos.take(keep), qi.take(keep), ei.take(keep)
+                if pos.size == 0:
+                    break
+        kept.append(pos)
+    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
 
 
 def distance_at(

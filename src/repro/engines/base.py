@@ -42,8 +42,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..core.distance import (PairCoefficients, compare_pairs,
-                             pair_coefficients, solve_intervals)
+from ..core.distance import compare_pairs, magnitude, surviving_pairs
 from ..core.execmode import current_execution_mode
 from ..core.ranges import expand_ranges
 from ..core.result import ResultSet
@@ -316,6 +315,15 @@ class RangeBatch:
     def lengths(self) -> np.ndarray:
         return np.diff(self.cand_start)
 
+    def keep(self, positions: np.ndarray) -> "RangeBatch":
+        """The same threads with only the candidates at ``positions``
+        (ascending indices into ``candidate_rows``)."""
+        thread = np.searchsorted(self.cand_start, positions,
+                                 side="right") - 1
+        return RangeBatch.from_lengths(
+            self.q_rows, self.candidate_rows[positions],
+            np.bincount(thread, minlength=self.num_threads))
+
 
 @dataclass
 class HostPlan:
@@ -340,16 +348,13 @@ class HostPlan:
 class ThreadWork:
     """One invocation's work, one slot per live thread.
 
-    ``coefficients`` are the ``d``-invariant refinement coefficients of
-    exactly ``batch``'s pairs when the scheme has them memoised;
-    ``gather_work`` the index-probe / buffer-fill units charged on top
+    ``gather_work`` is the index-probe / buffer-fill units charged on top
     of the comparisons (None: none); ``blocked`` flags threads that
     overflowed their candidate slice ``U_k`` and terminated without
     refining — one atomic each, for the redo append (None: none can).
     """
 
     batch: RangeBatch
-    coefficients: PairCoefficients | None = None
     gather_work: np.ndarray | None = None
     blocked: np.ndarray | None = None
 
@@ -385,7 +390,6 @@ def refine_ranges(
     d: float,
     *,
     exclude_same_trajectory: bool,
-    coefficients: PairCoefficients | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refine every (thread, candidate) pair of a batch.
 
@@ -394,12 +398,11 @@ def refine_ranges(
     in which threads would publish to the result buffer.
 
     The batch path refines all pairs in a few vectorized passes (chunked
-    at ``MAX_PAIRS_PER_CHUNK`` so peak host memory stays flat).  When
-    ``coefficients`` holds the precomputed ``d``-invariant quadratic
-    coefficients of exactly this batch's pairs (see :class:`RefineCache`)
-    only the per-``d`` root solving runs.  Under the ``"perthread"``
-    execution mode the legacy one-thread-at-a-time reference runs
-    instead (and ``coefficients`` is ignored).
+    at ``MAX_PAIRS_PER_CHUNK`` so peak host memory stays flat).  Under
+    the ``"perthread"`` execution mode the legacy one-thread-at-a-time
+    reference runs instead.  Every pair handed in is solved exactly:
+    the referees (``cpu_scan``, ``cpu_rtree``) call this directly, and
+    only the GPU loop puts :func:`surviving_pairs` in front of it.
     """
     lens = batch.lengths()
     nthreads = batch.num_threads
@@ -408,17 +411,6 @@ def refine_ranges(
         return _refine_ranges_perthread(
             queries, database, batch, d, lens,
             exclude_same_trajectory=exclude_same_trajectory)
-
-    if coefficients is not None:
-        res = solve_intervals(coefficients, d)
-        hit_pos = np.flatnonzero(res.mask)
-        local_thread = np.searchsorted(batch.cand_start, hit_pos,
-                                       side="right") - 1
-        hits_per_thread = np.bincount(
-            local_thread, minlength=nthreads).astype(np.int64)
-        return (hits_per_thread, batch.q_rows[local_thread],
-                batch.candidate_rows[hit_pos], res.t_lo[hit_pos],
-                res.t_hi[hit_pos])
 
     hits_per_thread = np.zeros(nthreads, dtype=np.int64)
     out_q, out_e, out_lo, out_hi = [], [], [], []
@@ -494,49 +486,31 @@ class QuerySetMemo(NamedTuple):
     #: first database row of each query's temporal-bin range ``E_k``.
     row_lo: np.ndarray
     #: every (query, row) pair inside those ranges, query ``k`` = thread
-    #: ``k`` — GPUTemporal's whole schedule, and a superset of anything
-    #: GPUSpatioTemporal schedules for any ``d``.
+    #: ``k`` — GPUTemporal's whole schedule.
     batch: RangeBatch
-    #: the quadratic coefficients of ``batch``'s pairs, or None (see
-    #: :meth:`RefineCache.lookup`) — then pairs are refined from scratch.
-    coefficients: PairCoefficients | None
 
 
 class RefineCache:
-    """The one thing a temporal-scheme engine remembers between searches.
+    """The one thing GPUTemporal remembers between searches.
 
-    Sorting ``Q``, each query's temporal-bin row range (§IV-B) and the
-    quadratic coefficients of every pair inside it do not depend on
-    ``d`` — only the constant term shifts.  Across a ``d``-sweep over one
-    query set all three are therefore reusable verbatim, and a search
-    reduces to root solving; results are bit-identical because the
-    arrays are the same either way.  The memo holds one query set, keyed
+    Sorting ``Q`` and each query's temporal-bin row range (§IV-B) do not
+    depend on ``d``, so across a ``d``-sweep over one query set the
+    schedule is reusable verbatim.  The memo holds one query set, keyed
     on the *identity* of the caller's object (a strong reference is
-    kept, so the id cannot be recycled), and one exclusion flag's
-    coefficients.
-
-    ``max_pairs`` bounds the host memory the coefficients may pin (~56
-    bytes per alive pair); oversized batches are simply refined from
-    scratch every time.
+    kept, so the id cannot be recycled).  Nothing per pair is kept: with
+    :func:`surviving_pairs` in front of the solve, recomputing the few
+    survivors' quadratics is cheaper than gathering them from a memo of
+    all pairs.
     """
 
-    #: class-level so engines pickled before the memo existed load.
+    #: class-level so engines pickled before the memo existed — or with
+    #: an older memo's fields, which are ignored — load.
     _source: SegmentArray | None = None
     _memo: QuerySetMemo | None = None
-    _exclude: bool | None = None
 
-    def __init__(self, max_pairs: int = 64_000_000) -> None:
-        self.max_pairs = int(max_pairs)
-
-    def lookup(self, queries: SegmentArray, index: TemporalIndex,
-               database: SegmentArray, *,
-               exclude_same_trajectory: bool) -> QuerySetMemo:
-        """Fetch-or-compute everything ``d``-invariant about ``queries``.
-
-        ``coefficients`` is None — and nothing is remembered, so the
-        next search asks again — under the ``"perthread"`` reference
-        mode, for an empty batch, and past ``max_pairs``.
-        """
+    def lookup(self, queries: SegmentArray,
+               index: TemporalIndex) -> QuerySetMemo:
+        """Fetch-or-compute everything ``d``-invariant about ``queries``."""
         memo = self._memo
         if memo is None or self._source is not queries:
             q_sorted = queries.sorted_by_start_time()
@@ -544,48 +518,9 @@ class RefineCache:
             lens = np.maximum(row_hi - row_lo + 1, 0)
             memo = QuerySetMemo(q_sorted, row_lo, RangeBatch.from_lengths(
                 np.arange(len(q_sorted), dtype=np.int64),
-                expand_ranges(row_lo, lens), lens), None)
+                expand_ranges(row_lo, lens), lens))
             self._source, self._memo = queries, memo
-        if current_execution_mode() != "batch":
-            return memo._replace(coefficients=None)
-        if (memo.coefficients is None
-                or self._exclude != exclude_same_trajectory):
-            memo = self._memo = memo._replace(
-                coefficients=self._coefficients(
-                    memo, database, exclude_same_trajectory))
-            self._exclude = exclude_same_trajectory
         return memo
-
-    def _coefficients(self, memo: QuerySetMemo, database: SegmentArray,
-                      exclude: bool) -> PairCoefficients | None:
-        batch = memo.batch
-        num_pairs = int(batch.cand_start[-1])
-        if not 0 < num_pairs <= self.max_pairs:
-            return None
-        lens = batch.lengths()
-        # Build in MAX_PAIRS_PER_CHUNK chunks (concatenated afterwards):
-        # one giant pass would allocate tens of full-batch temporaries
-        # and stall on page faults.  Elementwise math, so chunk
-        # boundaries never change a single bit of the result.
-        bases: list[int] = []
-        parts: list[PairCoefficients] = []
-        bounds = _chunk_bounds(lens)
-        for t, t_end in zip(bounds[:-1], bounds[1:]):
-            span = slice(batch.cand_start[t], batch.cand_start[t_end])
-            q_idx = np.repeat(batch.q_rows[t:t_end], lens[t:t_end])
-            parts.append(pair_coefficients(
-                memo.q_sorted, database, q_idx, batch.candidate_rows[span],
-                exclude_same_trajectory=exclude))
-            bases.append(int(batch.cand_start[t]))
-        return PairCoefficients(
-            num_pairs=num_pairs,
-            alive_idx=np.concatenate(
-                [b + c.alive_idx for b, c in zip(bases, parts)]),
-            t0=np.concatenate([c.t0 for c in parts]),
-            t1=np.concatenate([c.t1 for c in parts]),
-            a=np.concatenate([c.a for c in parts]),
-            b=np.concatenate([c.b for c in parts]),
-            c0=np.concatenate([c.c0 for c in parts]))
 
 
 def first_fit_accept(hits_per_thread: np.ndarray,
@@ -627,6 +562,9 @@ class GpuEngineBase(SearchEngine):
     #: its wall time is kernel time and its failures are kernel failures.
     #: Otherwise the host builds the batch before launching.
     gathers_on_device = False
+    #: :func:`~repro.core.distance.magnitude` of ``self.database``, on
+    #: first use (class-level default: older pickled engines lack it).
+    _db_magnitude: float | None = None
 
     def __init__(self, database: SegmentArray, *,
                  gpu: VirtualGPU | None = None,
@@ -679,8 +617,9 @@ class GpuEngineBase(SearchEngine):
 
     def _search_once(self, queries: SegmentArray, d: float, *,
                      exclude_same_trajectory: bool = False
-                     ) -> tuple[ResultSet, SearchProfile]:
-        """One search attempt with the current buffer capacities."""
+                     ) -> tuple[ResultSet, SearchProfile, int]:
+        """One search attempt with the current buffer capacities; also
+        returns how many scheduled pairs the reject left to refine."""
         wall0 = time.perf_counter()
         self.gpu.reset_counters()
         launcher = KernelLauncher(self.gpu)
@@ -692,12 +631,16 @@ class GpuEngineBase(SearchEngine):
         transfers.h2d("query_set", len(q_sorted) * QUERY_ITEM_BYTES)
         if plan.schedule_bytes is not None:
             transfers.h2d("schedule", plan.schedule_bytes)
+        if self._db_magnitude is None:
+            self._db_magnitude = magnitude(self.database)
+        scale = magnitude(q_sorted) + self._db_magnitude
 
         pending = np.arange(plan.num_threads, dtype=np.int64)
         limit = pending.size
         parts: list[ResultSet] = []
         redo_total = 0
         raw_items = 0
+        pairs_refined = 0
 
         for invocation in range(MAX_KERNEL_INVOCATIONS):
             if pending.size == 0:
@@ -707,13 +650,23 @@ class GpuEngineBase(SearchEngine):
                 else self._thread_work(plan, live, d)
 
             def kernel(k, live=live, work=work):
+                nonlocal pairs_refined
                 if work is None:
                     work = self._thread_work(plan, live, d)
+                batch, lens = work.batch, work.batch.lengths()
+                # The host solves only the pairs that can hit; the
+                # device is charged for every scheduled comparison.  The
+                # "perthread" reference mode never sees the reject.
+                if current_execution_mode() != "perthread":
+                    batch = batch.keep(surviving_pairs(
+                        q_sorted, self.database,
+                        np.repeat(batch.q_rows, lens),
+                        batch.candidate_rows, d, scale))
+                pairs_refined += batch.candidate_rows.shape[0]
                 hits, pq, pe, plo, phi = refine_ranges(
-                    q_sorted, self.database, work.batch, d,
-                    exclude_same_trajectory=exclude_same_trajectory,
-                    coefficients=work.coefficients)
-                k.thread_work[:] = work.batch.lengths()
+                    q_sorted, self.database, batch, d,
+                    exclude_same_trajectory=exclude_same_trajectory)
+                k.thread_work[:] = lens
                 if work.gather_work is not None:
                     k.gather_work[:] = work.gather_work
                 # Every produced result attempts one atomic append.
@@ -771,7 +724,7 @@ class GpuEngineBase(SearchEngine):
             index_bytes=self.index.nbytes(),
             wall_seconds=time.perf_counter() - wall0,
         )
-        return final, profile
+        return final, profile, pairs_refined
 
     # -- the retried search ----------------------------------------------------------
 
@@ -779,6 +732,8 @@ class GpuEngineBase(SearchEngine):
                exclude_same_trajectory: bool = False
                ) -> tuple[ResultSet, SearchProfile]:
         """Run the search under the engine's :class:`RetryPolicy`."""
+        if not d >= 0:     # NaN too: the schedule would be cast from it
+            raise ValueError("query distance d must be non-negative")
         telemetry = current_telemetry()
         with telemetry.span("engine.search", engine=self.name,
                             num_queries=len(queries)) as span:
@@ -795,7 +750,7 @@ class GpuEngineBase(SearchEngine):
                 if self.result_buffer.size:
                     self.result_buffer.drain()
                 try:
-                    results, profile = self._search_once(
+                    results, profile, pairs_refined = self._search_once(
                         queries, d,
                         exclude_same_trajectory=exclude_same_trajectory)
                 except (ResultBufferOverflowError,
@@ -821,12 +776,23 @@ class GpuEngineBase(SearchEngine):
                 else:
                     profile.attempts = attempt
                     profile.backoff_s = backoff_total
+                    pairs_scheduled = profile.total_comparisons
                     span.set_attributes(
                         attempts=attempt,
                         invocations=profile.num_kernel_invocations,
                         redo_queries=profile.redo_queries,
+                        pairs_scheduled=pairs_scheduled,
+                        pairs_refined=pairs_refined,
                         result_items=profile.result_items)
                     m = telemetry.metrics
+                    pairs = m.counter(
+                        "repro_refine_pairs_total",
+                        "candidate pairs charged to the device "
+                        "(scheduled) and solved on the host (refined)")
+                    pairs.inc(pairs_scheduled, engine=self.name,
+                              stage="scheduled")
+                    pairs.inc(pairs_refined, engine=self.name,
+                              stage="refined")
                     m.counter("repro_kernel_invocations_total",
                               "kernel invocations").inc(
                         profile.num_kernel_invocations,

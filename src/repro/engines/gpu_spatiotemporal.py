@@ -23,8 +23,8 @@ import numpy as np
 from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
 from ..indexes.spatiotemporal import SpatioTemporalIndex
-from .base import (GpuEngineBase, HostPlan, RangeBatch, RefineCache,
-                   ThreadWork, index_build_phase)
+from .base import (GpuEngineBase, HostPlan, RangeBatch, ThreadWork,
+                   index_build_phase)
 from .config import GpuSpatioTemporalConfig
 
 __all__ = ["GpuSpatioTemporalEngine"]
@@ -56,27 +56,22 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
             mem.put("st_bins", np.stack(
                 [self.index.temporal.bin_start,
                  self.index.temporal.bin_end]))
-        self._refine_cache = RefineCache()
 
     def _host_plan(self, queries: SegmentArray, d: float,
                    exclude_same_trajectory: bool) -> HostPlan:
-        # The schedule is d-dependent (spatial selectivity), but every
-        # scheduled pair lies inside its query's d-invariant temporal-bin
-        # row range — so each invocation gathers its coefficients from
-        # the memoised superset.
-        memo = self._refine_cache.lookup(
-            queries, self.index.temporal, self.database,
-            exclude_same_trajectory=exclude_same_trajectory)
-        schedule = self.index.make_schedule(memo.q_sorted, d)
+        # The schedule is d-dependent (spatial selectivity): nothing but
+        # the sort could be kept between searches.
+        q_sorted = queries.sorted_by_start_time()
+        schedule = self.index.make_schedule(q_sorted, d)
         # Thread order = schedule order (sorted by array selector).
-        return HostPlan(memo.q_sorted, len(schedule),
+        return HostPlan(q_sorted, len(schedule),
                         schedule_bytes=schedule.nbytes,
                         defaulted_queries=schedule.num_defaulted,
-                        schedule=(schedule, memo))
+                        schedule=schedule)
 
     def _thread_work(self, plan: HostPlan, live: np.ndarray,
                      d: float) -> ThreadWork:
-        schedule, memo = plan.schedule
+        schedule = plan.schedule
         sel = schedule.array_sel[live]
         lo = schedule.ent_min[live]
         lens = np.maximum(schedule.ent_max[live] - lo + 1, 0)
@@ -92,11 +87,5 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
                 rows = self.index.dim_arrays[dim][rows]
             batch.candidate_rows[expand_ranges(
                 batch.cand_start[pick], lens[pick])] = rows
-        coef = memo.coefficients
-        if coef is not None:
-            q_rep = np.repeat(batch.q_rows, lens)
-            coef = coef.take(memo.batch.cand_start[q_rep]
-                             + batch.candidate_rows - memo.row_lo[q_rep])
         # The extra indirection of subbin threads.
-        return ThreadWork(batch, coef,
-                          gather_work=np.where(sel >= 0, lens, 0))
+        return ThreadWork(batch, gather_work=np.where(sel >= 0, lens, 0))

@@ -63,25 +63,19 @@ class GpuTemporalEngine(GpuEngineBase):
                    exclude_same_trajectory: bool) -> HostPlan:
         # The schedule is d-invariant (§IV-B): the memoised full
         # temporal-range batch *is* S, two row ids per query.
-        memo = self._refine_cache.lookup(
-            queries, self.index, self.database,
-            exclude_same_trajectory=exclude_same_trajectory)
+        memo = self._refine_cache.lookup(queries, self.index)
         return HostPlan(memo.q_sorted, len(memo.q_sorted),
                         schedule_bytes=len(memo.q_sorted) * 16,
                         schedule=memo)
 
     def _thread_work(self, plan: HostPlan, live: np.ndarray,
                      d: float) -> ThreadWork:
-        full, coef = plan.schedule.batch, plan.schedule.coefficients
+        full = plan.schedule.batch
         if live.size == plan.num_threads:
             # Only the first invocation runs every thread (the first
             # live thread always publishes or ends the attempt): the
             # memoised schedule, as is.
-            return ThreadWork(full, coef)
-        starts = full.cand_start[live]
-        lens = full.cand_start[live + 1] - starts
-        if coef is not None:
-            coef = coef.take(expand_ranges(starts, lens))
+            return ThreadWork(full)
+        lens = full.lengths()[live]
         return ThreadWork(RangeBatch.from_lengths(
-            live, expand_ranges(plan.schedule.row_lo[live], lens), lens),
-            coef)
+            live, expand_ranges(plan.schedule.row_lo[live], lens), lens))

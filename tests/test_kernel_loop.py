@@ -106,8 +106,16 @@ def _sha(payload) -> str:
     return hashlib.sha256(payload).hexdigest()[:20]
 
 
+#: ``engine.search`` attributes younger than the goldens (ISSUE 24: what
+#: the reject removed).  Left out of the digest so the 0a6c3ed span
+#: trees still compare; ``tests/test_refine_filter.py`` asserts them.
+YOUNGER_THAN_GOLDEN = {"pairs_scheduled", "pairs_refined"}
+
+
 def _span_tree(span) -> list:
-    return [span.name, sorted(span.attributes.items()),
+    return [span.name,
+            sorted((k, v) for k, v in span.attributes.items()
+                   if k not in YOUNGER_THAN_GOLDEN),
             [_span_tree(child) for child in span.children]]
 
 

@@ -9,29 +9,33 @@ Three studies of features the paper motivates but does not evaluate:
 
 import numpy as np
 
-from repro.distributed import GpuCluster
 from repro.engines import HybridEngine
-from repro.engines.gpu_temporal import GpuTemporalEngine
 from repro.gpu.costmodel import CpuCostModel, GpuCostModel
+from repro.service import SearchRequest
+from repro.sharding import ShardedService
 
 from .conftest import emit
 
 
 def test_cluster_scaling(benchmark, s3_runner):
-    """Response time vs node count on the dense dataset."""
-    db = s3_runner.database
-    queries = s3_runner.queries
-    d = 0.05
-    model = GpuCostModel()
+    """Response time vs node count on the dense dataset: one shard per
+    node, one replica per shard."""
+    request = SearchRequest(queries=s3_runner.queries, d=0.05,
+                            method="gpu_temporal",
+                            params={"num_bins": 1000})
 
     def run():
         out = {}
         for nodes in (1, 2, 4, 8):
-            cluster = GpuCluster(
-                db, nodes, lambda s: GpuTemporalEngine(s, num_bins=1000))
-            res, prof = cluster.search(queries, d)
-            out[nodes] = (prof.modeled_time(model).total,
-                          prof.imbalance(), len(res))
+            with ShardedService(s3_runner.database, num_shards=nodes,
+                                replicas_per_shard=1) as svc:
+                resp = svc.submit(request)
+            assert resp.ok, resp.reason
+            legs = np.array([s["dur_s"]
+                             for s in resp.metrics.lane_spans])
+            out[nodes] = (resp.outcome.modeled.total,
+                          float(legs.max() / legs.mean()),
+                          len(resp.outcome.results))
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -1,6 +1,7 @@
 """Multi-node search: partition the database across simulated
-GPU-equipped nodes (the deployment the paper's §III motivates) and
-compare partitioning strategies.
+GPU-equipped nodes (the deployment the paper's §III motivates) — a
+``ShardedService`` with one shard per node and one replica per shard —
+and compare partitioning strategies.
 
 Run:  python examples/cluster_search.py
 """
@@ -8,40 +9,42 @@ Run:  python examples/cluster_search.py
 import numpy as np
 
 from repro.data import random_dense_dataset, queries_from_database
-from repro.distributed import GpuCluster, partition_database
-from repro.engines import GpuTemporalEngine
-from repro.gpu.costmodel import GpuCostModel
+from repro.service import SearchRequest
+from repro.sharding import PARTITION_STRATEGIES, ShardedService
 
 
 def main():
     db = random_dense_dataset(scale=0.01)
     queries = queries_from_database(db, 6, rng=np.random.default_rng(2))
-    d = 0.05
-    model = GpuCostModel()
-    print(f"|D| = {len(db)}, |Q| = {len(queries)}, d = {d}\n")
+    request = SearchRequest(queries=queries, d=0.05, method="gpu_temporal",
+                            params={"num_bins": 200})
+    print(f"|D| = {len(db)}, |Q| = {len(queries)}, d = {request.d}\n")
 
-    factory = lambda shard: GpuTemporalEngine(shard, num_bins=200)
+    def serve(nodes, strategy="round_robin"):
+        with ShardedService(db, num_shards=nodes, replicas_per_shard=1,
+                            strategy=strategy) as svc:
+            return svc.submit(request), svc.plan.describe()
 
-    # Single node reference.
-    single, prof1 = factory(db), None
-    ref, prof1 = single.search(queries, d)
-    t1 = prof1.modeled_time(model).total
-    print(f"single node: {len(ref)} results, modeled {t1:.6f} s\n")
+    ref, _ = serve(1)
+    t1 = ref.outcome.modeled.total
+    print(f"single node: {len(ref.outcome.results)} results, "
+          f"modeled {t1:.6f} s\n")
 
     print(f"{'strategy':>12s} {'nodes':>6s} {'modeled':>12s} "
           f"{'speedup':>8s} {'imbalance':>10s} {'exact':>6s}")
-    for strategy in ("round_robin", "temporal", "spatial"):
+    for strategy in PARTITION_STRATEGIES:
         for nodes in (2, 4, 8):
-            cluster = GpuCluster(db, nodes, factory, strategy=strategy)
-            res, prof = cluster.search(queries, d)
-            t = prof.modeled_time(model).total
-            ok = res.equivalent_to(ref)
+            resp, _ = serve(nodes, strategy)
+            # Per-node modeled seconds: one lane span per shard leg.
+            legs = np.array([s["dur_s"] for s in resp.metrics.lane_spans])
+            t = resp.outcome.modeled.total
+            ok = resp.outcome.results.equivalent_to(ref.outcome.results)
             print(f"{strategy:>12s} {nodes:6d} {t:10.6f} s "
-                  f"{t1 / t:7.2f}x {prof.imbalance():9.2f} "
+                  f"{t1 / t:7.2f}x {legs.max() / legs.mean():9.2f} "
                   f"{'yes' if ok else 'NO'}")
 
-    shards = partition_database(db, 4, "round_robin")
-    sizes = [len(s) for s in shards]
+    _, layout = serve(4)
+    sizes = layout["shard_segments"]
     print(f"\nround-robin shard sizes: {sizes} "
           f"(balance = {max(sizes) / (sum(sizes) / len(sizes)):.3f})")
     print("temporal partitioning gives great per-node selectivity but "

@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distributed.partition import PARTITION_STRATEGIES
 from ..ingest import CompactionPolicy, VersionedDatabase
 from ..service import SearchRequest
-from ..sharding import ShardedService
+from ..sharding import PARTITION_STRATEGIES, ShardedService
 from .harness import Referee, Report, durability_dir, result_bytes, \
     walk_db
 

@@ -71,11 +71,12 @@ import typing
 import numpy as np
 
 from .core.search import DistanceThresholdSearch
-from .engines import available
+from .engines import ConfigError, available
 from .data.io import load_segments, save_segments
 from .data.merger import MergerConfig, merger_dataset
 from .data.queries import queries_from_database
 from .data.random_walk import random_dataset, random_dense_dataset
+from .sharding import PARTITION_STRATEGIES
 
 __all__ = ["main", "build_parser"]
 
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=2,
                    help="replicas per shard (default 2)")
     p.add_argument("--strategy", default="round_robin",
-                   choices=["round_robin", "temporal", "spatial"],
+                   choices=list(PARTITION_STRATEGIES),
                    help="partition strategy (default round_robin)")
     p.add_argument("--batches", type=int, default=6,
                    help="query batches to serve (default 6)")
@@ -365,17 +366,15 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _engine_params(args: argparse.Namespace) -> dict:
-    method = args.method
-    if method == "gpu_temporal":
-        return {"num_bins": args.num_bins}
-    if method == "gpu_spatiotemporal":
-        return {"num_bins": args.num_bins,
-                "num_subbins": args.num_subbins,
-                "strict_subbins": False}
-    if method == "gpu_spatial":
-        return {"cells_per_dim": args.cells_per_dim}
-    return {"segments_per_mbb": args.segments_per_mbb}
+def _sample_queries(args: argparse.Namespace, database, seed: int):
+    """``--query-trajectories`` whole trajectories of ``database`` as a
+    query set; asking for more than it holds is a usage error."""
+    wanted, held = args.query_trajectories, database.num_trajectories
+    if wanted > held:
+        raise ConfigError(f"--query-trajectories {wanted} exceeds the "
+                          f"{held} trajectories in {args.database}")
+    return queries_from_database(database, wanted,
+                                 rng=np.random.default_rng(seed))
 
 
 def _load_workload(args: argparse.Namespace):
@@ -383,9 +382,7 @@ def _load_workload(args: argparse.Namespace):
     if args.queries:
         queries = load_segments(args.queries)
     else:
-        queries = queries_from_database(
-            database, args.query_trajectories,
-            rng=np.random.default_rng(args.seed))
+        queries = _sample_queries(args, database, args.seed)
     return database, queries
 
 
@@ -422,7 +419,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     database, queries = _load_workload(args)
     search = DistanceThresholdSearch(database, method=args.method,
-                                     **_engine_params(args))
+                                     **_batch_params(args))
     outcome = search.run(
         queries, args.d,
         exclude_same_trajectory=args.exclude_same_trajectory)
@@ -480,9 +477,7 @@ def _batch_requests(args: argparse.Namespace, database):
     params = {} if args.method == "auto" else _batch_params(args)
     requests = []
     for i in range(args.batches):
-        queries = queries_from_database(
-            database, args.query_trajectories,
-            rng=np.random.default_rng(args.seed + i))
+        queries = _sample_queries(args, database, args.seed + i)
         requests.append(SearchRequest(
             queries=queries, d=args.d, method=args.method,
             params=params, request_id=f"batch-{i}"))
@@ -644,7 +639,7 @@ def cmd_knn(args: argparse.Namespace) -> int:
     from .core.knn import TrajectoryKnn
     database, queries = _load_workload(args)
     knn = TrajectoryKnn(database, method=args.method,
-                        **_engine_params(args))
+                        **_batch_params(args))
     res = knn.query(queries, args.k,
                     exclude_same_trajectory=args.exclude_same_trajectory)
     found = int(np.count_nonzero(res.counts == args.k))
@@ -747,9 +742,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
     from .sharding import ShardedService
 
     database = load_segments(args.database)
-    queries = queries_from_database(
-        database, args.query_trajectories,
-        rng=np.random.default_rng(args.seed))
+    queries = _sample_queries(args, database, args.seed)
     truth = result_bytes(
         CpuScanEngine(database).search(queries, args.d)[0])
     kill_at = (args.batches // 2
@@ -833,9 +826,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     base_ids, stream_ids = ids[:k], ids[k:]
     base = database.take(
         np.flatnonzero(np.isin(database.traj_ids, base_ids)))
-    queries = queries_from_database(
-        database, args.query_trajectories,
-        rng=np.random.default_rng(args.seed))
+    queries = _sample_queries(args, database, args.seed)
 
     faults = None
     if args.rate > 0:
@@ -1004,7 +995,11 @@ def main(argv: list[str] | None = None) -> int:
         "checkpoint": cmd_checkpoint,
         "recover": cmd_recover,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,10 +1,10 @@
 """The one merge of disjoint parts.
 
-Every partition-and-merge path in the repository — the sharded router,
-the simulated :class:`~repro.distributed.GpuCluster`, the SPMD driver
-and the CPU+GPU :class:`~repro.engines.HybridEngine` — splits work into
-parts that are disjoint by construction, so the union of the per-part
-result sets must hold exactly ``sum(len(part))`` items.
+Both partition-and-merge paths in the repository — the sharded router
+(which splits the database) and the CPU+GPU
+:class:`~repro.engines.HybridEngine` (which splits the queries) — split
+work into parts that are disjoint by construction, so the union of the
+per-part result sets must hold exactly ``sum(len(part))`` items.
 :func:`merge_disjoint` checks that instead of assuming it: one
 duplicated or lost row raises :class:`MergeInvariantError` rather than
 returning a silently wrong answer.  :func:`merge_outcomes` rolls whole
@@ -50,7 +50,7 @@ def merge_outcomes(outcomes: list[SearchOutcome]) -> SearchOutcome:
     kernel statistics concatenated in part order; the profile is
     labeled with the parts' engine when they agree and ``"mixed"``
     otherwise; modeled time is the slowest part's (the parts ran
-    concurrently, exactly like the cluster model).
+    concurrently, one node each).
     """
     results = merge_disjoint([o.results for o in outcomes])
     profiles = [o.profile for o in outcomes]

@@ -1,8 +1,8 @@
 """Shard layout and ownership routing for the sharded service.
 
 :class:`ShardMap` is the router's authoritative answer to "which shard
-owns this row?".  It is built once from the initial database with the
-same strategies as :func:`repro.distributed.partition_database` — so the
+owns this row?".  It is built once from the initial database with one
+of :data:`~repro.sharding.partition.PARTITION_STRATEGIES` — so the
 initial layout is exactly the cluster partition the paper's §III
 deployment describes — and then *extended* as the router ingests new
 trajectories:
@@ -33,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.types import SegmentArray
-from ..distributed.partition import PARTITION_STRATEGIES, partition_indices
+from .partition import partition_indices
 
 __all__ = ["ShardMap"]
 
@@ -43,10 +43,6 @@ class ShardMap:
 
     def __init__(self, database: SegmentArray, num_shards: int,
                  strategy: str = "round_robin") -> None:
-        if strategy not in PARTITION_STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; "
-                             f"available: "
-                             f"{sorted(PARTITION_STRATEGIES)}")
         self.strategy = strategy
         self.num_shards = int(num_shards)
         idx_lists = partition_indices(database, num_shards, strategy)

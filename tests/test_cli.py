@@ -54,7 +54,8 @@ class TestInfo:
 
 
 class TestSearch:
-    @pytest.mark.parametrize("method", ["gpu_temporal", "cpu_rtree"])
+    @pytest.mark.parametrize("method",
+                             ["gpu_temporal", "cpu_rtree", "cpu_scan"])
     def test_search_runs(self, db_path, method, capsys):
         assert main(["search", db_path, "--d", "5.0",
                      "--method", method, "--num-bins", "50",
@@ -92,6 +93,33 @@ class TestKnn:
         out = capsys.readouterr().out
         assert "kNN (k=2)" in out
         assert "neighbours" in out
+
+    def test_knn_cpu_scan(self, db_path, capsys):
+        """cpu_scan takes no index parameters."""
+        assert main(["knn", db_path, "--k", "2", "--method", "cpu_scan",
+                     "--query-trajectories", "2"]) == 0
+        assert "kNN (k=2)" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """A bad value is a one-line refusal on stderr and exit 2, never a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--d", "1.0", "--method", "gpu_temporal",
+         "--num-bins", "0"],
+        ["search", "--d", "1.0", "--query-trajectories", "11"],
+        ["knn", "--k", "2", "--query-trajectories", "11"],
+        ["plan", "--d", "1.0", "--query-trajectories", "11"],
+        ["batch", "--d", "1.0", "--query-trajectories", "11"],
+    ], ids=["search-num-bins", "search-queries", "knn-queries",
+            "plan-queries", "batch-queries"])
+    def test_refused_with_exit_2(self, db_path, argv, capsys):
+        command, *flags = argv
+        assert main([command, db_path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: error: ")
+        assert "Traceback" not in err
 
 
 class TestCalibrate:

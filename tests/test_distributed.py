@@ -1,20 +1,27 @@
-"""Tests for database partitioning and the simulated GPU cluster."""
+"""Tests for database partitioning and the simulated GPU cluster (a
+``ShardedService`` with one shard per node and one replica per shard)."""
 
 import numpy as np
 import pytest
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import concatenate
-from repro.distributed import (GpuCluster, PARTITION_STRATEGIES,
-                               partition_database)
 from repro.engines import GpuTemporalEngine
 from repro.gpu.costmodel import GpuCostModel
+from repro.service import SearchRequest
+from repro.sharding import (PARTITION_STRATEGIES, ShardedService, ShardMap,
+                            partition_indices)
+
+
+def _shards(database, num_nodes, strategy="round_robin"):
+    return [database.take(ix)
+            for ix in partition_indices(database, num_nodes, strategy)]
 
 
 class TestPartition:
     @pytest.mark.parametrize("strategy", sorted(PARTITION_STRATEGIES))
     def test_disjoint_and_covering(self, small_db, strategy):
-        shards = partition_database(small_db, 4, strategy)
+        shards = _shards(small_db, 4, strategy)
         assert len(shards) == 4
         all_ids = np.concatenate([s.seg_ids for s in shards])
         assert all_ids.size == len(small_db)
@@ -22,7 +29,7 @@ class TestPartition:
                                       np.sort(small_db.seg_ids))
 
     def test_round_robin_deals_whole_trajectories(self, small_db):
-        shards = partition_database(small_db, 3, "round_robin")
+        shards = _shards(small_db, 3, "round_robin")
         seen: dict[int, int] = {}
         for n, shard in enumerate(shards):
             for t in np.unique(shard.traj_ids):
@@ -30,14 +37,14 @@ class TestPartition:
                 seen[int(t)] = n
 
     def test_temporal_slices_ordered(self, small_db):
-        shards = partition_database(small_db, 3, "temporal")
+        shards = _shards(small_db, 3, "temporal")
         maxima = [s.ts.max() for s in shards[:-1]]
         minima = [s.ts.min() for s in shards[1:]]
         for hi, lo in zip(maxima, minima):
             assert hi <= lo + 1e-9
 
     def test_spatial_slabs_ordered(self, small_db):
-        shards = partition_database(small_db, 3, "spatial")
+        shards = _shards(small_db, 3, "spatial")
         mins, maxs = small_db.spatial_bounds()
         axis = int(np.argmax(maxs - mins))
         centers = [0.5 * (s.starts[:, axis] + s.ends[:, axis])
@@ -47,13 +54,31 @@ class TestPartition:
 
     def test_bad_args(self, small_db):
         with pytest.raises(ValueError):
-            partition_database(small_db, 0)
+            partition_indices(small_db, 0)
         with pytest.raises(ValueError):
-            partition_database(small_db, 2, "zigzag")
+            partition_indices(small_db, 2, "zigzag")
 
     def test_single_node_identity(self, small_db):
-        shards = partition_database(small_db, 1)
+        shards = _shards(small_db, 1)
         assert concatenate(shards) == small_db
+
+
+def _serve(db, queries, d, nodes, *, strategy="round_robin",
+           exclude_same_trajectory=False):
+    """One search on a ``nodes``-node simulated cluster."""
+    with ShardedService(db, num_shards=nodes, replicas_per_shard=1,
+                        strategy=strategy) as svc:
+        resp = svc.submit(SearchRequest(
+            queries=queries, d=d, method="gpu_temporal",
+            params={"num_bins": 20},
+            exclude_same_trajectory=exclude_same_trajectory))
+    assert resp.ok, resp.reason
+    return resp
+
+
+def _legs(resp):
+    """Per-node modeled seconds: one lane span per shard leg."""
+    return [span["dur_s"] for span in resp.metrics.lane_spans]
 
 
 class TestCluster:
@@ -61,52 +86,43 @@ class TestCluster:
     def test_cluster_equals_single_node(self, db_queries_truth, strategy):
         """Merged per-shard results == whole-database search."""
         db, queries, d, truth = db_queries_truth
-        cluster = GpuCluster(
-            db, 3, lambda shard: GpuTemporalEngine(shard, num_bins=20),
-            strategy=strategy)
-        res, prof = cluster.search(queries, d)
-        assert res.equivalent_to(truth)
-        assert prof.num_nodes == 3
-        assert len(prof.node_profiles) == 3
+        resp = _serve(db, queries, d, 3, strategy=strategy)
+        assert resp.outcome.results.equivalent_to(truth)
+        assert sorted(span["shard"] for span in
+                      resp.metrics.lane_spans) == [0, 1, 2]
 
     def test_modeled_time_is_slowest_node(self, db_queries_truth):
+        """The cluster's modeled time is, bit for bit, the slowest of
+        the per-shard engines searched on their own."""
         db, queries, d, _ = db_queries_truth
-        cluster = GpuCluster(
-            db, 2, lambda shard: GpuTemporalEngine(shard, num_bins=20))
-        _, prof = cluster.search(queries, d)
+        resp = _serve(db, queries, d, 2)
         m = GpuCostModel()
-        per_node = [p.modeled_time(m).total for p in prof.node_profiles]
-        assert prof.modeled_time(m).total == pytest.approx(max(per_node))
+        per_node = [GpuTemporalEngine(base, num_bins=20)
+                    .search(queries, d)[1].modeled_time(m).total
+                    for base in ShardMap(db, 2).shard_bases]
+        assert resp.outcome.modeled.total == max(per_node)
+        assert resp.outcome.modeled.total == max(_legs(resp))
 
     def test_imbalance_metric(self, db_queries_truth):
         db, queries, d, _ = db_queries_truth
-        rr = GpuCluster(db, 3,
-                        lambda s: GpuTemporalEngine(s, num_bins=20),
-                        strategy="round_robin")
-        _, prof = rr.search(queries, d)
-        assert prof.imbalance() >= 1.0
+        legs = np.array(_legs(_serve(db, queries, d, 3)))
+        assert legs.size == 3 and legs.min() > 0.0
+        assert legs.max() / legs.mean() >= 1.0
 
     def test_scaling_reduces_per_node_work(self, db_queries_truth):
         """More nodes => less work on the busiest node (the reason the
         paper wants clusters at all)."""
         db, queries, d, _ = db_queries_truth
-        m = GpuCostModel()
-        times = []
-        for n in (1, 2, 4):
-            cluster = GpuCluster(
-                db, n, lambda s: GpuTemporalEngine(s, num_bins=20))
-            _, prof = cluster.search(queries, d)
-            times.append(prof.modeled_time(m).total)
+        times = [_serve(db, queries, d, n).outcome.modeled.total
+                 for n in (1, 2, 4)]
         assert times[2] < times[0]
 
     def test_exclude_same_trajectory_propagates(self, small_db):
-        cluster = GpuCluster(
-            small_db, 2, lambda s: GpuTemporalEngine(s, num_bins=20))
-        res, _ = cluster.search(small_db, 0.5,
-                                exclude_same_trajectory=True)
+        resp = _serve(small_db, small_db, 0.5, 2,
+                      exclude_same_trajectory=True)
         truth = brute_force_search(small_db, small_db, 0.5,
                                    exclude_same_trajectory=True)
-        assert res.equivalent_to(truth)
+        assert resp.outcome.results.equivalent_to(truth)
 
 
 class TestPartitionProperties:
@@ -132,7 +148,7 @@ class TestPartitionProperties:
         from tests.conftest import make_walk_trajectories
         db = SegmentArray.from_trajectories(
             make_walk_trajectories(num_traj, steps, seed=seed))
-        shards = partition_database(db, nodes, strategy)
+        shards = _shards(db, nodes, strategy)
         assert len(shards) == nodes
         all_ids = np.concatenate([s.seg_ids for s in shards])
         # Disjoint: no seg_id appears twice across shards.
@@ -150,7 +166,7 @@ class TestPartitionProperties:
         from tests.conftest import make_walk_trajectories
         db = SegmentArray.from_trajectories(
             make_walk_trajectories(2, 2, seed=7))  # 2 segments
-        shards = partition_database(db, 9, strategy)
+        shards = _shards(db, 9, strategy)
         assert sum(len(s) == 0 for s in shards) >= 7
         rebuilt = concatenate([s for s in shards if len(s)])
         order = np.argsort(rebuilt.seg_ids)
@@ -158,71 +174,12 @@ class TestPartitionProperties:
                                       np.sort(db.seg_ids))
 
     def test_partition_indices_match_database_partition(self, small_db):
-        from repro.distributed import partition_indices
+        """``ShardMap`` lays the shards out exactly as the strategy
+        partitions the rows."""
         for strategy in sorted(PARTITION_STRATEGIES):
             idx = partition_indices(small_db, 4, strategy)
-            shards = partition_database(small_db, 4, strategy)
+            shards = ShardMap(small_db, 4, strategy).shard_bases
             for ix, shard in zip(idx, shards):
                 np.testing.assert_array_equal(
                     small_db.seg_ids[np.asarray(ix, dtype=np.int64)],
                     shard.seg_ids)
-
-
-class TestMpiFallback:
-    """repro.distributed must not require mpi4py (satellite: lazy
-    import with a clear error)."""
-
-    def test_import_clean_without_mpi4py(self):
-        """A fresh interpreter with mpi4py blocked imports the package
-        and builds a loopback world."""
-        import subprocess
-        import sys
-        from pathlib import Path
-        import repro
-        src = str(Path(repro.__file__).parents[1])
-        code = (
-            "import sys; sys.modules['mpi4py'] = None\n"
-            "import repro.distributed as d\n"
-            "w = d.world()\n"
-            "assert isinstance(w, d.LoopbackComm), type(w)\n"
-            "print('clean')\n")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              capture_output=True, text=True,
-                              env={"PYTHONPATH": src})
-        assert proc.returncode == 0, proc.stderr
-        assert "clean" in proc.stdout
-
-    def test_mpi4py_comm_raises_typed_error(self, monkeypatch):
-        import sys
-        from repro.distributed import Mpi4pyComm, MpiUnavailableError
-        monkeypatch.setitem(sys.modules, "mpi4py", None)
-        with pytest.raises(MpiUnavailableError) as exc:
-            Mpi4pyComm()
-        msg = str(exc.value)
-        assert "LoopbackComm" in msg
-        assert "mpiexec" in msg
-        # Subclasses ImportError so existing fallbacks keep working.
-        assert isinstance(exc.value, ImportError)
-
-    def test_world_falls_back_to_loopback(self, monkeypatch):
-        import sys
-        from repro.distributed import LoopbackComm, world
-        monkeypatch.setitem(sys.modules, "mpi4py", None)
-        assert isinstance(world(), LoopbackComm)
-
-    def test_explicit_comm_skips_import(self, monkeypatch):
-        """Handing Mpi4pyComm a comm object never touches mpi4py."""
-        import sys
-        from repro.distributed import Mpi4pyComm
-        monkeypatch.setitem(sys.modules, "mpi4py", None)
-
-        class FakeComm:
-            def Get_rank(self):
-                return 3
-
-            def Get_size(self):
-                return 8
-
-        comm = Mpi4pyComm(FakeComm())
-        assert comm.rank == 3
-        assert comm.size == 8

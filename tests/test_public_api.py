@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.indexes",
     "repro.engines",
     "repro.data",
-    "repro.distributed",
     "repro.astro",
     "repro.experiments",
     "repro.service",
@@ -49,11 +48,11 @@ def test_readme_documented_entry_points_exist():
                  "GpuCostModel", "HybridEngine"):
         assert hasattr(repro, name)
     from repro.core import plan_search, verify_results, TrajectoryKnn
-    from repro.distributed import GpuCluster, SpmdSearchDriver
     from repro.gpu import occupancy, write_trace
+    from repro.sharding import ShardedService
     assert callable(plan_search) and callable(verify_results)
     assert callable(occupancy) and callable(write_trace)
-    assert GpuCluster and SpmdSearchDriver and TrajectoryKnn
+    assert ShardedService and TrajectoryKnn
 
 
 def test_engine_registry_complete():

@@ -7,9 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core.types import SegmentArray, Trajectory, concatenate
-from repro.distributed import (PARTITION_STRATEGIES, GpuCluster,
-                               LoopbackComm, partition_database,
-                               run_spmd_search)
 from repro.engines import (CpuRTreeEngine, CpuScanEngine,
                            GpuTemporalEngine, HybridEngine)
 from repro.campaigns.harness import result_bytes
@@ -19,8 +16,8 @@ from repro.campaigns.shards import (SHARD_FAULT_KINDS, ShardsConfig,
 from repro.ingest import IngestError
 from repro.obs import Telemetry
 from repro.service import SearchRequest
-from repro.sharding import (MergeInvariantError, ShardMap,
-                            ShardedService)
+from repro.sharding import (PARTITION_STRATEGIES, MergeInvariantError,
+                            ShardMap, ShardedService)
 from tests.conftest import make_walk_trajectories
 
 D = 4.0
@@ -313,17 +310,6 @@ def _merge_via_router(db, queries, strategy, n):
         return resp.outcome.results
 
 
-def _merge_via_cluster(db, queries, strategy, n):
-    return GpuCluster(db, n, _gpu, strategy=strategy).search(queries, D)[0]
-
-
-def _merge_via_spmd(db, queries, strategy, n):
-    shards = partition_database(db, n, strategy)
-    return run_spmd_search(LoopbackComm.make_world(n),
-                           [CpuScanEngine(s) for s in shards],
-                           queries, D)
-
-
 def _merge_via_hybrid(db, queries, _strategy, n):
     # The hybrid splits Q, not D: 1/n of the queries go to the GPU side.
     return HybridEngine(_gpu(db), CpuRTreeEngine(db),
@@ -332,20 +318,19 @@ def _merge_via_hybrid(db, queries, _strategy, n):
 
 _PARTS = (1, 2, 3, 8)
 _MERGES = [
-    pytest.param(merge, strategy, n, id=f"{name}-{strategy}-{n}")
-    for name, merge in (("router", _merge_via_router),
-                        ("cluster", _merge_via_cluster),
-                        ("spmd", _merge_via_spmd))
+    pytest.param(_merge_via_router, strategy, n,
+                 id=f"router-{strategy}-{n}")
     for strategy in sorted(PARTITION_STRATEGIES) for n in _PARTS
 ] + [pytest.param(_merge_via_hybrid, None, n, id=f"hybrid-{n}")
      for n in _PARTS]
 
 
 class TestOneMerge:
-    """Every partition-and-merge path goes through
-    ``repro.core.merge``: each is byte-identical to the whole-database
-    referee, and each refuses overlapping parts (the router's refusal
-    is ``test_merge_invariant_raises_on_overlap`` above)."""
+    """Both partition-and-merge paths (the router splits D, the hybrid
+    splits Q) go through ``repro.core.merge``: each is byte-identical
+    to the whole-database referee, and each refuses overlapping parts
+    (the router's refusal is ``test_merge_invariant_raises_on_overlap``
+    above)."""
 
     @pytest.mark.parametrize("merge, strategy, n", _MERGES)
     def test_merge_matches_whole_database(self, merge, strategy, n,
@@ -354,17 +339,6 @@ class TestOneMerge:
         merged = merge(db, queries, strategy, n)
         assert len(merged) > 0, "vacuous truth"
         assert result_bytes(merged) == _truth_bytes(db, queries)
-
-    def test_cluster_refuses_overlapping_shards(self, queries):
-        # Every node indexes the whole database, not its shard.
-        cluster = GpuCluster(_db(), 2, lambda _shard: _gpu(_db()))
-        with pytest.raises(MergeInvariantError):
-            cluster.search(queries, D)
-
-    def test_spmd_refuses_overlapping_shards(self, queries):
-        with pytest.raises(MergeInvariantError):
-            run_spmd_search(LoopbackComm.make_world(2),
-                            [CpuScanEngine(_db())] * 2, queries, D)
 
     def test_hybrid_refuses_a_query_on_both_sides(self, queries):
         db = _db()

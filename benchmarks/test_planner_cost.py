@@ -95,12 +95,12 @@ def test_planner_cost():
     profile = DatabaseProfile.build(database)
     build_s = time.perf_counter() - wall0
     new_s, oracle_s = _min_of_5_interleaved(
-        database, profile, shapes[:60], svc.planner_sample)
+        database, profile, shapes[:60], svc.PLANNER_SAMPLE)
 
     n = len(database)
     emit("planner_cost",
          f"{len(shapes)} warm auto requests, {SEGMENTS}-segment walks, "
-         f"S1-random at 2 % ({n} rows), sample={svc.planner_sample}\n"
+         f"S1-random at 2 % ({n} rows), sample={svc.PLANNER_SAMPLE}\n"
          f"profile builds                    {builds:9.0f}\n"
          f"rows_scanned per request: mean    {np.mean(rows):9.0f} "
          f"({np.mean(rows) / n:.2f} x |D|)\n"

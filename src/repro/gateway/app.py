@@ -90,19 +90,16 @@ class Gateway:
         Monotonic-seconds callable; the campaign passes a simulated
         clock shared with the tenant registry.
     telemetry:
-        The gateway's own hub (``repro_gateway_*`` series);
-        :meth:`metrics_text` merges it with the backend's.
-    brownout:
-        A preconfigured ladder (None = defaults); it is re-homed onto
-        this gateway's telemetry hub.
+        The gateway's own hub (``repro_gateway_*`` series, the brownout
+        ladder's included); :meth:`metrics_text` merges it with the
+        backend's.
     """
 
     def __init__(self, backend, tenants, *,
                  queue_depth: int = 16,
                  est_service_s: float = 1e-3,
                  clock=time.monotonic,
-                 telemetry: Telemetry | None = None,
-                 brownout: BrownoutLadder | None = None) -> None:
+                 telemetry: Telemetry | None = None) -> None:
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
         if est_service_s <= 0:
@@ -114,8 +111,7 @@ class Gateway:
         self.est_service_s = float(est_service_s)
         self.clock = clock
         self.telemetry = telemetry or Telemetry()
-        self.brownout = brownout or BrownoutLadder()
-        self.brownout.telemetry = self.telemetry
+        self.brownout = BrownoutLadder(telemetry=self.telemetry)
         self._queues: dict[str, deque[_Job]] = {
             p: deque() for p in PRIORITIES}
         self._worker: asyncio.Task | None = None

@@ -20,9 +20,10 @@ lvl  name                    effect
 
 Pressure is the max of three normalized signals the gateway computes
 from its queues and the backend's resilience state (circuit breakers
-open, lanes quarantined / replicas dead).  Escalation is immediate;
-de-escalation requires pressure to drop ``hysteresis`` *below* the
-entry threshold so the ladder does not flap at a boundary.
+open, lanes quarantined / replicas dead).  Levels 1-3 are entered at
+the ``BROWNOUT_THRESHOLDS`` pressures.  Escalation is immediate;
+de-escalation requires pressure to drop ``BROWNOUT_HYSTERESIS`` *below*
+the entry threshold so the ladder does not flap at a boundary.
 
 Every transition is a labeled counter
 (``repro_gateway_brownout_transitions_total{from_level,to_level}``),
@@ -39,25 +40,17 @@ __all__ = ["BROWNOUT_LEVELS", "BrownoutLadder"]
 #: level names, index = level number.
 BROWNOUT_LEVELS = ("normal", "shed_batch", "degrade_engine",
                    "refuse_writes")
+#: entry pressure of levels 1, 2 and 3 (increasing).
+BROWNOUT_THRESHOLDS = (0.5, 0.75, 0.92)
+#: how far below a level's entry pressure it must fall to leave it.
+BROWNOUT_HYSTERESIS = 0.1
 
 
 class BrownoutLadder:
     """Pressure-driven degradation state machine (see module docs)."""
 
-    def __init__(self, *, telemetry: Telemetry | None = None,
-                 thresholds: tuple[float, float, float] = (0.5, 0.75,
-                                                           0.92),
-                 hysteresis: float = 0.1) -> None:
-        if len(thresholds) != 3:
-            raise ValueError("thresholds must give entry pressure for "
-                             "levels 1, 2, and 3")
-        if list(thresholds) != sorted(thresholds):
-            raise ValueError("thresholds must be increasing")
-        if hysteresis < 0:
-            raise ValueError("hysteresis must be >= 0")
+    def __init__(self, *, telemetry: Telemetry | None = None) -> None:
         self.telemetry = telemetry or Telemetry()
-        self.thresholds = tuple(float(t) for t in thresholds)
-        self.hysteresis = float(hysteresis)
         self.level = 0
         self.pressure = 0.0
         #: ``(from_level, to_level, pressure)`` per transition.
@@ -86,7 +79,7 @@ class BrownoutLadder:
 
     def _target_level(self, pressure: float) -> int:
         up = 0
-        for i, entry in enumerate(self.thresholds, start=1):
+        for i, entry in enumerate(BROWNOUT_THRESHOLDS, start=1):
             if pressure >= entry:
                 up = i
         if up >= self.level:
@@ -94,8 +87,8 @@ class BrownoutLadder:
         # De-escalation: drop only the levels whose entry threshold the
         # pressure has cleared by the hysteresis margin.
         down = self.level
-        while down > 0 and \
-                pressure < self.thresholds[down - 1] - self.hysteresis:
+        while down > 0 and pressure < (BROWNOUT_THRESHOLDS[down - 1]
+                                       - BROWNOUT_HYSTERESIS):
             down -= 1
         return down
 
@@ -133,6 +126,6 @@ class BrownoutLadder:
         """JSON-friendly representation."""
         return {"level": self.level, "name": self.name,
                 "pressure": self.pressure,
-                "thresholds": list(self.thresholds),
-                "hysteresis": self.hysteresis,
+                "thresholds": list(BROWNOUT_THRESHOLDS),
+                "hysteresis": BROWNOUT_HYSTERESIS,
                 "transitions": [list(t) for t in self.transitions]}

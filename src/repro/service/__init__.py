@@ -13,9 +13,10 @@ once the index exists:
 * and surviving failures: a deterministic failover ladder (other GPU
   engines → ``cpu_rtree`` → ``cpu_scan``), per-engine circuit breakers,
   per-lane quarantine with probational re-admission, per-request
-  deadlines, queue-pressure load shedding, and sampled cross-checking
-  of failover results against ground truth (see
-  :mod:`repro.service.resilience` and :mod:`repro.faults`).
+  deadlines, and sampled cross-checking of failover results against
+  ground truth (see :mod:`repro.service.resilience` and
+  :mod:`repro.faults`).  Overload is refused at the front door
+  (:mod:`repro.gateway`), not here.
 
 Entry point::
 
@@ -31,7 +32,7 @@ Entry point::
 
 from ..ingest import (CompactionPolicy, CompactionResult, IngestError,
                       IngestReceipt, Snapshot, VersionedDatabase)
-from ..standing import StandingPolicy, Subscription
+from ..standing import Subscription
 from .cache import (CacheEntry, CacheStats, EngineCache,
                     canonical_params, database_fingerprint)
 from .requests import RESPONSE_STATUSES, SearchRequest, SearchResponse
@@ -56,7 +57,6 @@ __all__ = [
     "SearchRequest",
     "SearchResponse",
     "Snapshot",
-    "StandingPolicy",
     "Subscription",
     "VersionedDatabase",
     "canonical_params",

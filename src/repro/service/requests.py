@@ -134,7 +134,7 @@ class SearchResponse:
     every replica of one or more shards is down: the outcome is exact
     over the surviving shards and ``missing_shards`` names the shard
     indices whose rows are absent from it.  Typed rejections —
-    ``"overloaded"`` from queue-pressure load shedding,
+    ``"overloaded"`` when every engine's circuit breaker is open,
     ``"deadline_exceeded"`` from an exhausted request budget — carry
     ``outcome=None`` plus a human-readable ``reason``, so a client can
     tell "no answer, retry later" from "empty answer".

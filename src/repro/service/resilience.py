@@ -25,7 +25,7 @@ from dataclasses import dataclass
 __all__ = ["CircuitBreaker", "LaneHealth", "NoUsableLaneError",
            "BREAKER_STATES", "LANE_STATES"]
 
-BREAKER_STATES = ("closed", "open", "half_open")
+BREAKER_STATES = ("closed", "half_open", "open")
 LANE_STATES = ("healthy", "probation", "quarantined")
 
 
@@ -107,7 +107,7 @@ class CircuitBreaker:
     @property
     def state_code(self) -> int:
         """Gauge encoding: 0 closed, 1 half-open, 2 open."""
-        return BREAKER_STATES.index(self.state) if self.state != "half_open" else 1
+        return BREAKER_STATES.index(self.state)
 
     def to_dict(self) -> dict:
         """JSON-friendly snapshot for stats and the chaos report."""

@@ -39,13 +39,14 @@ And the failure-handling layer (see ``docs/ARCHITECTURE.md``,
   :func:`~repro.engines.base.deadline_scope` so one wall-clock budget
   bounds the engine retry loop *and* the failover ladder; an exhausted
   budget yields a typed ``deadline_exceeded`` rejection.
-* **Load shedding** — when every usable lane's modeled backlog exceeds
-  ``max_queue_delay_s``, the request is rejected up front with a typed
-  ``overloaded`` response instead of quietly queueing.
 * **Verified failover** — a deterministic sample of failover responses
   is cross-checked against a fresh ``cpu_scan`` over the full database;
   mismatches are counted and logged (none are expected: degraded must
   mean *slower*, never *wrong*).
+
+Refusing work under overload is not this layer's job: the gateway's
+bounded admission queues and brownout ladder
+(:mod:`repro.gateway`) are the one overload control.
 
 Scheduling uses the *modeled* clock, consistent with the rest of the
 repository: wall time measures the simulator, modeled time measures the
@@ -77,8 +78,7 @@ from ..ingest import (CompactionPolicy, CompactionResult,
                       IngestReceipt, Mutation, Snapshot,
                       VersionedDatabase, overlay_search)
 from ..obs import Telemetry
-from ..standing import (StandingPolicy, StandingQueryManager,
-                        StandingStore, Subscription)
+from ..standing import StandingQueryManager, StandingStore, Subscription
 from .cache import (CacheEntry, EngineCache, canonical_params,
                     database_fingerprint)
 from .requests import SearchRequest, SearchResponse
@@ -89,6 +89,19 @@ __all__ = ["DeviceLane", "DevicePool", "QueryService"]
 #: planner knobs a request may override through ``params`` hints.
 _PLANNER_HINTS = ("num_bins", "num_subbins", "cells_per_dim",
                   "segments_per_mbb")
+
+
+def _cache_key(db_key, method: str, params: dict):
+    """``(cache key, validated config)`` of engine ``method`` built
+    with ``params`` over the base ``db_key`` names.  The key holds the
+    canonical *validated* parameters, so spellings of one configuration
+    share an entry; a config-less engine keys on ``params`` as given
+    (its config is None)."""
+    cfg_type = get_engine(method).config_type
+    if cfg_type is None:
+        return (db_key, method, canonical_params(params)), None
+    cfg = cfg_type.from_params(**params)
+    return (db_key, method, canonical_params(cfg.to_dict())), cfg
 
 
 @dataclass
@@ -218,8 +231,6 @@ class QueryService:
     cache_bytes:
         Engine-cache budget; defaults to the pool's aggregate device
         memory.
-    planner_sample:
-        Query-sample size handed to the planner for ``method="auto"``.
     retry:
         Overflow retry policy installed into every GPU engine the
         service builds (None = the engines' default policy).
@@ -231,10 +242,6 @@ class QueryService:
         A :class:`~repro.faults.FaultInjector` wired into every
         :class:`VirtualGPU` the service builds (None = no injection).
         Chaos tests use this; production-shaped runs leave it unset.
-    max_queue_delay_s:
-        Load-shedding threshold: when every usable lane's modeled
-        backlog exceeds this, reject with ``status="overloaded"``
-        instead of queueing.  None (default) disables shedding.
     breaker_threshold, breaker_reset_s:
         Per-engine circuit breaker tuning (consecutive failures to
         open; modeled seconds before a half-open probe).
@@ -251,6 +258,8 @@ class QueryService:
     GPU_LADDER = ("gpu_temporal", "gpu_spatiotemporal", "gpu_spatial")
     #: CPU rungs: the indexed host engine, then the index-free scan.
     CPU_LADDER = ("cpu_rtree", "cpu_scan")
+    #: query-sample size handed to the planner for ``method="auto"``.
+    PLANNER_SAMPLE = 32
 
     def __init__(self, database: SegmentArray | VersionedDatabase, *,
                  num_devices: int = 1,
@@ -258,11 +267,9 @@ class QueryService:
                  gpu_model: GpuCostModel | None = None,
                  cpu_model: CpuCostModel | None = None,
                  cache_bytes: int | None = None,
-                 planner_sample: int = 32,
                  retry: RetryPolicy | None = None,
                  telemetry: Telemetry | None = None,
                  faults=None,
-                 max_queue_delay_s: float | None = None,
                  breaker_threshold: int = 3,
                  breaker_reset_s: float = 30.0,
                  lane_failure_threshold: int = 3,
@@ -272,10 +279,7 @@ class QueryService:
                  auto_compact: bool = True,
                  durability_dir=None,
                  durability: DurabilityPolicy | None = None,
-                 durability_kill=None,
-                 standing: StandingPolicy | None = None) -> None:
-        if max_queue_delay_s is not None and max_queue_delay_s < 0:
-            raise ValueError("max_queue_delay_s must be >= 0 (or None)")
+                 durability_kill=None) -> None:
         if crosscheck_every < 0:
             raise ValueError("crosscheck_every must be >= 0")
         if durability is not None and durability_dir is None:
@@ -304,10 +308,8 @@ class QueryService:
             cache_bytes if cache_bytes is not None
             else self.pool.total_mem_bytes,
             on_evict=self._on_evict)
-        self.planner_sample = planner_sample
         self.retry = retry
         self.faults = faults
-        self.max_queue_delay_s = max_queue_delay_s
         self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
         self.crosscheck_every = crosscheck_every
@@ -317,7 +319,6 @@ class QueryService:
         self._clock = 0.0
         self._num_requests = 0
         self._degradations = 0
-        self._shed = 0
         self._failover_serves = 0
         self._crosschecks = 0
         #: request ids whose failover response disagreed with cpu_scan
@@ -353,7 +354,6 @@ class QueryService:
         #: continuous subscriptions maintained delta-aware per epoch
         #: (durable alongside the WAL when the service is durable).
         self.standing = StandingQueryManager(
-            policy=standing,
             store=(StandingStore(self.durability.wal)
                    if self.durability is not None else None),
             telemetry=self.telemetry)
@@ -558,8 +558,7 @@ class QueryService:
             stale = self._invalidate_stale_bases()
             self._gauge_ingest()
             # Compaction cannot change any answer (it preserves
-            # logical()), but the pass still settles carried-over
-            # re-evaluations and stamps the epoch.
+            # logical()), but the pass still stamps the epoch.
             self._standing_epoch(mutation)
             self.telemetry.events.emit(
                 "compaction", trigger=trigger, epoch=result.epoch,
@@ -590,14 +589,20 @@ class QueryService:
             self._engine_entry(snapshot.base, method, params,
                                self.fingerprint, RequestMetrics())
         except Exception as exc:  # noqa: BLE001 - prewarm is best-effort
-            self._prewarm_failures += 1
-            self.telemetry.metrics.counter(
-                "repro_prewarm_failures_total",
-                "post-compaction engine rebuilds that failed").inc(
-                engine=method)
-            self.telemetry.events.emit(
-                "compaction_prewarm_failed", engine=method,
-                error=f"{type(exc).__name__}: {exc}")
+            self._prewarm_failed("compaction_prewarm_failed", method,
+                                 exc)
+
+    def _prewarm_failed(self, event: str, method: str,
+                        exc: Exception) -> None:
+        """Count and log one best-effort engine rebuild that failed,
+        after a compaction or during recovery (``event`` says which)."""
+        self._prewarm_failures += 1
+        self.telemetry.metrics.counter(
+            "repro_prewarm_failures_total",
+            "engine prewarms (after a compaction or during recovery) "
+            "that failed").inc(engine=method)
+        self.telemetry.events.emit(
+            event, engine=method, error=f"{type(exc).__name__}: {exc}")
 
     def _invalidate_stale_bases(self) -> int:
         """Drop cached engines whose base was compacted away."""
@@ -641,33 +646,15 @@ class QueryService:
         ``since_seq`` (the client-facing incremental read)."""
         return self.standing.poll(sub_id, since_seq=since_seq)
 
-    def flush_standing(self):
-        """Settle every deferred standing re-evaluation now (see
-        :class:`~repro.standing.StandingPolicy`)."""
-        with self.telemetry.activate():
-            return self.standing.flush(self.current_snapshot())
-
     def _standing_epoch(self, mutation: Mutation) -> None:
         """Run the standing maintenance pass for the epoch
         ``mutation`` just produced.  Skipped entirely while nothing is
         registered."""
-        if not self.standing.subscriptions \
-                and not self.standing.pending:
+        if not self.standing.subscriptions:
             return
         self.standing.process_epoch(
             self.versioned.snapshot(), mutation.op,
-            appended=mutation.segments, deleted_traj=mutation.traj_id,
-            pressure=self._queue_pressure())
-
-    def _queue_pressure(self) -> bool:
-        """The same backlog signal request shedding uses: every usable
-        executor is modeled-busy past ``max_queue_delay_s``."""
-        if self.max_queue_delay_s is None:
-            return False
-        waits = [max(0.0, lane.busy_until - self._clock)
-                 for lane in self.pool.usable_lanes()]
-        waits.append(max(0.0, self.pool.host.busy_until - self._clock))
-        return min(waits) > self.max_queue_delay_s
+            appended=mutation.segments, deleted_traj=mutation.traj_id)
 
     # -- durability --------------------------------------------------------------
 
@@ -757,14 +744,8 @@ class QueryService:
                         self._base_fingerprint(snapshot),
                         RequestMetrics())
             except Exception as exc:  # noqa: BLE001 - prewarm is best-effort
-                self._prewarm_failures += 1
-                reg.counter(
-                    "repro_prewarm_failures_total",
-                    "post-compaction engine rebuilds that failed").inc(
-                    engine=recipe.method)
-                self.telemetry.events.emit(
-                    "recovery_prewarm_failed", engine=recipe.method,
-                    error=f"{type(exc).__name__}: {exc}")
+                self._prewarm_failed("recovery_prewarm_failed",
+                                     recipe.method, exc)
                 continue
             prewarmed += 1
             reg.counter("repro_recovery_prewarmed_total",
@@ -789,14 +770,8 @@ class QueryService:
         engine = checkpoint.load_engine_artifact(recipe)
         if engine is None:
             return False
-        cls_ = get_engine(recipe.method)
-        params = dict(recipe.params)
-        if cls_.config_type is not None:
-            canon = canonical_params(
-                cls_.config_type.from_params(**params).to_dict())
-        else:
-            canon = canonical_params(params)
-        key = (self.fingerprint, recipe.method, canon)
+        key, _ = _cache_key(self.fingerprint, recipe.method,
+                            dict(recipe.params))
         if key in self.cache:
             return True
         gpu = getattr(engine, "gpu", None)
@@ -825,11 +800,6 @@ class QueryService:
         if self._shut_down:
             return
         self._shut_down = True
-        if self.standing.pending:
-            # Deferred re-evaluations must not outlive the process:
-            # settle them so the durable match sets are exact.
-            with self.telemetry.activate():
-                self.standing.flush(self.versioned.snapshot())
         if self.durability is None:
             return
         self.standing.checkpoint(self.versioned.epoch)
@@ -877,7 +847,6 @@ class QueryService:
                                   for lane in self.pool.lanes],
             "degradations": degradations,
             "slow_queries": len(self.telemetry.slow_log),
-            "shed": self._shed,
             "failover_serves": self._failover_serves,
             "crosschecks": self._crosschecks,
             "crosscheck_mismatches": list(self.crosscheck_mismatches),
@@ -908,12 +877,9 @@ class QueryService:
                 method=request.method, epoch=snapshot.epoch) as span:
             for lane_idx in self.pool.refresh_health(arrival):
                 self._note_lane_probation(lane_idx)
-            response = self._shed_check(request, arrival, metrics)
-            if response is None:
-                with deadline_scope(deadline):
-                    response = self._serve_ladder(request, arrival,
-                                                  metrics, deadline,
-                                                  snapshot)
+            with deadline_scope(deadline):
+                response = self._serve_ladder(request, arrival, metrics,
+                                              deadline, snapshot)
             span.set_attributes(engine=metrics.engine,
                                 cache_hit=metrics.cache_hit,
                                 degraded=metrics.degraded,
@@ -1034,30 +1000,6 @@ class QueryService:
                    if m not in ladder and m in available()]
         return ladder
 
-    def _shed_check(self, request: SearchRequest, arrival: float,
-                    metrics: RequestMetrics) -> SearchResponse | None:
-        """Queue-pressure load shedding: reject up front when every
-        possible executor is backlogged past ``max_queue_delay_s``."""
-        if self.max_queue_delay_s is None:
-            return None
-        waits = [max(0.0, lane.busy_until - arrival)
-                 for lane in self.pool.usable_lanes()]
-        waits.append(max(0.0, self.pool.host.busy_until - arrival))
-        pressure = min(waits)
-        if pressure <= self.max_queue_delay_s:
-            return None
-        self._shed += 1
-        self.telemetry.metrics.counter(
-            "repro_shed_total",
-            "requests rejected by queue-pressure load shedding").inc()
-        self.telemetry.events.emit(
-            "overloaded", request_id=request.request_id,
-            queue_delay_s=pressure, limit_s=self.max_queue_delay_s)
-        return self._reject(
-            request, metrics, "overloaded",
-            f"modeled queue delay {pressure:.6f}s exceeds the "
-            f"{self.max_queue_delay_s}s shedding limit")
-
     def _reject(self, request: SearchRequest, metrics: RequestMetrics,
                 status: str, reason: str) -> SearchResponse:
         return SearchResponse(request_id=request.request_id,
@@ -1127,14 +1069,14 @@ class QueryService:
             _require_positive_int("auto", name, value)
         try:
             with self.telemetry.span("service.plan",
-                                     sample=self.planner_sample) as sp:
+                                     sample=self.PLANNER_SAMPLE) as sp:
                 # Plan over the snapshot's base: that is what the index
                 # serves; the delta overlay costs the same regardless
                 # of which engine wins.
                 profile, cached = self._planner_profile(snapshot)
                 plans = plan_search(profile, request.queries,
                                     request.d,
-                                    sample=self.planner_sample,
+                                    sample=self.PLANNER_SAMPLE,
                                     gpu_model=self.gpu_model,
                                     cpu_model=self.cpu_model, **hints)
                 sp.set_attributes(
@@ -1189,13 +1131,7 @@ class QueryService:
     def _engine_entry(self, database: SegmentArray, method: str,
                       params: dict, db_key, metrics: RequestMetrics
                       ) -> tuple[CacheEntry, bool]:
-        cls = get_engine(method)
-        if cls.config_type is not None:
-            cfg = cls.config_type.from_params(**params)
-            key = (db_key, method, canonical_params(cfg.to_dict()))
-        else:
-            cfg = None
-            key = (db_key, method, canonical_params(params))
+        key, cfg = _cache_key(db_key, method, params)
         reg = self.telemetry.metrics
         entry = self.cache.get(key)
         if entry is not None:
@@ -1205,6 +1141,7 @@ class QueryService:
         reg.counter("repro_cache_misses_total",
                     "engine-cache misses").inc(engine=method)
 
+        cls = get_engine(method)
         is_gpu = issubclass(cls, GpuEngineBase)
         # Pick the home lane *before* building so a build failure (real
         # or injected) is attributable to the card it happened on.

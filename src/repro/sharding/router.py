@@ -24,9 +24,9 @@ Robustness ladder, per shard leg (see ``docs/ARCHITECTURE.md``):
    disagrees with the router's per-shard mutation count) is treated as
    divergent: the answer is discarded, counted, and re-fetched from the
    next replica — divergence is never silently merged;
-3. a typed rejection (``deadline_exceeded`` under the per-leg
-   ``shard_deadline_s``, or ``overloaded``) triggers a *hedged retry*
-   on the next replica;
+3. a typed rejection (``deadline_exceeded`` when the leg exhausts the
+   request's remaining budget, or ``overloaded``) triggers a *hedged
+   retry* on the next replica;
 4. when no live replica survives the ladder, the shard is reported
    missing: the request is answered ``status="partial"`` with
    ``missing_shards`` naming the holes — exact over the survivors,
@@ -136,12 +136,6 @@ class ShardedService:
         (``shard-<i>/replica-<r>``); None = memory-only replicas
         (a killed replica then rejoins from the pristine base plus a
         full op-log replay instead of ``QueryService.recover``).
-    shard_deadline_s:
-        Per-leg modeled deadline handed to each shard sub-request; a
-        leg that exceeds it is hedged on the next replica.
-    breaker_threshold, breaker_reset_s:
-        Per-replica circuit-breaker tuning (see
-        :class:`~repro.service.resilience.CircuitBreaker`).
     telemetry:
         The router's hub (spans ``router.*``, per-shard labeled
         metrics).  Each replica service gets its own private hub;
@@ -159,9 +153,6 @@ class ShardedService:
                  replicas_per_shard: int = 2,
                  strategy: str = "round_robin",
                  durability_root=None,
-                 shard_deadline_s: float | None = None,
-                 breaker_threshold: int = 3,
-                 breaker_reset_s: float = 30.0,
                  telemetry: Telemetry | None = None,
                  service_kwargs: dict | None = None) -> None:
         if replicas_per_shard < 1:
@@ -169,9 +160,6 @@ class ShardedService:
         self.telemetry = telemetry or Telemetry()
         self.plan = ShardMap(database, num_shards, strategy)
         self.replicas_per_shard = int(replicas_per_shard)
-        self.shard_deadline_s = shard_deadline_s
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset_s = breaker_reset_s
         self.durability_root = (Path(durability_root)
                                 if durability_root is not None else None)
         self.service_kwargs = dict(service_kwargs or {})
@@ -214,9 +202,7 @@ class ShardedService:
             durability_dir=directory, **self.service_kwargs)
         return Replica(shard_index=shard, index=index, service=service,
                        durability_dir=directory,
-                       breaker=CircuitBreaker(
-                           failure_threshold=self.breaker_threshold,
-                           reset_after_s=self.breaker_reset_s))
+                       breaker=CircuitBreaker())
 
     # -- clocks & helpers --------------------------------------------------------
 
@@ -291,22 +277,16 @@ class ShardedService:
 
     def _leg_request(self, request: SearchRequest, shard: Shard,
                      budget_s: float | None) -> SearchRequest:
-        """One shard sub-request.  Its deadline is the tighter of the
-        per-leg ``shard_deadline_s`` and the *remaining* request budget
-        (``budget_s``) — a replica never receives a budget larger than
-        what is actually left, and the caller guarantees ``budget_s``
-        is positive before building the leg."""
-        deadline = (self.shard_deadline_s
-                    if self.shard_deadline_s is not None
-                    else request.deadline_s)
-        if budget_s is not None:
-            deadline = (budget_s if deadline is None
-                        else min(deadline, budget_s))
+        """One shard sub-request.  Its deadline is the *remaining*
+        request budget ``budget_s`` (None when the request has none) —
+        a replica never receives a budget larger than what is actually
+        left, and the caller guarantees ``budget_s`` is positive before
+        building the leg."""
         return SearchRequest(
             queries=request.queries, d=request.d,
             method=request.method, params=dict(request.params),
             exclude_same_trajectory=request.exclude_same_trajectory,
-            deadline_s=deadline,
+            deadline_s=budget_s,
             request_id=f"{request.request_id}#s{shard.index}")
 
     def _deadline_reject(self, request: SearchRequest,

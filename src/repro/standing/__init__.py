@@ -10,14 +10,14 @@ epoch-replay campaign that pins incremental answers byte-identical to
 from-scratch evaluation.
 """
 
-from .manager import EpochReport, StandingPolicy, StandingQueryManager
+from .manager import EpochReport, StandingQueryManager
 from .store import StandingStore, StandingStoreError
 from .subscription import (CandidateEnvelope, Subscription,
                            matches_from_results, matches_from_rows,
                            matches_to_rows, results_from_matches)
 
 __all__ = [
-    "CandidateEnvelope", "EpochReport", "StandingPolicy",
+    "CandidateEnvelope", "EpochReport",
     "StandingQueryManager", "StandingStore", "StandingStoreError",
     "Subscription", "matches_from_results", "matches_from_rows",
     "matches_to_rows", "results_from_matches",

@@ -19,7 +19,8 @@ delta; the manager decides which subscriptions are *affected*:
   differential harness pins this), so answers cannot change.
 
 Affected subscriptions are re-evaluated against the pinned snapshot via
-the same base-engine + overlay path one-shot queries use; the diff
+the same base-engine + overlay path one-shot queries use — every epoch
+is fully settled before the mutation returns; the diff
 against the maintained set becomes typed ``match_added`` /
 ``match_removed`` events, stamped with the epoch and a monotonic
 ``seq``.  The exactness harness (``tests/test_standing_exactness.py``)
@@ -40,7 +41,6 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.search import SearchOutcome
-from ..engines.base import Deadline
 from ..engines.cpu_scan import CpuScanEngine
 from ..gpu.costmodel import CpuCostModel
 from ..ingest.mutation import OPS
@@ -52,42 +52,11 @@ from .subscription import (CandidateEnvelope, MatchDict, Subscription,
                            matches_from_results, matches_from_rows,
                            matches_to_rows, results_from_matches)
 
-__all__ = ["EpochReport", "StandingPolicy", "StandingQueryManager"]
+__all__ = ["EpochReport", "StandingQueryManager"]
 
-
-@dataclass(frozen=True)
-class StandingPolicy:
-    """Knobs for the per-epoch maintenance pass.
-
-    Parameters
-    ----------
-    epoch_deadline_s:
-        Wall budget for one epoch's re-evaluations.  Subscriptions not
-        reached before it expires are carried over to the next epoch
-        (their match sets go stale until then) and the overrun is
-        counted — maintenance must never wedge the ingest path.  None
-        (default) disables the budget, which is what the exactness
-        harness runs with: every epoch fully settled.
-    defer_on_pressure:
-        When the owner reports queue pressure (the same signal that
-        sheds one-shot requests), defer the whole epoch's
-        re-evaluations instead of running them.  Deferred work is
-        carried over and settled on the next epoch or an explicit
-        :meth:`StandingQueryManager.flush`.  Off by default.
-    """
-
-    epoch_deadline_s: float | None = None
-    defer_on_pressure: bool = False
-
-    def __post_init__(self) -> None:
-        if self.epoch_deadline_s is not None \
-                and self.epoch_deadline_s <= 0:
-            raise ValueError("epoch_deadline_s must be positive")
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation."""
-        return {"epoch_deadline_s": self.epoch_deadline_s,
-                "defer_on_pressure": self.defer_on_pressure}
+#: bound on the in-memory delta-event buffer served by
+#: :meth:`StandingQueryManager.events_since` / ``poll``.
+EVENTS_MAXLEN = 100_000
 
 
 @dataclass
@@ -102,11 +71,8 @@ class EpochReport:
     affected: list[str] = field(default_factory=list)
     #: subscriptions proven unaffected and skipped.
     skipped: int = 0
-    #: sub_ids pushed to the next epoch (pressure or deadline).
-    deferred: list[str] = field(default_factory=list)
     events_added: int = 0
     events_removed: int = 0
-    overran_deadline: bool = False
     wall_seconds: float = 0.0
 
     def to_dict(self) -> dict:
@@ -114,10 +80,8 @@ class EpochReport:
         return {"epoch": self.epoch, "kind": self.kind,
                 "total": self.total, "affected": list(self.affected),
                 "skipped": self.skipped,
-                "deferred": list(self.deferred),
                 "events_added": self.events_added,
                 "events_removed": self.events_removed,
-                "overran_deadline": self.overran_deadline,
                 "wall_seconds": self.wall_seconds}
 
 
@@ -126,8 +90,6 @@ class StandingQueryManager:
 
     Parameters
     ----------
-    policy:
-        :class:`StandingPolicy` (default: fully-settled epochs).
     store:
         Optional :class:`~repro.standing.store.StandingStore`; with one
         attached, registrations and match deltas are durable and
@@ -136,24 +98,16 @@ class StandingQueryManager:
         The owning service's :class:`~repro.obs.Telemetry` hub; match
         events and per-epoch summaries land in its event log, counters
         in its metrics registry.  None = no telemetry.
-    events_maxlen:
-        Bound on the in-memory delta-event buffer served by
-        :meth:`events_since` / :meth:`poll`.
     """
 
-    def __init__(self, *, policy: StandingPolicy | None = None,
-                 store: StandingStore | None = None,
-                 telemetry: Telemetry | None = None,
-                 events_maxlen: int = 100_000) -> None:
-        self.policy = policy or StandingPolicy()
+    def __init__(self, *, store: StandingStore | None = None,
+                 telemetry: Telemetry | None = None) -> None:
         self.store = store
         self.telemetry = telemetry
         self.subscriptions: dict[str, Subscription] = {}
         self._envelopes: dict[str, CandidateEnvelope] = {}
         self._matches: dict[str, MatchDict] = {}
-        self._carryover: set[str] = set()
         self._seq = 0
-        self._events_maxlen = int(events_maxlen)
         self._delta_log: list[dict] = []
         self._base_engine_cache: tuple[int, CpuScanEngine] | None = None
         self._cpu_model = CpuCostModel()
@@ -162,9 +116,8 @@ class StandingQueryManager:
         self.totals = {
             "epochs": 0, "delta_epochs": 0, "affected": 0,
             "skipped": 0, "events_added": 0, "events_removed": 0,
-            "deferred": 0, "deadline_overruns": 0, "recoveries": 0,
-            "replayed_events": 0, "caught_up_events": 0,
-            "torn_events": 0,
+            "recoveries": 0, "replayed_events": 0,
+            "caught_up_events": 0, "torn_events": 0,
         }
 
     # -- registration -------------------------------------------------------------
@@ -193,15 +146,13 @@ class StandingQueryManager:
                 "matches": len(matches)}
 
     def unregister(self, sub_id: str, *, epoch: int) -> dict:
-        """Drop a subscription (its match set and pending carryover go
-        with it)."""
+        """Drop a subscription (its match set goes with it)."""
         if sub_id not in self.subscriptions:
             raise KeyError(f"no subscription {sub_id!r}")
         matches = len(self._matches.get(sub_id, ()))
         del self.subscriptions[sub_id]
         self._envelopes.pop(sub_id, None)
         self._matches.pop(sub_id, None)
-        self._carryover.discard(sub_id)
         self._persist_state(epoch)
         self._emit_event("subscription_unregistered", sub_id=sub_id,
                          epoch=epoch, matches=matches)
@@ -238,22 +189,15 @@ class StandingQueryManager:
             "matches": matches_to_rows(self._matches[sub_id]),
             "events": self.events_since(since_seq, sub_id=sub_id),
             "last_seq": self._seq,
-            "pending": sub_id in self._carryover,
         }
 
     @property
     def last_seq(self) -> int:
         return self._seq
 
-    @property
-    def pending(self) -> list[str]:
-        """sub_ids whose re-evaluation is carried over (stale)."""
-        return sorted(self._carryover)
-
     def stats(self) -> dict:
         """JSON-friendly counters for dashboards and reports."""
         out = {"subscriptions": len(self.subscriptions),
-               "pending": len(self._carryover),
                "last_seq": self._seq}
         out.update(self.totals)
         if self.store is not None:
@@ -264,8 +208,8 @@ class StandingQueryManager:
     # -- the per-epoch pass -------------------------------------------------------
 
     def process_epoch(self, snapshot: Snapshot, kind: str, *,
-                      appended=None, deleted_traj: int | None = None,
-                      pressure: bool = False) -> EpochReport:
+                      appended=None, deleted_traj: int | None = None
+                      ) -> EpochReport:
         """Settle all subscriptions against one new epoch.
 
         Parameters
@@ -281,9 +225,6 @@ class StandingQueryManager:
             not be stamped.
         deleted_traj:
             The tombstoned trajectory id (required for ``"delete"``).
-        pressure:
-            Owner-reported queue pressure; with
-            ``policy.defer_on_pressure`` the pass is deferred whole.
         """
         if kind not in OPS:
             raise ValueError(f"unknown epoch kind {kind!r}")
@@ -294,69 +235,18 @@ class StandingQueryManager:
         wall0 = time.perf_counter()
         affected = self._affected(snapshot, kind, appended,
                                   deleted_traj)
-        todo = sorted(set(affected) | self._carryover)
-        self._carryover.clear()
+        added, removed = self._settle(affected, snapshot)
         report = EpochReport(epoch=snapshot.epoch, kind=kind,
                              total=len(self.subscriptions),
+                             affected=affected,
                              skipped=len(self.subscriptions)
-                             - len(todo))
-        if pressure and self.policy.defer_on_pressure and todo:
-            self._carryover.update(todo)
-            report.deferred = todo
-            report.wall_seconds = time.perf_counter() - wall0
-            self.totals["deferred"] += len(todo)
-            self._count("repro_standing_deferred_total", len(todo))
-            self._finish_report(report)
-            return report
-        deadline = (Deadline.after(self.policy.epoch_deadline_s)
-                    if self.policy.epoch_deadline_s is not None
-                    else None)
-        settled: list[str] = []
-        for i, sub_id in enumerate(todo):
-            if deadline is not None and deadline.expired:
-                late = todo[i:]
-                self._carryover.update(late)
-                report.deferred = late
-                report.overran_deadline = True
-                self.totals["deadline_overruns"] += 1
-                self.totals["deferred"] += len(late)
-                self._count("repro_standing_deadline_overruns_total", 1)
-                self._count("repro_standing_deferred_total", len(late))
-                break
-            settled.append(sub_id)
-        added, removed = self._settle(settled, snapshot)
-        report.affected = settled
-        report.events_added = added
-        report.events_removed = removed
-        report.wall_seconds = time.perf_counter() - wall0
-        self.totals["affected"] += len(settled)
+                             - len(affected),
+                             events_added=added, events_removed=removed,
+                             wall_seconds=time.perf_counter() - wall0)
+        self.totals["affected"] += len(affected)
         self.totals["skipped"] += report.skipped
-        self._count("repro_standing_affected_total", len(settled))
+        self._count("repro_standing_affected_total", len(affected))
         self._count("repro_standing_skipped_total", report.skipped)
-        self._finish_report(report)
-        return report
-
-    def flush(self, snapshot: Snapshot) -> EpochReport:
-        """Settle all carried-over subscriptions now (no new delta).
-
-        The owner calls this after pressure subsides, before shutdown,
-        and whenever a client needs a fully-settled answer under a
-        deferring policy.
-        """
-        wall0 = time.perf_counter()
-        todo = sorted(self._carryover)
-        self._carryover.clear()
-        report = EpochReport(epoch=snapshot.epoch, kind="flush",
-                             total=len(self.subscriptions),
-                             skipped=len(self.subscriptions)
-                             - len(todo))
-        added, removed = self._settle(todo, snapshot)
-        report.affected = todo
-        report.events_added = added
-        report.events_removed = removed
-        report.wall_seconds = time.perf_counter() - wall0
-        self.totals["affected"] += len(todo)
-        self._count("repro_standing_affected_total", len(todo))
         self._finish_report(report)
         return report
 
@@ -552,9 +442,8 @@ class StandingQueryManager:
 
     def _buffer(self, rec: dict) -> None:
         self._delta_log.append(rec)
-        if len(self._delta_log) > self._events_maxlen:
-            del self._delta_log[:len(self._delta_log)
-                                - self._events_maxlen]
+        if len(self._delta_log) > EVENTS_MAXLEN:
+            del self._delta_log[:len(self._delta_log) - EVENTS_MAXLEN]
 
     def _state_dict(self, epoch: int) -> dict:
         return {

@@ -17,6 +17,8 @@ from repro.gateway import (BROWNOUT_LEVELS, BrownoutLadder,
                            GatewayHTTPServer, GatewayResponse,
                            TenantConfig, TenantRegistry, TokenBucket,
                            retry_with_backoff)
+from repro.gateway.brownout import (BROWNOUT_HYSTERESIS,
+                                    BROWNOUT_THRESHOLDS)
 from repro.service import QueryService, SearchRequest, SearchResponse
 from tests.conftest import BAD_PLANNER_HINTS, make_walk_trajectories
 
@@ -177,10 +179,11 @@ class TestBrownoutLadder:
             "repro_gateway_brownout_level").value() == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BrownoutLadder(thresholds=(0.9, 0.5, 0.95))
-        with pytest.raises(ValueError):
-            BrownoutLadder(hysteresis=-0.1)
+        # The ladder is not tunable: its thresholds are module
+        # constants, one entry pressure per level above 0, increasing.
+        assert len(BROWNOUT_THRESHOLDS) == len(BROWNOUT_LEVELS) - 1
+        assert list(BROWNOUT_THRESHOLDS) == sorted(BROWNOUT_THRESHOLDS)
+        assert BROWNOUT_HYSTERESIS >= 0
 
 
 class TestGatewayResponse:

@@ -83,6 +83,41 @@ def test_service_layer_entry_points_exist():
     assert GpuTemporalConfig and CpuRTreeConfig
 
 
+#: every constructor keyword of the serving layer, by class.
+OPTION_SURFACE = {
+    ("repro.service", "QueryService"): {
+        "num_devices", "spec", "gpu_model", "cpu_model", "cache_bytes",
+        "retry", "telemetry", "faults", "breaker_threshold",
+        "breaker_reset_s", "lane_failure_threshold",
+        "lane_quarantine_s", "crosscheck_every", "compaction",
+        "auto_compact", "durability_dir", "durability",
+        "durability_kill"},
+    ("repro.sharding", "ShardedService"): {
+        "num_shards", "replicas_per_shard", "strategy",
+        "durability_root", "telemetry", "service_kwargs"},
+    ("repro.gateway", "Gateway"): {
+        "queue_depth", "est_service_s", "clock", "telemetry"},
+    ("repro.gateway", "BrownoutLadder"): {"telemetry"},
+    ("repro.standing", "StandingQueryManager"): {"store", "telemetry"},
+}
+
+
+@pytest.mark.parametrize("owner", sorted(OPTION_SURFACE),
+                         ids=lambda owner: owner[1])
+def test_option_surface_is_pinned(owner):
+    """The exact keyword set of each serving-layer constructor, so a
+    new knob (or a dropped one) is a visible diff in this file."""
+    import inspect
+    cls = getattr(importlib.import_module(owner[0]), owner[1])
+    params = inspect.signature(cls.__init__).parameters.values()
+    assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} \
+        == OPTION_SURFACE[owner]
+    # Every settable value is one of those keywords: nothing with a
+    # default hides among the positional parameters.
+    assert all(p.kind is p.KEYWORD_ONLY for p in params
+               if p.default is not p.empty)
+
+
 def test_register_engine_decorator():
     """@register_engine is the supported extension point."""
     import pytest

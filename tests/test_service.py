@@ -217,7 +217,7 @@ class TestAutoSelection:
         from repro.core.planner import plan_search
         db, queries, d, truth = db_queries_truth
         plans = plan_search(db, queries, d,
-                            sample=service.planner_sample,
+                            sample=service.PLANNER_SAMPLE,
                             gpu_model=service.gpu_model,
                             cpu_model=service.cpu_model)
         resp = service.submit(_request(queries, d, method="auto"))

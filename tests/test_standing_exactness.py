@@ -21,8 +21,7 @@ from repro.campaigns.standing import (StandingConfig,
                                       run as run_standing_campaign)
 from repro.ingest import VersionedDatabase
 from repro.service import QueryService
-from repro.standing import (StandingPolicy, StandingQueryManager,
-                            Subscription)
+from repro.standing import StandingQueryManager, Subscription
 from tests.conftest import make_walk_trajectories
 
 D = 2.5
@@ -228,44 +227,6 @@ class TestSkipWork:
         assert_exact(mgr, [sub], vdb.snapshot())
 
 
-class TestPolicy:
-    def test_pressure_deferral_and_flush(self):
-        vdb = VersionedDatabase(_db(seed=8))
-        mgr = StandingQueryManager(
-            policy=StandingPolicy(defer_on_pressure=True))
-        sub = _sub("sub-a")
-        mgr.register(sub, vdb.snapshot())
-        segs = _db(num_traj=2, seed=12, id_offset=400)
-        vdb.append(segs)
-        report = mgr.process_epoch(vdb.snapshot(), "append",
-                                   appended=segs, pressure=True)
-        if report.deferred:
-            assert mgr.pending == ["sub-a"]
-            flush = mgr.flush(vdb.snapshot())
-            assert flush.affected == ["sub-a"]
-        assert mgr.pending == []
-        assert_exact(mgr, [sub], vdb.snapshot())
-
-    def test_deadline_overrun_carries_over_and_settles(self):
-        vdb = VersionedDatabase(_db(seed=9))
-        mgr = StandingQueryManager(
-            policy=StandingPolicy(epoch_deadline_s=1e-12))
-        sub = _sub("sub-a")
-        mgr.register(sub, vdb.snapshot())
-        segs = _db(num_traj=2, seed=13, id_offset=400)
-        vdb.append(segs)
-        report = mgr.process_epoch(vdb.snapshot(), "append",
-                                   appended=segs)
-        if report.overran_deadline:
-            assert mgr.totals["deadline_overruns"] >= 1
-            mgr.flush(vdb.snapshot())
-        assert_exact(mgr, [sub], vdb.snapshot())
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            StandingPolicy(epoch_deadline_s=0.0)
-
-
 class TestServiceIntegration:
     def test_register_ingest_poll_unregister(self):
         svc = QueryService(_db(seed=10), auto_compact=False)
@@ -273,7 +234,6 @@ class TestServiceIntegration:
         receipt = svc.register_subscription(sub)
         assert receipt["sub_id"] == "sub-a"
         first = svc.poll_subscription("sub-a")
-        assert first["pending"] is False
         svc.ingest(_db(num_traj=2, seed=14, id_offset=300))
         svc.delete_trajectory(0)
         svc.compact()

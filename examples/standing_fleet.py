@@ -19,7 +19,8 @@ events stamped with the epoch that caused them.  Midway through the
 stream the process "dies" (the service object is abandoned without
 shutdown, exactly what a crashed process leaves on disk) and
 :meth:`QueryService.recover` restores the standing state from its
-sidecar — no event lost, none duplicated.  Every answer along the way
+snapshot and replays the WAL past it — no event lost, none
+duplicated.  Every answer along the way
 is checked byte-exact against a from-scratch ``cpu_scan``.
 
 Run:  python examples/standing_fleet.py
@@ -139,7 +140,7 @@ def main():
     svc = QueryService.recover(state)
     rec = svc.standing.totals
     print(f"   recovered: {rec['recoveries']} recovery, "
-          f"{rec['replayed_events']} events replayed from the sidecar")
+          f"{rec['replayed_events']} events re-derived by WAL replay")
     for sub in subs:
         check_exact(svc, sub)
     print("   all subscriptions byte-exact after restart")

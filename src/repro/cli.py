@@ -941,10 +941,11 @@ def cmd_recover(args: argparse.Namespace) -> int:
 
     from .durability import DurabilityError
     from .service import QueryService
+    from .standing import StandingStoreError
 
     try:
         svc = QueryService.recover(args.dir)
-    except DurabilityError as exc:
+    except (DurabilityError, StandingStoreError) as exc:
         print(f"repro recover: error: {exc}", file=sys.stderr)
         return 2
     result = svc.last_recovery

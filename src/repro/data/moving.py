@@ -145,14 +145,6 @@ class MovingObjectsWorkload:
             * self.config.dt)
         return tid
 
-    @property
-    def active_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._vehicles))
-
-    @property
-    def epoch_index(self) -> int:
-        return self._epoch_index
-
     def next_epoch(self) -> EpochDelta:
         """Advance every active vehicle by one epoch of observations.
 

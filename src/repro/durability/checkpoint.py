@@ -277,13 +277,25 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: manifest is not valid JSON: "
                               f"{exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("format") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format "
             f"{manifest.get('format')!r} (expected {FORMAT_VERSION})")
-    digests = dict(manifest.get("files", {}))
-    recipes = [EngineRecipe.from_dict(r)
-               for r in manifest.get("engines", [])]
+    try:
+        epochs = {name: int(manifest[name]) for name in
+                  ("epoch", "delta_epoch", "base_version", "next_seg_id")}
+        digests = dict(manifest.get("files", {}))
+        recipes = [EngineRecipe.from_dict(r)
+                   for r in manifest.get("engines", [])]
+        tombstones = frozenset(int(t)
+                               for t in manifest.get("tombstones", []))
+        counters = dict(manifest.get("counters", {}))
+        applied_keys = dict(manifest.get("applied_keys", {}))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest: "
+                              f"{type(exc).__name__}: {exc}") from exc
     artifacts = {recipe.artifact for recipe in recipes}
     for rel, digest in digests.items():
         if rel in artifacts:
@@ -294,20 +306,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         if hashlib.sha1(fpath.read_bytes()).hexdigest() != digest:
             raise CheckpointError(f"{path}: checksum mismatch on {rel}")
     return Checkpoint(
-        path=path,
-        epoch=int(manifest["epoch"]),
-        delta_epoch=int(manifest["delta_epoch"]),
-        base_version=int(manifest["base_version"]),
-        next_seg_id=int(manifest["next_seg_id"]),
+        path=path, **epochs,
         base=_npz_load(path / "base.npz"),
         delta=_npz_load(path / "delta.npz"),
-        tombstones=frozenset(int(t)
-                             for t in manifest.get("tombstones", [])),
-        counters=dict(manifest.get("counters", {})),
-        engines=recipes,
-        applied_keys=dict(manifest.get("applied_keys", {})),
-        digests=digests,
-    )
+        tombstones=tombstones, counters=counters, engines=recipes,
+        applied_keys=applied_keys, digests=digests)
 
 
 def list_checkpoints(directory: str | Path) -> list[Path]:

@@ -7,6 +7,7 @@
     <dir>/
         wal.jsonl           # CRC-framed mutation log (the tail)
         checkpoints/        # atomic snapshots (see checkpoint.py)
+        standing/state.json # standing-query snapshot (repro.standing)
         events.jsonl        # telemetry event log, flushed at shutdown
         slow_queries.jsonl  # slow-query log, flushed at shutdown
 
@@ -277,8 +278,17 @@ class DurabilityManager:
 
     # -- recovery ----------------------------------------------------------------
 
-    def recover(self) -> RecoveryResult:
-        """Rebuild the database from disk (see module docstring)."""
+    def recover(self, *, ceiling: int | None = None,
+                replay=None) -> RecoveryResult:
+        """Rebuild the database from disk (see module docstring).
+
+        ``ceiling`` starts from the newest valid checkpoint at or below
+        that epoch instead of the newest one (the standing state's
+        epoch: see :meth:`repro.standing.StandingQueryManager.recover`).
+        ``replay(database, mutation)`` applies each WAL record past the
+        checkpoint (default :meth:`VersionedDatabase.apply`).
+        """
+        replay = replay or VersionedDatabase.apply
         swept = clean_tmp_dirs(self.checkpoints_dir)
         candidates = list_checkpoints(self.checkpoints_dir)
         if not candidates:
@@ -288,11 +298,19 @@ class DurabilityManager:
         checkpoint = None
         invalid = 0
         for candidate in candidates:
+            if ceiling is not None \
+                    and checkpoint_epoch(candidate) > ceiling:
+                continue
             try:
                 checkpoint = load_checkpoint(candidate)
                 break
             except CheckpointError:
                 invalid += 1
+        if checkpoint is None and ceiling is not None:
+            raise DurabilityError(
+                f"{self.directory}: no valid checkpoint at or below "
+                f"epoch {ceiling}, where the standing state is settled; "
+                f"the WAL no longer reaches back to it")
         if checkpoint is None:
             raise DurabilityError(
                 f"{self.directory}: all {len(candidates)} checkpoints "
@@ -317,7 +335,7 @@ class DurabilityManager:
                     f"{self.wal.path}: record lsn={record.lsn} produces "
                     f"epoch {record.epoch} but the database is at "
                     f"epoch {db.epoch} — the log has a gap")
-            db.apply(Mutation.from_payload(record.op, record.payload))
+            replay(db, Mutation.from_payload(record.op, record.payload))
             replayed += 1
         committed = checkpoint_epoch(candidates[0])
         if db.epoch < committed:

@@ -1,13 +1,16 @@
 """The write-ahead log: CRC32-framed JSONL records, the one append log
 on disk.
 
-The database's ``wal.jsonl`` (one record per
-:class:`~repro.ingest.Mutation`, whose ``op`` and payload this module
-does not interpret) and the standing sidecar's ``events.jsonl`` are
-both written *before* the change they record is applied in memory, so
-a crash at any instant loses at most the record being written — and
-that torn tail is detected by its CRC frame and dropped during
-recovery, never half-applied.
+The database's ``wal.jsonl`` holds one record per
+:class:`~repro.ingest.Mutation` (whose ``op`` and payload this module
+does not interpret), written *before* the mutation is applied in
+memory, so a crash at any instant loses at most the record being
+written — and that torn tail is detected by its CRC frame and dropped
+during recovery, never half-applied.  Everything else that must
+survive a crash is a snapshot this log moves forward: checkpoints of
+the database, and the standing-query state
+(:mod:`repro.standing.store`), whose match events recovery re-derives
+by replaying the log.
 
 Record framing
 --------------
@@ -178,33 +181,21 @@ class WriteAheadLog:
         the caller applies the change in memory only afterwards
         (write-ahead discipline).
         """
+        record = WalRecord(self._next_lsn, op, epoch, payload)
+        line = encode_record(record)
+        fh = self._handle()
         if self.kill is not None and self.kill.matches("wal_mid_append"):
             # Simulated crash mid-write: leave a physically torn record
             # (a prefix of the framed line) on disk, then die.
-            line = encode_record(WalRecord(self._next_lsn, op, epoch,
-                                           payload))
-            fh = self._handle()
             fh.write(line[:max(1, len(line) // 2)])
             self._sync(fh)
             self.kill.fire("wal_mid_append")
-        return self.append_batch([(op, epoch, payload)])[0]
-
-    def append_batch(self, entries: list[tuple[str, int, dict]]
-                     ) -> list[WalRecord]:
-        """Frame and write ``(op, epoch, payload)`` entries in order,
-        then sync once: all of them are durable when this returns."""
-        records = [WalRecord(self._next_lsn + i, op, epoch, payload)
-                   for i, (op, epoch, payload) in enumerate(entries)]
-        if not records:
-            return records
-        data = b"".join(encode_record(record) for record in records)
-        fh = self._handle()
-        fh.write(data)
+        fh.write(line)
         self._sync(fh)
-        self._next_lsn += len(records)
-        self.appends += len(records)
-        self.bytes_written += len(data)
-        return records
+        self._next_lsn += 1
+        self.appends += 1
+        self.bytes_written += len(line)
+        return record
 
     def close(self) -> None:
         if self._fh is not None and not self._fh.closed:

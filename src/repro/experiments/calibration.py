@@ -80,12 +80,6 @@ class CalibrationResult:
                    default=0.0)
 
 
-def _gpu_throughput(spec: DeviceSpec) -> float:
-    """Lane-seconds available per wall second with converged warps."""
-    return spec.concurrent_warps * spec.warp_size * spec.clock_hz \
-        / spec.warp_size  # warp-max work units retired per second x lanes
-
-
 def fit_gpu_cycles(anchors: list[Anchor],
                    spec: DeviceSpec = TESLA_C2075) -> CalibrationResult:
     """Least-squares fit of (comparison, gather) cycle costs.

@@ -169,6 +169,9 @@ class GatewayHTTPServer:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             return 400, {"error": f"bad JSON body: {exc}"}, {}
+        if not isinstance(payload, dict):
+            return 400, {"error": f"bad JSON body: expected an object, "
+                                  f"got {type(payload).__name__}"}, {}
         try:
             if path == "/v1/search":
                 response = await self._search(api_key, headers,

@@ -354,7 +354,7 @@ class QueryService:
         #: continuous subscriptions maintained delta-aware per epoch
         #: (durable alongside the WAL when the service is durable).
         self.standing = StandingQueryManager(
-            store=(StandingStore(self.durability.wal)
+            store=(StandingStore(self.durability.directory)
                    if self.durability is not None else None),
             telemetry=self.telemetry)
 
@@ -508,7 +508,7 @@ class QueryService:
                         "delete", traj_id=mutation.traj_id,
                         epoch=self.versioned.epoch,
                         hidden_segments=result)
-                self._standing_epoch(mutation)
+                self.standing.process_mutation(self.versioned, mutation)
                 if self.auto_compact and self.versioned.should_compact():
                     self._compact(trigger="policy")
                 if self.durability is not None \
@@ -559,7 +559,7 @@ class QueryService:
             self._gauge_ingest()
             # Compaction cannot change any answer (it preserves
             # logical()), but the pass still stamps the epoch.
-            self._standing_epoch(mutation)
+            self.standing.process_mutation(self.versioned, mutation)
             self.telemetry.events.emit(
                 "compaction", trigger=trigger, epoch=result.epoch,
                 base_version=result.base_version,
@@ -646,16 +646,6 @@ class QueryService:
         ``since_seq`` (the client-facing incremental read)."""
         return self.standing.poll(sub_id, since_seq=since_seq)
 
-    def _standing_epoch(self, mutation: Mutation) -> None:
-        """Run the standing maintenance pass for the epoch
-        ``mutation`` just produced.  Skipped entirely while nothing is
-        registered."""
-        if not self.standing.subscriptions:
-            return
-        self.standing.process_epoch(
-            self.versioned.snapshot(), mutation.op,
-            appended=mutation.segments, deleted_traj=mutation.traj_id)
-
     # -- durability --------------------------------------------------------------
 
     def checkpoint(self):
@@ -672,10 +662,12 @@ class QueryService:
         path = self.durability.checkpoint(
             self.versioned, warm_engines=self._warm_engines(),
             kill_point=kill_point)
-        # Fold the standing event log into its state file alongside the
-        # database checkpoint (after it: a kill inside the database
-        # checkpoint must leave the standing tail replayable).
-        self.standing.checkpoint(self.versioned.epoch)
+        # The standing state follows its checkpoint: a kill inside the
+        # checkpoint leaves the older state, so recovery re-derives the
+        # events of this epoch that no client has drained yet.  The
+        # checkpoint truncated the WAL only through the one before it,
+        # and no saved state is older than that.
+        self.standing.save_state(self.versioned.epoch)
         return path
 
     def _warm_engines(self) -> list[tuple[str, dict, object]]:
@@ -695,34 +687,36 @@ class QueryService:
 
         Loads the newest valid checkpoint, replays the WAL tail
         (dropping a CRC-torn final record), and returns a service at
-        the exact pre-crash logical epoch.  Persisted engine artifacts
-        are installed into the cache (or rebuilt from their recipes)
-        so the first post-restart request is a cache hit.  Extra
-        keyword arguments are forwarded to the constructor.
+        the exact pre-crash logical epoch.  Standing subscriptions come
+        back from their saved state, moved forward by the same replay
+        (:meth:`~repro.standing.StandingQueryManager.recover`).
+        Persisted engine artifacts are installed into the cache (or
+        rebuilt from their recipes) so the first post-restart request
+        is a cache hit.  Extra keyword arguments are forwarded to the
+        constructor.
         """
         telemetry = telemetry or Telemetry()
         manager = DurabilityManager(durability_dir, policy=policy,
                                     kill=kill)
+        standing = StandingQueryManager(
+            store=StandingStore(manager.directory), telemetry=telemetry)
         with telemetry.activate(), \
                 telemetry.span("service.recovery",
                                directory=str(manager.directory)) as sp:
-            result = manager.recover()
+            result = standing.recover(manager)
             service = cls(result.database, telemetry=telemetry,
                           **kwargs)
             service.durability = manager
+            service.standing = standing
             service.last_recovery = result
             prewarmed = service._prewarm_recovered(result)
-            service.standing.store = StandingStore(manager.wal)
-            standing = service.standing.recover(
-                service.versioned.snapshot())
             sp.set_attributes(
                 checkpoint_epoch=result.checkpoint_epoch,
                 epoch=result.epoch, replayed=result.replayed,
                 torn_dropped=result.torn_dropped,
                 prewarmed=prewarmed,
-                standing_subscriptions=standing["subscriptions"],
-                standing_replayed=standing["replayed_events"],
-                standing_caught_up=standing["caught_up_events"])
+                standing_subscriptions=len(standing.subscriptions),
+                standing_replayed=standing.totals["replayed_events"])
         return service
 
     def _prewarm_recovered(self, result) -> int:
@@ -802,7 +796,7 @@ class QueryService:
         self._shut_down = True
         if self.durability is None:
             return
-        self.standing.checkpoint(self.versioned.epoch)
+        self.standing.save_state(self.versioned.epoch)
         directory = self.durability.directory
         try:
             self.telemetry.events.write_jsonl(

@@ -120,9 +120,6 @@ class ShardMap:
     def knows(self, traj_id: int) -> bool:
         return int(traj_id) in self._traj_shards
 
-    def live_trajectories(self, shard: int) -> int:
-        return len(self._live_trajs[shard])
-
     def would_empty(self, traj_id: int) -> list[int]:
         """Shards that deleting ``traj_id`` would leave without a
         single live trajectory (the per-shard database refuses that)."""

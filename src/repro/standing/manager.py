@@ -28,11 +28,12 @@ replays workloads asserting the maintained sets stay byte-identical to
 from-scratch ``cpu_scan`` evaluation at every epoch — the skip
 decision above is load-bearing correctness, not best-effort caching.
 
-With a :class:`~repro.standing.store.StandingStore` attached, events
-are durably appended *before* they are applied (WAL discipline) and
-:meth:`recover` restores state + replays the event tail + runs an
-idempotent catch-up diff, so subscriptions survive service crashes
-with no lost or duplicated delta events.
+With a :class:`~repro.standing.store.StandingStore` attached, the
+subscriptions and match sets are snapshotted to disk
+(:meth:`save_state`) and :meth:`recover` moves the snapshot forward by
+replaying the database WAL through the same per-epoch pass, so
+subscriptions survive service crashes with no lost or duplicated
+delta events.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ import time
 from dataclasses import dataclass, field
 
 from ..core.search import SearchOutcome
+from ..durability import DurabilityManager, RecoveryResult
 from ..engines.cpu_scan import CpuScanEngine
 from ..gpu.costmodel import CpuCostModel
-from ..ingest.mutation import OPS
+from ..ingest.mutation import OPS, Mutation
 from ..ingest.overlay import overlay_search
-from ..ingest.versioned import Snapshot
+from ..ingest.versioned import Snapshot, VersionedDatabase
 from ..obs import Telemetry
-from .store import StandingStore
+from .store import StandingStore, StandingStoreError
 from .subscription import (CandidateEnvelope, MatchDict, Subscription,
                            matches_from_results, matches_from_rows,
                            matches_to_rows, results_from_matches)
@@ -92,7 +94,7 @@ class StandingQueryManager:
     ----------
     store:
         Optional :class:`~repro.standing.store.StandingStore`; with one
-        attached, registrations and match deltas are durable and
+        attached, registrations and match sets are durable and
         :meth:`recover` works.
     telemetry:
         The owning service's :class:`~repro.obs.Telemetry` hub; match
@@ -112,12 +114,13 @@ class StandingQueryManager:
         self._base_engine_cache: tuple[int, CpuScanEngine] | None = None
         self._cpu_model = CpuCostModel()
         self.last_report: EpochReport | None = None
-        #: lifetime counters (mirrored into telemetry when attached).
+        #: lifetime counters (mirrored into telemetry when attached);
+        #: ``replayed_events`` counts the events :meth:`recover`
+        #: re-derived past the saved state.
         self.totals = {
             "epochs": 0, "delta_epochs": 0, "affected": 0,
             "skipped": 0, "events_added": 0, "events_removed": 0,
             "recoveries": 0, "replayed_events": 0,
-            "caught_up_events": 0, "torn_events": 0,
         }
 
     # -- registration -------------------------------------------------------------
@@ -138,7 +141,7 @@ class StandingQueryManager:
         self.subscriptions[sub.sub_id] = sub
         self._envelopes[sub.sub_id] = sub.envelope()
         self._matches[sub.sub_id] = matches
-        self._persist_state(snapshot.epoch)
+        self.save_state(snapshot.epoch)
         self._emit_event("subscription_registered", sub_id=sub.sub_id,
                          epoch=snapshot.epoch, matches=len(matches))
         self._set_gauge()
@@ -153,7 +156,7 @@ class StandingQueryManager:
         del self.subscriptions[sub_id]
         self._envelopes.pop(sub_id, None)
         self._matches.pop(sub_id, None)
-        self._persist_state(epoch)
+        self.save_state(epoch)
         self._emit_event("subscription_unregistered", sub_id=sub_id,
                          epoch=epoch, matches=matches)
         self._set_gauge()
@@ -201,11 +204,22 @@ class StandingQueryManager:
                "last_seq": self._seq}
         out.update(self.totals)
         if self.store is not None:
-            out["store_events_appended"] = self.store.events_appended
             out["store_state_saves"] = self.store.state_saves
         return out
 
     # -- the per-epoch pass -------------------------------------------------------
+
+    def process_mutation(self, database: VersionedDatabase,
+                         mutation: Mutation) -> EpochReport | None:
+        """The standing pass for the epoch ``mutation`` just produced
+        in ``database`` — the one hook the live write path and
+        :meth:`recover`'s WAL replay both run.  Skipped entirely while
+        nothing is registered."""
+        if not self.subscriptions:
+            return None
+        return self.process_epoch(
+            database.snapshot(), mutation.op,
+            appended=mutation.segments, deleted_traj=mutation.traj_id)
 
     def process_epoch(self, snapshot: Snapshot, kind: str, *,
                       appended=None, deleted_traj: int | None = None
@@ -252,74 +266,79 @@ class StandingQueryManager:
 
     # -- durability ---------------------------------------------------------------
 
-    def checkpoint(self, epoch: int) -> None:
-        """Fold the durable event log into the durable state (no-op
-        without a store)."""
+    def save_state(self, epoch: int) -> None:
+        """Snapshot the subscriptions, their match sets and
+        ``last_seq`` as settled at ``epoch`` (no-op without a store)."""
         if self.store is not None:
-            self.store.checkpoint(self._state_dict(epoch))
+            self.store.save_state(self._state_dict(epoch))
 
-    def recover(self, snapshot: Snapshot) -> dict:
-        """Restore subscriptions from the sidecar and settle them
-        against the recovered snapshot.
+    def recover(self, durability: DurabilityManager) -> RecoveryResult:
+        """Restore the saved subscriptions and rebuild the database
+        around them; returns ``durability``'s
+        :class:`~repro.durability.RecoveryResult`.
 
-        Three steps: load the last saved state; replay durable events
-        with ``seq`` beyond it; then re-evaluate every subscription
-        against ``snapshot`` and emit the difference as fresh events.
-        The catch-up is idempotent — standing processing runs
-        synchronously after each mutation, so the sidecar lags the
-        database by at most one epoch, and for an already-settled epoch
-        the diff is empty.  Catch-up events are stamped with the
-        recovered epoch: the same epoch an uninterrupted run would have
-        stamped them with.
+        The saved state is a snapshot at its ``epoch``.  The database
+        starts from the newest valid checkpoint at or below that epoch,
+        and each later WAL record is applied and — once past the
+        state's epoch — run through :meth:`process_mutation`, exactly
+        as the live mutation was, so every event the state does not
+        hold comes back with its original ``seq`` and ``epoch``.  A
+        state ahead of the recovered database raises
+        :class:`~repro.standing.store.StandingStoreError`; one older
+        than every retained checkpoint raises
+        :class:`~repro.durability.DurabilityError` (the log no longer
+        reaches back to it).  Neither yields a different stream.
         """
         if self.store is None:
             raise RuntimeError("recover() needs a StandingStore")
         if self.subscriptions:
             raise RuntimeError("recover() must run on an empty manager")
-        state = self.store.load_state()
-        # Raises on a damaged frame or a hole (never replays a wrong
-        # match); only a torn final record is dropped.
-        scan = self.store.events.recover()
-        events = [record.payload for record in scan.records]
-        folded_seq = 0
-        if state is not None:
-            folded_seq = int(state["last_seq"])
-            self._seq = folded_seq
+        held = self._restore(self.store.load_state())
+        seq0 = self._seq
+
+        def replay(database: VersionedDatabase,
+                   mutation: Mutation) -> None:
+            database.apply(mutation)
+            if held is not None and database.epoch > held:
+                self.process_mutation(database, mutation)
+
+        result = durability.recover(ceiling=held, replay=replay)
+        if held is not None and held > result.epoch:
+            raise StandingStoreError(
+                f"standing state {self.store.state_path} is settled at "
+                f"epoch {held}, ahead of the recovered database at "
+                f"epoch {result.epoch}")
+        replayed = self._seq - seq0
+        self.totals["recoveries"] += 1
+        self.totals["replayed_events"] += replayed
+        self._count("repro_standing_recoveries_total", 1)
+        self._set_gauge()
+        self._emit_event("standing_recovered",
+                         subscriptions=len(self.subscriptions),
+                         replayed_events=replayed, epoch=result.epoch)
+        return result
+
+    # -- internals ----------------------------------------------------------------
+
+    def _restore(self, state: dict | None) -> int | None:
+        """Adopt a saved state; returns its epoch when it holds
+        subscriptions (replay must then start at or below it), else
+        None."""
+        if state is None:
+            return None
+        try:
+            self._seq = int(state["last_seq"])
             for entry in state["subscriptions"]:
                 sub = Subscription.from_dict(entry["sub"])
                 self.subscriptions[sub.sub_id] = sub
                 self._envelopes[sub.sub_id] = sub.envelope()
                 self._matches[sub.sub_id] = matches_from_rows(
                     entry["matches"])
-        replayed = 0
-        for rec in sorted(events, key=lambda r: int(r["seq"])):
-            if int(rec["seq"]) <= folded_seq:
-                continue  # already folded into the state
-            self._apply_record(rec)
-            self._buffer(rec)
-            self._seq = max(self._seq, int(rec["seq"]))
-            replayed += 1
-        # Registration is save_state'd, so a replayed event's sub is
-        # always present; an unregistered sub's events were dropped
-        # with it.  Discard strays defensively.
-        caught_added, caught_removed = self._settle(
-            sorted(self.subscriptions), snapshot)
-        self.checkpoint(snapshot.epoch)
-        self.totals["recoveries"] += 1
-        self.totals["replayed_events"] += replayed
-        self.totals["caught_up_events"] += caught_added + caught_removed
-        self.totals["torn_events"] += scan.torn_records
-        self._count("repro_standing_recoveries_total", 1)
-        self._set_gauge()
-        summary = {"subscriptions": len(self.subscriptions),
-                   "replayed_events": replayed,
-                   "torn_events": scan.torn_records,
-                   "caught_up_events": caught_added + caught_removed,
-                   "epoch": snapshot.epoch}
-        self._emit_event("standing_recovered", **summary)
-        return summary
-
-    # -- internals ----------------------------------------------------------------
+            return int(state["epoch"]) if self.subscriptions else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StandingStoreError(
+                f"standing state {self.store.state_path} is malformed: "
+                f"{type(exc).__name__}: {exc}") from exc
 
     def _affected(self, snapshot: Snapshot, kind: str, appended,
                   deleted_traj: int | None) -> list[str]:
@@ -367,22 +386,13 @@ class StandingQueryManager:
                 ) -> tuple[int, int]:
         """Re-evaluate ``sub_ids`` at ``snapshot``, diff against the
         maintained sets, and emit the deltas.  Returns
-        ``(added, removed)`` event counts.
-
-        Write ordering is load-bearing: all records are built first,
-        durably appended second, applied in memory third — a crash
-        leaves either no trace (catch-up re-derives the diff) or a
-        durable record replay will re-apply.  Acknowledged events are
-        never lost and never double-applied.
-        """
+        ``(added, removed)`` event counts."""
         records: list[dict] = []
-        fresh: dict[str, MatchDict] = {}
         wall0 = time.perf_counter()
         for sub_id in sub_ids:
-            sub = self.subscriptions[sub_id]
-            new = self._evaluate(sub, snapshot)
-            fresh[sub_id] = new
+            new = self._evaluate(self.subscriptions[sub_id], snapshot)
             old = self._matches[sub_id]
+            self._matches[sub_id] = new
             for key in sorted(k for k in old if k not in new):
                 lo, hi = old[key]
                 records.append(self._record("match_removed", sub_id,
@@ -393,12 +403,7 @@ class StandingQueryManager:
                 records.append(self._record("match_added", sub_id,
                                             snapshot.epoch, key, lo,
                                             hi))
-        if self.store is not None:
-            self.store.events.append_batch(
-                [(rec["kind"], rec["epoch"], rec) for rec in records])
         added = removed = 0
-        for sub_id, new in fresh.items():
-            self._matches[sub_id] = new
         for rec in records:
             self._buffer(rec)
             self._emit_event(rec["kind"],
@@ -429,17 +434,6 @@ class StandingQueryManager:
                 "e_id": int(key[1]), "t_lo": float(lo),
                 "t_hi": float(hi)}
 
-    def _apply_record(self, rec: dict) -> None:
-        """Apply one durable event record to the match sets (replay)."""
-        matches = self._matches.get(rec["sub_id"])
-        if matches is None:
-            return
-        key = (int(rec["q_id"]), int(rec["e_id"]))
-        if rec["kind"] == "match_added":
-            matches[key] = (float(rec["t_lo"]), float(rec["t_hi"]))
-        elif rec["kind"] == "match_removed":
-            matches.pop(key, None)
-
     def _buffer(self, rec: dict) -> None:
         self._delta_log.append(rec)
         if len(self._delta_log) > EVENTS_MAXLEN:
@@ -454,10 +448,6 @@ class StandingQueryManager:
                  "matches": matches_to_rows(self._matches[sub_id])}
                 for sub_id in sorted(self.subscriptions)],
         }
-
-    def _persist_state(self, epoch: int) -> None:
-        if self.store is not None:
-            self.store.save_state(self._state_dict(epoch))
 
     def _finish_report(self, report: EpochReport) -> None:
         self.last_report = report

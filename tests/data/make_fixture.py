@@ -1,5 +1,9 @@
 """Provenance, not a test: how ``wal_golden.jsonl``,
-``durable_d7f7855/`` and ``durable_f7a6f96/`` were made.  Each part runs
+``durable_d7f7855/``, ``durable_f7a6f96/`` and ``durable_63282b1/`` were
+made (the last is a directory killed mid-stream, whose standing
+``events.jsonl`` — a journal 63282b1 kept and later commits ignore —
+holds events its ``state.json`` does not; ``tests/test_standing_crash.py``
+holds recovery to what 63282b1 recovered).  Each part runs
 against the commit it is named for only
 (``PYTHONPATH=<checkout>/src python make_fixture.py <commit> OUT``) — the
 d7f7855 part calls names this repository has since deleted, which is the
@@ -156,4 +160,80 @@ def at_f7a6f96():
     print(json.dumps({k: expected[k] for k in ("epoch", "num_results")}))
 
 
-{"d7f7855": at_d7f7855, "f7a6f96": at_f7a6f96}[commit]()
+def at_63282b1():
+    # -- a durable service with subscriptions, killed mid-stream ------------------
+    # 63282b1 journaled match events in standing/events.jsonl and folded
+    # them into standing/state.json at each checkpoint.  The checkpoint
+    # after epoch 3 folds the state; the events of epochs 4 and 5 live
+    # only in events.jsonl; the WAL record of epoch 6 is durable but was
+    # never applied (the process died right after logging it).
+    from repro.durability import DurabilityPolicy, KillSwitch, SimulatedCrash
+    from repro.ingest import Mutation
+
+    base = segs(*(line(k, 3.0 * k, 2.0 * k, t0=0.5 * k) for k in range(6)))
+    queries = segs(line(900, 1.0, 0.5, steps=5), line(901, 9.0, 7.0, t0=1.0))
+    subs = [Subscription(sub_id="sub-a", queries=queries, d=2.5),
+            Subscription(sub_id="sub-b", queries=queries, d=1.5,
+                         window=(1.0, 3.0))]
+    ops = [
+        Mutation("append", segments=segs(line(10, 1.5, 1.0, steps=5))),  # 1
+        Mutation("delete", traj_id=2),                                  # 2
+        Mutation("append", segments=segs(line(11, 9.5, 7.5, t0=1.0))),  # 3
+        Mutation("append", segments=segs(line(12, 0.5, 0.0, steps=5))),  # 4
+        Mutation("delete", traj_id=10),                                 # 5
+        Mutation("append", segments=segs(line(13, 2.0, 1.0, steps=5))),  # 6
+        Mutation("compact"),                                            # 7
+        Mutation("append", segments=segs(line(14, 9.0, 7.0, t0=1.0))),  # 8
+        Mutation("delete", traj_id=12),                                 # 9
+    ]
+    policy = DurabilityPolicy(checkpoint_every=3)
+    directory = out / "durable_63282b1"
+    svc = QueryService(base, durability_dir=directory, durability=policy,
+                       durability_kill=KillSwitch("wal_post_append",
+                                                  occurrence=6),
+                       auto_compact=False, telemetry=Telemetry(enabled=False))
+    for sub in subs:
+        svc.register_subscription(sub)
+    try:
+        for op in ops:
+            svc.apply(op)
+    except SimulatedCrash:
+        pass  # abandoned as a dead process leaves it
+    crashed_seq = svc.standing.last_seq
+
+    # What 63282b1 recovers from a copy of it, and what it streams after.
+    work = out / "recovered"
+    shutil.copytree(directory, work)
+    svc = QueryService.recover(work, policy=policy, auto_compact=False,
+                               telemetry=Telemetry(enabled=False))
+    recovered = {"epoch": svc.versioned.epoch,
+                 "last_seq": svc.standing.last_seq,
+                 "standing_sha256": {s.sub_id: result_sha256(
+                     svc.standing.results(s.sub_id)) for s in subs}}
+    for op in ops[svc.versioned.epoch:]:
+        svc.apply(op)
+    response = svc.submit(SearchRequest(queries=queries, d=2.5,
+                                        method="cpu_scan"))
+    expected = {
+        "policy": policy.to_dict(),
+        "crashed_last_seq": crashed_seq,
+        "recovered": recovered,
+        "ops": [{"op": m.op, "payload": m.to_payload()} for m in ops],
+        # every event the recovered service buffered, oldest first.
+        "stream": [[r["seq"], r["epoch"], r["kind"], r["sub_id"],
+                    r["q_id"], r["e_id"], r["t_lo"], r["t_hi"]]
+                   for r in svc.standing.events_since(0)],
+        "final": {"epoch": svc.versioned.epoch,
+                  "last_seq": svc.standing.last_seq,
+                  "standing_sha256": {s.sub_id: result_sha256(
+                      svc.standing.results(s.sub_id)) for s in subs},
+                  "result_sha256": result_sha256(response.outcome.results)},
+    }
+    svc.shutdown()
+    shutil.rmtree(work)
+    (directory / "expected.json").write_text(json.dumps(expected, indent=1))
+    print(json.dumps({"crashed_last_seq": crashed_seq, **recovered}))
+
+
+{"d7f7855": at_d7f7855, "f7a6f96": at_f7a6f96,
+ "63282b1": at_63282b1}[commit]()

@@ -21,9 +21,11 @@ from repro.durability import (DurabilityError, DurabilityPolicy,
                               WriteAheadLog, list_checkpoints,
                               load_checkpoint, read_wal,
                               write_checkpoint)
+from repro.durability.checkpoint import CheckpointError
 from repro.durability.wal import decode_line, encode_record, WalRecord
 from repro.ingest import IngestError, VersionedDatabase
 from repro.service import QueryService, SearchRequest
+from repro.standing import StandingStoreError
 from tests.conftest import make_walk_trajectories
 
 
@@ -379,9 +381,11 @@ class TestRecovery:
         assert len(list_checkpoints(
             svc.durability.checkpoints_dir)) == 2
 
-    def _recover_past_corrupt_newest(self, tmp_path, tail_ops):
+    def _recover_past_corrupt_newest(self, tmp_path, tail_ops,
+                                     manifest="{broken"):
         """Default policy: checkpoint, ``tail_ops`` more acknowledged
-        writes, clean shutdown, then the newest checkpoint rots."""
+        writes, clean shutdown, then the newest checkpoint's manifest
+        is overwritten with ``manifest``."""
         svc = QueryService(_db(), durability_dir=tmp_path / "state",
                            auto_compact=False)
         svc.ingest(_db(seed=3, n=2, offset=50))
@@ -392,7 +396,7 @@ class TestRecovery:
         svc.shutdown()
         newest = list_checkpoints(
             tmp_path / "state" / "checkpoints")[0]
-        (newest / "MANIFEST.json").write_text("{broken")
+        (newest / "MANIFEST.json").write_text(manifest)
         rec = QueryService.recover(tmp_path / "state",
                                    auto_compact=False)
         assert rec.last_recovery.invalid_checkpoints == 1
@@ -409,6 +413,34 @@ class TestRecovery:
     def test_corrupt_newest_checkpoint_skipped_with_wal_tail(
             self, tmp_path):
         self._recover_past_corrupt_newest(tmp_path, tail_ops=2)
+
+    @pytest.mark.parametrize("manifest", [
+        "[]", '{"format": 1}', '{"format": 1, "epoch": "one"}',
+        '{"format": 1, "epoch": 1, "delta_epoch": 1, "base_version": 0,'
+        ' "next_seg_id": 90, "engines": [7]}'])
+    def test_parseable_but_damaged_manifest_skipped(self, tmp_path,
+                                                    manifest):
+        # Valid JSON, wrong shape: the checkpoint is invalid like a
+        # truncated one, not a crash of recovery itself.
+        with pytest.raises(CheckpointError):
+            self._write_manifest_and_load(tmp_path, manifest)
+        self._recover_past_corrupt_newest(tmp_path / "svc", tail_ops=2,
+                                          manifest=manifest)
+
+    def _write_manifest_and_load(self, tmp_path, manifest):
+        path = tmp_path / "ckpt"
+        path.mkdir()
+        (path / "MANIFEST.json").write_text(manifest)
+        load_checkpoint(path)
+
+    @pytest.mark.parametrize("state", ["[]", "1", '"x"'])
+    def test_non_object_standing_state_is_refused(self, tmp_path,
+                                                  state):
+        svc = self._durable_service(tmp_path)
+        svc.shutdown()
+        (tmp_path / "state" / "standing" / "state.json").write_text(state)
+        with pytest.raises(StandingStoreError, match="object"):
+            QueryService.recover(tmp_path / "state")
 
     def test_recovery_short_of_a_committed_checkpoint_raises(
             self, tmp_path):

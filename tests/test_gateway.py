@@ -717,6 +717,28 @@ class TestHTTPSurface:
                    for e in gw.telemetry.events)
         gw.backend.shutdown()
 
+    @pytest.mark.parametrize("body", [b"[]", b"1", b'"x"'])
+    @pytest.mark.parametrize("path", ["/v1/search", "/v1/ingest",
+                                      "/v1/delete"])
+    def test_non_object_json_body_is_a_400(self, small_db, path, body):
+        """Regression: a body that parses but is not a JSON object made
+        ``SearchRequest.from_dict`` raise ``AttributeError`` inside the
+        connection handler — the client read ``b""``.  Every POST route
+        now refuses it before decoding the fields."""
+        gw = _gateway(small_db)
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                return await _http(server.host, server.port, "POST",
+                                   path, body,
+                                   {"x-api-key": "key-alpha"})
+
+        status, _, payload = asyncio.run(asyncio.wait_for(drive(), 10))
+        assert status == 400
+        assert "bad JSON body" in json.loads(payload)["error"]
+        assert gw.backend.versioned.epoch == 0
+        gw.backend.shutdown()
+
 
 class TestOverloadCampaign:
     @pytest.fixture(scope="class")

@@ -10,9 +10,6 @@
   schedule driven through ``QueryService.apply`` lands where the same
   schedule through ``ingest`` / ``delete_trajectory`` / ``compact``
   does.
-* **Sidecar damage** — the standing ``events.jsonl`` is CRC-framed now:
-  a flipped digit inside a well-formed line and a hole mid-log raise
-  instead of replaying.
 """
 
 import hashlib
@@ -25,12 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.types import SegmentArray, Trajectory
-from repro.durability import (WalCorruptionError, WalRecord, read_wal)
+from repro.durability import WalRecord, read_wal
 from repro.durability.wal import encode_record
 from repro.ingest import Mutation
 from repro.obs import Telemetry
 from repro.service import QueryService, SearchRequest
-from repro.standing import Subscription
 
 DATA = Path(__file__).parent / "data"
 
@@ -128,12 +124,11 @@ class TestGoldenBytes:
             idempotency_key="put-1")
         assert again.deduplicated
         assert again.epoch == want["put_1"]["epoch"]
-        # ... and the standing sidecar (folded state, empty unframed
-        # event log) recovered unchanged.
+        # ... and the standing state (saved at the final epoch, so no
+        # epoch is re-run) recovered unchanged.
         assert sorted(svc.standing.subscriptions) == ["sub-a"]
         assert svc.standing.last_seq == want["last_seq"]
         assert svc.standing.totals["replayed_events"] == 0
-        assert svc.standing.totals["caught_up_events"] == 0
         assert _sha256(svc.standing.results("sub-a")) \
             == want["standing_sha256"]
         svc.shutdown()
@@ -256,55 +251,3 @@ class TestOnePipeline:
         assert a.snapshot().logical() == b.snapshot().logical()
         assert a.applied_keys == b.applied_keys
 
-
-# -- sidecar damage -----------------------------------------------------------
-
-
-class TestFramedSidecar:
-    def _crashed_with_events(self, tmp_path):
-        """A durable service with logged-but-unfolded match events,
-        abandoned as a dead process leaves it; returns the log path."""
-        queries = _segs(_line(900, 0.0, 0.0, steps=5))
-        svc = QueryService(_base(), durability_dir=tmp_path / "d",
-                           auto_compact=False, telemetry=_quiet())
-        svc.register_subscription(Subscription(
-            sub_id="sub-a", queries=queries, d=2.5))
-        svc.ingest(_segs(_line(500, 0.5, 0.0, steps=5)))
-        svc.ingest(_segs(_line(501, 0.0, 0.5, steps=5)))
-        assert svc.standing.store.events_appended >= 4
-        return tmp_path / "d" / "standing" / "events.jsonl"
-
-    def test_events_are_wal_frames(self, tmp_path):
-        scan = read_wal(self._crashed_with_events(tmp_path))
-        assert scan.torn_records == 0
-        assert {r.op for r in scan.records} == {"match_added"}
-        assert [r.payload["seq"] for r in scan.records] \
-            == list(range(1, len(scan.records) + 1))
-        assert all(r.epoch == r.payload["epoch"] for r in scan.records)
-
-    def test_bit_flip_inside_a_well_formed_line_raises(self, tmp_path):
-        events = self._crashed_with_events(tmp_path)
-        lines = events.read_bytes().splitlines(keepends=True)
-        seq = b'"seq":1,'
-        assert seq in lines[0]
-        lines[0] = lines[0].replace(seq, b'"seq":3,')
-        json.loads(lines[0])  # still a well-formed line
-        events.write_bytes(b"".join(lines))
-        with pytest.raises(WalCorruptionError, match="hole"):
-            QueryService.recover(tmp_path / "d", telemetry=_quiet())
-
-    def test_hole_mid_log_raises(self, tmp_path):
-        events = self._crashed_with_events(tmp_path)
-        lines = events.read_bytes().splitlines(keepends=True)
-        del lines[1]
-        events.write_bytes(b"".join(lines))
-        with pytest.raises(WalCorruptionError, match="LSN jumped"):
-            QueryService.recover(tmp_path / "d", telemetry=_quiet())
-
-    def test_events_follow_the_service_sync_mode(self, tmp_path):
-        from repro.durability import DurabilityPolicy
-        svc = QueryService(_base(), durability_dir=tmp_path / "d",
-                           durability=DurabilityPolicy(sync="flush"),
-                           telemetry=_quiet())
-        assert svc.standing.store.events.sync == "flush"
-        svc.shutdown()

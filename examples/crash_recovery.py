@@ -13,7 +13,7 @@ recovery*).  This walkthrough:
 3. recovers with :meth:`QueryService.recover`: the torn tail is
    detected by its CRC frame and dropped (that mutation was never
    acknowledged), every durable record is replayed, and the warm
-   engine is prewarmed from the checkpoint artifact — the first
+   engine is rebuilt from the recipe its checkpoint lists — the first
    request after restart is a **cache hit**,
 4. proves the recovered service answers byte-identically to an
    uninterrupted twin.
@@ -71,7 +71,7 @@ def main():
         twin.ingest(batch)
     svc.delete_trajectory(5)
     twin.delete_trajectory(5)
-    svc.checkpoint()   # persists the warm engine artifact too
+    svc.checkpoint()   # persists the warm engine's recipe too
     print(f"   epoch {svc.versioned.epoch}: 2 ingests + 1 delete, "
           f"checkpointed ({svc.stats()['durability']['wal_appends']} "
           f"WAL records)")
@@ -97,7 +97,7 @@ def main():
 
     resp2 = svc2.submit(request)
     print(f"   first request after restart: cache_hit="
-          f"{resp2.metrics.cache_hit} (prewarmed from the checkpoint)")
+          f"{resp2.metrics.cache_hit} (rebuilt from its recipe)")
 
     # The doomed ingest was never acknowledged, so the twin never ran
     # it either — answers must agree byte-for-byte.

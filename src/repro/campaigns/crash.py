@@ -217,8 +217,8 @@ def _crash_run(cfg: CrashConfig, base: SegmentArray,
         policy=DurabilityPolicy(sync=cfg.sync,
                                 checkpoint_every=cfg.checkpoint_every),
         kill=KillSwitch(point, occurrence=occurrence))
-    # Warm one engine up front so later checkpoints persist its
-    # artifact — that is what post-recovery prewarm restores.
+    # Warm one engine up front so later checkpoints list its recipe —
+    # that is what post-recovery prewarm rebuilds.
     driver.service.submit(SearchRequest(
         queries=queries, d=D, method=cfg.methods[0],
         request_id="warmup"))

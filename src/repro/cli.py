@@ -76,7 +76,9 @@ from .data.io import load_segments, save_segments
 from .data.merger import MergerConfig, merger_dataset
 from .data.queries import queries_from_database
 from .data.random_walk import random_dataset, random_dense_dataset
+from .durability import DurabilityError
 from .sharding import PARTITION_STRATEGIES
+from .standing import StandingStoreError
 
 __all__ = ["main", "build_parser"]
 
@@ -939,15 +941,9 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 def cmd_recover(args: argparse.Namespace) -> int:
     import json
 
-    from .durability import DurabilityError
     from .service import QueryService
-    from .standing import StandingStoreError
 
-    try:
-        svc = QueryService.recover(args.dir)
-    except (DurabilityError, StandingStoreError) as exc:
-        print(f"repro recover: error: {exc}", file=sys.stderr)
-        return 2
+    svc = QueryService.recover(args.dir)
     result = svc.last_recovery
     if args.checkpoint:
         svc.checkpoint()
@@ -998,7 +994,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, DurabilityError, StandingStoreError) as exc:
         print(f"repro {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

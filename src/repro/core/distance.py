@@ -120,13 +120,6 @@ class PairCoefficients:
     c0: np.ndarray
 
 
-class _SolvePartition:
-    """Never constructed.  GPU engines pickled before the reject (the
-    f7a6f96 checkpoint fixture holds one) carry a coefficient memo that
-    names this class; it has to resolve for the pickle to load, and the
-    memo it belonged to is ignored."""
-
-
 def pair_coefficients(
     queries: SegmentArray,
     entries: SegmentArray,

@@ -8,8 +8,9 @@ compactions — is made restartable here:
   discipline), so a torn final record is detected and dropped, never
   half-applied;
 * :mod:`repro.durability.checkpoint` writes atomic (tmp-dir +
-  ``os.replace``) snapshots of the versioned database, including
-  pickled warm-engine artifacts for restart prewarm;
+  ``os.replace``) snapshots of the versioned database: its arrays plus
+  a recipe per warm engine, which a restart rebuilds (data, never
+  serialized objects);
 * :mod:`repro.durability.manager` composes both:
   :class:`DurabilityPolicy` sets the sync mode and the checkpoint
   cadence; :meth:`DurabilityManager.recover` restores the exact
@@ -19,6 +20,10 @@ compactions — is made restartable here:
   :class:`KillSwitch` the crash campaign
   (:mod:`repro.campaigns.crash`) uses to die at exact points in the
   apply path.
+
+Every failure a caller should handle — a corrupt WAL, an unloadable
+checkpoint, a directory that cannot be recovered — is a
+:class:`DurabilityError`.
 
 Entry points::
 

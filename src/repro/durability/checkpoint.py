@@ -2,42 +2,36 @@
 
 A checkpoint is one directory under ``<dir>/checkpoints/`` holding the
 full physical state of the :class:`~repro.ingest.VersionedDatabase` at
-one epoch, plus what a restart needs to re-warm the engines that were
-in the service cache when it was taken — a *recipe* for every one, and
-a pickled artifact only for those whose index is much slower to rebuild
-than to load (:attr:`~repro.engines.base.SearchEngine.persist_index`):
+one epoch, plus a *recipe* — method and parameters — for every engine
+that was warm in the service cache when it was taken:
 
 .. code-block:: text
 
     checkpoints/ckpt-000000000013/
         base.npz        # the immutable base SegmentArray (uncompressed)
         delta.npz       # delta rows pending compaction (may be empty)
-        engines/        # pickled warm engines (best-effort)
-            3.pickle
-        MANIFEST.json   # epochs, counters, recipes, SHA-1 per file
+        MANIFEST.json   # epochs, counters, recipes, SHA-1 of both arrays
+
+A checkpoint holds data, never objects.  Index construction is offline
+work derived from the database (the paper excludes it from response
+time, §V-B), so a restart rebuilds each warm engine from its recipe and
+no engine's internals are an on-disk format.  Directories older code
+wrote load unchanged: their compressed arrays are read as they are, and
+the serialized engines some of them hold under ``engines/`` are
+ignored, never opened.
 
 The arrays are stored uncompressed: float64 random-walk coordinates
 deflate to ~60 % at ~70x the cost of writing them as they are, and a
-compaction waits for its checkpoint.  (Checkpoints written compressed,
-or with an artifact per engine, load unchanged.)
+compaction waits for its checkpoint.
 
 Atomicity is tmp-directory + ``os.replace``: every file is written and
 fsync'd into ``.tmp-ckpt-<epoch>``, the manifest last, then the
 directory is renamed into place.  A crash mid-checkpoint leaves a tmp
 directory that :func:`list_checkpoints` ignores (and
 :func:`clean_tmp_dirs` sweeps), so recovery falls back to the previous
-checkpoint + the WAL.  A checkpoint whose manifest is missing or whose
-database files fail their checksums is invalid and skipped the same
-way.
-
-Engine artifacts are best-effort by design: they are a restart-latency
-optimization (recovered services prewarm the cache from them instead of
-rebuilding indexes), never a correctness dependency — an artifact that
-fails to pickle, checksum, unpickle, or fingerprint-match is simply
-rebuilt from its recipe.  So an artifact's checksum is verified when it
-is about to be unpickled (:meth:`Checkpoint.load_engine_artifact`), not
-when the checkpoint is loaded: a damaged artifact costs one rebuild,
-not the checkpoint, and an artifact recovery will not use is not read.
+checkpoint + the WAL.  A checkpoint whose manifest is missing, or whose
+two array files are absent, lack a digest or fail it, is invalid and
+skipped the same way.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ import hashlib
 import io
 import json
 import os
-import pickle
 import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.types import SegmentArray
+from .wal import DurabilityError
 
 __all__ = ["CHECKPOINT_PREFIX", "Checkpoint", "CheckpointError",
            "EngineRecipe", "clean_tmp_dirs", "list_checkpoints",
@@ -63,11 +57,14 @@ CHECKPOINT_PREFIX = "ckpt-"
 _TMP_PREFIX = ".tmp-" + CHECKPOINT_PREFIX
 _FIELDS = ("xs", "ys", "zs", "ts", "xe", "ye", "ze", "te",
            "traj_ids", "seg_ids")
+#: the arrays a checkpoint holds, one ``<name>.npz`` file each — the
+#: only files its manifest digests and the only ones a load reads.
+_ARRAYS = ("base", "delta")
 #: manifest schema version (bump on incompatible layout changes).
 FORMAT_VERSION = 1
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(DurabilityError):
     """A checkpoint directory that cannot be loaded."""
 
 
@@ -75,28 +72,21 @@ class CheckpointError(RuntimeError):
 class EngineRecipe:
     """What it takes to rebuild one warm engine: method + parameters.
 
-    ``params`` is the canonical parameter dict (JSON-friendly); the
-    optional pickled artifact referenced by ``artifact`` short-cuts the
-    rebuild when it loads and matches.
+    ``params`` is the canonical parameter dict (JSON-friendly).
     """
 
     method: str
     params: dict
-    #: relative path of the pickled engine inside the checkpoint dir
-    #: (None = recipe only, always rebuild).
-    artifact: str | None = None
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
-        return {"method": self.method, "params": dict(self.params),
-                "artifact": self.artifact}
+        return {"method": self.method, "params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EngineRecipe":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict` (other keys are ignored)."""
         return cls(method=payload["method"],
-                   params=dict(payload.get("params", {})),
-                   artifact=payload.get("artifact"))
+                   params=dict(payload.get("params", {})))
 
 
 @dataclass
@@ -118,26 +108,6 @@ class Checkpoint:
     #: idempotency dedup table at checkpoint time (key -> summary);
     #: absent in pre-gateway checkpoints, which load as empty.
     applied_keys: dict = field(default_factory=dict)
-    #: the manifest's SHA-1 per relative file path.
-    digests: dict = field(default_factory=dict)
-
-    def load_engine_artifact(self, recipe: EngineRecipe):
-        """Unpickle one engine artifact; None when it is absent,
-        unreadable, or its bytes are not the ones the manifest
-        recorded (unverified bytes are never unpickled)."""
-        if recipe.artifact is None:
-            return None
-        try:
-            blob = (self.path / recipe.artifact).read_bytes()
-        except OSError:
-            return None
-        if hashlib.sha1(blob).hexdigest() \
-                != self.digests.get(recipe.artifact):
-            return None
-        try:
-            return pickle.loads(blob)
-        except Exception:  # noqa: BLE001 - artifacts are best-effort
-            return None
 
 
 def _npz_bytes(segments: SegmentArray) -> bytes:
@@ -146,8 +116,8 @@ def _npz_bytes(segments: SegmentArray) -> bytes:
     return buf.getvalue()
 
 
-def _npz_load(path: Path) -> SegmentArray:
-    with np.load(path) as data:
+def _npz_load(blob: bytes) -> SegmentArray:
+    with np.load(io.BytesIO(blob)) as data:
         return SegmentArray(*(data[f] for f in _FIELDS))
 
 
@@ -170,7 +140,7 @@ def checkpoint_epoch(path: Path) -> int:
 
 
 def write_checkpoint(directory: str | Path, state: dict, *,
-                     engines: list[tuple[str, dict, object | None]] = (),
+                     engines: list[tuple[str, dict]] = (),
                      kill=None, kill_point: str = "checkpoint_mid"
                      ) -> Path:
     """Atomically write one checkpoint; returns its final path.
@@ -185,10 +155,7 @@ def write_checkpoint(directory: str | Path, state: dict, *,
         (SegmentArray), ``tombstones`` (iterable of int), ``counters``
         (dict).
     engines:
-        ``(method, params, engine_or_None)`` triples for the warm
-        engines; an engine object that declares ``persist_index`` is
-        pickled best-effort as the prewarm artifact, the others are
-        rebuilt from their recipe.
+        ``(method, params)`` recipes of the warm engines.
     kill, kill_point:
         Crash-campaign hook: the named kill-point is checked after the
         data files are written but *before* the atomic rename — a
@@ -202,26 +169,9 @@ def write_checkpoint(directory: str | Path, state: dict, *,
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    files: dict[str, str] = {}
-    files["base.npz"] = _write_file(tmp / "base.npz",
-                                    _npz_bytes(state["base"]))
-    files["delta.npz"] = _write_file(tmp / "delta.npz",
-                                     _npz_bytes(state["delta"]))
-    recipes: list[dict] = []
-    for i, (method, params, engine) in enumerate(engines):
-        artifact = None
-        if getattr(engine, "persist_index", False):
-            rel = f"engines/{i}.pickle"
-            try:
-                blob = pickle.dumps(engine)
-            except Exception:  # noqa: BLE001 - artifacts are best-effort
-                blob = None
-            if blob is not None:
-                (tmp / "engines").mkdir(exist_ok=True)
-                files[rel] = _write_file(tmp / rel, blob)
-                artifact = rel
-        recipes.append(EngineRecipe(method=method, params=params,
-                                    artifact=artifact).to_dict())
+    files = {f"{name}.npz": _write_file(tmp / f"{name}.npz",
+                                       _npz_bytes(state[name]))
+             for name in _ARRAYS}
     manifest = {
         "format": FORMAT_VERSION,
         "epoch": epoch,
@@ -231,7 +181,8 @@ def write_checkpoint(directory: str | Path, state: dict, *,
         "tombstones": sorted(int(t) for t in state["tombstones"]),
         "counters": dict(state.get("counters", {})),
         "applied_keys": dict(state.get("applied_keys", {})),
-        "engines": recipes,
+        "engines": [EngineRecipe(method, params).to_dict()
+                    for method, params in engines],
         "files": files,
     }
     _write_file(tmp / "MANIFEST.json",
@@ -263,10 +214,10 @@ def _fsync_dir(directory: Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load and validate one checkpoint directory.
 
-    Raises :class:`CheckpointError` when the manifest is missing or
-    malformed, or a database file is absent or fails its checksum.
-    Engine artifacts are verified where they are unpickled
-    (:meth:`Checkpoint.load_engine_artifact`).
+    Reads exactly ``base.npz`` and ``delta.npz`` and raises
+    :class:`CheckpointError` when the manifest is missing or malformed,
+    or either array file is absent, has no digest in the manifest, or
+    fails it.  Any other file the directory holds is not opened.
     """
     path = Path(path)
     manifest_path = path / "MANIFEST.json"
@@ -296,21 +247,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed manifest: "
                               f"{type(exc).__name__}: {exc}") from exc
-    artifacts = {recipe.artifact for recipe in recipes}
-    for rel, digest in digests.items():
-        if rel in artifacts:
-            continue
-        fpath = path / rel
-        if not fpath.exists():
-            raise CheckpointError(f"{path}: missing file {rel}")
-        if hashlib.sha1(fpath.read_bytes()).hexdigest() != digest:
+    arrays = {}
+    for name in _ARRAYS:
+        rel = f"{name}.npz"
+        if rel not in digests:
+            raise CheckpointError(f"{path}: manifest has no digest for "
+                                  f"{rel}")
+        try:
+            blob = (path / rel).read_bytes()
+        except OSError as exc:
+            raise CheckpointError(f"{path}: missing file {rel}") from exc
+        if hashlib.sha1(blob).hexdigest() != digests[rel]:
             raise CheckpointError(f"{path}: checksum mismatch on {rel}")
+        arrays[name] = _npz_load(blob)
     return Checkpoint(
-        path=path, **epochs,
-        base=_npz_load(path / "base.npz"),
-        delta=_npz_load(path / "delta.npz"),
+        path=path, **epochs, **arrays,
         tombstones=tombstones, counters=counters, engines=recipes,
-        applied_keys=applied_keys, digests=digests)
+        applied_keys=applied_keys)
 
 
 def list_checkpoints(directory: str | Path) -> list[Path]:

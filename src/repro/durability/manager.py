@@ -34,13 +34,14 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..ingest import Mutation, VersionedDatabase
+from ..ingest import IngestError, Mutation, VersionedDatabase
 from ..obs import current as current_telemetry
 from .checkpoint import (CheckpointError, EngineRecipe,
                          checkpoint_epoch, clean_tmp_dirs,
                          list_checkpoints, load_checkpoint,
                          write_checkpoint)
-from .wal import SYNC_MODES, WalCorruptionError, WriteAheadLog
+from .wal import (SYNC_MODES, DurabilityError, WalCorruptionError,
+                  WriteAheadLog)
 
 __all__ = ["DurabilityError", "DurabilityManager", "DurabilityPolicy",
            "RecoveryResult"]
@@ -50,10 +51,6 @@ __all__ = ["DurabilityError", "DurabilityManager", "DurabilityPolicy",
 #: floor — which the WAL reaches back to (see
 #: :meth:`DurabilityManager.checkpoint`).
 KEEP_CHECKPOINTS = 2
-
-
-class DurabilityError(RuntimeError):
-    """The durability directory cannot be attached or recovered."""
 
 
 @dataclass(frozen=True)
@@ -106,8 +103,6 @@ class RecoveryResult:
     tmp_dirs_removed: int
     #: warm-engine recipes persisted with the checkpoint.
     engines: list[EngineRecipe] = field(default_factory=list)
-    #: the loaded checkpoint (artifact access for prewarm).
-    checkpoint: object | None = None
 
     def to_dict(self) -> dict:
         """JSON-friendly summary (the database itself is omitted)."""
@@ -225,13 +220,11 @@ class DurabilityManager:
         turn out corrupt, recovery would fall back to a floor with no
         log to replay forward from.
 
-        ``warm_engines`` is an iterable of ``(method, params, engine)``
-        triples describing the service's warm cache; every recipe is
-        persisted, and an engine that declares ``persist_index`` is
-        also pickled as a prewarm artifact (best-effort).
+        ``warm_engines`` is an iterable of ``(method, params)`` recipes
+        describing the service's warm cache.
         """
         snap = database.snapshot()
-        triples = list(warm_engines)
+        recipes = list(warm_engines)
         wall0 = time.perf_counter()
         path = write_checkpoint(
             self.checkpoints_dir,
@@ -252,7 +245,7 @@ class DurabilityManager:
                 },
                 "applied_keys": database.applied_keys,
             },
-            engines=triples, kill=self.kill, kill_point=kill_point)
+            engines=recipes, kill=self.kill, kill_point=kill_point)
         wall_s = time.perf_counter() - wall0
         self.checkpoints_written += 1
         self.last_checkpoint_epoch = database.epoch
@@ -270,7 +263,7 @@ class DurabilityManager:
                       "checkpoint write wall seconds").observe(wall_s)
         current_telemetry().events.emit(
             "checkpoint", epoch=database.epoch, path=str(path),
-            wall_seconds=wall_s, engines=len(triples))
+            wall_seconds=wall_s, engines=len(recipes))
         return path
 
     def close(self) -> None:
@@ -335,7 +328,21 @@ class DurabilityManager:
                     f"{self.wal.path}: record lsn={record.lsn} produces "
                     f"epoch {record.epoch} but the database is at "
                     f"epoch {db.epoch} — the log has a gap")
-            replay(db, Mutation.from_payload(record.op, record.payload))
+            try:
+                mutation = Mutation.from_payload(record.op,
+                                                 record.payload)
+            except (AttributeError, KeyError, TypeError,
+                    ValueError) as exc:
+                raise WalCorruptionError(
+                    f"{self.wal.path}: record lsn={record.lsn} does not "
+                    f"decode into a mutation: {type(exc).__name__}: "
+                    f"{exc}") from exc
+            try:
+                replay(db, mutation)
+            except IngestError as exc:
+                raise WalCorruptionError(
+                    f"{self.wal.path}: record lsn={record.lsn} cannot be "
+                    f"replayed: {exc}") from exc
             replayed += 1
         committed = checkpoint_epoch(candidates[0])
         if db.epoch < committed:
@@ -350,7 +357,7 @@ class DurabilityManager:
             epoch=db.epoch, replayed=replayed, skipped=skipped,
             torn_dropped=scan.torn_records,
             invalid_checkpoints=invalid, tmp_dirs_removed=swept,
-            engines=list(checkpoint.engines), checkpoint=checkpoint)
+            engines=list(checkpoint.engines))
         reg = current_telemetry().metrics
         reg.counter("repro_recoveries_total",
                     "recover() invocations").inc()

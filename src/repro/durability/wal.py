@@ -44,14 +44,20 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-__all__ = ["SYNC_MODES", "WalCorruptionError", "WalRecord",
-           "WriteAheadLog", "encode_record", "decode_line"]
+__all__ = ["DurabilityError", "SYNC_MODES", "WalCorruptionError",
+           "WalRecord", "WriteAheadLog", "encode_record", "decode_line"]
 
 SYNC_MODES = ("fsync", "flush")
 
 
-class WalCorruptionError(RuntimeError):
-    """A WAL record *before* the tail failed its CRC frame."""
+class DurabilityError(RuntimeError):
+    """The durability directory cannot be attached or recovered (the
+    base of every durability failure a caller should handle)."""
+
+
+class WalCorruptionError(DurabilityError):
+    """A WAL record *before* the tail failed its CRC frame, or a
+    recovered record cannot be replayed."""
 
 
 @dataclass(frozen=True)

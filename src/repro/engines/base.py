@@ -237,11 +237,6 @@ class SearchEngine(abc.ABC):
     #: typed configuration class; ``None`` for engines without one
     #: (third-party engines registered via ``@register_engine``).
     config_type: type[EngineConfig] | None = None
-    #: checkpoints pickle the built engine as a restart artifact only
-    #: where this is set: worth it when the index is much slower to
-    #: rebuild than to read back (the GPU indexes are vectorised sorts
-    #: that rebuild faster than their pickles load).
-    persist_index: bool = False
 
     @abc.abstractmethod
     def search(self, queries: SegmentArray, d: float, *,
@@ -503,10 +498,9 @@ class RefineCache:
     all pairs.
     """
 
-    #: class-level so engines pickled before the memo existed — or with
-    #: an older memo's fields, which are ignored — load.
-    _source: SegmentArray | None = None
-    _memo: QuerySetMemo | None = None
+    def __init__(self) -> None:
+        self._source: SegmentArray | None = None
+        self._memo: QuerySetMemo | None = None
 
     def lookup(self, queries: SegmentArray,
                index: TemporalIndex) -> QuerySetMemo:
@@ -562,9 +556,6 @@ class GpuEngineBase(SearchEngine):
     #: its wall time is kernel time and its failures are kernel failures.
     #: Otherwise the host builds the batch before launching.
     gathers_on_device = False
-    #: :func:`~repro.core.distance.magnitude` of ``self.database``, on
-    #: first use (class-level default: older pickled engines lack it).
-    _db_magnitude: float | None = None
 
     def __init__(self, database: SegmentArray, *,
                  gpu: VirtualGPU | None = None,
@@ -576,6 +567,9 @@ class GpuEngineBase(SearchEngine):
         self.result_buffer = AtomicResultBuffer(result_buffer_items)
         self.retry = retry or RetryPolicy()
         self.database = database  # subclass may replace with sorted order
+        #: :func:`~repro.core.distance.magnitude` of ``self.database``,
+        #: on first use.
+        self._db_magnitude: float | None = None
 
     # -- what a scheme is ------------------------------------------------------------
 

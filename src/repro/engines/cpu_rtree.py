@@ -43,8 +43,6 @@ class CpuRTreeEngine(SearchEngine):
 
     name = "cpu_rtree"
     config_type = CpuRTreeConfig
-    #: insertion-built: > 1 s to rebuild, ~10 ms to unpickle (S1, 2 %).
-    persist_index = True
 
     def __init__(self, database: SegmentArray, *,
                  segments_per_mbb: int = 4, fanout: int = 16,

@@ -98,14 +98,6 @@ class VirtualGPU:
         self.transfers = TransferLedger(faults=faults, lane=lane)
         self.kernel_stats: list[KernelStats] = []  # filled by launcher
 
-    def set_lane(self, lane: int | None) -> None:
-        """Record the pool lane this device is homed on (the pool calls
-        this after placement so fault checks and OOM messages carry the
-        lane identity)."""
-        self.lane = lane
-        self.memory.lane = lane
-        self.transfers.lane = lane
-
     # -- bookkeeping ----------------------------------------------------------
 
     def reset_counters(self) -> None:

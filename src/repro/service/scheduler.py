@@ -568,41 +568,38 @@ class QueryService:
                 new_base_rows=result.new_base_rows,
                 stale_entries=stale, prewarm=len(warm),
                 prewarm_skipped=len(cached) - len(warm))
-            snapshot = self.versioned.snapshot()
             for method, canon in warm:
-                self._prewarm(snapshot, method, canon)
+                self._prewarm(method, dict(canon),
+                              "compaction_prewarm_failed")
             if self.durability is not None:
                 # Replaying a compaction is the most expensive replay
                 # step, so every one is folded into a checkpoint —
-                # after the prewarm, so the rebuilt engines land in it
-                # as restart artifacts.  The crash campaign kills here:
+                # after the prewarm, so the rebuilt engines' recipes
+                # land in it.  The crash campaign kills here:
                 # the compact WAL record is durable, the checkpoint
                 # rename has not happened.
                 self._checkpoint(kill_point="compact_mid")
         return result
 
-    def _prewarm(self, snapshot: Snapshot, method: str,
-                 canon: tuple) -> None:
-        """Rebuild one previously-warm engine over the new base."""
+    def _prewarm(self, method: str, params: dict, event: str) -> bool:
+        """Build one previously-warm engine over the current base, after
+        a compaction or during recovery; a failure is counted and
+        logged as ``event`` and returns False (prewarm is best-effort:
+        the next request simply pays a cache miss)."""
         try:
-            params = dict(canon)
-            self._engine_entry(snapshot.base, method, params,
+            self._engine_entry(self.database, method, params,
                                self.fingerprint, RequestMetrics())
         except Exception as exc:  # noqa: BLE001 - prewarm is best-effort
-            self._prewarm_failed("compaction_prewarm_failed", method,
-                                 exc)
-
-    def _prewarm_failed(self, event: str, method: str,
-                        exc: Exception) -> None:
-        """Count and log one best-effort engine rebuild that failed,
-        after a compaction or during recovery (``event`` says which)."""
-        self._prewarm_failures += 1
-        self.telemetry.metrics.counter(
-            "repro_prewarm_failures_total",
-            "engine prewarms (after a compaction or during recovery) "
-            "that failed").inc(engine=method)
-        self.telemetry.events.emit(
-            event, engine=method, error=f"{type(exc).__name__}: {exc}")
+            self._prewarm_failures += 1
+            self.telemetry.metrics.counter(
+                "repro_prewarm_failures_total",
+                "engine prewarms (after a compaction or during recovery) "
+                "that failed").inc(engine=method)
+            self.telemetry.events.emit(
+                event, engine=method,
+                error=f"{type(exc).__name__}: {exc}")
+            return False
+        return True
 
     def _invalidate_stale_bases(self) -> int:
         """Drop cached engines whose base was compacted away."""
@@ -650,8 +647,8 @@ class QueryService:
 
     def checkpoint(self):
         """Write a durable checkpoint now; returns its path.  The WAL
-        is truncated through the oldest checkpoint kept and warm
-        engines are persisted as restart artifacts."""
+        is truncated through the oldest checkpoint kept and the warm
+        engines' recipes are persisted for the restart prewarm."""
         if self.durability is None:
             raise ValueError("service has no durability_dir; there is "
                              "nothing to checkpoint to")
@@ -670,11 +667,11 @@ class QueryService:
         self.standing.save_state(self.versioned.epoch)
         return path
 
-    def _warm_engines(self) -> list[tuple[str, dict, object]]:
-        """``(method, params, engine)`` triples worth persisting in a
+    def _warm_engines(self) -> list[tuple[str, dict]]:
+        """``(method, params)`` recipes worth persisting in a
         checkpoint: the engines over the current base."""
         current = self.fingerprint
-        return [(entry.key[1], dict(entry.key[2]), entry.engine)
+        return [(entry.key[1], dict(entry.key[2]))
                 for entry in self.cache.entries()
                 if entry.key[0] == current]
 
@@ -690,10 +687,9 @@ class QueryService:
         the exact pre-crash logical epoch.  Standing subscriptions come
         back from their saved state, moved forward by the same replay
         (:meth:`~repro.standing.StandingQueryManager.recover`).
-        Persisted engine artifacts are installed into the cache (or
-        rebuilt from their recipes) so the first post-restart request
-        is a cache hit.  Extra keyword arguments are forwarded to the
-        constructor.
+        Every warm-engine recipe the checkpoint lists is rebuilt into
+        the cache, so the first post-restart request is a cache hit.
+        Extra keyword arguments are forwarded to the constructor.
         """
         telemetry = telemetry or Telemetry()
         manager = DurabilityManager(durability_dir, policy=policy,
@@ -720,73 +716,23 @@ class QueryService:
         return service
 
     def _prewarm_recovered(self, result) -> int:
-        """Warm the engine cache from a recovery's recipes; returns
-        the number of engines installed or rebuilt."""
+        """Rebuild every recipe a recovery returned; returns the number
+        of engines built."""
         prewarmed = 0
-        snapshot = self.versioned.snapshot()
-        reg = self.telemetry.metrics
         for recipe in result.engines:
-            if recipe.method not in available():
-                continue
-            source = "artifact"
-            try:
-                if not self._install_artifact(result, recipe):
-                    source = "rebuild"
-                    self._engine_entry(
-                        snapshot.base, recipe.method,
-                        dict(recipe.params),
-                        self._base_fingerprint(snapshot),
-                        RequestMetrics())
-            except Exception as exc:  # noqa: BLE001 - prewarm is best-effort
-                self._prewarm_failed("recovery_prewarm_failed",
-                                     recipe.method, exc)
-                continue
-            prewarmed += 1
-            reg.counter("repro_recovery_prewarmed_total",
-                        "engines prewarmed during recovery").inc(
-                engine=recipe.method, source=source)
+            if recipe.method in available() and self._prewarm(
+                    recipe.method, dict(recipe.params),
+                    "recovery_prewarm_failed"):
+                prewarmed += 1
+                self.telemetry.metrics.counter(
+                    "repro_recovery_prewarmed_total",
+                    "engines prewarmed during recovery").inc(
+                    engine=recipe.method)
         # The checkpoint listed these engines because they were being
         # served; a restart must not make the next compaction forget it.
         for entry in self.cache.entries():
             entry.served += 1
         return prewarmed
-
-    def _install_artifact(self, result, recipe) -> bool:
-        """Install one pickled engine artifact under its cache key;
-        False means the caller must rebuild from the recipe (missing,
-        damaged or unloadable artifact, or the WAL replay compacted
-        past the base the artifact indexes — then it is not read)."""
-        checkpoint = result.checkpoint
-        if checkpoint is None or recipe.artifact is None:
-            return False
-        if checkpoint.base_version != self.versioned.base_version:
-            return False
-        engine = checkpoint.load_engine_artifact(recipe)
-        if engine is None:
-            return False
-        key, _ = _cache_key(self.fingerprint, recipe.method,
-                            dict(recipe.params))
-        if key in self.cache:
-            return True
-        gpu = getattr(engine, "gpu", None)
-        nbytes = (gpu.memory.allocated_bytes if gpu is not None
-                  else 0)
-        lane = (self.pool.home_for(nbytes).index if gpu is not None
-                else DevicePool.HOST_LANE)
-        if gpu is not None:
-            # Re-home on a live lane and swap the pickled (dead) fault
-            # injector for this service's.
-            gpu.faults = self.faults
-            gpu.memory.faults = self.faults
-            gpu.transfers.faults = self.faults
-            gpu.set_lane(lane)
-            if self.retry is not None:
-                engine.retry = self.retry
-        entry = CacheEntry(key=key, engine=engine, gpu=gpu, lane=lane,
-                           nbytes=nbytes, build_wall_s=0.0)
-        self.pool.place(lane, nbytes)
-        self.cache.put(entry)
-        return True
 
     def shutdown(self) -> None:
         """Flush the observability logs next to the durable state and

@@ -14,17 +14,14 @@ arrays and a pickled artifact for every warm engine) hold today's code to
 them.  Everything is literal or integer-derived so the tests can rebuild
 the inputs without an RNG.
 
-When may a ``durable_<commit>/`` directory be retired?  Never while
-``FORMAT_VERSION`` is unchanged: a pickled engine is part of the format.
-``durable_f7a6f96`` holds a ``GpuTemporalEngine`` whose ``__dict__`` has
-the attributes of its day (``_batch_cache``, ``_sort_cache``, a
-``RefineCache`` with other fields) and none invented since; PR 22 moved
-the kernel loop and merged those memos, and an ``AttributeError`` inside
-``search`` would have surfaced only as a silent failover to a rebuilt
-engine (``cache_hit`` False) — which ``test_durability.py`` and
-``test_kernel_loop.py`` catch because this directory exists.  Anything a
-loaded engine reads that an older pickle lacks needs a class-level
-default or a ``__setstate__``."""
+When may a ``durable_<commit>/`` directory be retired?  Not while
+``FORMAT_VERSION`` is unchanged: its manifest, arrays and WAL are the
+format.  A pickled engine is not: checkpoints hold data and recipes, and
+recovery rebuilds every warm engine from its recipe, so the
+``engines/*.pickle`` files in ``durable_f7a6f96`` are ignored, never
+opened (``test_durability.py`` recovers it with unpickling made to fail,
+and with every pickle damaged).  No attribute of an engine has to stay
+loadable from an older one."""
 import hashlib
 import json
 import shutil
@@ -124,7 +121,7 @@ def at_d7f7855():
 
 
 def at_f7a6f96():
-    # -- two warm engines, checkpointed: compressed npz, two artifacts --------
+    # -- two warm engines, checkpointed: compressed npz, two pickles ----------
     # A tiny database, few bins and a 64-item result buffer keep the
     # gpu_temporal pickle (it carries its device's buffers) small.
     base = segs(*(line(k, 3.0 * k, 2.0 * k, t0=0.5 * k) for k in range(6)))

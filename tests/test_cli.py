@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
+import shutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.data.io import load_segments, save_segments
+from repro.durability import WalRecord, read_wal
+from repro.durability.wal import encode_record
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +124,39 @@ class TestUsageErrors:
         assert main([command, db_path, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"repro {command}: error: ")
+        assert "Traceback" not in err
+
+
+class TestDamagedDurableDirectory:
+    """A durability directory that cannot be recovered is refused the
+    same way: one line naming the damage, exit 2, no traceback."""
+
+    @pytest.fixture(params=["hole", "inapplicable"])
+    def damaged(self, request, tmp_path):
+        """A copy of the d7f7855 fixture whose WAL has a hole before
+        its last records, or ends in a CRC-valid delete of a
+        trajectory that does not exist."""
+        directory = tmp_path / "d"
+        shutil.copytree(Path(__file__).parent / "data" / "durable_d7f7855",
+                        directory)
+        wal = directory / "wal.jsonl"
+        if request.param == "hole":
+            first, *rest = wal.read_bytes().splitlines(keepends=True)
+            wal.write_bytes(first + b'{"garbage": true}\n' + b"".join(rest))
+        else:
+            last = read_wal(wal).records[-1]
+            with open(wal, "ab") as fh:
+                fh.write(encode_record(WalRecord(
+                    lsn=last.lsn + 1, op="delete", epoch=last.epoch + 1,
+                    payload={"traj_id": 99_999})))
+        return directory
+
+    @pytest.mark.parametrize("command", ["recover", "checkpoint"])
+    def test_refused_with_exit_2(self, damaged, command, capsys):
+        assert main([command, str(damaged)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: error: ")
+        assert "wal.jsonl" in err
         assert "Traceback" not in err
 
 

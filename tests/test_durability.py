@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import shutil
 import zipfile
 import zlib
@@ -427,6 +428,58 @@ class TestRecovery:
         self._recover_past_corrupt_newest(tmp_path / "svc", tail_ops=2,
                                           manifest=manifest)
 
+    @pytest.mark.parametrize("drop", ["base_digest", "files"])
+    def test_array_without_a_digest_is_not_loaded(self, tmp_path, drop):
+        # The newest base is cut to half its rows and the manifest no
+        # longer vouches for it: the checkpoint is invalid, so recovery
+        # falls back to the older one and replays the WAL forward.
+        svc = QueryService(_db(), durability_dir=tmp_path / "state",
+                           auto_compact=False)
+        svc.ingest(_db(seed=3, n=2, offset=50))
+        svc.compact()
+        svc.ingest(_db(seed=4, n=1, offset=80))
+        epoch, rows = svc.versioned.epoch, len(svc.versioned.base)
+        svc.shutdown()
+        newest = list_checkpoints(tmp_path / "state" / "checkpoints")[0]
+        with np.load(newest / "base.npz") as npz:
+            half = {k: npz[k][:len(npz[k]) // 2] for k in npz.files}
+        np.savez(newest / "base.npz", **half)
+        manifest = json.loads((newest / "MANIFEST.json").read_text())
+        if drop == "files":
+            del manifest["files"]
+        else:
+            del manifest["files"]["base.npz"]
+        (newest / "MANIFEST.json").write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError, match="no digest"):
+            load_checkpoint(newest)
+        rec = QueryService.recover(tmp_path / "state",
+                                   auto_compact=False)
+        assert rec.last_recovery.invalid_checkpoints == 1
+        assert rec.versioned.epoch == epoch
+        assert len(rec.versioned.base) == rows
+
+    @pytest.mark.parametrize("op, payload", [
+        ("upsert", {}), ("delete", {"traj_id": 99_999})],
+        ids=["undecodable", "inapplicable"])
+    def test_unreplayable_wal_record_names_its_lsn(self, tmp_path, op,
+                                                   payload):
+        svc = self._durable_service(tmp_path)
+        svc.ingest(_db(seed=3, n=2, offset=50))
+        svc.shutdown()
+        wal = tmp_path / "state" / "wal.jsonl"
+        last = read_wal(wal).records[-1]
+        with open(wal, "ab") as fh:
+            fh.write(encode_record(WalRecord(
+                lsn=last.lsn + 1, op=op, epoch=last.epoch + 1,
+                payload=payload)))
+        with pytest.raises(WalCorruptionError,
+                           match=f"lsn={last.lsn + 1}"):
+            QueryService.recover(tmp_path / "state")
+
+    def test_every_durability_failure_is_a_durability_error(self):
+        assert issubclass(WalCorruptionError, DurabilityError)
+        assert issubclass(CheckpointError, DurabilityError)
+
     def _write_manifest_and_load(self, tmp_path, manifest):
         path = tmp_path / "ckpt"
         path.mkdir()
@@ -482,7 +535,7 @@ class TestRecovery:
         assert rec.versioned.base_version == svc.versioned.base_version
 
 
-# -- engine artifacts ---------------------------------------------------------
+# -- warm-engine recipes ------------------------------------------------------
 
 
 def _prewarmed(svc, **labels):
@@ -492,8 +545,8 @@ def _prewarmed(svc, **labels):
 
 class TestEngineArtifacts:
     """What a checkpoint keeps of the warm engines and how a restart
-    uses it: a recipe for each, a pickled artifact only where the
-    engine declares its index expensive to rebuild."""
+    uses it: a recipe for each, which recovery rebuilds — never an
+    engine object, not even where an older directory holds one."""
 
     WARM = {"gpu_temporal": {"num_bins": 4},
             "cpu_rtree": {"segments_per_mbb": 2, "fanout": 4}}
@@ -516,45 +569,33 @@ class TestEngineArtifacts:
         svc.shutdown()
         return path, svc.versioned.epoch
 
-    def test_artifact_only_for_the_engine_that_asks(self, tmp_path):
+    def test_checkpoint_holds_recipes_not_engines(self, tmp_path):
         path, _ = self._checkpointed(tmp_path)
-        ckpt = load_checkpoint(path)
-        assert {r.method: r.artifact is not None
-                for r in ckpt.engines} \
-            == {"gpu_temporal": False, "cpu_rtree": True}
-        assert len(list((path / "engines").iterdir())) == 1
+        assert sorted(p.name for p in path.iterdir()) \
+            == ["MANIFEST.json", "base.npz", "delta.npz"]
+        manifest = json.loads((path / "MANIFEST.json").read_text())
+        assert sorted(manifest["files"]) == ["base.npz", "delta.npz"]
+        recipes = manifest["engines"]
+        assert all(set(r) == {"method", "params"} for r in recipes)
+        assert [r["method"] for r in recipes] == list(self.WARM)
+        for recipe in recipes:
+            assert self.WARM[recipe["method"]].items() \
+                <= recipe["params"].items()
         for name in ("base.npz", "delta.npz"):
             with zipfile.ZipFile(path / name) as npz:
                 assert all(info.compress_type == zipfile.ZIP_STORED
                            for info in npz.infolist())
-        # Recovery still prewarms every recipe: one from its
-        # artifact, one rebuilt.
-        rec = QueryService.recover(tmp_path / "state",
-                                   auto_compact=False)
-        assert _prewarmed(rec, engine="cpu_rtree",
-                          source="artifact") == 1
-        assert _prewarmed(rec, engine="gpu_temporal",
-                          source="rebuild") == 1
-        for method in self.WARM:
-            assert self._search(rec, method).metrics.cache_hit
 
-    def test_flipped_artifact_byte_costs_a_rebuild_not_the_checkpoint(
-            self, tmp_path):
-        path, epoch = self._checkpointed(tmp_path)
-        artifact = path / next(
-            r.artifact for r in load_checkpoint(path).engines
-            if r.method == "cpu_rtree")
-        blob = bytearray(artifact.read_bytes())
-        blob[len(blob) // 2] ^= 0x01
-        artifact.write_bytes(bytes(blob))
+    def test_recovery_rebuilds_every_recipe(self, tmp_path):
+        self._checkpointed(tmp_path)
         rec = QueryService.recover(tmp_path / "state",
                                    auto_compact=False)
-        assert rec.last_recovery.invalid_checkpoints == 0
-        assert rec.last_recovery.checkpoint_epoch == epoch
-        assert rec.last_recovery.replayed == 0
-        assert _prewarmed(rec, engine="cpu_rtree",
-                          source="rebuild") == 1
-        assert self._search(rec, "cpu_rtree").metrics.cache_hit
+        built = [e.fields["engine"]
+                 for e in rec.telemetry.events.of_kind("engine_build")]
+        assert built == list(self.WARM)
+        for method in self.WARM:
+            assert _prewarmed(rec, engine=method) == 1
+            assert self._search(rec, method).metrics.cache_hit
 
     def test_recovered_engines_stay_warm_across_one_compaction(
             self, tmp_path):
@@ -572,17 +613,35 @@ class TestEngineArtifacts:
         assert self._search(rec, "cpu_rtree").metrics.cache_hit
         assert not self._search(rec, "gpu_temporal").metrics.cache_hit
 
-    def test_unverifiable_artifact_is_not_unpickled(self, tmp_path):
-        path, _ = self._checkpointed(tmp_path)
-        ckpt = load_checkpoint(path)
-        recipe, = (r for r in ckpt.engines if r.artifact)
-        assert ckpt.load_engine_artifact(recipe) is not None
-        del ckpt.digests[recipe.artifact]
-        assert ckpt.load_engine_artifact(recipe) is None
-        (path / recipe.artifact).unlink()
-        assert load_checkpoint(path).load_engine_artifact(recipe) is None
-
     # -- checkpoints older code wrote -------------------------------------
+
+    def _f7a6f96(self, tmp_path):
+        """A copy of the directory f7a6f96 left behind (compressed
+        arrays and a pickled engine per warm recipe, written by
+        tests/data/make_fixture.py) and its expected answers."""
+        fixture = Path(__file__).parent / "data" / "durable_f7a6f96"
+        shutil.copytree(fixture, tmp_path / "d")
+        want = json.loads((tmp_path / "d" / "expected.json").read_text())
+        newest = list_checkpoints(tmp_path / "d" / "checkpoints")[0]
+        assert len(list((newest / "engines").iterdir())) == 2
+        with zipfile.ZipFile(newest / "base.npz") as npz:
+            assert all(info.compress_type == zipfile.ZIP_DEFLATED
+                       for info in npz.infolist())
+        return tmp_path / "d", newest, want
+
+    def _assert_recovered(self, svc, want):
+        assert svc.versioned.epoch == want["epoch"]
+        assert svc.last_recovery.checkpoint_epoch \
+            == want["checkpoint_epoch"]
+        assert svc.last_recovery.invalid_checkpoints == 0
+        for method in want["engines"]:
+            assert _prewarmed(svc, engine=method) == 1
+            response, sha = self._answer_sha256(svc, want, method)
+            assert response.metrics.cache_hit
+            assert sha == want["result_sha256"]
+        response, sha = self._answer_sha256(svc, want, "cpu_scan")
+        assert len(response.outcome.results) == want["num_results"]
+        assert sha == want["result_sha256"]
 
     def _answer_sha256(self, svc, want, method):
         response = svc.submit(SearchRequest(
@@ -593,35 +652,33 @@ class TestEngineArtifacts:
 
     @pytest.mark.parametrize("artifacts", ["installed", "rebuilt"])
     def test_directory_written_by_f7a6f96_recovers(self, tmp_path,
-                                                   artifacts):
-        # f7a6f96 wrote compressed arrays and a pickle per warm
-        # engine (tests/data/make_fixture.py): both still load, and a
-        # restart answers the same bytes from the old artifacts or —
-        # with them gone — from their recipes.
-        fixture = Path(__file__).parent / "data" / "durable_f7a6f96"
-        shutil.copytree(fixture, tmp_path / "d")
-        want = json.loads((tmp_path / "d" / "expected.json").read_text())
-        newest = list_checkpoints(tmp_path / "d" / "checkpoints")[0]
-        assert len(list((newest / "engines").iterdir())) == 2
-        with zipfile.ZipFile(newest / "base.npz") as npz:
-            assert all(info.compress_type == zipfile.ZIP_DEFLATED
-                       for info in npz.infolist())
+                                                   monkeypatch, artifacts):
+        # Its warm engines come back built from their recipes, whether
+        # its old pickles are still installed beside them or gone: with
+        # unpickling made to fail, the restart still answers the same
+        # bytes, every engine a cache hit.
+        directory, newest, want = self._f7a6f96(tmp_path)
         if artifacts == "rebuilt":
             shutil.rmtree(newest / "engines")
-        source = {"installed": "artifact", "rebuilt": "rebuild"}[artifacts]
-        svc = QueryService.recover(tmp_path / "d", auto_compact=False)
-        assert svc.versioned.epoch == want["epoch"]
-        assert svc.last_recovery.checkpoint_epoch \
-            == want["checkpoint_epoch"]
-        assert svc.last_recovery.invalid_checkpoints == 0
-        for method in want["engines"]:
-            assert _prewarmed(svc, engine=method, source=source) == 1
-            response, sha = self._answer_sha256(svc, want, method)
-            assert response.metrics.cache_hit
-            assert sha == want["result_sha256"]
-        response, sha = self._answer_sha256(svc, want, "cpu_scan")
-        assert len(response.outcome.results) == want["num_results"]
-        assert sha == want["result_sha256"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("recovery unpickled an object")
+        monkeypatch.setattr(pickle, "load", refuse)
+        monkeypatch.setattr(pickle, "loads", refuse)
+        svc = QueryService.recover(directory, auto_compact=False)
+        self._assert_recovered(svc, want)
+
+    def test_flipped_artifact_byte_costs_a_rebuild_not_the_checkpoint(
+            self, tmp_path):
+        # The pickles an old checkpoint holds are not part of what a
+        # load verifies: damaging every one leaves the checkpoint valid.
+        directory, newest, want = self._f7a6f96(tmp_path)
+        for artifact in (newest / "engines").iterdir():
+            blob = bytearray(artifact.read_bytes())
+            blob[len(blob) // 2] ^= 0x01
+            artifact.write_bytes(bytes(blob))
+        svc = QueryService.recover(directory, auto_compact=False)
+        self._assert_recovered(svc, want)
 
 
 # -- atomic dataset saves (satellite) ----------------------------------------

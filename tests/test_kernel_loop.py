@@ -20,7 +20,6 @@ wall time, the transfer ledger, every fault-hook call, the
 
 import hashlib
 import json
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,6 @@ from repro.engines import (GpuSpatialEngine, GpuSpatioTemporalEngine,
 from repro.engines import base
 from repro.gpu.device import VirtualGPU
 from repro.obs import Telemetry
-from repro.service import QueryService
 from tests.conftest import make_walk_trajectories
 
 DATA = Path(__file__).parent / "data"
@@ -240,27 +238,3 @@ def test_invocation_limit_never_returns_a_partial_answer(monkeypatch):
             outcomes.add("answered")
     assert outcomes == {"refused", "answered"}
 
-
-def test_engine_pickled_by_f7a6f96_sweeps_like_a_fresh_one(tmp_path):
-    """A built GPU engine is a persisted format: the fixture's pickled
-    ``gpu_temporal`` predates every attribute the loop has grown since,
-    and must still answer a d-sweep over one query object (memo miss,
-    then hits) with a fresh engine's bytes."""
-    shutil.copytree(DATA / "durable_f7a6f96", tmp_path / "d")
-    want = json.loads((tmp_path / "d" / "expected.json").read_text())
-    svc = QueryService.recover(tmp_path / "d", auto_compact=False)
-    installed = next(e.engine for e in svc.cache.entries()
-                     if e.engine.name == "gpu_temporal")
-    fresh = GpuTemporalEngine(svc.versioned.snapshot().base,
-                              **want["engines"]["gpu_temporal"])
-    queries = SegmentArray.from_dict(want["queries"])
-    for d in (2.5, 0.75, 6.0):
-        got, got_profile = installed.search(queries, d)
-        ref, ref_profile = fresh.search(queries, d)
-        assert len(ref) > 0
-        for a, b in zip((got.q_ids, got.e_ids, got.t_lo, got.t_hi),
-                        (ref.q_ids, ref.e_ids, ref.t_lo, ref.t_hi)):
-            assert a.tobytes() == b.tobytes()
-        a, b = got_profile.to_dict(), ref_profile.to_dict()
-        del a["wall_seconds"], b["wall_seconds"]
-        assert a == b

@@ -1,4 +1,5 @@
-"""Lint gate: `ruff check` must be clean under the pyproject config.
+"""Lint gate: `ruff check` must be clean under the pyproject config, and
+no module of the package imports :mod:`pickle`.
 
 The rule set (E4/E7/E9/F) targets real defects — unused imports,
 undefined names, syntax errors — not style.  Where ruff is not
@@ -9,6 +10,10 @@ redefinition of an unused name, F821 undefined name — honouring
 ``__all__`` and ``# noqa``.  It is deliberately narrower than pyflakes
 (one flat name set per scope, no flow analysis: a name bound anywhere in
 a scope counts as bound everywhere in it); CI runs ruff.
+
+Checkpoints hold data — arrays and engine recipes — never objects, so
+no engine's internals become an on-disk format; the package imports no
+``pickle`` to keep it that way.
 """
 
 import ast
@@ -248,6 +253,27 @@ def test_ruff_clean():
         for finding in scan(path.read_text(),
                             str(path.relative_to(REPO_ROOT)))]
     assert not findings, "\n".join(findings)
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of every module one source file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_package_imports_no_pickle():
+    offenders = [
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py"))
+        if "pickle" in imported_modules(path.read_text())]
+    assert not offenders, f"modules importing pickle: {offenders}"
+    assert imported_modules("import pickle as p\nfrom pickle import "
+                            "loads\nfrom . import pickle") == {"pickle"}
 
 
 def test_fallback_scan_finds_what_it_names():

@@ -300,5 +300,4 @@ class TestServiceProfile:
             sizes[label] = {str(p.relative_to(newest)): p.stat().st_size
                             for p in newest.rglob("*") if p.is_file()}
             svc.shutdown()
-        assert "engines/0.pickle" in sizes["planned"]
         assert sizes["planned"] == sizes["explicit"]

@@ -1,4 +1,5 @@
-"""The paper's motivating astrobiology application (§I).
+"""The paper's motivating astrobiology application (§I), as a helper
+module for ``supernova_sterilization.py`` and ``stellar_encounters.py``.
 
 Two habitability hazard searches over stellar trajectory databases:
 
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.result import ResultSet, merge_intervals
-from ..core.search import DistanceThresholdSearch
-from ..core.types import SegmentArray, Trajectory
+from repro.core import (DistanceThresholdSearch, ResultSet, SegmentArray,
+                        Trajectory, merge_intervals)
 
 __all__ = ["Supernova", "HazardEpisode", "supernova_exposure",
            "close_encounters"]

@@ -7,8 +7,9 @@ the second batch — the model of a card falling off the bus.  The drill
 walks the full recovery arc:
 
 * the in-flight request on lane 1 fails over down the engine ladder and
-  still returns a complete (degraded) result,
-* lane 1 is quarantined and its cached engines invalidated,
+  still returns a complete (degraded) result, batch after batch,
+* the third consecutive failure quarantines lane 1 (and opens the
+  engine's circuit breaker); its cached engines are invalidated,
 * after the operator "swaps the card" (``injector.revive``) the lane
   re-enters on probation and is readmitted on its first success,
 
@@ -77,7 +78,7 @@ def main():
     telemetry = Telemetry()
     service = QueryService(db, num_devices=2, faults=injector,
                            telemetry=telemetry,
-                           lane_failure_threshold=1,
+                           breaker_reset_s=1e-7,
                            lane_quarantine_s=1e-7)
 
     print("== batch 1: both lanes healthy, one engine homed per lane ==")
@@ -85,11 +86,15 @@ def main():
     print(f"  lanes: {lane_states(service)}")
     seen = show_events(telemetry)
 
-    print("\n== batch 2: lane 1 blacks out mid-batch ==")
-    batch(service, queries, "drill")
-    print(f"  lanes: {lane_states(service)}  "
-          f"dead: {sorted(injector.dead_lanes)}")
-    seen = show_events(telemetry, seen)
+    # Three strikes quarantine a lane: the card stays dark for three
+    # batches, each failing over the request homed on it.
+    for strike in (1, 2, 3):
+        print(f"\n== batch {strike + 1}: lane 1 is dark "
+              f"(strike {strike}) ==")
+        batch(service, queries, f"drill{strike}")
+        print(f"  lanes: {lane_states(service)}  "
+              f"dead: {sorted(injector.dead_lanes)}")
+        seen = show_events(telemetry, seen)
 
     print("\n== operator swaps the card: revive lane 1, run a batch ==")
     injector.revive(1)

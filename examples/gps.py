@@ -1,4 +1,5 @@
-"""GPS-style urban vehicle trajectories on a grid road network.
+"""GPS-style urban vehicle trajectories on a grid road network, as a
+helper module for ``urban_convoys.py``.
 
 The paper's introduction motivates trajectory databases with GPS and GIS
 workloads alongside the astrophysics driver.  This generator produces
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.types import SegmentArray, Trajectory
+from repro.core import SegmentArray, Trajectory
 
 __all__ = ["CityConfig", "gps_dataset"]
 

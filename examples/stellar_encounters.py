@@ -10,8 +10,9 @@ Run:  python examples/stellar_encounters.py
 
 import numpy as np
 
-from repro.astro import close_encounters
 from repro.data import random_dense_dataset
+
+from astro import close_encounters
 
 
 def main():

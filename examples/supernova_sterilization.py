@@ -10,8 +10,9 @@ Run:  python examples/supernova_sterilization.py
 
 import numpy as np
 
-from repro.astro import Supernova, supernova_exposure
 from repro.data import random_dense_dataset
+
+from astro import Supernova, supernova_exposure
 
 
 def main():

@@ -9,7 +9,8 @@ Run:  python examples/urban_convoys.py
 """
 
 from repro.core.search import DistanceThresholdSearch
-from repro.data.gps import CityConfig, gps_dataset
+
+from gps import CityConfig, gps_dataset
 
 
 def main():

@@ -83,6 +83,28 @@ from .standing import StandingStoreError
 __all__ = ["main", "build_parser"]
 
 
+def _checked(kind: type, test, requirement: str):
+    """An argparse ``type=``: parse the flag with ``kind``, then turn a
+    value failing ``test`` into a usage error (exit 2) that says
+    ``requirement``."""
+    def parse(text: str):
+        value = kind(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not {requirement}")
+        return value
+    # argparse names the type in its "invalid <name> value" message.
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+#: a distance threshold: >= 0, and NaN fails the comparison too.
+_DISTANCE = _checked(float, lambda v: v >= 0, ">= 0")
+_RATE = _checked(float, lambda v: 0 <= v <= 1, "within [0, 1]")
+_FRACTION = _checked(float, lambda v: 0 < v < 1, "within (0, 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -103,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="run a distance-threshold search")
     _add_search_args(p)
-    p.add_argument("--d", type=float, required=True,
+    p.add_argument("--d", type=_DISTANCE, required=True,
                    help="query distance threshold")
     p.add_argument("--show", type=int, default=5,
                    help="print the first N result items")
@@ -148,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("knn", help="run the kNN extension")
     _add_search_args(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_POSITIVE_INT, required=True)
 
     p = sub.add_parser("plan", help="rank engines for a workload")
     _add_search_args(p)
-    p.add_argument("--d", type=float, required=True)
+    p.add_argument("--d", type=_DISTANCE, required=True)
 
     p = sub.add_parser("stats", help="index statistics for a dataset")
     p.add_argument("database")
@@ -180,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
         "shard", help="serve query batches through a sharded, "
                       "replicated service with scatter-gather merges")
     p.add_argument("database", help=".npz produced by 'generate'")
-    p.add_argument("--d", type=float, required=True,
+    p.add_argument("--d", type=_DISTANCE, required=True,
                    help="query distance threshold")
-    p.add_argument("--shards", type=int, default=3,
+    p.add_argument("--shards", type=_POSITIVE_INT, default=3,
                    help="number of shards (default 3)")
-    p.add_argument("--replicas", type=int, default=2,
+    p.add_argument("--replicas", type=_POSITIVE_INT, default=2,
                    help="replicas per shard (default 2)")
     p.add_argument("--strategy", default="round_robin",
                    choices=list(PARTITION_STRATEGIES),
@@ -195,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(available()) + ["auto"],
                    help="engine, or 'auto' for planner-driven "
                         "selection")
-    p.add_argument("--query-trajectories", type=int, default=4,
+    p.add_argument("--query-trajectories", type=_POSITIVE_INT, default=4,
                    help="trajectories sampled as the repeated query "
                         "batch (default 4)")
     p.add_argument("--kill-shard", type=int, default=None, metavar="S",
@@ -217,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="replay a dataset as a live ingestion stream "
                        "against the query service")
     p.add_argument("database", help=".npz produced by 'generate'")
-    p.add_argument("--d", type=float, required=True,
+    p.add_argument("--d", type=_DISTANCE, required=True,
                    help="query distance threshold")
     p.add_argument("--method", default="auto",
                    choices=list(available()) + ["auto"],
@@ -227,23 +249,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ingest+query rounds to drive (default 6)")
     p.add_argument("--arrivals-per-round", type=int, default=2,
                    help="trajectories ingested per round (default 2)")
-    p.add_argument("--initial-fraction", type=float, default=0.6,
+    p.add_argument("--initial-fraction", type=_FRACTION, default=0.6,
                    help="fraction of trajectories seeding the base "
                         "index; the rest arrive as the stream "
                         "(default 0.6)")
     p.add_argument("--delete-every", type=int, default=0,
                    help="tombstone the oldest ingested trajectory "
                         "every Nth round (0 = never)")
-    p.add_argument("--max-delta", type=int, default=None,
+    p.add_argument("--max-delta", type=_POSITIVE_INT, default=None,
                    help="compaction trigger: delta rows before the "
                         "service folds the delta into a fresh base "
                         "(default: the policy default)")
-    p.add_argument("--num-devices", type=int, default=1,
+    p.add_argument("--num-devices", type=_POSITIVE_INT, default=1,
                    help="size of the simulated GPU pool")
-    p.add_argument("--query-trajectories", type=int, default=4,
+    p.add_argument("--query-trajectories", type=_POSITIVE_INT, default=4,
                    help="trajectories sampled as the repeated query "
                         "batch (default 4)")
-    p.add_argument("--rate", type=float, default=0.0,
+    p.add_argument("--rate", type=_RATE, default=0.0,
                    help="fault-injection rate for a chaos-flavoured "
                         "run (0 = no faults; faults can then fire "
                         "mid-compaction)")
@@ -327,7 +349,7 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     """Arguments shared by the service-driving subcommands
     (``batch`` / ``metrics`` / ``trace``)."""
     p.add_argument("database", help=".npz produced by 'generate'")
-    p.add_argument("--d", type=float, default=None,
+    p.add_argument("--d", type=_DISTANCE, default=None,
                    help="query distance threshold (required unless "
                         "--requests supplies per-request values)")
     p.add_argument("--batches", type=int, default=8,
@@ -339,9 +361,9 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", default="auto",
                    choices=list(available()) + ["auto"],
                    help="engine, or 'auto' for planner-driven selection")
-    p.add_argument("--num-devices", type=int, default=1,
+    p.add_argument("--num-devices", type=_POSITIVE_INT, default=1,
                    help="size of the simulated GPU pool")
-    p.add_argument("--query-trajectories", type=int, default=4,
+    p.add_argument("--query-trajectories", type=_POSITIVE_INT, default=4,
                    help="trajectories sampled per synthesized batch")
     p.add_argument("--num-bins", type=int, default=1000)
     p.add_argument("--num-subbins", type=int, default=4)
@@ -357,7 +379,7 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--queries", default=None,
                    help=".npz query set (default: sample from the "
                         "database)")
-    p.add_argument("--query-trajectories", type=int, default=4,
+    p.add_argument("--query-trajectories", type=_POSITIVE_INT, default=4,
                    help="trajectories to sample as queries when no "
                         "--queries file is given")
     p.add_argument("--num-bins", type=int, default=1000)
@@ -743,6 +765,10 @@ def cmd_shard(args: argparse.Namespace) -> int:
     from .service import SearchRequest
     from .sharding import ShardedService
 
+    if args.kill_shard is not None \
+            and not 0 <= args.kill_shard < args.shards:
+        raise ConfigError(f"--kill-shard {args.kill_shard} is outside "
+                          f"[0, {args.shards})")
     database = load_segments(args.database)
     queries = _sample_queries(args, database, args.seed)
     truth = result_bytes(

@@ -1,7 +1,5 @@
 """Core types, geometry, refinement and the public search façade."""
 
-from .analysis import (co_travel_time, interaction_groups, most_exposed,
-                       proximity_graph)
 from .bruteforce import brute_force_search
 from .distance import PairIntervals, compare_pairs
 from .geometry import MBB, expand, mbb_min_distance, overlaps, segment_mbbs
@@ -17,9 +15,8 @@ __all__ = [
     "DistanceThresholdSearch", "KnnResult", "MBB",
     "PairIntervals", "PlanEstimate", "ResultSet", "SearchOutcome",
     "SegmentArray", "Trajectory", "TrajectoryKnn", "VerificationReport",
-    "WorkloadStats", "brute_force_search", "co_travel_time",
-    "compare_pairs", "concatenate", "expand", "interaction_groups",
-    "knn_brute_force", "mbb_min_distance", "merge_intervals",
-    "most_exposed", "overlaps", "plan_search", "proximity_graph",
-    "register_engine", "segment_mbbs", "verify_results",
+    "WorkloadStats", "brute_force_search", "compare_pairs",
+    "concatenate", "expand", "knn_brute_force", "mbb_min_distance",
+    "merge_intervals", "overlaps", "plan_search", "register_engine",
+    "segment_mbbs", "verify_results",
 ]

@@ -169,6 +169,17 @@ def deadline_scope(deadline: Deadline | None):
         _DEADLINE.reset(token)
 
 
+#: factor a failed attempt grows the result buffer by.
+RETRY_GROWTH_FACTOR = 4.0
+#: wall-second retry budget when no request deadline is in force.
+RETRY_DEADLINE_S = 60.0
+#: backoff jitter fraction: attempt n waits
+#: ``backoff_s * 2**(n-1) * (1 + RETRY_JITTER * u_n)`` with ``u_n`` a
+#: deterministic uniform draw — reproducible, but desynchronized
+#: across concurrent retriers like real jitter.
+RETRY_JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded-retry policy for the incremental overflow loop.
@@ -176,45 +187,33 @@ class RetryPolicy:
     When a search fails on result-buffer pressure
     (:class:`ResultBufferOverflowError` /
     :class:`KernelInvocationLimitError`), the engine grows
-    ``result_buffer_items`` by ``growth_factor`` (at least to the failing
-    query's required size) and retries — instead of looping all the way to
-    ``MAX_KERNEL_INVOCATIONS`` or failing a request a larger buffer would
-    serve.  Retries stop after ``max_attempts`` total attempts or once
-    the deadline budget is exhausted — the ambient request
-    :class:`Deadline` when the service set one, else ``deadline_s`` wall
-    seconds from the first attempt.
+    ``result_buffer_items`` by ``RETRY_GROWTH_FACTOR`` (at least to the
+    failing query's required size) and retries — instead of looping all
+    the way to ``MAX_KERNEL_INVOCATIONS`` or failing a request a larger
+    buffer would serve.  Retries stop after ``max_attempts`` total
+    attempts or once the deadline budget is exhausted — the ambient
+    request :class:`Deadline` when the service set one, else
+    ``RETRY_DEADLINE_S`` wall seconds from the first attempt.
 
     ``backoff_s`` > 0 spaces retries with exponential backoff plus
-    deterministic jitter on the *modeled* clock: no real sleeping
-    happens (retrying a simulated device is instant), but the wait is
-    charged to the profile's ``backoff_s`` so modeled response time and
-    lane occupancy reflect it — replacing the previous sleep-free busy
-    re-invocation that under-reported retry cost.
+    deterministic jitter (``RETRY_JITTER``) on the *modeled* clock: no
+    real sleeping happens (retrying a simulated device is instant), but
+    the wait is charged to the profile's ``backoff_s`` so modeled
+    response time and lane occupancy reflect it — replacing the
+    previous sleep-free busy re-invocation that under-reported retry
+    cost.
     """
 
     max_attempts: int = 4
-    growth_factor: float = 4.0
-    deadline_s: float = 60.0
     #: base modeled backoff before the second attempt; doubles per
     #: retry.  0.0 = immediate re-invocation (the historical behavior).
     backoff_s: float = 0.0
-    #: jitter fraction in [0, 1]: attempt n waits
-    #: ``backoff_s * 2**(n-1) * (1 + jitter * u_n)`` with ``u_n`` a
-    #: deterministic uniform draw — reproducible, but desynchronized
-    #: across concurrent retriers like real jitter.
-    jitter: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.growth_factor <= 1.0:
-            raise ValueError("growth_factor must be > 1")
-        if self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
         if self.backoff_s < 0:
             raise ValueError("backoff_s must be >= 0")
-        if not (0.0 <= self.jitter <= 1.0):
-            raise ValueError("jitter must be within [0, 1]")
 
     def backoff_for(self, attempt: int) -> float:
         """Modeled seconds to wait after failed attempt ``attempt``
@@ -223,7 +222,7 @@ class RetryPolicy:
             return 0.0
         u = random.Random(attempt).random()
         return self.backoff_s * 2.0 ** (attempt - 1) \
-            * (1.0 + self.jitter * u)
+            * (1.0 + RETRY_JITTER * u)
 
 
 #: retry disabled: one attempt, errors surface immediately.
@@ -735,7 +734,7 @@ class GpuEngineBase(SearchEngine):
             # service set one, else this engine's standalone wall
             # deadline.
             deadline = current_deadline() \
-                or Deadline.after(self.retry.deadline_s)
+                or Deadline.after(RETRY_DEADLINE_S)
             backoff_total = 0.0
             for attempt in range(1, self.retry.max_attempts + 1):
                 # A faulted prior attempt may have left items in the
@@ -754,7 +753,7 @@ class GpuEngineBase(SearchEngine):
                         raise
                     target = max(
                         int(self.result_buffer.capacity_items
-                            * self.retry.growth_factor),
+                            * RETRY_GROWTH_FACTOR),
                         exc.required_items)
                     backoff_total += self.retry.backoff_for(attempt)
                     telemetry.metrics.counter(

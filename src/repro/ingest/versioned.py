@@ -34,6 +34,12 @@ __all__ = ["CompactionPolicy", "CompactionResult", "IngestReceipt",
            "Snapshot", "VersionedDatabase"]
 
 
+#: tombstoned base rows over base rows past which compaction triggers
+#: (tombstoned rows still occupy the index and are filtered on every
+#: query).
+MAX_TOMBSTONE_RATIO = 0.5
+
+
 @dataclass(frozen=True)
 class CompactionPolicy:
     """When to fold the delta into a fresh base.
@@ -44,22 +50,19 @@ class CompactionPolicy:
       scanned brute-force per query, so its cost is linear in this);
     * ``max_delta_ratio`` — delta rows over base rows: keeps the scan a
       bounded *fraction* of query work as the database grows;
-    * any tombstones at all count toward pressure via
-      ``max_tombstone_ratio`` (tombstoned base rows still occupy the
+    * tombstoned base rows over base rows past
+      ``MAX_TOMBSTONE_RATIO`` (tombstoned base rows still occupy the
       index and are filtered on every query).
     """
 
     max_delta_segments: int = 4096
     max_delta_ratio: float = 0.25
-    max_tombstone_ratio: float = 0.5
 
     def __post_init__(self) -> None:
         if self.max_delta_segments < 1:
             raise ValueError("max_delta_segments must be >= 1")
         if self.max_delta_ratio <= 0:
             raise ValueError("max_delta_ratio must be positive")
-        if self.max_tombstone_ratio <= 0:
-            raise ValueError("max_tombstone_ratio must be positive")
 
     def should_compact(self, *, delta_rows: int, base_rows: int,
                        tombstoned_rows: int) -> bool:
@@ -68,13 +71,13 @@ class CompactionPolicy:
         if base_rows and delta_rows / base_rows > self.max_delta_ratio:
             return True
         return bool(base_rows) and (tombstoned_rows / base_rows
-                                    > self.max_tombstone_ratio)
+                                    > MAX_TOMBSTONE_RATIO)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation."""
         return {"max_delta_segments": self.max_delta_segments,
                 "max_delta_ratio": self.max_delta_ratio,
-                "max_tombstone_ratio": self.max_tombstone_ratio}
+                "max_tombstone_ratio": MAX_TOMBSTONE_RATIO}
 
 
 @dataclass(frozen=True)

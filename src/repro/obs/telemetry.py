@@ -27,6 +27,10 @@ from .tracing import Tracer
 
 __all__ = ["Telemetry", "current", "DISABLED"]
 
+#: ring-buffer bound on the structured event log; overwritten history
+#: is counted in ``events.dropped_events``.
+EVENTS_MAXLEN = 10_000
+
 #: ambient hub; None means "nothing activated" -> DISABLED.
 _ACTIVE: ContextVar["Telemetry | None"] = ContextVar(
     "repro_obs_telemetry", default=None)
@@ -42,19 +46,16 @@ class Telemetry:
         the identical API (nothing records, nothing allocates trees).
     slow_query_threshold_s:
         Modeled-latency threshold for the slow-query log.
-    events_maxlen:
-        Ring-buffer bound on the structured event log (None =
-        unbounded); overwritten history is counted in
-        ``events.dropped_events``.
+
+    The event log keeps the last ``EVENTS_MAXLEN`` events.
     """
 
     def __init__(self, *, enabled: bool = True,
-                 slow_query_threshold_s: float = 1.0,
-                 events_maxlen: int | None = 10_000) -> None:
+                 slow_query_threshold_s: float = 1.0) -> None:
         self.enabled = enabled
         self.metrics = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(enabled=enabled)
-        self.events = EventLog(maxlen=events_maxlen, enabled=enabled)
+        self.events = EventLog(maxlen=EVENTS_MAXLEN, enabled=enabled)
         self.slow_log = SlowQueryLog(slow_query_threshold_s,
                                      enabled=enabled)
 

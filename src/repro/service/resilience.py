@@ -20,13 +20,22 @@ is deterministic and testable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["CircuitBreaker", "LaneHealth", "NoUsableLaneError",
            "BREAKER_STATES", "LANE_STATES"]
 
 BREAKER_STATES = ("closed", "half_open", "open")
 LANE_STATES = ("healthy", "probation", "quarantined")
+
+#: consecutive failures that open a closed breaker.
+BREAKER_FAILURE_THRESHOLD = 3
+#: skipped requests after which an open breaker admits a probe even if
+#: the modeled clock has not advanced ``reset_after_s`` (an all-failing
+#: service may never advance it).
+PROBE_AFTER_SKIPS = 8
+#: consecutive failures that quarantine a healthy lane.
+LANE_FAILURE_THRESHOLD = 3
 
 
 class NoUsableLaneError(RuntimeError):
@@ -37,44 +46,36 @@ class NoUsableLaneError(RuntimeError):
 class CircuitBreaker:
     """Consecutive-failure circuit breaker for one engine.
 
+    ``BREAKER_FAILURE_THRESHOLD`` consecutive failures open it; after
+    ``reset_after_s`` modeled seconds (or ``PROBE_AFTER_SKIPS`` skipped
+    requests, whichever comes first) it admits a half-open probe.
+
     Parameters
     ----------
-    failure_threshold:
-        Consecutive failures that open a closed breaker.
     reset_after_s:
         Modeled seconds an open breaker waits before admitting a
         half-open probe.
-    probe_after_skips:
-        Fallback: admit a probe after this many skipped requests even
-        if the modeled clock has not advanced ``reset_after_s`` (an
-        all-failing service may never advance it).
     """
 
-    failure_threshold: int = 3
     reset_after_s: float = 30.0
-    probe_after_skips: int = 8
 
-    state: str = "closed"
-    consecutive_failures: int = 0
-    opened_at: float = 0.0
-    skips: int = 0
+    state: str = field(default="closed", init=False)
+    consecutive_failures: int = field(default=0, init=False)
+    opened_at: float = field(default=0.0, init=False)
+    skips: int = field(default=0, init=False)
     #: closed -> open transitions, for reporting.
-    trips: int = 0
+    trips: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
         if self.reset_after_s <= 0:
             raise ValueError("reset_after_s must be positive")
-        if self.probe_after_skips < 1:
-            raise ValueError("probe_after_skips must be >= 1")
 
     def allow(self, now: float) -> bool:
         """May a request use this engine at modeled instant ``now``?"""
         if self.state != "open":
             return True
         if (now - self.opened_at >= self.reset_after_s
-                or self.skips >= self.probe_after_skips):
+                or self.skips >= PROBE_AFTER_SKIPS):
             self.state = "half_open"
             return True
         self.skips += 1
@@ -94,7 +95,8 @@ class CircuitBreaker:
         breaker (trip or failed half-open probe)."""
         self.consecutive_failures += 1
         if (self.state == "half_open"
-                or self.consecutive_failures >= self.failure_threshold):
+                or self.consecutive_failures
+                >= BREAKER_FAILURE_THRESHOLD):
             newly_open = self.state != "open"
             self.state = "open"
             self.opened_at = now
@@ -117,26 +119,28 @@ class CircuitBreaker:
 
 @dataclass
 class LaneHealth:
-    """Quarantine/probation state machine of one device lane."""
+    """Quarantine/probation state machine of one device lane.
 
-    state: str = "healthy"
-    consecutive_failures: int = 0
-    quarantined_until: float = 0.0
+    ``LANE_FAILURE_THRESHOLD`` consecutive failures quarantine a
+    healthy lane."""
+
+    state: str = field(default="healthy", init=False)
+    consecutive_failures: int = field(default=0, init=False)
+    quarantined_until: float = field(default=0.0, init=False)
     #: times this lane has been quarantined; doubles the next window.
-    quarantine_count: int = 0
+    quarantine_count: int = field(default=0, init=False)
 
     @property
     def usable(self) -> bool:
         return self.state != "quarantined"
 
-    def record_failure(self, now: float, *, threshold: int,
-                       quarantine_s: float) -> bool:
+    def record_failure(self, now: float, *, quarantine_s: float) -> bool:
         """One failed operation on the lane; returns True when the lane
         was (re-)quarantined.  A probational lane is re-quarantined by
         its first failure, with the window doubled."""
         self.consecutive_failures += 1
         if (self.state == "probation"
-                or self.consecutive_failures >= threshold):
+                or self.consecutive_failures >= LANE_FAILURE_THRESHOLD):
             window = quarantine_s * 2.0 ** self.quarantine_count
             self.quarantine_count += 1
             self.state = "quarantined"

@@ -128,9 +128,10 @@ class DevicePool:
     capacity* of a card, not a shared address space.
 
     Each lane also carries a
-    :class:`~repro.service.resilience.LaneHealth`: consecutive failures
-    quarantine the lane for ``quarantine_s`` modeled seconds (doubling
-    on repeat offenses), after which it is probationally re-admitted.
+    :class:`~repro.service.resilience.LaneHealth`:
+    ``LANE_FAILURE_THRESHOLD`` consecutive failures quarantine the lane
+    for ``quarantine_s`` modeled seconds (doubling on repeat offenses),
+    after which it is probationally re-admitted.
     The host lane is never quarantined — CPU engines are the fallback
     of last resort and must stay reachable.
     """
@@ -140,16 +141,12 @@ class DevicePool:
 
     def __init__(self, num_devices: int = 1,
                  spec: DeviceSpec = TESLA_C2075, *,
-                 failure_threshold: int = 3,
                  quarantine_s: float = 60.0) -> None:
         if num_devices < 1:
             raise ValueError("pool needs at least one device")
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
         if quarantine_s <= 0:
             raise ValueError("quarantine_s must be positive")
         self.spec = spec
-        self.failure_threshold = failure_threshold
         self.quarantine_s = quarantine_s
         self.lanes = [DeviceLane(i) for i in range(num_devices)]
         self.host = DeviceLane(self.HOST_LANE)
@@ -204,8 +201,7 @@ class DevicePool:
         if index == self.HOST_LANE:
             return False
         return self.lanes[index].health.record_failure(
-            now, threshold=self.failure_threshold,
-            quarantine_s=self.quarantine_s)
+            now, quarantine_s=self.quarantine_s)
 
     def record_lane_success(self, index: int) -> bool:
         """Credit one served request to a lane; True when this
@@ -228,9 +224,6 @@ class QueryService:
         Device model for every pool GPU (default: the paper's C2075).
     gpu_model, cpu_model:
         Cost models used to price profiles.
-    cache_bytes:
-        Engine-cache budget; defaults to the pool's aggregate device
-        memory.
     retry:
         Overflow retry policy installed into every GPU engine the
         service builds (None = the engines' default policy).
@@ -242,15 +235,20 @@ class QueryService:
         A :class:`~repro.faults.FaultInjector` wired into every
         :class:`VirtualGPU` the service builds (None = no injection).
         Chaos tests use this; production-shaped runs leave it unset.
-    breaker_threshold, breaker_reset_s:
-        Per-engine circuit breaker tuning (consecutive failures to
-        open; modeled seconds before a half-open probe).
-    lane_failure_threshold, lane_quarantine_s:
-        Per-lane health tuning (consecutive failures to quarantine;
-        base modeled quarantine window, doubling per repeat offense).
+    breaker_reset_s:
+        Modeled seconds an open per-engine circuit breaker waits
+        before a half-open probe (it opens after
+        ``resilience.BREAKER_FAILURE_THRESHOLD`` consecutive failures).
+    lane_quarantine_s:
+        Base modeled quarantine window of a device lane, doubling per
+        repeat offense (a lane is quarantined after
+        ``resilience.LANE_FAILURE_THRESHOLD`` consecutive failures).
     crosscheck_every:
         Cross-check every Nth failover response against ``cpu_scan``
         ground truth (0 disables the sampling).
+
+    The engine cache's byte budget is the pool's aggregate device
+    memory (``num_devices`` × ``spec.global_mem_bytes``).
     """
 
     FALLBACK_METHOD = "cpu_scan"
@@ -266,13 +264,10 @@ class QueryService:
                  spec: DeviceSpec = TESLA_C2075,
                  gpu_model: GpuCostModel | None = None,
                  cpu_model: CpuCostModel | None = None,
-                 cache_bytes: int | None = None,
                  retry: RetryPolicy | None = None,
                  telemetry: Telemetry | None = None,
                  faults=None,
-                 breaker_threshold: int = 3,
                  breaker_reset_s: float = 30.0,
-                 lane_failure_threshold: int = 3,
                  lane_quarantine_s: float = 60.0,
                  crosscheck_every: int = 8,
                  compaction: CompactionPolicy | None = None,
@@ -300,17 +295,13 @@ class QueryService:
                                                policy=compaction)
         self.auto_compact = auto_compact
         self.pool = DevicePool(num_devices, spec,
-                               failure_threshold=lane_failure_threshold,
                                quarantine_s=lane_quarantine_s)
         self.gpu_model = gpu_model or GpuCostModel(spec=spec)
         self.cpu_model = cpu_model or CpuCostModel()
-        self.cache = EngineCache(
-            cache_bytes if cache_bytes is not None
-            else self.pool.total_mem_bytes,
-            on_evict=self._on_evict)
+        self.cache = EngineCache(self.pool.total_mem_bytes,
+                                 on_evict=self._on_evict)
         self.retry = retry
         self.faults = faults
-        self.breaker_threshold = breaker_threshold
         self.breaker_reset_s = breaker_reset_s
         self.crosscheck_every = crosscheck_every
         #: the unified telemetry hub: metrics registry, tracer,
@@ -1208,9 +1199,7 @@ class QueryService:
     def _breaker(self, method: str) -> CircuitBreaker:
         breaker = self._breakers.get(method)
         if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=self.breaker_threshold,
-                reset_after_s=self.breaker_reset_s)
+            breaker = CircuitBreaker(reset_after_s=self.breaker_reset_s)
             self._breakers[method] = breaker
         return breaker
 

@@ -570,7 +570,7 @@ class ShardedService:
     def compact(self, shard_index: int | None = None) -> None:
         """Route an explicit compaction to one shard (or all)."""
         with self.telemetry.activate():
-            targets = ([self.shards[shard_index]]
+            targets = ([self._shard(shard_index)]
                        if shard_index is not None else
                        [s for s in self.shards if s.replicas])
             for shard in targets:
@@ -614,13 +614,29 @@ class ShardedService:
 
     # -- chaos hooks -------------------------------------------------------------
 
+    def _shard(self, shard_index: int) -> Shard:
+        """The shard at ``shard_index``; an index outside the layout is
+        a ValueError naming the range (a negative index must not wrap
+        around to the last shard)."""
+        if not 0 <= shard_index < len(self.shards):
+            raise ValueError(f"shard index {shard_index} is outside "
+                             f"[0, {len(self.shards)})")
+        return self.shards[shard_index]
+
+    def _check_replica_index(self, replica_index: int) -> None:
+        if not 0 <= replica_index < self.replicas_per_shard:
+            raise ValueError(f"replica index {replica_index} is outside "
+                             f"[0, {self.replicas_per_shard})")
+
     def kill_replica(self, shard_index: int,
                      replica_index: int | None = None) -> Replica | None:
         """Simulate a replica process death: the service object is
         abandoned *without* shutdown (its WAL stays as a crashed
         process would leave it).  Returns the killed replica, or None
         when the shard has no live replica to kill."""
-        shard = self.shards[shard_index]
+        shard = self._shard(shard_index)
+        if replica_index is not None:
+            self._check_replica_index(replica_index)
         live = shard.live_replicas()
         if not live:
             return None
@@ -645,7 +661,7 @@ class ShardedService:
     def blackout_shard(self, shard_index: int) -> int:
         """Kill every live replica of one shard; returns how many
         died.  Until a recovery, requests answer ``partial``."""
-        shard = self.shards[shard_index]
+        shard = self._shard(shard_index)
         killed = 0
         for replica in shard.live_replicas():
             replica.service = None
@@ -667,7 +683,11 @@ class ShardedService:
         durability directory (prewarmed caches), then replay the op-log
         suffix it missed, by epoch; a memory-only replica rebuilds from
         the pristine shard base and replays the whole log."""
-        shard = self.shards[shard_index]
+        shard = self._shard(shard_index)
+        self._check_replica_index(replica_index)
+        if not shard.replicas:
+            raise ValueError(f"shard {shard_index} holds no segments "
+                             f"and runs no replicas")
         replica = shard.replicas[replica_index]
         if replica.live:
             raise ValueError(f"{replica.name} is already live")

@@ -48,7 +48,7 @@ from ..gpu.costmodel import CpuCostModel
 from ..ingest.mutation import OPS, Mutation
 from ..ingest.overlay import overlay_search
 from ..ingest.versioned import Snapshot, VersionedDatabase
-from ..obs import Telemetry
+from ..obs import DISABLED, Telemetry
 from .store import StandingStore, StandingStoreError
 from .subscription import (CandidateEnvelope, MatchDict, Subscription,
                            matches_from_results, matches_from_rows,
@@ -99,11 +99,11 @@ class StandingQueryManager:
     telemetry:
         The owning service's :class:`~repro.obs.Telemetry` hub; match
         events and per-epoch summaries land in its event log, counters
-        in its metrics registry.  None = no telemetry.
+        in its metrics registry (default: the shared no-op hub).
     """
 
     def __init__(self, *, store: StandingStore | None = None,
-                 telemetry: Telemetry | None = None) -> None:
+                 telemetry: Telemetry = DISABLED) -> None:
         self.store = store
         self.telemetry = telemetry
         self.subscriptions: dict[str, Subscription] = {}
@@ -463,19 +463,15 @@ class StandingQueryManager:
     # -- telemetry plumbing -------------------------------------------------------
 
     def _emit_event(self, kind: str, **fields) -> None:
-        if self.telemetry is not None:
-            self.telemetry.events.emit(kind, **fields)
+        self.telemetry.events.emit(kind, **fields)
 
     def _count(self, name: str, amount: float, **labels) -> None:
-        if self.telemetry is not None and amount:
+        if amount:
             self.telemetry.metrics.counter(name).inc(amount, **labels)
 
     def _observe(self, name: str, value: float) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.histogram(name).observe(value)
+        self.telemetry.metrics.histogram(name).observe(value)
 
     def _set_gauge(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.gauge(
-                "repro_standing_subscriptions").set(
-                len(self.subscriptions))
+        self.telemetry.metrics.gauge(
+            "repro_standing_subscriptions").set(len(self.subscriptions))

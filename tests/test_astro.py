@@ -1,10 +1,10 @@
-"""Tests for the astrophysics application layer."""
+"""Tests for the astrophysics helper module of the examples."""
 
 import numpy as np
 import pytest
 
-from repro.astro import (HazardEpisode, Supernova, close_encounters,
-                         supernova_exposure)
+from examples.astro import (HazardEpisode, Supernova, close_encounters,
+                            supernova_exposure)
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import SegmentArray, Trajectory
 

@@ -127,6 +127,40 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["shard", "--d", "1.0", "--shards", "0"],
+        ["shard", "--d", "1.0", "--replicas", "0"],
+        ["batch", "--d", "1.0", "--num-devices", "0"],
+        ["ingest", "--d", "1.0", "--num-devices", "0"],
+        ["ingest", "--d", "1.0", "--max-delta", "0"],
+        ["ingest", "--d", "1.0", "--rate", "2"],
+        ["ingest", "--d", "1.0", "--initial-fraction", "1.5"],
+        ["batch", "--d", "-1"],
+        ["search", "--d", "-1"],
+        ["batch", "--d", "1.0", "--query-trajectories", "0"],
+        ["knn", "--k", "0"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_bad_numeric_flag_is_a_usage_error(self, db_path, argv,
+                                               capsys):
+        """Checked at parse time, like a bad campaign flag: the usage
+        line and exit 2, before any work is done."""
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, db_path, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error: argument {argv[-2]}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("shard", ["3", "99", "-1"])
+    def test_kill_shard_outside_the_layout(self, db_path, shard, capsys):
+        assert main(["shard", db_path, "--d", "2.0", "--shards", "3",
+                     "--method", "cpu_scan", "--kill-shard", shard]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro shard: error: ")
+        assert f"--kill-shard {shard} is outside [0, 3)" in err
+
+
 class TestDamagedDurableDirectory:
     """A durability directory that cannot be recovered is refused the
     same way: one line naming the damage, exit 2, no traceback."""

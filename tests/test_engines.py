@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import SegmentArray
-from repro.engines import (CpuRTreeEngine, GpuSpatialEngine,
+from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
                            GpuSpatioTemporalEngine, GpuTemporalEngine)
 from repro.engines.base import first_fit_accept
 from tests.conftest import make_walk_trajectories
@@ -214,6 +214,39 @@ class TestCpuRTree:
         assert best in times
         assert times[best] == min(times.values())
         assert len(times) == 3
+
+
+class TestCpuScan:
+    def test_matches_brute_force(self, db_queries_truth):
+        db, queries, d, truth = db_queries_truth
+        res, prof = CpuScanEngine(db).search(queries, d)
+        assert res.equivalent_to(truth)
+        assert prof.comparisons >= len(truth)
+        assert prof.index_bytes == 0 and prof.node_visits == 0
+
+    def test_scan_window_is_superset_not_cross_product(self, small_db,
+                                                       small_queries):
+        _, prof = CpuScanEngine(small_db).search(small_queries, 1.0)
+        assert prof.comparisons < len(small_db) * len(small_queries)
+
+    def test_exclude_same_trajectory(self, small_db):
+        res, _ = CpuScanEngine(small_db).search(
+            small_db, 0.5, exclude_same_trajectory=True)
+        truth = brute_force_search(small_db, small_db, 0.5,
+                                   exclude_same_trajectory=True)
+        assert res.equivalent_to(truth)
+
+    def test_empty_database_rejected(self):
+        with pytest.raises(ValueError):
+            CpuScanEngine(SegmentArray.empty())
+
+    def test_facade_integration(self, db_queries_truth):
+        from repro.core.search import DistanceThresholdSearch
+        db, queries, d, truth = db_queries_truth
+        outcome = DistanceThresholdSearch(db, method="cpu_scan").run(
+            queries, d)
+        assert outcome.results.equivalent_to(truth)
+        assert outcome.modeled_seconds > 0
 
 
 class TestFirstFitAccept:

@@ -1,9 +1,9 @@
-"""Tests for the GPS grid-city trajectory generator."""
+"""Tests for the GPS grid-city trajectory generator of the examples."""
 
 import numpy as np
 import pytest
 
-from repro.data.gps import CityConfig, gps_dataset
+from examples.gps import CityConfig, gps_dataset
 
 
 @pytest.fixture(scope="module")

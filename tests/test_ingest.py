@@ -47,13 +47,10 @@ class TestCompactionPolicy:
             CompactionPolicy(max_delta_segments=0)
         with pytest.raises(ValueError):
             CompactionPolicy(max_delta_ratio=0.0)
-        with pytest.raises(ValueError):
-            CompactionPolicy(max_tombstone_ratio=-1.0)
 
     def test_triggers(self):
         p = CompactionPolicy(max_delta_segments=10,
-                             max_delta_ratio=0.5,
-                             max_tombstone_ratio=0.5)
+                             max_delta_ratio=0.5)
         assert not p.should_compact(delta_rows=4, base_rows=100,
                                     tombstoned_rows=0)
         assert p.should_compact(delta_rows=10, base_rows=100,
@@ -62,6 +59,10 @@ class TestCompactionPolicy:
                                 tombstoned_rows=0)
         assert p.should_compact(delta_rows=0, base_rows=100,
                                 tombstoned_rows=51)
+        assert not p.should_compact(delta_rows=0, base_rows=100,
+                                    tombstoned_rows=50)
+        # The tombstone bound is a constant, still reported by to_dict.
+        assert p.to_dict()["max_tombstone_ratio"] == 0.5
 
 
 class TestVersionedDatabase:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.engines import (GpuSpatialEngine, GpuSpatioTemporalEngine,
                            GpuTemporalEngine, NO_RETRY, RetryPolicy)
+from repro.engines import base
 from repro.engines.base import (KernelInvocationLimitError,
                                 ResultBufferOverflowError)
 
@@ -33,9 +34,7 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(growth_factor=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(deadline_s=0.0)
+            RetryPolicy(backoff_s=-1.0)
 
     def test_no_retry_is_single_attempt(self):
         assert NO_RETRY.max_attempts == 1
@@ -74,44 +73,47 @@ class TestWithRetry:
         grown = engine.gpu.memory.get("result_buffer")
         assert len(grown) == engine.result_buffer.capacity_items
 
-    def test_generous_growth_needs_few_invocations(self,
-                                                   db_queries_truth):
+    def test_generous_growth_needs_few_invocations(self, db_queries_truth,
+                                                   monkeypatch):
         """A growth factor sized to the workload turns the sliver-buffer
         pathology into a near-single-invocation search."""
         db, queries, d, truth = db_queries_truth
         if np.bincount(truth.q_ids).max() < 2:
             pytest.skip("no query with >1 result in this dataset")
-        engine = GpuTemporalEngine(
-            db, num_bins=40, result_buffer_items=1,
-            retry=RetryPolicy(growth_factor=4.0 * len(truth)))
+        monkeypatch.setattr(base, "RETRY_GROWTH_FACTOR", 4.0 * len(truth))
+        engine = GpuTemporalEngine(db, num_bins=40, result_buffer_items=1)
         res, prof = engine.search(queries, d)
         assert res.equivalent_to(truth)
         # One failed sliver attempt, then a buffer that holds everything.
         assert prof.num_kernel_invocations <= 2
 
-    def test_growth_respects_required_items(self, db_queries_truth):
-        """When a query needs more than growth_factor x capacity, the
+    def test_growth_respects_required_items(self, db_queries_truth,
+                                            monkeypatch):
+        """When a query needs more than growth factor x capacity, the
         buffer jumps straight to the required size."""
         db, queries, d, truth = db_queries_truth
         worst = int(np.bincount(truth.q_ids).max())
         if worst < 3:
             pytest.skip("needs a query with >=3 results")
+        monkeypatch.setattr(base, "RETRY_GROWTH_FACTOR", 1.5)
         engine = GpuTemporalEngine(
             db, num_bins=40, result_buffer_items=1,
-            retry=RetryPolicy(max_attempts=2, growth_factor=1.5))
+            retry=RetryPolicy(max_attempts=2))
         res, _ = engine.search(queries, d)
         assert res.equivalent_to(truth)
         assert engine.result_buffer.capacity_items >= worst
 
-    def test_deadline_exhaustion_reraises(self, db_queries_truth):
+    def test_deadline_exhaustion_reraises(self, db_queries_truth,
+                                          monkeypatch):
         """A deadline in the past disables growth after the first
         failure."""
         db, queries, d, truth = db_queries_truth
         if np.bincount(truth.q_ids).max() < 2:
             pytest.skip("no query with >1 result in this dataset")
+        monkeypatch.setattr(base, "RETRY_DEADLINE_S", 1e-12)
         engine = GpuTemporalEngine(
             db, num_bins=40, result_buffer_items=1,
-            retry=RetryPolicy(max_attempts=10, deadline_s=1e-12))
+            retry=RetryPolicy(max_attempts=10))
         with pytest.raises((ResultBufferOverflowError,
                             KernelInvocationLimitError)):
             engine.search(queries, d)

@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.indexes",
     "repro.engines",
     "repro.data",
-    "repro.astro",
     "repro.experiments",
     "repro.service",
     "repro.sharding",
@@ -83,15 +82,14 @@ def test_service_layer_entry_points_exist():
     assert GpuTemporalConfig and CpuRTreeConfig
 
 
-#: every constructor keyword of the serving layer, by class.
+#: every settable constructor value of the serving layer and of the
+#: policy objects its constructors take, by class.
 OPTION_SURFACE = {
     ("repro.service", "QueryService"): {
-        "num_devices", "spec", "gpu_model", "cpu_model", "cache_bytes",
-        "retry", "telemetry", "faults", "breaker_threshold",
-        "breaker_reset_s", "lane_failure_threshold",
-        "lane_quarantine_s", "crosscheck_every", "compaction",
-        "auto_compact", "durability_dir", "durability",
-        "durability_kill"},
+        "num_devices", "spec", "gpu_model", "cpu_model", "retry",
+        "telemetry", "faults", "breaker_reset_s", "lane_quarantine_s",
+        "crosscheck_every", "compaction", "auto_compact",
+        "durability_dir", "durability", "durability_kill"},
     ("repro.sharding", "ShardedService"): {
         "num_shards", "replicas_per_shard", "strategy",
         "durability_root", "telemetry", "service_kwargs"},
@@ -99,23 +97,61 @@ OPTION_SURFACE = {
         "queue_depth", "est_service_s", "clock", "telemetry"},
     ("repro.gateway", "BrownoutLadder"): {"telemetry"},
     ("repro.standing", "StandingQueryManager"): {"store", "telemetry"},
+    ("repro.obs", "Telemetry"): {"enabled", "slow_query_threshold_s"},
+    ("repro.engines", "RetryPolicy"): {"max_attempts", "backoff_s"},
+    ("repro.ingest", "CompactionPolicy"): {
+        "max_delta_segments", "max_delta_ratio"},
+    ("repro.durability", "DurabilityPolicy"): {
+        "sync", "checkpoint_every"},
+    ("repro.service", "CircuitBreaker"): {"reset_after_s"},
+    ("repro.service", "LaneHealth"): set(),
 }
+
+#: runtime state of the resilience state machines: dataclass fields,
+#: never constructor parameters.
+STATE_FIELDS = {
+    ("repro.service", "CircuitBreaker"): {
+        "state", "consecutive_failures", "opened_at", "skips", "trips"},
+    ("repro.service", "LaneHealth"): {
+        "state", "consecutive_failures", "quarantined_until",
+        "quarantine_count"},
+}
+
+
+def _signature(owner):
+    import inspect
+    cls = getattr(importlib.import_module(owner[0]), owner[1])
+    return cls, inspect.signature(cls).parameters.values()
 
 
 @pytest.mark.parametrize("owner", sorted(OPTION_SURFACE),
                          ids=lambda owner: owner[1])
 def test_option_surface_is_pinned(owner):
-    """The exact keyword set of each serving-layer constructor, so a
-    new knob (or a dropped one) is a visible diff in this file."""
-    import inspect
-    cls = getattr(importlib.import_module(owner[0]), owner[1])
-    params = inspect.signature(cls.__init__).parameters.values()
-    assert {p.name for p in params if p.kind is p.KEYWORD_ONLY} \
+    """The exact settable set of each constructor, so a new knob (or a
+    dropped one) is a visible diff in this file."""
+    import dataclasses
+    cls, params = _signature(owner)
+    assert {p.name for p in params if p.default is not p.empty} \
         == OPTION_SURFACE[owner]
-    # Every settable value is one of those keywords: nothing with a
-    # default hides among the positional parameters.
-    assert all(p.kind is p.KEYWORD_ONLY for p in params
-               if p.default is not p.empty)
+    if not dataclasses.is_dataclass(cls):
+        # A service's settable values are all keywords: nothing with a
+        # default hides among its positional parameters.
+        assert all(p.kind is p.KEYWORD_ONLY for p in params
+                   if p.default is not p.empty)
+
+
+def test_option_census_total():
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 37
+
+
+@pytest.mark.parametrize("owner", sorted(STATE_FIELDS),
+                         ids=lambda owner: owner[1])
+def test_state_is_not_a_constructor_parameter(owner):
+    import dataclasses
+    cls, params = _signature(owner)
+    assert not STATE_FIELDS[owner] & {p.name for p in params}
+    assert {f.name for f in dataclasses.fields(cls) if not f.init} \
+        == STATE_FIELDS[owner]
 
 
 def test_register_engine_decorator():

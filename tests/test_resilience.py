@@ -8,12 +8,25 @@ import pytest
 from repro.engines.base import RetryPolicy
 from repro.faults import FaultInjector, FaultSpec
 from repro.service import (CircuitBreaker, LaneHealth, QueryService,
-                           SearchRequest)
+                           SearchRequest, resilience)
+
+
+@pytest.fixture()
+def breaker_one_strike(monkeypatch):
+    """Breakers open on the first failure."""
+    monkeypatch.setattr(resilience, "BREAKER_FAILURE_THRESHOLD", 1)
+
+
+@pytest.fixture()
+def lane_one_strike(monkeypatch):
+    """Lanes quarantine on the first failure."""
+    monkeypatch.setattr(resilience, "LANE_FAILURE_THRESHOLD", 1)
 
 
 class TestCircuitBreaker:
     def test_opens_after_consecutive_failures(self):
-        b = CircuitBreaker(failure_threshold=3)
+        b = CircuitBreaker()
+        assert resilience.BREAKER_FAILURE_THRESHOLD == 3
         assert b.allow(0.0)
         assert not b.record_failure(0.0)
         assert not b.record_failure(0.0)
@@ -22,14 +35,16 @@ class TestCircuitBreaker:
         assert not b.allow(0.0)
 
     def test_success_resets_the_count(self):
-        b = CircuitBreaker(failure_threshold=2)
+        b = CircuitBreaker()
+        b.record_failure(0.0)
         b.record_failure(0.0)
         b.record_success()
         b.record_failure(0.0)
+        b.record_failure(0.0)
         assert b.state == "closed"
 
-    def test_reset_window_admits_half_open_probe(self):
-        b = CircuitBreaker(failure_threshold=1, reset_after_s=10.0)
+    def test_reset_window_admits_half_open_probe(self, breaker_one_strike):
+        b = CircuitBreaker(reset_after_s=10.0)
         b.record_failure(5.0)
         assert not b.allow(5.0)
         assert b.allow(15.0)
@@ -37,8 +52,8 @@ class TestCircuitBreaker:
         assert b.record_success()  # the probe closed the breaker
         assert b.state == "closed"
 
-    def test_failed_probe_reopens(self):
-        b = CircuitBreaker(failure_threshold=1, reset_after_s=1.0)
+    def test_failed_probe_reopens(self, breaker_one_strike):
+        b = CircuitBreaker(reset_after_s=1.0)
         b.record_failure(0.0)
         assert b.allow(2.0)
         assert b.record_failure(2.0)  # failed probe re-opens
@@ -50,8 +65,7 @@ class TestCircuitBreaker:
         # breaker must keep cycling open -> half_open -> closed; a
         # stale `skips` count or an unreset `opened_at` would
         # eventually leave it permanently open (engine stranded).
-        b = CircuitBreaker(failure_threshold=2, reset_after_s=5.0,
-                           probe_after_skips=100)
+        b = CircuitBreaker(reset_after_s=5.0)
         now = 0.0
         for _ in range(25):
             # Trip it...
@@ -74,20 +88,20 @@ class TestCircuitBreaker:
         assert b.trips == 25
         assert b.allow(now)
 
-    def test_skip_fallback_unwedges_a_stalled_clock(self):
-        b = CircuitBreaker(failure_threshold=1, reset_after_s=1e9,
-                           probe_after_skips=3)
+    def test_skip_fallback_unwedges_a_stalled_clock(self, breaker_one_strike):
+        b = CircuitBreaker(reset_after_s=1e9)
         b.record_failure(0.0)
         # The modeled clock never advances, yet the breaker still
         # admits a probe after enough skipped requests.
-        assert [b.allow(0.0) for _ in range(4)] \
-            == [False, False, False, True]
+        skips = resilience.PROBE_AFTER_SKIPS
+        assert [b.allow(0.0) for _ in range(skips + 1)] \
+            == [False] * skips + [True]
         assert b.state == "half_open"
 
-    def test_state_code_matches_the_gauge_help_text(self):
+    def test_state_code_matches_the_gauge_help_text(self, breaker_one_strike):
         # "0 closed / 1 half-open / 2 open": open and half-open must
         # not share a code.
-        b = CircuitBreaker(failure_threshold=1, reset_after_s=10.0)
+        b = CircuitBreaker(reset_after_s=10.0)
         assert b.state_code == 0
         b.record_failure(0.0)
         assert b.state_code == 2
@@ -100,29 +114,36 @@ class TestCircuitBreaker:
 class TestLaneHealth:
     def test_quarantines_at_threshold(self):
         h = LaneHealth()
-        assert not h.record_failure(0.0, threshold=2, quarantine_s=5.0)
-        assert h.record_failure(1.0, threshold=2, quarantine_s=5.0)
+        assert resilience.LANE_FAILURE_THRESHOLD == 3
+        assert not h.record_failure(0.0, quarantine_s=5.0)
+        assert not h.record_failure(0.5, quarantine_s=5.0)
+        assert h.record_failure(1.0, quarantine_s=5.0)
         assert h.state == "quarantined" and not h.usable
         assert h.quarantined_until == 6.0
 
-    def test_window_expiry_enters_probation(self):
+    def test_window_expiry_enters_probation(self, lane_one_strike):
         h = LaneHealth()
-        h.record_failure(0.0, threshold=1, quarantine_s=5.0)
+        h.record_failure(0.0, quarantine_s=5.0)
         assert not h.refresh(4.0)
         assert h.refresh(5.0)
         assert h.state == "probation" and h.usable
 
-    def test_probation_failure_requarantines_with_doubled_window(self):
+    def test_probation_failure_requarantines_with_doubled_window(
+            self, monkeypatch):
+        monkeypatch.setattr(resilience, "LANE_FAILURE_THRESHOLD", 1)
         h = LaneHealth()
-        h.record_failure(0.0, threshold=1, quarantine_s=5.0)
+        h.record_failure(0.0, quarantine_s=5.0)
         h.refresh(5.0)
-        assert h.record_failure(10.0, threshold=3, quarantine_s=5.0)
+        # A probational lane goes back on its first failure, whatever
+        # the threshold.
+        monkeypatch.setattr(resilience, "LANE_FAILURE_THRESHOLD", 3)
+        assert h.record_failure(10.0, quarantine_s=5.0)
         assert h.quarantined_until == 20.0  # 10 + 5 * 2**1
         assert h.quarantine_count == 2
 
-    def test_probation_success_readmits(self):
+    def test_probation_success_readmits(self, lane_one_strike):
         h = LaneHealth()
-        h.record_failure(0.0, threshold=1, quarantine_s=5.0)
+        h.record_failure(0.0, quarantine_s=5.0)
         h.refresh(5.0)
         assert h.record_success()
         assert h.state == "healthy" and h.quarantine_count == 0
@@ -188,11 +209,9 @@ class TestFailover:
         assert len(svc.cache) == 1
 
     def test_no_lane_available_carries_no_breaker_penalty(
-            self, small_db, gpu_request):
+            self, small_db, gpu_request, lane_one_strike):
         inj = FaultInjector([FaultSpec(kind="oom")], seed=0)
-        svc = QueryService(small_db, faults=inj,
-                           lane_failure_threshold=1,
-                           lane_quarantine_s=1e9)
+        svc = QueryService(small_db, faults=inj, lane_quarantine_s=1e9)
         svc.submit(gpu_request)  # quarantines the only lane
         assert svc.stats()["lane_health"]["0"]["state"] == "quarantined"
         gpu_request.request_id = "r1"
@@ -205,10 +224,11 @@ class TestFailover:
         assert breaker["consecutive_failures"] == 1
 
     def test_breaker_opens_then_skips_the_rung(self, small_db,
-                                               gpu_request):
+                                               gpu_request,
+                                               breaker_one_strike):
         inj = FaultInjector([FaultSpec(kind="kernel_abort")], seed=0)
-        svc = QueryService(small_db, faults=inj, breaker_threshold=1,
-                           breaker_reset_s=1e9, lane_quarantine_s=1e9)
+        svc = QueryService(small_db, faults=inj, breaker_reset_s=1e9,
+                           lane_quarantine_s=1e9)
         svc.submit(gpu_request)
         assert svc.stats()["breakers"]["gpu_temporal"]["state"] == "open"
         reg = svc.telemetry.metrics
@@ -220,13 +240,12 @@ class TestFailover:
         assert "circuit breaker open" in resp.metrics.degradation_reason
         assert reg.counter("repro_breaker_skips_total").total() > 0
 
-    def test_breaker_probe_recloses_after_recovery(self, small_db,
-                                                   gpu_request):
+    def test_breaker_probe_recloses_after_recovery(
+            self, small_db, gpu_request, breaker_one_strike):
         # One abort, then the engine is healthy again.
         inj = FaultInjector(
             [FaultSpec(kind="kernel_abort", count=1)], seed=0)
-        svc = QueryService(small_db, faults=inj, breaker_threshold=1,
-                           breaker_reset_s=1e-12)
+        svc = QueryService(small_db, faults=inj, breaker_reset_s=1e-12)
         assert svc.submit(gpu_request).metrics.degraded
         assert svc.stats()["breakers"]["gpu_temporal"]["state"] == "open"
         gpu_request.request_id = "r1"
@@ -239,7 +258,7 @@ class TestFailover:
 
 class TestLaneLifecycle:
     def test_quarantine_invalidates_cached_engines_then_readmits(
-            self, db_queries_truth):
+            self, db_queries_truth, lane_one_strike):
         db, queries, d, truth = db_queries_truth
         req = SearchRequest(queries=queries, d=d,
                             method="gpu_temporal", request_id="r0")
@@ -251,8 +270,7 @@ class TestLaneLifecycle:
         inj = FaultInjector(
             [FaultSpec(kind="lane_blackout",
                        after=probe.total_ops - 1, count=1)], seed=0)
-        svc = QueryService(db, faults=inj, lane_failure_threshold=1,
-                           lane_quarantine_s=1e-12)
+        svc = QueryService(db, faults=inj, lane_quarantine_s=1e-12)
         resp = svc.submit(req)
         assert resp.ok and resp.metrics.degraded
         assert resp.outcome.results.equivalent_to(truth)
@@ -277,7 +295,7 @@ class TestLaneLifecycle:
 
 class TestRetryBackoff:
     def test_backoff_is_deterministic_and_exponential(self):
-        policy = RetryPolicy(backoff_s=0.01, jitter=0.5)
+        policy = RetryPolicy(backoff_s=0.01)
         assert policy.backoff_for(1) == policy.backoff_for(1)
         assert policy.backoff_for(2) > policy.backoff_for(1)
         assert policy.backoff_for(3) > policy.backoff_for(2)

@@ -141,8 +141,9 @@ class TestCaching:
                                   params={"num_bins": 40}))
         entry_bytes = svc.cache.entries()[0].nbytes
         # Budget fits exactly one engine of this size.
-        svc2 = QueryService(small_db, num_devices=1,
-                            cache_bytes=int(entry_bytes * 1.5))
+        svc2 = QueryService(small_db, num_devices=1)
+        assert svc2.cache.budget_bytes == svc2.pool.total_mem_bytes
+        svc2.cache.budget_bytes = int(entry_bytes * 1.5)
         svc2.submit(_request(small_queries, method="gpu_temporal",
                              params={"num_bins": 40}))
         svc2.submit(_request(small_queries, method="gpu_temporal",
@@ -422,13 +423,14 @@ class TestIdempotentMutations:
 
 
 class TestTransitionMetrics:
-    def test_breaker_transitions_are_labeled_counters(self, small_db,
-                                                      small_queries):
+    def test_breaker_transitions_are_labeled_counters(
+            self, small_db, small_queries, monkeypatch):
         from repro.faults import FaultInjector, FaultSpec
+        from repro.service import resilience
+        monkeypatch.setattr(resilience, "BREAKER_FAILURE_THRESHOLD", 1)
         inj = FaultInjector(
             [FaultSpec(kind="kernel_abort", count=1)], seed=0)
-        svc = QueryService(small_db, faults=inj, breaker_threshold=1,
-                           breaker_reset_s=1e-12)
+        svc = QueryService(small_db, faults=inj, breaker_reset_s=1e-12)
         req = _request(small_queries, method="gpu_temporal")
         svc.submit(req)  # abort: closed -> open
         req.request_id = "r1"
@@ -450,13 +452,13 @@ class TestTransitionMetrics:
                 "to_state": "open"} in kinds
         svc.shutdown()
 
-    def test_lane_transitions_are_labeled_counters(self, small_db,
-                                                   small_queries):
+    def test_lane_transitions_are_labeled_counters(
+            self, small_db, small_queries, monkeypatch):
         from repro.faults import FaultInjector, FaultSpec
+        from repro.service import resilience
+        monkeypatch.setattr(resilience, "LANE_FAILURE_THRESHOLD", 1)
         inj = FaultInjector([FaultSpec(kind="oom", count=1)], seed=0)
-        svc = QueryService(small_db, faults=inj,
-                           lane_failure_threshold=1,
-                           lane_quarantine_s=1e9)
+        svc = QueryService(small_db, faults=inj, lane_quarantine_s=1e9)
         svc.submit(_request(small_queries, method="gpu_temporal"))
         counter = svc.telemetry.metrics.counter(
             "repro_lane_transitions_total")

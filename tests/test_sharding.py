@@ -245,6 +245,40 @@ class TestFailover:
             with pytest.raises(ValueError):
                 svc.recover_replica(0, 0)
 
+    @pytest.mark.parametrize("hook, args, bound", [
+        ("kill_replica", (3,), 3),
+        ("kill_replica", (-1,), 3),
+        ("kill_replica", (0, 2), 2),
+        ("kill_replica", (0, -1), 2),
+        ("blackout_shard", (99,), 3),
+        ("blackout_shard", (-1,), 3),
+        ("recover_replica", (3, 0), 3),
+        ("recover_replica", (-1, 0), 3),
+        ("recover_replica", (0, 2), 2),
+        ("compact", (3,), 3),
+        ("compact", (-1,), 3),
+    ])
+    def test_chaos_hooks_refuse_indices_outside_the_layout(
+            self, hook, args, bound):
+        """A negative index must not wrap around to the last shard or
+        replica, and one past the end is a ValueError naming the range,
+        never an IndexError; nothing is killed either way."""
+        with ShardedService(_db(), num_shards=3,
+                            replicas_per_shard=2) as svc:
+            if hook == "recover_replica":
+                svc.blackout_shard(0)
+            before = svc.live_map()
+            with pytest.raises(ValueError,
+                               match=rf"outside \[0, {bound}\)"):
+                getattr(svc, hook)(*args)
+            assert svc.live_map() == before
+
+    def test_recovering_a_replica_of_an_empty_shard_is_refused(self):
+        with ShardedService(_db(2, 4, seed=5), num_shards=8) as svc:
+            empty = next(s.index for s in svc.shards if not s.replicas)
+            with pytest.raises(ValueError, match="runs no replicas"):
+                svc.recover_replica(empty, 0)
+
 
 class TestDivergenceDetection:
     """Satellite: a stale (pre-ingest epoch) replica is detected via

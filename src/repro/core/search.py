@@ -79,18 +79,6 @@ class SearchOutcome:
             "modeled": self.modeled.to_dict(),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SearchOutcome":
-        """Inverse of :meth:`to_dict`."""
-        prof = payload["profile"]
-        profile_cls = (CpuSearchProfile if prof.get("kind") == "cpu"
-                       else SearchProfile)
-        return cls(
-            results=ResultSet.from_dict(payload["results"]),
-            profile=profile_cls.from_dict(prof),
-            modeled=CostBreakdown.from_dict(payload["modeled"]),
-        )
-
 
 class DistanceThresholdSearch:
     """Distance-threshold similarity search over a trajectory database.

@@ -228,6 +228,12 @@ class SegmentArray:
             raise ValueError("empty SegmentArray has no temporal extent")
         return float(self.ts.min()), float(self.te.max())
 
+    def all_finite(self) -> bool:
+        """True when no coordinate or time is NaN or infinite (a
+        non-finite row can never match, so callers refuse it)."""
+        return bool(np.isfinite(
+            np.concatenate([getattr(self, f) for f in self._FIELDS])).all())
+
     def spatial_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-dimension ``(mins, maxs)`` over all segment endpoints."""
         if len(self) == 0:

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 __all__ = [
-    "CONFIG_REGISTRY",
     "ConfigError",
     "CpuRTreeConfig",
     "CpuScanConfig",
@@ -31,7 +30,6 @@ __all__ = [
     "GpuSpatialConfig",
     "GpuSpatioTemporalConfig",
     "GpuTemporalConfig",
-    "config_for",
 ]
 
 
@@ -72,11 +70,6 @@ class EngineConfig:
     def to_dict(self) -> dict:
         """JSON-friendly representation (same keys as the fields)."""
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EngineConfig":
-        """Inverse of :meth:`to_dict`; validates like ``from_params``."""
-        return cls.from_params(**payload)
 
     @classmethod
     def valid_keys(cls) -> tuple[str, ...]:
@@ -211,20 +204,3 @@ class CpuScanConfig(EngineConfig):
 
     engine = "cpu_scan"
 
-
-#: engine name -> typed config class (mirrors the engine registry).
-CONFIG_REGISTRY: dict[str, type[EngineConfig]] = {
-    "gpu_spatial": GpuSpatialConfig,
-    "gpu_temporal": GpuTemporalConfig,
-    "gpu_spatiotemporal": GpuSpatioTemporalConfig,
-    "cpu_rtree": CpuRTreeConfig,
-    "cpu_scan": CpuScanConfig,
-}
-
-
-def config_for(method: str, **params) -> EngineConfig:
-    """Build the typed config for ``method`` from loose parameters."""
-    if method not in CONFIG_REGISTRY:
-        raise ConfigError(f"no config type for engine {method!r}; "
-                          f"available: {sorted(CONFIG_REGISTRY)}")
-    return CONFIG_REGISTRY[method].from_params(**params)

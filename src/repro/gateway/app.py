@@ -197,7 +197,7 @@ class Gateway:
         return await self._mutate(
             api_key, "delete", request_id,
             lambda: self.backend.delete_trajectory(
-                int(traj_id), idempotency_key=idempotency_key))
+                traj_id, idempotency_key=idempotency_key))
 
     async def drain(self) -> None:
         """Wait until both priority queues are empty (test/campaign

@@ -61,6 +61,10 @@ _REASONS = {200: "OK", 206: "Partial Content", 400: "Bad Request",
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
+class _UnreadableFraming(Exception):
+    """Where the next request starts is unknown: answer 400, hang up."""
+
+
 class GatewayHTTPServer:
     """Serve one :class:`~repro.gateway.Gateway` over HTTP/1.1."""
 
@@ -99,15 +103,19 @@ class GatewayHTTPServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _UnreadableFraming as exc:
+                    await self._respond(writer, 400, {"error": str(exc)},
+                                        {})
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
                 status, payload, extra = await self._route(
                     method, path, headers, body)
                 await self._respond(writer, status, payload, extra)
-                if body is None or \
-                        headers.get("connection", "").lower() == "close":
+                if headers.get("connection", "").lower() == "close":
                     break
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -133,7 +141,11 @@ class GatewayHTTPServer:
             return None
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:
+                # Over the stream limit: the line's tail is unread.
+                raise _UnreadableFraming("header line too long") from None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
@@ -143,17 +155,13 @@ class GatewayHTTPServer:
         except ValueError:
             length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
-            # Unreadable framing: where the next request starts is
-            # unknown, so the caller answers 400 and hangs up.
-            return method, path, headers, None
+            raise _UnreadableFraming(f"Content-Length must be an integer "
+                                     f"in 0..{MAX_BODY_BYTES}")
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 
     async def _route(self, method: str, path: str,
-                     headers: dict[str, str], body: bytes | None):
-        if body is None:
-            return 400, {"error": f"Content-Length must be an integer "
-                                  f"in 0..{MAX_BODY_BYTES}"}, {}
+                     headers: dict[str, str], body: bytes):
         if method == "GET" and path == "/metrics":
             return 200, self.gateway.metrics_text(), {
                 "content-type": "text/plain; version=0.0.4"}
@@ -184,7 +192,7 @@ class GatewayHTTPServer:
                     request_id=str(payload.get("request_id", "")))
             elif path == "/v1/delete":
                 response = await self.gateway.delete(
-                    api_key, int(payload["traj_id"]),
+                    api_key, payload["traj_id"],
                     idempotency_key=headers.get("idempotency-key"),
                     request_id=str(payload.get("request_id", "")))
             else:

@@ -91,17 +91,6 @@ class CostBreakdown:
             "total": self.total,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CostBreakdown":
-        """Inverse of :meth:`to_dict` (``total`` is derived, not stored)."""
-        return cls(
-            compute=float(payload["compute"]),
-            atomics=float(payload["atomics"]),
-            launches=float(payload["launches"]),
-            transfers=float(payload["transfers"]),
-            host=float(payload["host"]),
-        )
-
 
 @dataclass(frozen=True)
 class GpuCostModel:

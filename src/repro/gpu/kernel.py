@@ -82,19 +82,6 @@ class KernelStats:
             "atomic_ops": int(self.atomic_ops),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KernelStats":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=payload["name"],
-            num_threads=int(payload["num_threads"]),
-            thread_work=np.asarray(payload["thread_work"],
-                                   dtype=np.int64),
-            gather_work=np.asarray(payload["gather_work"],
-                                   dtype=np.int64),
-            atomic_ops=int(payload["atomic_ops"]),
-        )
-
 
 def warp_work(thread_work: np.ndarray, warp_size: int) -> int:
     """Sum over warps of the per-warp maximum lane work.

@@ -114,8 +114,8 @@ class SearchProfile:
     # -- serialization ------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-friendly representation; ``kind`` discriminates GPU/CPU
-        profiles so :meth:`SearchOutcome.from_dict` can reload either."""
+        """JSON-friendly representation; ``kind`` tells a GPU profile
+        from a CPU one."""
         return {
             "kind": "gpu",
             "engine": self.engine,
@@ -134,24 +134,6 @@ class SearchProfile:
             "attempts": int(self.attempts),
             "backoff_s": float(self.backoff_s),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SearchProfile":
-        """Inverse of :meth:`to_dict` (retry fields are optional so
-        pre-resilience payloads still load)."""
-        if payload.get("kind", "gpu") != "gpu":
-            raise ValueError(
-                f"expected a GPU profile, got kind={payload.get('kind')!r}")
-        fields_ = {k: payload[k] for k in (
-            "engine", "num_queries", "h2d_bytes", "d2h_bytes",
-            "num_transfers", "schedule_items", "redo_queries",
-            "defaulted_queries", "raw_result_items", "result_items",
-            "index_bytes", "wall_seconds")}
-        fields_["kernel_stats"] = [KernelStats.from_dict(s)
-                                   for s in payload["kernel_stats"]]
-        fields_["attempts"] = int(payload.get("attempts", 1))
-        fields_["backoff_s"] = float(payload.get("backoff_s", 0.0))
-        return cls(**fields_)
 
 
 @dataclass
@@ -188,16 +170,6 @@ class CpuSearchProfile:
             "index_bytes": int(self.index_bytes),
             "wall_seconds": float(self.wall_seconds),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CpuSearchProfile":
-        """Inverse of :meth:`to_dict`."""
-        if payload.get("kind", "cpu") != "cpu":
-            raise ValueError(
-                f"expected a CPU profile, got kind={payload.get('kind')!r}")
-        return cls(**{k: payload[k] for k in (
-            "engine", "num_queries", "node_visits", "comparisons",
-            "result_items", "index_bytes", "wall_seconds")})
 
 
 @dataclass
@@ -270,23 +242,3 @@ class RequestMetrics:
             "delta_segments": int(self.delta_segments),
             "delta_scan_s": float(self.delta_scan_s),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RequestMetrics":
-        """Inverse of :meth:`to_dict` (the lane fields are optional so
-        pre-telemetry payloads still load)."""
-        return cls(
-            **{k: payload[k] for k in (
-                "engine", "queue_wait_s", "cache_hit", "engine_build_s",
-                "invocations", "modeled_seconds", "wall_seconds",
-                "degraded", "degradation_reason")},
-            attempts=int(payload.get("attempts", 1)),
-            backoff_s=float(payload.get("backoff_s", 0.0)),
-            failovers=int(payload.get("failovers", 0)),
-            arrival_s=float(payload.get("arrival_s", 0.0)),
-            lane_spans=[dict(s)
-                        for s in payload.get("lane_spans", [])],
-            snapshot_epoch=int(payload.get("snapshot_epoch", 0)),
-            delta_segments=int(payload.get("delta_segments", 0)),
-            delta_scan_s=float(payload.get("delta_scan_s", 0.0)),
-        )

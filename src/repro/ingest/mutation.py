@@ -12,6 +12,7 @@ one table that makes a keyed client retry exactly-once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from ..core.types import SegmentArray, Trajectory
 from ..obs import current as current_telemetry
@@ -29,7 +30,8 @@ class IngestError(ValueError):
 
 def as_segments(segments: SegmentArray | Trajectory |
                 list[Trajectory]) -> SegmentArray:
-    """Normalize the polymorphic append input to one SegmentArray."""
+    """Normalize the polymorphic append input to one SegmentArray;
+    non-finite coordinates raise :class:`IngestError`."""
     if isinstance(segments, Trajectory):
         segments = [segments]
     if isinstance(segments, list):
@@ -37,6 +39,9 @@ def as_segments(segments: SegmentArray | Trajectory |
     if not isinstance(segments, SegmentArray):
         raise TypeError("append expects a SegmentArray, a "
                         "Trajectory, or a list of Trajectory")
+    if not segments.all_finite():
+        raise IngestError("append refused: a segment coordinate or "
+                          "time is NaN or infinite")
     return segments
 
 
@@ -72,6 +77,11 @@ class Mutation:
         if self.segments is not None:
             coerce(self, "segments", as_segments(self.segments))
         if self.traj_id is not None:
+            # int() would truncate 0.9 (or True) to another trajectory.
+            if not isinstance(self.traj_id, Integral) \
+                    or isinstance(self.traj_id, bool):
+                raise ValueError(f"traj_id must be an integer, got "
+                                 f"{self.traj_id!r}")
             coerce(self, "traj_id", int(self.traj_id))
         if self.idempotency_key is not None:
             coerce(self, "idempotency_key", str(self.idempotency_key))

@@ -11,8 +11,7 @@ nested inside that occupancy window.
 The input is the list of :class:`~repro.service.SearchResponse`
 objects a ``submit_batch`` call returned; everything needed (lane
 placements, modeled start/duration, the profile) travels on the
-response, so traces can be rendered offline from an archived
-responses JSON.
+response objects themselves.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Replaces the service's former bare ``list[dict]`` event trail.  Every
 record is an :class:`Event` — a kind, an epoch timestamp, and a flat
-field dict — held in a bounded :class:`EventLog` that round-trips
-through JSON lines, so a service run leaves a machine-readable audit
-trail (degradations, evictions, retries, slow queries) next to its
+field dict — held in a bounded :class:`EventLog` that writes JSON
+lines, so a service run leaves a machine-readable audit trail
+(degradations, evictions, retries, slow queries) next to its
 responses.
 
 The :class:`SlowQueryLog` is the operator-facing cut of the same data:
@@ -48,12 +48,6 @@ class Event:
         return {"kind": self.kind, "ts": float(self.ts),
                 "fields": dict(self.fields)}
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Event":
-        """Inverse of :meth:`to_dict`."""
-        return cls(kind=payload["kind"], ts=float(payload["ts"]),
-                   fields=dict(payload.get("fields", {})))
-
 
 class EventLog:
     """Bounded, append-only sequence of :class:`Event` records.
@@ -71,8 +65,6 @@ class EventLog:
             raise ValueError("maxlen must be >= 1 (or None)")
         self.enabled = enabled
         self._events: deque[Event] = deque(maxlen=maxlen)
-        #: lines :meth:`from_jsonl` skipped as corrupt or torn.
-        self.corrupt_lines = 0
         #: oldest events overwritten by the ring bound.
         self.dropped_events = 0
 
@@ -116,27 +108,6 @@ class EventLog:
         path.write_text(self.to_jsonl())
         return path
 
-    @classmethod
-    def from_jsonl(cls, text: str, *, maxlen: int | None = 10_000
-                   ) -> "EventLog":
-        """Inverse of :meth:`to_jsonl`.
-
-        Tolerant of a crashed writer: a corrupt or torn line (most
-        commonly the truncated final line of an interrupted flush) is
-        skipped and counted in ``corrupt_lines``, never raised — an
-        audit log must stay readable after the crash it documents.
-        """
-        log = cls(maxlen=maxlen)
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                log._events.append(Event.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
-                log.corrupt_lines += 1
-        return log
-
 
 @dataclass
 class SlowQuery:
@@ -162,13 +133,6 @@ class SlowQuery:
             "ts": float(self.ts),
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SlowQuery":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**{k: payload[k] for k in (
-            "request_id", "engine", "modeled_seconds", "queue_wait_s",
-            "cache_hit", "degraded", "ts")})
-
 
 class SlowQueryLog:
     """Requests slower (modeled) than a configurable threshold."""
@@ -180,8 +144,6 @@ class SlowQueryLog:
         self.threshold_s = float(threshold_s)
         self.enabled = enabled
         self._entries: deque[SlowQuery] = deque(maxlen=maxlen)
-        #: lines :meth:`from_jsonl` skipped as corrupt or torn.
-        self.corrupt_lines = 0
 
     def observe(self, *, request_id: str, engine: str,
                 modeled_seconds: float, queue_wait_s: float = 0.0,
@@ -218,24 +180,6 @@ class SlowQueryLog:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_jsonl())
         return path
-
-    @classmethod
-    def from_jsonl(cls, text: str, *, threshold_s: float = 1.0,
-                   maxlen: int = 1000) -> "SlowQueryLog":
-        """Inverse of :meth:`to_jsonl`; corrupt or torn lines are
-        skipped and counted in ``corrupt_lines`` (see
-        :meth:`EventLog.from_jsonl`)."""
-        log = cls(threshold_s, maxlen=maxlen)
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                log._entries.append(
-                    SlowQuery.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, TypeError,
-                    ValueError):
-                log.corrupt_lines += 1
-        return log
 
     def render(self) -> str:
         """Human-readable table, slowest first."""

@@ -1,8 +1,7 @@
 """Metrics registry: counters, gauges, and histograms with labels.
 
-The registry is the single numeric store behind
-:meth:`repro.service.QueryService.stats`, the ``metrics`` CLI
-subcommand, and the tests — one set of counters that every layer
+The registry is the numeric store behind the ``metrics`` CLI
+subcommand and the tests — one set of counters that every layer
 (service, engines, kernel model) increments through the ambient
 :class:`~repro.obs.telemetry.Telemetry`.
 
@@ -11,9 +10,8 @@ Two export formats:
 * :meth:`MetricsRegistry.to_prometheus_text` — the Prometheus text
   exposition format (``# HELP`` / ``# TYPE`` / sample lines), so a
   scraper or a human can read one snapshot;
-* :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.restore` —
-  a JSON-friendly dict that round-trips, so snapshots can be archived
-  next to experiment artifacts and diffed across runs.
+* :meth:`MetricsRegistry.snapshot` — a JSON-friendly dict of every
+  instrument and series (``repro metrics --format json``).
 
 Instruments are created lazily through ``counter()`` / ``gauge()`` /
 ``histogram()`` (get-or-create semantics): call sites never need to
@@ -293,7 +291,7 @@ class MetricsRegistry:
                                  f"{ser['count']}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    # -- JSON round-trip ----------------------------------------------------------
+    # -- JSON snapshot ------------------------------------------------------------
 
     def snapshot(self) -> dict:
         """JSON-friendly dump of every instrument and series."""
@@ -324,29 +322,6 @@ class MetricsRegistry:
                     ],
                 }
         return out
-
-    @classmethod
-    def restore(cls, payload: dict) -> "MetricsRegistry":
-        """Inverse of :meth:`snapshot`."""
-        reg = cls()
-        for name, spec in payload.items():
-            kind = spec["type"]
-            if kind == "histogram":
-                inst = reg.histogram(name, spec.get("help", ""),
-                                     buckets=tuple(spec["buckets"]))
-                for ser in spec["series"]:
-                    key = tuple(tuple(kv) for kv in ser["labels"])
-                    inst.series[key] = {"counts": list(ser["counts"]),
-                                        "sum": float(ser["sum"]),
-                                        "count": int(ser["count"])}
-            else:
-                inst = (reg.counter(name, spec.get("help", ""))
-                        if kind == "counter"
-                        else reg.gauge(name, spec.get("help", "")))
-                for ser in spec["series"]:
-                    key = tuple(tuple(kv) for kv in ser["labels"])
-                    inst.values[key] = float(ser["value"])
-        return reg
 
 
 def _num(value: float) -> str:

@@ -84,21 +84,6 @@ class Span:
             payload["modeled_dur_s"] = float(self.modeled_dur_s)
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Span":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            name=payload["name"],
-            span_id=int(payload.get("span_id", 0)),
-            attributes=dict(payload.get("attributes", {})),
-            wall_start_s=float(payload.get("wall_start_s", 0.0)),
-            wall_dur_s=float(payload.get("wall_dur_s", 0.0)),
-            modeled_start_s=payload.get("modeled_start_s"),
-            modeled_dur_s=payload.get("modeled_dur_s"),
-            children=[cls.from_dict(c)
-                      for c in payload.get("children", [])],
-        )
-
 
 class _NullSpan(Span):
     """Inert span returned by a disabled tracer; mutations vanish."""

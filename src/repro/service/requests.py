@@ -4,10 +4,9 @@ A client describes one batch of query segments as a
 :class:`SearchRequest` and receives a :class:`SearchResponse` holding the
 :class:`~repro.core.search.SearchOutcome` (results + profile + modeled
 cost) and the service-side :class:`~repro.gpu.profiler.RequestMetrics`
-(queue wait, cache hit/miss, degradation).  Both types round-trip through
-JSON via ``to_dict``/``from_dict`` so batches can be submitted from files
-(see the ``batch`` CLI subcommand) and responses archived next to the
-experiment artifacts.
+(queue wait, cache hit/miss, degradation).  A request is read from JSON
+with ``from_dict`` (the HTTP wire and the ``batch --requests`` file); a
+response is only ever written, with ``to_dict``.
 """
 
 from __future__ import annotations
@@ -73,6 +72,9 @@ class SearchRequest:
     def __post_init__(self) -> None:
         if len(self.queries) == 0:
             raise ValueError("request needs a non-empty query set")
+        if not self.queries.all_finite():
+            raise ValueError("request queries hold a NaN or infinite "
+                             "coordinate or time")
         if not (self.d >= 0.0):
             raise ValueError(f"distance threshold must be >= 0, "
                              f"got {self.d!r}")
@@ -181,18 +183,3 @@ class SearchResponse:
             "metrics": self.metrics.to_dict(),
             "missing_shards": list(self.missing_shards),
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SearchResponse":
-        """Inverse of :meth:`to_dict` (``status``/``reason`` default to
-        an ok response so pre-resilience payloads still load)."""
-        outcome = payload.get("outcome")
-        return cls(
-            request_id=payload["request_id"],
-            outcome=(SearchOutcome.from_dict(outcome)
-                     if outcome is not None else None),
-            metrics=RequestMetrics.from_dict(payload["metrics"]),
-            status=payload.get("status", "ok"),
-            reason=payload.get("reason", ""),
-            missing_shards=tuple(payload.get("missing_shards", ())),
-        )

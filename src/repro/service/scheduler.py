@@ -753,22 +753,12 @@ class QueryService:
     def stats(self) -> dict:
         """Service-level counters for dashboards and tests.
 
-        With telemetry enabled the request/degradation numbers are read
-        from the metrics registry — the same series the Prometheus
-        exposition and the experiment harness see; plain instance
-        counters are the fallback when telemetry is off.
+        ``num_requests`` counts every request the service took in,
+        including one refused by a raised error; the numbers do not
+        depend on whether telemetry is enabled.
         """
-        if self.telemetry.enabled:
-            m = self.telemetry.metrics
-            num_requests = int(
-                m.counter("repro_requests_total").total())
-            degradations = int(
-                m.counter("repro_degradations_total").total())
-        else:
-            num_requests = self._num_requests
-            degradations = self._degradations
         return {
-            "num_requests": num_requests,
+            "num_requests": self._num_requests,
             "cache": self.cache.stats.to_dict(),
             "cached_engines": len(self.cache),
             "cache_resident_bytes": self.cache.resident_bytes,
@@ -776,7 +766,7 @@ class QueryService:
             "clock_s": self._clock,
             "lane_busy_until_s": [lane.busy_until
                                   for lane in self.pool.lanes],
-            "degradations": degradations,
+            "degradations": self._degradations,
             "slow_queries": len(self.telemetry.slow_log),
             "failover_serves": self._failover_serves,
             "crosschecks": self._crosschecks,

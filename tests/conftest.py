@@ -13,6 +13,18 @@ BAD_PLANNER_HINTS = [{"num_bins": 0}, {"num_bins": "x"},
                      {"segments_per_mbb": 0}, {"num_subbins": 0},
                      {"cells_per_dim": -3}]
 
+#: values no coordinate or time may take.
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+def poisoned(segments: SegmentArray, value: float, *, column: str = "xs",
+             row: int = 0) -> SegmentArray:
+    """A copy of ``segments`` with one coordinate replaced by ``value``."""
+    cols = {f: getattr(segments, f).copy() for f in SegmentArray._FIELDS}
+    cols[column][row] = value
+    return SegmentArray(**cols, traj_ids=segments.traj_ids,
+                        seg_ids=segments.seg_ids)
+
 
 def make_walk_trajectories(num_traj: int, steps: int, *,
                            box: float = 20.0, step_sigma: float = 1.0,

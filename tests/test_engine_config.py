@@ -1,5 +1,5 @@
 """Typed per-engine configuration: validation, nearest-key suggestions,
-JSON round-trips, and façade integration."""
+JSON-friendly ``to_dict``, and façade integration."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.core.search import DistanceThresholdSearch
 from repro.engines import (ConfigError, CpuRTreeConfig, CpuRTreeEngine,
                            CpuScanConfig, GpuSpatialConfig,
                            GpuSpatioTemporalConfig, GpuTemporalConfig,
-                           GpuTemporalEngine, config_for)
+                           GpuTemporalEngine)
 
 ALL_CONFIGS = [GpuTemporalConfig, GpuSpatioTemporalConfig,
                GpuSpatialConfig, CpuRTreeConfig, CpuScanConfig]
@@ -49,27 +49,20 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GpuSpatialConfig(cells_per_dim=(4, 5))
 
-    def test_config_for_dispatch(self):
-        cfg = config_for("gpu_spatiotemporal", num_bins=7)
-        assert isinstance(cfg, GpuSpatioTemporalConfig)
-        assert cfg.num_bins == 7
-        with pytest.raises(ConfigError):
-            config_for("nope")
-
 
 class TestSerialization:
     @pytest.mark.parametrize("cls", ALL_CONFIGS)
     def test_round_trip(self, cls):
         import json
         cfg = cls()
-        back = cls.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        back = cls.from_params(**json.loads(json.dumps(cfg.to_dict())))
         assert back == cfg
 
     def test_spatial_tuple_survives_json(self):
         import json
         cfg = GpuSpatialConfig(cells_per_dim=(3, 4, 5))
-        back = GpuSpatialConfig.from_dict(
-            json.loads(json.dumps(cfg.to_dict())))
+        back = GpuSpatialConfig.from_params(
+            **json.loads(json.dumps(cfg.to_dict())))
         assert back.cells_per_dim == (3, 4, 5)
 
 

@@ -4,9 +4,11 @@ the seeded overload campaign."""
 
 import asyncio
 import json
+import logging
 
 import pytest
 
+from repro.core.result import ResultSet
 from repro.core.types import SegmentArray
 from repro.engines.cpu_scan import CpuScanEngine
 from repro.campaigns import overload
@@ -19,8 +21,9 @@ from repro.gateway import (BROWNOUT_LEVELS, BrownoutLadder,
                            retry_with_backoff)
 from repro.gateway.brownout import (BROWNOUT_HYSTERESIS,
                                     BROWNOUT_THRESHOLDS)
-from repro.service import QueryService, SearchRequest, SearchResponse
-from tests.conftest import BAD_PLANNER_HINTS, make_walk_trajectories
+from repro.service import QueryService, SearchRequest
+from tests.conftest import (BAD_PLANNER_HINTS, NON_FINITE,
+                            make_walk_trajectories, poisoned)
 
 D = 2.5
 
@@ -560,8 +563,8 @@ class TestHTTPSurface:
                                 for b in breakers.values())
         status, _, payload = served
         assert status == 200
-        answer = SearchResponse.from_dict(
-            json.loads(payload)["response"]).outcome.results
+        answer = ResultSet.from_dict(
+            json.loads(payload)["response"]["outcome"]["results"])
         truth, _ = CpuScanEngine(small_db).search(small_queries, D)
         assert result_bytes(answer) == result_bytes(truth)
         gw.backend.shutdown()
@@ -632,8 +635,8 @@ class TestHTTPSurface:
         assert body["status"] == "invalid" and "num_binz" in body["reason"]
         status, _, payload = served
         assert status == 200
-        answer = SearchResponse.from_dict(
-            json.loads(payload)["response"]).outcome.results
+        answer = ResultSet.from_dict(
+            json.loads(payload)["response"]["outcome"]["results"])
         truth, _ = CpuScanEngine(small_db).search(small_queries, D)
         assert result_bytes(answer) == result_bytes(truth)
         breakers = gw.backend.stats()["breakers"]
@@ -715,6 +718,80 @@ class TestHTTPSurface:
             "repro_gateway_backend_errors_total").total() == 1
         assert any(e.kind == "gateway_backend_error"
                    for e in gw.telemetry.events)
+        gw.backend.shutdown()
+
+    def test_over_long_header_is_a_400(self, small_db, caplog):
+        """Regression: a header line over asyncio's 64 KiB stream limit
+        raised ``ValueError`` out of the header loop — asyncio logged
+        "Unhandled exception in client_connected_cb" and the client
+        read ``b""``.  It is unreadable framing: 400, then hang up."""
+        gw = _gateway(small_db)
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                return await _http(server.host, server.port, "GET",
+                                   "/stats", b"",
+                                   {"x-padding": "a" * (70 * 1024)})
+
+        with caplog.at_level(logging.ERROR):
+            status, _, payload = asyncio.run(
+                asyncio.wait_for(drive(), 10))
+        assert status == 400
+        assert "header line too long" in json.loads(payload)["error"]
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.ERROR]
+        gw.backend.shutdown()
+
+    @pytest.mark.parametrize("traj_id", [b"0.9", b"true", b'"0"'])
+    def test_non_integer_traj_id_deletes_nothing(self, small_db,
+                                                 traj_id):
+        """Regression: ``int()`` turned 0.9 into trajectory 0 and
+        ``true`` into trajectory 1 — a 200 that tombstoned the wrong
+        trajectory.  The ``Mutation`` refuses it: 400, nothing hidden."""
+        gw = _gateway(small_db)
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                return await _http(server.host, server.port, "POST",
+                                   "/v1/delete",
+                                   b'{"traj_id": ' + traj_id + b"}",
+                                   {"x-api-key": "key-alpha"})
+
+        status, _, payload = asyncio.run(asyncio.wait_for(drive(), 10))
+        assert status == 400
+        body = json.loads(payload)
+        assert body["status"] == "invalid"
+        assert "traj_id must be an integer" in body["reason"]
+        assert gw.backend.versioned.epoch == 0
+        assert gw.backend.stats()["ingest"]["deletes"] == 0
+        gw.backend.shutdown()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_coordinates_are_a_400(self, small_db,
+                                              small_queries, value):
+        """A NaN/inf append used to be WAL-logged and bump the epoch
+        (its rows can never match); a NaN/inf query got an empty ok
+        answer.  Both are refused with a 400."""
+        gw = _gateway(small_db)
+        headers = {"x-api-key": "key-alpha"}
+        search = _request(small_queries, method="cpu_scan").to_dict()
+        search["queries"] = poisoned(small_queries, value).to_dict()
+        ingest = {"segments": poisoned(_fresh_walk(7), value,
+                                       column="ys").to_dict()}
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                return [await _http(server.host, server.port, "POST",
+                                    path, json.dumps(body).encode(),
+                                    headers)
+                        for path, body in (("/v1/search", search),
+                                           ("/v1/ingest", ingest))]
+
+        for status, _, payload in asyncio.run(
+                asyncio.wait_for(drive(), 10)):
+            assert status == 400
+            assert "NaN or infinite" in payload.decode()
+        assert gw.backend.versioned.epoch == 0
         gw.backend.shutdown()
 
     @pytest.mark.parametrize("body", [b"[]", b"1", b'"x"'])

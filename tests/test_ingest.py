@@ -18,7 +18,7 @@ from repro.engines.cpu_scan import CpuScanEngine
 from repro.ingest import (CompactionPolicy, IngestError,
                           VersionedDatabase, overlay_search)
 from repro.service import QueryService, SearchRequest
-from tests.conftest import make_walk_trajectories
+from tests.conftest import NON_FINITE, make_walk_trajectories, poisoned
 
 D = 2.5
 
@@ -213,6 +213,29 @@ def _scan_outcome(db, queries):
 
 
 class TestServiceIngestion:
+    @pytest.mark.parametrize("column, value", [
+        ("xs", float("nan")), ("ye", float("inf")), ("ze", float("-inf")),
+        ("ts", float("nan")), ("te", float("inf"))])
+    def test_non_finite_append_is_refused(self, base, tmp_path, column,
+                                          value):
+        """A non-finite row can never match: it is refused before the
+        WAL, so the epoch does not move."""
+        svc = QueryService(base, durability_dir=tmp_path)
+        wal_bytes = svc.durability.stats()["wal_bytes"]
+        bad = poisoned(_db(num_traj=2, seed=40, id_offset=4000), value,
+                       column=column, row=3)
+        with pytest.raises(IngestError, match="NaN or infinite"):
+            svc.ingest(bad)
+        assert svc.versioned.epoch == 0
+        assert svc.durability.stats()["wal_bytes"] == wal_bytes
+        svc.shutdown()
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_query_is_refused(self, queries, value):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            SearchRequest(queries=poisoned(queries, value, column="zs"),
+                          d=D)
+
     def test_ingest_visible_and_exact(self, base, queries):
         svc = QueryService(base)
         svc.ingest(_db(num_traj=3, seed=10, id_offset=1000))

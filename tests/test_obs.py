@@ -7,8 +7,7 @@ import json
 import pytest
 
 from repro.obs import (DEFAULT_LATENCY_BUCKETS, Event, EventLog,
-                       MetricsRegistry, SlowQueryLog, Span, Telemetry,
-                       Tracer)
+                       MetricsRegistry, SlowQueryLog, Telemetry, Tracer)
 from repro.obs.telemetry import DISABLED, current
 
 
@@ -100,7 +99,7 @@ class TestRegistry:
         assert "lat_sum 0.5" in text
         assert "lat_count 1" in text
 
-    def test_snapshot_restore_round_trip(self):
+    def test_snapshot_json_round_trip(self):
         reg = MetricsRegistry()
         reg.counter("c", "help c").inc(5, k="v")
         reg.gauge("g").set(-1.5)
@@ -108,9 +107,15 @@ class TestRegistry:
         h.observe(0.1, engine="e")
         h.observe(10.0, engine="e")
         payload = json.loads(json.dumps(reg.snapshot()))
-        back = MetricsRegistry.restore(payload)
-        assert back.snapshot() == reg.snapshot()
-        assert back.to_prometheus_text() == reg.to_prometheus_text()
+        assert payload == reg.snapshot()
+        assert payload["c"] == {"type": "counter", "help": "help c",
+                                "series": [{"labels": [["k", "v"]],
+                                            "value": 5.0}]}
+        assert payload["g"]["series"] == [{"labels": [], "value": -1.5}]
+        assert payload["h"]["buckets"] == [0.5, 2.0]
+        assert payload["h"]["series"] == [
+            {"labels": [["engine", "e"]], "counts": [1, 0, 1],
+             "sum": 10.1, "count": 2}]
 
     def test_disabled_registry_is_noop(self):
         reg = MetricsRegistry(enabled=False)
@@ -152,11 +157,14 @@ class TestTracer:
         with tr.start_span("root", engine="gpu_temporal") as root:
             with tr.start_span("inner") as inner:
                 inner.set_modeled(0.25, 1.5)
-        back = Span.from_dict(json.loads(json.dumps(root.to_dict())))
-        assert back.to_dict() == root.to_dict()
-        assert back.children[0].modeled_start_s == 0.25
-        assert back.children[0].modeled_dur_s == 1.5
-        assert back.attributes == {"engine": "gpu_temporal"}
+        payload = json.loads(json.dumps(root.to_dict()))
+        assert payload == root.to_dict()
+        assert payload["name"] == "root"
+        assert payload["children"][0]["name"] == "inner"
+        assert payload["children"][0]["modeled_start_s"] == 0.25
+        assert payload["children"][0]["modeled_dur_s"] == 1.5
+        assert "modeled_start_s" not in payload
+        assert payload["attributes"] == {"engine": "gpu_temporal"}
 
     def test_disabled_tracer_records_nothing(self):
         tr = Tracer(enabled=False)
@@ -176,16 +184,17 @@ class TestEvents:
         log.emit("eviction", nbytes=1024)
         text = log.to_jsonl()
         assert len(text.splitlines()) == 2
-        back = EventLog.from_jsonl(text)
-        assert [e.to_dict() for e in back] == [e.to_dict() for e in log]
-        assert back.of_kind("eviction")[0].fields["nbytes"] == 1024
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert lines == [e.to_dict() for e in log]
+        assert [e["kind"] for e in lines] == ["degradation", "eviction"]
+        assert lines[1]["fields"] == {"nbytes": 1024}
 
     def test_write_jsonl(self, tmp_path):
         log = EventLog()
         log.emit("request", engine="cpu_scan")
         path = log.write_jsonl(tmp_path / "events.jsonl")
-        back = EventLog.from_jsonl(path.read_text())
-        assert len(back) == 1
+        assert path.read_text() == log.to_jsonl()
+        assert len(path.read_text().splitlines()) == 1
 
     def test_bounded(self):
         log = EventLog(maxlen=3)
@@ -216,27 +225,8 @@ class TestEvents:
 
     def test_event_dict_round_trip(self):
         ev = Event(kind="retry", ts=12.5, fields={"attempt": 2})
-        assert Event.from_dict(json.loads(
-            json.dumps(ev.to_dict()))).to_dict() == ev.to_dict()
-
-    def test_from_jsonl_skips_and_counts_corrupt_lines(self):
-        log = EventLog()
-        log.emit("a", x=1)
-        log.emit("b", y=2)
-        text = log.to_jsonl()
-        # A torn final line (crash mid-flush), a non-JSON line, and a
-        # JSON line missing required keys — all skipped, all counted.
-        dirty = ('{"not json\n' + text.splitlines()[0] + "\n"
-                 + '{"ts": 1.0}\n' + text.splitlines()[1] + "\n"
-                 + '{"kind": "c", "ts": 2.0, "fie')
-        back = EventLog.from_jsonl(dirty)
-        assert [e.kind for e in back] == ["a", "b"]
-        assert back.corrupt_lines == 3
-
-    def test_from_jsonl_clean_text_counts_zero(self):
-        log = EventLog()
-        log.emit("a")
-        assert EventLog.from_jsonl(log.to_jsonl()).corrupt_lines == 0
+        assert json.loads(json.dumps(ev.to_dict())) == ev.to_dict() \
+            == {"kind": "retry", "ts": 12.5, "fields": {"attempt": 2}}
 
     def test_disabled_log_emits_nothing(self):
         log = EventLog(enabled=False)
@@ -274,19 +264,12 @@ class TestSlowQueryLog:
                     modeled_seconds=2.0, queue_wait_s=0.25,
                     degraded=True)
         path = log.write_jsonl(tmp_path / "slow.jsonl")
-        back = SlowQueryLog.from_jsonl(path.read_text())
-        assert [e.to_dict() for e in back] \
-            == [e.to_dict() for e in log]
-        assert back.corrupt_lines == 0
-
-    def test_from_jsonl_skips_corrupt_lines(self):
-        log = SlowQueryLog(threshold_s=0.0)
-        log.observe(request_id="r1", engine="cpu_scan",
-                    modeled_seconds=2.0)
-        dirty = log.to_jsonl() + '{"request_id": "torn", "eng'
-        back = SlowQueryLog.from_jsonl(dirty)
-        assert [e.request_id for e in back] == ["r1"]
-        assert back.corrupt_lines == 1
+        lines = [json.loads(line)
+                 for line in path.read_text().splitlines()]
+        assert lines == [e.to_dict() for e in log]
+        assert lines[0]["request_id"] == "r1"
+        assert lines[0]["queue_wait_s"] == 0.25
+        assert lines[0]["degraded"] is True
 
 
 class TestTelemetryHub:

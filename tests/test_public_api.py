@@ -154,6 +154,50 @@ def test_state_is_not_a_constructor_parameter(owner):
         == STATE_FIELDS[owner]
 
 
+#: every reader under ``src/repro`` — a ``from_dict`` / ``from_jsonl`` /
+#: ``from_payload`` / ``restore`` method that builds an object back from
+#: what a writer produced — with the program outside ``tests/`` that
+#: reads it.  A format nobody reads back keeps only its writer, so a new
+#: reader needs a caller and an entry here.
+READERS = {
+    # gateway/http.py (/v1/ingest), SearchRequest / Subscription /
+    # Mutation decoding below
+    "core/types.py::SegmentArray.from_dict",
+    # benchmarks/e2e/verify.py decodes every served answer
+    "core/result.py::ResultSet.from_dict",
+    # gateway/http.py (/v1/search), cli.py (batch --requests)
+    "service/requests.py::SearchRequest.from_dict",
+    # durability/wal.py (WriteAheadLog reading its own frames)
+    "durability/wal.py::WalRecord.from_dict",
+    # durability/checkpoint.py (loading a checkpoint's recipes)
+    "durability/checkpoint.py::EngineRecipe.from_dict",
+    # durability/manager.py (WAL replay)
+    "ingest/mutation.py::Mutation.from_payload",
+    # durability/manager.py (recovery from a checkpoint)
+    "ingest/versioned.py::VersionedDatabase.restore",
+    # standing/manager.py (recovery from standing/state.json)
+    "standing/subscription.py::Subscription.from_dict",
+}
+
+READER_NAMES = ("from_dict", "from_jsonl", "from_payload", "restore")
+
+
+def test_reader_surface_is_pinned():
+    """No deserializer survives with only tests to call it."""
+    import ast
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef):
+                found |= {f"{path.relative_to(root).as_posix()}::"
+                          f"{cls.name}.{fn.name}"
+                          for fn in cls.body
+                          if isinstance(fn, ast.FunctionDef)
+                          and fn.name in READER_NAMES}
+    assert found == READERS
+
+
 def test_register_engine_decorator():
     """@register_engine is the supported extension point."""
     import pytest

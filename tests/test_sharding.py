@@ -18,7 +18,7 @@ from repro.obs import Telemetry
 from repro.service import SearchRequest
 from repro.sharding import (PARTITION_STRATEGIES, MergeInvariantError,
                             ShardMap, ShardedService)
-from tests.conftest import make_walk_trajectories
+from tests.conftest import NON_FINITE, make_walk_trajectories, poisoned
 
 D = 4.0
 
@@ -139,6 +139,24 @@ class TestMutationRouting:
                 _truth_bytes(keep, queries)
             # Idempotent: a second delete is a no-op.
             assert svc.delete_trajectory(victim) == 0
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_append_is_refused_before_stamping(
+            self, queries, value):
+        """The router builds its Mutation before it stamps or routes a
+        row, so the refusal reaches no replica and marks none dead."""
+        db = _db()
+        with ShardedService(db, num_shards=3) as svc:
+            bad = poisoned(_db(2, 5, seed=11, offset=500), value, row=2)
+            with pytest.raises(IngestError, match="NaN or infinite"):
+                svc.ingest(bad)
+            assert all(r.live and r.service.versioned.epoch == 0
+                       for s in svc.shards for r in s.replicas)
+            assert [(s.epoch, s.oplog) for s in svc.shards] \
+                == [(0, [])] * 3
+            resp = svc.submit(_request(queries))
+            assert result_bytes(resp.outcome.results) == \
+                _truth_bytes(db, queries)
 
     def test_delete_refusals(self):
         db = _db()
@@ -447,16 +465,17 @@ class TestObservability:
 
 class TestPartialResponseContract:
     def test_partial_round_trips(self, queries, tmp_path):
-        from repro.service import SearchResponse
         db = _db()
         with ShardedService(db, num_shards=3,
                             durability_root=tmp_path) as svc:
             svc.blackout_shard(2)
             resp = svc.submit(_request(queries))
             assert resp.status == "partial"
-            clone = SearchResponse.from_dict(resp.to_dict())
-            assert clone.status == "partial"
-            assert clone.missing_shards == resp.missing_shards
+            payload = json.loads(json.dumps(resp.to_dict()))
+            assert payload == resp.to_dict()
+            assert payload["status"] == "partial"
+            assert payload["missing_shards"] == [2]
+            assert payload["outcome"] is not None
 
     def test_partial_requires_missing_shards(self):
         from repro.gpu.profiler import RequestMetrics

@@ -10,11 +10,11 @@ import json
 
 import pytest
 
-from repro.gpu.profiler import (CpuSearchProfile, RequestMetrics,
-                                SearchProfile)
-from repro.obs import EventLog, Span, Telemetry, service_batch_trace
+from repro.gpu.profiler import CpuSearchProfile, SearchProfile
+from repro.obs import Telemetry, service_batch_trace
 from repro.obs.chrome import HOST_TID, PCIE_TID, _lane_tid
-from repro.service import QueryService, SearchRequest, SearchResponse
+from repro.service import QueryService, SearchRequest
+from tests.conftest import BAD_PLANNER_HINTS
 
 
 @pytest.fixture
@@ -83,10 +83,13 @@ class TestSpanTree:
     def test_span_tree_json_round_trip(self, service, small_queries):
         service.submit(_request(small_queries, method="cpu_scan"))
         root = service.telemetry.tracer.roots[0]
-        back = Span.from_dict(json.loads(json.dumps(root.to_dict())))
-        assert back.to_dict() == root.to_dict()
-        assert [s.name for s in back.walk()] \
-            == [s.name for s in root.walk()]
+        payload = json.loads(json.dumps(root.to_dict()))
+        assert payload == root.to_dict()
+
+        def names(node):
+            return [node["name"]] + [n for c in node["children"]
+                                     for n in names(c)]
+        assert names(payload) == [s.name for s in root.walk()]
 
 
 class TestMetrics:
@@ -118,12 +121,13 @@ class TestMetrics:
 
     def test_registry_snapshot_round_trips(self, service,
                                            small_queries):
-        from repro.obs import MetricsRegistry
         service.submit(_request(small_queries))
         reg = service.telemetry.metrics
-        back = MetricsRegistry.restore(
-            json.loads(json.dumps(reg.snapshot())))
-        assert back.to_prometheus_text() == reg.to_prometheus_text()
+        payload = json.loads(json.dumps(reg.snapshot()))
+        assert payload == reg.snapshot()
+        requests = payload["repro_requests_total"]
+        assert requests["type"] == "counter"
+        assert sum(s["value"] for s in requests["series"]) == 1
 
 
 class TestChromeTrace:
@@ -197,8 +201,9 @@ class TestEventLog:
         assert all(e.fields["engine"] for e in reqs)
 
         path = log.write_jsonl(tmp_path / "events.jsonl")
-        back = EventLog.from_jsonl(path.read_text())
-        assert [e.to_dict() for e in back] == [e.to_dict() for e in log]
+        lines = [json.loads(line)
+                 for line in path.read_text().splitlines()]
+        assert lines == [e.to_dict() for e in log]
 
     def test_clean_request_logs_no_degradation_or_eviction(
             self, service, small_queries):
@@ -216,33 +221,26 @@ class TestSerializationRoundTrips:
                                        method="gpu_temporal",
                                        params={"num_bins": 40},
                                        request_id="rt"))
-        back = SearchResponse.from_dict(json.loads(json.dumps(
-            resp.to_dict())))
-        assert isinstance(back.outcome.profile, SearchProfile)
-        assert back.metrics.to_dict() == resp.metrics.to_dict()
-        assert back.metrics.lane_spans == resp.metrics.lane_spans
-        assert back.metrics.arrival_s == resp.metrics.arrival_s
-        assert len(back.metrics.lane_spans) == 1
+        payload = json.loads(json.dumps(resp.to_dict()))
+        assert payload == resp.to_dict()
+        assert isinstance(resp.outcome.profile, SearchProfile)
+        assert payload["outcome"]["profile"]["kind"] == "gpu"
+        metrics = payload["metrics"]
+        assert metrics == resp.metrics.to_dict()
+        assert metrics["lane_spans"] == resp.metrics.lane_spans
+        assert metrics["arrival_s"] == resp.metrics.arrival_s
+        assert len(metrics["lane_spans"]) == 1
 
     def test_cpu_profile_and_metrics_round_trip(self, service,
                                                 small_queries):
         resp = service.submit(_request(small_queries,
                                        method="cpu_rtree"))
-        back = SearchResponse.from_dict(json.loads(json.dumps(
-            resp.to_dict())))
-        assert isinstance(back.outcome.profile, CpuSearchProfile)
-        assert back.metrics.to_dict() == resp.metrics.to_dict()
-        assert back.metrics.lane_spans[0]["lane"] == -1
-
-    def test_pre_telemetry_metrics_payload_still_loads(self):
-        legacy = {"engine": "cpu_scan", "queue_wait_s": 0.0,
-                  "cache_hit": True, "engine_build_s": 0.0,
-                  "invocations": 0, "modeled_seconds": 0.5,
-                  "wall_seconds": 0.1, "degraded": False,
-                  "degradation_reason": ""}
-        m = RequestMetrics.from_dict(legacy)
-        assert m.arrival_s == 0.0
-        assert m.lane_spans == []
+        payload = json.loads(json.dumps(resp.to_dict()))
+        assert payload == resp.to_dict()
+        assert isinstance(resp.outcome.profile, CpuSearchProfile)
+        assert payload["outcome"]["profile"]["kind"] == "cpu"
+        assert payload["metrics"] == resp.metrics.to_dict()
+        assert payload["metrics"]["lane_spans"][0]["lane"] == -1
 
 
 class TestDisabledTelemetry:
@@ -257,9 +255,27 @@ class TestDisabledTelemetry:
         assert svc.telemetry.tracer.roots == []
         assert len(svc.telemetry.events) == 0
         assert svc.telemetry.metrics.to_prometheus_text() == ""
-        # stats() falls back to the plain instance counters.
         assert svc.stats()["num_requests"] == 1
         assert svc.stats()["degradations"] == 0
+
+    def test_stats_do_not_depend_on_the_telemetry_switch(
+            self, small_db, small_queries):
+        """One counting path: two requests refused by a raised error
+        (unknown method, bad planner hint) count the same with
+        telemetry on and off."""
+        def run(enabled):
+            svc = QueryService(small_db, num_devices=1,
+                               telemetry=Telemetry(enabled=enabled))
+            svc.submit(_request(small_queries, method="cpu_scan"))
+            for kw in ({"method": "nope"},
+                       {"params": BAD_PLANNER_HINTS[0]}):
+                with pytest.raises(ValueError):
+                    svc.submit(_request(small_queries, **kw))
+            return svc.stats()
+
+        on, off = run(True), run(False)
+        assert on["num_requests"] == off["num_requests"] == 3
+        assert on == off
 
     def test_trace_still_renders_without_telemetry(self, small_db,
                                                    small_queries):

@@ -180,6 +180,13 @@ class TestMutationValue:
         with pytest.raises(ValueError):
             Mutation(**kwargs)
 
+    @pytest.mark.parametrize("traj_id", [0.9, True, "0"])
+    def test_traj_id_must_be_an_integer(self, traj_id):
+        """``int()`` would turn 0.9 into trajectory 0 and True into
+        trajectory 1: a delete of the wrong trajectory."""
+        with pytest.raises(ValueError, match="traj_id must be an integer"):
+            Mutation("delete", traj_id=traj_id)
+
     def test_arguments_are_normalized(self):
         m = Mutation("delete", traj_id=np.int64(0), idempotency_key=7)
         assert type(m.traj_id) is int and m.traj_id == 0

@@ -261,6 +261,13 @@ def compare_pairs(
     return solve_intervals(coef, d)
 
 
+def _abs_max(*columns: np.ndarray) -> float:
+    """``np.abs(np.stack(columns)).max()`` one column at a time: the max
+    of the columns' maxima is the same float, NaN included, and a
+    database never has its columns stacked."""
+    return float(np.max([np.abs(c).max() for c in columns]))
+
+
 def magnitude(seg: SegmentArray) -> float:
     """``S`` of :func:`surviving_pairs`, one segment set's share: a bound
     on every term :func:`pair_coefficients` sums for it — coordinates
@@ -268,10 +275,9 @@ def magnitude(seg: SegmentArray) -> float:
     first) — plus the drift the constant-distance branch ignores."""
     if len(seg) == 0:
         return 0.0
-    coord = float(np.abs([seg.xs, seg.ys, seg.zs,
-                          seg.xe, seg.ye, seg.ze]).max())
-    speed = float(np.abs(seg.velocities()).max())
-    t = float(np.abs([seg.ts, seg.te]).max())
+    coord = _abs_max(seg.xs, seg.ys, seg.zs, seg.xe, seg.ye, seg.ze)
+    speed = _abs_max(*seg.velocities())
+    t = _abs_max(seg.ts, seg.te)
     # a <= _EPS means |w| <= 1e-15 per axis; the branch then treats a
     # distance that drifts by up to |w| |t| as constant.
     return coord + speed * t + 2.0 * _EPS ** 0.5 / _REJECT_MARGIN * t

@@ -76,12 +76,17 @@ def segment_mbbs(segments: SegmentArray, *, temporal: bool = False) -> MBB:
     A segment's spatial MBB is the box spanned by its two endpoints; a
     moving point on the segment never leaves it because motion is linear.
     """
-    lo3 = np.minimum(segments.starts, segments.ends)
-    hi3 = np.maximum(segments.starts, segments.ends)
-    if not temporal:
-        return MBB(lo3, hi3)
-    lo = np.concatenate([lo3, segments.ts[:, None]], axis=1)
-    hi = np.concatenate([hi3, segments.te[:, None]], axis=1)
+    shape = (len(segments), 4 if temporal else 3)
+    lo, hi = np.empty(shape), np.empty(shape)
+    # filled column by column from the 1-D arrays: no (n, 3) stacks
+    for d, (start, end) in enumerate(((segments.xs, segments.xe),
+                                      (segments.ys, segments.ye),
+                                      (segments.zs, segments.ze))):
+        np.minimum(start, end, out=lo[:, d])
+        np.maximum(start, end, out=hi[:, d])
+    if temporal:
+        lo[:, 3] = segments.ts
+        hi[:, 3] = segments.te
     return MBB(lo, hi)
 
 

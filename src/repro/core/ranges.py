@@ -10,14 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand_ranges"]
+__all__ = ["expand_ranges", "run_starts"]
 
 
 def expand_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Concatenate ``arange(starts[i], starts[i]+lens[i])`` vectorized."""
+    """Concatenate ``arange(starts[i], starts[i]+lens[i])`` vectorized.
+
+    One output-sized array and no other: every element is its
+    predecessor + 1 except at a range head, which jumps to that range's
+    start, so a running sum of those steps, in place, is the answer.
+    """
     total = int(lens.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    out = np.arange(total, dtype=np.int64)
-    shift = np.repeat(np.cumsum(lens) - lens, lens)
-    return out - shift + np.repeat(starts, lens)
+    nonempty = lens > 0
+    starts, lens = starts[nonempty], lens[nonempty]
+    out = np.ones(total, dtype=np.int64)
+    out[0] = starts[0]
+    out[np.cumsum(lens[:-1])] = starts[1:] - (starts[:-1] + lens[:-1]) + 1
+    np.cumsum(out, out=out)
+    return out
+
+
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Positions where a non-empty, non-decreasing ``keys`` steps: the
+    first index of each run of equal keys (``np.unique``'s
+    ``return_index`` without its sort)."""
+    step = np.empty(len(keys), dtype=bool)
+    step[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=step[1:])
+    return np.flatnonzero(step)

@@ -14,6 +14,7 @@ access requires neighbouring threads to read neighbouring addresses.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -273,9 +274,19 @@ class SegmentArray:
         )
 
     def sorted_by_start_time(self) -> "SegmentArray":
-        """Entries sorted by ascending ``t_start`` (GPUTemporal pre-pass)."""
-        order = np.argsort(self.ts, kind="stable")
-        return self.take(order)
+        """Entries sorted by ascending ``t_start`` (GPUTemporal pre-pass).
+
+        Memoised through a weak reference: every caller holding the copy
+        (the two GPU temporal engines and ``cpu_scan`` over one base)
+        shares it, and it is freed with the last of them.  Safe because
+        instances are immutable.
+        """
+        ref = getattr(self, "_by_start_time", None)
+        cached = None if ref is None else ref()
+        if cached is None:
+            cached = self.take(np.argsort(self.ts, kind="stable"))
+            self._by_start_time = weakref.ref(cached)
+        return cached
 
     def iter_rows(self) -> Iterator[tuple]:
         """Yield ``(seg_id, traj_id, start(3,), end(3,), ts, te)`` rows.

@@ -823,17 +823,21 @@ class GpuEngineBase(SearchEngine):
     # -- helpers for subclasses ------------------------------------------------------
 
     def _place_database(self, sorted_db: SegmentArray, label: str) -> None:
-        """Store the (re-ordered) database in device global memory.
+        """Reserve the (re-ordered) database in device global memory: 8
+        float64 coordinates and 2 int64 ids per segment.
 
         Offline step: the transfer is *not* charged to response time, per
         the paper's methodology (§V-B), but it must fit in device memory.
+        Kernels read the host arrays, so the reservation copies nothing.
         """
         mem = self.gpu.memory
-        mem.put(f"{label}.coords", np.stack(
-            [sorted_db.xs, sorted_db.ys, sorted_db.zs, sorted_db.ts,
-             sorted_db.xe, sorted_db.ye, sorted_db.ze, sorted_db.te]))
-        mem.put(f"{label}.ids", np.stack(
-            [sorted_db.traj_ids, sorted_db.seg_ids]))
+        mem.alloc(f"{label}.coords", (8, len(sorted_db)), np.float64)
+        mem.alloc(f"{label}.ids", (2, len(sorted_db)), np.int64)
         if "result_buffer" not in mem:
             mem.alloc("result_buffer",
                       (self.result_buffer.capacity_items, 4))
+
+    def _place_index(self) -> None:
+        """Reserve the index's device arrays (its ``device_arrays()``)."""
+        for name, (shape, dtype) in self.index.device_arrays().items():
+            self.gpu.memory.alloc(name, shape, dtype)

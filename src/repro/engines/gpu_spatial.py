@@ -68,13 +68,9 @@ class GpuSpatialEngine(GpuEngineBase):
             self.index = FlatGrid.build(database, cells_per_dim)
             self.database = database
             self._place_database(database, "fsg_db")
-            mem = self.gpu.memory
-            mem.put("fsg_G", self.index.cell_ids)
-            mem.put("fsg_ranges", np.stack([self.index.cell_start,
-                                            self.index.cell_end]))
-            mem.put("fsg_A", self.index.lookup.astype(np.int32))
-            mem.alloc("fsg_U", self.candidate_buffer_items,
-                      dtype=np.int32)
+            self._place_index()
+            self.gpu.memory.alloc("fsg_U", self.candidate_buffer_items,
+                                  dtype=np.int32)
 
     def _host_plan(self, queries: SegmentArray, d: float,
                    exclude_same_trajectory: bool) -> HostPlan:

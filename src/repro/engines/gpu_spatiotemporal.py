@@ -48,14 +48,7 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
                 database, num_bins, num_subbins, strict=strict_subbins)
             self.database = self.index.segments
             self._place_database(self.database, "st_db")
-            mem = self.gpu.memory
-            for name, arr, offs in zip("XYZ", self.index.dim_arrays,
-                                       self.index.dim_offsets):
-                mem.put(f"subbin_{name}", arr.astype(np.int32))
-                mem.put(f"subbin_{name}_offsets", offs)
-            mem.put("st_bins", np.stack(
-                [self.index.temporal.bin_start,
-                 self.index.temporal.bin_end]))
+            self._place_index()
 
     def _host_plan(self, queries: SegmentArray, d: float,
                    exclude_same_trajectory: bool) -> HostPlan:

@@ -53,10 +53,7 @@ class GpuTemporalEngine(GpuEngineBase):
             self.index = TemporalIndex.build(database, num_bins)
             self.database = self.index.segments
             self._place_database(self.database, "temporal_db")
-            self.gpu.memory.put("temporal_bins", np.stack(
-                [self.index.bin_start, self.index.bin_end,
-                 self.index.bin_first.astype(np.float64),
-                 self.index.bin_last.astype(np.float64)]))
+            self._place_index()
         self._refine_cache = RefineCache()
 
     def _host_plan(self, queries: SegmentArray, d: float,

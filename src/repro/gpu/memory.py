@@ -8,18 +8,32 @@ that discipline:
 * Allocations are explicit, named, and bounded by the device capacity —
   exceeding it raises :class:`DeviceOutOfMemoryError`, exactly the
   constraint that forces the paper to process query sets incrementally.
-* A :class:`DeviceArray` wraps the backing NumPy array; host code must
-  explicitly copy through the transfer ledger, which keeps the PCIe
-  accounting honest.
+* The ledger *is* the model: names, bytes, ``allocated_bytes`` and
+  ``peak_bytes`` are what a real card would hold.  Kernels run on the
+  engines' host arrays and nothing reads a device array's contents, so
+  engines *reserve* their database and index with :meth:`MemoryManager.
+  alloc` (shape and dtype of what a card would hold) rather than copying
+  host arrays in — every array stays resident once, on the host.  The
+  PCIe cost of shipping data is recorded separately, in the transfer
+  ledger.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DeviceArray", "MemoryManager", "DeviceOutOfMemoryError"]
+__all__ = ["DeviceArray", "MemoryManager", "DeviceOutOfMemoryError",
+           "layout_nbytes"]
+
+
+def layout_nbytes(layout: dict[str, tuple[tuple[int, ...], type]]) -> int:
+    """Bytes of a device layout ``{name: (shape, dtype)}`` — what an
+    index's ``device_arrays()`` reserves."""
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize
+               for shape, dtype in layout.values())
 
 
 class DeviceOutOfMemoryError(MemoryError):
@@ -53,10 +67,12 @@ class DeviceOutOfMemoryError(MemoryError):
 class DeviceArray:
     """A named allocation in device global memory.
 
-    ``data`` is the backing store.  Treat it as *device-resident*: host
-    logic must go through :class:`repro.gpu.transfers.TransferLedger`
-    (engines do) so that modeled PCIe traffic matches what a real
-    implementation would ship across the bus.
+    Only :attr:`nbytes` and ``len`` are read.  ``data`` is zero-filled
+    for a reservation (:meth:`MemoryManager.alloc`; the pages are never
+    touched, so they cost no resident memory) and a copy for
+    :meth:`MemoryManager.put`.  Host logic that ships data goes through
+    :class:`repro.gpu.transfers.TransferLedger` so that modeled PCIe
+    traffic matches what a real implementation would send over the bus.
     """
 
     name: str
@@ -99,7 +115,8 @@ class MemoryManager:
 
     def alloc(self, name: str, shape: tuple[int, ...] | int,
               dtype: np.dtype | type = np.float64) -> DeviceArray:
-        """Allocate a zero-initialized device array."""
+        """Reserve a zero-initialized device array of ``shape`` and
+        ``dtype`` — how engines place their database and index."""
         if name in self._allocations:
             raise ValueError(f"allocation {name!r} already exists")
         probe = np.zeros(shape, dtype=dtype)

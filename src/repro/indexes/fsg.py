@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.geometry import segment_mbbs
+from ..core.ranges import expand_ranges, run_starts
 from ..core.types import SegmentArray
+from ..gpu.memory import layout_nbytes
 
 __all__ = ["FlatGrid"]
 
@@ -81,38 +82,53 @@ class FlatGrid:
         extent = np.maximum(maxs - mins, 1e-300)
         cell_size = extent / np.asarray(dims, dtype=np.float64)
 
-        boxes = segment_mbbs(segments)
-        lo_cells, hi_cells = cls._cell_span(boxes.lo, boxes.hi,
-                                            mins, cell_size, dims)
-        spans = hi_cells - lo_cells + 1  # (n, 3)
-        counts = np.prod(spans, axis=1)
+        n = len(segments)
+        lo_cells, spans = [], []    # per axis, from the 1-D columns
+        for d, (start, end) in enumerate(((segments.xs, segments.xe),
+                                          (segments.ys, segments.ye),
+                                          (segments.zs, segments.ze))):
+            lo_c, hi_c = cls._cell_span(np.minimum(start, end),
+                                        np.maximum(start, end),
+                                        mins[d], cell_size[d], dims[d])
+            hi_c -= lo_c
+            hi_c += 1
+            lo_cells.append(lo_c)
+            spans.append(hi_c)
+        counts = spans[0] * spans[1] * spans[2]
         total = int(counts.sum())
 
         # Vectorized rasterization: emit one (cell_id, row) pair per
-        # overlapped cell.  Enumerate the k-th overlapped cell of each
-        # segment by decomposing k into (dx, dy, dz) offsets.
-        rows = np.repeat(np.arange(len(segments), dtype=np.int64), counts)
-        offsets = np.arange(total, dtype=np.int64) \
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        sy = np.repeat(spans[:, 1], counts)
-        sz = np.repeat(spans[:, 2], counts)
-        dz = offsets % sz
-        dy = (offsets // sz) % sy
-        dx = offsets // (sz * sy)
-        ix = np.repeat(lo_cells[:, 0], counts) + dx
-        iy = np.repeat(lo_cells[:, 1], counts) + dy
-        iz = np.repeat(lo_cells[:, 2], counts) + dz
-        h = (ix * dims[1] + iy) * dims[2] + iz
+        # overlapped cell.  The k-th overlapped cell of a segment is k
+        # decomposed into (dx, dy, dz) offsets, z fastest; h is built
+        # axis by axis in place, so only k, h and a stride are
+        # total-sized at a time.
+        k = expand_ranges(np.zeros(n, dtype=np.int64), counts)
+        h = np.repeat(lo_cells[0], counts)
+        stride = np.repeat(spans[1] * spans[2], counts)
+        h += k // stride                              # + dx
+        k %= stride
+        h *= dims[1]
+        h += np.repeat(lo_cells[1], counts)
+        stride = np.repeat(spans[2], counts)
+        h += k // stride                              # + dy
+        k %= stride                                   # k is now dz
+        h *= dims[2]
+        h += np.repeat(lo_cells[2], counts)
+        h += k
+        del k, stride
 
-        order = np.lexsort((rows, h))
+        # Rows are non-decreasing, so a stable sort by cell alone is the
+        # (cell, row) order; cells then start where h steps.
+        order = np.argsort(h, kind="stable")
         h_sorted = h[order]
-        rows_sorted = rows[order]
-        cell_ids, first = np.unique(h_sorted, return_index=True)
-        cell_start = first.astype(np.int64)
+        del h
+        rows_sorted = np.repeat(np.arange(n, dtype=np.int64), counts)[order]
+        del order
+        cell_start = run_starts(h_sorted)
+        cell_ids = h_sorted[cell_start]
         cell_end = np.empty_like(cell_start)
         cell_end[:-1] = cell_start[1:]
-        if len(cell_end):
-            cell_end[-1] = total
+        cell_end[-1] = total
         return cls(dims=dims, origin=mins, cell_size=cell_size,
                    cell_ids=cell_ids, cell_start=cell_start,
                    cell_end=cell_end, lookup=rows_sorted)
@@ -141,10 +157,17 @@ class FlatGrid:
     def num_nonempty_cells(self) -> int:
         return int(self.cell_ids.shape[0])
 
+    def device_arrays(self) -> dict[str, tuple[tuple[int, ...], type]]:
+        """What GPUSpatial places besides ``D``: ``G``, each cell's
+        ``[start, end)`` range, and ``A`` as 4-byte row ids."""
+        return {"fsg_G": (self.cell_ids.shape, self.cell_ids.dtype),
+                "fsg_ranges": ((2, self.num_nonempty_cells),
+                               self.cell_start.dtype),
+                "fsg_A": (self.lookup.shape, np.int32)}
+
     def nbytes(self) -> int:
-        """Device footprint of G (+ranges) and A."""
-        return int(self.cell_ids.nbytes + self.cell_start.nbytes
-                   + self.cell_end.nbytes + self.lookup.nbytes)
+        """Device footprint of G (+ranges) and A (:meth:`device_arrays`)."""
+        return layout_nbytes(self.device_arrays())
 
     def linearize(self, ix: np.ndarray, iy: np.ndarray,
                   iz: np.ndarray) -> np.ndarray:

@@ -113,6 +113,18 @@ class RTree:
     num_leaf_mbbs: int
     temporal_axis: bool = False
 
+    def __post_init__(self) -> None:
+        # The tree is immutable once built: size it once, not per search.
+        total = 0
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            total += node.child_lo.nbytes + node.child_hi.nbytes
+            if node.ranges is not None:
+                total += node.ranges.nbytes
+            stack.extend(node.children)
+        self._nbytes = total
+
     @classmethod
     def build(cls, segments: SegmentArray, segments_per_mbb: int = 4,
               fanout: int = 16, method: str = "guttman",
@@ -353,16 +365,9 @@ class RTree:
     # -- reporting ------------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Approximate in-memory index footprint (boxes + ranges)."""
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            total += node.child_lo.nbytes + node.child_hi.nbytes
-            if node.ranges is not None:
-                total += node.ranges.nbytes
-            stack.extend(node.children)
-        return total
+        """Approximate in-memory index footprint (boxes + ranges),
+        computed at build."""
+        return self._nbytes
 
     def depth(self) -> int:
         node, depth = self.root, 1

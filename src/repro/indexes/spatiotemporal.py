@@ -31,7 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
+from ..gpu.memory import layout_nbytes
 from .temporal import TemporalIndex
 
 __all__ = ["SpatioTemporalIndex", "Schedule"]
@@ -66,6 +68,34 @@ class Schedule:
     def nbytes(self) -> int:
         """Host->device traffic for shipping the schedule (4 int32 each)."""
         return 16 * len(self)
+
+
+def _subbin_layout(start: np.ndarray, end: np.ndarray, lo_edge: float,
+                   width: float, v: int, m: int, row_bins: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """One dimension's id array, grouped by ``(subbin j, temporal bin
+    i)``, and its offsets.  Each total-sized temporary is deleted once
+    the next one exists, so the build peaks at a few of them."""
+    s_lo = np.clip(np.floor((np.minimum(start, end) - lo_edge) / width),
+                   0, v - 1).astype(np.int64)
+    spans = np.clip(np.floor((np.maximum(start, end) - lo_edge) / width),
+                    0, v - 1).astype(np.int64)
+    spans -= s_lo
+    spans += 1
+    # key = j * m + i, one per (row, overlapped subbin), row-major
+    key = expand_ranges(s_lo, spans)
+    del s_lo
+    key *= m
+    key += np.repeat(row_bins, spans)
+    # Rows are non-decreasing, so a stable sort by key alone is the
+    # (key, row) order.
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=v * m)
+    del key
+    ids = np.repeat(np.arange(len(spans), dtype=np.int64), spans)[order]
+    offsets = np.zeros(v * m + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return ids, offsets
 
 
 @dataclass(frozen=True)
@@ -122,37 +152,16 @@ class SpatioTemporalIndex:
         width = np.maximum((maxs - mins) / v, 1e-300)
         row_bins = temporal.bin_of_rows()
 
-        starts, ends = seg.starts, seg.ends
-        lo3 = np.minimum(starts, ends)
-        hi3 = np.maximum(starts, ends)
-
-        dim_arrays = []
-        dim_offsets = []
-        for d in range(3):
-            s_lo = np.clip(np.floor((lo3[:, d] - mins[d]) / width[d]),
-                           0, v - 1).astype(np.int64)
-            s_hi = np.clip(np.floor((hi3[:, d] - mins[d]) / width[d]),
-                           0, v - 1).astype(np.int64)
-            spans = s_hi - s_lo + 1
-            total = int(spans.sum())
-            rows = np.repeat(np.arange(len(seg), dtype=np.int64), spans)
-            offs = np.arange(total, dtype=np.int64) \
-                - np.repeat(np.cumsum(spans) - spans, spans)
-            j = np.repeat(s_lo, spans) + offs
-            i = row_bins[rows]
-            key = j * m + i
-            order = np.lexsort((rows, key))
-            arr = rows[order]
-            counts = np.bincount(key, minlength=v * m)
-            offsets = np.zeros(v * m + 1, dtype=np.int64)
-            np.cumsum(counts, out=offsets[1:])
-            dim_arrays.append(arr)
-            dim_offsets.append(offsets)
+        # One axis at a time on the 1-D columns: no (n, 3) stacks.
+        dim_arrays, dim_offsets = zip(*(
+            _subbin_layout(start, end, mins[d], width[d], v, m, row_bins)
+            for d, (start, end) in enumerate(((seg.xs, seg.xe),
+                                              (seg.ys, seg.ye),
+                                              (seg.zs, seg.ze)))))
 
         return cls(temporal=temporal, num_subbins=v, space_min=mins,
                    subbin_width=width,
-                   dim_arrays=tuple(dim_arrays),
-                   dim_offsets=tuple(dim_offsets))
+                   dim_arrays=dim_arrays, dim_offsets=dim_offsets)
 
     # -- schedule computation (host side, §IV-C.2) -------------------------------
 
@@ -222,12 +231,21 @@ class SpatioTemporalIndex:
 
     # -- reporting ----------------------------------------------------------------
 
+    def device_arrays(self) -> dict[str, tuple[tuple[int, ...], type]]:
+        """What GPUSpatioTemporal places besides ``D``: the X/Y/Z id
+        arrays as 4-byte ids (>= 3|D| x 4 bytes, §IV-C.1), their offset
+        tables, and each bin's temporal extent (start, end)."""
+        arrays = {}
+        for name, arr, offs in zip("XYZ", self.dim_arrays,
+                                   self.dim_offsets):
+            arrays[f"subbin_{name}"] = (arr.shape, np.int32)
+            arrays[f"subbin_{name}_offsets"] = (offs.shape, offs.dtype)
+        arrays["st_bins"] = ((2, self.temporal.num_bins), np.float64)
+        return arrays
+
     def nbytes(self) -> int:
-        """Extra device memory over GPUTemporal: the X/Y/Z id arrays
-        (>= 3|D| x 4 bytes, §IV-C.1) plus their offset tables."""
-        return int(sum(a.nbytes for a in self.dim_arrays)
-                   + sum(o.nbytes for o in self.dim_offsets)
-                   + self.temporal.nbytes())
+        """Device footprint of the index (:meth:`device_arrays`)."""
+        return layout_nbytes(self.device_arrays())
 
     def subbin_entries(self, dim: int, j: int, i: int) -> np.ndarray:
         """Row ids of entries in subbin ``j`` of temporal bin ``i`` for

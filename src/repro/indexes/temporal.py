@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.ranges import run_starts
 from ..core.types import SegmentArray
+from ..gpu.memory import layout_nbytes
 
 __all__ = ["TemporalIndex"]
 
@@ -73,19 +75,17 @@ class TemporalIndex:
         bin_first = np.full(num_bins, n, dtype=np.int64)
         bin_last = np.full(num_bins, -1, dtype=np.int64)
         # seg is sorted by ts, hence bins is non-decreasing: each bin's rows
-        # are contiguous.
-        uniq, first_idx = np.unique(bins, return_index=True)
+        # are contiguous, starting where the bin id steps.
+        first_idx = run_starts(bins)
+        uniq = bins[first_idx]
         bin_first[uniq] = first_idx
-        last_idx = np.empty_like(first_idx)
-        last_idx[:-1] = first_idx[1:] - 1
-        if len(last_idx):
-            last_idx[-1] = n - 1
-        bin_last[uniq] = last_idx
+        bin_last[uniq[:-1]] = first_idx[1:] - 1
+        bin_last[uniq[-1]] = n - 1
 
         bin_start = t_min + np.arange(num_bins, dtype=np.float64) * width
         nominal_end = bin_start + width
         max_te = np.full(num_bins, -np.inf)
-        np.maximum.at(max_te, bins, seg.te)
+        max_te[uniq] = np.maximum.reduceat(seg.te, first_idx)
         bin_end = np.maximum(nominal_end, max_te)
 
         return cls(
@@ -141,10 +141,15 @@ class TemporalIndex:
 
     # -- reporting -----------------------------------------------------------------
 
+    def device_arrays(self) -> dict[str, tuple[tuple[int, ...], type]]:
+        """What GPUTemporal places besides ``D``: the 4 descriptors of
+        every bin (start, end, first row, last row) as one float64
+        block."""
+        return {"temporal_bins": ((4, self.num_bins), np.float64)}
+
     def nbytes(self) -> int:
         """Device footprint of the bin descriptors (4 values per bin)."""
-        return int(self.bin_start.nbytes + self.bin_end.nbytes
-                   + self.bin_first.nbytes + self.bin_last.nbytes)
+        return layout_nbytes(self.device_arrays())
 
     def bin_of_rows(self) -> np.ndarray:
         """Bin id of every row of the sorted database (for subbin builds)."""

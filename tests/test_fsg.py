@@ -122,9 +122,10 @@ class TestProbe:
         assert np.all(cells < np.prod(g.dims))
 
     def test_nbytes(self, grid):
+        """What GPUSpatial places: G, the ranges and A as 4-byte ids."""
         g, _ = grid
         assert g.nbytes() == (g.cell_ids.nbytes + g.cell_start.nbytes
-                              + g.cell_end.nbytes + g.lookup.nbytes)
+                              + g.cell_end.nbytes + 4 * len(g.lookup))
 
 
 @given(st.integers(2, 12))

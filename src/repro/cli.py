@@ -65,8 +65,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import json
 import sys
 import typing
+import zipfile
 
 import numpy as np
 
@@ -103,6 +105,38 @@ _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
 _DISTANCE = _checked(float, lambda v: v >= 0, ">= 0")
 _RATE = _checked(float, lambda v: 0 <= v <= 1, "within [0, 1]")
 _FRACTION = _checked(float, lambda v: 0 < v < 1, "within (0, 1)")
+#: an instance scale relative to the paper, the range REPRO_SCALE takes.
+_SCALE = _checked(float, lambda v: 0 < v <= 1, "within (0, 1]")
+
+#: what reading a bad input file raises: the file is missing or
+#: unreadable (OSError), is not the format at all (ValueError, EOFError,
+#: BadZipFile), or lacks a field or has one of the wrong type (KeyError,
+#: TypeError); ValueError also covers a SegmentArray or SearchRequest
+#: refusing the values read.
+_UNREADABLE = (OSError, EOFError, zipfile.BadZipFile, KeyError, TypeError,
+               ValueError)
+
+
+def _read_input(path: str, read):
+    """``read(path)``, with a file that cannot be read that way turned
+    into a :class:`ConfigError` naming it (exit 2, not a traceback)."""
+    try:
+        return read(path)
+    except _UNREADABLE as exc:
+        what = f"missing field {exc}" if isinstance(exc, KeyError) \
+            else f"{type(exc).__name__}: {exc}"
+        raise ConfigError(f"cannot read {path}: {what}") from exc
+
+
+def _load_requests(path: str) -> list:
+    """The ``--requests`` file: a JSON list of SearchRequest dicts."""
+    from .service import SearchRequest
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not (isinstance(payload, list)
+            and all(isinstance(p, dict) for p in payload)):
+        raise ValueError("expected a JSON list of SearchRequest objects")
+    return [SearchRequest.from_dict(p) for p in payload]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a dataset -> .npz")
     p.add_argument("dataset",
                    choices=["random", "random-dense", "merger"])
-    p.add_argument("--scale", type=float, default=0.01,
-                   help="instance scale relative to the paper (default "
-                        "0.01)")
+    p.add_argument("--scale", type=_SCALE, default=0.01,
+                   help="instance scale relative to the paper, in (0, 1] "
+                        "(default 0.01)")
     p.add_argument("--out", required=True, help="output .npz path")
 
     p = sub.add_parser("info", help="summarize a saved dataset")
@@ -178,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="index statistics for a dataset")
     p.add_argument("database")
-    p.add_argument("--num-bins", type=int, default=1000)
-    p.add_argument("--num-subbins", type=int, default=4)
-    p.add_argument("--cells-per-dim", type=int, default=50)
-    p.add_argument("--segments-per-mbb", type=int, default=4)
+    p.add_argument("--num-bins", type=_POSITIVE_INT, default=1000)
+    p.add_argument("--num-subbins", type=_POSITIVE_INT, default=4)
+    p.add_argument("--cells-per-dim", type=_POSITIVE_INT, default=50)
+    p.add_argument("--segments-per-mbb", type=_POSITIVE_INT, default=4)
 
     p = sub.add_parser("report",
                        help="assemble results/ into results/REPORT.md")
@@ -190,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="regenerate paper figures")
     p.add_argument("which",
                    choices=["fig4", "fig5", "fig6", "fig7", "all"])
-    p.add_argument("--scale", type=float, default=None,
-                   help="override REPRO_SCALE for this run")
+    p.add_argument("--scale", type=_SCALE, default=None,
+                   help="override REPRO_SCALE for this run, in (0, 1]")
 
     sub.add_parser("calibrate",
                    help="re-fit and verify cost-model constants")
@@ -402,9 +436,9 @@ def _sample_queries(args: argparse.Namespace, database, seed: int):
 
 
 def _load_workload(args: argparse.Namespace):
-    database = load_segments(args.database)
+    database = _read_input(args.database, load_segments)
     if args.queries:
-        queries = load_segments(args.queries)
+        queries = _read_input(args.queries, load_segments)
     else:
         queries = _sample_queries(args, database, args.seed)
     return database, queries
@@ -425,7 +459,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    db = load_segments(args.path)
+    db = _read_input(args.path, load_segments)
     mins, maxs = db.spatial_bounds()
     t_lo, t_hi = db.temporal_extent
     ext = db.max_spatial_extent()
@@ -485,13 +519,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def _batch_requests(args: argparse.Namespace, database):
     """Load or synthesize the request list for the service commands."""
-    import json
-
     from .service import SearchRequest
 
     if args.requests:
-        with open(args.requests) as fh:
-            return [SearchRequest.from_dict(p) for p in json.load(fh)]
+        return _read_input(args.requests, _load_requests)
     if args.d is None:
         print(f"repro {args.command}: error: --d is required when "
               f"synthesizing batches (no --requests)", file=sys.stderr)
@@ -513,7 +544,7 @@ def _run_service(args: argparse.Namespace, telemetry=None):
     usage error already reported to stderr)."""
     from .service import QueryService
 
-    database = load_segments(args.database)
+    database = _read_input(args.database, load_segments)
     requests = _batch_requests(args, database)
     if requests is None:
         return None, None
@@ -524,8 +555,6 @@ def _run_service(args: argparse.Namespace, telemetry=None):
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    import json
-
     service, responses = _run_service(args)
     if service is None:
         return 2
@@ -561,8 +590,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
     service, _responses = _run_service(args)
     if service is None:
         return 2
@@ -581,8 +608,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import Telemetry, write_service_trace
 
     telemetry = Telemetry(slow_query_threshold_s=args.slow_ms / 1e3)
@@ -641,7 +666,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     from .indexes import (FlatGrid, RTree, SpatioTemporalIndex,
                           TemporalIndex, describe)
-    db = load_segments(args.database)
+    db = _read_input(args.database, load_segments)
     grid = FlatGrid.build(db, args.cells_per_dim)
     print("FSG:", describe(grid, db))
     print("Temporal:", describe(TemporalIndex.build(db, args.num_bins)))
@@ -720,7 +745,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    import json
     import pathlib
 
     from .campaigns import SCENARIOS
@@ -758,8 +782,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
-    import json
-
     from .campaigns.harness import result_bytes
     from .engines.cpu_scan import CpuScanEngine
     from .service import SearchRequest
@@ -769,7 +791,7 @@ def cmd_shard(args: argparse.Namespace) -> int:
             and not 0 <= args.kill_shard < args.shards:
         raise ConfigError(f"--kill-shard {args.kill_shard} is outside "
                           f"[0, {args.shards})")
-    database = load_segments(args.database)
+    database = _read_input(args.database, load_segments)
     queries = _sample_queries(args, database, args.seed)
     truth = result_bytes(
         CpuScanEngine(database).search(queries, args.d)[0])
@@ -837,12 +859,10 @@ def cmd_shard(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    import json
-
     from .ingest import CompactionPolicy
     from .service import QueryService, SearchRequest
 
-    database = load_segments(args.database)
+    database = _read_input(args.database, load_segments)
     ids = np.unique(database.traj_ids)
     if len(ids) < 2:
         print("repro ingest: error: the dataset needs at least two "
@@ -927,8 +947,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_checkpoint(args: argparse.Namespace) -> int:
-    import json
-
     from .durability import DurabilityManager
     from .service import QueryService
 
@@ -939,7 +957,7 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
                   f"durable state; pass --database to bootstrap one",
                   file=sys.stderr)
             return 2
-        database = load_segments(args.database)
+        database = _read_input(args.database, load_segments)
         svc = QueryService(database, durability_dir=args.dir)
         action = "bootstrapped"
     else:
@@ -965,8 +983,6 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
-    import json
-
     from .service import QueryService
 
     svc = QueryService.recover(args.dir)

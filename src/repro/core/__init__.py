@@ -2,7 +2,7 @@
 
 from .bruteforce import brute_force_search
 from .distance import PairIntervals, compare_pairs
-from .geometry import MBB, expand, mbb_min_distance, overlaps, segment_mbbs
+from .geometry import MBB, expand, segment_mbbs
 from .knn import KnnResult, TrajectoryKnn, knn_brute_force
 from .planner import PlanEstimate, WorkloadStats, plan_search
 from .result import ResultSet, merge_intervals
@@ -16,7 +16,7 @@ __all__ = [
     "PairIntervals", "PlanEstimate", "ResultSet", "SearchOutcome",
     "SegmentArray", "Trajectory", "TrajectoryKnn", "VerificationReport",
     "WorkloadStats", "brute_force_search", "compare_pairs",
-    "concatenate", "expand", "knn_brute_force", "mbb_min_distance",
-    "merge_intervals", "overlaps", "plan_search", "register_engine",
+    "concatenate", "expand", "knn_brute_force",
+    "merge_intervals", "plan_search", "register_engine",
     "segment_mbbs", "verify_results",
 ]

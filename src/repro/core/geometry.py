@@ -21,9 +21,6 @@ __all__ = [
     "MBB",
     "segment_mbbs",
     "expand",
-    "overlaps",
-    "point_segment_distance",
-    "mbb_min_distance",
 ]
 
 
@@ -55,16 +52,8 @@ class MBB:
     def ndim(self) -> int:
         return int(self.lo.shape[1])
 
-    def union(self) -> "MBB":
-        """The single box covering the whole batch."""
-        return MBB(self.lo.min(axis=0, keepdims=True),
-                   self.hi.max(axis=0, keepdims=True))
-
     def volume(self) -> np.ndarray:
         return np.prod(self.hi - self.lo, axis=1)
-
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.lo + self.hi)
 
     def take(self, idx: np.ndarray) -> "MBB":
         return MBB(self.lo[idx], self.hi[idx])
@@ -105,57 +94,3 @@ def expand(boxes: MBB, margin: float, *, spatial_only: bool = True) -> MBB:
     if spatial_only and boxes.ndim > 3:
         delta[3:] = 0.0
     return MBB(boxes.lo - delta, boxes.hi + delta)
-
-
-def overlaps(a: MBB, b: MBB) -> np.ndarray:
-    """Pairwise overlap test between two equal-length batches.
-
-    Returns a boolean array of length ``n``; boxes touching at a face count
-    as overlapping (closed boxes), matching the inclusive interval
-    semantics of the search.
-    """
-    if len(a) != len(b):
-        raise ValueError("batch length mismatch")
-    return np.all((a.lo <= b.hi) & (b.lo <= a.hi), axis=1)
-
-
-def overlaps_one_to_many(one: MBB, many: MBB) -> np.ndarray:
-    """Overlap of a single box against a batch (broadcast form)."""
-    if len(one) != 1:
-        raise ValueError("first argument must contain exactly one box")
-    return np.all((one.lo <= many.hi) & (many.lo <= one.hi), axis=1)
-
-
-def point_segment_distance(p: np.ndarray, a: np.ndarray,
-                           b: np.ndarray) -> np.ndarray:
-    """Euclidean distance from points ``p`` to *static* segments ``ab``.
-
-    All arguments are ``(n, 3)``.  Used by tests as an independent check of
-    purely-spatial proximity (the search itself uses the continuous
-    moving-point solver in :mod:`repro.core.distance`).
-    """
-    ab = b - a
-    ap = p - a
-    denom = np.einsum("ij,ij->i", ab, ab)
-    tpar = np.divide(np.einsum("ij,ij->i", ap, ab), denom,
-                     out=np.zeros_like(denom), where=denom > 0)
-    tpar = np.clip(tpar, 0.0, 1.0)
-    closest = a + tpar[:, None] * ab
-    return np.linalg.norm(p - closest, axis=1)
-
-
-def mbb_min_distance(a: MBB, b: MBB) -> np.ndarray:
-    """Pairwise minimum distance between boxes (0 when overlapping).
-
-    Spatial dimensions only — for 4-D boxes the caller must first check
-    temporal overlap separately.
-    """
-    if len(a) != len(b):
-        raise ValueError("batch length mismatch")
-    k = min(a.ndim, 3)
-    gap = np.maximum.reduce([
-        a.lo[:, :k] - b.hi[:, :k],
-        b.lo[:, :k] - a.hi[:, :k],
-        np.zeros((len(a), k)),
-    ])
-    return np.linalg.norm(gap, axis=1)

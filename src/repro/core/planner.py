@@ -57,17 +57,6 @@ class WorkloadStats:
     mean_query_extent_s: np.ndarray   # (3,)
     side: np.ndarray                  # (3,)
 
-    @classmethod
-    def measure(cls, database: SegmentArray,
-                queries: SegmentArray) -> "WorkloadStats":
-        return DatabaseProfile.build(database).stats(queries)
-
-    @property
-    def coexisting_entries(self) -> float:
-        """Entries alive at a random instant."""
-        return (self.num_entries * self.mean_entry_extent_t
-                / self.total_time)
-
 
 @dataclass(frozen=True)
 class PlanEstimate:

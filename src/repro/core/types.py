@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,20 +63,6 @@ class Trajectory:
     @property
     def num_segments(self) -> int:
         return max(0, self.num_points - 1)
-
-    def position_at(self, t: float) -> np.ndarray:
-        """Linearly interpolate the object's position at time ``t``.
-
-        ``t`` must lie within the trajectory's temporal extent.
-        """
-        if not (self.times[0] <= t <= self.times[-1]):
-            raise ValueError(f"t={t} outside temporal extent "
-                             f"[{self.times[0]}, {self.times[-1]}]")
-        j = int(np.searchsorted(self.times, t, side="right"))
-        j = min(max(j, 1), self.num_points - 1)
-        t0, t1 = self.times[j - 1], self.times[j]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.positions[j - 1] + w * self.positions[j]
 
 
 class SegmentArray:
@@ -288,15 +274,6 @@ class SegmentArray:
             self._by_start_time = weakref.ref(cached)
         return cached
 
-    def iter_rows(self) -> Iterator[tuple]:
-        """Yield ``(seg_id, traj_id, start(3,), end(3,), ts, te)`` rows.
-
-        Intended for tests and examples; hot paths must stay vectorized.
-        """
-        for i in range(len(self)):
-            yield (int(self.seg_ids[i]), int(self.traj_ids[i]),
-                   self.starts[i], self.ends[i],
-                   float(self.ts[i]), float(self.te[i]))
 
     # -- serialization -------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Dataset persistence: SegmentArray <-> compressed ``.npz`` files.
 
-Generating the Merger-equivalent dataset involves an N-body integration;
-experiments cache the generated databases on disk so sweeps over query
-distance re-load instead of re-simulating.
+``python -m repro generate`` writes a database once (the Merger
+equivalent involves an N-body integration); every other subcommand
+loads it.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.types import SegmentArray
 
-__all__ = ["save_segments", "load_segments", "cached_dataset"]
+__all__ = ["save_segments", "load_segments"]
 
 _FIELDS = ("xs", "ys", "zs", "ts", "xe", "ye", "ze", "te",
            "traj_ids", "seg_ids")
@@ -59,16 +59,3 @@ def load_segments(path: str | os.PathLike) -> SegmentArray:
             raise ValueError(f"{path}: not a segment database "
                              f"(missing {missing})")
         return SegmentArray(*(data[f] for f in _FIELDS))
-
-
-def cached_dataset(path: str | os.PathLike, generate) -> SegmentArray:
-    """Load ``path`` if present, else call ``generate()`` and cache it.
-
-    ``generate`` is a zero-argument callable returning a SegmentArray.
-    """
-    path = Path(path)
-    if path.exists():
-        return load_segments(path)
-    segments = generate()
-    save_segments(path, segments)
-    return segments

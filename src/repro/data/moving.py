@@ -93,11 +93,6 @@ class EpochDelta:
     #: trajectory ids active (emitting) this epoch, sorted.
     active: tuple[int, ...]
 
-    @property
-    def t_range(self) -> tuple[float, float]:
-        return (float(self.segments.ts.min()),
-                float(self.segments.te.max()))
-
 
 @dataclass
 class _Vehicle:

@@ -43,7 +43,6 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..core.distance import compare_pairs, magnitude, surviving_pairs
-from ..core.execmode import current_execution_mode
 from ..core.ranges import expand_ranges
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
@@ -391,20 +390,14 @@ def refine_ranges(
     last four arrays list the surviving pairs in thread order — the order
     in which threads would publish to the result buffer.
 
-    The batch path refines all pairs in a few vectorized passes (chunked
-    at ``MAX_PAIRS_PER_CHUNK`` so peak host memory stays flat).  Under
-    the ``"perthread"`` execution mode the legacy one-thread-at-a-time
-    reference runs instead.  Every pair handed in is solved exactly:
-    the referees (``cpu_scan``, ``cpu_rtree``) call this directly, and
-    only the GPU loop puts :func:`surviving_pairs` in front of it.
+    All pairs are refined in a few vectorized passes (chunked at
+    ``MAX_PAIRS_PER_CHUNK`` so peak host memory stays flat).  Every pair
+    handed in is solved exactly: the referees (``cpu_scan``,
+    ``cpu_rtree``) call this directly, and only the GPU loop puts
+    :func:`surviving_pairs` in front of it.
     """
     lens = batch.lengths()
     nthreads = batch.num_threads
-
-    if current_execution_mode() == "perthread":
-        return _refine_ranges_perthread(
-            queries, database, batch, d, lens,
-            exclude_same_trajectory=exclude_same_trajectory)
 
     hits_per_thread = np.zeros(nthreads, dtype=np.int64)
     out_q, out_e, out_lo, out_hi = [], [], [], []
@@ -428,41 +421,6 @@ def refine_ranges(
             out_lo.append(res.t_lo[hit_pos])
             out_hi.append(res.t_hi[hit_pos])
 
-    if out_q:
-        return (hits_per_thread, np.concatenate(out_q),
-                np.concatenate(out_e), np.concatenate(out_lo),
-                np.concatenate(out_hi))
-    z = np.zeros(0)
-    zi = np.zeros(0, dtype=np.int64)
-    return hits_per_thread, zi, zi.copy(), z, z.copy()
-
-
-def _refine_ranges_perthread(
-    queries: SegmentArray,
-    database: SegmentArray,
-    batch: RangeBatch,
-    d: float,
-    lens: np.ndarray,
-    *,
-    exclude_same_trajectory: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Legacy reference: refine one logical thread at a time."""
-    nthreads = batch.num_threads
-    hits_per_thread = np.zeros(nthreads, dtype=np.int64)
-    out_q, out_e, out_lo, out_hi = [], [], [], []
-    for t in range(nthreads):
-        span = slice(batch.cand_start[t], batch.cand_start[t + 1])
-        e_idx = batch.candidate_rows[span]
-        q_idx = np.full(int(lens[t]), batch.q_rows[t], dtype=np.int64)
-        res = compare_pairs(queries, database, q_idx, e_idx, d,
-                            exclude_same_trajectory=exclude_same_trajectory)
-        if res.num_hits:
-            hit = res.mask
-            hits_per_thread[t] = res.num_hits
-            out_q.append(q_idx[hit])
-            out_e.append(e_idx[hit])
-            out_lo.append(res.t_lo[hit])
-            out_hi.append(res.t_hi[hit])
     if out_q:
         return (hits_per_thread, np.concatenate(out_q),
                 np.concatenate(out_e), np.concatenate(out_lo),
@@ -648,13 +606,10 @@ class GpuEngineBase(SearchEngine):
                     work = self._thread_work(plan, live, d)
                 batch, lens = work.batch, work.batch.lengths()
                 # The host solves only the pairs that can hit; the
-                # device is charged for every scheduled comparison.  The
-                # "perthread" reference mode never sees the reject.
-                if current_execution_mode() != "perthread":
-                    batch = batch.keep(surviving_pairs(
-                        q_sorted, self.database,
-                        np.repeat(batch.q_rows, lens),
-                        batch.candidate_rows, d, scale))
+                # device is charged for every scheduled comparison.
+                batch = batch.keep(surviving_pairs(
+                    q_sorted, self.database, np.repeat(batch.q_rows, lens),
+                    batch.candidate_rows, d, scale))
                 pairs_refined += batch.candidate_rows.shape[0]
                 hits, pq, pe, plo, phi = refine_ranges(
                     q_sorted, self.database, batch, d,

@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from ..core.execmode import current_execution_mode
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.costmodel import CpuCostModel
@@ -75,18 +74,9 @@ class CpuRTreeEngine(SearchEngine):
                      exclude_same_trajectory: bool = False
                      ) -> tuple[ResultSet, CpuSearchProfile]:
         wall0 = time.perf_counter()
-        if current_execution_mode() == "perthread":
-            candidates, node_visits = self.index.query_candidates(
-                queries, d)
-            lens = np.array([c.size for c in candidates], dtype=np.int64)
-            cand_start = np.zeros(len(queries) + 1, dtype=np.int64)
-            np.cumsum(lens, out=cand_start[1:])
-            cand_rows = (np.concatenate(candidates) if len(queries)
-                         else np.zeros(0, dtype=np.int64))
-        else:
-            cand_rows, cand_start, node_visits = \
-                self.index.query_candidates_flat(queries, d)
-            lens = np.diff(cand_start)
+        cand_rows, cand_start, node_visits = \
+            self.index.query_candidates_flat(queries, d)
+        lens = np.diff(cand_start)
         batch = RangeBatch(q_rows=np.arange(len(queries), dtype=np.int64),
                            candidate_rows=cand_rows, cand_start=cand_start)
         hits, pq, pe, plo, phi = refine_ranges(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.execmode import current_execution_mode
 from ..core.geometry import expand, segment_mbbs
 from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
@@ -114,18 +113,15 @@ class GpuSpatialEngine(GpuEngineBase):
         slice.  All live queries' runs are enumerated as flat
         ``(query, ix, iy)`` triples and searched in one vectorized pass;
         the per-cell op counts (``|cells| * log |G|`` probe charges) are
-        modeled exactly as the reference per-cell gather records them.
+        modeled exactly as a per-cell gather records them (the referee
+        in ``tests/oracles`` is that gather).
         """
-        if current_execution_mode() == "perthread":
-            return self._gather_perthread(plan.queries, live, d)
-
         slice_cap = self.candidate_buffer_items // max(live.size, 1)
         boxes = expand(segment_mbbs(plan.queries).take(live), d)
         log_g = max(1, int(np.ceil(np.log2(max(self.index
                                                .num_nonempty_cells, 2)))))
         m = live.size
         index = self.index
-        ny, nz = index.dims[1], index.dims[2]
         # bound[i]:bound[i+1] is non-empty cell i's lookup range; the
         # ranges tile lookup, so a run of cells is one contiguous slice.
         bound = np.append(index.cell_start, index.lookup.shape[0])
@@ -153,15 +149,15 @@ class GpuSpatialEngine(GpuEngineBase):
             nr = nruns[q:q_end]
             total = int(nr.sum())
             # Enumerate the k-th (ix, iy) z-run of each query, y-fastest —
-            # ascending linear coordinate, the order
-            # cells_overlapping_box emits cells.
+            # ascending linear coordinate, the order a rasterization of
+            # the box emits cells.
             run_q = np.repeat(np.arange(q, q_end, dtype=np.int64), nr)
             offs = np.arange(total, dtype=np.int64) \
                 - np.repeat(np.cumsum(nr) - nr, nr)
             sy = np.repeat(spans[q:q_end, 1], nr)
             ix = np.repeat(lo_c[q:q_end, 0], nr) + offs // sy
             iy = np.repeat(lo_c[q:q_end, 1], nr) + offs % sy
-            h0 = (ix * ny + iy) * nz + np.repeat(lo_c[q:q_end, 2], nr)
+            h0 = index.linearize(ix, iy, np.repeat(lo_c[q:q_end, 2], nr))
             h1 = h0 + np.repeat(spans[q:q_end, 2], nr)  # exclusive
             c0 = np.searchsorted(index.cell_ids, h0, side="left")
             c1 = np.searchsorted(index.cell_ids, h1, side="left")
@@ -190,52 +186,6 @@ class GpuSpatialEngine(GpuEngineBase):
             else np.zeros(0, dtype=np.int64)
         candidate_rows = index.lookup[expand_ranges(starts_f, counts_f)]
 
-        return ThreadWork(
-            RangeBatch.from_lengths(live, candidate_rows, lens),
-            gather_work=probe_ops + gather_ops, blocked=overflowed)
-
-    def _gather_perthread(self, q_sorted: SegmentArray, live: np.ndarray,
-                          d: float) -> ThreadWork:
-        """Legacy reference: gather one logical thread at a time."""
-        slice_cap = self.candidate_buffer_items // max(live.size, 1)
-        boxes = expand(segment_mbbs(q_sorted).take(live), d)
-        log_g = max(1, int(np.ceil(np.log2(max(self.index
-                                               .num_nonempty_cells, 2)))))
-
-        cand_lists: list[np.ndarray] = []
-        lens = np.zeros(live.size, dtype=np.int64)
-        overflowed = np.zeros(live.size, dtype=bool)
-        probe_ops = np.zeros(live.size, dtype=np.int64)
-        gather_ops = np.zeros(live.size, dtype=np.int64)
-        empty = np.zeros(0, dtype=np.int64)
-
-        for i in range(live.size):
-            cells = self.index.cells_overlapping_box(boxes.lo[i],
-                                                     boxes.hi[i])
-            found, start, end = self.index.probe(cells)
-            probe_ops[i] = cells.size * log_g
-            counts = (end - start)[found]
-            total = int(counts.sum())
-            if total > slice_cap:
-                # Thread terminates: partial fill up to capacity was paid,
-                # then the query id goes to `redo` (one atomic).
-                overflowed[i] = True
-                gather_ops[i] = slice_cap
-                cand_lists.append(empty)
-                continue
-            gather_ops[i] = total
-            lens[i] = total
-            if total:
-                starts_f = start[found]
-                ends_f = end[found]
-                parts = [self.index.lookup[s:e]
-                         for s, e in zip(starts_f, ends_f)]
-                cand_lists.append(np.concatenate(parts))
-            else:
-                cand_lists.append(empty)
-
-        candidate_rows = (np.concatenate(cand_lists) if cand_lists
-                          else empty)
         return ThreadWork(
             RangeBatch.from_lengths(live, candidate_rows, lens),
             gather_work=probe_ops + gather_ops, blocked=overflowed)

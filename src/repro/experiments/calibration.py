@@ -74,11 +74,6 @@ class CalibrationResult:
     cycles: dict[str, float]
     residuals: dict[str, float]  # (model - observed) / observed
 
-    @property
-    def max_abs_residual(self) -> float:
-        return max((abs(r) for r in self.residuals.values()),
-                   default=0.0)
-
 
 def fit_gpu_cycles(anchors: list[Anchor],
                    spec: DeviceSpec = TESLA_C2075) -> CalibrationResult:

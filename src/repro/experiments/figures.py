@@ -1,23 +1,20 @@
-"""Regeneration of every figure and quantified in-text result of §V.
+"""Regeneration of the figures of §V.
 
 Each ``figN_*`` function returns the data behind the corresponding paper
-figure; each ``ablation_*`` function reproduces one of the in-text
-parameter studies (see DESIGN.md §4 for the experiment index).  All of
-them are deterministic given the scenario scale.
+figure, deterministically given the scenario scale.  The in-text
+parameter studies (T-FSG, T-BINS, T-SUBB, T-IND, T-BUF, T-RTREE) are
+``benchmarks/test_ablation_*.py`` (DESIGN.md §4 is the experiment
+index).
 """
 
 from __future__ import annotations
 
-from ..engines.cpu_rtree import tune_segments_per_mbb
 from .harness import ExperimentRunner, RunRecord
-from .scenarios import (Scenario, scenario_s1_random, scenario_s2_merger,
+from .scenarios import (scenario_s1_random, scenario_s2_merger,
                         scenario_s3_random_dense)
 
 __all__ = [
     "fig4_random", "fig5_merger", "fig6_random_dense", "fig7_ratios",
-    "ablation_fsg_resolution", "ablation_temporal_bins",
-    "ablation_subbins", "ablation_indirection", "ablation_result_buffer",
-    "ablation_rtree_r",
 ]
 
 
@@ -80,130 +77,3 @@ def fig7_ratios(scale: float | None = None
                              rec.modeled_seconds / cpu_rec.modeled_seconds))
         out[scenario.name] = rows
     return out
-
-
-# --------------------------------------------------------------------------
-# In-text parameter studies (§V-C/V-D/V-E)
-# --------------------------------------------------------------------------
-
-def ablation_fsg_resolution(
-    scale: float | None = None,
-    resolutions: tuple[int, ...] = (10, 25, 50, 75, 100),
-    d_values: tuple[float, ...] | None = None,
-    runner: ExperimentRunner | None = None,
-) -> list[RunRecord]:
-    """T-FSG: GPUSpatial response time vs grid resolution on Random.
-
-    Expected shape (§V-C): too coarse => overflow re-invocations and
-    excess comparisons; too fine => duplicate transfers; ~50 cells/dim
-    near-optimal; rapid growth with d at any resolution.
-    """
-    runner = runner or ExperimentRunner(scenario_s1_random(scale))
-    d_values = d_values or runner.scenario.d_values[:4]
-    records = []
-    for res in resolutions:
-        for d in d_values:
-            rec, _ = runner.run_one("gpu_spatial", d, cells_per_dim=res)
-            records.append(rec)
-    return records
-
-
-def ablation_temporal_bins(
-    scale: float | None = None,
-    bin_counts: tuple[int, ...] = (10, 100, 1_000, 10_000, 50_000),
-    scenario: Scenario | None = None,
-    d: float = 25.0,
-) -> list[RunRecord]:
-    """T-BINS: GPUTemporal response time vs number of temporal bins.
-
-    Expected: response time falls with bin count, then saturates
-    (>= 10,000 bins on Random, ~1,000 on Merger, §V-C/V-D); independent of
-    d throughout.
-    """
-    runner = ExperimentRunner(scenario or scenario_s1_random(scale))
-    records = []
-    for m in bin_counts:
-        rec, _ = runner.run_one("gpu_temporal", d, num_bins=m)
-        records.append(rec)
-    return records
-
-
-def ablation_subbins(
-    scale: float | None = None,
-    subbin_counts: tuple[int, ...] = (1, 2, 4, 8, 16),
-    scenario: Scenario | None = None,
-    d_values: tuple[float, ...] | None = None,
-) -> list[RunRecord]:
-    """T-SUBB: GPUSpatioTemporal vs subbin count v.
-
-    Expected (§V-C/V-D/V-E): more subbins help at small d; at large d
-    queries straddle subbins and default to the temporal scheme
-    (``defaulted_queries`` in the records), so fewer subbins win.
-    """
-    runner = ExperimentRunner(scenario or scenario_s1_random(scale))
-    d_values = d_values or runner.scenario.d_values[::3]
-    records = []
-    for v in subbin_counts:
-        for d in d_values:
-            rec, _ = runner.run_one("gpu_spatiotemporal", d,
-                                    num_subbins=v, strict_subbins=False)
-            records.append(rec)
-    return records
-
-
-def ablation_indirection(scale: float | None = None,
-                         d: float = 50.0) -> dict[str, float]:
-    """T-IND: the cost of GPUSpatioTemporal's extra indirection.
-
-    Paper §V-C: GPUSpatioTemporal with v = 1 subbin does the same
-    comparisons as GPUTemporal plus one indirection per candidate; at
-    d = 50 the paper measures +12.4 % response time.  Returns both
-    modeled times and the overhead fraction.
-    """
-    runner = ExperimentRunner(scenario_s1_random(scale))
-    rec_t, _ = runner.run_one("gpu_temporal", d)
-    rec_st, _ = runner.run_one("gpu_spatiotemporal", d, num_subbins=1)
-    overhead = (rec_st.modeled_seconds - rec_t.modeled_seconds) \
-        / rec_t.modeled_seconds
-    return {"gpu_temporal_s": rec_t.modeled_seconds,
-            "gpu_spatiotemporal_v1_s": rec_st.modeled_seconds,
-            "overhead_fraction": overhead}
-
-
-def ablation_result_buffer(
-    scale: float | None = None,
-    d: float = 0.09,
-    buffer_scales: tuple[float, ...] = (1.0, 9.2 / 5.0),
-) -> list[RunRecord]:
-    """T-BUF: effect of growing the result buffer on Random-dense.
-
-    Paper §V-E: going from 5.0e7 to 9.2e7 items cuts response time by
-    65.76 % at d = 0.09 because fewer kernel invocations are needed.
-    ``buffer_scales`` multiply the scenario's 5e7-equivalent base.
-    """
-    scenario = scenario_s3_random_dense(scale)
-    base_items = int(scenario.result_buffer_items * 5.0 / 9.2)
-    runner = ExperimentRunner(scenario)
-    records = []
-    for bs in buffer_scales:
-        rec, _ = runner.run_one("gpu_temporal", d,
-                                result_buffer_items=max(
-                                    1_000, int(base_items * bs)))
-        records.append(rec)
-    return records
-
-
-def ablation_rtree_r(
-    scale: float | None = None,
-    scenario: Scenario | None = None,
-    d: float | None = None,
-    r_values: tuple[int, ...] = (1, 2, 4, 8, 16),
-) -> tuple[int, dict[int, float]]:
-    """T-RTREE: sweep the R-tree's segments-per-MBB and report the best,
-    reproducing the baseline protocol of §V-B."""
-    scenario = scenario or scenario_s1_random(scale)
-    runner = ExperimentRunner(scenario)
-    d = d if d is not None else scenario.d_values[len(scenario.d_values)
-                                                  // 2]
-    return tune_segments_per_mbb(runner.database, runner.queries, d,
-                                 r_values=r_values)

@@ -44,9 +44,6 @@ class RunRecord:
     divergence: float
     wall_seconds: float
 
-    def as_dict(self) -> dict[str, Any]:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 class ExperimentRunner:
     """Runs a scenario's sweep; caches the database and built engines."""

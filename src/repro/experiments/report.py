@@ -13,8 +13,7 @@ from typing import Iterable, Sequence
 
 from .harness import RunRecord
 
-__all__ = ["series_table", "records_to_series", "ratio_table",
-           "markdown_table"]
+__all__ = ["series_table", "records_to_series"]
 
 
 def records_to_series(records: Iterable[RunRecord],
@@ -65,31 +64,3 @@ def series_table(title: str, d_values: Sequence[float],
             f"{_fmt(v):>{col_w}}" for v in series[eng])
         lines.append(row + f"  [{unit}]")
     return "\n".join(lines)
-
-
-def ratio_table(title: str, d_values: Sequence[float],
-                series: dict[str, Sequence[float]],
-                baseline: str) -> str:
-    """Per-engine ratio to a baseline engine (the Fig. 7 view)."""
-    if baseline not in series:
-        raise KeyError(f"baseline {baseline!r} not in series")
-    base = series[baseline]
-    ratios = {
-        eng: [v / b if b else float("nan") for v, b in zip(vals, base)]
-        for eng, vals in series.items() if eng != baseline
-    }
-    return series_table(title, d_values, ratios, unit=f"x {baseline}")
-
-
-def markdown_table(d_values: Sequence[float],
-                   series: dict[str, Sequence[float]],
-                   *, value_name: str = "modeled s") -> str:
-    """GitHub-markdown version for EXPERIMENTS.md."""
-    header = "| engine | " + " | ".join(_fmt(d) for d in d_values) + " |"
-    sep = "|---" * (len(d_values) + 1) + "|"
-    rows = [header, sep]
-    for eng in sorted(series):
-        rows.append("| " + eng + " | "
-                    + " | ".join(_fmt(v) for v in series[eng]) + " |")
-    rows.append(f"\n*(columns: query distance d; cells: {value_name})*")
-    return "\n".join(rows)

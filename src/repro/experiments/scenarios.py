@@ -27,10 +27,11 @@ from ..core.types import SegmentArray
 from ..data.merger import MergerConfig, merger_dataset
 from ..data.queries import queries_from_database
 from ..data.random_walk import random_dataset, random_dense_dataset
+from ..engines.config import ConfigError
 
 __all__ = ["Scenario", "DEFAULT_SCALE", "default_scale",
            "scenario_s1_random", "scenario_s2_merger",
-           "scenario_s3_random_dense", "all_scenarios"]
+           "scenario_s3_random_dense"]
 
 #: Default instance scale; ~1-2 % of the paper's sizes keeps every
 #: benchmark under a minute while preserving all qualitative behaviour.
@@ -42,9 +43,12 @@ def default_scale() -> float:
     raw = os.environ.get("REPRO_SCALE", "")
     if not raw:
         return DEFAULT_SCALE
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
     if not 0.0 < value <= 1.0:
-        raise ValueError(f"REPRO_SCALE must be in (0, 1], got {value}")
+        raise ConfigError(f"REPRO_SCALE must be in (0, 1], got {raw!r}")
     return value
 
 
@@ -180,9 +184,3 @@ def scenario_s3_random_dense(scale: float | None = None) -> Scenario:
         result_buffer_items=max(2_000, int(1.0e7 * s * s)),
         application_d=(0.02, 0.05),
     )
-
-
-def all_scenarios(scale: float | None = None) -> list[Scenario]:
-    """All three paper scenarios at the given (or default) scale."""
-    return [scenario_s1_random(scale), scenario_s2_merger(scale),
-            scenario_s3_random_dense(scale)]

@@ -5,27 +5,24 @@ DESIGN.md §2).  The search kernels run for real; machine time is modeled
 from the measured operation counts.
 """
 
-from .atomics import AtomicIntList, AtomicResultBuffer
+from .atomics import AtomicResultBuffer
 from .costmodel import (CostBreakdown, CpuCostModel, CpuSpec, GpuCostModel,
                         XEON_W3690)
 from .device import DeviceSpec, TESLA_C2075, VirtualGPU
 from .kernel import KernelLauncher, KernelStats, warp_work
 from .memory import DeviceArray, DeviceOutOfMemoryError, MemoryManager
-from .occupancy import (FERMI, FermiLimits, LaunchConfig, best_block_size,
-                        occupancy, utilization)
 from .trace import profile_to_trace, write_trace
 from .profiler import CpuSearchProfile, SearchProfile
 from .transfers import TransferLedger, TransferRecord
 
 __all__ = [
-    "AtomicIntList", "AtomicResultBuffer",
+    "AtomicResultBuffer",
     "CostBreakdown", "CpuCostModel", "CpuSpec", "GpuCostModel",
     "XEON_W3690",
     "DeviceSpec", "TESLA_C2075", "VirtualGPU",
     "KernelLauncher", "KernelStats", "warp_work",
-    "DeviceArray", "DeviceOutOfMemoryError", "FERMI", "FermiLimits",
-    "LaunchConfig", "MemoryManager", "best_block_size", "occupancy",
-    "profile_to_trace", "utilization", "write_trace",
+    "DeviceArray", "DeviceOutOfMemoryError", "MemoryManager",
+    "profile_to_trace", "write_trace",
     "CpuSearchProfile", "SearchProfile",
     "TransferLedger", "TransferRecord",
 ]

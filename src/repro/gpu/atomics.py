@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["AtomicResultBuffer", "AtomicIntList"]
+__all__ = ["AtomicResultBuffer"]
 
 
 class AtomicResultBuffer:
@@ -85,40 +85,4 @@ class AtomicResultBuffer:
                self._lo[:s].copy(), self._hi[:s].copy())
         self.size = 0
         self.overflowed = False
-        return out
-
-
-class AtomicIntList:
-    """Fixed-capacity append-only integer list (the ``redo`` array of
-    Algorithm 1: "atomic: redo <- redo U {queryID}")."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._buf = np.empty(capacity, dtype=np.int64)
-        self.size = 0
-        self.atomic_ops = 0
-
-    @property
-    def nbytes(self) -> int:
-        return int(self._buf.nbytes)
-
-    def append(self, value: int) -> None:
-        if self.size >= self._buf.shape[0]:
-            raise OverflowError("redo list capacity exceeded")
-        self._buf[self.size] = value
-        self.size += 1
-        self.atomic_ops += 1
-
-    def extend(self, values: np.ndarray) -> None:
-        n = int(values.shape[0])
-        if self.size + n > self._buf.shape[0]:
-            raise OverflowError("redo list capacity exceeded")
-        self._buf[self.size:self.size + n] = values
-        self.size += n
-        self.atomic_ops += n
-
-    def drain(self) -> np.ndarray:
-        out = self._buf[:self.size].copy()
-        self.size = 0
         return out

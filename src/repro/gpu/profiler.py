@@ -76,10 +76,6 @@ class SearchProfile:
     def total_gathers(self) -> int:
         return sum(s.total_gathers for s in self.kernel_stats)
 
-    @property
-    def total_atomics(self) -> int:
-        return sum(s.atomic_ops for s in self.kernel_stats)
-
     def divergence_factor(self, warp_size: int = 32) -> float:
         """Grid-wide SIMT divergence (1.0 = converged)."""
         num = 0.0

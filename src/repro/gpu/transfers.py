@@ -77,8 +77,3 @@ class TransferLedger:
     def num_transfers(self) -> int:
         return len(self.records)
 
-    def by_label(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.label] = out.get(r.label, 0) + r.nbytes
-        return out

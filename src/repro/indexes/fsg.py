@@ -181,43 +181,3 @@ class FlatGrid:
         iy = (h // self.dims[2]) % self.dims[1]
         ix = h // (self.dims[2] * self.dims[1])
         return ix, iy, iz
-
-    def cells_overlapping_box(self, lo: np.ndarray,
-                              hi: np.ndarray) -> np.ndarray:
-        """Linear ids of all grid cells a (single) box overlaps.
-
-        Kernel-side step 1 of Algorithm 1: rasterize the query MBB
-        (already expanded by ``d`` by the caller).  Returns cells whether
-        or not they are non-empty; probing decides.
-        """
-        lo_c, hi_c = self._cell_span(lo[None, :], hi[None, :], self.origin,
-                                     self.cell_size, self.dims)
-        xr = np.arange(lo_c[0, 0], hi_c[0, 0] + 1, dtype=np.int64)
-        yr = np.arange(lo_c[0, 1], hi_c[0, 1] + 1, dtype=np.int64)
-        zr = np.arange(lo_c[0, 2], hi_c[0, 2] + 1, dtype=np.int64)
-        ix, iy, iz = np.meshgrid(xr, yr, zr, indexing="ij")
-        return self.linearize(ix.ravel(), iy.ravel(), iz.ravel())
-
-    def probe(self, h: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
-        """Binary-search cells ``h`` in ``G``.
-
-        Returns ``(found_mask, start, end)`` where ``[start, end)`` indexes
-        ``lookup`` for found cells (zeros otherwise).  One probe costs
-        ``O(log |G|)``; the engine charges it as gather work.
-        """
-        pos = np.searchsorted(self.cell_ids, h)
-        pos_c = np.minimum(pos, self.num_nonempty_cells - 1)
-        found = (self.num_nonempty_cells > 0) & (self.cell_ids[pos_c] == h)
-        start = np.where(found, self.cell_start[pos_c], 0)
-        end = np.where(found, self.cell_end[pos_c], 0)
-        return found, start, end
-
-    # -- invariants (used by property tests) -----------------------------------------
-
-    def cell_box(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """Spatial bounds of cell ``h`` (recomputed, never stored)."""
-        ix, iy, iz = self.delinearize(np.asarray([h], dtype=np.int64))
-        idx = np.array([ix[0], iy[0], iz[0]], dtype=np.float64)
-        lo = self.origin + idx * self.cell_size
-        return lo, lo + self.cell_size

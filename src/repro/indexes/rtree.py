@@ -241,69 +241,21 @@ class RTree:
 
     # -- search --------------------------------------------------------------------
 
-    def query_candidates(
-        self, queries: SegmentArray, d: float
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Index phase of the search: per-query candidate row arrays.
-
-        The query's 4-D MBB is expanded by ``d`` on the spatial axes only,
-        then pushed down the tree.  Returns ``(candidates, node_visits)``
-        where ``candidates[k]`` are candidate rows for query ``k`` (all
-        ``r`` segments of every overlapping leaf MBB) and
-        ``node_visits[k]`` counts the nodes query ``k`` expanded — the
-        traversal cost the CPU model charges.
-        """
-        nq = len(queries)
-        qboxes = segment_mbbs(queries, temporal=self.temporal_axis)
-        q_lo = qboxes.lo.copy()
-        q_hi = qboxes.hi.copy()
-        q_lo[:, :3] -= d
-        q_hi[:, :3] += d
-
-        candidates: list[list[np.ndarray]] = [[] for _ in range(nq)]
-        node_visits = np.zeros(nq, dtype=np.int64)
-
-        def descend(node: RTreeNode, q_idx: np.ndarray) -> None:
-            node_visits[q_idx] += 1
-            # (nq_batch, k) overlap tests, vectorized over both axes.
-            ov = np.all(
-                (q_lo[q_idx][:, None, :] <= node.child_hi[None, :, :])
-                & (node.child_lo[None, :, :] <= q_hi[q_idx][:, None, :]),
-                axis=2)
-            if node.is_leaf:
-                assert node.ranges is not None
-                for col in range(node.num_children):
-                    hit = q_idx[ov[:, col]]
-                    if hit.size:
-                        lo_r, hi_r = node.ranges[col]
-                        rows = np.arange(lo_r, hi_r + 1, dtype=np.int64)
-                        for q in hit:
-                            candidates[q].append(rows)
-            else:
-                for col, child in enumerate(node.children):
-                    sub = q_idx[ov[:, col]]
-                    if sub.size:
-                        descend(child, sub)
-
-        if nq:
-            descend(self.root, np.arange(nq, dtype=np.int64))
-        merged = [np.concatenate(c) if c else np.zeros(0, dtype=np.int64)
-                  for c in candidates]
-        return merged, node_visits
-
     def query_candidates_flat(
         self, queries: SegmentArray, d: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Whole-batch variant of :meth:`query_candidates`.
+        """Index phase of the search: every query's candidate rows.
 
-        Same descent, but leaf hits are emitted as flat
+        The query's 4-D MBB is expanded by ``d`` on the spatial axes
+        only, then pushed down the tree; leaf hits are emitted as flat
         ``(query, leaf-range)`` triples and expanded into one candidate
-        array in a single vectorized pass — no per-query Python lists.
-        Returns ``(candidate_rows, cand_start, node_visits)`` where query
-        ``k``'s candidates are
-        ``candidate_rows[cand_start[k]:cand_start[k+1]]``, in exactly the
-        order :meth:`query_candidates` lists them (leaf visits in DFS
-        order, leaf children in slot order).
+        array in a single vectorized pass.  Returns
+        ``(candidate_rows, cand_start, node_visits)``: query ``k``'s
+        candidates (all ``r`` segments of every overlapping leaf MBB, leaf
+        visits in DFS order, leaf children in slot order) are
+        ``candidate_rows[cand_start[k]:cand_start[k+1]]``, and
+        ``node_visits[k]`` counts the nodes query ``k`` expanded — the
+        traversal cost the CPU model charges.
         """
         nq = len(queries)
         qboxes = segment_mbbs(queries, temporal=self.temporal_axis)
@@ -326,7 +278,7 @@ class RTree:
             if node.is_leaf:
                 assert node.ranges is not None
                 # nonzero on the transpose walks hits child-major — the
-                # per-leaf emission order of the reference descent.
+                # per-leaf emission order of a per-query descent.
                 col, row = np.nonzero(ov.T)
                 if col.size:
                     hit_q.append(q_idx[row])

@@ -51,10 +51,6 @@ class FsgStats:
             index_bytes=grid.nbytes(),
         )
 
-    @property
-    def occupancy(self) -> float:
-        return self.nonempty_cells / self.total_cells
-
 
 @dataclass(frozen=True)
 class TemporalStats:

@@ -115,10 +115,6 @@ class Tracer:
         self._stack: list[Span] = []
         self._ids = itertools.count(1)
 
-    @property
-    def current_span(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
-
     @contextmanager
     def start_span(self, name: str, **attributes):
         """Open a span as a child of the innermost active span."""

@@ -1,0 +1,241 @@
+"""The engines' one-logical-thread-at-a-time reference execution.
+
+Every modeled second is priced from the per-thread op counts the kernels
+record (one query per GPU thread, paper §IV).  The engines compute those
+counts in a few whole-batch NumPy passes; this module keeps the
+straightforward formulation they were vectorized from — refine, gather
+and traverse one query at a time — so
+``tests/test_batch_equivalence.py`` can hold the production path to
+byte-identical results and identical ``KernelStats``.
+
+Nothing here is imported by ``src/``.  :func:`install` swaps the
+reference in for one test with ``monkeypatch``:
+
+* :func:`refine_ranges` for the module-level ``refine_ranges`` of
+  ``engines.base``, ``engines.cpu_scan`` and ``engines.cpu_rtree``;
+* :func:`gather` for ``GpuSpatialEngine._thread_work`` (Algorithm 1
+  lines 1-12: rasterize, probe ``G``, fill ``U_k``);
+* :func:`query_candidates_flat` for ``RTree.query_candidates_flat``;
+* :func:`keep_all` for ``engines.base.surviving_pairs``: the reference
+  refines every scheduled pair, with no reject in front.
+
+The bodies are the per-thread twins the engines carried up to commit
+130f75f, where a ``"perthread"`` execution mode selected them; only
+``self`` became an explicit engine, grid or tree argument.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.distance import compare_pairs
+from repro.core.geometry import expand, segment_mbbs
+from repro.core.types import SegmentArray
+from repro.engines import base, cpu_rtree, cpu_scan
+from repro.engines.base import HostPlan, RangeBatch, ThreadWork
+from repro.engines.gpu_spatial import GpuSpatialEngine
+from repro.indexes.fsg import FlatGrid
+from repro.indexes.rtree import RTree, RTreeNode
+
+__all__ = ["cells_overlapping_box", "gather", "install", "keep_all",
+           "probe", "query_candidates", "query_candidates_flat",
+           "refine_ranges"]
+
+
+def install(patch) -> None:
+    """Run the engines on the reference path for the rest of the test
+    (``patch`` is pytest's ``monkeypatch`` or one of its contexts)."""
+    for module in (base, cpu_scan, cpu_rtree):
+        patch.setattr(module, "refine_ranges", refine_ranges)
+    patch.setattr(base, "surviving_pairs", keep_all)
+    patch.setattr(GpuSpatialEngine, "_thread_work", gather)
+    patch.setattr(RTree, "query_candidates_flat", query_candidates_flat)
+
+
+def keep_all(queries: SegmentArray, entries: SegmentArray,
+             q_idx: np.ndarray, e_idx: np.ndarray, d: float,
+             scale: float) -> np.ndarray:
+    """The reject that rejects nothing: every position survives."""
+    return np.arange(q_idx.shape[0])
+
+
+# -- refinement --------------------------------------------------------------------
+
+
+def refine_ranges(
+    queries: SegmentArray,
+    database: SegmentArray,
+    batch: RangeBatch,
+    d: float,
+    *,
+    exclude_same_trajectory: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refine one logical thread at a time."""
+    lens = batch.lengths()
+    nthreads = batch.num_threads
+    hits_per_thread = np.zeros(nthreads, dtype=np.int64)
+    out_q, out_e, out_lo, out_hi = [], [], [], []
+    for t in range(nthreads):
+        span = slice(batch.cand_start[t], batch.cand_start[t + 1])
+        e_idx = batch.candidate_rows[span]
+        q_idx = np.full(int(lens[t]), batch.q_rows[t], dtype=np.int64)
+        res = compare_pairs(queries, database, q_idx, e_idx, d,
+                            exclude_same_trajectory=exclude_same_trajectory)
+        if res.num_hits:
+            hit = res.mask
+            hits_per_thread[t] = res.num_hits
+            out_q.append(q_idx[hit])
+            out_e.append(e_idx[hit])
+            out_lo.append(res.t_lo[hit])
+            out_hi.append(res.t_hi[hit])
+    if out_q:
+        return (hits_per_thread, np.concatenate(out_q),
+                np.concatenate(out_e), np.concatenate(out_lo),
+                np.concatenate(out_hi))
+    z = np.zeros(0)
+    zi = np.zeros(0, dtype=np.int64)
+    return hits_per_thread, zi, zi.copy(), z, z.copy()
+
+
+# -- GPUSpatial's gather (Algorithm 1 lines 1-12) -----------------------------------
+
+
+def cells_overlapping_box(grid: FlatGrid, lo: np.ndarray,
+                          hi: np.ndarray) -> np.ndarray:
+    """Linear ids of all grid cells a (single) box overlaps.
+
+    Kernel-side step 1 of Algorithm 1: rasterize the query MBB (already
+    expanded by ``d`` by the caller).  Returns cells whether or not they
+    are non-empty; probing decides.
+    """
+    lo_c, hi_c = FlatGrid._cell_span(lo[None, :], hi[None, :], grid.origin,
+                                     grid.cell_size, grid.dims)
+    xr = np.arange(lo_c[0, 0], hi_c[0, 0] + 1, dtype=np.int64)
+    yr = np.arange(lo_c[0, 1], hi_c[0, 1] + 1, dtype=np.int64)
+    zr = np.arange(lo_c[0, 2], hi_c[0, 2] + 1, dtype=np.int64)
+    ix, iy, iz = np.meshgrid(xr, yr, zr, indexing="ij")
+    return grid.linearize(ix.ravel(), iy.ravel(), iz.ravel())
+
+
+def probe(grid: FlatGrid, h: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                  np.ndarray]:
+    """Binary-search cells ``h`` in ``G``.
+
+    Returns ``(found_mask, start, end)`` where ``[start, end)`` indexes
+    ``lookup`` for found cells (zeros otherwise).  One probe costs
+    ``O(log |G|)``; the engine charges it as gather work.
+    """
+    pos = np.searchsorted(grid.cell_ids, h)
+    pos_c = np.minimum(pos, grid.num_nonempty_cells - 1)
+    found = (grid.num_nonempty_cells > 0) & (grid.cell_ids[pos_c] == h)
+    start = np.where(found, grid.cell_start[pos_c], 0)
+    end = np.where(found, grid.cell_end[pos_c], 0)
+    return found, start, end
+
+
+def gather(engine: GpuSpatialEngine, plan: HostPlan, live: np.ndarray,
+           d: float) -> ThreadWork:
+    """Gather one logical thread at a time: rasterize, probe, fill
+    ``U_k`` or terminate on overflow."""
+    slice_cap = engine.candidate_buffer_items // max(live.size, 1)
+    boxes = expand(segment_mbbs(plan.queries).take(live), d)
+    grid = engine.index
+    log_g = max(1, int(np.ceil(np.log2(max(grid.num_nonempty_cells, 2)))))
+
+    cand_lists: list[np.ndarray] = []
+    lens = np.zeros(live.size, dtype=np.int64)
+    overflowed = np.zeros(live.size, dtype=bool)
+    probe_ops = np.zeros(live.size, dtype=np.int64)
+    gather_ops = np.zeros(live.size, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+
+    for i in range(live.size):
+        cells = cells_overlapping_box(grid, boxes.lo[i], boxes.hi[i])
+        found, start, end = probe(grid, cells)
+        probe_ops[i] = cells.size * log_g
+        counts = (end - start)[found]
+        total = int(counts.sum())
+        if total > slice_cap:
+            # Thread terminates: partial fill up to capacity was paid,
+            # then the query id goes to `redo` (one atomic).
+            overflowed[i] = True
+            gather_ops[i] = slice_cap
+            cand_lists.append(empty)
+            continue
+        gather_ops[i] = total
+        lens[i] = total
+        if total:
+            parts = [grid.lookup[s:e]
+                     for s, e in zip(start[found], end[found])]
+            cand_lists.append(np.concatenate(parts))
+        else:
+            cand_lists.append(empty)
+
+    candidate_rows = np.concatenate(cand_lists) if cand_lists else empty
+    return ThreadWork(
+        RangeBatch.from_lengths(live, candidate_rows, lens),
+        gather_work=probe_ops + gather_ops, blocked=overflowed)
+
+
+# -- CPU-RTree's traversal ---------------------------------------------------------
+
+
+def query_candidates(tree: RTree, queries: SegmentArray,
+                     d: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """Index phase of the search: per-query candidate row arrays.
+
+    The query's 4-D MBB is expanded by ``d`` on the spatial axes only,
+    then pushed down the tree.  Returns ``(candidates, node_visits)``
+    where ``candidates[k]`` are candidate rows for query ``k`` (all
+    ``r`` segments of every overlapping leaf MBB) and ``node_visits[k]``
+    counts the nodes query ``k`` expanded.
+    """
+    nq = len(queries)
+    qboxes = segment_mbbs(queries, temporal=tree.temporal_axis)
+    q_lo = qboxes.lo.copy()
+    q_hi = qboxes.hi.copy()
+    q_lo[:, :3] -= d
+    q_hi[:, :3] += d
+
+    candidates: list[list[np.ndarray]] = [[] for _ in range(nq)]
+    node_visits = np.zeros(nq, dtype=np.int64)
+
+    def descend(node: RTreeNode, q_idx: np.ndarray) -> None:
+        node_visits[q_idx] += 1
+        ov = np.all(
+            (q_lo[q_idx][:, None, :] <= node.child_hi[None, :, :])
+            & (node.child_lo[None, :, :] <= q_hi[q_idx][:, None, :]),
+            axis=2)
+        if node.is_leaf:
+            assert node.ranges is not None
+            for col in range(node.num_children):
+                hit = q_idx[ov[:, col]]
+                if hit.size:
+                    lo_r, hi_r = node.ranges[col]
+                    rows = np.arange(lo_r, hi_r + 1, dtype=np.int64)
+                    for q in hit:
+                        candidates[q].append(rows)
+        else:
+            for col, child in enumerate(node.children):
+                sub = q_idx[ov[:, col]]
+                if sub.size:
+                    descend(child, sub)
+
+    if nq:
+        descend(tree.root, np.arange(nq, dtype=np.int64))
+    merged = [np.concatenate(c) if c else np.zeros(0, dtype=np.int64)
+              for c in candidates]
+    return merged, node_visits
+
+
+def query_candidates_flat(tree: RTree, queries: SegmentArray, d: float
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`query_candidates` in the production method's flat form
+    ``(candidate_rows, cand_start, node_visits)``."""
+    candidates, node_visits = query_candidates(tree, queries, d)
+    lens = np.array([c.size for c in candidates], dtype=np.int64)
+    cand_start = np.zeros(len(queries) + 1, dtype=np.int64)
+    np.cumsum(lens, out=cand_start[1:])
+    cand_rows = (np.concatenate(candidates) if len(queries)
+                 else np.zeros(0, dtype=np.int64))
+    return cand_rows, cand_start, node_visits

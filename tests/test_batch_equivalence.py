@@ -1,12 +1,14 @@
-"""Per-thread op-count equivalence: batch vs perthread execution.
+"""Per-thread op-count equivalence: the engines vs the per-thread oracle.
 
 The whole-batch vectorized execution path must be *observationally
-indistinguishable* from the legacy one-logical-thread-at-a-time
-reference: byte-identical result sets, and — for the GPU engines —
-identical per-invocation :class:`~repro.gpu.kernel.KernelStats`
-(``thread_work`` per thread, ``gather_work`` per thread, ``atomic_ops``
-per grid), because the cost model, profiler, traces, and the chaos and
-differential crosschecks are all computed from those counts.
+indistinguishable* from the one-logical-thread-at-a-time reference in
+``tests/oracles/perthread_reference.py``: byte-identical result sets,
+and — for the GPU engines — identical per-invocation
+:class:`~repro.gpu.kernel.KernelStats` (``thread_work`` per thread,
+``gather_work`` per thread, ``atomic_ops`` per grid), because the cost
+model, profiler, traces, and the chaos and differential crosschecks are
+all computed from those counts.  The reference run installs the oracle
+with ``monkeypatch`` (:func:`perthread_reference.install`).
 
 Databases and query sets come from the differential harness's seeded
 adversarial generator (zero-length segments, exact duplicates, one-bin
@@ -16,7 +18,7 @@ bursts, out-of-extent queries), which is where vectorization bugs hide.
 import numpy as np
 import pytest
 
-from repro.core.execmode import execution_mode
+from tests.oracles import perthread_reference
 from tests.test_differential import (ENGINE_FACTORIES, _byte_identical,
                                      _make_db, _make_queries)
 
@@ -24,21 +26,35 @@ SEEDS = [0, 1, 2]
 D_VALUES = [0.0, 0.7, 2.5]
 
 
-def _run(engine_name, seed, d, mode, *, exclude=False):
-    """Build a fresh engine and run one search under ``mode``.
+def _search(build, db, queries, d, *, exclude=False):
+    """Build a fresh engine and run one search.
 
     Returns ``(result, profile, kernel_stats)`` — ``kernel_stats`` is
     the per-invocation list for GPU engines, ``None`` for CPU engines.
     """
-    db = _make_db(seed)
-    queries = _make_queries(seed, db)
-    with execution_mode(mode):
-        engine = ENGINE_FACTORIES[engine_name](db)
-        result, profile = engine.search(
-            queries, d, exclude_same_trajectory=exclude)
-        stats = list(getattr(engine, "gpu", None).kernel_stats) \
-            if hasattr(engine, "gpu") else None
+    engine = build(db)
+    result, profile = engine.search(
+        queries, d, exclude_same_trajectory=exclude)
+    stats = list(engine.gpu.kernel_stats) \
+        if hasattr(engine, "gpu") else None
     return result, profile, stats
+
+
+def _both(monkeypatch, build, db, queries, d, *, exclude=False):
+    """``(engine run, reference run)`` of one search."""
+    batch = _search(build, db, queries, d, exclude=exclude)
+    with monkeypatch.context() as patch:
+        perthread_reference.install(patch)
+        reference = _search(build, db, queries, d, exclude=exclude)
+    return batch, reference
+
+
+def _assert_equivalent(batch, reference):
+    (rb, pb, sb), (rp, pp, sp) = batch, reference
+    assert _byte_identical(rb, rp)
+    _assert_profiles_equal(pb, pp)
+    if sb is not None:
+        _assert_stats_equal(sb, sp)
 
 
 def _assert_profiles_equal(a, b):
@@ -64,29 +80,24 @@ def _assert_stats_equal(batch, perthread):
 @pytest.mark.parametrize("engine_name", sorted(ENGINE_FACTORIES))
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("d", D_VALUES)
-def test_batch_equals_perthread(engine_name, seed, d):
-    rb, pb, sb = _run(engine_name, seed, d, "batch")
-    rp, pp, sp = _run(engine_name, seed, d, "perthread")
-    assert _byte_identical(rb, rp)
-    _assert_profiles_equal(pb, pp)
-    if sb is not None:
-        _assert_stats_equal(sb, sp)
+def test_batch_equals_perthread(monkeypatch, engine_name, seed, d):
+    db = _make_db(seed)
+    _assert_equivalent(*_both(monkeypatch, ENGINE_FACTORIES[engine_name],
+                              db, _make_queries(seed, db), d))
 
 
 @pytest.mark.parametrize("engine_name", sorted(ENGINE_FACTORIES))
-def test_batch_equals_perthread_self_join_exclusion(engine_name):
+def test_batch_equals_perthread_self_join_exclusion(monkeypatch,
+                                                    engine_name):
     """The exclude-same-trajectory flag flows through both paths."""
-    rb, pb, sb = _run(engine_name, 3, 1.2, "batch", exclude=True)
-    rp, pp, sp = _run(engine_name, 3, 1.2, "perthread", exclude=True)
-    assert _byte_identical(rb, rp)
-    _assert_profiles_equal(pb, pp)
-    if sb is not None:
-        _assert_stats_equal(sb, sp)
+    db = _make_db(3)
+    _assert_equivalent(*_both(monkeypatch, ENGINE_FACTORIES[engine_name],
+                              db, _make_queries(3, db), 1.2, exclude=True))
 
 
 @pytest.mark.parametrize("engine_name",
                          ["gpu_temporal", "gpu_spatiotemporal"])
-def test_redo_invocations_equivalent(engine_name):
+def test_redo_invocations_equivalent(monkeypatch, engine_name):
     """Force result-buffer pressure so the redo (re-invocation) path of
     the batch execution is exercised against the reference."""
     from repro.engines import (GpuSpatioTemporalEngine, GpuTemporalEngine,
@@ -103,16 +114,39 @@ def test_redo_invocations_equivalent(engine_name):
                                        retry=NO_RETRY)
 
     db = _make_db(1)
-    queries = _make_queries(1, db)
-    runs = {}
-    for mode in ("batch", "perthread"):
-        with execution_mode(mode):
-            engine = build(db)
-            result, profile = engine.search(queries, 8.0)
-            runs[mode] = (result, profile,
-                          list(engine.gpu.kernel_stats))
-    assert runs["batch"][1].num_kernel_invocations > 1, \
+    batch, reference = _both(monkeypatch, build, db, _make_queries(1, db),
+                             8.0)
+    assert batch[1].num_kernel_invocations > 1, \
         "workload failed to overflow the result buffer"
-    assert _byte_identical(runs["batch"][0], runs["perthread"][0])
-    _assert_profiles_equal(runs["batch"][1], runs["perthread"][1])
-    _assert_stats_equal(runs["batch"][2], runs["perthread"][2])
+    _assert_equivalent(batch, reference)
+
+
+def test_reference_is_installed(monkeypatch, small_db, small_queries):
+    """The reference run really leaves the production path: each engine
+    family reaches an oracle body, and the reject is bypassed."""
+    from repro.engines import base
+    calls = {"refine": 0, "gather": 0, "traverse": 0, "reject": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        perthread_reference.install(patch)
+        for module in (base, perthread_reference.cpu_scan,
+                       perthread_reference.cpu_rtree):
+            patch.setattr(module, "refine_ranges",
+                          counting("refine", module.refine_ranges))
+        patch.setattr(base, "surviving_pairs",
+                      counting("reject", base.surviving_pairs))
+        cls = perthread_reference.GpuSpatialEngine
+        patch.setattr(cls, "_thread_work",
+                      counting("gather", cls._thread_work))
+        tree = perthread_reference.RTree
+        patch.setattr(tree, "query_candidates_flat",
+                      counting("traverse", tree.query_candidates_flat))
+        for name in sorted(ENGINE_FACTORIES):
+            ENGINE_FACTORIES[name](small_db).search(small_queries, 1.0)
+    assert calls == {"refine": 5, "gather": 1, "traverse": 1, "reject": 3}

@@ -152,6 +152,68 @@ class TestUsageErrors:
         assert f"repro {command}: error: argument {argv[-2]}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "DB", "--num-bins", "0"],
+        ["stats", "DB", "--num-subbins", "0"],
+        ["stats", "DB", "--cells-per-dim", "0"],
+        ["stats", "DB", "--segments-per-mbb", "-3"],
+        ["figures", "fig4", "--scale", "-0.5"],
+        ["figures", "fig4", "--scale", "2"],
+        ["generate", "random", "--out", "OUT", "--scale", "-1"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_flag_outside_its_range_is_a_usage_error(self, db_path, argv,
+                                                     tmp_path, capsys):
+        out = tmp_path / "out.npz"
+        with pytest.raises(SystemExit) as exc:
+            main([{"DB": db_path, "OUT": str(out)}.get(a, a)
+                  for a in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error: argument {argv[-2]}: " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-0.5", "2", "abc"])
+    def test_bad_repro_scale_is_refused(self, monkeypatch, value, capsys):
+        monkeypatch.setenv("REPRO_SCALE", value)
+        assert main(["figures", "fig4"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "repro figures: error: REPRO_SCALE must be in (0, 1]")
+
+    @pytest.mark.parametrize("command, name, content", [
+        ("info", "missing.npz", None),
+        ("info", "x.npz", "not an archive\n"),
+        ("info", "xs.npz", "xs-only"),
+        ("search", "xs.npz", "xs-only"),
+        ("batch", "missing.json", None),
+        ("batch", "r.json", '[{"d": '),
+        ("batch", "r.json", '[{"d": 1.0}]'),
+        ("batch", "r.json", "refused"),
+    ], ids=["info-missing", "info-text", "info-xs-only", "search-queries",
+            "requests-missing", "requests-malformed", "requests-no-queries",
+            "requests-refused"])
+    def test_unreadable_input_file(self, db_path, tmp_path, command, name,
+                                   content, capsys):
+        """A file that is not there, or not what the flag reads, is one
+        line naming it and exit 2 — never a traceback."""
+        import json
+        bad = tmp_path / name
+        if content == "xs-only":
+            np.savez(bad, xs=np.zeros(3))
+        elif content == "refused":              # a negative threshold
+            queries = load_segments(db_path).take(np.arange(3))
+            bad.write_text(json.dumps([{"queries": queries.to_dict(),
+                                        "d": -1.0}]))
+        elif content is not None:
+            bad.write_text(content)
+        argv = {"info": ["info", str(bad)],
+                "search": ["search", db_path, "--d", "1.0",
+                           "--queries", str(bad)],
+                "batch": ["batch", db_path, "--requests", str(bad)]}
+        assert main(argv[command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: error: cannot read {bad}")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("shard", ["3", "99", "-1"])
     def test_kill_shard_outside_the_layout(self, db_path, shard, capsys):
         assert main(["shard", db_path, "--d", "2.0", "--shards", "3",

@@ -119,7 +119,7 @@ class TestSearchProfile:
         p = self._profile()
         assert p.num_kernel_invocations == 3
         assert p.total_comparisons == 3 * 640
-        assert p.total_atomics == 15
+        assert sum(s.atomic_ops for s in p.kernel_stats) == 15
         assert p.h2d_bytes == 1000 and p.d2h_bytes == 2000
 
     def test_optimistic_discounts_reinvocations(self):

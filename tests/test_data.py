@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.io import cached_dataset, load_segments, save_segments
+from repro.data.io import load_segments, save_segments
 from repro.data.merger import MergerConfig, merger_dataset, simulate_merger
 from repro.data.queries import queries_from_database, query_trajectory_ids
 from repro.data.random_walk import (REID_STELLAR_DENSITY,
@@ -164,16 +164,3 @@ class TestIO:
         np.savez(path, a=np.zeros(3))
         with pytest.raises(ValueError, match="not a segment database"):
             load_segments(path)
-
-    def test_cached_dataset_generates_once(self, small_db, tmp_path):
-        path = tmp_path / "cache.npz"
-        calls = []
-
-        def gen():
-            calls.append(1)
-            return small_db
-
-        a = cached_dataset(path, gen)
-        b = cached_dataset(path, gen)
-        assert len(calls) == 1
-        assert a == b == small_db

@@ -172,7 +172,8 @@ class TestProfileCoherence:
         _, prof = engine.search(small_queries, 2.5)
         # Single invocation: every produced item attempted one atomic.
         assert prof.num_kernel_invocations == 1
-        assert prof.total_atomics == prof.raw_result_items
+        assert sum(s.atomic_ops for s in prof.kernel_stats) \
+            == prof.raw_result_items
 
     def test_transfers_scale_with_queries(self, small_db,
                                           small_queries):

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from repro.experiments import (ExperimentRunner, RunRecord,
-                               ablation_indirection, markdown_table,
-                               ratio_table, records_to_series,
-                               scenario_s1_random, scenario_s2_merger,
-                               scenario_s3_random_dense, series_table)
+                               records_to_series, scenario_s1_random,
+                               scenario_s2_merger, scenario_s3_random_dense,
+                               series_table)
 
 TINY = 0.004
 
@@ -91,18 +90,6 @@ class TestRunner:
                                    s1_runner.database, 15.0)
         assert res.equivalent_to(truth)
 
-    def test_record_as_dict(self, s1_runner):
-        rec, _ = s1_runner.run_one("cpu_rtree", 5.0)
-        d = rec.as_dict()
-        assert d["engine"] == "cpu_rtree"
-        assert set(d) >= {"modeled_seconds", "comparisons", "d"}
-
-
-class TestAblations:
-    def test_indirection_overhead_positive(self):
-        out = ablation_indirection(TINY, d=25.0)
-        assert out["overhead_fraction"] > 0
-        assert out["gpu_spatiotemporal_v1_s"] > out["gpu_temporal_s"]
 
 
 class TestReport:
@@ -122,20 +109,6 @@ class TestReport:
         text = series_table("My title", d, series)
         assert "My title" in text
         assert "cpu_rtree" in text and "gpu_temporal" in text
-
-    def test_ratio_table(self, records):
-        d, series = records_to_series(records)
-        text = ratio_table("Ratios", d, series, baseline="cpu_rtree")
-        assert "gpu_temporal" in text
-        assert "cpu_rtree |" not in text  # baseline row dropped
-        with pytest.raises(KeyError):
-            ratio_table("x", d, series, baseline="nope")
-
-    def test_markdown_table(self, records):
-        d, series = records_to_series(records)
-        md = markdown_table(d, series)
-        assert md.startswith("| engine |")
-        assert "| cpu_rtree |" in md
 
     def test_missing_point_rendered_as_dash(self):
         text = series_table("t", [1.0, 2.0],

@@ -8,6 +8,7 @@ from repro.core.geometry import segment_mbbs
 from repro.indexes.fsg import FlatGrid
 from tests.conftest import make_walk_trajectories
 from repro.core.types import SegmentArray
+from tests.oracles.perthread_reference import cells_overlapping_box, probe
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +53,8 @@ class TestBuild:
         g, db = grid
         boxes = segment_mbbs(db)
         for i in range(0, len(db), 37):  # sample segments
-            cells = g.cells_overlapping_box(boxes.lo[i], boxes.hi[i])
-            found, start, end = g.probe(cells)
+            cells = cells_overlapping_box(g, boxes.lo[i], boxes.hi[i])
+            found, start, end = probe(g, cells)
             ids = np.concatenate([g.lookup[s:e] for s, e in
                                   zip(start[found], end[found])]) \
                 if np.any(found) else np.zeros(0)
@@ -90,11 +91,6 @@ class TestCoordinates:
         assert g.linearize(np.array([1]), np.array([2]),
                            np.array([1]))[0] == h0 + g.dims[2]
 
-    def test_cell_box_recomputed(self, grid):
-        g, _ = grid
-        lo, hi = g.cell_box(int(g.cell_ids[0]))
-        np.testing.assert_allclose(hi - lo, g.cell_size)
-
 
 class TestProbe:
     def test_probe_miss(self, grid):
@@ -102,20 +98,20 @@ class TestProbe:
         all_cells = np.arange(int(np.prod(g.dims)), dtype=np.int64)
         empty_cells = np.setdiff1d(all_cells, g.cell_ids)
         if empty_cells.size:
-            found, _, _ = g.probe(empty_cells[:10])
+            found, _, _ = probe(g, empty_cells[:10])
             assert not np.any(found)
 
     def test_probe_hit_ranges(self, grid):
         g, _ = grid
-        found, start, end = g.probe(g.cell_ids)
+        found, start, end = probe(g, g.cell_ids)
         assert np.all(found)
         np.testing.assert_array_equal(start, g.cell_start)
         np.testing.assert_array_equal(end, g.cell_end)
 
     def test_query_box_outside_grid_clips(self, grid):
         g, _ = grid
-        cells = g.cells_overlapping_box(np.array([-1e6] * 3),
-                                        np.array([-1e5] * 3))
+        cells = cells_overlapping_box(g, np.array([-1e6] * 3),
+                                      np.array([-1e5] * 3))
         # Clipped to the boundary cell: still a valid (possibly absent)
         # cell id, never an out-of-range index.
         assert np.all(cells >= 0)

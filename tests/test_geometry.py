@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.geometry import (MBB, expand, mbb_min_distance, overlaps,
-                                 overlaps_one_to_many,
-                                 point_segment_distance, segment_mbbs)
+from repro.core.geometry import MBB, expand, segment_mbbs
 
 
 def box(lo, hi):
     return MBB(np.array([lo], dtype=float), np.array([hi], dtype=float))
+
+
+def _overlap(a, b):
+    """Closed-box overlap of two one-box batches."""
+    return bool(np.all((a.lo <= b.hi) & (b.lo <= a.hi)))
 
 
 class TestMBB:
@@ -26,17 +29,9 @@ class TestMBB:
         with pytest.raises(ValueError, match="mismatch"):
             MBB(np.zeros((2, 3)), np.zeros((3, 3)))
 
-    def test_union_covers(self):
-        b = MBB(np.array([[0, 0, 0], [2, -1, 5]], dtype=float),
-                np.array([[1, 1, 1], [3, 0, 6]], dtype=float))
-        u = b.union()
-        np.testing.assert_array_equal(u.lo[0], [0, -1, 0])
-        np.testing.assert_array_equal(u.hi[0], [3, 1, 6])
-
-    def test_volume_and_centers(self):
+    def test_volume(self):
         b = box([0, 0, 0], [2, 3, 4])
         np.testing.assert_allclose(b.volume(), [24.0])
-        np.testing.assert_allclose(b.centers(), [[1, 1.5, 2]])
 
     def test_take(self):
         b = MBB(np.zeros((3, 3)), np.arange(9, dtype=float).reshape(3, 3)
@@ -93,55 +88,6 @@ class TestExpand:
             expand(box([0, 0, 0], [1, 1, 1]), -0.1)
 
 
-class TestOverlap:
-    def test_overlapping_and_disjoint(self):
-        a = MBB(np.array([[0, 0, 0], [0, 0, 0]], dtype=float),
-                np.array([[1, 1, 1], [1, 1, 1]], dtype=float))
-        b = MBB(np.array([[0.5, 0.5, 0.5], [2, 2, 2]], dtype=float),
-                np.array([[2, 2, 2], [3, 3, 3]], dtype=float))
-        np.testing.assert_array_equal(overlaps(a, b), [True, False])
-
-    def test_touching_faces_count(self):
-        a = box([0, 0, 0], [1, 1, 1])
-        b = box([1, 0, 0], [2, 1, 1])
-        assert overlaps(a, b)[0]
-
-    def test_one_to_many(self):
-        one = box([0, 0, 0], [1, 1, 1])
-        many = MBB(np.array([[0.5, 0, 0], [5, 5, 5]], dtype=float),
-                   np.array([[2, 1, 1], [6, 6, 6]], dtype=float))
-        np.testing.assert_array_equal(overlaps_one_to_many(one, many),
-                                      [True, False])
-        with pytest.raises(ValueError):
-            overlaps_one_to_many(many, many)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            overlaps(box([0, 0, 0], [1, 1, 1]),
-                     MBB(np.zeros((2, 3)), np.ones((2, 3))))
-
-
-class TestDistances:
-    def test_point_segment_distance(self):
-        p = np.array([[0.0, 1.0, 0.0], [5.0, 0.0, 0.0],
-                      [-3.0, 4.0, 0.0]])
-        a = np.zeros((3, 3))
-        b = np.tile(np.array([2.0, 0.0, 0.0]), (3, 1))
-        np.testing.assert_allclose(point_segment_distance(p, a, b),
-                                   [1.0, 3.0, 5.0])
-
-    def test_point_on_degenerate_segment(self):
-        p = np.array([[3.0, 4.0, 0.0]])
-        a = b = np.zeros((1, 3))
-        np.testing.assert_allclose(point_segment_distance(p, a, b), [5.0])
-
-    def test_mbb_min_distance(self):
-        a = box([0, 0, 0], [1, 1, 1])
-        b = box([4, 0, 0], [5, 1, 1])
-        np.testing.assert_allclose(mbb_min_distance(a, b), [3.0])
-        np.testing.assert_allclose(mbb_min_distance(a, a), [0.0])
-
-
 @given(st.lists(st.floats(-100, 100), min_size=6, max_size=6),
        st.floats(0, 10))
 @settings(max_examples=100, deadline=None)
@@ -153,6 +99,6 @@ def test_expand_then_overlap_is_distance_test(vals, margin):
     # Point at exactly `margin` beyond the hi corner along x.
     p = hi3 + np.array([margin, 0.0, 0.0])
     point_box = MBB(p[None, :], p[None, :])
-    assert overlaps(expand(b, margin + 1e-9), point_box)[0]
+    assert _overlap(expand(b, margin + 1e-9), point_box)
     if margin > 1e-9:
-        assert not overlaps(expand(b, margin * 0.5), point_box)[0]
+        assert not _overlap(expand(b, margin * 0.5), point_box)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpu.atomics import AtomicIntList, AtomicResultBuffer
+from repro.gpu.atomics import AtomicResultBuffer
 from repro.gpu.device import DeviceSpec, TESLA_C2075, VirtualGPU
 from repro.gpu.kernel import (KernelLauncher, KernelStats, LaunchSpec,
                               warp_work)
@@ -145,24 +145,6 @@ class TestAtomicResultBuffer:
             AtomicResultBuffer(0)
 
 
-class TestAtomicIntList:
-    def test_append_extend_drain(self):
-        lst = AtomicIntList(5)
-        lst.append(7)
-        lst.extend(np.array([1, 2]))
-        assert lst.atomic_ops == 3
-        assert list(lst.drain()) == [7, 1, 2]
-        assert lst.size == 0
-
-    def test_overflow(self):
-        lst = AtomicIntList(2)
-        lst.extend(np.array([1, 2]))
-        with pytest.raises(OverflowError):
-            lst.append(3)
-        with pytest.raises(ValueError):
-            AtomicIntList(0)
-
-
 class TestTransferLedger:
     def test_direction_totals(self):
         t = TransferLedger()
@@ -173,13 +155,6 @@ class TestTransferLedger:
         assert t.d2h_bytes == 320
         assert t.total_bytes == 416
         assert t.num_transfers == 3
-
-    def test_by_label_aggregates(self):
-        t = TransferLedger()
-        t.d2h("results", 100)
-        t.d2h("results", 50)
-        t.h2d("redo", 8)
-        assert t.by_label() == {"results": 150, "redo": 8}
 
     def test_negative_rejected(self):
         t = TransferLedger()

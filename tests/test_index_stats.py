@@ -16,7 +16,6 @@ class TestFsgStats:
         assert isinstance(s, FsgStats)
         assert s.total_cells == 512
         assert 0 < s.nonempty_cells <= 512
-        assert 0 < s.occupancy <= 1.0
         assert s.duplication_factor >= 1.0
         assert s.max_ids_per_cell >= s.mean_ids_per_nonempty_cell
 

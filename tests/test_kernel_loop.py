@@ -1,9 +1,10 @@
 """The incremental kernel loop, refereed from outside it.
 
 ``GpuEngineBase._search_once`` is the one invoke -> drain -> resubmit
-loop all three GPU schemes run.  The two execution modes share it, so
-``test_batch_equivalence.py`` cannot referee it (a wrong transfer order
-is wrong in both), and the e2e workloads never need a second invocation.
+loop all three GPU schemes run.  The per-thread oracle of
+``test_batch_equivalence.py`` runs inside it too, so that file cannot
+referee it (a wrong transfer order is wrong on both sides), and the e2e
+workloads never need a second invocation.
 This file holds it to digests captured by running commit 0a6c3ed — the
 last tree in which each scheme carried a private copy of the loop —
 through :func:`run_case` (``tests/data/make_kernel_loop_golden.py``

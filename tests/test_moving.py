@@ -108,7 +108,7 @@ class TestContinuity:
                           arrival_rate=0.0)
         w = MovingObjectsWorkload(config=cfg, seed=0)
         for i, e in enumerate(w.epochs(4)):
-            lo, hi = e.t_range
+            lo, hi = float(e.segments.ts.min()), float(e.segments.te.max())
             assert lo == pytest.approx(i * cfg.epoch_steps * cfg.dt)
             assert hi == pytest.approx((i + 1) * cfg.epoch_steps
                                        * cfg.dt)

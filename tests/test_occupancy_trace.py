@@ -1,73 +1,11 @@
-"""Tests for the occupancy calculator and the trace exporter."""
+"""Tests for the Chrome-trace exporter of a search profile."""
 
 import json
 
 import pytest
 
 from repro.gpu.costmodel import GpuCostModel
-from repro.gpu.occupancy import (FermiLimits, LaunchConfig,
-                                 best_block_size, occupancy, utilization)
 from repro.gpu.trace import profile_to_trace, write_trace
-
-
-class TestOccupancy:
-    def test_full_occupancy_at_modest_resources(self):
-        cfg = occupancy(100_000, 192, registers_per_thread=20)
-        # 1536/192 = 8 blocks also equals the block limit: 48 warps.
-        assert cfg.occupancy == pytest.approx(1.0)
-        assert cfg.resident_blocks_per_sm == 8
-
-    def test_register_pressure_limits(self):
-        light = occupancy(10_000, 256, registers_per_thread=16)
-        heavy = occupancy(10_000, 256, registers_per_thread=63)
-        assert heavy.occupancy < light.occupancy
-        assert heavy.limiting_factor == "registers"
-
-    def test_shared_memory_limits(self):
-        cfg = occupancy(10_000, 128, shared_mem_per_block=24 * 1024,
-                        registers_per_thread=16)
-        assert cfg.limiting_factor == "smem"
-        assert cfg.resident_blocks_per_sm == 2
-
-    def test_block_count(self):
-        cfg = occupancy(1000, 256)
-        assert cfg.num_blocks == 4
-        assert cfg.total_threads == 1024
-        assert occupancy(0, 256).num_blocks == 0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            occupancy(10, 100)            # not a warp multiple
-        with pytest.raises(ValueError):
-            occupancy(10, 2048)           # above block limit
-        with pytest.raises(ValueError):
-            occupancy(-1, 256)
-
-    def test_utilization_tail(self):
-        """Tiny grids underutilize; big grids saturate — the |Q| effect
-        behind the paper's 'moderately large' requirement."""
-        small = utilization(64)
-        large = utilization(1_000_000)
-        assert small < 0.5
-        assert large == pytest.approx(1.0)
-        assert utilization(0) == 0.0
-
-    def test_best_block_size_maximizes_occupancy(self):
-        best = best_block_size(100_000, registers_per_thread=21)
-        others = [occupancy(100_000, bs, registers_per_thread=21)
-                  for bs in (64, 128, 192, 256, 384, 512)]
-        assert best.occupancy == pytest.approx(
-            max(o.occupancy for o in others))
-
-    def test_custom_limits(self):
-        tight = FermiLimits(max_threads_per_sm=256, max_blocks_per_sm=2,
-                            max_warps_per_sm=8, registers_per_sm=8192,
-                            shared_mem_per_sm=16384,
-                            max_threads_per_block=256)
-        cfg = occupancy(1000, 128, limits=tight,
-                        registers_per_thread=8)
-        assert cfg.resident_blocks_per_sm == 2
-        assert isinstance(cfg, LaunchConfig)
 
 
 class TestTrace:

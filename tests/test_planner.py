@@ -3,25 +3,30 @@
 import numpy as np
 import pytest
 
-from repro.core.planner import PlanEstimate, WorkloadStats, plan_search
+from repro.core.planner import DatabaseProfile, PlanEstimate, plan_search
 from repro.experiments import (ExperimentRunner, scenario_s2_merger,
                                scenario_s3_random_dense)
 
 
+def _coexisting_entries(s):
+    """Entries alive at a random instant."""
+    return s.num_entries * s.mean_entry_extent_t / s.total_time
+
+
 class TestWorkloadStats:
     def test_measure(self, small_db, small_queries):
-        s = WorkloadStats.measure(small_db, small_queries)
+        s = DatabaseProfile.build(small_db).stats(small_queries)
         assert s.num_entries == len(small_db)
         assert s.num_queries == len(small_queries)
         assert s.volume > 0 and s.total_time > 0
-        assert s.coexisting_entries <= s.num_entries
+        assert _coexisting_entries(s) <= s.num_entries
         assert np.all(s.mean_entry_extent_s <= s.max_entry_extent_s)
 
     def test_coexistence(self, small_db):
-        s = WorkloadStats.measure(small_db, small_db)
+        s = DatabaseProfile.build(small_db).stats(small_db)
         # Walk segments last 1 of ~24 total time units: a small slice of
         # the database coexists at any instant.
-        assert s.coexisting_entries < 0.2 * s.num_entries
+        assert _coexisting_entries(s) < 0.2 * s.num_entries
 
 
 class TestPlanSearch:

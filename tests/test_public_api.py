@@ -47,10 +47,10 @@ def test_readme_documented_entry_points_exist():
                  "GpuCostModel", "HybridEngine"):
         assert hasattr(repro, name)
     from repro.core import plan_search, verify_results, TrajectoryKnn
-    from repro.gpu import occupancy, write_trace
+    from repro.gpu import write_trace
     from repro.sharding import ShardedService
     assert callable(plan_search) and callable(verify_results)
-    assert callable(occupancy) and callable(write_trace)
+    assert callable(write_trace)
     assert ShardedService and TrajectoryKnn
 
 
@@ -196,6 +196,61 @@ def test_reader_surface_is_pinned():
                           if isinstance(fn, ast.FunctionDef)
                           and fn.name in READER_NAMES}
     assert found == READERS
+
+
+#: public names under ``src/repro`` that stay although nothing outside
+#: ``tests/`` calls them, each with its reason.
+KEPT = {
+    "service/scheduler.py::QueryService.unregister_subscription":
+        "the inverse of register_subscription, which the standing "
+        "campaign calls: a caller that can subscribe can unsubscribe",
+}
+
+
+def test_no_public_name_only_tests_call():
+    """Code stays in ``src/`` only if something outside ``tests/`` runs
+    it: every public top-level ``def`` / ``class`` under ``src/repro``,
+    and every public method or property of a top-level class, occurs as
+    a NAME token in ``src/repro`` (package ``__init__.py`` re-exports
+    excluded), ``benchmarks/`` or ``examples/`` beyond its own
+    definitions.  A token scan cannot tell a call from a same-named
+    local or attribute, so it misses names that are also common words;
+    it catches every name nobody spells at all."""
+    import ast
+    import io
+    import tokenize
+    from collections import Counter
+    root = Path(__file__).resolve().parent.parent
+    src = root / "src" / "repro"
+    program = [p for p in sorted(src.rglob("*.py"))
+               if p.name != "__init__.py"]
+    spelled: Counter[str] = Counter()
+    for path in (program + sorted((root / "benchmarks").rglob("*.py"))
+                 + sorted((root / "examples").rglob("*.py"))):
+        spelled.update(
+            tok.string for tok in tokenize.generate_tokens(
+                io.StringIO(path.read_text()).readline)
+            if tok.type == tokenize.NAME)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined: Counter[str] = Counter()
+    public = []
+    for path in program:
+        where = path.relative_to(src).as_posix()
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, defs):
+                continue
+            members = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                members += [(fn.name, f"{node.name}.{fn.name}")
+                            for fn in node.body if isinstance(fn, defs)]
+            for name, qualname in members:
+                defined[name] += 1
+                if not name.startswith("_"):
+                    public.append((name, f"{where}::{qualname}"))
+    unused = {qualname for name, qualname in public
+              if spelled[name] <= defined[name]}
+    assert unused - KEPT.keys() == set(), sorted(unused - KEPT.keys())
+    assert KEPT.keys() <= unused, "a kept name has a caller now"
 
 
 def test_register_engine_decorator():

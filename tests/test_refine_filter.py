@@ -13,9 +13,9 @@ them (``GpuEngineBase._search_once``).  Nothing observable may change:
     the exact floating-point path accepts is dropped;
 (c) the same over Hypothesis-drawn small databases;
 (d) with the reject sabotaged to drop everything the GPU engines go
-    empty while ``cpu_scan``, ``cpu_rtree``, brute force and the
-    ``"perthread"`` reference mode answer as before — a bug in the
-    reject cannot hide on both sides of a comparison.
+    empty while ``cpu_scan``, ``cpu_rtree`` and brute force answer as
+    before — a bug in the reject cannot hide on both sides of a
+    comparison.
 """
 
 import itertools
@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bruteforce import brute_force_search
 from repro.core.distance import (_REJECT_MARGIN, compare_pairs, magnitude,
                                  surviving_pairs)
-from repro.core.execmode import execution_mode
 from repro.core.types import SegmentArray
 from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
                            GpuSpatioTemporalEngine, GpuTemporalEngine,
@@ -318,20 +317,15 @@ def test_referees_are_independent_of_the_reject(small_db, small_queries,
                                                   d).canonical(),
     }
 
-    def gpu(cls, mode):
-        with execution_mode(mode):
-            return cls(small_db).search(small_queries, d)[0]
+    def gpu(cls):
+        return cls(small_db).search(small_queries, d)[0]
 
-    for name, cls in GPU_ENGINES.items():
-        referees[f"{name}/perthread"] = \
-            lambda cls=cls: gpu(cls, "perthread")
     before = {name: _result_bytes(run()) for name, run in referees.items()}
-    honest = {name: gpu(cls, "batch") for name, cls in GPU_ENGINES.items()}
-    assert all(len(r) > 0 for r in honest.values())
+    assert all(len(gpu(cls)) > 0 for cls in GPU_ENGINES.values())
 
     monkeypatch.setattr(base, "surviving_pairs", _drop_everything)
     for name, cls in GPU_ENGINES.items():
-        assert len(gpu(cls, "batch")) == 0, name    # the sabotage bites
+        assert len(gpu(cls)) == 0, name    # the sabotage bites
     for name, run in referees.items():
         assert _result_bytes(run()) == before[name], name
 

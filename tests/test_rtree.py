@@ -126,6 +126,8 @@ class TestGuttmanSpecifics:
 
 
 class TestQueryCandidates:
+    """The traversal the engine runs, ``query_candidates_flat``."""
+
     def test_candidates_complete(self, tree, small_queries):
         """Every true result pair's entry row appears among the query's
         candidates (index may over-approximate, never miss)."""
@@ -133,16 +135,18 @@ class TestQueryCandidates:
         d = 2.5
         from repro.core.bruteforce import brute_force_search
         truth = brute_force_search(small_queries, t.segments, d)
-        cands, visits = t.query_candidates(small_queries, d)
+        rows, start, _ = t.query_candidates_flat(small_queries, d)
         row_of_id = {int(s): r for r, s in enumerate(t.segments.seg_ids)}
         qrow_of_id = {int(s): r
                       for r, s in enumerate(small_queries.seg_ids)}
         for qid, eid in truth.pairs():
-            assert row_of_id[eid] in cands[qrow_of_id[qid]]
+            k = qrow_of_id[qid]
+            assert row_of_id[eid] in rows[start[k]:start[k + 1]]
 
     def test_visits_positive_and_bounded(self, tree, small_queries):
         t, _ = tree
-        _, visits = t.query_candidates(small_queries, 1.0)
+        _, _, visits = t.query_candidates_flat(small_queries, 1.0)
+        assert visits.shape == (len(small_queries),)
         assert np.all(visits >= 1)          # at least the root
         assert np.all(visits <= t.num_nodes)
 
@@ -150,8 +154,10 @@ class TestQueryCandidates:
         t, _ = tree
         sizes = []
         for d in (0.1, 2.0, 10.0):
-            cands, _ = t.query_candidates(small_queries, d)
-            sizes.append(sum(c.size for c in cands))
+            rows, start, _ = t.query_candidates_flat(small_queries, d)
+            assert start[-1] == rows.size
+            assert np.all(np.diff(start) >= 0)
+            sizes.append(rows.size)
         assert sizes == sorted(sizes)
 
     def test_larger_r_fewer_nodes_more_candidates(self, small_db,
@@ -160,15 +166,16 @@ class TestQueryCandidates:
         small = RTree.build(small_db, segments_per_mbb=1, fanout=8)
         large = RTree.build(small_db, segments_per_mbb=16, fanout=8)
         assert large.num_nodes < small.num_nodes
-        c_small, _ = small.query_candidates(small_queries, 1.0)
-        c_large, _ = large.query_candidates(small_queries, 1.0)
-        assert (sum(c.size for c in c_large)
-                >= sum(c.size for c in c_small))
+        c_small, _, _ = small.query_candidates_flat(small_queries, 1.0)
+        c_large, _, _ = large.query_candidates_flat(small_queries, 1.0)
+        assert c_large.size >= c_small.size
 
     def test_empty_query_set(self, tree):
         t, _ = tree
-        cands, visits = t.query_candidates(SegmentArray.empty(), 1.0)
-        assert cands == [] and visits.size == 0
+        rows, start, visits = t.query_candidates_flat(SegmentArray.empty(),
+                                                      1.0)
+        assert rows.size == 0 and visits.size == 0
+        assert start.tolist() == [0]
 
     def test_nbytes(self, tree):
         t, _ = tree

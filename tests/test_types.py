@@ -26,18 +26,6 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="1-D"):
             Trajectory(0, np.zeros((2, 2)), np.zeros((2, 3)))
 
-    def test_position_interpolation(self):
-        t = Trajectory(0, np.array([0.0, 2.0]),
-                       np.array([[0.0, 0.0, 0.0], [4.0, 2.0, -2.0]]))
-        np.testing.assert_allclose(t.position_at(1.0), [2.0, 1.0, -1.0])
-        np.testing.assert_allclose(t.position_at(0.0), [0.0, 0.0, 0.0])
-        np.testing.assert_allclose(t.position_at(2.0), [4.0, 2.0, -2.0])
-
-    def test_position_outside_extent_raises(self):
-        t = Trajectory(0, np.array([0.0, 2.0]), np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="temporal extent"):
-            t.position_at(3.0)
-
 
 class TestSegmentArray:
     def test_from_trajectories_counts(self, small_db):
@@ -104,13 +92,6 @@ class TestSegmentArray:
             SegmentArray.empty().temporal_extent
         with pytest.raises(ValueError):
             SegmentArray.empty().spatial_bounds()
-
-    def test_iter_rows(self, small_db):
-        rows = list(small_db.iter_rows())
-        assert len(rows) == len(small_db)
-        seg_id, traj_id, start, end, ts, te = rows[0]
-        assert seg_id == small_db.seg_ids[0]
-        assert ts <= te
 
     def test_nbytes_positive(self, small_db):
         # 8 coordinate arrays of f64 + 2 id arrays of i64 = 80 B/segment.

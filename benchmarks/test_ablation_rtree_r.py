@@ -12,7 +12,7 @@ baseline on Random-dense).
 
 
 from repro.engines.cpu_rtree import CpuRTreeEngine
-from repro.gpu.costmodel import CpuCostModel
+from repro.gpu.costmodel import price
 
 from .conftest import emit
 
@@ -20,7 +20,6 @@ R_VALUES = (1, 2, 4, 8, 16)
 
 
 def test_rtree_r_sweep(benchmark, s1_runner, s2_runner):
-    model = CpuCostModel()
 
     def sweep():
         out = {}
@@ -54,7 +53,6 @@ def test_rtree_construction_variants(benchmark, s3_runner):
     """Guttman vs STR and 3-D vs 4-D on Random-dense: the stronger
     variants win — quantifying how much baseline strength the paper's
     Fig. 6 result presupposes giving up."""
-    model = CpuCostModel()
     db = s3_runner.database
     queries = s3_runner.queries
 
@@ -69,7 +67,7 @@ def test_rtree_construction_variants(benchmark, s3_runner):
         ]:
             engine = CpuRTreeEngine(db, segments_per_mbb=4, **kw)
             _, prof = engine.search(queries, 0.05)
-            out[label] = (prof.modeled_time(model).total,
+            out[label] = (price(prof).total,
                           prof.comparisons, prof.node_visits)
         return out
 

@@ -10,7 +10,6 @@ Three studies of features the paper motivates but does not evaluate:
 import numpy as np
 
 from repro.engines import HybridEngine
-from repro.gpu.costmodel import CpuCostModel, GpuCostModel
 from repro.service import SearchRequest
 from repro.sharding import ShardedService
 
@@ -59,18 +58,16 @@ def test_hybrid_beats_both_sides_near_crossover(benchmark, s2_runner):
     db = s2_runner.database
     queries = s2_runner.queries
     d = 1.5
-    gm, cm = GpuCostModel(), CpuCostModel()
     gpu = s2_runner.engine("gpu_temporal")
     cpu = s2_runner.engine("cpu_rtree")
 
     def run():
-        f = HybridEngine.balanced_split(gpu, cpu, queries, d,
-                                        gpu_model=gm, cpu_model=cm)
+        f = HybridEngine.balanced_split(gpu, cpu, queries, d)
         out = {}
         for frac in (0.0, f, 1.0):
             hybrid = HybridEngine(gpu, cpu, gpu_fraction=frac)
             _, prof = hybrid.search(queries, d)
-            out[frac] = prof.modeled_time(gm, cm).total
+            out[frac] = prof.modeled_time().total
         return f, out
 
     f, out = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -8,8 +8,9 @@ deployment of the paper's system would serve.  This example runs one:
   batches hit the engine cache and pay only the search,
 * ``method="auto"`` lets the cost-based planner pick the engine per
   batch,
-* a deliberately undersized device shows degradation to the index-free
-  ``cpu_scan`` baseline.
+* a device that runs out of memory (an injected ``oom`` fault, the
+  mechanism the chaos campaign uses) shows degradation down the
+  failover ladder to the CPU R-tree.
 
 Partitioning the database across shards is a deployment decision, not a
 request option: see ``examples/sharded_failover.py``.
@@ -20,7 +21,7 @@ Run:  python examples/batch_service.py
 import numpy as np
 
 from repro.data import queries_from_database, random_dense_dataset
-from repro.gpu.device import DeviceSpec, TESLA_C2075
+from repro.faults import FaultInjector, FaultSpec
 from repro.service import QueryService, SearchRequest
 
 
@@ -50,23 +51,18 @@ def main():
           f"{stats['cached_engines']} engine(s) resident "
           f"({stats['cache_resident_bytes'] / (1 << 20):.1f} MiB)\n")
 
-    # -- degradation: the index does not fit ---------------------------------
+    # -- degradation: every device allocation fails --------------------------
     queries = queries_from_database(db, 4, rng=rng)
     whole = service.submit(SearchRequest(
         queries=queries, d=0.05, method="gpu_temporal",
         params={"num_bins": 200}, request_id="whole"))
-    tiny = DeviceSpec(name="tiny-gpu", num_cores=64, num_sms=2,
-                      warp_size=32, clock_hz=TESLA_C2075.clock_hz,
-                      global_mem_bytes=1 << 16,
-                      pcie_bandwidth=TESLA_C2075.pcie_bandwidth,
-                      pcie_latency_s=TESLA_C2075.pcie_latency_s,
-                      kernel_launch_s=TESLA_C2075.kernel_launch_s)
-    cramped = QueryService(db, num_devices=1, spec=tiny)
+    cramped = QueryService(db, num_devices=1,
+                           faults=FaultInjector([FaultSpec("oom")]))
     resp = cramped.submit(SearchRequest(
         queries=queries, d=0.05, method="gpu_temporal",
         params={"num_bins": 200}, request_id="cramped"))
     m = resp.metrics
-    print(f"64 KiB device: degraded={m.degraded}, served by "
+    print(f"device OOM: degraded={m.degraded}, served by "
           f"{m.engine} ({len(resp.outcome.results)} results)")
     print(f"  reason: {m.degradation_reason}")
     agreed = resp.outcome.results.equivalent_to(whole.outcome.results)

@@ -13,7 +13,7 @@ import numpy as np
 from repro.data import MergerConfig, merger_dataset, queries_from_database
 from repro.engines import (CpuRTreeEngine, GpuSpatioTemporalEngine,
                            GpuTemporalEngine)
-from repro.gpu.costmodel import CpuCostModel, GpuCostModel
+from repro.gpu.costmodel import price
 
 
 def main():
@@ -24,7 +24,6 @@ def main():
     print(f"merger dataset: {db.num_trajectories} particles, "
           f"{len(db)} segments; {len(queries)} query segments\n")
 
-    gpu_model, cpu_model = GpuCostModel(), CpuCostModel()
     engines = {
         "cpu_rtree": CpuRTreeEngine(db, segments_per_mbb=4),
         "gpu_temporal": GpuTemporalEngine(db, num_bins=500),
@@ -37,8 +36,7 @@ def main():
         row = []
         for name, engine in engines.items():
             _, prof = engine.search(queries, d)
-            model = cpu_model if name == "cpu_rtree" else gpu_model
-            row.append(prof.modeled_time(model).total)
+            row.append(price(prof).total)
         best = min(row)
         cells = [f"{t:17.5f}s{'*' if t == best else ' '}" for t in row]
         print(f"{d:6.2f} " + " ".join(f"{c:>20s}" for c in cells))

@@ -14,7 +14,7 @@ import numpy as np
 from repro.data import MergerConfig, merger_dataset, queries_from_database
 from repro.engines import (CpuRTreeEngine, GpuSpatioTemporalEngine,
                            HybridEngine)
-from repro.gpu.costmodel import CpuCostModel, GpuCostModel
+from repro.gpu.costmodel import price
 
 
 def main():
@@ -22,7 +22,6 @@ def main():
     queries = queries_from_database(db, 6,
                                     rng=np.random.default_rng(3))
     d = 1.5   # near the paper's CPU/GPU crossover on Merger
-    gm, cm = GpuCostModel(), CpuCostModel()
 
     gpu = GpuSpatioTemporalEngine(db, num_bins=500, num_subbins=8,
                                   strict_subbins=False)
@@ -30,20 +29,19 @@ def main():
 
     _, gp = gpu.search(queries, d)
     _, cp = cpu.search(queries, d)
-    t_gpu = gp.modeled_time(gm).total
-    t_cpu = cp.modeled_time(cm).total
+    t_gpu = price(gp).total
+    t_cpu = price(cp).total
     print(f"standalone GPU: {t_gpu:.6f} s   standalone CPU: "
           f"{t_cpu:.6f} s")
 
-    f = HybridEngine.balanced_split(gpu, cpu, queries, d,
-                                    gpu_model=gm, cpu_model=cm)
+    f = HybridEngine.balanced_split(gpu, cpu, queries, d)
     print(f"balanced split: {100 * f:.0f}% of queries to the GPU\n")
 
     print(f"{'gpu share':>10s} {'modeled':>12s}")
     for frac in (0.0, 0.25, round(f, 2), 0.75, 1.0):
         hybrid = HybridEngine(gpu, cpu, gpu_fraction=frac)
         res, prof = hybrid.search(queries, d)
-        t = prof.modeled_time(gm, cm).total
+        t = prof.modeled_time().total
         marker = "  <- balanced" if frac == round(f, 2) else ""
         print(f"{frac:10.2f} {t:10.6f} s{marker}")
 

@@ -64,8 +64,7 @@ def main():
 
     print(f"\n== {telemetry.slow_log.render()} ==")
 
-    path = write_service_trace(responses, "results/telemetry_tour.json",
-                               model=service.gpu_model)
+    path = write_service_trace(responses, "results/telemetry_tour.json")
     lanes = {s['lane'] for r in responses
              for s in r.metrics.lane_spans}
     print(f"\nchrome://tracing timeline for {len(responses)} requests "

@@ -13,7 +13,7 @@ from repro.core.types import SegmentArray
 from repro.engines import (GpuSpatialEngine, GpuSpatioTemporalEngine,
                            GpuTemporalEngine)
 from repro.engines.cpu_rtree import tune_segments_per_mbb
-from repro.gpu.costmodel import GpuCostModel
+from repro.gpu.costmodel import price
 from repro.indexes import SpatioTemporalIndex
 
 
@@ -24,7 +24,6 @@ def main():
         box_side=215.0, step_sigma=1.0, start_time_range=(0, 100),
         rng=np.random.default_rng(5), first_traj_id=10_000))
     d = 20.0
-    model = GpuCostModel()
     print(f"|D| = {len(db)}, |Q| = {len(queries)}, d = {d}\n")
 
     print("GPUTemporal: temporal bin count m (more bins -> better")
@@ -33,7 +32,7 @@ def main():
         engine = GpuTemporalEngine(db, num_bins=m)
         _, prof = engine.search(queries, d)
         print(f"  m={m:>6d}: {prof.total_comparisons:>9d} comparisons, "
-              f"{prof.modeled_time(model).total:9.6f} s")
+              f"{price(prof).total:9.6f} s")
 
     vmax = SpatioTemporalIndex.max_admissible_subbins(db)
     print(f"\nGPUSpatioTemporal: subbin count v (admissible v <= {vmax}"
@@ -45,7 +44,7 @@ def main():
         _, prof = engine.search(queries, d)
         nq = len(queries)
         print(f"  v={v}: {prof.total_comparisons:>9d} comparisons, "
-              f"{prof.modeled_time(model).total:9.6f} s, "
+              f"{price(prof).total:9.6f} s, "
               f"{100 * prof.defaulted_queries / nq:5.1f}% defaulted")
 
     print("\nGPUSpatial: FSG resolution (coarse -> poor selectivity,")
@@ -55,7 +54,7 @@ def main():
         _, prof = engine.search(queries, d)
         print(f"  {cells:>3d} cells/dim: {prof.total_comparisons:>9d} "
               f"comparisons, {prof.num_kernel_invocations} invocations, "
-              f"{prof.modeled_time(model).total:9.6f} s")
+              f"{price(prof).total:9.6f} s")
 
     print("\nCPU-RTree: segments per MBB r (the paper reports only the")
     print("best r per experiment):")

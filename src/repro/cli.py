@@ -614,8 +614,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     service, responses = _run_service(args, telemetry=telemetry)
     if service is None:
         return 2
-    path = write_service_trace(responses, args.out,
-                               model=service.gpu_model)
+    path = write_service_trace(responses, args.out)
     print(f"chrome trace written to {path} "
           f"({len(responses)} requests, "
           f"{service.pool.num_devices} lanes)")
@@ -649,12 +648,16 @@ def _batch_params(args: argparse.Namespace) -> dict:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     from .core.planner import plan_search
+    from .service import QueryService
     database, queries = _load_workload(args)
+    # Plan with the sample ``method="auto"`` serves with, so the
+    # ranking printed here is the one the service acts on.
     plans = plan_search(database, queries, args.d,
                         num_bins=args.num_bins,
                         num_subbins=args.num_subbins,
                         cells_per_dim=args.cells_per_dim,
-                        segments_per_mbb=args.segments_per_mbb)
+                        segments_per_mbb=args.segments_per_mbb,
+                        sample=QueryService.PLANNER_SAMPLE)
     print(f"engine ranking for |D|={len(database)}, "
           f"|Q|={len(queries)}, d={args.d}:")
     for rank, p in enumerate(plans, 1):

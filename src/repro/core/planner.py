@@ -4,8 +4,9 @@ The paper's conclusion is a decision rule — CPU for small/sparse,
 GPUSpatioTemporal for large/dense unless ``d`` is small — that a user
 must otherwise apply by hand.  This planner automates it: it estimates
 each engine's per-query candidate count by *sampling* (a few dozen query
-segments counted exactly against the database), prices the counts with
-the calibrated cost models, and returns ranked :class:`PlanEstimate`s.
+segments counted exactly against the database), prices the counts on
+the paper's machine (``costmodel.GPU_MODEL`` / ``CPU_MODEL``), and
+returns ranked :class:`PlanEstimate`s.
 
 The work is split by what it depends on.  Everything that depends only
 on the database is a :class:`DatabaseProfile`, built once per base in
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gpu.costmodel import CpuCostModel, GpuCostModel
+from ..gpu.costmodel import CPU_MODEL, GPU_MODEL
 from .types import SegmentArray
 
 __all__ = ["DatabaseProfile", "PlanEstimate", "WorkloadStats",
@@ -296,9 +297,9 @@ def _sample_counts(profile: DatabaseProfile, queries: SegmentArray,
         rows_rtree=rows_rt)
 
 
-def _gpu_seconds(stats: WorkloadStats, cand_per_query: float,
-                 model: GpuCostModel, *, gathers_per_query: float = 0.0
-                 ) -> float:
+def _gpu_seconds(stats: WorkloadStats, cand_per_query: float, *,
+                 gathers_per_query: float = 0.0) -> float:
+    model = GPU_MODEL
     total_cmp = cand_per_query * stats.num_queries
     # Tail underutilization, mirroring the kernel cost model: a grid
     # with fewer warps than the device runs concurrently cannot fill it.
@@ -314,7 +315,8 @@ def _gpu_seconds(stats: WorkloadStats, cand_per_query: float,
 
 
 def _cpu_seconds(stats: WorkloadStats, cand_per_query: float,
-                 visits_per_query: float, model: CpuCostModel) -> float:
+                 visits_per_query: float) -> float:
+    model = CPU_MODEL
     thr = (model.spec.cores * model.spec.parallel_efficiency
            * model.spec.clock_hz)
     cycles = stats.num_queries * (
@@ -334,8 +336,6 @@ def plan_search(
     cells_per_dim: int = 50,
     segments_per_mbb: int = 4,
     sample: int = 48,
-    gpu_model: GpuCostModel | None = None,
-    cpu_model: CpuCostModel | None = None,
     rng: np.random.Generator | None = None,
 ) -> list[PlanEstimate]:
     """Rank the engines for this workload, fastest predicted first.
@@ -348,8 +348,6 @@ def plan_search(
                          "query set")
     profile = (database if isinstance(database, DatabaseProfile)
                else DatabaseProfile.build(database))
-    gpu_model = gpu_model or GpuCostModel()
-    cpu_model = cpu_model or CpuCostModel()
     rng = rng or np.random.default_rng(0)
     stats = profile.stats(queries)
     sel = _sample_counts(profile, queries, d, num_bins=num_bins,
@@ -370,24 +368,24 @@ def plan_search(
     plans = [
         PlanEstimate("gpu_temporal", {"num_bins": num_bins},
                      sel.temporal,
-                     _gpu_seconds(stats, sel.temporal, gpu_model)),
+                     _gpu_seconds(stats, sel.temporal)),
         PlanEstimate("gpu_spatiotemporal",
                      {"num_bins": num_bins, "num_subbins": num_subbins},
                      sel.spatiotemporal,
-                     _gpu_seconds(stats, sel.spatiotemporal, gpu_model,
+                     _gpu_seconds(stats, sel.spatiotemporal,
                                   gathers_per_query=sel.spatiotemporal),
                      rows_scanned=sel.rows_spatiotemporal),
         PlanEstimate("gpu_spatial", {"cells_per_dim": cells_per_dim},
                      sel.spatial,
                      _gpu_seconds(
-                         stats, sel.spatial, gpu_model,
+                         stats, sel.spatial,
                          gathers_per_query=sel.spatial + probes
                          * np.log2(max(stats.num_entries, 2))),
                      rows_scanned=sel.rows_spatial),
         PlanEstimate("cpu_rtree",
                      {"segments_per_mbb": segments_per_mbb},
                      sel.rtree,
-                     _cpu_seconds(stats, sel.rtree, visits, cpu_model),
+                     _cpu_seconds(stats, sel.rtree, visits),
                      rows_scanned=sel.rows_rtree),
     ]
     return sorted(plans, key=lambda p: p.est_seconds)

@@ -46,8 +46,7 @@ from dataclasses import dataclass
 from ..engines.base import SearchEngine
 from ..engines.config import EngineConfig
 from ..engines.registry import available, get_engine, register_engine
-from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
-from ..gpu.device import VirtualGPU
+from ..gpu.costmodel import CostBreakdown, price
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
 from .result import ResultSet
 from .types import SegmentArray
@@ -95,26 +94,20 @@ class DistanceThresholdSearch:
     config:
         A typed engine config (see :mod:`repro.engines.config`); mutually
         exclusive with ``**engine_params``.
-    gpu:
-        Place a GPU engine on a specific :class:`VirtualGPU` (the query
-        service uses this to pin engines to pool devices).
-    gpu_model, cpu_model:
-        Cost models used to convert profiles to modeled seconds; defaults
-        model the paper's Tesla C2075 and Xeon W3690.
     **engine_params:
         Engine tuning knobs (e.g. ``num_bins``, ``num_subbins``,
         ``cells_per_dim``, ``segments_per_mbb``,
         ``result_buffer_items``), validated against the engine's typed
         config; unknown keys raise
         :class:`~repro.engines.config.ConfigError`.
+
+    Modeled seconds describe the paper's machine, a Tesla C2075 next to
+    a Xeon W3690 (:func:`repro.gpu.costmodel.price`).
     """
 
     def __init__(self, database: SegmentArray, *,
                  method: str = "gpu_spatiotemporal",
                  config: EngineConfig | None = None,
-                 gpu: VirtualGPU | None = None,
-                 gpu_model: GpuCostModel | None = None,
-                 cpu_model: CpuCostModel | None = None,
                  **engine_params) -> None:
         if method not in available():
             raise ValueError(
@@ -122,19 +115,13 @@ class DistanceThresholdSearch:
                 f"{sorted(available())}")
         self.method = method
         self.database = database
-        self.gpu_model = gpu_model or GpuCostModel()
-        self.cpu_model = cpu_model or CpuCostModel()
         self.engine: SearchEngine = get_engine(method).from_config(
-            database, config, gpu=gpu, **engine_params)
+            database, config, **engine_params)
 
     def run(self, queries: SegmentArray, d: float, *,
             exclude_same_trajectory: bool = False) -> SearchOutcome:
         """Execute the search and price it under the machine model."""
         results, profile = self.engine.search(
             queries, d, exclude_same_trajectory=exclude_same_trajectory)
-        if isinstance(profile, CpuSearchProfile):
-            modeled = profile.modeled_time(self.cpu_model)
-        else:
-            modeled = profile.modeled_time(self.gpu_model)
         return SearchOutcome(results=results, profile=profile,
-                             modeled=modeled)
+                             modeled=price(profile))

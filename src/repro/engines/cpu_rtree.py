@@ -26,7 +26,7 @@ import numpy as np
 
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
-from ..gpu.costmodel import CpuCostModel
+from ..gpu.costmodel import price
 from ..gpu.profiler import CpuSearchProfile
 from ..indexes.rtree import RTree
 from ..obs.telemetry import current as current_telemetry
@@ -103,7 +103,6 @@ def tune_segments_per_mbb(
     d: float,
     *,
     r_values: tuple[int, ...] = (1, 2, 4, 8, 16),
-    model: CpuCostModel | None = None,
 ) -> tuple[int, dict[int, float]]:
     """Reproduce the paper's protocol of sweeping ``r`` and keeping the
     best: returns ``(best_r, {r: modeled_seconds})``.
@@ -112,11 +111,10 @@ def tune_segments_per_mbb(
     means deep traversals (node visits dominate), large ``r`` means fat
     leaves (refinement dominates).
     """
-    model = model or CpuCostModel()
     times: dict[int, float] = {}
     for r in r_values:
         engine = CpuRTreeEngine(database, segments_per_mbb=r)
         _, profile = engine.search(queries, d)
-        times[r] = profile.modeled_time(model).total
+        times[r] = price(profile).total
     best = min(times, key=times.__getitem__)
     return best, times

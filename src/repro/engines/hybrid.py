@@ -20,7 +20,7 @@ import numpy as np
 from ..core.merge import merge_disjoint
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
-from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
+from ..gpu.costmodel import CostBreakdown, price
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
 from .base import GpuEngineBase, SearchEngine
 from .cpu_rtree import CpuRTreeEngine
@@ -39,11 +39,10 @@ class HybridProfile:
     cpu_profile: CpuSearchProfile
     wall_seconds: float = 0.0
 
-    def modeled_time(self, gpu_model: GpuCostModel,
-                     cpu_model: CpuCostModel) -> CostBreakdown:
+    def modeled_time(self) -> CostBreakdown:
         """Concurrent execution: the slower side defines response time."""
-        t_gpu = self.gpu_profile.modeled_time(gpu_model)
-        t_cpu = self.cpu_profile.modeled_time(cpu_model)
+        t_gpu = price(self.gpu_profile)
+        t_cpu = price(self.cpu_profile)
         return t_gpu if t_gpu.total >= t_cpu.total else t_cpu
 
     @property
@@ -134,8 +133,6 @@ class HybridEngine(SearchEngine):
         d: float,
         *,
         pilot_fraction: float = 0.1,
-        gpu_model: GpuCostModel | None = None,
-        cpu_model: CpuCostModel | None = None,
         rng: np.random.Generator | None = None,
     ) -> float:
         """Estimate the GPU share that equalizes both sides' times.
@@ -145,16 +142,14 @@ class HybridEngine(SearchEngine):
         requires ``f * t_gpu = (1 - f) * t_cpu``, i.e.
         ``f = t_cpu / (t_gpu + t_cpu)``.
         """
-        gpu_model = gpu_model or GpuCostModel()
-        cpu_model = cpu_model or CpuCostModel()
         rng = rng or np.random.default_rng(0)
         n_pilot = max(1, int(len(queries) * pilot_fraction))
         pilot = queries.take(np.sort(rng.choice(len(queries), size=n_pilot,
                                                 replace=False)))
         _, gp = gpu_engine.search(pilot, d)
         _, cp = cpu_engine.search(pilot, d)
-        t_gpu = gp.modeled_time(gpu_model).total
-        t_cpu = cp.modeled_time(cpu_model).total
+        t_gpu = price(gp).total
+        t_cpu = price(cp).total
         if t_gpu + t_cpu == 0:
             return 0.5
         return float(t_cpu / (t_gpu + t_cpu))

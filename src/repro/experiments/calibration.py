@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gpu.costmodel import CpuCostModel, GpuCostModel
-from ..gpu.device import DeviceSpec, TESLA_C2075
+from ..gpu.costmodel import CPU_MODEL, GPU_MODEL
 
 __all__ = ["Anchor", "CalibrationResult", "fit_gpu_cycles",
            "fit_cpu_cycles", "verify_calibration", "PAPER_ANCHORS"]
@@ -75,8 +74,7 @@ class CalibrationResult:
     residuals: dict[str, float]  # (model - observed) / observed
 
 
-def fit_gpu_cycles(anchors: list[Anchor],
-                   spec: DeviceSpec = TESLA_C2075) -> CalibrationResult:
+def fit_gpu_cycles(anchors: list[Anchor]) -> CalibrationResult:
     """Least-squares fit of (comparison, gather) cycle costs.
 
     With uniform per-thread work, modeled compute time is
@@ -84,6 +82,7 @@ def fit_gpu_cycles(anchors: list[Anchor],
     ``total_ops * cycles / (concurrent_warps * warp * clock)`` — linear
     in the unknown cycle costs, so ordinary least squares applies.
     """
+    spec = GPU_MODEL.spec
     denom = spec.concurrent_warps * spec.warp_size * spec.clock_hz
     rows, rhs = [], []
     for a in anchors:
@@ -92,7 +91,6 @@ def fit_gpu_cycles(anchors: list[Anchor],
     coef, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     cycles = {"cycles_per_comparison": float(coef[0]),
               "cycles_per_gather": float(coef[1])}
-    model = GpuCostModel(spec=spec, **cycles)
     residuals = {}
     for a in anchors:
         t = (a.comparisons * coef[0] + a.gathers * coef[1]) / denom
@@ -100,11 +98,10 @@ def fit_gpu_cycles(anchors: list[Anchor],
     return CalibrationResult(cycles=cycles, residuals=residuals)
 
 
-def fit_cpu_cycles(anchors: list[Anchor],
-                   base: CpuCostModel | None = None) -> CalibrationResult:
+def fit_cpu_cycles(anchors: list[Anchor]) -> CalibrationResult:
     """Fit a single refinement/traversal cycle cost (the paper gives one
     usable CPU anchor, so both are tied to the same unknown)."""
-    base = base or CpuCostModel()
+    base = CPU_MODEL
     spec = base.spec
     throughput = spec.cores * spec.parallel_efficiency * spec.clock_hz
     rows, rhs = [], []
@@ -125,36 +122,32 @@ def fit_cpu_cycles(anchors: list[Anchor],
         residuals=residuals)
 
 
-def verify_calibration(gpu_model: GpuCostModel | None = None,
-                       cpu_model: CpuCostModel | None = None,
-                       *, tolerance: float = 0.25) -> dict[str, float]:
+def verify_calibration(*, tolerance: float = 0.25) -> dict[str, float]:
     """Check the shipped constants against the paper anchors.
 
     Returns the per-anchor relative errors; raises if any exceeds
     ``tolerance``.  Run by the test suite so a drive-by constant tweak
     cannot silently break the calibration.
     """
-    gpu_model = gpu_model or GpuCostModel()
-    cpu_model = cpu_model or CpuCostModel()
     errors: dict[str, float] = {}
 
     a = PAPER_ANCHORS["gpu_temporal_merger_d0.001"]
-    denom = (gpu_model.spec.concurrent_warps * gpu_model.spec.warp_size
-             * gpu_model.spec.clock_hz)
-    t = a.comparisons * gpu_model.cycles_per_comparison / denom
+    denom = (GPU_MODEL.spec.concurrent_warps * GPU_MODEL.spec.warp_size
+             * GPU_MODEL.spec.clock_hz)
+    t = a.comparisons * GPU_MODEL.cycles_per_comparison / denom
     errors[a.name] = (t - a.seconds) / a.seconds
 
     a = PAPER_ANCHORS["gpu_st_v1_merger_equiv"]
-    t = (a.comparisons * gpu_model.cycles_per_comparison
-         + a.gathers * gpu_model.cycles_per_gather) / denom
+    t = (a.comparisons * GPU_MODEL.cycles_per_comparison
+         + a.gathers * GPU_MODEL.cycles_per_gather) / denom
     errors[a.name] = (t - a.seconds) / a.seconds
 
     a = PAPER_ANCHORS["cpu_rtree_merger_d0.001"]
-    spec = cpu_model.spec
+    spec = CPU_MODEL.spec
     thr = spec.cores * spec.parallel_efficiency * spec.clock_hz
-    t = (a.comparisons * cpu_model.cycles_per_comparison
-         + a.node_visits * cpu_model.cycles_per_node_visit
-         + a.queries * cpu_model.cycles_per_query_overhead) / thr
+    t = (a.comparisons * CPU_MODEL.cycles_per_comparison
+         + a.node_visits * CPU_MODEL.cycles_per_node_visit
+         + a.queries * CPU_MODEL.cycles_per_query_overhead) / thr
     errors[a.name] = (t - a.seconds) / a.seconds
 
     bad = {k: v for k, v in errors.items() if abs(v) > tolerance}

@@ -3,7 +3,8 @@
 One :class:`ExperimentRunner` per scenario: the database and query set are
 generated once, each engine is built once (index construction is the
 offline phase), and response time is the cost model applied to each
-search's measured operation counts.  Every figure/table benchmark in
+search's measured operation counts (:func:`repro.gpu.costmodel.price`,
+the paper's machine).  Every figure/table benchmark in
 ``benchmarks/`` is a thin wrapper over this module, so the rows printed
 there are exactly the rows recorded in EXPERIMENTS.md.
 """
@@ -16,7 +17,7 @@ from typing import Any
 from ..core.result import ResultSet
 from ..engines.registry import get_engine
 from ..engines.base import GpuEngineBase, SearchEngine
-from ..gpu.costmodel import CpuCostModel, GpuCostModel
+from ..gpu.costmodel import price
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
 from .scenarios import Scenario
 
@@ -48,12 +49,8 @@ class RunRecord:
 class ExperimentRunner:
     """Runs a scenario's sweep; caches the database and built engines."""
 
-    def __init__(self, scenario: Scenario, *,
-                 gpu_model: GpuCostModel | None = None,
-                 cpu_model: CpuCostModel | None = None) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         self.scenario = scenario
-        self.gpu_model = gpu_model or GpuCostModel()
-        self.cpu_model = cpu_model or CpuCostModel()
         self.database = scenario.make_database()
         self.queries = scenario.make_queries(self.database)
         self._engines: dict[str, SearchEngine] = {}
@@ -89,8 +86,8 @@ class ExperimentRunner:
     def _record(self, engine_name: str, d: float,
                 profile: SearchProfile | CpuSearchProfile,
                 results: ResultSet) -> RunRecord:
+        modeled = price(profile).total
         if isinstance(profile, CpuSearchProfile):
-            modeled = profile.modeled_time(self.cpu_model).total
             return RunRecord(
                 scenario=self.scenario.name, engine=engine_name, d=d,
                 modeled_seconds=modeled, optimistic_seconds=modeled,
@@ -99,9 +96,7 @@ class ExperimentRunner:
                 kernel_invocations=0, redo_queries=0, defaulted_queries=0,
                 transfers_bytes=0, divergence=1.0,
                 wall_seconds=profile.wall_seconds)
-        modeled = profile.modeled_time(self.gpu_model).total
-        optimistic = profile.modeled_time(
-            self.gpu_model, discount_reinvocations=True).total
+        optimistic = price(profile, discount_reinvocations=True).total
         return RunRecord(
             scenario=self.scenario.name, engine=engine_name, d=d,
             modeled_seconds=modeled, optimistic_seconds=optimistic,

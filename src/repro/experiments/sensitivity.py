@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 
-from ..gpu.costmodel import CpuCostModel, GpuCostModel
+from ..gpu.costmodel import (CPU_MODEL, GPU_MODEL, CpuCostModel,
+                             GpuCostModel, price)
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
 from .harness import ExperimentRunner
 
@@ -46,16 +47,10 @@ class ProfileSet:
 
     def price(self, gpu_model: GpuCostModel, cpu_model: CpuCostModel
               ) -> dict[str, list[float]]:
-        out: dict[str, list[float]] = {}
-        for engine, profs in self.profiles.items():
-            series = []
-            for p in profs:
-                if isinstance(p, CpuSearchProfile):
-                    series.append(p.modeled_time(cpu_model).total)
-                else:
-                    series.append(p.modeled_time(gpu_model).total)
-            out[engine] = series
-        return out
+        return {engine: [price(p, gpu_model=gpu_model,
+                               cpu_model=cpu_model).total
+                         for p in profs]
+                for engine, profs in self.profiles.items()}
 
 
 def collect_profiles(runner: ExperimentRunner,
@@ -108,16 +103,13 @@ def sensitivity_analysis(
     challenger: str = "gpu_spatiotemporal",
     incumbent: str = "cpu_rtree",
     factors: tuple[float, ...] = (0.5, 2.0),
-    gpu_model: GpuCostModel | None = None,
-    cpu_model: CpuCostModel | None = None,
 ) -> list[SensitivityRow]:
-    """Re-price the sweep under each single-parameter perturbation.
+    """Re-price the sweep under each single-parameter perturbation of
+    the paper's machine.
 
     Returns one row per (side, parameter, factor) plus the baseline row,
     each recording where the challenger overtakes the incumbent.
     """
-    gpu_model = gpu_model or GpuCostModel()
-    cpu_model = cpu_model or CpuCostModel()
 
     def evaluate(gm: GpuCostModel, cm: CpuCostModel,
                  side: str, parameter: str,
@@ -131,15 +123,15 @@ def sensitivity_analysis(
                               factor=factor, crossover_d=cross,
                               challenger_wins_at_dmax=wins)
 
-    rows = [evaluate(gpu_model, cpu_model, "baseline", "-", 1.0)]
+    rows = [evaluate(GPU_MODEL, CPU_MODEL, "baseline", "-", 1.0)]
     for param in GPU_PARAMETERS:
         for f in factors:
-            gm = replace(gpu_model,
-                         **{param: getattr(gpu_model, param) * f})
-            rows.append(evaluate(gm, cpu_model, "gpu", param, f))
+            gm = replace(GPU_MODEL,
+                         **{param: getattr(GPU_MODEL, param) * f})
+            rows.append(evaluate(gm, CPU_MODEL, "gpu", param, f))
     for param in CPU_PARAMETERS:
         for f in factors:
-            cm = replace(cpu_model,
-                         **{param: getattr(cpu_model, param) * f})
-            rows.append(evaluate(gpu_model, cm, "cpu", param, f))
+            cm = replace(CPU_MODEL,
+                         **{param: getattr(CPU_MODEL, param) * f})
+            rows.append(evaluate(GPU_MODEL, cm, "cpu", param, f))
     return rows

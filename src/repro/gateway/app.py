@@ -199,12 +199,6 @@ class Gateway:
             lambda: self.backend.delete_trajectory(
                 traj_id, idempotency_key=idempotency_key))
 
-    async def drain(self) -> None:
-        """Wait until both priority queues are empty (test/campaign
-        convenience — the worker keeps running on its own)."""
-        while self._worker is not None and not self._worker.done():
-            await asyncio.sleep(0)
-
     # -- admission helpers --------------------------------------------------------
 
     def _authorize(self, api_key: str, kind: str, request_id: str,

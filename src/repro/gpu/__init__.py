@@ -6,8 +6,8 @@ from the measured operation counts.
 """
 
 from .atomics import AtomicResultBuffer
-from .costmodel import (CostBreakdown, CpuCostModel, CpuSpec, GpuCostModel,
-                        XEON_W3690)
+from .costmodel import (CPU_MODEL, GPU_MODEL, CostBreakdown, CpuCostModel,
+                        CpuSpec, GpuCostModel, XEON_W3690, price)
 from .device import DeviceSpec, TESLA_C2075, VirtualGPU
 from .kernel import KernelLauncher, KernelStats, warp_work
 from .memory import DeviceArray, DeviceOutOfMemoryError, MemoryManager
@@ -17,8 +17,8 @@ from .transfers import TransferLedger, TransferRecord
 
 __all__ = [
     "AtomicResultBuffer",
-    "CostBreakdown", "CpuCostModel", "CpuSpec", "GpuCostModel",
-    "XEON_W3690",
+    "CPU_MODEL", "CostBreakdown", "CpuCostModel", "CpuSpec",
+    "GPU_MODEL", "GpuCostModel", "XEON_W3690", "price",
     "DeviceSpec", "TESLA_C2075", "VirtualGPU",
     "KernelLauncher", "KernelStats", "warp_work",
     "DeviceArray", "DeviceOutOfMemoryError", "MemoryManager",

@@ -7,7 +7,9 @@ segments each scheme touches, how many comparisons each thread performs,
 how many bytes cross PCIe, how many times a kernel must be re-invoked —
 interacting with a handful of machine constants.  The engines in this
 repository execute the real algorithms and measure those counts exactly;
-this module converts the counts into modeled seconds.
+this module converts the counts into modeled seconds: :func:`price`
+turns one search profile into a :class:`CostBreakdown` on the paper's
+machine (:data:`GPU_MODEL`, :data:`CPU_MODEL`).
 
 The constants below were calibrated in two steps:
 
@@ -43,16 +45,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .device import DeviceSpec, TESLA_C2075, VirtualGPU
+from .device import DeviceSpec, TESLA_C2075
 from .kernel import KernelStats, warp_work
-from .transfers import TransferLedger
+from .profiler import CpuSearchProfile, SearchProfile
 
 __all__ = [
     "GpuCostModel",
     "CpuSpec",
     "CpuCostModel",
     "CostBreakdown",
+    "CPU_MODEL",
+    "GPU_MODEL",
     "XEON_W3690",
+    "price",
 ]
 
 
@@ -123,11 +128,6 @@ class GpuCostModel:
         return CostBreakdown(compute=compute, atomics=atomics,
                              launches=launches)
 
-    def transfer_time(self, ledger: TransferLedger) -> CostBreakdown:
-        t = (ledger.total_bytes / self.spec.pcie_bandwidth
-             + ledger.num_transfers * self.spec.pcie_latency_s)
-        return CostBreakdown(transfers=t)
-
     def host_time(self, schedule_items: int) -> CostBreakdown:
         """Host-side schedule computation (sorting Q, computing E_k...).
 
@@ -139,30 +139,30 @@ class GpuCostModel:
 
     # -- whole-search roll-up ---------------------------------------------------------
 
-    def search_time(self, gpu: VirtualGPU, *, schedule_items: int = 0,
-                    discount_reinvocations: bool = False) -> CostBreakdown:
-        """Total modeled response time for everything recorded on ``gpu``.
+    def profile_time(self, profile: SearchProfile, *,
+                     discount_reinvocations: bool = False
+                     ) -> CostBreakdown:
+        """Total modeled response time of one GPU search's counts.
 
         ``discount_reinvocations=True`` reproduces the paper's "optimistic"
         GPUSpatial curve (Fig. 4): kernel-launch overhead and transfer
         latency for re-invocations are discounted, keeping only the first
-        launch — isolating algorithmic cost from re-invocation overhead.
+        launch and one latency per direction — isolating algorithmic cost
+        from re-invocation overhead.
         """
         total = CostBreakdown()
-        for i, stats in enumerate(gpu.kernel_stats):
+        for i, stats in enumerate(profile.kernel_stats):
             include_launch = not (discount_reinvocations and i > 0)
-            total = total + self.kernel_time(stats,
-                                             include_launch=include_launch)
-        xfer = self.transfer_time(gpu.transfers)
-        if discount_reinvocations and gpu.num_kernel_invocations > 1:
-            # Keep payload time (bytes/BW) but charge latency only once
-            # per direction — the optimistic bound of Fig. 4.
-            latency = gpu.transfers.num_transfers * self.spec.pcie_latency_s
-            xfer = CostBreakdown(
-                transfers=max(xfer.transfers - latency, 0.0)
-                + 2 * self.spec.pcie_latency_s)
-        total = total + xfer
-        total = total + self.host_time(schedule_items)
+            total = total + self.kernel_time(
+                stats, include_launch=include_launch)
+        xfer_payload = ((profile.h2d_bytes + profile.d2h_bytes)
+                        / self.spec.pcie_bandwidth)
+        n_lat = 2 if (discount_reinvocations
+                      and profile.num_kernel_invocations > 1) \
+            else profile.num_transfers
+        total = total + CostBreakdown(
+            transfers=xfer_payload + n_lat * self.spec.pcie_latency_s)
+        total = total + self.host_time(profile.schedule_items)
         return total
 
 
@@ -204,3 +204,36 @@ class CpuCostModel:
         throughput = (self.spec.cores * self.spec.parallel_efficiency
                       * self.spec.clock_hz)
         return CostBreakdown(compute=cycles / throughput)
+
+
+#: The paper's machine (§V-B): a Tesla C2075 priced by the calibrated
+#: device constants, next to a Xeon W3690 host.  Every modeled second in
+#: the repository describes this machine; pricing other hardware means
+#: editing the constants above and re-anchoring (``repro calibrate``).
+GPU_MODEL = GpuCostModel()
+CPU_MODEL = CpuCostModel()
+
+
+def price(profile: SearchProfile | CpuSearchProfile, *,
+          gpu_model: GpuCostModel | None = None,
+          cpu_model: CpuCostModel | None = None,
+          discount_reinvocations: bool = False) -> CostBreakdown:
+    """Modeled seconds of one search's operation counts.
+
+    The one place a profile becomes time: a CPU profile is priced on the
+    host model, a GPU profile on the device model plus the host-side
+    backoff its retry policy waited between attempts.  The models
+    default to the paper's machine (:data:`GPU_MODEL`,
+    :data:`CPU_MODEL`); the sensitivity analysis passes perturbed ones.
+    """
+    if isinstance(profile, CpuSearchProfile):
+        return (cpu_model or CPU_MODEL).search_time(
+            node_visits=profile.node_visits,
+            comparisons=profile.comparisons,
+            num_queries=profile.num_queries,
+            result_items=profile.result_items)
+    modeled = (gpu_model or GPU_MODEL).profile_time(
+        profile, discount_reinvocations=discount_reinvocations)
+    if profile.backoff_s:
+        modeled = modeled + CostBreakdown(host=profile.backoff_s)
+    return modeled

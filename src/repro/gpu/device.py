@@ -115,11 +115,6 @@ class VirtualGPU:
     def num_kernel_invocations(self) -> int:
         return len(self.kernel_stats)
 
-    @property
-    def free_bytes(self) -> int:
-        """Unallocated device global memory (service placement uses it)."""
-        return self.memory.free_bytes
-
     def __repr__(self) -> str:
         return (f"VirtualGPU({self.spec.name}, "
                 f"{self.memory.allocated_bytes / (1 << 20):.1f} MiB "

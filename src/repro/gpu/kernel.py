@@ -59,10 +59,6 @@ class KernelStats:
     def total_comparisons(self) -> int:
         return int(self.thread_work.sum())
 
-    @property
-    def total_gathers(self) -> int:
-        return int(self.gather_work.sum())
-
     def divergence_factor(self, warp_size: int) -> float:
         """How much SIMT lockstep inflates compute: (warp-max work summed)
         / (mean work summed).  1.0 = perfectly converged warps."""

@@ -68,9 +68,8 @@ class DeviceArray:
     """A named allocation in device global memory.
 
     Only :attr:`nbytes` and ``len`` are read.  ``data`` is zero-filled
-    for a reservation (:meth:`MemoryManager.alloc`; the pages are never
-    touched, so they cost no resident memory) and a copy for
-    :meth:`MemoryManager.put`.  Host logic that ships data goes through
+    (:meth:`MemoryManager.alloc`; the pages are never touched, so they
+    cost no resident memory).  Host logic that ships data goes through
     :class:`repro.gpu.transfers.TransferLedger` so that modeled PCIe
     traffic matches what a real implementation would send over the bus.
     """
@@ -119,22 +118,7 @@ class MemoryManager:
         ``dtype`` — how engines place their database and index."""
         if name in self._allocations:
             raise ValueError(f"allocation {name!r} already exists")
-        probe = np.zeros(shape, dtype=dtype)
-        return self._register(name, probe)
-
-    def put(self, name: str, host_array: np.ndarray) -> DeviceArray:
-        """Allocate and fill from a host array (contents are copied).
-
-        Note: this only *places* the data; the PCIe cost of moving it is
-        recorded by the caller via the transfer ledger, because some
-        placements (the database, the index) happen offline and are
-        excluded from response time (§V-B).
-        """
-        if name in self._allocations:
-            raise ValueError(f"allocation {name!r} already exists")
-        return self._register(name, np.array(host_array, copy=True))
-
-    def _register(self, name: str, data: np.ndarray) -> DeviceArray:
+        data = np.zeros(shape, dtype=dtype)
         if self.faults is not None:
             self.faults.check("alloc", lane=self.lane, label=name,
                               requested=int(data.nbytes),
@@ -150,11 +134,6 @@ class MemoryManager:
         self._allocations[name] = arr
         self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
         return arr
-
-    def free(self, name: str) -> None:
-        if name not in self._allocations:
-            raise KeyError(f"no allocation named {name!r}")
-        del self._allocations[name]
 
     def resize(self, name: str, shape: tuple[int, ...] | int,
                dtype: np.dtype | type = np.float64) -> DeviceArray:
@@ -172,9 +151,6 @@ class MemoryManager:
         except DeviceOutOfMemoryError:
             self._allocations[name] = old  # roll back
             raise
-
-    def get(self, name: str) -> DeviceArray:
-        return self._allocations[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._allocations

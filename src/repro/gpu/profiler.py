@@ -4,18 +4,17 @@ Every engine returns, next to its :class:`~repro.core.result.ResultSet`, a
 :class:`SearchProfile` holding exactly what happened: kernel invocations
 with per-thread work, PCIe traffic, atomic counts, buffer events, and
 host-side schedule size.  The profile is the single source the cost model
-reads, and it is also what the experiment harness prints so that every
-reproduced figure is traceable to raw counts.
+reads (:func:`repro.gpu.costmodel.price`), and it is also what the
+experiment harness prints so that every reproduced figure is traceable
+to raw counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-from .costmodel import CostBreakdown, CpuCostModel, GpuCostModel
 from .device import VirtualGPU
-from .kernel import KernelStats
+from .kernel import KernelStats, warp_work
 
 __all__ = ["SearchProfile", "CpuSearchProfile", "RequestMetrics"]
 
@@ -72,40 +71,14 @@ class SearchProfile:
     def total_comparisons(self) -> int:
         return sum(s.total_comparisons for s in self.kernel_stats)
 
-    @property
-    def total_gathers(self) -> int:
-        return sum(s.total_gathers for s in self.kernel_stats)
-
     def divergence_factor(self, warp_size: int = 32) -> float:
         """Grid-wide SIMT divergence (1.0 = converged)."""
         num = 0.0
         den = 0.0
         for s in self.kernel_stats:
-            from .kernel import warp_work
             num += warp_work(s.thread_work, warp_size) * warp_size
             den += s.thread_work.sum()
         return float(num / den) if den else 1.0
-
-    # -- modeled time -------------------------------------------------------------
-
-    def modeled_time(self, model: GpuCostModel,
-                     *, discount_reinvocations: bool = False
-                     ) -> CostBreakdown:
-        """Convert this profile's counts to modeled seconds."""
-        total = CostBreakdown()
-        for i, stats in enumerate(self.kernel_stats):
-            include_launch = not (discount_reinvocations and i > 0)
-            total = total + model.kernel_time(
-                stats, include_launch=include_launch)
-        xfer_payload = ((self.h2d_bytes + self.d2h_bytes)
-                        / model.spec.pcie_bandwidth)
-        n_lat = 2 if (discount_reinvocations
-                      and self.num_kernel_invocations > 1) \
-            else self.num_transfers
-        total = total + CostBreakdown(
-            transfers=xfer_payload + n_lat * model.spec.pcie_latency_s)
-        total = total + model.host_time(self.schedule_items)
-        return total
 
     # -- serialization ------------------------------------------------------------
 
@@ -143,14 +116,6 @@ class CpuSearchProfile:
     result_items: int = 0
     index_bytes: int = 0
     wall_seconds: float = 0.0
-
-    def modeled_time(self, model: CpuCostModel) -> CostBreakdown:
-        return model.search_time(
-            node_visits=self.node_visits,
-            comparisons=self.comparisons,
-            num_queries=self.num_queries,
-            result_items=self.result_items,
-        )
 
     # -- serialization ------------------------------------------------------------
 

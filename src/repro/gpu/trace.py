@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .costmodel import GpuCostModel
+from .costmodel import GPU_MODEL
 from .profiler import SearchProfile
 
 __all__ = ["profile_to_trace", "profile_events", "write_trace"]
@@ -33,8 +33,7 @@ _US = 1e6  # trace event timestamps are microseconds
 _TRACKS = {"gpu": 1, "pcie": 2, "host": 3}
 
 
-def profile_events(profile: SearchProfile,
-                   model: GpuCostModel | None = None, *,
+def profile_events(profile: SearchProfile, *,
                    t0: float = 0.0,
                    tids: dict[str, int] | None = None,
                    label: str = "") -> list[dict]:
@@ -46,7 +45,7 @@ def profile_events(profile: SearchProfile,
     The sum of the emitted ``X`` durations equals the profile's modeled
     total exactly.
     """
-    model = model or GpuCostModel()
+    model = GPU_MODEL
     tids = tids or _TRACKS
     prefix = f"{label} " if label else ""
     events: list[dict] = []
@@ -130,8 +129,7 @@ def profile_events(profile: SearchProfile,
     return events
 
 
-def profile_to_trace(profile: SearchProfile,
-                     model: GpuCostModel | None = None) -> list[dict]:
+def profile_to_trace(profile: SearchProfile) -> list[dict]:
     """Build the full trace event list (with track names) for one
     search profile."""
     events: list[dict] = [
@@ -139,16 +137,15 @@ def profile_to_trace(profile: SearchProfile,
          "args": {"name": f"{track} (modeled)"}}
         for track, tid in _TRACKS.items()
     ]
-    events.extend(profile_events(profile, model))
+    events.extend(profile_events(profile))
     return events
 
 
-def write_trace(profile: SearchProfile, path: str | Path,
-                model: GpuCostModel | None = None) -> Path:
+def write_trace(profile: SearchProfile, path: str | Path) -> Path:
     """Write a ``chrome://tracing``-loadable JSON file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"traceEvents": profile_to_trace(profile, model),
+    payload = {"traceEvents": profile_to_trace(profile),
                "displayTimeUnit": "ms"}
     path.write_text(json.dumps(payload))
     return path

@@ -70,10 +70,6 @@ class TransferLedger:
         return sum(r.nbytes for r in self.records if r.direction == "d2h")
 
     @property
-    def total_bytes(self) -> int:
-        return self.h2d_bytes + self.d2h_bytes
-
-    @property
     def num_transfers(self) -> int:
         return len(self.records)
 

@@ -10,11 +10,12 @@ which touch the base index:
    the delta is small by policy, so the scan is bounded) and the two
    result streams are unioned.
 
-The scan cost is real and charged: the delta profile is priced with the
-CPU cost model and added to the base outcome's modeled breakdown, so the
-latency gap between a dirty snapshot and a freshly-compacted one is
-visible in every response — that gap is exactly what the compaction
-policy bounds (see ``benchmarks/test_ingest_latency.py``).
+The scan cost is real and charged: the delta profile is priced on the
+paper's host CPU (:func:`repro.gpu.costmodel.price`) and added to the
+base outcome's modeled breakdown, so the latency gap between a dirty
+snapshot and a freshly-compacted one is visible in every response —
+that gap is exactly what the compaction policy bounds (see
+``benchmarks/test_ingest_latency.py``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..core.result import ResultSet
 from ..core.search import SearchOutcome
 from ..core.types import SegmentArray
 from ..engines.cpu_scan import CpuScanEngine
-from ..gpu.costmodel import CpuCostModel
+from ..gpu.costmodel import price
 from ..gpu.profiler import CpuSearchProfile
 from .versioned import Snapshot
 
@@ -46,8 +47,7 @@ def delta_engine_for(snapshot: Snapshot) -> CpuScanEngine | None:
 
 def overlay_search(outcome: SearchOutcome, snapshot: Snapshot,
                    queries: SegmentArray, d: float, *,
-                   exclude_same_trajectory: bool = False,
-                   cpu_model: CpuCostModel | None = None
+                   exclude_same_trajectory: bool = False
                    ) -> tuple[SearchOutcome, CpuSearchProfile | None]:
     """Lift a base-only outcome to the full snapshot.
 
@@ -60,7 +60,6 @@ def overlay_search(outcome: SearchOutcome, snapshot: Snapshot,
     """
     if snapshot.clean:
         return outcome, None
-    cpu_model = cpu_model or CpuCostModel()
     results = snapshot.filter_tombstoned(outcome.results)
     modeled = outcome.modeled
     delta_profile: CpuSearchProfile | None = None
@@ -73,7 +72,7 @@ def overlay_search(outcome: SearchOutcome, snapshot: Snapshot,
         # live_delta() already dropped them, so no second filter here.
         results = ResultSet.from_parts(
             [results, delta_results]).deduplicated()
-        modeled = modeled + delta_profile.modeled_time(cpu_model)
+        modeled = modeled + price(delta_profile)
     return (SearchOutcome(results=results, profile=outcome.profile,
                           modeled=modeled),
             delta_profile)

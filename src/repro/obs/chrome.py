@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..gpu.costmodel import GpuCostModel
 from ..gpu.profiler import SearchProfile
 from ..gpu.trace import profile_events
 
@@ -37,15 +36,13 @@ def _lane_tid(lane: int) -> int:
     return HOST_TID if lane < 0 else _LANE_BASE + lane
 
 
-def service_batch_trace(responses, *,
-                        model: GpuCostModel | None = None) -> list[dict]:
+def service_batch_trace(responses) -> list[dict]:
     """Trace events for a batch of service responses.
 
     One ``process_name`` metadata event per used track, one summary
     ``X`` slice per (request, shard) lane occupancy, and the detailed
     modeled breakdown for unsharded GPU requests.
     """
-    model = model or GpuCostModel()
     lanes = sorted({span["lane"] for resp in responses
                     for span in resp.metrics.lane_spans
                     if span["lane"] >= 0})
@@ -82,20 +79,18 @@ def service_batch_trace(responses, *,
         if len(m.lane_spans) == 1 and isinstance(profile, SearchProfile):
             span = m.lane_spans[0]
             events.extend(profile_events(
-                profile, model, t0=span["start_s"],
+                profile, t0=span["start_s"],
                 tids={"gpu": _lane_tid(span["lane"]),
                       "pcie": PCIE_TID, "host": HOST_TID},
                 label=label))
     return events
 
 
-def write_service_trace(responses, path: str | Path, *,
-                        model: GpuCostModel | None = None) -> Path:
+def write_service_trace(responses, path: str | Path) -> Path:
     """Write a ``chrome://tracing``-loadable JSON for a served batch."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"traceEvents": service_batch_trace(responses,
-                                                  model=model),
+    payload = {"traceEvents": service_batch_trace(responses),
                "displayTimeUnit": "ms"}
     path.write_text(json.dumps(payload))
     return path

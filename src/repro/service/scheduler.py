@@ -71,8 +71,8 @@ from ..engines.base import (Deadline, DeadlineExceededError, GpuEngineBase,
 from ..engines.config import ConfigError, _require_positive_int
 from ..engines.registry import available, get_engine
 from ..engines.cpu_scan import CpuScanEngine
-from ..gpu.costmodel import CostBreakdown, CpuCostModel, GpuCostModel
-from ..gpu.device import DeviceSpec, TESLA_C2075, VirtualGPU
+from ..gpu.costmodel import price
+from ..gpu.device import TESLA_C2075, VirtualGPU
 from ..gpu.profiler import CpuSearchProfile, RequestMetrics
 from ..ingest import (CompactionPolicy, CompactionResult,
                       IngestReceipt, Mutation, Snapshot,
@@ -118,7 +118,8 @@ class DeviceLane:
 
 
 class DevicePool:
-    """A pool of identical virtual GPUs plus one host lane.
+    """A pool of identical virtual GPUs (the paper's C2075) plus one
+    host lane.
 
     Engines are *homed* on the least-loaded usable lane when built and
     stay there (indexes are device-resident; migrating one would be a
@@ -139,14 +140,12 @@ class DevicePool:
     #: lane index used for CPU engines (host execution).
     HOST_LANE = -1
 
-    def __init__(self, num_devices: int = 1,
-                 spec: DeviceSpec = TESLA_C2075, *,
+    def __init__(self, num_devices: int = 1, *,
                  quarantine_s: float = 60.0) -> None:
         if num_devices < 1:
             raise ValueError("pool needs at least one device")
         if quarantine_s <= 0:
             raise ValueError("quarantine_s must be positive")
-        self.spec = spec
         self.quarantine_s = quarantine_s
         self.lanes = [DeviceLane(i) for i in range(num_devices)]
         self.host = DeviceLane(self.HOST_LANE)
@@ -157,7 +156,7 @@ class DevicePool:
 
     @property
     def total_mem_bytes(self) -> int:
-        return self.num_devices * self.spec.global_mem_bytes
+        return self.num_devices * TESLA_C2075.global_mem_bytes
 
     def lane(self, index: int) -> DeviceLane:
         return self.host if index == self.HOST_LANE else self.lanes[index]
@@ -166,7 +165,7 @@ class DevicePool:
         """GPU lanes currently accepting work (healthy or probation)."""
         return [lane for lane in self.lanes if lane.health.usable]
 
-    def home_for(self, nbytes: int) -> DeviceLane:
+    def home_for(self) -> DeviceLane:
         """Pick the usable lane with the most free memory for a new
         engine; raises :class:`NoUsableLaneError` when every GPU lane
         is quarantined (the failover ladder then moves on to CPU)."""
@@ -219,11 +218,9 @@ class QueryService:
     database:
         The entry-segment database all requests search against.
     num_devices:
-        Size of the simulated GPU pool.
-    spec:
-        Device model for every pool GPU (default: the paper's C2075).
-    gpu_model, cpu_model:
-        Cost models used to price profiles.
+        Size of the simulated GPU pool; every device is the paper's
+        Tesla C2075, and every profile is priced on the paper's machine
+        (:func:`repro.gpu.costmodel.price`).
     retry:
         Overflow retry policy installed into every GPU engine the
         service builds (None = the engines' default policy).
@@ -248,7 +245,7 @@ class QueryService:
         ground truth (0 disables the sampling).
 
     The engine cache's byte budget is the pool's aggregate device
-    memory (``num_devices`` × ``spec.global_mem_bytes``).
+    memory (``num_devices`` × the C2075's 6 GiB).
     """
 
     FALLBACK_METHOD = "cpu_scan"
@@ -256,14 +253,12 @@ class QueryService:
     GPU_LADDER = ("gpu_temporal", "gpu_spatiotemporal", "gpu_spatial")
     #: CPU rungs: the indexed host engine, then the index-free scan.
     CPU_LADDER = ("cpu_rtree", "cpu_scan")
-    #: query-sample size handed to the planner for ``method="auto"``.
+    #: query-sample size the planner ranks engines with, for
+    #: ``method="auto"`` and ``repro plan`` alike.
     PLANNER_SAMPLE = 32
 
     def __init__(self, database: SegmentArray | VersionedDatabase, *,
                  num_devices: int = 1,
-                 spec: DeviceSpec = TESLA_C2075,
-                 gpu_model: GpuCostModel | None = None,
-                 cpu_model: CpuCostModel | None = None,
                  retry: RetryPolicy | None = None,
                  telemetry: Telemetry | None = None,
                  faults=None,
@@ -294,10 +289,7 @@ class QueryService:
             self.versioned = VersionedDatabase(database,
                                                policy=compaction)
         self.auto_compact = auto_compact
-        self.pool = DevicePool(num_devices, spec,
-                               quarantine_s=lane_quarantine_s)
-        self.gpu_model = gpu_model or GpuCostModel(spec=spec)
-        self.cpu_model = cpu_model or CpuCostModel()
+        self.pool = DevicePool(num_devices, quarantine_s=lane_quarantine_s)
         self.cache = EngineCache(self.pool.total_mem_bytes,
                                  on_evict=self._on_evict)
         self.retry = retry
@@ -998,8 +990,7 @@ class QueryService:
                 plans = plan_search(profile, request.queries,
                                     request.d,
                                     sample=self.PLANNER_SAMPLE,
-                                    gpu_model=self.gpu_model,
-                                    cpu_model=self.cpu_model, **hints)
+                                    **hints)
                 sp.set_attributes(
                     winner=plans[0].engine,
                     profile="hit" if cached else "built",
@@ -1066,13 +1057,12 @@ class QueryService:
         is_gpu = issubclass(cls, GpuEngineBase)
         # Pick the home lane *before* building so a build failure (real
         # or injected) is attributable to the card it happened on.
-        lane = (self.pool.home_for(0).index if is_gpu
+        lane = (self.pool.home_for().index if is_gpu
                 else DevicePool.HOST_LANE)
         build0 = time.perf_counter()
         with self.telemetry.span("engine.build", engine=method,
                                  lane=lane) as sp:
-            gpu = (VirtualGPU(self.pool.spec, faults=self.faults,
-                              lane=lane)
+            gpu = (VirtualGPU(faults=self.faults, lane=lane)
                    if is_gpu else None)
             try:
                 if cfg is not None:
@@ -1120,15 +1110,9 @@ class QueryService:
                 self._note_lane_failure(entry.lane, exc)
                 raise
             self._note_lane_success(entry.lane)
-            if isinstance(profile, CpuSearchProfile):
-                modeled = profile.modeled_time(self.cpu_model)
-            else:
-                modeled = profile.modeled_time(self.gpu_model)
-                if profile.backoff_s:
-                    # Retry backoff is host-side modeled waiting;
-                    # charge it so lane occupancy reflects it.
-                    modeled = modeled + CostBreakdown(
-                        host=profile.backoff_s)
+            # Retry backoff is in the price (host-side modeled
+            # waiting), so lane occupancy reflects it.
+            modeled = price(profile)
 
         # Lane occupancy: the search queues on its engine's home lane.
         lane = self.pool.lane(entry.lane)
@@ -1159,11 +1143,9 @@ class QueryService:
                 outcome, delta_profile = overlay_search(
                     outcome, snapshot, request.queries, request.d,
                     exclude_same_trajectory=request
-                    .exclude_same_trajectory,
-                    cpu_model=self.cpu_model)
+                    .exclude_same_trajectory)
                 if delta_profile is not None:
-                    delta_cost = delta_profile.modeled_time(
-                        self.cpu_model)
+                    delta_cost = price(delta_profile)
                     host = self.pool.host
                     start = max(arrival, host.busy_until)
                     host.busy_until = start + delta_cost.total

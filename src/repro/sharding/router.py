@@ -34,10 +34,11 @@ Robustness ladder, per shard leg (see ``docs/ARCHITECTURE.md``):
    rejection instead, the whole request is rejected with that status:
    "partial" strictly means *replicas down*, never *replicas busy*.)
 
-Mutations (``ingest`` / ``delete_trajectory`` / ``compact``) route to
-the owning shard(s) and are applied synchronously to every live
-replica; each shard keeps an op log so a killed replica can rejoin via
-``QueryService.recover()`` (its own WAL + checkpoints) and then replay
+Mutations (``ingest`` / ``delete_trajectory``, and the compactions the
+router schedules from the shard's policy) route to the owning shard(s)
+and are applied synchronously to every live replica; each shard keeps
+an op log so a killed replica can rejoin via ``QueryService.recover()``
+(its own WAL + checkpoints) and then replay
 exactly the operations it missed while dead, by epoch.  Appends are
 stamped with *globally* unique seg_ids by the router before routing
 (``keep_seg_ids=True`` on the shard append), so every shard-local id
@@ -268,12 +269,6 @@ class ShardedService:
             if response.partial:
                 self._partial_answers += 1
             return response
-
-    def submit_batch(self, requests: list[SearchRequest]
-                     ) -> list[SearchResponse]:
-        """Serve a batch (scatter each request; shard legs of one
-        request run concurrently in the modeled-time sense)."""
-        return [self.submit(r) for r in requests]
 
     def _leg_request(self, request: SearchRequest, shard: Shard,
                      budget_s: float | None) -> SearchRequest:
@@ -566,15 +561,6 @@ class ShardedService:
             self._applied_keys.record(idempotency_key, "delete",
                                       {"traj_id": tid, "hidden": hidden})
             return hidden
-
-    def compact(self, shard_index: int | None = None) -> None:
-        """Route an explicit compaction to one shard (or all)."""
-        with self.telemetry.activate():
-            targets = ([self._shard(shard_index)]
-                       if shard_index is not None else
-                       [s for s in self.shards if s.replicas])
-            for shard in targets:
-                self._apply_to_shard(shard, Mutation("compact"))
 
     def _apply_to_shard(self, shard: Shard, mutation: Mutation):
         """Apply one mutation to every live replica of a shard,

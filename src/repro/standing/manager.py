@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from ..core.search import SearchOutcome
 from ..durability import DurabilityManager, RecoveryResult
 from ..engines.cpu_scan import CpuScanEngine
-from ..gpu.costmodel import CpuCostModel
+from ..gpu.costmodel import price
 from ..ingest.mutation import OPS, Mutation
 from ..ingest.overlay import overlay_search
 from ..ingest.versioned import Snapshot, VersionedDatabase
@@ -112,7 +112,6 @@ class StandingQueryManager:
         self._seq = 0
         self._delta_log: list[dict] = []
         self._base_engine_cache: tuple[int, CpuScanEngine] | None = None
-        self._cpu_model = CpuCostModel()
         self.last_report: EpochReport | None = None
         #: lifetime counters (mirrored into telemetry when attached);
         #: ``replayed_events`` counts the events :meth:`recover`
@@ -375,11 +374,10 @@ class StandingQueryManager:
             exclude_same_trajectory=sub.exclude_same_trajectory)
         outcome = SearchOutcome(
             results=results, profile=profile,
-            modeled=profile.modeled_time(self._cpu_model))
+            modeled=price(profile))
         outcome, _ = overlay_search(
             outcome, snapshot, sub.queries, sub.d,
-            exclude_same_trajectory=sub.exclude_same_trajectory,
-            cpu_model=self._cpu_model)
+            exclude_same_trajectory=sub.exclude_same_trajectory)
         return matches_from_results(sub.apply_window(outcome.results))
 
     def _settle(self, sub_ids: list[str], snapshot: Snapshot

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import calibration
 from repro.experiments.calibration import (Anchor, PAPER_ANCHORS,
                                            fit_cpu_cycles,
                                            fit_gpu_cycles,
@@ -47,12 +48,14 @@ class TestVerification:
         assert set(errors) == set(PAPER_ANCHORS)
         assert all(abs(e) < 0.25 for e in errors.values())
 
-    def test_drifted_constants_fail(self):
-        drifted = GpuCostModel(cycles_per_comparison=10_000.0)
+    def test_drifted_constants_fail(self, monkeypatch):
+        monkeypatch.setattr(calibration, "GPU_MODEL", GpuCostModel(
+            cycles_per_comparison=10_000.0))
         with pytest.raises(AssertionError, match="calibration drift"):
-            verify_calibration(gpu_model=drifted)
+            verify_calibration()
 
-    def test_tolerance_adjustable(self):
-        drifted = GpuCostModel(cycles_per_comparison=3300.0)  # +10 %
-        errors = verify_calibration(gpu_model=drifted, tolerance=0.2)
+    def test_tolerance_adjustable(self, monkeypatch):
+        monkeypatch.setattr(calibration, "GPU_MODEL", GpuCostModel(
+            cycles_per_comparison=3300.0))  # +10 %
+        errors = verify_calibration(tolerance=0.2)
         assert max(abs(e) for e in errors.values()) > 0.05

@@ -106,6 +106,26 @@ class TestKnn:
         assert "kNN (k=2)" in capsys.readouterr().out
 
 
+class TestPlan:
+    def test_prints_the_estimates_auto_serves_with(self, db_path, capsys):
+        """``repro plan`` ranks with the planner sample the service's
+        ``method="auto"`` uses, so the two never disagree."""
+        from repro.core.planner import plan_search
+        from repro.data.queries import queries_from_database
+        from repro.service import QueryService
+        db = load_segments(db_path)
+        queries = queries_from_database(db, 4,
+                                        rng=np.random.default_rng(0))
+        plans = plan_search(db, queries, 2.0,
+                            sample=QueryService.PLANNER_SAMPLE)
+        assert main(["plan", db_path, "--d", "2.0"]) == 0
+        printed = capsys.readouterr().out.splitlines()[1:]
+        assert printed == [
+            f"  {rank}. {p.engine:20s} ~{p.est_seconds:.6f} s "
+            f"(~{p.est_candidates_per_query:.0f} candidates/query)"
+            for rank, p in enumerate(plans, 1)]
+
+
 class TestUsageErrors:
     """A bad value is a one-line refusal on stderr and exit 2, never a
     traceback."""

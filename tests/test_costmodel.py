@@ -1,10 +1,15 @@
-"""Tests for the analytic cost model and profiles."""
+"""Tests for the analytic cost model, profiles, and the one pricing
+path (``costmodel.price``) every modeled second goes through."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.engines import available
+from repro.gpu import costmodel
 from repro.gpu.costmodel import (CostBreakdown, CpuCostModel, GpuCostModel,
-                                 XEON_W3690)
+                                 XEON_W3690, price)
 from repro.gpu.device import VirtualGPU
 from repro.gpu.kernel import KernelLauncher, KernelStats, LaunchSpec
 from repro.gpu.profiler import CpuSearchProfile, SearchProfile
@@ -126,15 +131,15 @@ class TestSearchProfile:
         """Fig. 4's optimistic curve: launch overhead charged once."""
         p = self._profile()
         m = GpuCostModel()
-        full = p.modeled_time(m)
-        opt = p.modeled_time(m, discount_reinvocations=True)
+        full = price(p)
+        opt = price(p, discount_reinvocations=True)
         assert opt.total < full.total
         assert full.launches == pytest.approx(3 * m.spec.kernel_launch_s)
         assert opt.launches == pytest.approx(m.spec.kernel_launch_s)
 
     def test_modeled_total_positive_components(self):
         p = self._profile()
-        t = p.modeled_time(GpuCostModel())
+        t = price(p)
         assert t.compute > 0 and t.transfers > 0 and t.host > 0
         assert t.total == pytest.approx(t.compute + t.atomics
                                         + t.launches + t.transfers
@@ -143,7 +148,7 @@ class TestSearchProfile:
     def test_cpu_profile_modeled(self):
         p = CpuSearchProfile("cpu_rtree", num_queries=10, node_visits=50,
                              comparisons=500, result_items=3)
-        assert p.modeled_time(CpuCostModel()).total > 0
+        assert price(p).total > 0
 
     def test_divergence_factor_converged(self):
         p = self._profile()
@@ -172,3 +177,83 @@ class TestPaperCalibration:
                             comparisons=50_880 * 5_280,
                             num_queries=50_880).total
         assert t == pytest.approx(9.70, rel=0.2)
+
+
+class TestPrice:
+    """``price`` is the one profile -> seconds conversion."""
+
+    def test_default_machine_is_the_papers(self):
+        assert costmodel.GPU_MODEL == GpuCostModel()
+        assert costmodel.CPU_MODEL == CpuCostModel()
+        assert costmodel.GPU_MODEL.spec.name == "Tesla C2075"
+        assert costmodel.CPU_MODEL.spec is XEON_W3690
+
+    def test_retry_backoff_is_host_time(self):
+        p = TestSearchProfile()._profile()
+        plain = price(p)
+        p.backoff_s = 0.25
+        waited = price(p)
+        assert waited.host == plain.host + 0.25
+        assert waited.compute == plain.compute
+        assert waited.transfers == plain.transfers
+
+    def test_cpu_profile_priced_on_the_host_model(self, monkeypatch):
+        p = CpuSearchProfile("cpu_rtree", num_queries=10, node_visits=50,
+                             comparisons=500, result_items=3)
+        base = price(p).total
+        monkeypatch.setattr(costmodel, "CPU_MODEL", CpuCostModel(
+            cycles_per_comparison=2 * CpuCostModel().cycles_per_comparison))
+        assert price(p).total > base
+
+    def test_explicit_models_override_the_machine(self):
+        """The sensitivity analysis re-prices with perturbed models."""
+        p = TestSearchProfile()._profile()
+        slow = dataclasses.replace(
+            GpuCostModel(), cycles_per_comparison=6000.0)
+        assert price(p, gpu_model=slow).compute \
+            == pytest.approx(2 * price(p).compute)
+
+
+class TestOnePricingPath:
+    """One search's modeled seconds are bit-identical whichever entry
+    point served it: the service, the façade, or the experiment
+    harness (an 8-item result buffer makes every GPU engine re-invoke,
+    so launches and redo transfers are in the price)."""
+
+    @pytest.mark.parametrize("method", available())
+    def test_service_facade_and_harness_agree(self, method, small_db,
+                                              small_queries):
+        from repro.core.search import DistanceThresholdSearch
+        from repro.experiments import ExperimentRunner
+        from repro.experiments.scenarios import Scenario
+        from repro.service import QueryService, SearchRequest
+
+        d = 2.5
+        configs = {"gpu_temporal": {"num_bins": 16},
+                   "gpu_spatiotemporal": {"num_bins": 16,
+                                          "num_subbins": 2,
+                                          "strict_subbins": False},
+                   "gpu_spatial": {"cells_per_dim": 8},
+                   "cpu_rtree": {"segments_per_mbb": 4}}
+        scenario = Scenario(
+            name="pricing", description="", make_database=lambda: small_db,
+            num_query_trajectories=0, d_values=(d,),
+            engine_configs=configs, result_buffer_items=8,
+            queries_fn=lambda db: small_queries)
+        runner = ExperimentRunner(scenario)
+        params = dict(configs.get(method, {}))
+        if method.startswith("gpu_"):
+            params["result_buffer_items"] = scenario.result_buffer_items
+
+        record, _ = runner.run_one(method, d)
+        facade = DistanceThresholdSearch(small_db, method=method,
+                                         **params).run(small_queries, d)
+        served = QueryService(small_db).submit(SearchRequest(
+            queries=small_queries, d=d, method=method, params=params))
+
+        assert served.ok and not served.metrics.degraded
+        if method.startswith("gpu_"):
+            assert facade.profile.num_kernel_invocations > 1
+        assert served.outcome.modeled == facade.modeled
+        assert record.modeled_seconds == facade.modeled_seconds
+        assert served.metrics.modeled_seconds == facade.modeled_seconds

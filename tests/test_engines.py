@@ -188,7 +188,10 @@ class TestGpuSpatioTemporalBehaviour:
         _, pt = t.search(small_queries, 2.0)
         _, pst = st1.search(small_queries, 2.0)
         assert pst.total_comparisons == pt.total_comparisons
-        assert pst.total_gathers > 0 and pt.total_gathers == 0
+        def gathers(p):
+            return sum(int(s.gather_work.sum()) for s in p.kernel_stats)
+
+        assert gathers(pst) > 0 and gathers(pt) == 0
 
     def test_defaulted_counted(self, small_db, small_queries):
         engine = GpuSpatioTemporalEngine(small_db, num_bins=40,

@@ -3,7 +3,6 @@ hooks, and the seeded chaos campaign."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.campaigns.chaos import ChaosConfig, run as run_campaign
@@ -107,7 +106,7 @@ class TestFaultKindsOnDevice:
     def test_oom_names_lane_and_resident_allocations(self):
         inj = FaultInjector([FaultSpec(kind="oom", after=1)], seed=0)
         gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=3)
-        gpu.memory.put("db.coords", np.zeros((8, 4)))
+        gpu.memory.alloc("db.coords", (8, 4))
         with pytest.raises(DeviceOutOfMemoryError) as ei:
             gpu.memory.alloc("result_buffer", (16, 4))
         assert "lane 3" in str(ei.value)

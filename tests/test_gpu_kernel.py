@@ -106,7 +106,7 @@ class TestKernelLauncher:
         gpu.transfers.h2d("q", 100)
         gpu.reset_counters()
         assert gpu.num_kernel_invocations == 0
-        assert gpu.transfers.total_bytes == 0
+        assert gpu.transfers.num_transfers == 0
         assert "db" in gpu.memory
 
 
@@ -153,7 +153,6 @@ class TestTransferLedger:
         t.d2h("results", 320)
         assert t.h2d_bytes == 96
         assert t.d2h_bytes == 320
-        assert t.total_bytes == 416
         assert t.num_transfers == 3
 
     def test_negative_rejected(self):

@@ -16,13 +16,7 @@ class TestMemoryManager:
         assert mem.allocated_bytes == 800
         assert mem.free_bytes == 9_200
         assert "a" in mem
-
-    def test_put_copies(self):
-        mem = MemoryManager(capacity_bytes=10_000)
-        host = np.arange(10, dtype=np.float64)
-        dev = mem.put("x", host)
-        host[0] = 99.0
-        assert dev.data[0] == 0.0  # device copy unaffected
+        assert len(mem.alloc("b", 3, dtype=np.float32)) == 3
 
     def test_oom_raises(self):
         mem = MemoryManager(capacity_bytes=1_000, device_name="test-gpu")
@@ -33,30 +27,27 @@ class TestMemoryManager:
         assert exc.value.free == 200
         assert "test-gpu" in str(exc.value)
 
-    def test_free_releases(self):
+    def test_resize_releases_old_bytes(self):
         mem = MemoryManager(capacity_bytes=1_000)
         mem.alloc("a", 100, dtype=np.float64)
-        mem.free("a")
-        assert mem.allocated_bytes == 0
-        mem.alloc("a", 120, dtype=np.float64)  # name reusable after free
+        mem.resize("a", 120, dtype=np.float64)  # 960 fits once 800 go
+        assert mem.allocated_bytes == 960
 
     def test_duplicate_name_rejected(self):
         mem = MemoryManager(capacity_bytes=1_000)
         mem.alloc("a", 10, dtype=np.int32)
         with pytest.raises(ValueError, match="already exists"):
             mem.alloc("a", 10, dtype=np.int32)
-        with pytest.raises(ValueError, match="already exists"):
-            mem.put("a", np.zeros(1))
 
-    def test_free_unknown_raises(self):
+    def test_resize_unknown_raises(self):
         mem = MemoryManager(capacity_bytes=1_000)
         with pytest.raises(KeyError):
-            mem.free("ghost")
+            mem.resize("ghost", 1)
 
     def test_peak_tracking(self):
         mem = MemoryManager(capacity_bytes=10_000)
         mem.alloc("a", 500, dtype=np.float64)  # 4000
-        mem.free("a")
+        mem.resize("a", 50, dtype=np.float64)  # 400
         mem.alloc("b", 100, dtype=np.float64)  # 800
         assert mem.peak_bytes == 4_000
 
@@ -69,12 +60,6 @@ class TestMemoryManager:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             MemoryManager(capacity_bytes=0)
-
-    def test_get(self):
-        mem = MemoryManager(capacity_bytes=1_000)
-        a = mem.alloc("a", 3, dtype=np.float32)
-        assert mem.get("a") is a
-        assert len(a) == 3
 
 
 class TestDatabaseFitsOnDevice:

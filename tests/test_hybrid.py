@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engines import CpuRTreeEngine, GpuTemporalEngine, HybridEngine
-from repro.gpu.costmodel import CpuCostModel, GpuCostModel
+from repro.gpu.costmodel import price
 
 
 @pytest.fixture()
@@ -43,11 +43,10 @@ class TestHybridEngine:
         gpu, cpu = engines
         hybrid = HybridEngine(gpu, cpu, gpu_fraction=0.5)
         _, prof = hybrid.search(queries, d)
-        gm, cm = GpuCostModel(), CpuCostModel()
-        t = prof.modeled_time(gm, cm).total
+        t = prof.modeled_time().total
         assert t == pytest.approx(max(
-            prof.gpu_profile.modeled_time(gm).total,
-            prof.cpu_profile.modeled_time(cm).total))
+            price(prof.gpu_profile).total,
+            price(prof.cpu_profile).total))
 
     def test_balanced_split_in_range(self, engines, db_queries_truth):
         db, queries, d, _ = db_queries_truth
@@ -60,12 +59,10 @@ class TestHybridEngine:
         """The equalizing split should not be worse than both extremes."""
         db, queries, d, _ = db_queries_truth
         gpu, cpu = engines
-        gm, cm = GpuCostModel(), CpuCostModel()
-        f = HybridEngine.balanced_split(gpu, cpu, queries, d,
-                                        gpu_model=gm, cpu_model=cm)
+        f = HybridEngine.balanced_split(gpu, cpu, queries, d)
         times = {}
         for frac in (0.0, f, 1.0):
             hybrid = HybridEngine(gpu, cpu, gpu_fraction=frac)
             _, prof = hybrid.search(queries, d)
-            times[frac] = prof.modeled_time(gm, cm).total
+            times[frac] = prof.modeled_time().total
         assert times[f] <= max(times[0.0], times[1.0]) + 1e-9

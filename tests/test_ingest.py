@@ -205,11 +205,11 @@ class TestSnapshotOverlay:
 
 def _scan_outcome(db, queries):
     from repro.core.search import SearchOutcome
-    from repro.gpu.costmodel import CpuCostModel
+    from repro.gpu.costmodel import price
     engine = CpuScanEngine(db)
     results, profile = engine.search(queries, D)
     return SearchOutcome(results=results, profile=profile,
-                         modeled=profile.modeled_time(CpuCostModel()))
+                         modeled=price(profile))
 
 
 class TestServiceIngestion:
@@ -374,14 +374,9 @@ class TestServiceIngestion:
     def test_crosscheck_uses_snapshot_truth(self, base, queries):
         """Failover crosschecks compare against the pinned snapshot's
         logical database, so ingestion cannot fake a mismatch."""
-        from repro.gpu.device import DeviceSpec
-        tiny = DeviceSpec(name="tiny", num_cores=64, num_sms=2,
-                          warp_size=32, clock_hz=1e9,
-                          global_mem_bytes=2048,
-                          pcie_bandwidth=6e9, pcie_latency_s=1e-5,
-                          kernel_launch_s=1e-5)
-        svc = QueryService(base, spec=tiny, crosscheck_every=1,
-                           auto_compact=False)
+        from repro.faults import FaultInjector, FaultSpec
+        svc = QueryService(base, crosscheck_every=1, auto_compact=False,
+                           faults=FaultInjector([FaultSpec("oom")]))
         svc.ingest(_db(num_traj=2, seed=70, id_offset=7000))
         resp = svc.submit(SearchRequest(
             queries=queries, d=D, method="gpu_temporal",

@@ -27,7 +27,7 @@ from repro.core.types import SegmentArray, Trajectory
 from repro.engines import (CpuRTreeEngine, GpuSpatialEngine,
                            GpuSpatioTemporalEngine, GpuTemporalEngine)
 from repro.engines.cpu_scan import CpuScanEngine
-from repro.gpu.costmodel import CpuCostModel
+from repro.gpu.costmodel import price
 from repro.ingest import (IngestError, VersionedDatabase,
                           overlay_search)
 from tests.conftest import make_walk_trajectories
@@ -165,7 +165,7 @@ def _overlay_answer(vdb, queries, d):
     results, profile = engine.search(queries, d)
     outcome = SearchOutcome(
         results=results, profile=profile,
-        modeled=profile.modeled_time(CpuCostModel()))
+        modeled=price(profile))
     outcome, _ = overlay_search(outcome, snap, queries, d)
     return outcome.results
 

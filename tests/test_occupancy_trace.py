@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.gpu.costmodel import GpuCostModel
+from repro.gpu.costmodel import price
 from repro.gpu.trace import profile_to_trace, write_trace
 
 
@@ -34,11 +34,10 @@ class TestTrace:
         assert all(e["dur"] >= 0 for e in events)
 
     def test_durations_sum_to_modeled_total(self, profile):
-        model = GpuCostModel()
-        events = [e for e in profile_to_trace(profile, model)
+        events = [e for e in profile_to_trace(profile)
                   if e["ph"] == "X"]
         total_us = sum(e["dur"] for e in events)
-        modeled = profile.modeled_time(model).total
+        modeled = price(profile).total
         assert total_us / 1e6 == pytest.approx(modeled, rel=0.01)
 
     def test_redo_roundtrips_are_explicit(self, profile):

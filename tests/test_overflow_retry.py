@@ -70,8 +70,8 @@ class TestWithRetry:
         assert res.equivalent_to(truth)
         assert engine.result_buffer.capacity_items > 1
         # The grown device allocation matches the host-side buffer.
-        grown = engine.gpu.memory.get("result_buffer")
-        assert len(grown) == engine.result_buffer.capacity_items
+        grown = engine.gpu.memory.allocations()["result_buffer"]
+        assert grown == engine.result_buffer.capacity_items * 4 * 8
 
     def test_generous_growth_needs_few_invocations(self, db_queries_truth,
                                                    monkeypatch):

@@ -218,8 +218,7 @@ class TestServiceProfile:
 
     def _oracle(self, svc, database, queries, d=2.5):
         return planner_reference.plan_search(
-            database, queries, d, sample=svc.PLANNER_SAMPLE,
-            gpu_model=svc.gpu_model, cpu_model=svc.cpu_model)
+            database, queries, d, sample=svc.PLANNER_SAMPLE)
 
     def test_fifty_requests_build_one_profile(self, watched,
                                               small_queries):

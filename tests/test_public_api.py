@@ -86,9 +86,8 @@ def test_service_layer_entry_points_exist():
 #: policy objects its constructors take, by class.
 OPTION_SURFACE = {
     ("repro.service", "QueryService"): {
-        "num_devices", "spec", "gpu_model", "cpu_model", "retry",
-        "telemetry", "faults", "breaker_reset_s", "lane_quarantine_s",
-        "crosscheck_every", "compaction", "auto_compact",
+        "num_devices", "retry", "telemetry", "faults", "breaker_reset_s",
+        "lane_quarantine_s", "crosscheck_every", "compaction", "auto_compact",
         "durability_dir", "durability", "durability_kill"},
     ("repro.sharding", "ShardedService"): {
         "num_shards", "replicas_per_shard", "strategy",
@@ -141,7 +140,7 @@ def test_option_surface_is_pinned(owner):
 
 
 def test_option_census_total():
-    assert sum(len(names) for names in OPTION_SURFACE.values()) == 37
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 34
 
 
 @pytest.mark.parametrize("owner", sorted(STATE_FIELDS),

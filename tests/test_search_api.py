@@ -53,14 +53,19 @@ class TestFacade:
                                    exclude_same_trajectory=True)
         assert without.results.equivalent_to(truth)
 
-    def test_cpu_method_uses_cpu_model(self, small_db, small_queries):
-        from repro.gpu.costmodel import CpuCostModel
-        expensive = CpuCostModel(cycles_per_comparison=1e6)
-        cheap = CpuCostModel(cycles_per_comparison=1.0)
-        t_slow = DistanceThresholdSearch(
-            small_db, method="cpu_rtree",
-            cpu_model=expensive).run(small_queries, 1.0).modeled_seconds
-        t_fast = DistanceThresholdSearch(
-            small_db, method="cpu_rtree",
-            cpu_model=cheap).run(small_queries, 1.0).modeled_seconds
-        assert t_slow > t_fast
+    def test_cpu_method_uses_cpu_model(self, small_db, small_queries,
+                                       monkeypatch):
+        """A CPU engine's search is priced on the host model alone."""
+        from repro.gpu import costmodel
+        search = DistanceThresholdSearch(small_db, method="cpu_rtree")
+
+        def seconds():
+            return search.run(small_queries, 1.0).modeled_seconds
+
+        base = seconds()
+        monkeypatch.setattr(costmodel, "GPU_MODEL", costmodel.GpuCostModel(
+            cycles_per_comparison=1e6))
+        assert seconds() == base
+        monkeypatch.setattr(costmodel, "CPU_MODEL", costmodel.CpuCostModel(
+            cycles_per_comparison=1e6))
+        assert seconds() > base

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.result import ResultSet
 from repro.engines.config import ConfigError
-from repro.gpu.device import DeviceSpec
+from repro.faults import FaultInjector, FaultSpec
 from repro.service import (EngineCache, QueryService, SearchRequest,
                            canonical_params, database_fingerprint)
 from tests.conftest import BAD_PLANNER_HINTS
@@ -22,6 +22,11 @@ def service(small_db):
 
 def _request(queries, d=2.5, **kw):
     return SearchRequest(queries=queries, d=d, **kw)
+
+
+def _every_alloc_oom() -> FaultInjector:
+    """A device that cannot hold any index: every allocation OOMs."""
+    return FaultInjector([FaultSpec("oom")])
 
 
 class TestRequestValidation:
@@ -218,9 +223,7 @@ class TestAutoSelection:
         from repro.core.planner import plan_search
         db, queries, d, truth = db_queries_truth
         plans = plan_search(db, queries, d,
-                            sample=service.PLANNER_SAMPLE,
-                            gpu_model=service.gpu_model,
-                            cpu_model=service.cpu_model)
+                            sample=service.PLANNER_SAMPLE)
         resp = service.submit(_request(queries, d, method="auto"))
         assert resp.metrics.engine == plans[0].engine
         assert not resp.metrics.degraded
@@ -246,14 +249,9 @@ class TestDegradation:
     def test_index_too_big_fails_over_down_the_ladder(self,
                                                       db_queries_truth):
         """Build OOM walks the failover ladder: the other GPU engines
-        also OOM on the tiny device, so the first CPU rung serves."""
+        also OOM on the device, so the first CPU rung serves."""
         db, queries, d, truth = db_queries_truth
-        tiny = DeviceSpec(name="tiny", num_cores=64, num_sms=2,
-                          warp_size=32, clock_hz=1e9,
-                          global_mem_bytes=2048,
-                          pcie_bandwidth=6e9, pcie_latency_s=1e-5,
-                          kernel_launch_s=1e-5)
-        svc = QueryService(db, num_devices=1, spec=tiny)
+        svc = QueryService(db, num_devices=1, faults=_every_alloc_oom())
         resp = svc.submit(_request(queries, d, method="gpu_temporal",
                                    params={"num_bins": 40},
                                    request_id="r1"))
@@ -270,12 +268,7 @@ class TestDegradation:
 
     def test_degraded_engine_cached_for_next_batch(self, db_queries_truth):
         db, queries, d, truth = db_queries_truth
-        tiny = DeviceSpec(name="tiny", num_cores=64, num_sms=2,
-                          warp_size=32, clock_hz=1e9,
-                          global_mem_bytes=2048,
-                          pcie_bandwidth=6e9, pcie_latency_s=1e-5,
-                          kernel_launch_s=1e-5)
-        svc = QueryService(db, num_devices=1, spec=tiny)
+        svc = QueryService(db, num_devices=1, faults=_every_alloc_oom())
         svc.submit(_request(queries, d))
         r2 = svc.submit(_request(queries, d))
         assert r2.metrics.cache_hit  # the cpu_scan fallback is cached

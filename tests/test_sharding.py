@@ -273,8 +273,6 @@ class TestFailover:
         ("recover_replica", (3, 0), 3),
         ("recover_replica", (-1, 0), 3),
         ("recover_replica", (0, 2), 2),
-        ("compact", (3,), 3),
-        ("compact", (-1,), 3),
     ])
     def test_chaos_hooks_refuse_indices_outside_the_layout(
             self, hook, args, bound):

@@ -138,8 +138,7 @@ class TestChromeTrace:
             _request(small_queries, method="gpu_spatial",
                      params={"cells_per_dim": 8}, request_id="b"),
         ])
-        events = service_batch_trace(responses,
-                                     model=service.gpu_model)
+        events = service_batch_trace(responses)
         meta = [e for e in events if e["ph"] == "M"]
         names = {e["args"]["name"] for e in meta}
         # Both engines homed on distinct lanes -> both lane tracks
@@ -173,8 +172,7 @@ class TestChromeTrace:
         responses = service.submit_batch(
             [_request(small_queries, method="gpu_temporal",
                       params={"num_bins": 40})])
-        path = write_service_trace(responses, tmp_path / "trace.json",
-                                   model=service.gpu_model)
+        path = write_service_trace(responses, tmp_path / "trace.json")
         payload = json.loads(path.read_text())
         assert "traceEvents" in payload
         assert any(e["ph"] == "X" for e in payload["traceEvents"])
@@ -286,5 +284,5 @@ class TestDisabledTelemetry:
         responses = svc.submit_batch(
             [_request(small_queries, method="gpu_temporal",
                       params={"num_bins": 40})])
-        events = service_batch_trace(responses, model=svc.gpu_model)
+        events = service_batch_trace(responses)
         assert any(e["ph"] == "X" for e in events)

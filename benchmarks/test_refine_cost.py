@@ -17,13 +17,18 @@ through warm engines and gates what a stopwatch on a shared box cannot:
   the result items (the reject is a bounding-box test, not the answer);
 * a search is >= ``MIN_SPEEDUP`` faster than the same engine with the
   reject bypassed (same answers, bit for bit:
-  ``tests/test_refine_filter.py``).
+  ``tests/test_refine_filter.py``);
+* a warm ``gpu_temporal`` search allocates at most
+  ``MAX_TEMPORAL_PEAK_BYTES`` at its ``tracemalloc`` peak: its schedule
+  is two integers per query and only the reject's survivors get row
+  ids (materialising the ~940k scheduled row ids took ~16.5 MB).
 
 The seconds are printed, not gated.
 """
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -39,10 +44,13 @@ from repro.obs import Telemetry
 MAX_REFINED_SHARE = 0.02
 MAX_REFINED_PER_HIT = 8.0
 MIN_SPEEDUP = 4.0
+#: at this seed the largest peak is 2.56 MB (d = 0.09).
+MAX_TEMPORAL_PEAK_BYTES = 4_000_000
 
 
-def _keep_everything(queries, entries, q_idx, e_idx, d, scale):
-    return np.arange(q_idx.shape[0])
+def _keep_everything(queries, entries, q_idx, e_idx, d, scale, *,
+                     lens=None):
+    return np.arange(q_idx.shape[0] if lens is None else lens.sum())
 
 
 def _replay(engines, wire):
@@ -66,12 +74,19 @@ def test_refine_cost(monkeypatch):
     wire = [(b.method, json.dumps(b.payload), b.d) for b in bodies]
     _replay(engines, wire)                                  # warm
 
-    rows = []
+    rows, temporal_peaks = [], []
     for method, blob, d in wire:
         queries = SegmentArray.from_dict(json.loads(blob)["queries"])
         telemetry = Telemetry()
         with telemetry.activate():
-            result, _ = engines[method].search(queries, d)
+            tracemalloc.start()
+            try:
+                result, _ = engines[method].search(queries, d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        if method == "gpu_temporal":
+            temporal_peaks.append(peak)
         attrs = telemetry.tracer.roots[-1].attributes
         assert attrs["result_items"] == len(result)
         rows.append((method, d, attrs["pairs_scheduled"],
@@ -98,7 +113,10 @@ def test_refine_cost(monkeypatch):
     lines += [
         f"decode + search, reject in front  {best['filtered'] * 1e3:9.3f} ms",
         f"decode + search, reject bypassed  {best['bypassed'] * 1e3:9.3f} ms "
-        f"({speedup:.1f}x; min of 5 interleaved)"]
+        f"({speedup:.1f}x; min of 5 interleaved)",
+        f"gpu_temporal search, tracemalloc peak  "
+        f"{max(temporal_peaks) / 1e6:.2f} MB max "
+        f"(ceiling {MAX_TEMPORAL_PEAK_BYTES / 1e6:.2f} MB)"]
     emit("refine_cost", "\n".join(lines))
 
     for method, d, sched, refined, hits in rows:
@@ -106,6 +124,7 @@ def test_refine_cost(monkeypatch):
         if d == max(r[1] for r in rows):
             assert refined <= MAX_REFINED_PER_HIT * hits, (method, d)
     assert speedup >= MIN_SPEEDUP
+    assert max(temporal_peaks) <= MAX_TEMPORAL_PEAK_BYTES
 
 
 def _grouped(rows) -> dict:

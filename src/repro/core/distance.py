@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ranges import expand_ranges, range_offsets
 from .types import SegmentArray
 
 __all__ = ["compare_pairs", "pair_coefficients", "solve_intervals",
@@ -59,6 +60,13 @@ _REJECT_BLOCK = 1 << 15
 
 #: Pairs of a batch sampled to put the most selective test first.
 _REJECT_SAMPLE = 1 << 10
+
+#: Rows from which a contiguous range takes its first test as a slice.
+#: A slice costs ~7 us of calls plus ~4 ns a row, a gathered pair
+#: ~11.5 ns; on GPUTemporal's S3-random-dense ranges (2-vCPU Xeon,
+#: NumPy 2.4) the two meet near 900 rows, so shorter ranges are cheaper
+#: expanded and gathered in blocks.
+_REJECT_RANGE_MIN = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -290,6 +298,8 @@ def surviving_pairs(
     e_idx: np.ndarray,
     d: float,
     scale: float,
+    *,
+    lens: np.ndarray | None = None,
 ) -> np.ndarray:
     """Positions (ascending) of the candidate pairs that can hit at all.
 
@@ -300,6 +310,14 @@ def surviving_pairs(
     or when, on one spatial axis alone, the entry's extent
     ``[min(s, e), max(s, e)]`` stays further than ``d + tau`` from the
     query's.  Everything else is returned for the exact solve.
+
+    With ``lens`` the pairs come as contiguous ranges, two integers per
+    thread: thread ``i`` pairs query row ``q_idx[i]`` with entry rows
+    ``e_idx[i] .. e_idx[i] + lens[i] - 1`` (GPUTemporal's schedule), and
+    positions index the threads' pairs laid end to end — the same
+    positions as ``surviving_pairs(queries, entries, np.repeat(q_idx,
+    lens), expand_ranges(e_idx, lens), d, scale)``, without building
+    either pair-sized array.
 
     Why no dropped pair can be a hit of the exact *floating-point* path.
     Let ``S = scale = magnitude(queries) + magnitude(entries)``; it
@@ -328,7 +346,11 @@ def surviving_pairs(
     candidates are spatially close but mostly not contemporaneous,
     temporal-bin candidates the reverse — so the tests are ordered by
     how much of a strided sample of the batch each one keeps.  The
-    surviving set is the same in any order.
+    surviving set is the same in any order.  A range of at least
+    ``_REJECT_RANGE_MIN`` rows takes the first test on its contiguous
+    slice of the entry columns — no index array, no gather — and only
+    that test's survivors are gathered for the other three; shorter
+    ranges are expanded and take the blocked path.
     """
     if not d >= 0:     # a NaN reach would silently drop every pair
         raise ValueError("query distance d must be non-negative")
@@ -339,31 +361,96 @@ def surviving_pairs(
                   (queries.xs, queries.xe, entries.xs, entries.xe, reach),
                   (queries.ys, queries.ye, entries.ys, entries.ye, reach),
                   (queries.zs, queries.ze, entries.zs, entries.ze, reach))]
+    if lens is not None:
+        long = lens >= _REJECT_RANGE_MIN
+        if not long.any():
+            # Short ranges only: expanded, they are the pair form.
+            q_idx = np.repeat(q_idx, lens)
+            e_idx = expand_ranges(e_idx, lens)
+            lens = None
+    if lens is None:
+        n = q_idx.shape[0]
+        if n > _REJECT_SAMPLE:
+            sample = slice(None, None, n // _REJECT_SAMPLE)
+            _order(bounds, q_idx[sample], e_idx[sample])
+        return _blocked(bounds, q_idx, e_idx)
 
-    def near(bound, qi, ei):
-        q_lo, q_hi, es, ee = bound
-        s, e = es.take(ei), ee.take(ei)
-        return ((np.minimum(s, e) <= q_hi.take(qi))
-                & (np.maximum(s, e) >= q_lo.take(qi)))
-
-    n = q_idx.shape[0]
+    start = range_offsets(lens)
+    n = int(start[-1])
     if n > _REJECT_SAMPLE:
-        sample = slice(None, None, n // _REJECT_SAMPLE)
-        qi, ei = q_idx[sample], e_idx[sample]
-        bounds.sort(key=lambda b: np.count_nonzero(near(b, qi, ei)))
-    kept = []
+        # The same strided sample of the same pairs as the flat form.
+        sample = np.arange(0, n, n // _REJECT_SAMPLE)
+        t = np.searchsorted(start, sample, side="right") - 1
+        _order(bounds, q_idx[t], e_idx[t] + (sample - start[t]))
+    # Short ranges: expanded and blocked, at their own positions.
+    short = np.flatnonzero(~long)
+    kept = [_blocked(bounds, np.repeat(q_idx[short], lens[short]),
+                     expand_ranges(e_idx[short], lens[short]),
+                     expand_ranges(start[short], lens[short]))]
+    # Long ranges: the first test on each slice, then the other three
+    # on its survivors, gathered about a block at a time.
+    for pos in _slice_hits(bounds[0], q_idx, e_idx, start,
+                           np.flatnonzero(long)):
+        t = np.searchsorted(start, pos, side="right") - 1
+        kept.append(_blocked(bounds[1:], q_idx[t],
+                             e_idx[t] + (pos - start[t]), pos))
+    return np.sort(np.concatenate(kept))
+
+
+def _slice_hits(bound, q_idx: np.ndarray, e_idx: np.ndarray,
+                start: np.ndarray, threads: np.ndarray):
+    """Positions passing one axis test, tested on each of ``threads``'
+    contiguous entry rows ``e_idx[t] ..`` as a slice; yielded in runs
+    of at least ``_REJECT_BLOCK`` (the last may be short)."""
+    q_lo, q_hi, es, ee = bound
+    run, size = [], 0
+    for t in threads:
+        q, lo = q_idx[t], e_idx[t]
+        hi = lo + (start[t + 1] - start[t])
+        s, e = es[lo:hi], ee[lo:hi]
+        hit = np.flatnonzero((np.minimum(s, e) <= q_hi[q])
+                             & (np.maximum(s, e) >= q_lo[q]))
+        run.append(hit + start[t])
+        size += hit.shape[0]
+        if size >= _REJECT_BLOCK:
+            yield np.concatenate(run)
+            run, size = [], 0
+    if run:
+        yield np.concatenate(run)
+
+
+def _near(bound, qi: np.ndarray, ei: np.ndarray) -> np.ndarray:
+    """Which pairs ``(qi, ei)`` pass one axis test of the reject."""
+    q_lo, q_hi, es, ee = bound
+    s, e = es.take(ei), ee.take(ei)
+    return (np.minimum(s, e) <= q_hi.take(qi)) \
+        & (np.maximum(s, e) >= q_lo.take(qi))
+
+
+def _order(bounds: list, qi: np.ndarray, ei: np.ndarray) -> None:
+    """Sort the axis tests, most selective on the sample first."""
+    bounds.sort(key=lambda b: np.count_nonzero(_near(b, qi, ei)))
+
+
+def _blocked(bounds: list, q_idx: np.ndarray, e_idx: np.ndarray,
+             positions: np.ndarray | None = None) -> np.ndarray:
+    """``positions`` (default ``0 .. n-1``) of the pairs passing every
+    test in ``bounds``, ``_REJECT_BLOCK`` pairs at a time."""
+    n = q_idx.shape[0]
+    kept = [np.zeros(0, dtype=np.int64)]
     for base in range(0, n, _REJECT_BLOCK):
         qi = q_idx[base:base + _REJECT_BLOCK]
         ei = e_idx[base:base + _REJECT_BLOCK]
-        pos = np.arange(base, base + ei.shape[0])
+        pos = np.arange(base, base + ei.shape[0]) if positions is None \
+            else positions[base:base + _REJECT_BLOCK]
         for bound in bounds:
-            keep = np.flatnonzero(near(bound, qi, ei))
+            keep = np.flatnonzero(_near(bound, qi, ei))
             if keep.size < pos.size:
                 pos, qi, ei = pos.take(keep), qi.take(keep), ei.take(keep)
                 if pos.size == 0:
                     break
         kept.append(pos)
-    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
+    return np.concatenate(kept)
 
 
 def distance_at(

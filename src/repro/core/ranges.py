@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand_ranges", "run_starts"]
+__all__ = ["expand_ranges", "range_offsets", "run_starts"]
 
 
 def expand_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -30,6 +30,14 @@ def expand_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     out[np.cumsum(lens[:-1])] = starts[1:] - (starts[:-1] + lens[:-1]) + 1
     np.cumsum(out, out=out)
     return out
+
+
+def range_offsets(lens: np.ndarray) -> np.ndarray:
+    """``[0, lens[0], lens[0] + lens[1], ...]``: where each range begins
+    with the ranges laid end to end, and their total last."""
+    offsets = np.zeros(lens.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    return offsets
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from ..core.distance import compare_pairs, magnitude, surviving_pairs
-from ..core.ranges import expand_ranges
+from ..core.ranges import range_offsets
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.atomics import AtomicResultBuffer
@@ -280,14 +280,20 @@ class SearchEngine(abc.ABC):
 class RangeBatch:
     """Per-thread candidate specifications for one kernel invocation.
 
-    ``q_rows[i]`` is the query row thread ``i`` handles; its candidates are
-    ``candidate_rows[cand_start[i] : cand_start[i+1]]`` (row indices into
-    the engine's device-resident database ordering).
+    ``q_rows[i]`` is the query row thread ``i`` handles; its candidates
+    are the batch positions ``cand_start[i] : cand_start[i+1]``.  Which
+    database rows (in the engine's device-resident ordering) those are
+    is said one of two ways: explicitly, ``candidate_rows[cand_start[i]
+    : cand_start[i+1]]``; or, GPUTemporal's schedule (§IV-B), as the
+    contiguous rows from ``row_lo[i]`` on, two integers per thread, with
+    ``candidate_rows`` None.  :meth:`keep` names the rows of the
+    positions it keeps, so only those are ever materialised.
     """
 
     q_rows: np.ndarray
-    candidate_rows: np.ndarray
+    candidate_rows: np.ndarray | None
     cand_start: np.ndarray
+    row_lo: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.cand_start.shape != (self.q_rows.shape[0] + 1,):
@@ -297,9 +303,14 @@ class RangeBatch:
     def from_lengths(cls, q_rows: np.ndarray, candidate_rows: np.ndarray,
                      lens: np.ndarray) -> "RangeBatch":
         """The batch whose thread ``i`` owns the next ``lens[i]`` rows."""
-        cand_start = np.zeros(lens.shape[0] + 1, dtype=np.int64)
-        np.cumsum(lens, out=cand_start[1:])
-        return cls(q_rows, candidate_rows, cand_start)
+        return cls(q_rows, candidate_rows, range_offsets(lens))
+
+    @classmethod
+    def contiguous(cls, q_rows: np.ndarray, row_lo: np.ndarray,
+                   lens: np.ndarray) -> "RangeBatch":
+        """The batch whose thread ``i`` owns rows ``row_lo[i] ..
+        row_lo[i] + lens[i] - 1``."""
+        return cls(q_rows, None, range_offsets(lens), row_lo)
 
     @property
     def num_threads(self) -> int:
@@ -310,11 +321,13 @@ class RangeBatch:
 
     def keep(self, positions: np.ndarray) -> "RangeBatch":
         """The same threads with only the candidates at ``positions``
-        (ascending indices into ``candidate_rows``)."""
+        (ascending batch positions), their rows explicit."""
         thread = np.searchsorted(self.cand_start, positions,
                                  side="right") - 1
+        rows = self.candidate_rows[positions] if self.row_lo is None \
+            else self.row_lo[thread] + (positions - self.cand_start[thread])
         return RangeBatch.from_lengths(
-            self.q_rows, self.candidate_rows[positions],
+            self.q_rows, rows,
             np.bincount(thread, minlength=self.num_threads))
 
 
@@ -435,10 +448,9 @@ class QuerySetMemo(NamedTuple):
 
     #: ``Q`` sorted by non-decreasing start time (thread-id order).
     q_sorted: SegmentArray
-    #: first database row of each query's temporal-bin range ``E_k``.
-    row_lo: np.ndarray
-    #: every (query, row) pair inside those ranges, query ``k`` = thread
-    #: ``k`` — GPUTemporal's whole schedule.
+    #: query ``k`` = thread ``k`` and its temporal-bin row range ``E_k``
+    #: as a :meth:`RangeBatch.contiguous` — GPUTemporal's whole
+    #: schedule, two integers per query.
     batch: RangeBatch
 
 
@@ -449,10 +461,9 @@ class RefineCache:
     depend on ``d``, so across a ``d``-sweep over one query set the
     schedule is reusable verbatim.  The memo holds one query set, keyed
     on the *identity* of the caller's object (a strong reference is
-    kept, so the id cannot be recycled).  Nothing per pair is kept: with
-    :func:`surviving_pairs` in front of the solve, recomputing the few
-    survivors' quadratics is cheaper than gathering them from a memo of
-    all pairs.
+    kept, so the id cannot be recycled).  Nothing per pair is kept, not
+    even the row ids: :func:`surviving_pairs` reads each range as a
+    slice of the base, and only its survivors are named and solved.
     """
 
     def __init__(self) -> None:
@@ -466,10 +477,9 @@ class RefineCache:
         if memo is None or self._source is not queries:
             q_sorted = queries.sorted_by_start_time()
             row_lo, row_hi = index.candidate_rows(q_sorted.ts, q_sorted.te)
-            lens = np.maximum(row_hi - row_lo + 1, 0)
-            memo = QuerySetMemo(q_sorted, row_lo, RangeBatch.from_lengths(
-                np.arange(len(q_sorted), dtype=np.int64),
-                expand_ranges(row_lo, lens), lens))
+            memo = QuerySetMemo(q_sorted, RangeBatch.contiguous(
+                np.arange(len(q_sorted), dtype=np.int64), row_lo,
+                np.maximum(row_hi - row_lo + 1, 0)))
             self._source, self._memo = queries, memo
         return memo
 
@@ -607,9 +617,16 @@ class GpuEngineBase(SearchEngine):
                 batch, lens = work.batch, work.batch.lengths()
                 # The host solves only the pairs that can hit; the
                 # device is charged for every scheduled comparison.
-                batch = batch.keep(surviving_pairs(
-                    q_sorted, self.database, np.repeat(batch.q_rows, lens),
-                    batch.candidate_rows, d, scale))
+                if batch.row_lo is None:
+                    kept = surviving_pairs(
+                        q_sorted, self.database,
+                        np.repeat(batch.q_rows, lens),
+                        batch.candidate_rows, d, scale)
+                else:
+                    kept = surviving_pairs(
+                        q_sorted, self.database, batch.q_rows,
+                        batch.row_lo, d, scale, lens=lens)
+                batch = batch.keep(kept)
                 pairs_refined += batch.candidate_rows.shape[0]
                 hits, pq, pe, plo, phi = refine_ranges(
                     q_sorted, self.database, batch, d,

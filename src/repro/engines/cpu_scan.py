@@ -16,6 +16,7 @@ import time
 
 import numpy as np
 
+from ..core.ranges import expand_ranges
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.profiler import CpuSearchProfile
@@ -65,16 +66,9 @@ class CpuScanEngine(SearchEngine):
                              side="left")
         hi = np.searchsorted(db.ts, queries.te, side="right") - 1
         lens = np.maximum(hi - lo + 1, 0)
-        cand_start = np.zeros(len(queries) + 1, dtype=np.int64)
-        np.cumsum(lens, out=cand_start[1:])
-        total = int(lens.sum())
-        cand_rows = np.arange(total, dtype=np.int64) \
-            - np.repeat(np.cumsum(lens) - lens, lens) \
-            + np.repeat(lo, lens)
-        batch = RangeBatch(q_rows=np.arange(len(queries),
-                                            dtype=np.int64),
-                           candidate_rows=cand_rows,
-                           cand_start=cand_start)
+        batch = RangeBatch.from_lengths(
+            np.arange(len(queries), dtype=np.int64),
+            expand_ranges(lo, lens), lens)
         hits, pq, pe, plo, phi = refine_ranges(
             queries, db, batch, d,
             exclude_same_trajectory=exclude_same_trajectory)
@@ -84,7 +78,7 @@ class CpuScanEngine(SearchEngine):
             engine=self.name,
             num_queries=len(queries),
             node_visits=0,
-            comparisons=total,
+            comparisons=int(lens.sum()),
             result_items=len(result),
             index_bytes=0,
             wall_seconds=time.perf_counter() - wall0,

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
 from ..indexes.temporal import TemporalIndex
 from .base import (GpuEngineBase, HostPlan, RangeBatch, RefineCache,
@@ -73,6 +72,5 @@ class GpuTemporalEngine(GpuEngineBase):
             # live thread always publishes or ends the attempt): the
             # memoised schedule, as is.
             return ThreadWork(full)
-        lens = full.lengths()[live]
-        return ThreadWork(RangeBatch.from_lengths(
-            live, expand_ranges(plan.schedule.row_lo[live], lens), lens))
+        return ThreadWork(RangeBatch.contiguous(
+            live, full.row_lo[live], full.lengths()[live]))

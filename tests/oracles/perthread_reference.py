@@ -54,9 +54,11 @@ def install(patch) -> None:
 
 def keep_all(queries: SegmentArray, entries: SegmentArray,
              q_idx: np.ndarray, e_idx: np.ndarray, d: float,
-             scale: float) -> np.ndarray:
-    """The reject that rejects nothing: every position survives."""
-    return np.arange(q_idx.shape[0])
+             scale: float, *, lens: np.ndarray | None = None
+             ) -> np.ndarray:
+    """The reject that rejects nothing: every position survives, pairs
+    or ranges."""
+    return np.arange(q_idx.shape[0] if lens is None else lens.sum())
 
 
 # -- refinement --------------------------------------------------------------------

@@ -15,7 +15,10 @@ them (``GpuEngineBase._search_once``).  Nothing observable may change:
 (d) with the reject sabotaged to drop everything the GPU engines go
     empty while ``cpu_scan``, ``cpu_rtree`` and brute force answer as
     before — a bug in the reject cannot hide on both sides of a
-    comparison.
+    comparison;
+(e) the range form (GPUTemporal's two integers per thread, long ranges
+    tested as slices) keeps exactly the positions the pair form keeps
+    over the same ranges expanded.
 """
 
 import itertools
@@ -24,9 +27,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import distance
 from repro.core.bruteforce import brute_force_search
-from repro.core.distance import (_REJECT_MARGIN, compare_pairs, magnitude,
-                                 surviving_pairs)
+from repro.core.distance import (_REJECT_MARGIN, _REJECT_RANGE_MIN,
+                                 compare_pairs, magnitude, surviving_pairs)
+from repro.core.ranges import expand_ranges
 from repro.core.types import SegmentArray
 from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
                            GpuSpatioTemporalEngine, GpuTemporalEngine,
@@ -50,11 +55,13 @@ GPU_ENGINES = {"gpu_temporal": GpuTemporalEngine,
                "gpu_spatial": GpuSpatialEngine}
 
 
-def _keep_everything(queries, entries, q_idx, e_idx, d, scale):
-    return np.arange(q_idx.shape[0])
+def _keep_everything(queries, entries, q_idx, e_idx, d, scale, *,
+                     lens=None):
+    return np.arange(q_idx.shape[0] if lens is None else lens.sum())
 
 
-def _drop_everything(queries, entries, q_idx, e_idx, d, scale):
+def _drop_everything(queries, entries, q_idx, e_idx, d, scale, *,
+                     lens=None):
     return np.zeros(0, dtype=np.int64)
 
 
@@ -328,6 +335,72 @@ def test_referees_are_independent_of_the_reject(small_db, small_queries,
         assert len(gpu(cls)) == 0, name    # the sabotage bites
     for name, run in referees.items():
         assert _result_bytes(run()) == before[name], name
+
+
+# -- (e) the range form is the pair form -------------------------------------------
+
+#: lengths at and around the slice threshold, empty and single-row ranges.
+_EDGE_LENS = (0, 1, 2, _REJECT_RANGE_MIN - 1, _REJECT_RANGE_MIN,
+              _REJECT_RANGE_MIN + 1)
+_RANGE_DB_ROWS = 4 * _REJECT_RANGE_MIN
+
+
+def _walks(rng, n, t_span) -> SegmentArray:
+    """``n`` short time-sorted segments in a 10-unit box."""
+    start = rng.uniform(0.0, 10.0, (n, 3))
+    end = start + rng.normal(0.0, 0.3, (n, 3))
+    ts = np.sort(rng.uniform(0.0, t_span, n))
+    return SegmentArray(*start.T, ts, *end.T,
+                        ts + rng.choice([0.0, 0.5, 3.0], n),
+                        rng.integers(0, 4, n))
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 7),
+                          st.one_of(st.sampled_from(_EDGE_LENS),
+                                    st.integers(0, 3 * _REJECT_RANGE_MIN)),
+                          st.floats(0.0, 1.0)),
+                max_size=10),
+       st.one_of(st.sampled_from([0.0, 0.05, 1.0, INF, float("nan")]),
+                 st.floats(0.0, 20.0, allow_nan=False)),
+       st.sampled_from([distance._REJECT_BLOCK, 64, 5]),
+       st.sampled_from([400.0, 0.0]))
+@settings(max_examples=120, deadline=None)
+def test_range_form_keeps_the_pair_forms_positions(seed, threads, d,
+                                                   block, t_span):
+    # With no time span every pair is contemporaneous, so at a large d
+    # every row of a range survives, the first and the last included.
+    rng = np.random.default_rng(seed)
+    database = _walks(rng, _RANGE_DB_ROWS, t_span)
+    queries = _walks(rng, 8, t_span)
+    q_rows = np.asarray([q for q, _, _ in threads], dtype=np.int64)
+    lens = np.asarray([n for _, n, _ in threads], dtype=np.int64)
+    # Any start that fits: ranges overlap freely.
+    row_lo = np.asarray([int(at * (_RANGE_DB_ROWS - n))
+                         for _, n, at in threads], dtype=np.int64)
+    scale = magnitude(queries) + magnitude(database)
+    pairs = (queries, database, np.repeat(q_rows, lens),
+             expand_ranges(row_lo, lens))
+    ranges = (queries, database, q_rows, row_lo)
+    if np.isnan(d):
+        for args, kw in ((pairs, {}), (ranges, {"lens": lens})):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                surviving_pairs(*args, d, scale, **kw)
+        return
+    want = surviving_pairs(*pairs, d, scale)
+    # Small blocks also send a long range's slice survivors on in
+    # several runs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distance, "_REJECT_BLOCK", block)
+        got = surviving_pairs(*ranges, d, scale, lens=lens)
+    assert got.dtype == want.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
+    # ... and the kept positions name the same rows in either form.
+    flat = RangeBatch.from_lengths(q_rows, pairs[3], lens).keep(want)
+    contiguous = RangeBatch.contiguous(q_rows, row_lo, lens).keep(got)
+    assert contiguous.candidate_rows.tobytes() \
+        == flat.candidate_rows.tobytes()
+    assert contiguous.cand_start.tobytes() == flat.cand_start.tobytes()
 
 
 # -- what the span says, and what d is refused ------------------------------------

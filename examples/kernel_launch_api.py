@@ -1,12 +1,12 @@
 """The kernel launch API: LaunchSpec -> vectorized kernel body ->
-BatchResult.
+its value, plus one ``KernelStats`` on the device.
 
 Every engine invocation goes through ``KernelLauncher.run``: a typed
 ``LaunchSpec`` describes the grid (name, logical thread count, h2d
-inputs to charge, fault-hook point), the kernel body executes the whole
-grid's work as vectorized NumPy passes while recording per-thread op
-counts, and the returned ``BatchResult`` carries both the body's value
-and the invocation's ``KernelStats``.
+inputs to charge), the kernel body executes the whole grid's work as
+vectorized NumPy passes while recording per-thread op counts, ``run``
+returns the body's value, and the invocation's ``KernelStats`` is
+appended to ``gpu.kernel_stats``.
 
 This script drives the API directly with a toy kernel, then shows the
 same stats flowing out of a real engine search.
@@ -41,9 +41,9 @@ def toy_launch():
         k.add_atomics(2)
         return int(work.sum())
 
-    out = launcher.run(spec, kernel)
-    stats = out.stats
-    print(f"kernel body returned      {out.value}")
+    value = launcher.run(spec, kernel)
+    stats = gpu.kernel_stats[-1]
+    print(f"kernel body returned      {value}")
     print(f"stats.num_threads         {stats.num_threads}")
     print(f"stats.thread_work         {stats.thread_work}")
     print(f"stats.atomic_ops          {stats.atomic_ops}")

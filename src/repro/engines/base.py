@@ -46,7 +46,6 @@ from ..core.distance import compare_pairs, magnitude, surviving_pairs
 from ..core.ranges import range_offsets
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
-from ..gpu.atomics import AtomicResultBuffer
 from ..gpu.device import VirtualGPU
 from ..gpu.kernel import KernelLauncher, LaunchSpec
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
@@ -81,6 +80,10 @@ MAX_PAIRS_PER_CHUNK = 1 << 21
 
 #: Bytes per query segment shipped host->device (8 coords + 2 ids, f64/i64).
 QUERY_ITEM_BYTES = 80
+
+#: Device bytes per result item: 2 x int64 ids + 2 x float64 interval
+#: bounds.  The result buffer's capacity is its ledger entry over this.
+RESULT_ITEM_BYTES = 32
 
 #: Safety valve: a pathological configuration (e.g. a buffer smaller than a
 #: single query's output) would otherwise loop forever.
@@ -485,15 +488,17 @@ class RefineCache:
 
 
 def first_fit_accept(hits_per_thread: np.ndarray,
-                     free_items: int) -> np.ndarray:
+                     capacity: int) -> np.ndarray:
     """Which threads publish their results this invocation.
 
     Threads complete in id order; a thread's batch is all-or-nothing.
     Threads with zero hits always complete (their empty append trivially
-    succeeds).  Returns a boolean accept mask.
+    succeeds).  The result buffer is empty at every launch, so the
+    accepted hits fill at most its ``capacity``.  Returns a boolean
+    accept mask.
     """
     cum = np.cumsum(hits_per_thread)
-    fits = cum <= free_items
+    fits = cum <= capacity
     # After the first non-fitting thread, later non-empty threads are
     # rejected even if they would individually fit: the tail counter has
     # already passed capacity in the deterministic in-order model.
@@ -526,17 +531,22 @@ class GpuEngineBase(SearchEngine):
 
     def __init__(self, database: SegmentArray, *,
                  gpu: VirtualGPU | None = None,
-                 result_buffer_items: int = 2_000_000,
                  retry: RetryPolicy | None = None) -> None:
         if len(database) == 0:
             raise ValueError("database must not be empty")
         self.gpu = gpu or VirtualGPU()
-        self.result_buffer = AtomicResultBuffer(result_buffer_items)
         self.retry = retry or RetryPolicy()
         self.database = database  # subclass may replace with sorted order
         #: :func:`~repro.core.distance.magnitude` of ``self.database``,
         #: on first use.
         self._db_magnitude: float | None = None
+
+    @property
+    def result_buffer_items(self) -> int:
+        """Capacity of the device result buffer, in items — read from
+        the ledger, the one record of device bytes."""
+        return (self.gpu.memory.allocations()["result_buffer"]
+                // RESULT_ITEM_BYTES)
 
     # -- what a scheme is ------------------------------------------------------------
 
@@ -563,14 +573,14 @@ class GpuEngineBase(SearchEngine):
         reject alone exceeds the buffer.
         """
         worst = int(redo_hits.max())
-        if worst > self.result_buffer.capacity_items:
+        if worst > self.result_buffer_items:
             raise self._overflow_error(worst)
         return num_pending
 
     def _overflow_error(self, items: int) -> ResultBufferOverflowError:
         return ResultBufferOverflowError(
             "result buffer too small for a single query "
-            f"({items} items > {self.result_buffer.capacity_items} "
+            f"({items} items > {self.result_buffer_items} "
             "capacity); increase result_buffer_items or let the retry "
             "policy grow it", required_items=items)
 
@@ -596,6 +606,7 @@ class GpuEngineBase(SearchEngine):
             self._db_magnitude = magnitude(self.database)
         scale = magnitude(q_sorted) + self._db_magnitude
 
+        capacity = self.result_buffer_items
         pending = np.arange(plan.num_threads, dtype=np.int64)
         limit = pending.size
         parts: list[ResultSet] = []
@@ -636,26 +647,19 @@ class GpuEngineBase(SearchEngine):
                     k.gather_work[:] = work.gather_work
                 # Every produced result attempts one atomic append.
                 k.add_atomics(int(hits.sum()))
-                accept = first_fit_accept(hits,
-                                          self.result_buffer.free_items)
+                accept = first_fit_accept(hits, capacity)
                 if work.blocked is not None:
                     k.add_atomics(int(np.count_nonzero(work.blocked)))
                     accept &= ~work.blocked
-                pair_accept = np.repeat(accept, hits)
-                if not self.result_buffer.try_append(
-                        pq[pair_accept], pe[pair_accept],
-                        plo[pair_accept], phi[pair_accept]):
-                    raise RuntimeError("internal: accepted batch overflow")
-                return hits, accept, work.blocked
+                keep = np.repeat(accept, hits)
+                return hits, accept, work.blocked, (
+                    pq[keep], pe[keep], plo[keep], phi[keep])
 
-            out = launcher.run(LaunchSpec(
-                name=self.name, num_threads=live.size,
-                inputs=(("redo_query_ids", live.size * 8),)
-                if invocation else ()), kernel)
-            hits, accept, blocked = out.value
-
-            qd, ed, lod, hid = self.result_buffer.drain()
-            transfers.d2h("result_set", qd.size * 32)
+            hits, accept, blocked, (qd, ed, lod, hid) = launcher.run(
+                LaunchSpec(name=self.name, num_threads=live.size,
+                           inputs=(("redo_query_ids", live.size * 8),)
+                           if invocation else ()), kernel)
+            transfers.d2h("result_set", qd.size * RESULT_ITEM_BYTES)
             raw_items += qd.size
             parts.append(ResultSet(q_sorted.seg_ids[qd],
                                    self.database.seg_ids[ed], lod, hid))
@@ -675,7 +679,7 @@ class GpuEngineBase(SearchEngine):
                 raise KernelInvocationLimitError(
                     "kernel re-invocation limit reached; increase the "
                     "result buffer capacity",
-                    required_items=self.result_buffer.capacity_items * 2)
+                    required_items=capacity * 2)
 
         final = ResultSet.from_parts(parts).deduplicated()
         profile = SearchProfile.capture(
@@ -709,11 +713,6 @@ class GpuEngineBase(SearchEngine):
                 or Deadline.after(RETRY_DEADLINE_S)
             backoff_total = 0.0
             for attempt in range(1, self.retry.max_attempts + 1):
-                # A faulted prior attempt may have left items in the
-                # device result buffer; a fresh attempt must not
-                # republish them.
-                if self.result_buffer.size:
-                    self.result_buffer.drain()
                 try:
                     results, profile, pairs_refined = self._search_once(
                         queries, d,
@@ -724,7 +723,7 @@ class GpuEngineBase(SearchEngine):
                             or deadline.expired):
                         raise
                     target = max(
-                        int(self.result_buffer.capacity_items
+                        int(self.result_buffer_items
                             * RETRY_GROWTH_FACTOR),
                         exc.required_items)
                     backoff_total += self.retry.backoff_for(attempt)
@@ -783,31 +782,29 @@ class GpuEngineBase(SearchEngine):
         to fit alongside the database and index, not its former self.
         """
         capacity_items = int(capacity_items)
-        if capacity_items <= self.result_buffer.capacity_items:
+        if capacity_items <= self.result_buffer_items:
             return
-        mem = self.gpu.memory
-        if "result_buffer" in mem:
-            mem.resize("result_buffer", (capacity_items, 4))
-        else:  # engine built without _place_database (unit-test harness)
-            mem.alloc("result_buffer", (capacity_items, 4))
-        self.result_buffer = AtomicResultBuffer(capacity_items)
+        self.gpu.memory.resize("result_buffer", (capacity_items, 4))
 
     # -- helpers for subclasses ------------------------------------------------------
 
-    def _place_database(self, sorted_db: SegmentArray, label: str) -> None:
+    def _place_database(self, sorted_db: SegmentArray, label: str,
+                        result_buffer_items: int) -> None:
         """Reserve the (re-ordered) database in device global memory: 8
         float64 coordinates and 2 int64 ids per segment.
 
         Offline step: the transfer is *not* charged to response time, per
         the paper's methodology (§V-B), but it must fit in device memory.
         Kernels read the host arrays, so the reservation copies nothing.
+        The result buffer is reserved alongside: four 8-byte fields per
+        item (:data:`RESULT_ITEM_BYTES`).
         """
+        if result_buffer_items <= 0:
+            raise ValueError("result buffer capacity must be positive")
         mem = self.gpu.memory
         mem.alloc(f"{label}.coords", (8, len(sorted_db)), np.float64)
         mem.alloc(f"{label}.ids", (2, len(sorted_db)), np.int64)
-        if "result_buffer" not in mem:
-            mem.alloc("result_buffer",
-                      (self.result_buffer.capacity_items, 4))
+        mem.alloc("result_buffer", (result_buffer_items, 4))
 
     def _place_index(self) -> None:
         """Reserve the index's device arrays (its ``device_arrays()``)."""

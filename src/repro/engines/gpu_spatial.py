@@ -56,9 +56,7 @@ class GpuSpatialEngine(GpuEngineBase):
                  candidate_buffer_items: int = 8_000_000,
                  result_buffer_items: int = 2_000_000,
                  retry=None) -> None:
-        super().__init__(database, gpu=gpu,
-                         result_buffer_items=result_buffer_items,
-                         retry=retry)
+        super().__init__(database, gpu=gpu, retry=retry)
         if candidate_buffer_items <= 0:
             raise ValueError("candidate buffer must be positive")
         #: the paper's overall buffer size ``s``, split across live queries.
@@ -66,7 +64,8 @@ class GpuSpatialEngine(GpuEngineBase):
         with index_build_phase(self.name):
             self.index = FlatGrid.build(database, cells_per_dim)
             self.database = database
-            self._place_database(database, "fsg_db")
+            self._place_database(database, "fsg_db",
+                                 result_buffer_items)
             self._place_index()
             self.gpu.memory.alloc("fsg_U", self.candidate_buffer_items,
                                   dtype=np.int32)

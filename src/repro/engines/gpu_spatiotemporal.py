@@ -40,14 +40,13 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
                  num_subbins: int = 4, strict_subbins: bool = True,
                  gpu=None, result_buffer_items: int = 2_000_000,
                  retry=None) -> None:
-        super().__init__(database, gpu=gpu,
-                         result_buffer_items=result_buffer_items,
-                         retry=retry)
+        super().__init__(database, gpu=gpu, retry=retry)
         with index_build_phase(self.name):
             self.index = SpatioTemporalIndex.build(
                 database, num_bins, num_subbins, strict=strict_subbins)
             self.database = self.index.segments
-            self._place_database(self.database, "st_db")
+            self._place_database(self.database, "st_db",
+                                 result_buffer_items)
             self._place_index()
 
     def _host_plan(self, queries: SegmentArray, d: float,

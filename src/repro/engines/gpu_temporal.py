@@ -44,14 +44,13 @@ class GpuTemporalEngine(GpuEngineBase):
     def __init__(self, database: SegmentArray, *, num_bins: int = 1000,
                  gpu=None, result_buffer_items: int = 2_000_000,
                  retry=None) -> None:
-        super().__init__(database, gpu=gpu,
-                         result_buffer_items=result_buffer_items,
-                         retry=retry)
+        super().__init__(database, gpu=gpu, retry=retry)
         # Offline: build the index and place D (sorted) + bins on device.
         with index_build_phase(self.name):
             self.index = TemporalIndex.build(database, num_bins)
             self.database = self.index.segments
-            self._place_database(self.database, "temporal_db")
+            self._place_database(self.database, "temporal_db",
+                                 result_buffer_items)
             self._place_index()
         self._refine_cache = RefineCache()
 

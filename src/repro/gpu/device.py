@@ -7,10 +7,11 @@ Express.  This module models that machine:
 * :class:`DeviceSpec` captures the architectural constants that drive the
   paper's performance behaviour — core count, warp width, clock, memory
   capacity, PCIe bandwidth/latency, kernel-launch overhead.
-* :class:`VirtualGPU` owns the device-side state: a global-memory manager
-  (allocations must fit in ``global_mem_bytes``), a host<->device transfer
-  ledger, and the per-kernel execution statistics that the cost model
-  converts to modeled seconds.
+* :class:`VirtualGPU` owns the device-side state: a global-memory
+  ledger of name -> bytes (allocations must fit in ``global_mem_bytes``;
+  it holds counts, not arrays, and is the only record of the card's
+  bytes), a host<->device transfer ledger, and the per-kernel execution
+  statistics that the cost model converts to modeled seconds.
 
 The kernels themselves execute *for real* (see :mod:`repro.gpu.kernel`):
 every candidate gathered, comparison refined and result appended is
@@ -77,9 +78,9 @@ TESLA_C2075 = DeviceSpec(
 class VirtualGPU:
     """A software C2075: global memory + transfer ledger + kernel stats.
 
-    One instance represents one physical device.  Engines allocate the
-    database, the index and all working buffers through
-    :meth:`VirtualGPU.memory`, move data through :meth:`transfers`, and
+    One instance represents one physical device.  Engines reserve the
+    database, the index and all working buffers (the result buffer
+    included) in :attr:`memory`, move data through :attr:`transfers`, and
     launch kernels through :class:`repro.gpu.kernel.KernelLauncher`; all
     three record the operation counts the cost model consumes.
     """

@@ -27,8 +27,7 @@ import numpy as np
 from ..obs.telemetry import current as _current_telemetry
 from .device import VirtualGPU
 
-__all__ = ["KernelStats", "KernelLauncher", "LaunchSpec", "BatchResult",
-           "warp_work"]
+__all__ = ["KernelStats", "KernelLauncher", "LaunchSpec", "warp_work"]
 
 
 @dataclass
@@ -97,16 +96,15 @@ def warp_work(thread_work: np.ndarray, warp_size: int) -> int:
 class LaunchSpec:
     """Declarative description of one kernel invocation.
 
-    An engine states *what* is launched — grid size, named device
-    inputs to ship, and the fault-hook point — and hands the launcher a
-    kernel callable executed once for the whole batch of logical
-    threads.
+    An engine states *what* is launched — grid size and named device
+    inputs to ship — and hands the launcher a kernel callable executed
+    once for the whole batch of logical threads.
 
     Attributes
     ----------
     name:
         Kernel name; tags the recorded :class:`KernelStats`, the
-        telemetry span and (by default) the fault-injection label.
+        telemetry span and the fault-injection label.
     num_threads:
         Grid size — one logical thread per live query segment (§IV).
     inputs:
@@ -114,45 +112,19 @@ class LaunchSpec:
         immediately before the launch (e.g. the redo-query id list).
         Transfer faults therefore fire *before* the kernel fault hook,
         exactly like the historical explicit ``transfers.h2d`` calls.
-    fault_point:
-        Fault-injection channel consulted at launch; an injected abort
-        kills the invocation before it runs, an injected stall inflates
-        the recorded per-thread work on completion.
+
+    The launch consults the ``"kernel"`` fault point: an injected abort
+    kills the invocation before it runs, an injected stall inflates the
+    recorded per-thread work on completion.
     """
 
     name: str
     num_threads: int
     inputs: tuple[tuple[str, int], ...] = ()
-    fault_point: str = "kernel"
 
     def __post_init__(self) -> None:
         if self.num_threads < 0:
             raise ValueError("num_threads must be non-negative")
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """What one whole-batch kernel invocation produced.
-
-    ``stats`` is the same object appended to ``gpu.kernel_stats`` (the
-    per-thread op counts the cost model charges); ``value`` is whatever
-    the kernel callable returned to the host.
-    """
-
-    stats: "KernelStats"
-    value: Any = None
-
-    @property
-    def thread_work(self) -> np.ndarray:
-        return self.stats.thread_work
-
-    @property
-    def gather_work(self) -> np.ndarray:
-        return self.stats.gather_work
-
-    @property
-    def atomic_ops(self) -> int:
-        return self.stats.atomic_ops
 
 
 class KernelLauncher:
@@ -168,10 +140,9 @@ class KernelLauncher:
             k.add_atomics(results_appended)
             return host_visible_outputs
 
-        out = launcher.run(LaunchSpec(name="gpu_temporal",
-                                      num_threads=len(Q)), kernel)
-        out.value          # what `kernel` returned
-        out.thread_work    # per-thread op counts, post stall inflation
+        value = launcher.run(LaunchSpec(name="gpu_temporal",
+                                        num_threads=len(Q)), kernel)
+        gpu.kernel_stats[-1]   # per-thread op counts, post stall inflation
 
     The stats are validated on completion and appended to
     ``gpu.kernel_stats``; the cost model later charges one
@@ -182,31 +153,26 @@ class KernelLauncher:
         self.gpu = gpu
 
     def run(self, spec: LaunchSpec,
-            kernel: Callable[["_LaunchContext"], Any]) -> BatchResult:
+            kernel: Callable[["_LaunchContext"], Any]) -> Any:
         """Execute ``kernel`` once for the whole batch described by
-        ``spec``; returns the recorded stats plus the kernel's return
-        value.  Failed launches (fault aborts, kernel errors) propagate
-        and record nothing."""
+        ``spec`` and return its value; the invocation's stats are
+        ``gpu.kernel_stats[-1]``.  Failed launches (fault aborts,
+        kernel errors) propagate and record nothing."""
         for label, nbytes in spec.inputs:
             self.gpu.transfers.h2d(label, nbytes)
-        ctx = _LaunchContext(self.gpu, spec.name, spec.num_threads,
-                             fault_point=spec.fault_point)
-        with ctx:
-            value = kernel(ctx)
-        return BatchResult(stats=ctx.stats, value=value)
+        with _LaunchContext(self.gpu, spec.name, spec.num_threads) as ctx:
+            return kernel(ctx)
 
 
 class _LaunchContext:
-    def __init__(self, gpu: VirtualGPU, name: str, num_threads: int,
-                 fault_point: str = "kernel") -> None:
+    def __init__(self, gpu: VirtualGPU, name: str,
+                 num_threads: int) -> None:
         self.gpu = gpu
         self.name = name
         self.num_threads = num_threads
-        self.fault_point = fault_point
         self.thread_work = np.zeros(num_threads, dtype=np.int64)
         self.gather_work = np.zeros(num_threads, dtype=np.int64)
         self._atomics = 0
-        self.stats: KernelStats | None = None
 
     def add_atomics(self, n: int) -> None:
         if n < 0:
@@ -221,7 +187,7 @@ class _LaunchContext:
         self._stall = 1.0
         if self.gpu.faults is not None:
             self._stall = self.gpu.faults.check(
-                self.fault_point, lane=self.gpu.lane, label=self.name)
+                "kernel", lane=self.gpu.lane, label=self.name)
         self._wall0 = time.perf_counter()
         return self
 
@@ -239,7 +205,6 @@ class _LaunchContext:
             gather_work=self.gather_work,
             atomic_ops=self._atomics,
         )
-        self.stats = stats
         self.gpu.kernel_stats.append(stats)
         # One span per invocation under the engine's search span (a
         # no-op when no telemetry is active).

@@ -8,12 +8,13 @@ that discipline:
 * Allocations are explicit, named, and bounded by the device capacity —
   exceeding it raises :class:`DeviceOutOfMemoryError`, exactly the
   constraint that forces the paper to process query sets incrementally.
-* The ledger *is* the model: names, bytes, ``allocated_bytes`` and
-  ``peak_bytes`` are what a real card would hold.  Kernels run on the
-  engines' host arrays and nothing reads a device array's contents, so
-  engines *reserve* their database and index with :meth:`MemoryManager.
-  alloc` (shape and dtype of what a card would hold) rather than copying
-  host arrays in — every array stays resident once, on the host.  The
+* The ledger *is* the model: a map of name → bytes, with
+  ``allocated_bytes`` and ``peak_bytes`` derived from it, is what a real
+  card would hold.  Kernels run on the engines' host arrays and nothing
+  reads device contents, so :meth:`MemoryManager.alloc` reserves the
+  bytes of a shape and dtype and creates no array.  It is the only
+  record of device bytes: an engine's result-buffer capacity, a cache
+  entry's footprint and a pool lane's load are all read from it.  The
   PCIe cost of shipping data is recorded separately, in the transfer
   ledger.
 """
@@ -21,19 +22,24 @@ that discipline:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DeviceArray", "MemoryManager", "DeviceOutOfMemoryError",
-           "layout_nbytes"]
+__all__ = ["MemoryManager", "DeviceOutOfMemoryError", "layout_nbytes"]
+
+
+def _nbytes(shape: tuple[int, ...] | int, dtype) -> int:
+    """Bytes of an array of ``shape`` and ``dtype``."""
+    dims = [int(n) for n in np.atleast_1d(shape)]
+    if any(n < 0 for n in dims):
+        raise ValueError("negative dimensions are not allowed")
+    return math.prod(dims) * np.dtype(dtype).itemsize
 
 
 def layout_nbytes(layout: dict[str, tuple[tuple[int, ...], type]]) -> int:
     """Bytes of a device layout ``{name: (shape, dtype)}`` — what an
     index's ``device_arrays()`` reserves."""
-    return sum(math.prod(shape) * np.dtype(dtype).itemsize
-               for shape, dtype in layout.values())
+    return sum(_nbytes(shape, dtype) for shape, dtype in layout.values())
 
 
 class DeviceOutOfMemoryError(MemoryError):
@@ -63,28 +69,6 @@ class DeviceOutOfMemoryError(MemoryError):
         self.allocations = dict(allocations or {})
 
 
-@dataclass
-class DeviceArray:
-    """A named allocation in device global memory.
-
-    Only :attr:`nbytes` and ``len`` are read.  ``data`` is zero-filled
-    (:meth:`MemoryManager.alloc`; the pages are never touched, so they
-    cost no resident memory).  Host logic that ships data goes through
-    :class:`repro.gpu.transfers.TransferLedger` so that modeled PCIe
-    traffic matches what a real implementation would send over the bus.
-    """
-
-    name: str
-    data: np.ndarray
-
-    @property
-    def nbytes(self) -> int:
-        return int(self.data.nbytes)
-
-    def __len__(self) -> int:
-        return int(self.data.shape[0])
-
-
 class MemoryManager:
     """Tracks named allocations against a fixed global-memory capacity."""
 
@@ -99,46 +83,45 @@ class MemoryManager:
         self.faults = faults
         #: device-pool lane this memory belongs to (None = not pooled).
         self.lane = lane
-        self._allocations: dict[str, DeviceArray] = {}
+        #: the ledger: allocation name -> bytes.
+        self._allocations: dict[str, int] = {}
         self.peak_bytes = 0
 
     # -- allocation ------------------------------------------------------------
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(a.nbytes for a in self._allocations.values())
+        return sum(self._allocations.values())
 
     @property
     def free_bytes(self) -> int:
         return self.capacity_bytes - self.allocated_bytes
 
     def alloc(self, name: str, shape: tuple[int, ...] | int,
-              dtype: np.dtype | type = np.float64) -> DeviceArray:
-        """Reserve a zero-initialized device array of ``shape`` and
+              dtype: np.dtype | type = np.float64) -> None:
+        """Reserve the bytes of a device array of ``shape`` and
         ``dtype`` — how engines place their database and index."""
         if name in self._allocations:
             raise ValueError(f"allocation {name!r} already exists")
-        data = np.zeros(shape, dtype=dtype)
+        nbytes = _nbytes(shape, dtype)
         if self.faults is not None:
             self.faults.check("alloc", lane=self.lane, label=name,
-                              requested=int(data.nbytes),
+                              requested=nbytes,
                               free=self.free_bytes,
                               device=self.device_name,
                               allocations=self.allocations())
-        if data.nbytes > self.free_bytes:
-            raise DeviceOutOfMemoryError(data.nbytes, self.free_bytes,
+        if nbytes > self.free_bytes:
+            raise DeviceOutOfMemoryError(nbytes, self.free_bytes,
                                          self.device_name,
                                          lane=self.lane,
                                          allocations=self.allocations())
-        arr = DeviceArray(name=name, data=data)
-        self._allocations[name] = arr
+        self._allocations[name] = nbytes
         self.peak_bytes = max(self.peak_bytes, self.allocated_bytes)
-        return arr
 
     def resize(self, name: str, shape: tuple[int, ...] | int,
-               dtype: np.dtype | type = np.float64) -> DeviceArray:
-        """Replace an allocation with a zero-initialized one of a new
-        shape (capacity-checked against the memory freed by the old one).
+               dtype: np.dtype | type = np.float64) -> None:
+        """Replace an allocation with one of a new shape
+        (capacity-checked against the memory freed by the old one).
 
         Used by the engines' retry policy to grow the device result
         buffer in place without juggling temporary names.
@@ -147,7 +130,7 @@ class MemoryManager:
             raise KeyError(f"no allocation named {name!r}")
         old = self._allocations.pop(name)
         try:
-            return self.alloc(name, shape, dtype)
+            self.alloc(name, shape, dtype)
         except DeviceOutOfMemoryError:
             self._allocations[name] = old  # roll back
             raise
@@ -157,4 +140,4 @@ class MemoryManager:
 
     def allocations(self) -> dict[str, int]:
         """Snapshot of {name: nbytes} for reporting."""
-        return {k: v.nbytes for k, v in self._allocations.items()}
+        return dict(self._allocations)

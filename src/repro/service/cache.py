@@ -9,9 +9,11 @@ a cache keyed by *database fingerprint × method × canonical parameters*
 Eviction is LRU against a byte budget sized to the device pool's
 aggregate global memory: each cached GPU engine holds real allocations on
 its private :class:`~repro.gpu.device.VirtualGPU`, so the budget models
-"how many indexes fit resident on the cards".  CPU engines live in host
-memory, which is not the scarce resource here; they are cached with a
-zero device footprint.
+"how many indexes fit resident on the cards".  An entry's bytes, and a
+lane's load, are read from those engines' ledgers, never copied, so a
+result buffer grown by a retry is counted at once.  CPU engines live in
+host memory, which is not the scarce resource here; they are cached
+with a zero device footprint.
 """
 
 from __future__ import annotations
@@ -81,8 +83,6 @@ class CacheEntry:
     gpu: VirtualGPU | None
     #: pool lane the engine is homed on (-1 = host lane).
     lane: int
-    #: device bytes the entry holds resident (0 for CPU engines).
-    nbytes: int
     #: wall seconds the one-time build took (reported, not charged to
     #: response time — the offline phase of §V-B).
     build_wall_s: float
@@ -91,6 +91,12 @@ class CacheEntry:
     #: one a prewarm built and nobody asked for since is dropped, not
     #: rebuilt at every compaction.
     served: int = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Device bytes the entry holds resident: its engine's ledger
+        (0 for CPU engines)."""
+        return 0 if self.gpu is None else self.gpu.memory.allocated_bytes
 
 
 @dataclass
@@ -148,6 +154,11 @@ class EngineCache:
     def resident_bytes(self) -> int:
         return sum(e.nbytes for e in self._entries.values())
 
+    def lane_bytes(self, lane: int) -> int:
+        """Device bytes the entries homed on ``lane`` hold resident."""
+        return sum(e.nbytes for e in self._entries.values()
+                   if e.lane == lane)
+
     def get(self, key: tuple) -> CacheEntry | None:
         """Look up an entry, counting the hit/miss and refreshing LRU
         recency on hit."""
@@ -182,16 +193,15 @@ class EngineCache:
     def invalidate_lane(self, lane: int) -> int:
         """Drop every entry homed on ``lane`` (the lane was quarantined;
         its device-resident indexes are gone).  ``on_evict`` runs for
-        each dropped entry so pool residency stays balanced.  Returns
-        the number of entries dropped."""
+        each dropped entry.  Returns the number of entries dropped."""
         return self.invalidate_where(lambda e: e.lane == lane)
 
     def invalidate_where(self, predicate: Callable[[CacheEntry], bool]
                          ) -> int:
         """Drop every entry matching ``predicate`` (quarantined lane,
         compacted-away base, ...), counting them as invalidations, not
-        LRU evictions.  ``on_evict`` runs for each dropped entry so
-        pool residency stays balanced.  Returns the number dropped."""
+        LRU evictions.  ``on_evict`` runs for each dropped entry.
+        Returns the number dropped."""
         victims = [key for key, e in self._entries.items()
                    if predicate(e)]
         for key in victims:

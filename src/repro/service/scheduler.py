@@ -59,6 +59,7 @@ from __future__ import annotations
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -106,13 +107,12 @@ def _cache_key(db_key, method: str, params: dict):
 
 @dataclass
 class DeviceLane:
-    """One device's modeled timeline, residency, and health."""
+    """One device's modeled timeline and health (its residency is the
+    engine cache's :meth:`~repro.service.cache.EngineCache.lane_bytes`)."""
 
     index: int
     #: modeled time at which the lane next becomes free.
     busy_until: float = 0.0
-    #: device bytes held by engines homed on this lane.
-    resident_bytes: int = 0
     #: quarantine/probation state machine (modeled clock).
     health: LaneHealth = field(default_factory=LaneHealth)
 
@@ -165,21 +165,17 @@ class DevicePool:
         """GPU lanes currently accepting work (healthy or probation)."""
         return [lane for lane in self.lanes if lane.health.usable]
 
-    def home_for(self) -> DeviceLane:
+    def home_for(self, lane_bytes: Callable[[int], int]) -> DeviceLane:
         """Pick the usable lane with the most free memory for a new
-        engine; raises :class:`NoUsableLaneError` when every GPU lane
-        is quarantined (the failover ladder then moves on to CPU)."""
+        engine, ``lane_bytes(index)`` being the device bytes already
+        homed there; raises :class:`NoUsableLaneError` when every GPU
+        lane is quarantined (the failover ladder then moves on to
+        CPU)."""
         usable = self.usable_lanes()
         if not usable:
             raise NoUsableLaneError(
                 f"all {self.num_devices} GPU lanes are quarantined")
-        return min(usable, key=lambda lane: lane.resident_bytes)
-
-    def place(self, lane_index: int, nbytes: int) -> None:
-        self.lane(lane_index).resident_bytes += nbytes
-
-    def release(self, lane_index: int, nbytes: int) -> None:
-        self.lane(lane_index).resident_bytes -= nbytes
+        return min(usable, key=lambda lane: lane_bytes(lane.index))
 
     def busiest_until(self) -> float:
         """Latest modeled busy_until across all lanes (incl. host)."""
@@ -1057,8 +1053,8 @@ class QueryService:
         is_gpu = issubclass(cls, GpuEngineBase)
         # Pick the home lane *before* building so a build failure (real
         # or injected) is attributable to the card it happened on.
-        lane = (self.pool.home_for().index if is_gpu
-                else DevicePool.HOST_LANE)
+        lane = (self.pool.home_for(self.cache.lane_bytes).index
+                if is_gpu else DevicePool.HOST_LANE)
         build0 = time.perf_counter()
         with self.telemetry.span("engine.build", engine=method,
                                  lane=lane) as sp:
@@ -1082,8 +1078,7 @@ class QueryService:
         build_s = time.perf_counter() - build0
 
         entry = CacheEntry(key=key, engine=engine, gpu=gpu, lane=lane,
-                           nbytes=nbytes, build_wall_s=build_s)
-        self.pool.place(lane, nbytes)
+                           build_wall_s=build_s)
         self.cache.put(entry)
         metrics.engine_build_s += build_s
         reg.histogram("repro_engine_build_seconds",
@@ -1333,7 +1328,6 @@ class QueryService:
         )
 
     def _on_evict(self, entry: CacheEntry) -> None:
-        self.pool.release(entry.lane, entry.nbytes)
         self.telemetry.metrics.counter(
             "repro_cache_evictions_total",
             "engine-cache evictions").inc(engine=entry.key[1])

@@ -1,9 +1,8 @@
-"""Tests for the SIMT kernel model, atomics and transfer ledger."""
+"""Tests for the SIMT kernel model, the launcher and transfer ledger."""
 
 import numpy as np
 import pytest
 
-from repro.gpu.atomics import AtomicResultBuffer
 from repro.gpu.device import DeviceSpec, TESLA_C2075, VirtualGPU
 from repro.gpu.kernel import (KernelLauncher, KernelStats, LaunchSpec,
                               warp_work)
@@ -68,7 +67,8 @@ class TestKernelLauncher:
             k.thread_work[:] = 5
             k.add_atomics(3)
 
-        launcher.run(LaunchSpec("k1", num_threads=10), kernel)
+        assert launcher.run(LaunchSpec("k1", num_threads=10),
+                            kernel) is None
         assert gpu.num_kernel_invocations == 1
         s = gpu.kernel_stats[0]
         assert s.name == "k1"
@@ -108,41 +108,6 @@ class TestKernelLauncher:
         assert gpu.num_kernel_invocations == 0
         assert gpu.transfers.num_transfers == 0
         assert "db" in gpu.memory
-
-
-class TestAtomicResultBuffer:
-    def test_append_and_drain(self):
-        buf = AtomicResultBuffer(10)
-        ok = buf.try_append(np.array([1, 2]), np.array([3, 4]),
-                            np.array([0.0, 0.5]), np.array([1.0, 1.5]))
-        assert ok and buf.size == 2 and buf.atomic_ops == 2
-        q, e, lo, hi = buf.drain()
-        assert list(q) == [1, 2] and list(e) == [3, 4]
-        assert buf.size == 0
-
-    def test_all_or_nothing_overflow(self):
-        buf = AtomicResultBuffer(3)
-        assert buf.try_append(np.arange(2), np.arange(2), np.zeros(2),
-                              np.ones(2))
-        assert not buf.try_append(np.arange(2), np.arange(2),
-                                  np.zeros(2), np.ones(2))
-        assert buf.size == 2           # nothing partially written
-        assert buf.overflowed
-        q, *_ = buf.drain()
-        assert q.size == 2
-        assert not buf.overflowed      # drain resets the flag
-
-    def test_empty_append_always_succeeds(self):
-        buf = AtomicResultBuffer(1)
-        assert buf.try_append(np.zeros(0, dtype=int),
-                              np.zeros(0, dtype=int), np.zeros(0),
-                              np.zeros(0))
-
-    def test_item_bytes(self):
-        buf = AtomicResultBuffer(100)
-        assert buf.nbytes == 3200
-        with pytest.raises(ValueError):
-            AtomicResultBuffer(0)
 
 
 class TestTransferLedger:

@@ -3,20 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.gpu.memory import (DeviceArray, DeviceOutOfMemoryError,
-                              MemoryManager)
+from repro.gpu.memory import DeviceOutOfMemoryError, MemoryManager
 
 
 class TestMemoryManager:
     def test_alloc_and_accounting(self):
         mem = MemoryManager(capacity_bytes=10_000)
-        a = mem.alloc("a", 100, dtype=np.float64)
-        assert isinstance(a, DeviceArray)
-        assert a.nbytes == 800
+        mem.alloc("a", 100, dtype=np.float64)
         assert mem.allocated_bytes == 800
         assert mem.free_bytes == 9_200
         assert "a" in mem
-        assert len(mem.alloc("b", 3, dtype=np.float32)) == 3
+        mem.alloc("b", (3, 2), dtype=np.float32)
+        assert mem.allocations() == {"a": 800, "b": 24}
+        with pytest.raises(ValueError):
+            mem.alloc("c", (-1, 2))
 
     def test_oom_raises(self):
         mem = MemoryManager(capacity_bytes=1_000, device_name="test-gpu")

@@ -40,6 +40,21 @@ class TestPolicyValidation:
         assert NO_RETRY.max_attempts == 1
 
 
+class TestResultBufferLedger:
+    def test_capacity_is_the_ledger_entry(self, small_db):
+        """The result buffer is an int capacity: 32 device bytes per
+        item, reserved at build and read back from the ledger."""
+        for make in RETRYABLE_FACTORIES.values():
+            engine = make(small_db, result_buffer_items=100)
+            assert engine.gpu.memory.allocations()["result_buffer"] \
+                == 3200
+            assert engine.result_buffer_items == 100
+            engine.grow_result_buffer(50)       # never shrinks
+            assert engine.result_buffer_items == 100
+            with pytest.raises(ValueError):
+                make(small_db, result_buffer_items=0)
+
+
 class TestWithoutRetry:
     def test_impossible_buffer_is_clear_error(self, factory,
                                               db_queries_truth):
@@ -68,10 +83,10 @@ class TestWithRetry:
         engine = factory(db, result_buffer_items=1)
         res, prof = engine.search(queries, d)
         assert res.equivalent_to(truth)
-        assert engine.result_buffer.capacity_items > 1
-        # The grown device allocation matches the host-side buffer.
+        assert engine.result_buffer_items > 1
+        # The capacity is the grown ledger entry, 32 bytes per item.
         grown = engine.gpu.memory.allocations()["result_buffer"]
-        assert grown == engine.result_buffer.capacity_items * 4 * 8
+        assert grown == engine.result_buffer_items * 4 * 8
 
     def test_generous_growth_needs_few_invocations(self, db_queries_truth,
                                                    monkeypatch):
@@ -101,7 +116,7 @@ class TestWithRetry:
             retry=RetryPolicy(max_attempts=2))
         res, _ = engine.search(queries, d)
         assert res.equivalent_to(truth)
-        assert engine.result_buffer.capacity_items >= worst
+        assert engine.result_buffer_items >= worst
 
     def test_deadline_exhaustion_reraises(self, db_queries_truth,
                                           monkeypatch):

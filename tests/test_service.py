@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.result import ResultSet
+from repro.data import random_dataset
 from repro.engines.config import ConfigError
 from repro.faults import FaultInjector, FaultSpec
 from repro.service import (EngineCache, QueryService, SearchRequest,
@@ -155,9 +156,13 @@ class TestCaching:
                              params={"num_bins": 80}))
         assert svc2.cache.stats.evictions == 1
         assert len(svc2.cache) == 1
-        # The evicted engine's bytes were released from its lane.
-        lane_bytes = sum(l.resident_bytes for l in svc2.pool.lanes)
-        assert lane_bytes == svc2.cache.resident_bytes
+        # The evicted engine's bytes left its lane: the lane holds
+        # exactly the surviving engine's ledger.
+        (survivor,) = svc2.cache.entries()
+        lane_bytes = sum(svc2.cache.lane_bytes(l.index)
+                         for l in svc2.pool.lanes)
+        assert lane_bytes == svc2.cache.resident_bytes \
+            == survivor.gpu.memory.allocated_bytes
         assert svc2.telemetry.events.of_kind("eviction")
         assert one.outcome.results is not None
 
@@ -168,10 +173,32 @@ class TestCaching:
 
     def test_oversized_engine_rejected_by_cache(self):
         cache = EngineCache(budget_bytes=10)
+        from repro.gpu.device import VirtualGPU
         from repro.service.cache import CacheEntry
+        gpu = VirtualGPU()
+        gpu.memory.alloc("db", 100, np.uint8)
+        entry = CacheEntry(key=("k",), engine=None, gpu=gpu, lane=0,
+                           build_wall_s=0.0)
+        assert entry.nbytes == 100      # computed from the ledger
         with pytest.raises(ValueError):
-            cache.put(CacheEntry(key=("k",), engine=None, gpu=None,
-                                 lane=0, nbytes=100, build_wall_s=0.0))
+            cache.put(entry)
+        assert len(cache) == 0 and cache.lane_bytes(0) == 0
+
+    def test_retry_growth_counted_by_entry_lane_and_stats(self):
+        """A retry that grows the result buffer is seen at once by the
+        entry, its lane and the stats: all read the engine's ledger."""
+        db = random_dataset(scale=0.005)
+        svc = QueryService(db, num_devices=1)
+        resp = svc.submit(_request(
+            db.take(np.arange(40)), d=50.0, method="gpu_temporal",
+            params={"result_buffer_items": 4}))
+        assert resp.outcome.profile.attempts == 2
+        (entry,) = svc.cache.entries()
+        ledger = entry.gpu.memory.allocated_bytes
+        assert entry.nbytes == ledger
+        assert svc.stats()["cache_resident_bytes"] == ledger
+        assert svc.cache.lane_bytes(entry.lane) == ledger
+        assert entry.engine.result_buffer_items == 16
 
     def test_fingerprint_tracks_content(self, small_db, small_queries):
         assert (database_fingerprint(small_db)

@@ -416,10 +416,10 @@ def _add_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query-trajectories", type=_POSITIVE_INT, default=4,
                    help="trajectories to sample as queries when no "
                         "--queries file is given")
-    p.add_argument("--num-bins", type=int, default=1000)
-    p.add_argument("--num-subbins", type=int, default=4)
-    p.add_argument("--cells-per-dim", type=int, default=50)
-    p.add_argument("--segments-per-mbb", type=int, default=4)
+    p.add_argument("--num-bins", type=_POSITIVE_INT, default=1000)
+    p.add_argument("--num-subbins", type=_POSITIVE_INT, default=4)
+    p.add_argument("--cells-per-dim", type=_POSITIVE_INT, default=50)
+    p.add_argument("--segments-per-mbb", type=_POSITIVE_INT, default=4)
     p.add_argument("--exclude-same-trajectory", action="store_true")
     p.add_argument("--seed", type=int, default=0)
 
@@ -652,12 +652,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
     database, queries = _load_workload(args)
     # Plan with the sample ``method="auto"`` serves with, so the
     # ranking printed here is the one the service acts on.
-    plans = plan_search(database, queries, args.d,
-                        num_bins=args.num_bins,
-                        num_subbins=args.num_subbins,
-                        cells_per_dim=args.cells_per_dim,
-                        segments_per_mbb=args.segments_per_mbb,
-                        sample=QueryService.PLANNER_SAMPLE)
+    try:
+        plans = plan_search(database, queries, args.d,
+                            num_bins=args.num_bins,
+                            num_subbins=args.num_subbins,
+                            cells_per_dim=args.cells_per_dim,
+                            segments_per_mbb=args.segments_per_mbb,
+                            sample=QueryService.PLANNER_SAMPLE)
+    except ValueError as exc:   # a threshold the planner refuses
+        raise ConfigError(str(exc)) from exc
     print(f"engine ranking for |D|={len(database)}, "
           f"|Q|={len(queries)}, d={args.d}:")
     for rank, p in enumerate(plans, 1):

@@ -10,16 +10,22 @@ returns ranked :class:`PlanEstimate`s.
 
 The work is split by what it depends on.  Everything that depends only
 on the database is a :class:`DatabaseProfile`, built once per base in
-O(|D| log |D|): the global statistics, and the columns the candidate
-rules read, stored in ``t_start`` order — the paper's temporal index
-(§IV-B), under which a temporal candidate set is a contiguous row
-range.  A request then costs, per sampled query, two binary searches
-(GPUTemporal's count), three passes over that row range
-(GPUSpatioTemporal's sub-bin counts), one pass over the R-tree's
-temporal window and one full-length pass (GPUSpatial has no temporal
-bound) — far cheaper than building an index or running a search.
-``plan_search`` takes either a database, and profiles it on the spot,
-or a profile a caller kept (``QueryService`` keeps one per base).
+O(|D| log |D|), 100 bytes per row: the global statistics, the rows'
+4-D bounding boxes in ``t_start`` order — the paper's temporal index
+(§IV-B), under which a temporal candidate set is a contiguous row range
+— and an ``x_lo`` order with a float32 copy of what GPUSpatial's count
+reads first, under which a spatial candidate set is one too.  A request
+reads windows of those two orders, never a full pass, with a handful of
+array operations for all sampled queries together: GPUTemporal's count
+is two binary searches per query; GPUSpatioTemporal's and CPU-RTree's
+read each query's own ``t_start`` window once (the former counts the
+rows of one (dimension, subbin) there, as the paper's per-subbin id
+arrays would); GPUSpatial's reads the union of the queries' ``x_lo``
+windows in one pass, as Lettich et al. (arXiv:1411.3212) answer a batch
+of range queries in one pass, and tests each query against the rows
+inside the union of their boxes alone.  ``plan_search`` takes either a
+database, and profiles it on the spot, or a profile a caller kept
+(``QueryService`` keeps one per base).
 
 Sampling instead of closed-form density formulas matters: the Merger
 dataset is heavily clustered, and any uniform-density estimate is off by
@@ -32,7 +38,10 @@ against the one-pass-per-rule formulation kept in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -67,8 +76,11 @@ class PlanEstimate:
     params: dict
     est_candidates_per_query: float
     est_seconds: float
-    #: database rows the planner's masks passed over to count this
-    #: engine's candidates (what the estimate itself cost; exact).
+    #: database rows the planner's masks read to count this engine's
+    #: candidates (what the estimate itself cost; exact): a row once per
+    #: window or pass that reads it, however many sampled queries that
+    #: pass tests it against.  A binary search or offset lookup reads
+    #: none.
     rows_scanned: int = 0
 
     def __repr__(self) -> str:  # compact, for ranked listings
@@ -84,6 +96,43 @@ def _extents(segments: SegmentArray) -> np.ndarray:
                      np.abs(segments.ze - segments.zs)], axis=1)
 
 
+def _ends(segments: SegmentArray) -> list[np.ndarray]:
+    """Start and end of each dimension in turn: t, x, y, z."""
+    return [segments.ts, segments.te, segments.xs, segments.xe,
+            segments.ys, segments.ye, segments.zs, segments.ze]
+
+
+def _edges(segments: SegmentArray, rows: np.ndarray) -> np.ndarray:
+    """``(8, len(rows))`` bounding-box edges of ``segments[rows]``.
+
+    For t, x, y, z in turn: the lower edge, then the *negated* upper
+    edge.  A box meets the window ``[w_lo, w_hi]`` exactly when every
+    edge is ``<=`` the matching entry of the window's *bounds* — ``w_hi``,
+    then ``-w_lo`` — so one comparison tests every side of every
+    dimension (negation is exact).
+    """
+    ends = _ends(segments)
+    edges = np.empty((8, len(rows)))
+    for dim in range(4):
+        s, e = ends[2 * dim][rows], ends[2 * dim + 1][rows]
+        lo, neg_hi = edges[2 * dim], edges[2 * dim + 1]
+        np.minimum(s, e, out=lo)
+        np.maximum(s, e, out=neg_hi)
+        np.negative(neg_hi, out=neg_hi)
+    return edges
+
+
+def _float32(values: np.ndarray) -> np.ndarray:
+    """``values`` rounded to float32 (past its range, to an infinity).
+
+    Rounding is monotone, ``a <= b`` implies ``float32(a) <=
+    float32(b)``, so a ``<=`` test between rounded edges and rounded
+    bounds keeps every row the exact test keeps, and a few more.
+    """
+    with np.errstate(over="ignore"):
+        return values.astype(np.float32)
+
+
 def _frozen(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
@@ -97,7 +146,7 @@ class DatabaseProfile:
     long as the database it was built over is: a service keeps one per
     base and drops it when a compaction installs the next.  The row
     columns are in ``argsort(ts, kind="stable")`` order; counts do not
-    depend on row order, so only the slicing does.
+    depend on row order, so only the windows do.
     """
 
     num_entries: int
@@ -111,13 +160,23 @@ class DatabaseProfile:
     #: longest entry: how far past a bin's nominal edge a segment
     #: filed under it can reach.
     max_spill: float
-    ts: np.ndarray
-    te: np.ndarray
+    #: ``(8, n)`` bounding-box edges (:func:`_edges`); row 0 is ``ts``,
+    #: ascending.
+    edges: np.ndarray
     #: running maximum of ``te``: rows before the first position where
     #: it reaches ``x`` all end before ``x``.
     te_running_max: np.ndarray
-    d_lo: tuple[np.ndarray, np.ndarray, np.ndarray]
-    d_hi: tuple[np.ndarray, np.ndarray, np.ndarray]
+    #: rows in ``x_lo`` order (int32), and a float32 copy in that order
+    #: (``_float32``: it can only let extra rows through) of what
+    #: GPUSpatial's count reads first: the sort key ``x_lo``, the
+    #: running maximum of ``x_hi`` (rows outside
+    #: ``[searchsorted(x_hi_running_max, lo), searchsorted(x_lo, hi,
+    #: "right"))`` cannot meet the x window ``[lo, hi]``) and the ``(4,
+    #: n)`` y and z edges.
+    x_order: np.ndarray
+    x_lo: np.ndarray
+    x_hi_running_max: np.ndarray
+    x_yz: np.ndarray
 
     @classmethod
     def build(cls, database: SegmentArray) -> "DatabaseProfile":
@@ -125,30 +184,35 @@ class DatabaseProfile:
         side = np.maximum(maxs - mins, 1e-30)
         t_lo, t_hi = database.temporal_extent
         e_ext_s = _extents(database)
+        mean_s, max_s = e_ext_s.mean(axis=0), e_ext_s.max(axis=0)
         duration = database.te - database.ts
-        order = np.argsort(database.ts, kind="stable")
-
-        def column(values: np.ndarray) -> np.ndarray:
-            return _frozen(values[order])
-
-        te = column(database.te)
-        pairs = ((database.xs, database.xe), (database.ys, database.ye),
-                 (database.zs, database.ze))
+        mean_t, max_spill = float(np.mean(duration)), float(duration.max())
+        # The service builds a profile while it serves: drop the (n, 3)
+        # extents first and fill the rest row by row, so no full-size
+        # temporary lives beside the profile.
+        del e_ext_s, duration
+        edges = _edges(database, np.argsort(database.ts, kind="stable"))
+        x_order = np.argsort(edges[2]).astype(np.int32)
+        x_yz = np.empty((4, len(database)), np.float32)
+        for row, edge in zip(x_yz, edges[4:]):
+            row[:] = _float32(edge[x_order])
         return cls(
             num_entries=len(database),
             mins=_frozen(mins),
             side=_frozen(side),
             volume=float(np.prod(side)),
             total_time=max(t_hi - t_lo, 1e-30),
-            mean_entry_extent_t=float(np.mean(duration)),
-            mean_entry_extent_s=_frozen(e_ext_s.mean(axis=0)),
-            max_entry_extent_s=_frozen(e_ext_s.max(axis=0)),
-            max_spill=float(duration.max()),
-            ts=column(database.ts),
-            te=te,
-            te_running_max=_frozen(np.maximum.accumulate(te)),
-            d_lo=tuple(column(np.minimum(s, e)) for s, e in pairs),
-            d_hi=tuple(column(np.maximum(s, e)) for s, e in pairs),
+            mean_entry_extent_t=mean_t,
+            mean_entry_extent_s=_frozen(mean_s),
+            max_entry_extent_s=_frozen(max_s),
+            max_spill=max_spill,
+            edges=_frozen(edges),
+            te_running_max=_frozen(np.maximum.accumulate(-edges[1])),
+            x_order=_frozen(x_order),
+            x_lo=_frozen(_float32(edges[2][x_order])),
+            x_hi_running_max=_frozen(np.maximum.accumulate(
+                _float32(-edges[3][x_order]))),
+            x_yz=_frozen(x_yz),
         )
 
     def __len__(self) -> int:
@@ -164,16 +228,31 @@ class DatabaseProfile:
             mean_entry_extent_t=self.mean_entry_extent_t,
             mean_entry_extent_s=self.mean_entry_extent_s,
             max_entry_extent_s=self.max_entry_extent_s,
-            mean_query_extent_t=float(np.mean(queries.te - queries.ts)),
-            mean_query_extent_s=_extents(queries).mean(axis=0),
+            # ``np.mean``'s sums and division, without its per-call
+            # dispatch: over the ``(n, 3)`` extents its axis-0 sum adds
+            # row after row, as a running sum along each row does.
+            mean_query_extent_t=float(np.add.reduce(
+                queries.te - queries.ts)) / len(queries),
+            mean_query_extent_s=np.abs(
+                np.array([queries.xe, queries.ye, queries.ze])
+                - np.array([queries.xs, queries.ys, queries.zs])
+            ).cumsum(axis=1)[:, -1] / len(queries),
             side=self.side,
         )
+
+
+@lru_cache(maxsize=64)
+def _sample_rows(num_queries: int, sample: int) -> np.ndarray:
+    """The query rows a plan samples: ``default_rng(0)``'s draw of
+    ``min(sample, num_queries)`` distinct rows, one per request shape."""
+    return _frozen(np.random.default_rng(0).choice(
+        num_queries, size=min(sample, num_queries), replace=False))
 
 
 @dataclass(frozen=True)
 class _SampledSelectivity:
     """Mean per-query candidate counts measured on a query sample, and
-    the database rows each count passed over."""
+    the database rows each count read."""
 
     temporal: float
     spatiotemporal: float
@@ -184,116 +263,140 @@ class _SampledSelectivity:
     rows_rtree: int
 
 
-def _box_hits(profile: DatabaseProfile, rows: slice, lo3, hi3,
-              d: float, pad) -> np.ndarray:
-    """Mask over ``rows`` of the entries whose bounding box meets the
-    query's box grown by ``d`` and then ``pad[dim]`` on every side."""
-    hits = True
-    for dim in range(3):
-        w_lo = lo3[dim] - d - pad[dim]
-        w_hi = hi3[dim] + d + pad[dim]
-        hits = hits & ((profile.d_lo[dim][rows] <= w_hi)
-                       & (profile.d_hi[dim][rows] >= w_lo))
-    return hits
+#: about how many bytes of temporaries a count's array operations
+#: take at once: a request's memory stays bounded however wide its
+#: windows are, and each block of rows stays in cache.
+_BLOCK_BYTES = 1 << 20
+
+
+def _window_blocks(starts: np.ndarray, stops: np.ndarray):
+    """The rows of the windows ``[starts[i], stops[i])`` (``stops >=
+    starts``) back to back, a block at a time: ``(rows, owner)``,
+    ``owner`` the window each row belongs to."""
+    lens = stops - starts
+    ends = lens.cumsum()
+    offset = starts + lens - ends
+    step = _BLOCK_BYTES // 128     # 8 edges and 8 bounds, float64
+    for first in range(0, int(ends[-1]), step):
+        at = np.arange(first, min(first + step, ends[-1]))
+        owner = ends.searchsorted(at, "right")
+        yield at + offset[owner], owner
 
 
 def _sample_counts(profile: DatabaseProfile, queries: SegmentArray,
                    d: float, *, num_bins: int, num_subbins: int,
                    cells_per_dim: int, segments_per_mbb: int,
-                   sample: int, rng: np.random.Generator
-                   ) -> _SampledSelectivity:
+                   sample: int) -> _SampledSelectivity:
     """Count each engine's candidates exactly for sampled queries.
 
-    Mirrors each index's candidate rule without building the index.
-    The scalars are Python floats (same IEEE doubles, same operation
-    order as the array formulation, a fraction of the per-call cost),
-    and the four window edges of every sampled query are located in
-    four vectorized binary searches up front.
+    Mirrors each index's candidate rule without building the index,
+    every sampled query at once (query arrays are ``(..., k)``).
+    Integer counts sum exactly in any order; GPUSpatial's weighted
+    counts are added in ``take`` order, as the one-query-at-a-time
+    formulation did.
     """
-    take = rng.choice(len(queries), size=min(sample, len(queries)),
-                      replace=False)
-    d = float(d)
-    mins = profile.mins.tolist()
+    take = _sample_rows(len(queries), sample)
+    k = take.shape[0]
+    edges = profile.edges
+    ts = edges[0]
+    # Per-request constants, as Python floats (the same IEEE doubles
+    # and operations as the one-query-at-a-time formulation).
     bin_width = profile.total_time / num_bins
-    sub_w = (profile.side / num_subbins).tolist()
-    cell_w = profile.side / cells_per_dim
-    cell = cell_w.tolist()
+    sub_w = [side / num_subbins for side in profile.side.tolist()]
+    cell_w = [side / cells_per_dim for side in profile.side.tolist()]
+    extent = [profile.mean_entry_extent_t,
+              *profile.mean_entry_extent_s.tolist()]
     # Expected dead space on a random query/leaf alignment is half the
     # leaf's union extent on each side.
-    leaf_s = (profile.mean_entry_extent_s * segments_per_mbb
-              / 2.0).tolist()
-    leaf_t = profile.mean_entry_extent_t * segments_per_mbb / 2.0
+    leaf = [e * segments_per_mbb / 2.0 for e in extent]
     # Rasterization duplication: ids appear once per overlapped cell
     # the query probes.
-    dup = float(np.prod(1.0 + profile.mean_entry_extent_s / cell_w))
+    dup = 1.0
+    for e, c in zip(extent[1:], cell_w):
+        dup *= 1.0 + e / c
     dup_factor = min(dup, 8.0) ** 0.5
+    # The sampled queries' boxes grown by ``d`` in space, as bounds
+    # (``_edges``): per dimension ``hi + d``, then ``-(lo - d)``.
+    hi_neg_lo = np.array([[1.0], [-1.0]])    # (hi, lo) -> (hi, -lo)
+    ends = np.sort(np.array(_ends(queries)).take(take, axis=1)
+                   .reshape(4, 2, k), axis=1)
+    reach = (ends[:, ::-1] * hi_neg_lo
+             + np.array([0.0, d, d, d])[:, None, None]).reshape(8, k)
 
-    ends = [(s[take], e[take]) for s, e in (
-        (queries.xs, queries.xe), (queries.ys, queries.ye),
-        (queries.zs, queries.ze))]
-    q_lo3 = zip(*(np.minimum(s, e).tolist() for s, e in ends))
-    q_hi3 = zip(*(np.maximum(s, e).tolist() for s, e in ends))
-    qts, qte = queries.ts[take], queries.te[take]
-    ts, te = profile.ts, profile.te
     # GPUTemporal: bin-granular window with spill (segments extend past
     # their bin's nominal edge by up to their own extent).  Sorted by
     # t_start, the window is a row range.
-    t_first = np.searchsorted(
-        ts, qts - bin_width - profile.max_spill, "left").tolist()
-    t_last = np.searchsorted(ts, qte + bin_width, "right").tolist()
-    # CPU-RTree: leaf dead space in time.  ``ts <= hi`` is a row range;
-    # ``te >= lo`` is narrowed by the running maximum and then masked.
-    rt_lo = (qts - leaf_t).tolist()
-    rt_first = np.searchsorted(profile.te_running_max, rt_lo,
-                               "left").tolist()
-    rt_last = np.searchsorted(ts, qte + leaf_t, "right").tolist()
+    t_lo = -reach[1] - bin_width - profile.max_spill
+    t_hi = reach[0] + bin_width
+    i0 = ts.searchsorted(t_lo, "left")
+    i1 = ts.searchsorted(t_hi, "right")
+    n_t = i1 - i0
 
-    c_t = c_st = c_sp = c_rt = 0.0
-    rows_st = rows_rt = 0
-    for lo3, hi3, i0, i1, j0, j1, te_lo in zip(
-            q_lo3, q_hi3, t_first, t_last, rt_first, rt_last, rt_lo):
-        n_t = i1 - i0
-        c_t += n_t
+    # GPUSpatioTemporal: best single-subbin dimension among the
+    # temporal candidates; default to temporal when every dimension
+    # straddles a subbin boundary.  A query with such a dimension reads
+    # its window once, counting for each dimension the rows of its
+    # subbin there: what the paper's per-subbin id arrays hold.
+    width = np.array(sub_w)[:, None]
+    box = reach[2:].reshape(3, 2, k) * hi_neg_lo
+    j = np.minimum(np.maximum((box - profile.mins[:, None, None])
+                              // width[:, None], 0), num_subbins - 1)
+    single = j[:, 0] == j[:, 1]
+    sb_lo = profile.mins[:, None] + j[:, 1] * width
+    subbin = np.empty((3, 2, k))
+    np.add(sb_lo, width, out=subbin[:, 0])
+    np.negative(sb_lo, out=subbin[:, 1])
+    stops = np.where(single.any(axis=0), i1, i0)
+    in_subbin = np.zeros(3 * k, np.intp)
+    for rows, owner in _window_blocks(i0, stops):
+        inside = edges[2:].take(rows, axis=1) \
+            <= subbin.reshape(6, k).take(owner, axis=1)
+        dim, hit = np.nonzero(inside[0::2] & inside[1::2])
+        in_subbin += np.bincount(dim * k + owner[hit], minlength=3 * k)
+    n_st = np.where(single, in_subbin.reshape(3, k), n_t).min(axis=0)
+    rows_st = int((stops - i0).sum())
 
-        # GPUSpatioTemporal: best single-subbin dimension among the
-        # temporal candidates; default to temporal when every dimension
-        # straddles a subbin boundary.
-        best = None
-        for dim in range(3):
-            w_lo = lo3[dim] - d
-            w_hi = hi3[dim] + d
-            j_lo = int(min(max((w_lo - mins[dim]) // sub_w[dim], 0),
-                           num_subbins - 1))
-            j_hi = int(min(max((w_hi - mins[dim]) // sub_w[dim], 0),
-                           num_subbins - 1))
-            if j_lo != j_hi:
-                continue
-            sb_lo = mins[dim] + j_lo * sub_w[dim]
-            sb_hi = sb_lo + sub_w[dim]
-            cnt = int(np.count_nonzero(
-                (profile.d_lo[dim][i0:i1] <= sb_hi)
-                & (profile.d_hi[dim][i0:i1] >= sb_lo)))
-            rows_st += n_t
-            best = cnt if best is None else min(best, cnt)
-        c_st += n_t if best is None else best
+    # GPUSpatial: cell-granular spatial overlap, all times.  In x_lo
+    # order, the rows whose box can meet one of the sampled x windows
+    # form one range.  One pass over it, in the float32 copy against
+    # the union of the boxes, keeps the rows near any query (x rarely
+    # rejects a row inside the range, so it is skipped); each query is
+    # tested against those alone.
+    sp = reach[2:] + np.array(cell_w).repeat(2)[:, None]
+    union = _float32(sp.max(axis=1))
+    x = slice(profile.x_hi_running_max.searchsorted(-union[1], "left"),
+              profile.x_lo.searchsorted(union[0], "right"))
+    window = profile.x_order[x]
+    near = window[(profile.x_yz[:, x] <= union[2:, None]).all(axis=0)]
+    n_sp = np.zeros(k, np.intp)
+    step = max(_BLOCK_BYTES // (8 * k), 1)   # (6, k, step) booleans
+    for first in range(0, near.size, step):
+        rows = near[first:first + step]
+        n_sp += (edges[2:].take(rows, axis=1)[:, None]
+                 <= sp[:, :, None]).all(axis=0).sum(axis=1)
+    rows_sp = window.size + near.size
+    c_sp = 0.0
+    for count in n_sp.tolist():
+        c_sp += count * dup_factor
 
-        # GPUSpatial: cell-granular spatial overlap, all times.
-        c_sp += np.count_nonzero(_box_hits(
-            profile, slice(None), lo3, hi3, d, cell)) * dup_factor
+    # CPU-RTree: 4-D leaf overlap (leaf dead space in both space and
+    # time), all r segments of each overlapping leaf.  ``ts <= hi`` is
+    # a row range; ``te >= lo`` is narrowed by the running maximum.
+    # Each query reads its own window once.
+    rt = reach + np.array(leaf).repeat(2)[:, None]
+    starts = profile.te_running_max.searchsorted(-rt[1])
+    stops = ts.searchsorted(rt[0], "right")
+    n_rt = np.zeros(k, np.intp)
+    for rows, owner in _window_blocks(starts, stops):
+        hits = (edges.take(rows, axis=1)
+                <= rt.take(owner, axis=1)).all(axis=0)
+        n_rt += np.bincount(owner[hits], minlength=k)
+    rows_rt = int((stops - starts).sum())
 
-        # CPU-RTree: 4-D leaf overlap (leaf dead space in both space
-        # and time), all r segments of each overlapping leaf.
-        window = slice(j0, j1)
-        c_rt += int(np.count_nonzero(
-            (te[window] >= te_lo)
-            & _box_hits(profile, window, lo3, hi3, d, leaf_s)))
-        rows_rt += j1 - j0
-
-    k = float(take.shape[0])
     return _SampledSelectivity(
-        temporal=c_t / k, spatiotemporal=c_st / k, spatial=c_sp / k,
-        rtree=c_rt / k, rows_spatiotemporal=rows_st,
-        rows_spatial=profile.num_entries * len(take),
+        temporal=int(n_t.sum()) / k, spatiotemporal=int(n_st.sum()) / k,
+        spatial=c_sp / k, rtree=int(n_rt.sum()) / k,
+        rows_spatiotemporal=rows_st, rows_spatial=rows_sp,
         rows_rtree=rows_rt)
 
 
@@ -336,29 +439,43 @@ def plan_search(
     cells_per_dim: int = 50,
     segments_per_mbb: int = 4,
     sample: int = 48,
-    rng: np.random.Generator | None = None,
 ) -> list[PlanEstimate]:
     """Rank the engines for this workload, fastest predicted first.
 
     ``database`` may be the :class:`DatabaseProfile` of a database the
-    caller plans over repeatedly; the estimates are the same.
+    caller plans over repeatedly; the estimates are the same.  A
+    threshold that is negative or not finite, or a hint or ``sample``
+    that is not a positive int, is refused with a ``ValueError`` naming
+    it.
     """
+    if not (math.isfinite(d) and d >= 0):
+        raise ValueError(f"planner: d must be finite and >= 0, got {d!r}")
+    for name, value in (("num_bins", num_bins),
+                        ("num_subbins", num_subbins),
+                        ("cells_per_dim", cells_per_dim),
+                        ("segments_per_mbb", segments_per_mbb),
+                        ("sample", sample)):
+        if (isinstance(value, bool)
+                or not isinstance(value, (int, Integral)) or value < 1):
+            raise ValueError(f"planner: {name} must be a positive int, "
+                             f"got {value!r}")
     if len(database) == 0 or len(queries) == 0:
         raise ValueError("planner needs a non-empty database and "
                          "query set")
     profile = (database if isinstance(database, DatabaseProfile)
                else DatabaseProfile.build(database))
-    rng = rng or np.random.default_rng(0)
     stats = profile.stats(queries)
-    sel = _sample_counts(profile, queries, d, num_bins=num_bins,
+    sel = _sample_counts(profile, queries, float(d), num_bins=num_bins,
                          num_subbins=num_subbins,
                          cells_per_dim=cells_per_dim,
                          segments_per_mbb=segments_per_mbb,
-                         sample=sample, rng=rng)
+                         sample=sample)
 
-    probes = float(np.prod(np.ceil(
-        (stats.mean_query_extent_s + 2.0 * d)
-        / (stats.side / cells_per_dim)) + 1.0))
+    probes = 1.0
+    for extent, side in zip(stats.mean_query_extent_s.tolist(),
+                            stats.side.tolist()):
+        probes *= float(np.ceil((extent + 2.0 * d)
+                                / (side / cells_per_dim))) + 1.0
     # Node *expansions* per query: one per tree level on the main
     # descent path plus one per touched leaf node.
     leaves = max(stats.num_entries / segments_per_mbb, 1.0)

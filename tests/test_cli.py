@@ -131,14 +131,12 @@ class TestUsageErrors:
     traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ["search", "--d", "1.0", "--method", "gpu_temporal",
-         "--num-bins", "0"],
         ["search", "--d", "1.0", "--query-trajectories", "11"],
         ["knn", "--k", "2", "--query-trajectories", "11"],
         ["plan", "--d", "1.0", "--query-trajectories", "11"],
         ["batch", "--d", "1.0", "--query-trajectories", "11"],
-    ], ids=["search-num-bins", "search-queries", "knn-queries",
-            "plan-queries", "batch-queries"])
+    ], ids=["search-queries", "knn-queries", "plan-queries",
+            "batch-queries"])
     def test_refused_with_exit_2(self, db_path, argv, capsys):
         command, *flags = argv
         assert main([command, db_path, *flags]) == 2
@@ -159,6 +157,8 @@ class TestUsageErrors:
         ["search", "--d", "-1"],
         ["batch", "--d", "1.0", "--query-trajectories", "0"],
         ["knn", "--k", "0"],
+        ["search", "--d", "1.0", "--method", "gpu_temporal",
+         "--num-bins", "0"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
     def test_bad_numeric_flag_is_a_usage_error(self, db_path, argv,
                                                capsys):

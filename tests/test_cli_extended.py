@@ -28,6 +28,28 @@ class TestPlan:
             assert eng in out
 
 
+    @pytest.mark.parametrize("d", ["inf", "1e400"])
+    def test_threshold_the_planner_refuses_is_exit_2(self, db_path, d,
+                                                     capsys):
+        assert main(["plan", db_path, "--d", d]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro plan: error: planner: d must be "
+                              "finite")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--num-bins", "-3"), ("--num-subbins", "0"),
+        ("--cells-per-dim", "0"), ("--segments-per-mbb", "-1")])
+    def test_bad_hint_is_a_usage_error(self, db_path, flag, value,
+                                       capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", db_path, "--d", "0.05", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err
+        assert "Traceback" not in err
+
+
 class TestStats:
     def test_stats_reports_all_indexes(self, db_path, capsys):
         assert main(["stats", db_path, "--num-bins", "50",

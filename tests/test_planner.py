@@ -97,3 +97,32 @@ class TestPlanSearch:
         plans = plan_search(small_db, small_queries, 0.5, num_bins=40)
         order = [p.engine for p in plans]
         assert order.index("cpu_rtree") < order.index("gpu_temporal")
+
+
+class TestRefusals:
+    """Each bad argument is refused by name, before any work."""
+
+    @pytest.mark.parametrize("d", [float("inf"), -float("inf"),
+                                   float("nan"), -1e9, -0.5])
+    def test_threshold(self, small_db, small_queries, d):
+        with pytest.raises(ValueError,
+                           match=r"planner: d must be finite and >= 0"):
+            plan_search(small_db, small_queries, d)
+
+    @pytest.mark.parametrize("value", [-3, 0, 2.5, True, "4", None])
+    @pytest.mark.parametrize("name", ["num_bins", "num_subbins",
+                                      "cells_per_dim", "segments_per_mbb",
+                                      "sample"])
+    def test_hint(self, small_db, small_queries, name, value):
+        with pytest.raises(ValueError,
+                           match=f"planner: {name} must be a positive int"):
+            plan_search(small_db, small_queries, 1.0, **{name: value})
+
+    def test_numpy_integers_are_ints(self, small_db, small_queries):
+        plain = plan_search(small_db, small_queries, 1.0, num_bins=40,
+                            sample=8)
+        numpy = plan_search(small_db, small_queries, np.float64(1.0),
+                            num_bins=np.int64(40), sample=np.int32(8))
+        assert [(p.engine, p.est_seconds) for p in numpy] == \
+            [(p.engine, p.est_seconds) for p in plain]
+

@@ -2,9 +2,9 @@
 every call — and a service profiles each base once.
 
 ``repro.core.planner`` splits a plan into the half that depends only on
-the database (``DatabaseProfile``: statistics plus ``t_start``-sorted
-columns) and the half that depends on the request (binary searches and
-slice passes).  Engine choice hangs on ``est_seconds``, ties included,
+the database (``DatabaseProfile``: statistics, the boxes in ``t_start``
+order and a float32 copy in ``x_lo`` order) and the half that depends on
+the request (binary searches and passes over windows).  Engine choice hangs on ``est_seconds``, ties included,
 so "the same planner" has to mean the same floats.  The referee is
 ``tests/oracles/planner_reference.py`` — the one-pass-per-rule planner
 the repository shipped through commit 55f3923, kept verbatim.
@@ -121,6 +121,40 @@ class TestIdentity:
                 assert {p.engine: p.est_candidates_per_query
                         for p in plans}["gpu_temporal"] == 0
 
+    @pytest.mark.parametrize("scale,offset", [
+        (1.0, 1e6), (1.0, -3e7), (1e-7, 0.0), (1e-7, 1.0), (1e30, 1e39),
+        (1.0, -1e39)])
+    def test_coordinates_float32_cannot_hold(self, small_db,
+                                             small_queries, scale,
+                                             offset):
+        """GPUSpatial's window is narrowed in a float32 copy of the
+        edges; rounding there may only let extra rows through."""
+        def moved(seg):
+            space = [c * scale + offset for c in (seg.xs, seg.ys, seg.zs,
+                                                  seg.xe, seg.ye, seg.ze)]
+            return SegmentArray(*space[:3], seg.ts, *space[3:], seg.te,
+                                seg.traj_ids)
+
+        database, queries = moved(small_db), moved(small_queries)
+        for d in (0.0, 0.3 * scale, 2.5 * scale):
+            assert_identical(database, queries, d, cells_per_dim=200)
+
+    def test_boxes_that_touch_exactly(self):
+        """Integer coordinates, d = 0 and whole-unit cells and leaves:
+        many boxes meet a window only at its edge, where rounding to
+        float32 must keep them."""
+        rng = np.random.default_rng(11)
+
+        def grid(count, traj_id):
+            pts = rng.integers(0, 11, size=(count, 8)).astype(float)
+            pts[:, 7] = pts[:, 3] + rng.integers(0, 3, size=count)
+            return segments(pts, traj_id)
+
+        database, queries = grid(300, 0), grid(12, 1)
+        for d in (0.0, 1.0):
+            assert_identical(database, queries, d, cells_per_dim=10,
+                             num_subbins=5, num_bins=10)
+
     def test_zero_length_segments(self, small_queries):
         """Stationary points, instantaneous segments, and ties in
         ``t_start`` (the sort is stable, the counts order-free)."""
@@ -166,13 +200,87 @@ class TestIdentity:
 
     def test_profile_is_frozen(self, small_db):
         profile = DatabaseProfile.build(small_db)
-        arrays = [profile.mins, profile.side, profile.ts, profile.te,
+        arrays = [profile.mins, profile.side, profile.edges,
                   profile.te_running_max, profile.mean_entry_extent_s,
-                  profile.max_entry_extent_s, *profile.d_lo,
-                  *profile.d_hi]
+                  profile.max_entry_extent_s, profile.x_order,
+                  profile.x_lo, profile.x_hi_running_max, profile.x_yz]
         assert not any(a.flags.writeable for a in arrays)
-        assert np.all(np.diff(profile.ts) >= 0)
+        assert np.all(np.diff(profile.edges[0]) >= 0)
+        assert np.all(np.diff(profile.x_lo) >= 0)
+        # The x-ordered copy is the float32 rounding of the edges.
+        in_x_order = profile.edges[:, profile.x_order]
+        assert np.array_equal(profile.x_lo, np.float32(in_x_order[2]))
+        assert np.array_equal(
+            profile.x_hi_running_max,
+            np.maximum.accumulate(np.float32(-in_x_order[3])))
+        assert np.array_equal(profile.x_yz, np.float32(in_x_order[4:]))
         assert len(profile) == len(small_db)
+
+
+def _rows_read_by_full_passes(database, queries, d, *, sample,
+                              num_bins=1000, num_subbins=4,
+                              cells_per_dim=50, segments_per_mbb=4):
+    """What one request read when GPUSpatial's count was a full pass:
+    |D| per sampled query, plus its ``t_start`` window once per
+    single-subbin dimension and its R-tree time window."""
+    take = np.random.default_rng(0).choice(
+        len(queries), size=min(sample, len(queries)), replace=False)
+    by_time = np.argsort(database.ts, kind="stable")
+    ts = database.ts[by_time]
+    te_max = np.maximum.accumulate(database.te[by_time])
+    mins, maxs = database.spatial_bounds()
+    sub_w = np.maximum(maxs - mins, 1e-30) / num_subbins
+    t_lo, t_hi = database.temporal_extent
+    bin_width = max(t_hi - t_lo, 1e-30) / num_bins
+    durations = database.te - database.ts
+    leaf_t = float(np.mean(durations)) * segments_per_mbb / 2.0
+    rows = len(take) * len(database)
+    for q in take:
+        lo = np.minimum(queries.starts[q], queries.ends[q]) - d
+        hi = np.maximum(queries.starts[q], queries.ends[q]) + d
+        j_lo, j_hi = (np.clip((x - mins) // sub_w, 0, num_subbins - 1)
+                      for x in (lo, hi))
+        window = (np.searchsorted(ts, queries.te[q] + bin_width, "right")
+                  - np.searchsorted(ts, queries.ts[q] - bin_width
+                                    - durations.max(), "left"))
+        rows += window * int(np.count_nonzero(j_lo == j_hi))
+        rows += (np.searchsorted(ts, queries.te[q] + leaf_t, "right")
+                 - np.searchsorted(te_max, queries.ts[q] - leaf_t))
+    return rows
+
+
+class TestRowsScanned:
+    """Windows replaced the full pass each sampled query made over the
+    database.  Spread out in time, the sampled queries' windows cover
+    most of it, but a request never reads more than the passes it
+    replaced did."""
+
+    @staticmethod
+    def _spread(database, count=40):
+        """``count`` database segments evenly spaced over its time
+        span: every sampled window lies somewhere else."""
+        by_time = np.argsort(database.ts, kind="stable")
+        return database.take(by_time[np.linspace(
+            0, len(database) - 1, count).astype(int)])
+
+    @pytest.mark.parametrize("scenario_fn", [
+        scenario_s1_random, scenario_s2_merger,
+        scenario_s3_random_dense])
+    def test_never_more_than_the_full_passes(self, scenario_fn):
+        runner = ExperimentRunner(scenario_fn(0.005))
+        database = runner.database
+        profile = DatabaseProfile.build(database)
+        spread = self._spread(database)
+        assert np.ptp(spread.ts) > 0.9 * np.ptp(database.ts)
+        for queries in (runner.queries.take(np.arange(40)), spread):
+            for d, hints, sample in itertools.product(DS, HINTS, SAMPLES):
+                plans = plan_search(profile, queries, d, sample=sample,
+                                    **hints)
+                assert {p.engine: p.rows_scanned
+                        for p in plans}["gpu_temporal"] == 0
+                assert sum(p.rows_scanned for p in plans) <= \
+                    _rows_read_by_full_passes(database, queries, d,
+                                              sample=sample, **hints)
 
 
 def _fresh(seed, traj_id):

@@ -83,11 +83,13 @@ class TestRequestValidation:
         assert service.stats()["degradations"] == 0
 
     def test_planner_failure_still_degrades(self, service, small_queries):
-        """Not a caller error: the planner cannot window d = inf."""
+        """Not a caller error: ``SearchRequest`` takes d = inf, the
+        planner refuses it by name, and the service degrades."""
         resp = service.submit(_request(small_queries, d=float("inf"),
                                        method="auto"))
         assert resp.ok and resp.metrics.degraded
         assert resp.metrics.engine == QueryService.FALLBACK_METHOD
+        assert "d must be finite" in resp.metrics.degradation_reason
 
 
 class TestCorrectness:

@@ -1,35 +1,36 @@
-"""Traffic census: which public functions does the program's own traffic
-call?
+"""Traffic census: does the program's own traffic call every public
+function?
 
 Runs, in this one process under ``sys.settrace`` (and
-``threading.settrace`` for the threads it starts):
+``threading.settrace`` for the threads it starts), what CI runs:
 
-1. the five campaigns (``python -m repro campaign <name> --seed 0``);
-2. every CLI subcommand once, on a ``generate random --scale 0.005``
-   database in a temporary directory;
-3. one request per gateway route (``GET /metrics``, ``GET /stats``,
-   ``POST /v1/search``, ``/v1/ingest``, ``/v1/delete``) against an
-   in-process :class:`~repro.gateway.http.GatewayHTTPServer`;
-4. ``pytest benchmarks -q --benchmark-disable`` — pytest-benchmark
-   pauses any tracer while it times a target, so benchmark-only code
-   is traced only when the benchmarks run once, untimed;
+1. the campaigns with CI's matrix arguments (:func:`campaign_calls`);
+2. every CLI subcommand once, plus ``metrics --format json``, on a
+   ``generate random --scale 0.005`` database in a temporary directory
+   (:func:`cli_calls`);
+3. every gateway route against both backends
+   ``benchmarks/e2e/server.py`` serves, a ``QueryService`` and a small
+   ``ShardedService``, plus a ``gpu_temporal`` search whose one-item
+   result buffer overflows and is retried, and a ``cpu_rtree`` one
+   (:func:`gateway_routes`);
+4. every ``examples/*.py``, in-process as ``__main__``;
 
-then prints every public top-level function and every public method of
+then lists every public top-level function and every public method of
 a top-level class under ``src/repro`` that none of them called.  The
 tracer records code objects, not names, so a method is not counted as
 called because another class has a same-named one (the blind spot of
 ``tests/test_public_api.py::test_no_public_name_only_tests_call``).
 
-Usage (from the repository root; a few minutes on 2 vCPUs)::
+Exit status 1 when a public function outside :data:`KEPT` went
+unrecorded, when a :data:`KEPT` name was recorded (its entry is stale),
+or when a campaign, CLI call, route or example failed.  So a name that
+goes dead fails CI's ``census`` job, which runs (~70 s on 2 vCPUs;
+it writes only to a temporary directory)::
 
     PYTHONPATH=src python benchmarks/traffic_census.py
 
-Exit status 1 when a sentinel (benchmark-only code the census must see)
-went unrecorded.  Not part of CI: the timing-gated benchmarks fail
-under the tracer (they are counted, not fatal), and the ``pytest
-benchmarks`` step rewrites ``results/*.txt`` as any benchmark run does.
-Code run in child processes (``benchmarks/test_memory_cost.py``'s
-build) is not traced.
+Code run in a child process is not traced; none of the traffic above
+starts one.
 """
 
 from __future__ import annotations
@@ -40,21 +41,65 @@ import contextlib
 import http.client
 import io
 import json
-import os
+import runpy
+import shutil
 import sys
 import tempfile
 import threading
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+EXAMPLES = ROOT / "examples"
 
-#: code only benchmarks reach; unrecorded means the tracer was paused.
-SENTINELS = ("experiments/sensitivity.py::sensitivity_analysis",
-             "engines/hybrid.py::HybridEngine.balanced_split")
+#: public functions no traffic above reaches that stay, each with why.
+KEPT = {
+    # Reached only by benchmarks: the pytest-benchmark files are not
+    # traced (their timing pauses any tracer, and a run rewrites
+    # results/), so each names the file that calls it.
+    "core/knn.py::knn_brute_force":
+        "the kNN referee of benchmarks/test_extension_scaling.py",
+    "experiments/asciichart.py::line_chart":
+        "draws the figure of benchmarks/test_fig4_random.py (and fig5, "
+        "fig6)",
+    "experiments/scenarios.py::default_scale":
+        "REPRO_SCALE for the scenarios of benchmarks/conftest.py",
+    "experiments/sensitivity.py::ProfileSet.price":
+        "sensitivity_analysis, for benchmarks/test_ablation_sensitivity.py",
+    "experiments/sensitivity.py::SensitivityRow.describe":
+        "a row of benchmarks/test_ablation_sensitivity.py's table",
+    "experiments/sensitivity.py::collect_profiles":
+        "benchmarks/test_ablation_sensitivity.py",
+    "experiments/sensitivity.py::crossover_distance":
+        "sensitivity_analysis, for benchmarks/test_ablation_sensitivity.py",
+    "experiments/sensitivity.py::sensitivity_analysis":
+        "benchmarks/test_ablation_sensitivity.py",
+    "obs/events.py::EventLog.of_kind":
+        "benchmarks/test_compaction_cost.py counts builds and checkpoints",
+    "obs/metrics.py::Histogram.sum":
+        "benchmarks/test_compaction_cost.py reads the compaction seconds",
+    "obs/tracing.py::Span.walk":
+        "benchmarks/test_planner_cost.py collects the service.plan spans",
+    "obs/tracing.py::Tracer.clear":
+        "benchmarks/test_planner_cost.py drops the warm-up's spans",
+    # Reached by a process the census cannot trace.
+    "core/result.py::ResultSet.from_dict":
+        "benchmarks/e2e/verify.py decodes every served answer with it",
+    # Inverses of calls the standing campaign makes.
+    "service/scheduler.py::QueryService.unregister_subscription":
+        "the inverse of register_subscription: a caller that can "
+        "subscribe can unsubscribe",
+    "standing/manager.py::StandingQueryManager.unregister":
+        "the inverse of StandingQueryManager.register, which "
+        "unregister_subscription calls",
+    # Reached only on a refusal no traffic provokes.
+    "sharding/router.py::Replica.name":
+        "names the replica in recover_replica's refusals",
+}
 
 _called: set[tuple[str, int]] = set()
 
@@ -104,19 +149,37 @@ def _cli(*argv: str) -> int:
             return int(exc.code or 0)
 
 
-def run_campaigns() -> dict[str, int]:
-    from repro.campaigns import SCENARIOS
-    return {name: _cli("campaign", name, "--seed", "0")
-            for name in SCENARIOS}
+def campaign_calls(tmp: Path) -> dict[str, tuple[str, ...]]:
+    """The argv of each campaign run CI's ``campaigns`` job makes at
+    seed 0, with its matrix arguments."""
+    bench = tmp / "BENCH_gateway.json"
+    seed = ("--seed", "0", "--json")
+    return {
+        "chaos": ("campaign", "chaos", *seed),
+        "crash": ("campaign", "crash", *seed, "--crash-on-op", "5"),
+        "shards": ("campaign", "shards", *seed),
+        "standing": ("campaign", "standing", *seed),
+        "standing checkpoint_mid": ("campaign", "standing", *seed,
+                                    "--kill-point", "checkpoint_mid"),
+        "standing compact_mid": ("campaign", "standing", *seed,
+                                 "--kill-point", "compact_mid"),
+        # As CI's BENCH_gateway.json step: the text report, not --json.
+        "overload": ("campaign", "overload", "--seed", "0",
+                     "--bench-out", str(bench)),
+    }
 
 
-def run_cli(tmp: Path) -> dict[str, int]:
+def run_campaigns(tmp: Path) -> dict[str, int]:
+    # --bench-out rewrites its file: give it a copy.
+    shutil.copy(ROOT / "benchmarks" / "BENCH_gateway.json", tmp)
+    return {name: _cli(*argv)
+            for name, argv in campaign_calls(tmp).items()}
+
+
+def cli_calls(tmp: Path) -> dict[str, tuple[str, ...]]:
+    """The argv of each CLI call, in order (``generate`` first)."""
     db, dur = str(tmp / "db.npz"), str(tmp / "durable")
-    results = tmp / "results"
-    results.mkdir()
-    for txt in (ROOT / "results").glob("*.txt"):
-        (results / txt.name).write_text(txt.read_text())
-    calls = {
+    return {
         "generate": ("generate", "random", "--scale", "0.005",
                      "--out", db),
         "info": ("info", db),
@@ -125,6 +188,8 @@ def run_cli(tmp: Path) -> dict[str, int]:
         "batch": ("batch", db, "--d", "2.0", "--batches", "2",
                   "--out", str(tmp / "responses.json")),
         "metrics": ("metrics", db, "--d", "2.0", "--batches", "2"),
+        "metrics json": ("metrics", db, "--d", "2.0", "--batches", "2",
+                         "--format", "json"),
         "trace": ("trace", db, "--d", "2.0", "--batches", "2",
                   "--out", str(tmp / "trace.json"),
                   "--spans", str(tmp / "spans.json"),
@@ -132,7 +197,7 @@ def run_cli(tmp: Path) -> dict[str, int]:
         "knn": ("knn", db, "--k", "3"),
         "plan": ("plan", db, "--d", "2.0"),
         "stats": ("stats", db),
-        "report": ("report", "--results-dir", str(results)),
+        "report": ("report", "--results-dir", str(tmp / "results")),
         "figures": ("figures", "all", "--scale", "0.005"),
         "calibrate": ("calibrate",),
         "shard": ("shard", db, "--d", "2.0", "--batches", "2",
@@ -142,10 +207,40 @@ def run_cli(tmp: Path) -> dict[str, int]:
         "checkpoint": ("checkpoint", dur),
         "recover": ("recover", dur),
     }
-    return {name: _cli(*argv) for name, argv in calls.items()}
 
 
-def _http(port: int, method: str, path: str, body: dict | None):
+def run_cli(tmp: Path) -> dict[str, int]:
+    shutil.copytree(ROOT / "results", tmp / "results")
+    return {name: _cli(*argv) for name, argv in cli_calls(tmp).items()}
+
+
+def gateway_routes(db) -> dict[str, tuple[str, str, dict | None]]:
+    """``{name: (method, path, JSON body)}``: every route once, plus a
+    search that overflows a one-item result buffer and is retried
+    (``grow_result_buffer``, ``RetryPolicy.backoff_for``) and one
+    answered by a CPU engine."""
+    from repro.data import queries_from_database
+    from repro.service import SearchRequest
+    queries = queries_from_database(db, 2)
+    return {
+        "GET /metrics": ("GET", "/metrics", None),
+        "GET /stats": ("GET", "/stats", None),
+        "POST /v1/search": ("POST", "/v1/search", SearchRequest(
+            queries=queries, d=2.0, method="auto").to_dict()),
+        "POST /v1/search overflow": ("POST", "/v1/search", SearchRequest(
+            queries=queries, d=2.0, method="gpu_temporal",
+            params={"result_buffer_items": 1}).to_dict()),
+        # A CPU engine's profile on the wire, as sharded_scatter sends.
+        "POST /v1/search cpu_rtree": ("POST", "/v1/search", SearchRequest(
+            queries=queries, d=2.0, method="cpu_rtree").to_dict()),
+        "POST /v1/ingest": ("POST", "/v1/ingest",
+                            {"segments": db.take(np.arange(8)).to_dict()}),
+        "POST /v1/delete": ("POST", "/v1/delete",
+                            {"traj_id": int(db.traj_ids[0])}),
+    }
+
+
+def _http(port: int, method: str, path: str, body: dict | None) -> int:
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
     headers = {"X-Api-Key": "census", "Content-Type": "application/json",
                "Connection": "close"}
@@ -158,51 +253,68 @@ def _http(port: int, method: str, path: str, body: dict | None):
     return response.status
 
 
-async def _serve_routes(db) -> dict[str, int]:
-    from repro.data import queries_from_database
+async def _serve_routes(backend, routes) -> dict[str, int]:
     from repro.gateway import Gateway
     from repro.gateway.http import GatewayHTTPServer
     from repro.gateway.tenants import TenantConfig
-    from repro.service import QueryService, SearchRequest
 
-    queries = queries_from_database(db, 2)
-    fresh = db.take(np.arange(8)).to_dict()
-    traj = int(db.traj_ids[0])
-    routes = {
-        "GET /metrics": ("GET", "/metrics", None),
-        "GET /stats": ("GET", "/stats", None),
-        "POST /v1/search": ("POST", "/v1/search", SearchRequest(
-            queries=queries, d=2.0, method="auto").to_dict()),
-        "POST /v1/ingest": ("POST", "/v1/ingest", {"segments": fresh}),
-        "POST /v1/delete": ("POST", "/v1/delete", {"traj_id": traj}),
-    }
-    service = QueryService(db)
-    gateway = Gateway(service, [TenantConfig("census", "census",
+    gateway = Gateway(backend, [TenantConfig("census", "census",
                                              rate=1e9, burst=1e9)])
     loop = asyncio.get_running_loop()
     statuses = {}
-    try:
-        async with GatewayHTTPServer(gateway) as server:
-            for name, (method, path, body) in routes.items():
-                statuses[name] = await loop.run_in_executor(
-                    None, _http, server.port, method, path, body)
-    finally:
-        service.shutdown()
+    async with GatewayHTTPServer(gateway) as server:
+        for name, (method, path, body) in routes.items():
+            statuses[name] = await loop.run_in_executor(
+                None, _http, server.port, method, path, body)
     return statuses
 
 
 def run_gateway() -> dict[str, int]:
+    """Every route against each backend; an answer other than 200 is
+    a failure (the exit code is ``status != 200``)."""
     from repro.data import random_dataset
-    return asyncio.run(_serve_routes(random_dataset(scale=0.005)))
+    from repro.service import QueryService
+    from repro.sharding import ShardedService
+    db = random_dataset(scale=0.005)
+    routes = gateway_routes(db)
+    codes = {}
+    for label, backend in (
+            ("single", lambda: QueryService(db)),
+            ("sharded", lambda: ShardedService(
+                db, num_shards=3, replicas_per_shard=2))):
+        service = backend()
+        try:
+            statuses = asyncio.run(_serve_routes(service, routes))
+        finally:
+            service.shutdown()
+        codes.update({f"{label} {name}": int(status != 200)
+                      for name, status in statuses.items()})
+    return codes
 
 
-def run_benchmarks() -> dict[str, int]:
-    import pytest
-    os.chdir(ROOT)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = pytest.main(["benchmarks", "-q", "--benchmark-disable",
-                            "-p", "no:cacheprovider"])
-    return {"pytest benchmarks": int(code)}
+def run_examples() -> dict[str, int]:
+    """Each ``examples/*.py`` as ``__main__``; any exception or
+    non-zero exit is a failure.  The helper modules (``astro.py``,
+    ``gps.py``) run too, doing nothing, and are imported from
+    ``examples/`` as when a script runs directly."""
+    codes = {}
+    sys.path.insert(0, str(EXAMPLES))
+    try:
+        for script in sorted(EXAMPLES.glob("*.py")):
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    runpy.run_path(str(script), run_name="__main__")
+                code = 0
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) \
+                    else int(exc.code is not None)
+            except Exception:  # noqa: BLE001 - reported, then fatal
+                traceback.print_exc()
+                code = 1
+            codes[script.name] = code
+    finally:
+        sys.path.remove(str(EXAMPLES))
+    return codes
 
 
 def main() -> int:
@@ -212,30 +324,40 @@ def main() -> int:
     phases = {}
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            for label, run in (("campaigns", run_campaigns),
+            for label, run in (("campaigns", lambda: run_campaigns(
+                                    Path(tmp))),
                                ("cli", lambda: run_cli(Path(tmp))),
                                ("gateway", run_gateway),
-                               ("benchmarks", run_benchmarks)):
+                               ("examples", run_examples)):
                 t0 = time.perf_counter()
                 phases[label] = (run(), time.perf_counter() - t0)
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    failed = []
     for label, (codes, seconds) in phases.items():
         shown = " ".join(f"{k}={v}" for k, v in codes.items())
         print(f"# {label} ({seconds:.0f} s): {shown}")
-    uncalled = sorted(name for key, name in functions.items()
-                      if key not in _called)
+        failed += [f"{label}: {k}" for k, v in codes.items() if v]
+    uncalled = {name for key, name in functions.items()
+                if key not in _called}
+    dead = sorted(uncalled - KEPT.keys())
+    stale = sorted(KEPT.keys() - uncalled)
     print(f"# {len(functions)} public functions under src/repro, "
           f"{len(functions) - len(uncalled)} called, "
-          f"{len(uncalled)} not called:")
-    for name in uncalled:
-        print(name)
-    missed = [s for s in SENTINELS if s in uncalled]
-    if missed:
-        print(f"# sentinel(s) not recorded — tracer paused? {missed}")
-        return 1
-    return 0
+          f"{len(uncalled)} not called ({len(KEPT.keys() & uncalled)} "
+          f"of them kept):")
+    for name in sorted(KEPT.keys() & uncalled):
+        print(f"{name}  # kept: {KEPT[name]}")
+    for name in dead:
+        print(f"{name}  # DEAD: no traffic calls it")
+    for name in stale:
+        print(f"{name}  # STALE: kept, but traffic calls it"
+              if name in functions.values() else
+              f"{name}  # STALE: kept, but no such function")
+    for name in failed:
+        print(f"# FAILED {name}")
+    return int(bool(dead or stale or failed))
 
 
 if __name__ == "__main__":

@@ -52,9 +52,6 @@ class MBB:
     def ndim(self) -> int:
         return int(self.lo.shape[1])
 
-    def volume(self) -> np.ndarray:
-        return np.prod(self.hi - self.lo, axis=1)
-
     def take(self, idx: np.ndarray) -> "MBB":
         return MBB(self.lo[idx], self.hi[idx])
 

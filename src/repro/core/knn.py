@@ -88,10 +88,6 @@ class KnnResult:
     distances: np.ndarray
     counts: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return int(self.neighbor_ids.shape[1])
-
     def __len__(self) -> int:
         return int(self.neighbor_ids.shape[0])
 

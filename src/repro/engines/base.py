@@ -145,11 +145,6 @@ class Deadline:
     def expired(self) -> bool:
         return self.remaining_s() <= 0.0
 
-    def check(self, what: str = "operation") -> None:
-        if self.expired:
-            raise DeadlineExceededError(
-                f"deadline exceeded before {what}")
-
 
 #: ambient request deadline; None means "no budget in force".
 _DEADLINE: ContextVar[Deadline | None] = ContextVar(

@@ -45,11 +45,6 @@ class HybridProfile:
         t_cpu = price(self.cpu_profile)
         return t_gpu if t_gpu.total >= t_cpu.total else t_cpu
 
-    @property
-    def result_items(self) -> int:
-        return (self.gpu_profile.result_items
-                + self.cpu_profile.result_items)
-
 
 class HybridEngine(SearchEngine):
     """Run part of ``Q`` on a GPU engine and the rest on CPU-RTree.

@@ -22,7 +22,9 @@ overloaded / writes-disabled (with ``Retry-After``), 504 deadline
 exceeded, 400 invalid, 500 internal (the backend raised), 206
 partial.  The JSON body is always the full
 :meth:`~repro.gateway.admission.GatewayResponse.to_dict`, so a client
-never has to parse prose to learn why it was refused.
+never has to parse prose to learn why it was refused.  A connection
+idle for :data:`READ_TIMEOUT_S` is closed, and a request not whole
+that long after its first byte is answered 408 and closed.
 """
 
 from __future__ import annotations
@@ -53,12 +55,20 @@ STATUS_CODES = {
 
 _REASONS = {200: "OK", 206: "Partial Content", 400: "Bad Request",
             401: "Unauthorized", 404: "Not Found",
-            405: "Method Not Allowed", 429: "Too Many Requests",
+            405: "Method Not Allowed", 408: "Request Timeout",
+            429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable",
             504: "Gateway Timeout"}
 
 #: request bodies above this are refused outright (slow-loris cap).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: a connection idle this long between requests is closed, and a
+#: request not whole this long after its first byte is answered 408
+#: and closed (slow-loris cap), so no client holds a handler for ever;
+#: checked every half of it.  Far above a keep-alive client's gap
+#: between requests.
+READ_TIMEOUT_S = 60.0
 
 
 class _UnreadableFraming(Exception):
@@ -74,6 +84,14 @@ class GatewayHTTPServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        #: one task per open connection, awaited by :meth:`stop`.
+        self._handlers: set[asyncio.Task] = set()
+        self._stopping = False
+        #: connections waiting for (the rest of) a request -> (loop time
+        #: the wait or the request began, whether the request began).
+        #: Nothing of theirs is in flight, so :meth:`stop` may close them.
+        self._reading: dict[asyncio.StreamWriter, tuple[float, bool]] = {}
+        self._sweeper: asyncio.TimerHandle | None = None
 
     async def start(self) -> tuple[str, int]:
         """Bind and start serving; returns the bound (host, port)."""
@@ -81,13 +99,24 @@ class GatewayHTTPServer:
             self._handle, self.host, self.port)
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
+        self._sweep()
         return self.host, self.port
 
     async def stop(self) -> None:
         if self._server is not None:
+            self._stopping = True
+            self._sweeper.cancel()
             self._server.close()
+            # Hang up on the connections with no request in flight and
+            # let the others finish theirs, so no handler is left to be
+            # cancelled at loop teardown (and wait_closed(), which on
+            # Python >= 3.12 waits for every connection, returns).
+            for writer in self._reading:
+                writer.close()
+            if self._handlers:
+                await asyncio.wait(self._handlers)
             await self._server.wait_closed()
-            self._server = None
+            self._server, self._stopping = None, False
 
     async def __aenter__(self) -> "GatewayHTTPServer":
         await self.start()
@@ -101,15 +130,20 @@ class GatewayHTTPServer:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
-            while True:
+            while not self._stopping:
                 try:
-                    request = await self._read_request(reader)
+                    request = await self._read_request(reader, writer)
                 except _UnreadableFraming as exc:
                     await self._respond(writer, 400, {"error": str(exc)},
                                         {})
                     break
-                if request is None:
+                finally:
+                    self._reading.pop(writer, None)
+                if request is None or writer.is_closing():
+                    # Hung up, or closed by _sweep() or by stop().
                     break
                 method, path, headers, body = request
                 status, payload, extra = await self._route(
@@ -125,11 +159,37 @@ class GatewayHTTPServer:
                 await writer.wait_closed()
             except ConnectionError:  # pragma: no cover - teardown race
                 pass
+            self._handlers.discard(task)
 
-    @staticmethod
-    async def _read_request(reader: asyncio.StreamReader):
+    def _sweep(self) -> None:
+        """Close each connection that has waited :data:`READ_TIMEOUT_S`
+        for its next request (silently) or for the rest of one (408);
+        its pending read then ends at end-of-stream."""
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        for writer, (since, started) in self._reading.items():
+            if now - since < READ_TIMEOUT_S or writer.is_closing():
+                continue
+            if started:
+                writer.write(self._wire(
+                    408, {"error": f"request not received within "
+                                   f"{READ_TIMEOUT_S:g} s"}, {}))
+            writer.close()
+        self._sweeper = loop.call_later(READ_TIMEOUT_S / 2, self._sweep)
+
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter):
+        loop = asyncio.get_running_loop()
+        self._reading[writer] = (loop.time(), False)
         try:
-            request_line = await reader.readline()
+            first = await reader.read(1)
+        except ConnectionError:
+            return None
+        if not first:
+            return None
+        self._reading[writer] = (loop.time(), True)
+        try:
+            request_line = first + await reader.readline()
         except (ConnectionError, ValueError):
             return None
         if not request_line.strip():
@@ -219,9 +279,14 @@ class GatewayHTTPServer:
                 max(1, int(-(-response.retry_after_s // 1))))
         return status, response.to_dict(), extra
 
-    @staticmethod
-    async def _respond(writer: asyncio.StreamWriter, status: int,
+    @classmethod
+    async def _respond(cls, writer: asyncio.StreamWriter, status: int,
                        payload, extra: dict[str, str]) -> None:
+        writer.write(cls._wire(status, payload, extra))
+        await writer.drain()
+
+    @staticmethod
+    def _wire(status: int, payload, extra: dict[str, str]) -> bytes:
         if isinstance(payload, str):
             body = payload.encode("utf-8")
             content_type = extra.pop("content-type", "text/plain")
@@ -234,6 +299,4 @@ class GatewayHTTPServer:
                 f"Content-Type: {content_type}",
                 f"Content-Length: {len(body)}"]
         head += [f"{k.title()}: {v}" for k, v in extra.items()]
-        writer.write(("\r\n".join(head) + "\r\n\r\n")
-                     .encode("latin-1") + body)
-        await writer.drain()
+        return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body

@@ -22,22 +22,13 @@ __all__ = ["RetryOutcome", "retry_with_backoff"]
 
 class RetryOutcome:
     """What one keyed retry loop did: the final response plus the
-    attempt/backoff trace (JSON-friendly via :meth:`to_dict`)."""
+    attempt/backoff trace."""
 
     def __init__(self, response: GatewayResponse, attempts: int,
                  backoffs: list[float]) -> None:
         self.response = response
         self.attempts = attempts
         self.backoffs = backoffs
-
-    @property
-    def ok(self) -> bool:
-        return self.response.ok
-
-    def to_dict(self) -> dict:
-        return {"status": self.response.status,
-                "attempts": self.attempts,
-                "backoffs": [round(b, 9) for b in self.backoffs]}
 
 
 def retry_with_backoff(send, *, max_attempts: int = 5,

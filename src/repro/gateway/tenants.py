@@ -95,14 +95,6 @@ class TenantConfig:
         if self.daily_quota is not None and self.daily_quota < 1:
             raise ValueError("daily_quota must be >= 1 (or None)")
 
-    def to_dict(self) -> dict:
-        """JSON-friendly representation (the API key included — this
-        is server-side configuration, not a public listing)."""
-        return {"tenant_id": self.tenant_id, "api_key": self.api_key,
-                "rate": self.rate, "burst": self.burst,
-                "daily_quota": self.daily_quota,
-                "priority": self.priority}
-
 
 class _TenantState:
     """Mutable per-tenant admission state."""
@@ -137,10 +129,6 @@ class TenantRegistry:
 
     def __len__(self) -> int:
         return len(self._by_key)
-
-    def tenant(self, api_key: str) -> TenantConfig | None:
-        state = self._by_key.get(api_key)
-        return state.config if state is not None else None
 
     def admit(self, api_key: str
               ) -> tuple[TenantConfig | None, str, float | None]:

@@ -112,11 +112,7 @@ class VirtualGPU:
                                         lane=self.lane)
         self.kernel_stats = []
 
-    @property
-    def num_kernel_invocations(self) -> int:
-        return len(self.kernel_stats)
-
     def __repr__(self) -> str:
         return (f"VirtualGPU({self.spec.name}, "
                 f"{self.memory.allocated_bytes / (1 << 20):.1f} MiB "
-                f"allocated, {self.num_kernel_invocations} kernels)")
+                f"allocated, {len(self.kernel_stats)} kernels)")

@@ -73,12 +73,6 @@ class CompactionPolicy:
         return bool(base_rows) and (tombstoned_rows / base_rows
                                     > MAX_TOMBSTONE_RATIO)
 
-    def to_dict(self) -> dict:
-        """JSON-friendly representation."""
-        return {"max_delta_segments": self.max_delta_segments,
-                "max_delta_ratio": self.max_delta_ratio,
-                "max_tombstone_ratio": MAX_TOMBSTONE_RATIO}
-
 
 @dataclass(frozen=True)
 class IngestReceipt:
@@ -119,14 +113,6 @@ class CompactionResult:
     dropped_segments: int
     new_base_rows: int
     wall_seconds: float
-
-    def to_dict(self) -> dict:
-        """JSON-friendly representation."""
-        return {"epoch": self.epoch, "base_version": self.base_version,
-                "merged_segments": self.merged_segments,
-                "dropped_segments": self.dropped_segments,
-                "new_base_rows": self.new_base_rows,
-                "wall_seconds": self.wall_seconds}
 
 
 class Snapshot:

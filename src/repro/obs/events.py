@@ -68,11 +68,6 @@ class EventLog:
         #: oldest events overwritten by the ring bound.
         self.dropped_events = 0
 
-    @property
-    def maxlen(self) -> int | None:
-        """The ring bound (None = unbounded)."""
-        return self._events.maxlen
-
     def emit(self, kind: str, **fields) -> Event | None:
         """Record one event now; returns it (None when disabled)."""
         if not self.enabled:
@@ -92,9 +87,6 @@ class EventLog:
 
     def of_kind(self, kind: str) -> list[Event]:
         return [e for e in self._events if e.kind == kind]
-
-    def clear(self) -> None:
-        self._events.clear()
 
     # -- JSON lines ---------------------------------------------------------------
 
@@ -165,9 +157,6 @@ class SlowQueryLog:
 
     def __iter__(self):
         return iter(self._entries)
-
-    def entries(self) -> list[SlowQuery]:
-        return list(self._entries)
 
     # -- JSON lines ---------------------------------------------------------------
 

@@ -73,9 +73,6 @@ class Counter(_Instrument):
         key = _label_key(labels)
         self.values[key] = self.values.get(key, 0.0) + amount
 
-    def value(self, **labels) -> float:
-        return self.values.get(_label_key(labels), 0.0)
-
     def total(self) -> float:
         """Sum over every label set."""
         return sum(self.values.values())
@@ -91,15 +88,6 @@ class Gauge(_Instrument):
         if not self._check():
             return
         self.values[_label_key(labels)] = float(value)
-
-    def add(self, amount: float, **labels) -> None:
-        if not self._check():
-            return
-        key = _label_key(labels)
-        self.values[key] = self.values.get(key, 0.0) + amount
-
-    def value(self, **labels) -> float:
-        return self.values.get(_label_key(labels), 0.0)
 
 
 @dataclass
@@ -139,10 +127,6 @@ class Histogram(_Instrument):
         ser["counts"][idx] += 1
         ser["sum"] += float(value)
         ser["count"] += 1
-
-    def count(self, **labels) -> int:
-        ser = self.series.get(_label_key(labels))
-        return ser["count"] if ser else 0
 
     def sum(self, **labels) -> float:
         ser = self.series.get(_label_key(labels))
@@ -204,9 +188,6 @@ class MetricsRegistry:
             raise TypeError(f"metric {name!r} already registered as "
                             f"{type(inst).__name__}")
         return inst
-
-    def get(self, name: str) -> _Instrument | None:
-        return self._instruments.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._instruments)

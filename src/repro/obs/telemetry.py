@@ -72,15 +72,6 @@ class Telemetry:
         """Shorthand for ``self.tracer.start_span(...)``."""
         return self.tracer.start_span(name, **attributes)
 
-    def reset(self) -> None:
-        """Drop accumulated spans, events, and metric values (the
-        instrument definitions survive)."""
-        self.tracer.clear()
-        self.events.clear()
-        self.metrics = MetricsRegistry(enabled=self.enabled)
-        self.slow_log = SlowQueryLog(self.slow_log.threshold_s,
-                                     enabled=self.enabled)
-
 
 #: shared no-op hub returned by :func:`current` outside any activation.
 DISABLED = Telemetry(enabled=False)

@@ -60,13 +60,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> "Span | None":
-        """First descendant (or self) with the given name."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
     # -- serialization ------------------------------------------------------------
 
     def to_dict(self) -> dict:

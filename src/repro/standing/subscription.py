@@ -74,11 +74,6 @@ class CandidateEnvelope:
                 return False
         return True
 
-    def to_dict(self) -> dict:
-        """JSON-friendly representation."""
-        return {"mins": list(self.mins), "maxs": list(self.maxs),
-                "t_lo": self.t_lo, "t_hi": self.t_hi}
-
 
 @dataclass(frozen=True)
 class Subscription:

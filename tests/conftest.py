@@ -26,6 +26,14 @@ def poisoned(segments: SegmentArray, value: float, *, column: str = "xs",
                         seg_ids=segments.seg_ids)
 
 
+def series_value(registry, name: str, **labels) -> float:
+    """One counter or gauge series as ``registry.snapshot()`` (what
+    ``repro metrics --format json`` prints) reports it; 0 when unset."""
+    want = sorted([str(k), str(v)] for k, v in labels.items())
+    series = registry.snapshot().get(name, {"series": []})["series"]
+    return next((s["value"] for s in series if s["labels"] == want), 0.0)
+
+
 def make_walk_trajectories(num_traj: int, steps: int, *,
                            box: float = 20.0, step_sigma: float = 1.0,
                            start_spread: float = 5.0, dt: float = 1.0,

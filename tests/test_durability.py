@@ -27,7 +27,7 @@ from repro.durability.wal import decode_line, encode_record, WalRecord
 from repro.ingest import IngestError, VersionedDatabase
 from repro.service import QueryService, SearchRequest
 from repro.standing import StandingStoreError
-from tests.conftest import make_walk_trajectories
+from tests.conftest import make_walk_trajectories, series_value
 
 
 def _db(seed=0, n=10, steps=8, offset=0):
@@ -539,8 +539,8 @@ class TestRecovery:
 
 
 def _prewarmed(svc, **labels):
-    return svc.telemetry.metrics.counter(
-        "repro_recovery_prewarmed_total").value(**labels)
+    return series_value(svc.telemetry.metrics,
+                        "repro_recovery_prewarmed_total", **labels)
 
 
 class TestEngineArtifacts:

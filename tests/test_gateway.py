@@ -19,11 +19,13 @@ from repro.gateway import (BROWNOUT_LEVELS, BrownoutLadder,
                            GatewayHTTPServer, GatewayResponse,
                            TenantConfig, TenantRegistry, TokenBucket,
                            retry_with_backoff)
+from repro.gateway import http as gateway_http
 from repro.gateway.brownout import (BROWNOUT_HYSTERESIS,
                                     BROWNOUT_THRESHOLDS)
 from repro.service import QueryService, SearchRequest
 from tests.conftest import (BAD_PLANNER_HINTS, NON_FINITE,
-                            make_walk_trajectories, poisoned)
+                            make_walk_trajectories, poisoned,
+                            series_value)
 
 D = 2.5
 
@@ -174,12 +176,11 @@ class TestBrownoutLadder:
         ladder = BrownoutLadder()
         ladder.update(0.95)
         ladder.update(0.0)
-        counter = ladder.telemetry.metrics.counter(
-            "repro_gateway_brownout_transitions_total")
-        assert counter.value(from_level="0", to_level="3") == 1
-        assert counter.value(from_level="3", to_level="0") == 1
-        assert ladder.telemetry.metrics.gauge(
-            "repro_gateway_brownout_level").value() == 0
+        reg = ladder.telemetry.metrics
+        name = "repro_gateway_brownout_transitions_total"
+        assert series_value(reg, name, from_level="0", to_level="3") == 1
+        assert series_value(reg, name, from_level="3", to_level="0") == 1
+        assert series_value(reg, "repro_gateway_brownout_level") == 0
 
     def test_validation(self):
         # The ladder is not tunable: its thresholds are module
@@ -415,7 +416,7 @@ class TestRetryWithBackoff:
         slept = []
         outcome = retry_with_backoff(lambda: script.pop(0),
                                      sleep=slept.append)
-        assert outcome.ok and outcome.attempts == 2
+        assert outcome.response.ok and outcome.attempts == 2
         assert outcome.backoffs[0] >= 2.0  # server hint is a floor
         assert slept == outcome.backoffs
 
@@ -424,13 +425,13 @@ class TestRetryWithBackoff:
                                   tenant="t", priority="interactive",
                                   status="invalid"), self._ok()]
         outcome = retry_with_backoff(lambda: script.pop(0))
-        assert not outcome.ok and outcome.attempts == 1
+        assert not outcome.response.ok and outcome.attempts == 1
 
     def test_attempt_budget_is_finite(self):
         outcome = retry_with_backoff(
             lambda: self._refusal("rate_limited", hint=0.01),
             max_attempts=3)
-        assert not outcome.ok and outcome.attempts == 3
+        assert not outcome.response.ok and outcome.attempts == 3
         assert len(outcome.backoffs) == 2
         with pytest.raises(ValueError):
             retry_with_backoff(self._ok, max_attempts=0)
@@ -738,6 +739,96 @@ class TestHTTPSurface:
                 asyncio.wait_for(drive(), 10))
         assert status == 400
         assert "header line too long" in json.loads(payload)["error"]
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.ERROR]
+        gw.backend.shutdown()
+
+    @pytest.mark.parametrize("trickle", [False, True],
+                             ids=["half_request_line", "trickled_headers"])
+    def test_slow_request_is_a_408(self, small_db, caplog, monkeypatch,
+                                   trickle):
+        """Regression: the request read had no timeout, so a client
+        that sent part of a request and went idle (or sent its headers
+        one byte at a time) parked its handler for as long as the
+        server ran.  A request not whole in ``READ_TIMEOUT_S`` is
+        answered 408 and its connection closed."""
+        monkeypatch.setattr(gateway_http, "READ_TIMEOUT_S", 0.3)
+        gw = _gateway(small_db)
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                raw = b""
+                if trickle:
+                    writer.write(b"GET /stats HTTP/1.1\r\n")
+                    for byte in b"x-slow: " + b"a" * 40:
+                        writer.write(bytes([byte]))
+                        try:  # one byte per 50 ms until answered
+                            raw = await asyncio.wait_for(reader.read(1),
+                                                         0.05)
+                            break
+                        except asyncio.TimeoutError:
+                            pass
+                else:
+                    writer.write(b"GET /stats HTT")
+                raw += await reader.read()
+                writer.close()
+                return raw
+
+        with caplog.at_level(logging.ERROR):
+            raw = asyncio.run(asyncio.wait_for(drive(), 10))
+        head, _, payload = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 Request Timeout")
+        assert "request not received within 0.3 s" in \
+            json.loads(payload)["error"]
+        assert not [r for r in caplog.records
+                    if r.levelno >= logging.ERROR]
+        gw.backend.shutdown()
+
+    def test_idle_connection_is_closed_without_a_reply(self, small_db,
+                                                       monkeypatch):
+        """A keep-alive connection that sends nothing for
+        ``READ_TIMEOUT_S`` is closed; no 408, since no request began."""
+        monkeypatch.setattr(gateway_http, "READ_TIMEOUT_S", 0.3)
+        gw = _gateway(small_db)
+
+        async def drive():
+            async with GatewayHTTPServer(gw) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                raw = await reader.read()
+                writer.close()
+                return raw
+
+        assert asyncio.run(asyncio.wait_for(drive(), 10)) == b""
+        gw.backend.shutdown()
+
+    def test_stop_hangs_up_on_an_idle_connection(self, small_db, caplog):
+        """An idle keep-alive client neither keeps ``stop()`` waiting
+        (on Python >= 3.12 ``wait_closed`` waits for every connection)
+        nor leaves a parked handler to be cancelled at loop teardown:
+        ``stop()`` closes a connection with no request in flight."""
+        gw = _gateway(small_db)
+
+        async def drive():
+            server = GatewayHTTPServer(gw)
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            writer.write(b"GET /stats HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            await reader.readuntil(b"\r\n\r\n")  # answered; now idle
+            t0 = asyncio.get_running_loop().time()
+            await server.stop()
+            stopped_s = asyncio.get_running_loop().time() - t0
+            await reader.read()  # the rest of the answer, then EOF
+            writer.close()
+            return stopped_s, reader.at_eof()
+
+        with caplog.at_level(logging.ERROR):
+            stopped_s, eof = asyncio.run(asyncio.wait_for(drive(), 10))
+        assert stopped_s < 1.0 and eof
         assert not [r for r in caplog.records
                     if r.levelno >= logging.ERROR]
         gw.backend.shutdown()

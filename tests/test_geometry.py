@@ -29,10 +29,6 @@ class TestMBB:
         with pytest.raises(ValueError, match="mismatch"):
             MBB(np.zeros((2, 3)), np.zeros((3, 3)))
 
-    def test_volume(self):
-        b = box([0, 0, 0], [2, 3, 4])
-        np.testing.assert_allclose(b.volume(), [24.0])
-
     def test_take(self):
         b = MBB(np.zeros((3, 3)), np.arange(9, dtype=float).reshape(3, 3)
                 + 1)

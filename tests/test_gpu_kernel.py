@@ -69,7 +69,7 @@ class TestKernelLauncher:
 
         assert launcher.run(LaunchSpec("k1", num_threads=10),
                             kernel) is None
-        assert gpu.num_kernel_invocations == 1
+        assert len(gpu.kernel_stats) == 1
         s = gpu.kernel_stats[0]
         assert s.name == "k1"
         assert s.total_comparisons == 50
@@ -84,7 +84,7 @@ class TestKernelLauncher:
 
         with pytest.raises(RuntimeError):
             launcher.run(LaunchSpec("bad", num_threads=4), kernel)
-        assert gpu.num_kernel_invocations == 0
+        assert len(gpu.kernel_stats) == 0
 
     def test_negative_counts_rejected(self):
         gpu = VirtualGPU()
@@ -105,7 +105,7 @@ class TestKernelLauncher:
         KernelLauncher(gpu).run(LaunchSpec("k", 1), lambda k: None)
         gpu.transfers.h2d("q", 100)
         gpu.reset_counters()
-        assert gpu.num_kernel_invocations == 0
+        assert len(gpu.kernel_stats) == 0
         assert gpu.transfers.num_transfers == 0
         assert "db" in gpu.memory
 

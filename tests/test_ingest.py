@@ -61,8 +61,6 @@ class TestCompactionPolicy:
                                 tombstoned_rows=51)
         assert not p.should_compact(delta_rows=0, base_rows=100,
                                     tombstoned_rows=50)
-        # The tombstone bound is a constant, still reported by to_dict.
-        assert p.to_dict()["max_tombstone_ratio"] == 0.5
 
 
 class TestVersionedDatabase:

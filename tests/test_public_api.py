@@ -252,6 +252,31 @@ def test_no_public_name_only_tests_call():
     assert KEPT.keys() <= unused, "a kept name has a caller now"
 
 
+def test_census_covers_every_entry_point():
+    """``benchmarks/traffic_census.py`` (CI's ``census`` job) keeps no
+    entry for a function that is gone, and its traffic starts every
+    CLI subcommand and every campaign scenario, so a new one cannot
+    escape it.  Imports the census without running it."""
+    import argparse
+    import importlib.util
+
+    from repro.campaigns import SCENARIOS
+    from repro.cli import build_parser
+    path = Path(__file__).resolve().parent.parent / "benchmarks" \
+        / "traffic_census.py"
+    spec = importlib.util.spec_from_file_location("traffic_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    assert census.KEPT.keys() <= set(census.public_functions().values())
+    assert all(reason.strip() for reason in census.KEPT.values())
+    campaigns = census.campaign_calls(Path("tmp")).values()
+    calls = [*campaigns, *census.cli_calls(Path("tmp")).values()]
+    (subcommands,) = [action.choices for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert {argv[0] for argv in calls} == set(subcommands)
+    assert {argv[1] for argv in campaigns} == set(SCENARIOS)
+
+
 def test_register_engine_decorator():
     """@register_engine is the supported extension point."""
     import pytest

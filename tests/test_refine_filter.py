@@ -41,6 +41,7 @@ from repro.experiments.scenarios import (scenario_s1_random,
                                          scenario_s2_merger,
                                          scenario_s3_random_dense)
 from repro.obs import Telemetry
+from tests.conftest import series_value
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -419,11 +420,10 @@ def test_span_and_counter_say_what_the_reject_removed(
     assert attrs["pairs_scheduled"] == profile.total_comparisons
     assert attrs["result_items"] == len(result)
     assert len(result) <= attrs["pairs_refined"] < attrs["pairs_scheduled"]
-    counter = telemetry.metrics.counter("repro_refine_pairs_total")
-    assert counter.value(engine=engine_name, stage="scheduled") \
-        == attrs["pairs_scheduled"]
-    assert counter.value(engine=engine_name, stage="refined") \
-        == attrs["pairs_refined"]
+    for stage in ("scheduled", "refined"):
+        assert series_value(telemetry.metrics, "repro_refine_pairs_total",
+                            engine=engine_name, stage=stage) \
+            == attrs[f"pairs_{stage}"]
     # Nothing reaches the profile (it feeds engines.profile_digest).
     assert not any("pairs" in key for key in profile.to_dict())
 

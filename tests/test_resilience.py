@@ -9,6 +9,7 @@ from repro.engines.base import RetryPolicy
 from repro.faults import FaultInjector, FaultSpec
 from repro.service import (CircuitBreaker, LaneHealth, QueryService,
                            SearchRequest, resilience)
+from tests.conftest import series_value
 
 
 @pytest.fixture()
@@ -232,8 +233,8 @@ class TestFailover:
         svc.submit(gpu_request)
         assert svc.stats()["breakers"]["gpu_temporal"]["state"] == "open"
         reg = svc.telemetry.metrics
-        gauge = reg.gauge("repro_breaker_state")
-        assert gauge.value(engine="gpu_temporal") == 2  # open
+        assert series_value(reg, "repro_breaker_state",
+                            engine="gpu_temporal") == 2  # open
         gpu_request.request_id = "r1"
         resp = svc.submit(gpu_request)
         assert resp.ok and resp.metrics.degraded

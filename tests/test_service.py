@@ -13,7 +13,7 @@ from repro.engines.config import ConfigError
 from repro.faults import FaultInjector, FaultSpec
 from repro.service import (EngineCache, QueryService, SearchRequest,
                            canonical_params, database_fingerprint)
-from tests.conftest import BAD_PLANNER_HINTS
+from tests.conftest import BAD_PLANNER_HINTS, series_value
 
 
 @pytest.fixture
@@ -425,8 +425,9 @@ class TestIdempotentMutations:
         assert again.epoch == first.epoch
         assert again.seg_ids == first.seg_ids
         assert svc.versioned.epoch == first.epoch  # nothing re-applied
-        assert svc.telemetry.metrics.counter(
-            "repro_idempotent_dedups_total").value(op="append") == 1
+        assert series_value(svc.telemetry.metrics,
+                            "repro_idempotent_dedups_total",
+                            op="append") == 1
         svc.shutdown()
 
     def test_keyed_delete_replays_the_receipt(self, small_db):
@@ -437,8 +438,9 @@ class TestIdempotentMutations:
         # keyed retry replays the original receipt instead.
         assert svc.delete_trajectory(0, idempotency_key="del-0") == \
             first
-        assert svc.telemetry.metrics.counter(
-            "repro_idempotent_dedups_total").value(op="delete") == 1
+        assert series_value(svc.telemetry.metrics,
+                            "repro_idempotent_dedups_total",
+                            op="delete") == 1
         svc.shutdown()
 
     def test_key_cannot_cross_operation_kinds(self, small_db):
@@ -467,14 +469,13 @@ class TestTransitionMetrics:
         # breaker back at closed (half_open is transient within the
         # submit, so the observed transition is open -> closed).
         svc.submit(req)
-        counter = svc.telemetry.metrics.counter(
-            "repro_breaker_transitions_total")
-        assert counter.value(engine="gpu_temporal",
-                             from_state="closed",
-                             to_state="open") == 1
-        assert counter.value(engine="gpu_temporal",
-                             from_state="open",
-                             to_state="closed") == 1
+        for from_state, to_state in (("closed", "open"),
+                                     ("open", "closed")):
+            assert series_value(svc.telemetry.metrics,
+                                "repro_breaker_transitions_total",
+                                engine="gpu_temporal",
+                                from_state=from_state,
+                                to_state=to_state) == 1
         kinds = [e.fields for e in
                  svc.telemetry.events.of_kind("breaker_transition")]
         assert {"engine": "gpu_temporal", "from_state": "closed",
@@ -489,9 +490,9 @@ class TestTransitionMetrics:
         inj = FaultInjector([FaultSpec(kind="oom", count=1)], seed=0)
         svc = QueryService(small_db, faults=inj, lane_quarantine_s=1e9)
         svc.submit(_request(small_queries, method="gpu_temporal"))
-        counter = svc.telemetry.metrics.counter(
-            "repro_lane_transitions_total")
-        assert counter.value(lane="0", from_state="healthy",
-                             to_state="quarantined") == 1
+        assert series_value(svc.telemetry.metrics,
+                            "repro_lane_transitions_total", lane="0",
+                            from_state="healthy",
+                            to_state="quarantined") == 1
         assert svc.telemetry.events.of_kind("lane_transition")
         svc.shutdown()

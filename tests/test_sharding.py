@@ -18,7 +18,8 @@ from repro.obs import Telemetry
 from repro.service import SearchRequest
 from repro.sharding import (PARTITION_STRATEGIES, MergeInvariantError,
                             ShardMap, ShardedService)
-from tests.conftest import NON_FINITE, make_walk_trajectories, poisoned
+from tests.conftest import (NON_FINITE, make_walk_trajectories, poisoned,
+                            series_value)
 
 D = 4.0
 
@@ -327,9 +328,8 @@ class TestDivergenceDetection:
             assert resp.status == "ok"
             assert result_bytes(resp.outcome.results) == \
                 _truth_bytes(_whole(db, fresh), queries)
-            mism = telemetry.metrics.get(
-                "repro_router_epoch_mismatch_total")
-            assert mism is not None and mism.total() >= 1
+            assert telemetry.metrics.counter(
+                "repro_router_epoch_mismatch_total").total() >= 1
 
     def test_merge_invariant_raises_on_overlap(self, queries,
                                                tmp_path):
@@ -645,9 +645,9 @@ class TestRouterIdempotency:
             assert again["routed"] == first["routed"]
             # Nothing re-applied: every shard epoch is unchanged.
             assert {s.index: s.epoch for s in svc.shards} == epochs
-            assert svc.telemetry.metrics.counter(
-                "repro_idempotent_dedups_total").value(op="append") \
-                == 1
+            assert series_value(svc.telemetry.metrics,
+                                "repro_idempotent_dedups_total",
+                                op="append") == 1
 
     def test_keyed_delete_replays_the_receipt(self, tmp_path):
         db = _db()
@@ -658,9 +658,9 @@ class TestRouterIdempotency:
             again = svc.delete_trajectory(3, idempotency_key="del-3")
             assert again == first  # unkeyed retry would return 0
             assert svc.delete_trajectory(3) == 0
-            assert svc.telemetry.metrics.counter(
-                "repro_idempotent_dedups_total").value(op="delete") \
-                == 1
+            assert series_value(svc.telemetry.metrics,
+                                "repro_idempotent_dedups_total",
+                                op="delete") == 1
 
     def test_key_cannot_cross_operation_kinds(self, tmp_path):
         db = _db()

@@ -26,6 +26,11 @@ def _request(queries, d=2.5, **kw):
     return SearchRequest(queries=queries, d=d, **kw)
 
 
+def _find(span, name):
+    """The first span named ``name`` in ``span``'s subtree, or None."""
+    return next((s for s in span.walk() if s.name == name), None)
+
+
 class TestSpanTree:
     def test_batch_produces_service_engine_kernel_tree(self, service,
                                                        small_queries):
@@ -39,14 +44,14 @@ class TestSpanTree:
         assert batch.name == "service.batch"
         assert batch.attributes["batch_size"] == 1
 
-        request = batch.find("service.request")
+        request = _find(batch, "service.request")
         assert request in batch.children
         assert request.attributes["request_id"] == "t1"
         assert request.attributes["engine"] == "gpu_temporal"
 
-        execute = request.find("service.execute")
+        execute = _find(request, "service.execute")
         assert execute in request.children
-        search = execute.find("engine.search")
+        search = _find(execute, "engine.search")
         assert search in execute.children
         assert search.attributes["engine"] == "gpu_temporal"
         assert search.attributes["result_items"] >= 0
@@ -63,10 +68,10 @@ class TestSpanTree:
                                        method="gpu_temporal",
                                        params={"num_bins": 40}))
         batch = service.telemetry.tracer.roots[-1]
-        request = batch.find("service.request")
+        request = _find(batch, "service.request")
         assert request.modeled_dur_s == pytest.approx(
             resp.metrics.queue_wait_s + resp.metrics.modeled_seconds)
-        search = batch.find("engine.search")
+        search = _find(batch, "engine.search")
         assert search.modeled_dur_s == pytest.approx(
             resp.metrics.modeled_seconds)
         assert search.modeled_start_s == pytest.approx(
@@ -76,9 +81,9 @@ class TestSpanTree:
                                                small_queries):
         service.submit(_request(small_queries, method="cpu_rtree"))
         batch = service.telemetry.tracer.roots[0]
-        build = batch.find("engine.build")
+        build = _find(batch, "engine.build")
         assert build is not None
-        assert build.find("index.build") is not None
+        assert _find(build, "index.build") is not None
 
     def test_span_tree_json_round_trip(self, service, small_queries):
         service.submit(_request(small_queries, method="cpu_scan"))

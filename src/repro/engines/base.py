@@ -190,7 +190,10 @@ class RetryPolicy:
     buffer would serve.  Retries stop after ``max_attempts`` total
     attempts or once the deadline budget is exhausted — the ambient
     request :class:`Deadline` when the service set one, else
-    ``RETRY_DEADLINE_S`` wall seconds from the first attempt.
+    ``RETRY_DEADLINE_S`` wall seconds from the first attempt.  Only an
+    expired request deadline raises :class:`DeadlineExceededError` (a
+    budget problem, not the device's); the other stops re-raise the
+    overflow.
 
     ``backoff_s`` > 0 spaces retries with exponential backoff plus
     deterministic jitter (``RETRY_JITTER``) on the *modeled* clock: no
@@ -704,7 +707,8 @@ class GpuEngineBase(SearchEngine):
             # The retry budget: the ambient request deadline when the
             # service set one, else this engine's standalone wall
             # deadline.
-            deadline = current_deadline() \
+            request_deadline = current_deadline()
+            deadline = request_deadline \
                 or Deadline.after(RETRY_DEADLINE_S)
             backoff_total = 0.0
             for attempt in range(1, self.retry.max_attempts + 1):
@@ -714,8 +718,15 @@ class GpuEngineBase(SearchEngine):
                         exclude_same_trajectory=exclude_same_trajectory)
                 except (ResultBufferOverflowError,
                         KernelInvocationLimitError) as exc:
-                    if (attempt >= self.retry.max_attempts
-                            or deadline.expired):
+                    if attempt >= self.retry.max_attempts:
+                        raise
+                    if deadline.expired:
+                        if deadline is request_deadline:
+                            # The request's budget, not the device,
+                            # stopped the retries.
+                            raise DeadlineExceededError(
+                                f"{self.name}: request deadline expired "
+                                f"after attempt {attempt}") from exc
                         raise
                     target = max(
                         int(self.result_buffer_items

@@ -17,49 +17,77 @@ and the choice materially shapes the baseline (DESIGN.md §6.3):
 * boxes are **3-D spatial** (time handled in refinement only) or **4-D
   spatiotemporal** (time as an index axis).
 
-The search is implemented as a *batched* descent: all queries enter at the
-root and the per-node overlap tests are vectorized over the queries
-visiting that node.  This keeps the Python overhead per node constant
-while producing exactly the node-visit counts a per-query traversal would,
-which is what the CPU cost model charges.
+The frozen tree is arrays, one :class:`RTreeLevel` per depth, root level
+first: level ``i``'s node ``n`` owns entries ``start[n]:start[n+1]``,
+internal entry ``e`` *is* node ``e`` of level ``i + 1``, and the leaf
+level carries each entry's row range.  Both builders make balanced trees
+and go through the one :func:`flatten`.  The search walks the levels
+with one frontier of ``(query, node)`` pairs for the whole query batch,
+testing one axis at a time and compacting the frontier between axes; it
+produces exactly the candidates, in exactly the order, and the node-visit
+counts a per-query depth-first traversal would, which is what the CPU
+cost model charges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..core.geometry import segment_mbbs
-from ..core.ranges import expand_ranges
+from ..core.ranges import expand_ranges, range_offsets
 from ..core.types import SegmentArray
 
-__all__ = ["RTree", "RTreeNode"]
+__all__ = ["RTree", "RTreeLevel", "flatten"]
 
 
-@dataclass
-class RTreeNode:
-    """One internal or leaf-level node.
+class RTreeLevel(NamedTuple):
+    """Every node at one depth of a frozen tree, in breadth-first order.
 
-    ``child_lo``/``child_hi`` are ``(k, 4)`` arrays of child MBBs.  For an
-    internal node ``children`` holds child ``RTreeNode``s; for a leaf-level
-    node ``ranges`` holds per-child inclusive row ranges ``(lo, hi)`` into
-    the (trajectory-grouped) segment ordering — each range covering the
-    ``r`` consecutive segments the child MBB bounds.
+    Node ``n`` owns entries ``start[n]:start[n+1]``.  ``lo``/``hi`` are
+    ``(ndim, entries)``: one contiguous row of entry-box bounds per axis.
+    On the leaf level ``ranges`` holds each entry's inclusive row range
+    ``(lo, hi)`` into the (trajectory-grouped) segment ordering — the
+    ``r`` consecutive segments its box bounds; above it, entry ``e`` is
+    node ``e`` of the next level down and ``ranges`` is None.
     """
 
-    child_lo: np.ndarray
-    child_hi: np.ndarray
-    children: list["RTreeNode"] = field(default_factory=list)
-    ranges: np.ndarray | None = None  # (k, 2) for leaf-level nodes
+    start: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    ranges: np.ndarray | None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.ranges is not None
 
-    @property
-    def num_children(self) -> int:
-        return int(self.child_lo.shape[0])
+def flatten(root, parts) -> tuple[RTreeLevel, ...]:
+    """Freeze a balanced node graph into levels, root level first.
+
+    ``parts(node)`` returns ``(lo, hi, children, ranges)``: the node's
+    ``(k, ndim)`` entry boxes and either its ``k`` child nodes (then
+    ``ranges`` is None) or its ``k`` leaf row ranges (then ``children``
+    is None).  A level lists its nodes in the order their parents'
+    entries name them, so in a balanced tree breadth-first order within
+    a depth is depth-first order — which the search's emission order
+    and node-visit counts rest on.
+    """
+    levels = []
+    nodes = [root]
+    while nodes:
+        lo, hi, children, ranges = zip(*map(parts, nodes))
+        leaf = ranges[0] is not None
+        assert all((r is not None) == leaf for r in ranges), \
+            "leaves at more than one depth"
+        levels.append(RTreeLevel(
+            start=range_offsets(np.array([b.shape[0] for b in lo],
+                                         dtype=np.int64)),
+            lo=np.ascontiguousarray(np.concatenate(lo).T),
+            hi=np.ascontiguousarray(np.concatenate(hi).T),
+            ranges=(np.concatenate([
+                np.asarray(r, dtype=np.int64).reshape(-1, 2)
+                for r in ranges]) if leaf else None)))
+        nodes = [] if leaf else [c for cs in children for c in cs]
+    return tuple(levels)
 
 
 def _str_pack(lo: np.ndarray, hi: np.ndarray, fanout: int) -> np.ndarray:
@@ -97,33 +125,47 @@ def _str_pack(lo: np.ndarray, hi: np.ndarray, fanout: int) -> np.ndarray:
     return group
 
 
+def _str_levels(lo: np.ndarray, hi: np.ndarray, ranges: np.ndarray,
+                fanout: int) -> tuple[RTreeLevel, ...]:
+    """STR bulk load: pack the leaf entries into nodes, then those
+    nodes' boxes, until one node is left; freeze it with :func:`flatten`.
+    A node is a ``(lo, hi, children, ranges)`` tuple, its entries in
+    input order within their group."""
+    below = None
+    while True:
+        group = _str_pack(lo, hi, fanout)
+        order = np.argsort(group, kind="stable")
+        nodes = [(lo[sel], hi[sel],
+                  None if below is None else [below[i] for i in sel],
+                  ranges[sel] if below is None else None)
+                 for sel in np.split(order,
+                                     np.cumsum(np.bincount(group))[:-1])]
+        if len(nodes) == 1:
+            return flatten(nodes[0], lambda node: node)
+        lo = np.array([node[0].min(axis=0) for node in nodes])
+        hi = np.array([node[1].max(axis=0) for node in nodes])
+        below = nodes
+
+
 @dataclass
 class RTree:
     """An R-tree over a segment database (3-D spatial or 4-D boxes).
 
     ``segments`` is the database re-sorted so every trajectory's segments
     are contiguous and time-ordered (leaf MBBs cover consecutive rows).
+    ``levels`` is the frozen tree, root level first (:func:`flatten`).
     """
 
     segments: SegmentArray
-    root: RTreeNode
+    levels: tuple[RTreeLevel, ...]
     segments_per_mbb: int
     fanout: int
-    num_nodes: int
     num_leaf_mbbs: int
     temporal_axis: bool = False
 
-    def __post_init__(self) -> None:
-        # The tree is immutable once built: size it once, not per search.
-        total = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            total += node.child_lo.nbytes + node.child_hi.nbytes
-            if node.ranges is not None:
-                total += node.ranges.nbytes
-            stack.extend(node.children)
-        self._nbytes = total
+    @property
+    def num_nodes(self) -> int:
+        return sum(level.start.shape[0] - 1 for level in self.levels)
 
     @classmethod
     def build(cls, segments: SegmentArray, segments_per_mbb: int = 4,
@@ -200,44 +242,12 @@ class RTree:
             for c, row_range in zip(insert_order,
                                     ranges[insert_order].tolist()):
                 builder.insert(chunk_lo[c], chunk_hi[c], tuple(row_range))
-            return cls(segments=seg, root=builder.finalize(),
-                       segments_per_mbb=r, fanout=fanout,
-                       num_nodes=builder.num_nodes,
-                       num_leaf_mbbs=num_chunks,
-                       temporal_axis=temporal_axis)
-
-        node_count = [0]
-
-        def build_level(lo: np.ndarray, hi: np.ndarray,
-                        payload_nodes: list[RTreeNode] | None,
-                        payload_ranges: np.ndarray | None
-                        ) -> tuple[np.ndarray, np.ndarray, list[RTreeNode]]:
-            group = _str_pack(lo, hi, fanout)
-            num_groups = int(group.max()) + 1
-            nodes: list[RTreeNode] = []
-            up_lo = np.empty((num_groups, ndim))
-            up_hi = np.empty((num_groups, ndim))
-            for g in range(num_groups):
-                sel = np.flatnonzero(group == g)
-                node = RTreeNode(
-                    child_lo=lo[sel], child_hi=hi[sel],
-                    children=([payload_nodes[s] for s in sel]
-                              if payload_nodes is not None else []),
-                    ranges=(payload_ranges[sel]
-                            if payload_ranges is not None else None),
-                )
-                nodes.append(node)
-                node_count[0] += 1
-                up_lo[g] = lo[sel].min(axis=0)
-                up_hi[g] = hi[sel].max(axis=0)
-            return up_lo, up_hi, nodes
-
-        lo, hi, nodes = build_level(chunk_lo, chunk_hi, None, ranges)
-        while len(nodes) > 1:
-            lo, hi, nodes = build_level(lo, hi, nodes, None)
-        return cls(segments=seg, root=nodes[0], segments_per_mbb=r,
-                   fanout=fanout, num_nodes=node_count[0],
-                   num_leaf_mbbs=num_chunks, temporal_axis=temporal_axis)
+            levels = builder.finalize()
+        else:
+            levels = _str_levels(chunk_lo, chunk_hi, ranges, fanout)
+        return cls(segments=seg, levels=levels, segments_per_mbb=r,
+                   fanout=fanout, num_leaf_mbbs=num_chunks,
+                   temporal_axis=temporal_axis)
 
     # -- search --------------------------------------------------------------------
 
@@ -246,84 +256,58 @@ class RTree:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Index phase of the search: every query's candidate rows.
 
-        The query's 4-D MBB is expanded by ``d`` on the spatial axes
-        only, then pushed down the tree; leaf hits are emitted as flat
-        ``(query, leaf-range)`` triples and expanded into one candidate
-        array in a single vectorized pass.  Returns
-        ``(candidate_rows, cand_start, node_visits)``: query ``k``'s
-        candidates (all ``r`` segments of every overlapping leaf MBB, leaf
-        visits in DFS order, leaf children in slot order) are
+        The query's MBB is expanded by ``d`` on the spatial axes only,
+        then walked down the levels with the whole batch at once.
+        Returns ``(candidate_rows, cand_start, node_visits)``: query
+        ``k``'s candidates (all ``r`` segments of every overlapping leaf
+        MBB, leaf visits in DFS order, leaf children in slot order) are
         ``candidate_rows[cand_start[k]:cand_start[k+1]]``, and
         ``node_visits[k]`` counts the nodes query ``k`` expanded — the
         traversal cost the CPU model charges.
         """
         nq = len(queries)
         qboxes = segment_mbbs(queries, temporal=self.temporal_axis)
-        q_lo = qboxes.lo.copy()
-        q_hi = qboxes.hi.copy()
-        q_lo[:, :3] -= d
-        q_hi[:, :3] += d
+        q_lo = np.ascontiguousarray(qboxes.lo.T)    # one row per axis
+        q_hi = np.ascontiguousarray(qboxes.hi.T)
+        q_lo[:3] -= d
+        q_hi[:3] += d
+        # Time first on a 4-D tree: the order cannot change the outcome.
+        axes = (3, 0, 1, 2) if self.temporal_axis else (0, 1, 2)
 
-        node_visits = np.zeros(nq, dtype=np.int64)
-        hit_q: list[np.ndarray] = []
-        hit_lo: list[np.ndarray] = []
-        hit_len: list[np.ndarray] = []
-
-        def descend(node: RTreeNode, q_idx: np.ndarray) -> None:
-            node_visits[q_idx] += 1
-            ov = np.all(
-                (q_lo[q_idx][:, None, :] <= node.child_hi[None, :, :])
-                & (node.child_lo[None, :, :] <= q_hi[q_idx][:, None, :]),
-                axis=2)
-            if node.is_leaf:
-                assert node.ranges is not None
-                # nonzero on the transpose walks hits child-major — the
-                # per-leaf emission order of a per-query descent.
-                col, row = np.nonzero(ov.T)
-                if col.size:
-                    hit_q.append(q_idx[row])
-                    hit_lo.append(node.ranges[col, 0])
-                    hit_len.append(node.ranges[col, 1]
-                                   - node.ranges[col, 0] + 1)
-            else:
-                for col, child in enumerate(node.children):
-                    sub = q_idx[ov[:, col]]
-                    if sub.size:
-                        descend(child, sub)
-
-        if nq:
-            descend(self.root, np.arange(nq, dtype=np.int64))
-
-        if hit_q:
-            q_all = np.concatenate(hit_q)
-            lo_all = np.concatenate(hit_lo)
-            len_all = np.concatenate(hit_len)
-            # Stable sort groups each query's leaf ranges while keeping
-            # them in DFS emission order.
-            order = np.argsort(q_all, kind="stable")
-            q_all = q_all[order]
-            lo_all = lo_all[order]
-            len_all = len_all[order]
-            lens = np.bincount(q_all, weights=len_all,
-                               minlength=nq).astype(np.int64)
-            candidate_rows = expand_ranges(lo_all, len_all)
-        else:
-            lens = np.zeros(nq, dtype=np.int64)
-            candidate_rows = np.zeros(0, dtype=np.int64)
-        cand_start = np.zeros(nq + 1, dtype=np.int64)
-        np.cumsum(lens, out=cand_start[1:])
-        return candidate_rows, cand_start, node_visits
+        # The frontier: (query, node) pairs sorted by query, then by
+        # position in the level — each query's depth-first visit order.
+        q = np.arange(nq, dtype=np.int64)
+        node = np.zeros(nq, dtype=np.int64)
+        visited = []
+        for level in self.levels:
+            visited.append(q)
+            first = level.start[node]
+            fan = level.start[node + 1] - first
+            q = np.repeat(q, fan)
+            entry = expand_ranges(first, fan)
+            for axis in axes:
+                keep = ((q_lo[axis][q] <= level.hi[axis][entry])
+                        & (level.lo[axis][entry] <= q_hi[axis][q]))
+                q = q[keep]
+                entry = entry[keep]
+            node = entry    # entry e is node e one level down
+            if not q.size:
+                break
+        # Past the loop the frontier holds leaf entries, or nothing.
+        ranges = self.levels[-1].ranges[node]
+        length = ranges[:, 1] - ranges[:, 0] + 1
+        lens = np.bincount(q, weights=length, minlength=nq).astype(np.int64)
+        cand_start = range_offsets(lens)
+        node_visits = np.bincount(np.concatenate(visited), minlength=nq)
+        return expand_ranges(ranges[:, 0], length), cand_start, node_visits
 
     # -- reporting ------------------------------------------------------------------
 
     def nbytes(self) -> int:
-        """Approximate in-memory index footprint (boxes + ranges),
-        computed at build."""
-        return self._nbytes
+        """In-memory index footprint: the entry boxes and leaf ranges
+        (the per-level ``start`` offsets are not counted)."""
+        boxes = sum(lvl.lo.nbytes + lvl.hi.nbytes for lvl in self.levels)
+        return boxes + self.levels[-1].ranges.nbytes
 
     def depth(self) -> int:
-        node, depth = self.root, 1
-        while not node.is_leaf:
-            node = node.children[0]
-            depth += 1
-        return depth
+        return len(self.levels)

@@ -18,10 +18,10 @@ faithfully:
   minimum-fill invariant ``m = M // 2``;
 * splits propagate upward; a root split grows the tree.
 
-The produced structure is converted to the same immutable
-:class:`~repro.indexes.rtree.RTreeNode` form the batched search consumes,
-so both construction methods share the query path and the node-visit
-accounting.
+:meth:`GuttmanBuilder.finalize` freezes the node graph with
+:func:`~repro.indexes.rtree.flatten` into the same per-level arrays the
+STR build produces, so both construction methods share the search and
+the node-visit accounting.
 
 A service rebuilds this tree at every compaction, so the builder does the
 textbook algorithm with as few NumPy calls as it can — and must freeze to
@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rtree import RTreeNode
+from .rtree import RTreeLevel, flatten
 
 __all__ = ["GuttmanBuilder"]
 
@@ -119,6 +119,12 @@ class _Node:
         self.area[slot] = _product(hi - lo)
 
 
+def _parts(node: _Node):
+    """``(lo, hi, children, ranges)``: the form :func:`flatten` freezes."""
+    k = node.count
+    return node.lo[:k], node.hi[:k], node.children, node.ranges
+
+
 class GuttmanBuilder:
     """Builds an R-tree by repeated insertion with quadratic splits.
 
@@ -135,7 +141,6 @@ class GuttmanBuilder:
         self.ndim = ndim
         self.min_fill = fanout // 2
         self.root = _Node(fanout, ndim, is_leaf=True)
-        self.num_nodes = 1
 
     # -- public API -----------------------------------------------------------
 
@@ -161,16 +166,15 @@ class GuttmanBuilder:
                 self.root = _Node(self.fanout, self.ndim, is_leaf=False)
                 self.root.add_child(node)
                 self.root.add_child(sibling)
-                self.num_nodes += 1
                 return
             parent, slot = path.pop()
             parent.refresh(slot)
             parent.add_child(sibling)
             node = parent
 
-    def finalize(self) -> RTreeNode:
-        """Freeze the mutable tree into the immutable search structure."""
-        return self._freeze(self.root)
+    def finalize(self) -> tuple[RTreeLevel, ...]:
+        """Freeze the mutable tree into the search's per-level arrays."""
+        return flatten(self.root, _parts)
 
     # -- insertion ---------------------------------------------------------------
 
@@ -280,17 +284,4 @@ class GuttmanBuilder:
             children = node.children
             node.children = [children[i] for i in stay]
             sibling.children = [children[i] for i in move]
-        self.num_nodes += 1
         return sibling
-
-    # -- freezing ------------------------------------------------------------------
-
-    def _freeze(self, node: _Node) -> RTreeNode:
-        k = node.count
-        if node.children is None:
-            return RTreeNode(
-                child_lo=node.lo[:k].copy(), child_hi=node.hi[:k].copy(),
-                ranges=np.array(node.ranges, dtype=np.int64).reshape(k, 2))
-        return RTreeNode(
-            child_lo=node.lo[:k].copy(), child_hi=node.hi[:k].copy(),
-            children=[self._freeze(c) for c in node.children])

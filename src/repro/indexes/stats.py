@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core.types import SegmentArray
 from .fsg import FlatGrid
-from .rtree import RTree, RTreeNode
+from .rtree import RTree
 from .spatiotemporal import SpatioTemporalIndex
 from .temporal import TemporalIndex
 
@@ -151,16 +151,10 @@ class RTreeStats:
 
     @classmethod
     def of(cls, tree: RTree) -> "RTreeStats":
-        counts = []
-
-        def walk(node: RTreeNode):
-            counts.append(node.num_children)
-            for c in node.children:
-                walk(c)
-
-        walk(tree.root)
-        lo = tree.root.child_lo
-        hi = tree.root.child_hi
+        fanouts = np.concatenate([np.diff(level.start)
+                                  for level in tree.levels])
+        lo = tree.levels[0].lo.T
+        hi = tree.levels[0].hi.T
         overlap = 0.0
         for i in range(lo.shape[0]):
             for j in range(i + 1, lo.shape[0]):
@@ -172,7 +166,7 @@ class RTreeStats:
             num_nodes=tree.num_nodes,
             num_leaf_mbbs=tree.num_leaf_mbbs,
             depth=tree.depth(),
-            mean_fanout=float(np.mean(counts)),
+            mean_fanout=float(np.mean(fanouts)),
             sibling_overlap_volume=overlap,
             index_bytes=tree.nbytes(),
         )

@@ -18,17 +18,17 @@ faithfully:
   minimum-fill invariant ``m = M // 2``;
 * splits propagate upward; a root split grows the tree.
 
-The produced structure is converted to the same immutable
-:class:`~repro.indexes.rtree.RTreeNode` form the batched search consumes,
-so both construction methods share the query path and the node-visit
-accounting.
+The produced structure is frozen with
+:func:`~repro.indexes.rtree.flatten` into the per-level arrays the
+search consumes, so both construction methods share the query path and
+the node-visit accounting.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.indexes.rtree import RTreeNode
+from repro.indexes.rtree import RTreeLevel, flatten
 
 __all__ = ["GuttmanBuilder"]
 
@@ -94,9 +94,9 @@ class GuttmanBuilder:
             self.root = new_root
             self.num_nodes += 1
 
-    def finalize(self) -> RTreeNode:
-        """Freeze the mutable tree into the immutable search structure."""
-        return self._freeze(self.root)
+    def finalize(self) -> tuple[RTreeLevel, ...]:
+        """Freeze the mutable tree into the search's per-level arrays."""
+        return flatten(self.root, self._parts)
 
     # -- insertion ---------------------------------------------------------------
 
@@ -215,12 +215,9 @@ class GuttmanBuilder:
 
     # -- freezing ------------------------------------------------------------------
 
-    def _freeze(self, node: _MutableNode) -> RTreeNode:
+    @staticmethod
+    def _parts(node: _MutableNode):
         k = node.count
         if node.is_leaf:
-            return RTreeNode(
-                child_lo=node.lo[:k].copy(), child_hi=node.hi[:k].copy(),
-                ranges=np.array(node.ranges, dtype=np.int64).reshape(k, 2))
-        return RTreeNode(
-            child_lo=node.lo[:k].copy(), child_hi=node.hi[:k].copy(),
-            children=[self._freeze(c) for c in node.children])
+            return node.lo[:k], node.hi[:k], None, node.ranges
+        return node.lo[:k], node.hi[:k], node.children, None

@@ -19,9 +19,11 @@ reference in for one test with ``monkeypatch``:
 * :func:`keep_all` for ``engines.base.surviving_pairs``: the reference
   refines every scheduled pair, with no reject in front.
 
-The bodies are the per-thread twins the engines carried up to commit
-130f75f, where a ``"perthread"`` execution mode selected them; only
-``self`` became an explicit engine, grid or tree argument.
+The refine and gather bodies are the per-thread twins the engines
+carried up to commit 130f75f, where a ``"perthread"`` execution mode
+selected them; only ``self`` became an explicit engine or grid argument.
+The R-tree walk is a per-query depth-first recursion over the frozen
+tree's levels, written independently of the production level walk.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.engines import base, cpu_rtree, cpu_scan
 from repro.engines.base import HostPlan, RangeBatch, ThreadWork
 from repro.engines.gpu_spatial import GpuSpatialEngine
 from repro.indexes.fsg import FlatGrid
-from repro.indexes.rtree import RTree, RTreeNode
+from repro.indexes.rtree import RTree
 
 __all__ = ["cells_overlapping_box", "gather", "install", "keep_all",
            "probe", "query_candidates", "query_candidates_flat",
@@ -186,10 +188,12 @@ def query_candidates(tree: RTree, queries: SegmentArray,
                      d: float) -> tuple[list[np.ndarray], np.ndarray]:
     """Index phase of the search: per-query candidate row arrays.
 
-    The query's 4-D MBB is expanded by ``d`` on the spatial axes only,
-    then pushed down the tree.  Returns ``(candidates, node_visits)``
-    where ``candidates[k]`` are candidate rows for query ``k`` (all
-    ``r`` segments of every overlapping leaf MBB) and ``node_visits[k]``
+    The query's MBB is expanded by ``d`` on the spatial axes only, then
+    one query at a time descends depth-first: at each node it tests all
+    of the node's entry boxes, recursing into the overlapping children
+    in slot order.  Returns ``(candidates, node_visits)`` where
+    ``candidates[k]`` are candidate rows for query ``k`` (all ``r``
+    segments of every overlapping leaf MBB) and ``node_visits[k]``
     counts the nodes query ``k`` expanded.
     """
     nq = len(queries)
@@ -198,33 +202,30 @@ def query_candidates(tree: RTree, queries: SegmentArray,
     q_hi = qboxes.hi.copy()
     q_lo[:, :3] -= d
     q_hi[:, :3] += d
+    leaf_depth = len(tree.levels) - 1
 
     candidates: list[list[np.ndarray]] = [[] for _ in range(nq)]
     node_visits = np.zeros(nq, dtype=np.int64)
 
-    def descend(node: RTreeNode, q_idx: np.ndarray) -> None:
-        node_visits[q_idx] += 1
-        ov = np.all(
-            (q_lo[q_idx][:, None, :] <= node.child_hi[None, :, :])
-            & (node.child_lo[None, :, :] <= q_hi[q_idx][:, None, :]),
-            axis=2)
-        if node.is_leaf:
-            assert node.ranges is not None
-            for col in range(node.num_children):
-                hit = q_idx[ov[:, col]]
-                if hit.size:
-                    lo_r, hi_r = node.ranges[col]
-                    rows = np.arange(lo_r, hi_r + 1, dtype=np.int64)
-                    for q in hit:
-                        candidates[q].append(rows)
-        else:
-            for col, child in enumerate(node.children):
-                sub = q_idx[ov[:, col]]
-                if sub.size:
-                    descend(child, sub)
+    def descend(k: int, depth: int, node: int) -> None:
+        node_visits[k] += 1
+        level = tree.levels[depth]
+        first, last = level.start[node], level.start[node + 1]
+        box_lo = level.lo[:, first:last].T
+        box_hi = level.hi[:, first:last].T
+        overlaps = np.all((q_lo[k] <= box_hi) & (box_lo <= q_hi[k]),
+                          axis=1)
+        for slot in np.flatnonzero(overlaps):
+            entry = int(first + slot)
+            if depth == leaf_depth:
+                lo_r, hi_r = level.ranges[entry]
+                candidates[k].append(
+                    np.arange(lo_r, hi_r + 1, dtype=np.int64))
+            else:
+                descend(k, depth + 1, entry)    # entry e is node e below
 
-    if nq:
-        descend(tree.root, np.arange(nq, dtype=np.int64))
+    for k in range(nq):
+        descend(k, 0, 0)
     merged = [np.concatenate(c) if c else np.zeros(0, dtype=np.int64)
               for c in candidates]
     return merged, node_visits

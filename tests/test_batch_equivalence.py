@@ -17,7 +17,10 @@ bursts, out-of-extent queries), which is where vectorization bugs hide.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.types import SegmentArray
+from repro.indexes.rtree import RTree
 from tests.oracles import perthread_reference
 from tests.test_differential import (ENGINE_FACTORIES, _byte_identical,
                                      _make_db, _make_queries)
@@ -150,3 +153,83 @@ def test_reference_is_installed(monkeypatch, small_db, small_queries):
         for name in sorted(ENGINE_FACTORIES):
             ENGINE_FACTORIES[name](small_db).search(small_queries, 1.0)
     assert calls == {"refine": 5, "gather": 1, "traverse": 1, "reject": 3}
+
+
+# -- the R-tree's level walk against the per-query recursion ---------------------
+
+
+@st.composite
+def _segments(draw, max_rows, traj_ids=None):
+    """Segments on a coarse integer grid: equal coordinates, zero-length
+    and zero-duration segments (zero-extent boxes) are routine."""
+    n = draw(st.integers(0 if traj_ids is None else 1, max_rows))
+    coord = st.integers(-3, 3)
+    cols = [np.array(draw(st.lists(coord, min_size=n, max_size=n)),
+                     dtype=np.float64) for _ in range(6)]
+    ts = np.array(draw(st.lists(st.integers(0, 6), min_size=n,
+                                max_size=n)), dtype=np.float64)
+    dur = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 3]),
+                                 min_size=n, max_size=n)),
+                   dtype=np.float64)
+    xs, ys, zs, xe, ye, ze = cols
+    if traj_ids is None:
+        traj_ids = st.just(7000)
+    tids = np.array(draw(st.lists(traj_ids, min_size=n, max_size=n)),
+                    dtype=np.int64)
+    return SegmentArray(xs, ys, zs, ts, xe, ye, ze, ts + dur, tids)
+
+
+@st.composite
+def _rtree_cases(draw):
+    db = draw(_segments(60, traj_ids=st.integers(0, 5)))
+    tree = RTree.build(db, segments_per_mbb=draw(st.integers(1, 4)),
+                       fanout=draw(st.integers(4, 6)),
+                       method=draw(st.sampled_from(["guttman", "str"])),
+                       temporal_axis=draw(st.booleans()))
+    queries = draw(_segments(6))
+    if draw(st.booleans()):
+        queries = _far(queries)
+    return tree, queries, draw(st.sampled_from([0.0, 0.5, 2.0]))
+
+
+def _far(queries):
+    """Far off in space: the frontier empties after the root."""
+    return SegmentArray(queries.xs + 1e6, queries.ys, queries.zs,
+                        queries.ts, queries.xe + 1e6, queries.ye,
+                        queries.ze, queries.te, queries.traj_ids)
+
+
+def _assert_walks_agree(tree, queries, d):
+    got = tree.query_candidates_flat(queries, d)
+    want = perthread_reference.query_candidates_flat(tree, queries, d)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_rtree_cases())
+def test_rtree_walk_equals_perquery_recursion(case):
+    """Both build methods, 3-D and 4-D boxes, zero to six queries, one-
+    level trees (fewer chunks than ``fanout``) and deep ones."""
+    _assert_walks_agree(*case)
+
+
+@pytest.mark.parametrize("method", ["guttman", "str"])
+@pytest.mark.parametrize("temporal_axis", [False, True])
+def test_rtree_walk_edge_cases(method, temporal_axis):
+    db = _make_db(0)
+    one_level = RTree.build(db.take(np.arange(8)), segments_per_mbb=4,
+                            fanout=6, method=method,
+                            temporal_axis=temporal_axis)
+    deep = RTree.build(db, segments_per_mbb=1, fanout=4, method=method,
+                       temporal_axis=temporal_axis)
+    assert one_level.depth() == 1 and deep.depth() >= 3
+    queries = _make_queries(0, db)
+    far = _far(queries)
+    for tree in (one_level, deep):
+        for q in (queries, queries.take([0]), SegmentArray.empty(), far):
+            for d in (0.0, 0.7):
+                _assert_walks_agree(tree, q, d)
+    _, _, visits = deep.query_candidates_flat(far, 0.7)
+    assert visits.tolist() == [1] * len(far)

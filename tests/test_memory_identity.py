@@ -239,17 +239,18 @@ def test_magnitude_keeps_nan():
     assert np.isnan(magnitude(seg))
 
 
-# -- RTree.nbytes is computed once, at build ------------------------------------
+# -- RTree.nbytes is the frozen tree's box and range bytes -----------------------
 
 
 def _walk_nbytes(tree: RTree) -> int:
-    total, stack = 0, [tree.root]
-    while stack:
-        node = stack.pop()
-        total += node.child_lo.nbytes + node.child_hi.nbytes
-        if node.ranges is not None:
-            total += node.ranges.nbytes
-        stack.extend(node.children)
+    """Node by node, what the boxes and leaf ranges hold."""
+    total = 0
+    for level in tree.levels:
+        for first, last in zip(level.start[:-1], level.start[1:]):
+            total += (level.lo[:, first:last].nbytes
+                      + level.hi[:, first:last].nbytes)
+            if level.ranges is not None:
+                total += level.ranges[first:last].nbytes
     return total
 
 
@@ -261,28 +262,16 @@ def test_rtree_nbytes_is_the_walk(small_db, method, temporal_axis):
     assert tree.nbytes() == _walk_nbytes(tree) > 0
 
 
-class _Unsized(np.ndarray):
-    """A node box array whose size must not be asked for."""
-
-    @property
-    def nbytes(self):
-        raise AssertionError("the tree was walked for its size")
-
-
 def test_rtree_search_does_not_walk(small_db, small_queries):
+    """Queries far from every box stop at the root level, and the
+    profile still charges the whole tree's bytes."""
     engine = CpuRTreeEngine(small_db)
-    want = _walk_nbytes(engine.index)
-    stack = list(engine.index.root.children)
-    while stack:
-        node = stack.pop()
-        node.child_lo = node.child_lo.view(_Unsized)
-        stack.extend(node.children)
-    # Queries far from every box stop at the root: any other node the
-    # search touches is one the size walk would have touched.
+    assert engine.index.depth() > 1
     q = small_queries
     far = SegmentArray(q.xs + 1e9, q.ys + 1e9, q.zs + 1e9, q.ts,
                        q.xe + 1e9, q.ye + 1e9, q.ze + 1e9, q.te,
                        q.traj_ids)
     result, profile = engine.search(far, 5.0)
     assert len(result) == 0
-    assert profile.index_bytes == want
+    assert profile.node_visits == len(far)
+    assert profile.index_bytes == _walk_nbytes(engine.index)

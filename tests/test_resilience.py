@@ -3,9 +3,13 @@ verified failover, and retry backoff accounting."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.engines import base
 from repro.engines.base import RetryPolicy
+from repro.engines.gpu_temporal import GpuTemporalEngine
 from repro.faults import FaultInjector, FaultSpec
 from repro.service import (CircuitBreaker, LaneHealth, QueryService,
                            SearchRequest, resilience)
@@ -170,6 +174,49 @@ class TestTypedRejections:
         assert reg.counter("repro_rejections_total").total() == 1
         # Rejections round-trip through the JSON surface too.
         assert resp.to_dict()["outcome"] is None
+
+
+    def test_deadline_spent_in_overflow_retries_is_not_a_failure(
+            self, small_db, gpu_request, monkeypatch):
+        """The request's budget runs out while the engine retries an
+        overflowing result buffer: the answer is ``deadline_exceeded``
+        and the lane, the breaker and the failover ladder never hear of
+        the overflow."""
+        clock = _Clock()
+        monkeypatch.setattr(base, "time", clock)
+        search_once = GpuTemporalEngine._search_once
+
+        def slow_first_attempt(engine, *args, **kwargs):
+            clock.now += 0.3    # past the whole 0.2 s budget
+            return search_once(engine, *args, **kwargs)
+
+        monkeypatch.setattr(GpuTemporalEngine, "_search_once",
+                            slow_first_attempt)
+        svc = QueryService(small_db)
+        gpu_request.params = {"result_buffer_items": 1}
+        gpu_request.deadline_s = 0.2
+        resp = svc.submit(gpu_request)
+        assert resp.status == "deadline_exceeded"
+        assert "request deadline expired after attempt 1" in resp.reason
+        stats = svc.stats()
+        assert stats["lane_health"]["0"]["consecutive_failures"] == 0
+        breaker = stats["breakers"]["gpu_temporal"]
+        assert breaker["consecutive_failures"] == 0
+        assert not svc.telemetry.events.of_kind("failover")
+
+
+class _Clock:
+    """``time`` for :mod:`repro.engines.base`, with a hand-set
+    ``monotonic`` — the clock request deadlines read."""
+
+    def __init__(self) -> None:
+        self.now = 1000.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def __getattr__(self, name):
+        return getattr(time, name)
 
 
 class TestFailover:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.geometry import segment_mbbs
 from repro.core.types import SegmentArray
-from repro.indexes.rtree import RTree, RTreeNode
+from repro.indexes.rtree import RTree, flatten
 from repro.indexes.rtree_insert import GuttmanBuilder
 from tests.conftest import make_walk_trajectories
 
@@ -18,10 +18,10 @@ def tree(request, ):
                        method=request.param, temporal_axis=True), db
 
 
-def walk(node: RTreeNode):
-    yield node
-    for c in node.children:
-        yield from walk(c)
+def parent_of(level):
+    """The node each entry of ``level`` belongs to."""
+    return np.repeat(np.arange(level.start.shape[0] - 1),
+                     np.diff(level.start))
 
 
 class TestBuild:
@@ -43,60 +43,73 @@ class TestBuild:
     def test_leaves_never_span_trajectories(self, tree):
         t, _ = tree
         seg = t.segments
-        for node in walk(t.root):
-            if node.is_leaf:
-                for lo, hi in node.ranges:
-                    tids = seg.traj_ids[lo:hi + 1]
-                    assert np.all(tids == tids[0])
-                    # and are time-ordered consecutive rows
-                    assert np.all(np.diff(seg.ts[lo:hi + 1]) >= 0)
+        for lo, hi in t.levels[-1].ranges:
+            tids = seg.traj_ids[lo:hi + 1]
+            assert np.all(tids == tids[0])
+            # and are time-ordered consecutive rows
+            assert np.all(np.diff(seg.ts[lo:hi + 1]) >= 0)
+
+    def test_levels_chain(self, tree):
+        """One root; every internal entry is one node of the next level
+        down; only the bottom level carries ranges."""
+        t, _ = tree
+        assert t.levels[0].start.shape == (2,)
+        assert all(level.start[0] == 0 for level in t.levels)
+        for upper, lower in zip(t.levels, t.levels[1:]):
+            assert upper.ranges is None
+            assert upper.start[-1] == lower.start.shape[0] - 1
+        leaf = t.levels[-1]
+        assert leaf.ranges.shape == (leaf.start[-1], 2)
+        for level in t.levels:
+            assert level.lo.shape == level.hi.shape == (4, level.start[-1])
 
     def test_containment_invariant(self, tree):
         """Every child box is contained in its parent's recorded box."""
         t, _ = tree
-
-        def check(node, lo=None, hi=None):
-            if lo is not None:
-                assert np.all(node.child_lo >= lo - 1e-9)
-                assert np.all(node.child_hi <= hi + 1e-9)
-            for i, c in enumerate(node.children):
-                check(c, node.child_lo[i], node.child_hi[i])
-        check(t.root)
+        for upper, lower in zip(t.levels, t.levels[1:]):
+            parent = parent_of(lower)
+            assert np.all(lower.lo >= upper.lo[:, parent] - 1e-9)
+            assert np.all(lower.hi <= upper.hi[:, parent] + 1e-9)
 
     def test_leaf_boxes_bound_their_segments(self, tree):
         t, _ = tree
         boxes = segment_mbbs(t.segments, temporal=True)
-        for node in walk(t.root):
-            if not node.is_leaf:
-                continue
-            for col, (lo, hi) in enumerate(node.ranges):
-                rows = np.arange(lo, hi + 1)
-                assert np.all(boxes.lo[rows] >= node.child_lo[col] - 1e-9)
-                assert np.all(boxes.hi[rows] <= node.child_hi[col] + 1e-9)
+        leaf = t.levels[-1]
+        for col, (lo, hi) in enumerate(leaf.ranges):
+            rows = np.arange(lo, hi + 1)
+            assert np.all(boxes.lo[rows] >= leaf.lo[:, col] - 1e-9)
+            assert np.all(boxes.hi[rows] <= leaf.hi[:, col] + 1e-9)
 
     def test_ranges_tile_database(self, tree):
         t, _ = tree
-        rows = []
-        for node in walk(t.root):
-            if node.is_leaf:
-                for lo, hi in node.ranges:
-                    rows.append(np.arange(lo, hi + 1))
-        rows = np.sort(np.concatenate(rows))
+        rows = np.sort(np.concatenate([np.arange(lo, hi + 1)
+                                       for lo, hi in t.levels[-1].ranges]))
         np.testing.assert_array_equal(rows, np.arange(len(t.segments)))
 
     def test_fanout_respected(self, tree):
         t, _ = tree
-        for node in walk(t.root):
-            assert 1 <= node.num_children <= t.fanout
+        for level in t.levels:
+            fan = np.diff(level.start)
+            assert np.all((1 <= fan) & (fan <= t.fanout))
 
     def test_depth_and_nodes(self, tree):
         t, _ = tree
-        assert t.depth() >= 2
-        assert t.num_nodes == sum(1 for _ in walk(t.root))
+        assert t.depth() == len(t.levels) >= 2
+        assert t.num_nodes == 1 + sum(level.start[-1]
+                                      for level in t.levels[:-1])
 
     def test_3d_build_has_no_time_axis(self, small_db):
         t = RTree.build(small_db, temporal_axis=False)
-        assert t.root.child_lo.shape[1] == 3
+        assert all(level.lo.shape[0] == 3 for level in t.levels)
+
+    def test_freeze_refuses_an_unbalanced_tree(self):
+        box = np.zeros((1, 3))
+        leaf = (box, box, None, [(0, 0)])
+        node = (np.zeros((2, 3)), np.zeros((2, 3)), [leaf, leaf], None)
+        lopsided = (np.zeros((2, 3)), np.zeros((2, 3)), [node, leaf], None)
+        flatten(node, lambda n: n)
+        with pytest.raises(AssertionError, match="more than one depth"):
+            flatten(lopsided, lambda n: n)
 
 
 class TestGuttmanSpecifics:
@@ -108,9 +121,8 @@ class TestGuttmanSpecifics:
         t = RTree.build(small_db, segments_per_mbb=2, fanout=8,
                         method="guttman")
         # All non-root nodes respect minimum fill M//2.
-        for node in walk(t.root):
-            for c in node.children:
-                assert c.num_children >= 4 or c is t.root
+        for level in t.levels[1:]:
+            assert np.all(np.diff(level.start) >= 4)
 
     def test_insertion_order_independent_correctness(self, small_db,
                                                      small_queries):

@@ -6,12 +6,15 @@ CPU cost model charges node visits, so "the same algorithm" has to mean
 the same bytes.  Two referees:
 
 * ``tests/oracles/guttman_reference.py`` — the straightforward builder
-  the repository shipped through commit f7a6f96, kept verbatim — on the
+  the repository shipped through commit f7a6f96, kept verbatim but for
+  its freeze, which now goes through the same ``flatten`` — on the
   paper's datasets, on inputs that are nothing but ties, and on random
   small box sets;
 * SHA-1s of whole frozen trees, captured by running f7a6f96 itself, so
   the identity does not rest on the oracle file alone (they also cover
-  ``RTree.build``'s chunking, which the oracle does not replace).
+  ``RTree.build``'s chunking, which the oracle does not replace, and
+  ``flatten``: :func:`preorder` rebuilds f7a6f96's per-node bytes from
+  the levels).
 """
 
 import hashlib
@@ -27,20 +30,30 @@ from repro.indexes.rtree import RTree
 from tests.oracles.guttman_reference import GuttmanBuilder as Reference
 
 
-def preorder(root):
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+def preorder(levels):
+    """Each node's ``(child_lo, child_hi, ranges, num_children)`` in
+    depth-first preorder, rebuilt from the levels: the per-node form
+    the goldens were captured from (``(k, ndim)`` boxes, ``(k, 2)``
+    ranges on leaves, ``None`` and the child count above them)."""
+    def visit(depth, node):
+        level = levels[depth]
+        first, last = int(level.start[node]), int(level.start[node + 1])
+        leaf = level.ranges is not None
+        yield (level.lo[:, first:last].T, level.hi[:, first:last].T,
+               level.ranges[first:last] if leaf else None,
+               0 if leaf else last - first)
+        if not leaf:
+            for child in range(first, last):
+                yield from visit(depth + 1, child)
+    return visit(0, 0)
 
 
 def assert_same_tree(got, want):
-    for a, b in itertools.zip_longest(preorder(got), preorder(want)):
-        assert a is not None and b is not None, "node counts differ"
-        assert a.child_lo.tobytes() == b.child_lo.tobytes()
-        assert a.child_hi.tobytes() == b.child_hi.tobytes()
-        assert len(a.children) == len(b.children)
+    assert len(got) == len(want), "depths differ"
+    for a, b in zip(got, want):
+        assert a.start.tobytes() == b.start.tobytes()
+        assert a.lo.tobytes() == b.lo.tobytes()
+        assert a.hi.tobytes() == b.hi.tobytes()
         assert (a.ranges is None) == (b.ranges is None)
         if a.ranges is not None:
             assert a.ranges.dtype == b.ranges.dtype
@@ -49,11 +62,11 @@ def assert_same_tree(got, want):
 
 def tree_sha1(tree: RTree) -> str:
     h = hashlib.sha1()
-    for node in preorder(tree.root):
-        h.update(node.child_lo.tobytes())
-        h.update(node.child_hi.tobytes())
-        h.update(b"" if node.ranges is None else node.ranges.tobytes())
-        h.update(len(node.children).to_bytes(4, "little"))
+    for child_lo, child_hi, ranges, num_children in preorder(tree.levels):
+        h.update(child_lo.tobytes())
+        h.update(child_hi.tobytes())
+        h.update(b"" if ranges is None else ranges.tobytes())
+        h.update(num_children.to_bytes(4, "little"))
     h.update(b"%d/%d" % (tree.num_nodes, tree.nbytes()))
     return h.hexdigest()
 
@@ -105,7 +118,7 @@ def test_same_tree_as_the_reference_builder(datasets, name, monkeypatch):
     got = _build(datasets, name)
     monkeypatch.setattr(rtree_insert, "GuttmanBuilder", Reference)
     want = _build(datasets, name)
-    assert_same_tree(got.root, want.root)
+    assert_same_tree(got.levels, want.levels)
     assert got.num_nodes == want.num_nodes
     assert got.nbytes() == want.nbytes()
     if name in GOLDEN_SHA1:
@@ -119,16 +132,14 @@ def _freeze(builder_cls, lo, hi, fanout):
     builder = builder_cls(fanout=fanout, ndim=lo.shape[1])
     for i in range(lo.shape[0]):
         builder.insert(lo[i], hi[i], (i, i))
-    return builder.finalize(), builder.num_nodes
+    return builder.finalize()
 
 
 def _assert_builders_agree(lo, hi, fanout):
     lo = np.ascontiguousarray(lo, dtype=np.float64)
     hi = np.ascontiguousarray(hi, dtype=np.float64)
-    got, got_nodes = _freeze(rtree_insert.GuttmanBuilder, lo, hi, fanout)
-    want, want_nodes = _freeze(Reference, lo, hi, fanout)
-    assert_same_tree(got, want)
-    assert got_nodes == want_nodes
+    assert_same_tree(_freeze(rtree_insert.GuttmanBuilder, lo, hi, fanout),
+                     _freeze(Reference, lo, hi, fanout))
 
 
 def _lattice(side, ndim):

@@ -11,16 +11,17 @@ distance-threshold :class:`~repro.standing.Subscription`\\ s:
   as their vehicle departs),
 * ``perimeter`` watches a fixed corridor far from all traffic — on
   epochs whose rows miss its candidate envelope it is **skipped**, not
-  re-evaluated.
+  scanned.
 
-Each ingest/delete epoch re-evaluates only the *affected*
-subscriptions against the pinned MVCC snapshot; clients poll typed
-events stamped with the epoch that caused them.  Midway through the
-stream the process "dies" (the service object is abandoned without
-shutdown, exactly what a crashed process leaves on disk) and
+Each ingest epoch scans only its own rows for the *affected*
+subscriptions, and each delete drops the held matches it hides; clients
+poll typed events stamped with the epoch that caused them.  Midway
+through the stream the process "dies" (the service object is abandoned
+without shutdown, exactly what a crashed process leaves on disk) and
 :meth:`QueryService.recover` restores the standing state from its
-snapshot and replays the WAL past it — no event lost, none
-duplicated.  Every answer along the way
+snapshot and replays the WAL past it: replayed events keep their seqs,
+so these clients, whose cursors are never behind the saved state, miss
+none and see none twice.  Every answer along the way
 is checked byte-exact against a from-scratch ``cpu_scan``.
 
 Run:  python examples/standing_fleet.py
@@ -130,7 +131,7 @@ def main():
         drain(svc, subs, cursor)
 
     pre_crash = dict(svc.standing.totals)
-    print(f"   delta-aware: {pre_crash['affected']} re-evaluations, "
+    print(f"   delta-aware: {pre_crash['affected']} affected settles, "
           f"{pre_crash['skipped']} skips across "
           f"{pre_crash['delta_epochs']} delta epochs")
 
@@ -158,7 +159,7 @@ def main():
               for k, v in svc.standing.totals.items()}
     print(f"\nlifetime: {totals['events_added']} match_added / "
           f"{totals['events_removed']} match_removed, "
-          f"{totals['affected']} re-evaluations, "
+          f"{totals['affected']} affected settles, "
           f"{totals['skipped']} skips, every answer exact")
     svc.shutdown()
 

@@ -21,9 +21,10 @@ after being added; entry ids are never reused, so that invariant is
 exact, not probabilistic).
 
 Finally the report asserts the maintenance was genuinely delta-aware:
-``skipped`` (subscriptions proven unaffected by an epoch's candidate
-envelope and not re-evaluated) must be positive, so the campaign fails
-if the manager silently degrades to re-evaluating everybody.
+``skipped`` (subscriptions an epoch's delta provably cannot change —
+an append missing their candidate envelope, a delete hiding none of
+their held entries — and so left untouched) must be positive, so the
+campaign fails if the manager silently degrades to settling everybody.
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class StandingReport(Report):
     def regimes_missing(self) -> list[str]:
         """What the stream was built to provoke and did not: a forced
         compaction, the crash, its recovery, a ``match_added`` event,
-        and delta-aware maintenance — real envelope skips, and strictly
-        fewer re-evaluations than subscriptions x delta epochs."""
+        and delta-aware maintenance — real skips, and strictly fewer
+        affected settles than subscriptions x delta epochs."""
         t = self.standing
         delta_aware = (t.get("skipped", 0) > 0
                        and t.get("affected", 0)
@@ -301,9 +302,13 @@ class _Client:
     def consistent_with(self, service: QueryService,
                         subs: list[Subscription]) -> bool:
         """Event-folded sets == the service's maintained sets."""
-        return all(self.matches.get(sub.sub_id, {})
-                   == service.standing.matches(sub.sub_id)
-                   for sub in subs)
+        for sub in subs:
+            held = service.standing.results(sub.sub_id)
+            if self.matches.get(sub.sub_id, {}) != dict(zip(
+                    zip(held.q_ids.tolist(), held.e_ids.tolist()),
+                    zip(held.t_lo.tolist(), held.t_hi.tolist()))):
+                return False
+        return True
 
     def _violation(self, rec: dict, why: str) -> None:
         self.report.event_violations.append(

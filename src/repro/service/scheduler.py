@@ -619,7 +619,10 @@ class QueryService:
     def poll_subscription(self, sub_id: str, *,
                           since_seq: int = -1) -> dict:
         """One subscription's current matches + delta events after
-        ``since_seq`` (the client-facing incremental read)."""
+        ``since_seq`` (the client-facing incremental read); raises
+        :class:`~repro.standing.EventsExpiredError` when some of those
+        events are no longer buffered, and the client resyncs from
+        ``matches``."""
         return self.standing.poll(sub_id, since_seq=since_seq)
 
     # -- durability --------------------------------------------------------------

@@ -1,64 +1,78 @@
 """Delta-aware maintenance of standing queries across ingest epochs.
 
 :class:`StandingQueryManager` owns the registered
-:class:`~repro.standing.subscription.Subscription`\\ s and one maintained
-match set per subscription.  After every database mutation the owner
-calls :meth:`process_epoch` with the new snapshot and the mutation's
-delta; the manager decides which subscriptions are *affected*:
+:class:`~repro.standing.subscription.Subscription`\\ s and one held
+answer per subscription, a canonical
+:class:`~repro.core.result.ResultSet` (sorted by ``(q_id, e_id)``).
+A new subscription is settled by one ``cpu_scan`` over the snapshot's
+logical database.  After that every answer changes by the epoch's delta
+alone: a result item depends only on its own query and entry segments
+(paper §III), so after every database mutation the owner calls
+:meth:`process_mutation` and the manager works out what the delta can
+have changed:
 
-* **append** — subscriptions whose
-  :class:`~repro.standing.subscription.CandidateEnvelope` intersects
-  the appended segments.  New rows can only *add* matches, and only
-  matches touching the new rows, so an envelope miss proves the answer
-  unchanged.
-* **delete** — subscriptions currently holding a match whose entry
-  segment belongs to the deleted trajectory.  A delete can only
-  *remove* matches, and only those.
+* **append** — only items whose entry is an appended row can appear.
+  Subscriptions whose
+  :class:`~repro.standing.subscription.CandidateEnvelope` misses the
+  appended segments are skipped (an envelope miss proves the answer
+  unchanged); each other one is evaluated over the appended rows only
+  — the stamped tail of the snapshot's delta — and the new items are
+  unioned into its held answer.
+* **delete** — only items whose entry the tombstone hides can go.
+  Subscriptions holding such an item drop them; nothing is scanned.
 * **compact** — nobody.  Compaction preserves
   :meth:`~repro.ingest.versioned.Snapshot.logical` exactly (the
   differential harness pins this), so answers cannot change.
 
-Affected subscriptions are re-evaluated against the pinned snapshot via
-the same base-engine + overlay path one-shot queries use — every epoch
-is fully settled before the mutation returns; the diff
-against the maintained set becomes typed ``match_added`` /
-``match_removed`` events, stamped with the epoch and a monotonic
-``seq``.  The exactness harness (``tests/test_standing_exactness.py``)
-replays workloads asserting the maintained sets stay byte-identical to
-from-scratch ``cpu_scan`` evaluation at every epoch — the skip
-decision above is load-bearing correctness, not best-effort caching.
+Every epoch is fully settled before the mutation returns.  The items
+added or dropped become typed ``match_added`` / ``match_removed``
+events, stamped with the epoch and a monotonic ``seq``, one
+subscription at a time in sorted order and each subscription's items in
+``(q_id, e_id)`` order.  The exactness harness
+(``tests/test_standing_exactness.py``) asserts the held answers stay
+byte-identical to from-scratch ``cpu_scan`` at every epoch, and
+``tests/test_standing_delta.py`` holds the event stream to the full
+re-evaluation kept in ``tests/oracles/standing_reference.py``.
 
 With a :class:`~repro.standing.store.StandingStore` attached, the
-subscriptions and match sets are snapshotted to disk
+subscriptions and held answers are snapshotted to disk
 (:meth:`save_state`) and :meth:`recover` moves the snapshot forward by
-replaying the database WAL through the same per-epoch pass, so
-subscriptions survive service crashes with no lost or duplicated
-delta events.
+replaying the database WAL through the same per-epoch pass.  Replayed
+events keep their original ``seq``; events the restored buffer no
+longer holds are refused by :meth:`events_since` with
+:class:`EventsExpiredError`, and the client resyncs from
+:meth:`poll`'s ``matches``.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
-from ..core.search import SearchOutcome
+import numpy as np
+
+from ..core.result import ResultSet
 from ..durability import DurabilityManager, RecoveryResult
 from ..engines.cpu_scan import CpuScanEngine
-from ..gpu.costmodel import price
-from ..ingest.mutation import OPS, Mutation
-from ..ingest.overlay import overlay_search
+from ..ingest.mutation import Mutation
 from ..ingest.versioned import Snapshot, VersionedDatabase
 from ..obs import DISABLED, Telemetry
 from .store import StandingStore, StandingStoreError
-from .subscription import (CandidateEnvelope, MatchDict, Subscription,
-                           matches_from_results, matches_from_rows,
-                           matches_to_rows, results_from_matches)
+from .subscription import CandidateEnvelope, Subscription
 
-__all__ = ["EpochReport", "StandingQueryManager"]
+__all__ = ["EpochReport", "EventsExpiredError", "StandingQueryManager"]
 
 #: bound on the in-memory delta-event buffer served by
 #: :meth:`StandingQueryManager.events_since` / ``poll``.
 EVENTS_MAXLEN = 100_000
+
+
+class EventsExpiredError(LookupError):
+    """Events after the requested ``seq`` are no longer buffered (the
+    buffer's bound trimmed them, or a restart did not bring them back);
+    the client resyncs from :meth:`StandingQueryManager.poll`'s
+    ``matches``."""
 
 
 @dataclass
@@ -69,7 +83,7 @@ class EpochReport:
     kind: str
     #: registered subscriptions when the pass ran.
     total: int
-    #: sub_ids re-evaluated this pass (sorted).
+    #: sub_ids whose answer the delta could change (sorted).
     affected: list[str] = field(default_factory=list)
     #: subscriptions proven unaffected and skipped.
     skipped: int = 0
@@ -88,13 +102,13 @@ class EpochReport:
 
 
 class StandingQueryManager:
-    """Registered subscriptions + maintained match sets + delta events.
+    """Registered subscriptions + held answers + delta events.
 
     Parameters
     ----------
     store:
         Optional :class:`~repro.standing.store.StandingStore`; with one
-        attached, registrations and match sets are durable and
+        attached, registrations and held answers are durable and
         :meth:`recover` works.
     telemetry:
         The owning service's :class:`~repro.obs.Telemetry` hub; match
@@ -108,10 +122,9 @@ class StandingQueryManager:
         self.telemetry = telemetry
         self.subscriptions: dict[str, Subscription] = {}
         self._envelopes: dict[str, CandidateEnvelope] = {}
-        self._matches: dict[str, MatchDict] = {}
+        self._answers: dict[str, ResultSet] = {}
         self._seq = 0
-        self._delta_log: list[dict] = []
-        self._base_engine_cache: tuple[int, CpuScanEngine] | None = None
+        self._events: deque[dict] = deque(maxlen=EVENTS_MAXLEN)
         self.last_report: EpochReport | None = None
         #: lifetime counters (mirrored into telemetry when attached);
         #: ``replayed_events`` counts the events :meth:`recover`
@@ -125,8 +138,9 @@ class StandingQueryManager:
     # -- registration -------------------------------------------------------------
 
     def register(self, sub: Subscription, snapshot: Snapshot) -> dict:
-        """Register a subscription and settle its initial match set
-        against ``snapshot``.
+        """Register a subscription and settle its initial answer
+        against ``snapshot`` (one ``cpu_scan`` over its logical
+        database).
 
         The initial matches are *state*, not deltas: no
         ``match_added`` events fire for them — the event stream reports
@@ -136,25 +150,26 @@ class StandingQueryManager:
         if sub.sub_id in self.subscriptions:
             raise ValueError(f"subscription {sub.sub_id!r} is already "
                              f"registered")
-        matches = self._evaluate(sub, snapshot)
+        logical = snapshot.logical()
+        answer = (_evaluate(sub, CpuScanEngine(logical)) if len(logical)
+                  else ResultSet())
         self.subscriptions[sub.sub_id] = sub
         self._envelopes[sub.sub_id] = sub.envelope()
-        self._matches[sub.sub_id] = matches
+        self._answers[sub.sub_id] = answer
         self.save_state(snapshot.epoch)
         self._emit_event("subscription_registered", sub_id=sub.sub_id,
-                         epoch=snapshot.epoch, matches=len(matches))
+                         epoch=snapshot.epoch, matches=len(answer))
         self._set_gauge()
         return {"sub_id": sub.sub_id, "epoch": snapshot.epoch,
-                "matches": len(matches)}
+                "matches": len(answer)}
 
     def unregister(self, sub_id: str, *, epoch: int) -> dict:
-        """Drop a subscription (its match set goes with it)."""
+        """Drop a subscription (its held answer goes with it)."""
         if sub_id not in self.subscriptions:
             raise KeyError(f"no subscription {sub_id!r}")
-        matches = len(self._matches.get(sub_id, ()))
+        matches = len(self._answers.pop(sub_id))
         del self.subscriptions[sub_id]
         self._envelopes.pop(sub_id, None)
-        self._matches.pop(sub_id, None)
         self.save_state(epoch)
         self._emit_event("subscription_unregistered", sub_id=sub_id,
                          epoch=epoch, matches=matches)
@@ -163,23 +178,32 @@ class StandingQueryManager:
 
     # -- reads --------------------------------------------------------------------
 
-    def matches(self, sub_id: str) -> MatchDict:
-        """The maintained match set (a copy) for one subscription."""
-        return dict(self._matches[sub_id])
-
-    def results(self, sub_id: str):
-        """The maintained answer as a canonical
-        :class:`~repro.core.result.ResultSet`."""
-        return results_from_matches(self._matches[sub_id])
+    def results(self, sub_id: str) -> ResultSet:
+        """The held answer, a canonical
+        :class:`~repro.core.result.ResultSet` (sorted by
+        ``(q_id, e_id)``; treat it as read-only)."""
+        return self._answers[sub_id]
 
     def events_since(self, seq: int, *, sub_id: str | None = None
                      ) -> list[dict]:
         """Buffered delta events with ``seq`` strictly greater than
-        ``seq`` (optionally for one subscription), oldest first."""
-        out = [dict(rec) for rec in self._delta_log
-               if rec["seq"] > seq
-               and (sub_id is None or rec["sub_id"] == sub_id)]
-        return out
+        ``seq`` (optionally for one subscription), oldest first.
+
+        For ``seq >= 0`` the answer is complete or refused: when some
+        event in ``(seq, last_seq]`` is no longer buffered, raises
+        :class:`EventsExpiredError` naming the oldest seq still held.
+        ``seq = -1`` returns whatever is buffered."""
+        oldest = self._seq - len(self._events) + 1
+        if 0 <= seq < oldest - 1:
+            held = (f"the oldest held is seq {oldest}" if self._events
+                    else "none is held")
+            raise EventsExpiredError(
+                f"events after seq {seq} are no longer buffered: "
+                f"{held} (last_seq {self._seq}); resync from "
+                f"poll()['matches']")
+        return [dict(rec) for rec in self._events
+                if rec["seq"] > seq
+                and (sub_id is None or rec["sub_id"] == sub_id)]
 
     def poll(self, sub_id: str, *, since_seq: int = -1) -> dict:
         """One subscription's current answer + its delta events after
@@ -188,7 +212,7 @@ class StandingQueryManager:
             raise KeyError(f"no subscription {sub_id!r}")
         return {
             "sub_id": sub_id,
-            "matches": matches_to_rows(self._matches[sub_id]),
+            "matches": _rows(self._answers[sub_id]),
             "events": self.events_since(since_seq, sub_id=sub_id),
             "last_seq": self._seq,
         }
@@ -210,46 +234,48 @@ class StandingQueryManager:
 
     def process_mutation(self, database: VersionedDatabase,
                          mutation: Mutation) -> EpochReport | None:
-        """The standing pass for the epoch ``mutation`` just produced
-        in ``database`` — the one hook the live write path and
-        :meth:`recover`'s WAL replay both run.  Skipped entirely while
-        nothing is registered."""
+        """Settle every subscription against the epoch ``mutation``
+        just produced in ``database`` — the one hook the live write
+        path and :meth:`recover`'s WAL replay both run.  Skipped
+        entirely while nothing is registered."""
         if not self.subscriptions:
             return None
-        return self.process_epoch(
-            database.snapshot(), mutation.op,
-            appended=mutation.segments, deleted_traj=mutation.traj_id)
-
-    def process_epoch(self, snapshot: Snapshot, kind: str, *,
-                      appended=None, deleted_traj: int | None = None
-                      ) -> EpochReport:
-        """Settle all subscriptions against one new epoch.
-
-        Parameters
-        ----------
-        snapshot:
-            The post-mutation snapshot (``snapshot.epoch`` stamps the
-            events).
-        kind:
-            ``"append"`` / ``"delete"`` / ``"compact"``.
-        appended:
-            The appended :class:`~repro.core.types.SegmentArray`
-            (required for ``"append"``); geometry only — seg_ids need
-            not be stamped.
-        deleted_traj:
-            The tombstoned trajectory id (required for ``"delete"``).
-        """
-        if kind not in OPS:
-            raise ValueError(f"unknown epoch kind {kind!r}")
-        if kind == "append" and appended is None:
-            raise ValueError("append epoch needs the appended segments")
-        if kind == "delete" and deleted_traj is None:
-            raise ValueError("delete epoch needs the deleted traj id")
         wall0 = time.perf_counter()
-        affected = self._affected(snapshot, kind, appended,
-                                  deleted_traj)
-        added, removed = self._settle(affected, snapshot)
-        report = EpochReport(epoch=snapshot.epoch, kind=kind,
+        snapshot = database.snapshot()
+        records: list[dict] = []
+        affected: list[str] = []
+        if mutation.op == "append":
+            affected = [sub_id for sub_id in sorted(self.subscriptions)
+                        if self._envelopes[sub_id].intersects(
+                            mutation.segments)]
+            if affected:
+                delta = snapshot.delta
+                n = len(mutation.segments)
+                engine = CpuScanEngine(
+                    delta.take(np.arange(len(delta) - n, len(delta))))
+                for sub_id in affected:
+                    found = _evaluate(self.subscriptions[sub_id], engine)
+                    self._answers[sub_id] = ResultSet.from_parts(
+                        [self._answers[sub_id], found]).canonical()
+                    records += self._records("match_added", sub_id,
+                                             snapshot.epoch, found)
+        elif mutation.op == "delete":
+            doomed = snapshot.seg_ids_of_trajectory(mutation.traj_id)
+            for sub_id in sorted(self.subscriptions):
+                held = self._answers[sub_id]
+                gone = np.isin(held.e_ids, doomed)
+                if not gone.any():
+                    continue
+                affected.append(sub_id)
+                self._answers[sub_id] = _take(held, ~gone)
+                records += self._records("match_removed", sub_id,
+                                         snapshot.epoch,
+                                         _take(held, gone))
+        added, removed = self._publish(records)
+        if affected:
+            self._observe("repro_standing_settle_seconds",
+                          time.perf_counter() - wall0)
+        report = EpochReport(epoch=snapshot.epoch, kind=mutation.op,
                              total=len(self.subscriptions),
                              affected=affected,
                              skipped=len(self.subscriptions)
@@ -266,7 +292,7 @@ class StandingQueryManager:
     # -- durability ---------------------------------------------------------------
 
     def save_state(self, epoch: int) -> None:
-        """Snapshot the subscriptions, their match sets and
+        """Snapshot the subscriptions, their held answers and
         ``last_seq`` as settled at ``epoch`` (no-op without a store)."""
         if self.store is not None:
             self.store.save_state(self._state_dict(epoch))
@@ -331,89 +357,37 @@ class StandingQueryManager:
                 sub = Subscription.from_dict(entry["sub"])
                 self.subscriptions[sub.sub_id] = sub
                 self._envelopes[sub.sub_id] = sub.envelope()
-                self._matches[sub.sub_id] = matches_from_rows(
-                    entry["matches"])
+                self._answers[sub.sub_id] = _from_rows(entry["matches"])
             return int(state["epoch"]) if self.subscriptions else None
         except (KeyError, TypeError, ValueError) as exc:
             raise StandingStoreError(
                 f"standing state {self.store.state_path} is malformed: "
                 f"{type(exc).__name__}: {exc}") from exc
 
-    def _affected(self, snapshot: Snapshot, kind: str, appended,
-                  deleted_traj: int | None) -> list[str]:
-        """Which subscriptions could this epoch's delta have changed?"""
-        if kind == "compact" or not self.subscriptions:
-            return []
-        if kind == "append":
-            return [sub_id for sub_id in sorted(self.subscriptions)
-                    if self._envelopes[sub_id].intersects(appended)]
-        doomed = set(
-            snapshot.seg_ids_of_trajectory(deleted_traj).tolist())
-        return [sub_id for sub_id in sorted(self.subscriptions)
-                if any(e in doomed
-                       for (_q, e) in self._matches[sub_id])]
+    def _records(self, kind: str, sub_id: str, epoch: int,
+                 items: ResultSet) -> list[dict]:
+        """One stamped event per item of ``items``, in its order."""
+        out = []
+        for q, e, lo, hi in zip(items.q_ids.tolist(),
+                                items.e_ids.tolist(),
+                                items.t_lo.tolist(), items.t_hi.tolist()):
+            self._seq += 1
+            out.append({"seq": self._seq, "epoch": int(epoch),
+                        "kind": kind, "sub_id": sub_id, "q_id": q,
+                        "e_id": e, "t_lo": lo, "t_hi": hi})
+        return out
 
-    def _base_engine(self, snapshot: Snapshot) -> CpuScanEngine:
-        """Brute-force engine over the snapshot's base, cached per base
-        version (the base only changes at compaction)."""
-        cached = self._base_engine_cache
-        if cached is None or cached[0] != snapshot.base_version:
-            cached = (snapshot.base_version,
-                      CpuScanEngine(snapshot.base))
-            self._base_engine_cache = cached
-        return cached[1]
-
-    def _evaluate(self, sub: Subscription,
-                  snapshot: Snapshot) -> MatchDict:
-        """One subscription's exact answer at ``snapshot``: base scan,
-        lifted through the overlay (tombstone filter + delta scan),
-        clipped to the window."""
-        engine = self._base_engine(snapshot)
-        results, profile = engine.search(
-            sub.queries, sub.d,
-            exclude_same_trajectory=sub.exclude_same_trajectory)
-        outcome = SearchOutcome(
-            results=results, profile=profile,
-            modeled=price(profile))
-        outcome, _ = overlay_search(
-            outcome, snapshot, sub.queries, sub.d,
-            exclude_same_trajectory=sub.exclude_same_trajectory)
-        return matches_from_results(sub.apply_window(outcome.results))
-
-    def _settle(self, sub_ids: list[str], snapshot: Snapshot
-                ) -> tuple[int, int]:
-        """Re-evaluate ``sub_ids`` at ``snapshot``, diff against the
-        maintained sets, and emit the deltas.  Returns
-        ``(added, removed)`` event counts."""
-        records: list[dict] = []
-        wall0 = time.perf_counter()
-        for sub_id in sub_ids:
-            new = self._evaluate(self.subscriptions[sub_id], snapshot)
-            old = self._matches[sub_id]
-            self._matches[sub_id] = new
-            for key in sorted(k for k in old if k not in new):
-                lo, hi = old[key]
-                records.append(self._record("match_removed", sub_id,
-                                            snapshot.epoch, key, lo,
-                                            hi))
-            for key in sorted(k for k in new if k not in old):
-                lo, hi = new[key]
-                records.append(self._record("match_added", sub_id,
-                                            snapshot.epoch, key, lo,
-                                            hi))
-        added = removed = 0
+    def _publish(self, records: list[dict]) -> tuple[int, int]:
+        """Buffer and emit the pass's events; returns ``(added,
+        removed)`` counts."""
+        added = 0
         for rec in records:
-            self._buffer(rec)
+            self._events.append(rec)
             self._emit_event(rec["kind"],
                              **{k: v for k, v in rec.items()
                                 if k != "kind"})
-            if rec["kind"] == "match_added":
-                added += 1
-            else:
-                removed += 1
-        if sub_ids:
-            self._observe("repro_standing_settle_seconds",
-                          time.perf_counter() - wall0)
+            added += rec["kind"] == "match_added"
+        removed = len(records) - added
         self.totals["events_added"] += added
         self.totals["events_removed"] += removed
         if added:
@@ -424,26 +398,13 @@ class StandingQueryManager:
                         kind="match_removed")
         return added, removed
 
-    def _record(self, kind: str, sub_id: str, epoch: int,
-                key: tuple[int, int], lo: float, hi: float) -> dict:
-        self._seq += 1
-        return {"seq": self._seq, "epoch": int(epoch), "kind": kind,
-                "sub_id": sub_id, "q_id": int(key[0]),
-                "e_id": int(key[1]), "t_lo": float(lo),
-                "t_hi": float(hi)}
-
-    def _buffer(self, rec: dict) -> None:
-        self._delta_log.append(rec)
-        if len(self._delta_log) > EVENTS_MAXLEN:
-            del self._delta_log[:len(self._delta_log) - EVENTS_MAXLEN]
-
     def _state_dict(self, epoch: int) -> dict:
         return {
             "last_seq": self._seq,
             "epoch": int(epoch),
             "subscriptions": [
                 {"sub": self.subscriptions[sub_id].to_dict(),
-                 "matches": matches_to_rows(self._matches[sub_id])}
+                 "matches": _rows(self._answers[sub_id])}
                 for sub_id in sorted(self.subscriptions)],
         }
 
@@ -473,3 +434,38 @@ class StandingQueryManager:
     def _set_gauge(self) -> None:
         self.telemetry.metrics.gauge(
             "repro_standing_subscriptions").set(len(self.subscriptions))
+
+
+def _evaluate(sub: Subscription, engine: CpuScanEngine) -> ResultSet:
+    """``sub``'s items over ``engine``'s rows, clipped to its window, in
+    ``(q_id, e_id)`` order."""
+    results, _ = engine.search(
+        sub.queries, sub.d,
+        exclude_same_trajectory=sub.exclude_same_trajectory)
+    return sub.apply_window(results).canonical()
+
+
+def _take(items: ResultSet, keep: np.ndarray) -> ResultSet:
+    return ResultSet(items.q_ids[keep], items.e_ids[keep],
+                     items.t_lo[keep], items.t_hi[keep])
+
+
+def _rows(answer: ResultSet) -> list[list]:
+    """The saved state's and :meth:`StandingQueryManager.poll`'s form:
+    ``[[q_id, e_id, t_lo, t_hi], ...]`` in ``(q_id, e_id)`` order."""
+    return [list(row) for row in zip(
+        answer.q_ids.tolist(), answer.e_ids.tolist(),
+        answer.t_lo.tolist(), answer.t_hi.tolist())]
+
+
+def _from_rows(rows: list) -> ResultSet:
+    """Inverse of :func:`_rows`."""
+    items = [(int(q), int(e), float(lo), float(hi))
+             for q, e, lo, hi in rows]
+    if not items:
+        return ResultSet()
+    q, e, lo, hi = zip(*items)
+    return ResultSet(np.array(q, dtype=np.int64),
+                     np.array(e, dtype=np.int64),
+                     np.array(lo, dtype=np.float64),
+                     np.array(hi, dtype=np.float64)).canonical()

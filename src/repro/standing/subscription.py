@@ -7,7 +7,7 @@ one-shot :class:`~repro.service.SearchRequest`, minus everything that
 only makes sense per submission (engine choice, deadline, sharding).
 
 The delta-aware machinery in :mod:`repro.standing.manager` decides per
-ingest epoch which subscriptions *could* have changed.  That decision
+append epoch which subscriptions *could* have changed.  That decision
 rides on the :class:`CandidateEnvelope`: the spatial bounding box of the
 query segments expanded by ``d``, intersected with the subscription's
 temporal extent.  The envelope is a sound over-approximation — a
@@ -25,11 +25,7 @@ import numpy as np
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 
-__all__ = ["CandidateEnvelope", "Subscription", "matches_from_results",
-           "matches_to_rows", "results_from_matches"]
-
-#: one maintained match set: ``(q_id, e_id) -> (t_lo, t_hi)``.
-MatchDict = dict[tuple[int, int], tuple[float, float]]
+__all__ = ["CandidateEnvelope", "Subscription"]
 
 
 @dataclass(frozen=True)
@@ -134,8 +130,9 @@ class Subscription:
         """Clip result intervals to the window; drop items whose
         interval misses it.  Identity when no window is set.
 
-        Both the incremental path and the from-scratch referee apply
-        this same function, so windowed answers stay byte-comparable.
+        Each item is clipped on its own, so the delta path (which
+        clips only the new items) and the from-scratch referee (which
+        clips the whole answer) stay byte-comparable.
         """
         if self.window is None or len(results) == 0:
             return results
@@ -173,50 +170,3 @@ class Subscription:
                 payload.get("exclude_same_trajectory", False)),
         )
 
-
-# -- match-set plumbing ---------------------------------------------------------
-# A maintained answer is a dict keyed by (q_id, e_id) — the shape the
-# per-epoch diff wants — converted to a canonical ResultSet whenever a
-# client (or the exactness harness) reads it.
-
-
-def matches_from_results(results: ResultSet) -> MatchDict:
-    """Result set → match dict (duplicates collapse; engines dedup
-    before this point, so collapsing is a no-op in practice)."""
-    canon = results.canonical()
-    return {
-        (int(q), int(e)): (float(lo), float(hi))
-        for q, e, lo, hi in zip(canon.q_ids.tolist(),
-                                canon.e_ids.tolist(),
-                                canon.t_lo.tolist(),
-                                canon.t_hi.tolist())
-    }
-
-
-def results_from_matches(matches: MatchDict) -> ResultSet:
-    """Match dict → canonical ResultSet (sorted by ``(q_id, e_id)``)."""
-    if not matches:
-        return ResultSet()
-    rows = sorted(matches.items())
-    q = np.fromiter((k[0] for k, _ in rows), dtype=np.int64,
-                    count=len(rows))
-    e = np.fromiter((k[1] for k, _ in rows), dtype=np.int64,
-                    count=len(rows))
-    lo = np.fromiter((v[0] for _, v in rows), dtype=np.float64,
-                     count=len(rows))
-    hi = np.fromiter((v[1] for _, v in rows), dtype=np.float64,
-                     count=len(rows))
-    return ResultSet(q, e, lo, hi)
-
-
-def matches_to_rows(matches: MatchDict) -> list[list]:
-    """JSON-friendly ``[[q_id, e_id, t_lo, t_hi], ...]`` rows, sorted
-    by ``(q_id, e_id)`` for deterministic serialization."""
-    return [[k[0], k[1], v[0], v[1]]
-            for k, v in sorted(matches.items())]
-
-
-def matches_from_rows(rows: list) -> MatchDict:
-    """Inverse of :func:`matches_to_rows`."""
-    return {(int(q), int(e)): (float(lo), float(hi))
-            for q, e, lo, hi in rows}

@@ -41,7 +41,8 @@ from repro.campaigns.standing import (FLEET, POLICY, StandingConfig,
 from repro.ingest import Mutation
 from repro.obs import Telemetry
 from repro.service import QueryService, SearchRequest
-from repro.standing import StandingStoreError, Subscription
+from repro.standing import (EventsExpiredError, StandingStoreError,
+                            Subscription)
 from repro.data.moving import MovingObjectsWorkload
 from tests.conftest import make_walk_trajectories
 from tests.test_write_path import _sha256
@@ -116,7 +117,8 @@ class TestEventStreamParity:
             ref.apply(op)
         ref_stream = [_event_key(r)
                       for r in ref.standing.events_since(0)]
-        ref_final = {sub.sub_id: ref.standing.matches(sub.sub_id)
+        ref_final = {sub.sub_id: result_bytes(
+                         ref.standing.results(sub.sub_id))
                      for sub in subs}
 
         # Durable run that dies mid-schedule and recovers.
@@ -144,7 +146,7 @@ class TestEventStreamParity:
 
         assert stream == ref_stream
         for sub in subs:
-            assert svc.standing.matches(sub.sub_id) \
+            assert result_bytes(svc.standing.results(sub.sub_id)) \
                 == ref_final[sub.sub_id]
             assert _exact(svc, sub)
 
@@ -207,6 +209,31 @@ class TestStandingStateRecovery:
         assert again.standing.totals["replayed_events"] == seq
         assert _exact(again, sub)
 
+    def test_events_lost_to_a_restart_are_refused(self, tmp_path):
+        """A client behind the restored state cannot be caught up from
+        the buffer: the poll refuses instead of answering nothing, and
+        the client resyncs from ``matches``."""
+        svc = self._service(tmp_path)
+        sub = self._sub()
+        svc.register_subscription(sub)
+        cursor = svc.poll_subscription("sub-a", since_seq=0)["last_seq"]
+        for k in range(4):
+            svc.ingest(self._near(sub, 500 + k, 0.1 * (k + 1)))
+        last = svc.standing.last_seq
+        assert last > cursor
+        svc.checkpoint()  # the state now holds the events' effect only
+        again = self._recover(tmp_path)
+        assert again.standing.last_seq == last
+        with pytest.raises(EventsExpiredError,
+                           match=f"after seq {cursor} .* none is held"):
+            again.poll_subscription("sub-a", since_seq=cursor)
+        poll = again.poll_subscription("sub-a", since_seq=-1)
+        assert poll["events"] == [] and poll["last_seq"] == last
+        assert again.poll_subscription(
+            "sub-a", since_seq=last)["events"] == []
+        assert _exact(again, sub)
+        assert poll["matches"] == svc.poll_subscription("sub-a")["matches"]
+
     def test_state_ahead_of_the_database_is_refused(self, tmp_path):
         svc = self._service(tmp_path)
         sub = self._sub()
@@ -265,7 +292,7 @@ class TestDirectoryWrittenBefore:
             svc.apply(op)
         stream = [[r["seq"], r["epoch"], r["kind"], r["sub_id"],
                    r["q_id"], r["e_id"], r["t_lo"], r["t_hi"]]
-                  for r in svc.standing.events_since(0)]
+                  for r in svc.standing.events_since(-1)]
         assert stream == want["stream"]
         final = want["final"]
         assert svc.versioned.epoch == final["epoch"]

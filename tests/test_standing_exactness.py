@@ -19,7 +19,7 @@ from repro.engines.cpu_scan import CpuScanEngine
 from repro.campaigns.harness import result_bytes
 from repro.campaigns.standing import (StandingConfig,
                                       run as run_standing_campaign)
-from repro.ingest import VersionedDatabase
+from repro.ingest import Mutation, VersionedDatabase
 from repro.service import QueryService
 from repro.standing import StandingQueryManager, Subscription
 from tests.conftest import make_walk_trajectories
@@ -65,7 +65,7 @@ def _entry_trajs(svc, sub_id):
     logical = svc.current_snapshot().logical()
     by_seg = dict(zip(logical.seg_ids.tolist(),
                       logical.traj_ids.tolist()))
-    return [by_seg[e] for (_q, e) in svc.standing.matches(sub_id)
+    return [by_seg[e] for e in svc.standing.results(sub_id).e_ids.tolist()
             if e in by_seg]
 
 
@@ -87,20 +87,20 @@ class TestManagerExactness:
                 segs = _db(num_traj=2, steps=6,
                            seed=seed + 31 * i, id_offset=offset)
                 offset += 100
-                vdb.append(segs)
-                mgr.process_epoch(vdb.snapshot(), "append",
-                                  appended=segs)
+                mutation = Mutation("append", segments=segs)
+                vdb.apply(mutation)
+                mgr.process_mutation(vdb, mutation)
             elif kind == "delete":
                 snap = vdb.snapshot()
                 live = sorted(
                     set(np.unique(snap.logical().traj_ids).tolist()))
                 victim = int(live[int(rng.integers(len(live) - 1))])
-                vdb.delete_trajectory(victim)
-                mgr.process_epoch(vdb.snapshot(), "delete",
-                                  deleted_traj=victim)
+                mutation = Mutation("delete", traj_id=victim)
+                vdb.apply(mutation)
+                mgr.process_mutation(vdb, mutation)
             else:
                 vdb.compact()
-                mgr.process_epoch(vdb.snapshot(), "compact")
+                mgr.process_mutation(vdb, Mutation("compact"))
             assert_exact(mgr, subs, vdb.snapshot())
         return mgr, vdb
 
@@ -112,9 +112,9 @@ class TestManagerExactness:
         window = (2.0, 6.5)
         sub = _sub("sub-w", window=window)
         mgr, _vdb = self.drive([sub], seed=2)
-        for (_q, _e), (lo, hi) in mgr.matches("sub-w").items():
-            assert lo >= window[0] - 1e-12
-            assert hi <= window[1] + 1e-12
+        res = mgr.results("sub-w")
+        assert np.all(res.t_lo >= window[0] - 1e-12)
+        assert np.all(res.t_hi <= window[1] + 1e-12)
 
     def test_exclude_same_trajectory_flag_respected(self):
         # Query ids overlapping database ids: the flag changes answers.
@@ -177,10 +177,10 @@ class TestManagerExactness:
         mgr.register(subs[0], vdb.snapshot())
         segs = _db(num_traj=3, seed=9, id_offset=700)
         vdb.append(segs)
-        mgr.process_epoch(vdb.snapshot(), "append", appended=segs)
+        mgr.process_mutation(vdb, Mutation("append", segments=segs))
         before = result_bytes(mgr.results("sub-a"))
         vdb.compact()
-        report = mgr.process_epoch(vdb.snapshot(), "compact")
+        report = mgr.process_mutation(vdb, Mutation("compact"))
         assert report.affected == [] and report.skipped == 1
         assert result_bytes(mgr.results("sub-a")) == before
         assert_exact(mgr, subs, vdb.snapshot())
@@ -199,8 +199,8 @@ class TestSkipWork:
                            far.xe + 1e6, far.ye, far.ze, far.te,
                            far.traj_ids, far.seg_ids)
         vdb.append(far)
-        report = mgr.process_epoch(vdb.snapshot(), "append",
-                                   appended=far)
+        report = mgr.process_mutation(
+            vdb, Mutation("append", segments=far))
         assert report.affected == []
         assert report.skipped == 1
         assert report.events_added == report.events_removed == 0
@@ -219,10 +219,9 @@ class TestSkipWork:
             sub.queries.seg_ids)
         sub = Subscription(sub_id="sub-none", queries=far_q, d=D)
         mgr.register(sub, vdb.snapshot())
-        assert mgr.matches("sub-none") == {}
+        assert len(mgr.results("sub-none")) == 0
         vdb.delete_trajectory(0)
-        report = mgr.process_epoch(vdb.snapshot(), "delete",
-                                   deleted_traj=0)
+        report = mgr.process_mutation(vdb, Mutation("delete", traj_id=0))
         assert report.affected == [] and report.skipped == 1
         assert_exact(mgr, [sub], vdb.snapshot())
 
@@ -298,7 +297,7 @@ class TestCampaign:
         assert report.stream_consistent
 
     def test_maintenance_is_delta_aware(self):
-        """Affected re-evaluations strictly fewer than registered
+        """Affected settles strictly fewer than registered
         subscriptions on delta epochs — the envelope skipping works."""
         report = run_standing_campaign(StandingConfig(seed=0))
         totals = report.standing

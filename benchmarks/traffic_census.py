@@ -61,8 +61,6 @@ KEPT = {
     # Reached only by benchmarks: the pytest-benchmark files are not
     # traced (their timing pauses any tracer, and a run rewrites
     # results/), so each names the file that calls it.
-    "core/knn.py::knn_brute_force":
-        "the kNN referee of benchmarks/test_extension_scaling.py",
     "experiments/asciichart.py::line_chart":
         "draws the figure of benchmarks/test_fig4_random.py (and fig5, "
         "fig6)",
@@ -194,7 +192,6 @@ def cli_calls(tmp: Path) -> dict[str, tuple[str, ...]]:
                   "--out", str(tmp / "trace.json"),
                   "--spans", str(tmp / "spans.json"),
                   "--events", str(tmp / "events.jsonl")),
-        "knn": ("knn", db, "--k", "3"),
         "plan": ("plan", db, "--d", "2.0"),
         "stats": ("stats", db),
         "report": ("report", "--results-dir", str(tmp / "results")),

@@ -22,8 +22,7 @@ from .core import (DistanceThresholdSearch, ResultSet, SearchOutcome,
 from .data import (merger_dataset, queries_from_database, random_dataset,
                    random_dense_dataset)
 from .engines import (ConfigError, CpuRTreeEngine, GpuSpatialEngine,
-                      GpuSpatioTemporalEngine, GpuTemporalEngine,
-                      HybridEngine)
+                      GpuSpatioTemporalEngine, GpuTemporalEngine)
 from .gpu import (CpuCostModel, GpuCostModel, TESLA_C2075, VirtualGPU,
                   XEON_W3690)
 from .obs import Telemetry
@@ -35,7 +34,7 @@ __all__ = [
     "ConfigError", "CpuCostModel", "CpuRTreeEngine",
     "DistanceThresholdSearch", "GpuCostModel",
     "GpuSpatialEngine", "GpuSpatioTemporalEngine", "GpuTemporalEngine",
-    "HybridEngine", "QueryService", "ResultSet", "SearchOutcome",
+    "QueryService", "ResultSet", "SearchOutcome",
     "SearchRequest", "SearchResponse", "SegmentArray", "Telemetry",
     "TESLA_C2075",
     "Trajectory", "VirtualGPU", "XEON_W3690", "brute_force_search",

@@ -13,7 +13,6 @@ metrics    serve batches and export the service metrics registry
 trace      serve batches and export telemetry: a multi-lane
            chrome://tracing timeline, span trees, and the structured
            event log
-knn        run the kNN extension over a saved dataset
 plan       rank the engines for a workload without running a search
 stats      index-statistics report for a dataset
 figures    regenerate the paper's figures (series tables) at a scale
@@ -201,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-ms", type=float, default=1000.0,
                    help="slow-query threshold in modeled milliseconds "
                         "(default 1000)")
-
-    p = sub.add_parser("knn", help="run the kNN extension")
-    _add_search_args(p)
-    p.add_argument("--k", type=_POSITIVE_INT, required=True)
 
     p = sub.add_parser("plan", help="rank engines for a workload")
     _add_search_args(p)
@@ -690,24 +685,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_knn(args: argparse.Namespace) -> int:
-    from .core.knn import TrajectoryKnn
-    database, queries = _load_workload(args)
-    knn = TrajectoryKnn(database, method=args.method,
-                        **_batch_params(args))
-    res = knn.query(queries, args.k,
-                    exclude_same_trajectory=args.exclude_same_trajectory)
-    found = int(np.count_nonzero(res.counts == args.k))
-    print(f"kNN (k={args.k}) over {len(queries)} query segments: "
-          f"{found} with full neighbour lists")
-    for i in range(min(5, len(res))):
-        ids = [int(v) for v in res.neighbor_ids[i, :res.counts[i]]]
-        ds = [round(float(v), 4)
-              for v in res.distances[i, :res.counts[i]]]
-        print(f"  q{queries.seg_ids[i]}: neighbours {ids} at {ds}")
-    return 0
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
     from .experiments import (fig4_random, fig5_merger,
                               fig6_random_dense, fig7_ratios,
@@ -1028,7 +1005,6 @@ def main(argv: list[str] | None = None) -> int:
         "batch": cmd_batch,
         "metrics": cmd_metrics,
         "trace": cmd_trace,
-        "knn": cmd_knn,
         "plan": cmd_plan,
         "stats": cmd_stats,
         "report": cmd_report,

@@ -1,10 +1,9 @@
 """The one merge of disjoint parts.
 
-Both partition-and-merge paths in the repository — the sharded router
-(which splits the database) and the CPU+GPU
-:class:`~repro.engines.HybridEngine` (which splits the queries) — split
-work into parts that are disjoint by construction, so the union of the
-per-part result sets must hold exactly ``sum(len(part))`` items.
+The repository's one partition-and-merge path, the sharded router,
+splits the database into shards that are disjoint by construction, so
+the union of the per-shard result sets must hold exactly
+``sum(len(part))`` items.
 :func:`merge_disjoint` checks that instead of assuming it: one
 duplicated or lost row raises :class:`MergeInvariantError` rather than
 returning a silently wrong answer.  :func:`merge_outcomes` rolls whole

@@ -68,10 +68,6 @@ ARTIFACTS: list[Artifact] = [
              "assumptions behind Fig. 6."),
     Artifact("extension_cluster_scaling", "EXT — cluster scaling",
              "(Beyond paper) the §III multi-node deployment."),
-    Artifact("extension_hybrid", "EXT — hybrid CPU+GPU",
-             "(Beyond paper) the §VI future-work engine."),
-    Artifact("extension_knn", "EXT — kNN search",
-             "(Beyond paper) the §VI future-work search type."),
 ]
 
 

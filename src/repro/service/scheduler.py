@@ -487,7 +487,11 @@ class QueryService:
                         "delete", traj_id=mutation.traj_id,
                         epoch=self.versioned.epoch,
                         hidden_segments=result)
-                self.standing.process_mutation(self.versioned, mutation)
+                if mutation.op == "append" or result:
+                    # A delete that hid nothing made no epoch (and
+                    # logged none): there is no epoch to settle.
+                    self.standing.process_mutation(self.versioned,
+                                                   mutation)
                 if self.auto_compact and self.versioned.should_compact():
                     self._compact(trigger="policy")
                 if self.durability is not None \

@@ -90,22 +90,6 @@ class TestSearch:
         assert n_without < n_with
 
 
-class TestKnn:
-    def test_knn_runs(self, db_path, capsys):
-        assert main(["knn", db_path, "--k", "2",
-                     "--method", "gpu_temporal", "--num-bins", "50",
-                     "--query-trajectories", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "kNN (k=2)" in out
-        assert "neighbours" in out
-
-    def test_knn_cpu_scan(self, db_path, capsys):
-        """cpu_scan takes no index parameters."""
-        assert main(["knn", db_path, "--k", "2", "--method", "cpu_scan",
-                     "--query-trajectories", "2"]) == 0
-        assert "kNN (k=2)" in capsys.readouterr().out
-
-
 class TestPlan:
     def test_prints_the_estimates_auto_serves_with(self, db_path, capsys):
         """``repro plan`` ranks with the planner sample the service's
@@ -132,11 +116,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["search", "--d", "1.0", "--query-trajectories", "11"],
-        ["knn", "--k", "2", "--query-trajectories", "11"],
         ["plan", "--d", "1.0", "--query-trajectories", "11"],
         ["batch", "--d", "1.0", "--query-trajectories", "11"],
-    ], ids=["search-queries", "knn-queries", "plan-queries",
-            "batch-queries"])
+    ], ids=["search-queries", "plan-queries", "batch-queries"])
     def test_refused_with_exit_2(self, db_path, argv, capsys):
         command, *flags = argv
         assert main([command, db_path, *flags]) == 2
@@ -156,7 +138,6 @@ class TestUsageErrors:
         ["batch", "--d", "-1"],
         ["search", "--d", "-1"],
         ["batch", "--d", "1.0", "--query-trajectories", "0"],
-        ["knn", "--k", "0"],
         ["search", "--d", "1.0", "--method", "gpu_temporal",
          "--num-bins", "0"],
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")

@@ -44,14 +44,14 @@ def test_readme_documented_entry_points_exist():
     import repro
     for name in ("DistanceThresholdSearch", "SegmentArray", "Trajectory",
                  "random_dataset", "merger_dataset", "VirtualGPU",
-                 "GpuCostModel", "HybridEngine"):
+                 "GpuCostModel"):
         assert hasattr(repro, name)
-    from repro.core import plan_search, verify_results, TrajectoryKnn
+    from repro.core import plan_search, verify_results
     from repro.gpu import write_trace
     from repro.sharding import ShardedService
     assert callable(plan_search) and callable(verify_results)
     assert callable(write_trace)
-    assert ShardedService and TrajectoryKnn
+    assert ShardedService
 
 
 def test_engine_registry_complete():

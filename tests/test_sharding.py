@@ -6,9 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.types import SegmentArray, Trajectory, concatenate
-from repro.engines import (CpuRTreeEngine, CpuScanEngine,
-                           GpuTemporalEngine, HybridEngine)
+from repro.core.types import SegmentArray, Trajectory
+from repro.engines import CpuScanEngine
 from repro.campaigns.harness import result_bytes
 from repro.campaigns.shards import (SHARD_FAULT_KINDS, ShardsConfig,
                                     ShardsReport,
@@ -348,57 +347,28 @@ class TestDivergenceDetection:
                                     [(shard, leg), (shard, leg)])
 
 
-def _gpu(db):
-    return GpuTemporalEngine(db, num_bins=8)
-
-
-def _merge_via_router(db, queries, strategy, n):
-    with ShardedService(db, num_shards=n, replicas_per_shard=1,
-                        strategy=strategy) as svc:
-        resp = svc.submit(_request(queries))
-        assert resp.ok, resp.reason
-        return resp.outcome.results
-
-
-def _merge_via_hybrid(db, queries, _strategy, n):
-    # The hybrid splits Q, not D: 1/n of the queries go to the GPU side.
-    return HybridEngine(_gpu(db), CpuRTreeEngine(db),
-                        gpu_fraction=1.0 / n).search(queries, D)[0]
-
-
-_PARTS = (1, 2, 3, 8)
 _MERGES = [
-    pytest.param(_merge_via_router, strategy, n,
-                 id=f"router-{strategy}-{n}")
-    for strategy in sorted(PARTITION_STRATEGIES) for n in _PARTS
-] + [pytest.param(_merge_via_hybrid, None, n, id=f"hybrid-{n}")
-     for n in _PARTS]
+    pytest.param(strategy, n, id=f"router-{strategy}-{n}")
+    for strategy in sorted(PARTITION_STRATEGIES) for n in (1, 2, 3, 8)
+]
 
 
 class TestOneMerge:
-    """Both partition-and-merge paths (the router splits D, the hybrid
-    splits Q) go through ``repro.core.merge``: each is byte-identical
-    to the whole-database referee, and each refuses overlapping parts
-    (the router's refusal is ``test_merge_invariant_raises_on_overlap``
-    above)."""
+    """The one partition-and-merge path, the router, splits D and goes
+    through ``repro.core.merge``: its answer is byte-identical to the
+    whole-database referee, and it refuses overlapping parts
+    (``test_merge_invariant_raises_on_overlap`` above)."""
 
-    @pytest.mark.parametrize("merge, strategy, n", _MERGES)
-    def test_merge_matches_whole_database(self, merge, strategy, n,
-                                          queries):
+    @pytest.mark.parametrize("strategy, n", _MERGES)
+    def test_merge_matches_whole_database(self, strategy, n, queries):
         db = _db()
-        merged = merge(db, queries, strategy, n)
+        with ShardedService(db, num_shards=n, replicas_per_shard=1,
+                            strategy=strategy) as svc:
+            resp = svc.submit(_request(queries))
+        assert resp.ok, resp.reason
+        merged = resp.outcome.results
         assert len(merged) > 0, "vacuous truth"
         assert result_bytes(merged) == _truth_bytes(db, queries)
-
-    def test_hybrid_refuses_a_query_on_both_sides(self, queries):
-        db = _db()
-        truth, _ = CpuScanEngine(db).search(queries, D)
-        row = queries.take(np.flatnonzero(
-            queries.seg_ids == truth.q_ids[0]))
-        hybrid = HybridEngine(_gpu(db), CpuRTreeEngine(db),
-                              gpu_fraction=0.5)
-        with pytest.raises(MergeInvariantError):
-            hybrid.search(concatenate([row, row]), D)
 
 
 class TestShardMap:

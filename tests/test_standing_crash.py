@@ -209,6 +209,26 @@ class TestStandingStateRecovery:
         assert again.standing.totals["replayed_events"] == seq
         assert _exact(again, sub)
 
+    def test_a_repeated_delete_settles_no_epoch(self, tmp_path):
+        """Deleting a tombstoned trajectory hides nothing, logs nothing
+        and makes no epoch, so the standing pass does not run for it:
+        the live counters match the database's epoch and what recovery
+        replays from the WAL (process-local counters aside)."""
+        svc = self._service(tmp_path)
+        svc.register_subscription(self._sub())
+        assert svc.delete_trajectory(3) > 0
+        assert svc.delete_trajectory(3) == 0
+        live = svc.standing.stats()
+        assert svc.versioned.epoch == 1
+        assert live["epochs"] == live["delta_epochs"] \
+            == live["skipped"] == svc.versioned.epoch
+        again = self._recover(tmp_path)  # svc abandoned, as by a crash
+        assert again.versioned.epoch == svc.versioned.epoch
+        local = ("recoveries", "store_state_saves")
+        assert ({k: v for k, v in again.standing.stats().items()
+                 if k not in local}
+                == {k: v for k, v in live.items() if k not in local})
+
     def test_events_lost_to_a_restart_are_refused(self, tmp_path):
         """A client behind the restored state cannot be caught up from
         the buffer: the poll refuses instead of answering nothing, and

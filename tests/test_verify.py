@@ -41,31 +41,26 @@ class TestVerifyCatchesCorruption:
     def test_catches_fabricated_item(self, db_queries_truth):
         """A result pair that is never within d fails soundness."""
         db, queries, d, truth = db_queries_truth
-        # Find a pair with temporal overlap but distance > d.
-        from repro.core.knn import pair_min_distance
-        for qi in range(len(queries)):
-            for ei in range(len(db)):
-                ov, dm = pair_min_distance(queries, db,
-                                           np.array([qi]),
-                                           np.array([ei]))
-                if ov[0] and dm[0] > d * 2:
-                    fake = ResultSet(
-                        np.concatenate([truth.q_ids,
-                                        [queries.seg_ids[qi]]]),
-                        np.concatenate([truth.e_ids, [db.seg_ids[ei]]]),
-                        np.concatenate([truth.t_lo,
-                                        [max(queries.ts[qi],
-                                             db.ts[ei])]]),
-                        np.concatenate([truth.t_hi,
-                                        [min(queries.te[qi],
-                                             db.te[ei])]]))
-                    report = verify_results(fake, queries, db, d)
-                    assert not report.ok
-                    assert report.soundness_violations
-                    with pytest.raises(AssertionError):
-                        report.raise_on_failure()
-                    return
-        pytest.skip("no far pair found")
+        # The first pair that overlaps in time and never comes within
+        # 2·d: a hit at d there would be fabricated.
+        from repro.core.distance import compare_pairs
+        qi, ei = (ix.ravel() for ix in np.meshgrid(
+            np.arange(len(queries)), np.arange(len(db)), indexing="ij"))
+        overlap = (np.maximum(queries.ts[qi], db.ts[ei])
+                   <= np.minimum(queries.te[qi], db.te[ei]))
+        far = overlap & ~compare_pairs(queries, db, qi, ei, 2 * d).mask
+        assert far.any(), "the fixture has no far pair"
+        qi, ei = qi[far][0], ei[far][0]
+        fake = ResultSet(
+            np.concatenate([truth.q_ids, [queries.seg_ids[qi]]]),
+            np.concatenate([truth.e_ids, [db.seg_ids[ei]]]),
+            np.concatenate([truth.t_lo, [max(queries.ts[qi], db.ts[ei])]]),
+            np.concatenate([truth.t_hi, [min(queries.te[qi], db.te[ei])]]))
+        report = verify_results(fake, queries, db, d)
+        assert not report.ok
+        assert report.soundness_violations
+        with pytest.raises(AssertionError):
+            report.raise_on_failure()
 
     def test_catches_missing_results(self, db_queries_truth):
         """Dropping half the result set fails the completeness check."""

@@ -78,6 +78,7 @@ from .data.merger import MergerConfig, merger_dataset
 from .data.queries import queries_from_database
 from .data.random_walk import random_dataset, random_dense_dataset
 from .durability import DurabilityError
+from .obs.tracing import TRACES_MAXLEN
 from .sharding import PARTITION_STRATEGIES
 from .standing import StandingStoreError
 
@@ -194,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="chrome://tracing JSON of the batch across "
                         "device lanes")
     p.add_argument("--spans", default=None, metavar="PATH",
-                   help="write the span trees as JSON")
+                   help="write the span trees the tracer holds (the "
+                        f"newest {TRACES_MAXLEN:,}) as JSON")
     p.add_argument("--events", default=None, metavar="PATH",
                    help="write the structured event log as JSON lines")
     p.add_argument("--slow-ms", type=float, default=1000.0,
@@ -614,10 +616,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
           f"({len(responses)} requests, "
           f"{service.pool.num_devices} lanes)")
     if args.spans:
+        tracer = telemetry.tracer
         with open(args.spans, "w") as fh:
-            json.dump([s.to_dict()
-                       for s in telemetry.tracer.roots], fh)
-        print(f"span trees written to {args.spans}")
+            json.dump([s.to_dict() for s in tracer.roots], fh)
+        print(f"span trees written to {args.spans} "
+              f"({len(tracer.roots)} trees, {tracer.dropped_roots} "
+              f"dropped by the ring)")
     if args.events:
         telemetry.events.write_jsonl(args.events)
         print(f"event log written to {args.events} "

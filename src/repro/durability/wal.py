@@ -21,12 +21,18 @@ One record per line::
 ``crc`` is the CRC32 of the canonical JSON encoding of the record
 *without* the ``crc`` key (sorted keys, compact separators).  A record
 whose line is incomplete, whose JSON does not parse, or whose CRC does
-not match its body is invalid.  During :func:`read_wal` an
-invalid *final* record is tolerated (a torn write: the process died
-mid-``write``) — it is dropped and counted.  An invalid record with
-valid records *after* it is real corruption and raises
-:class:`WalCorruptionError`: replaying past a hole would silently skip
-a change.
+not match its body is invalid.  An invalid *final* record is tolerated
+(a torn write: the process died mid-``write``) — it is dropped and
+counted.  An invalid record with valid records *after* it is real
+corruption and raises :class:`WalCorruptionError`: replaying past a
+hole would silently skip a change.
+
+One scanner applies these rules for both readers, :func:`read_wal`
+(recovery) and :meth:`WriteAheadLog.truncate_through` (after each
+checkpoint).  A line as :func:`encode_record` wrote it is checked on
+its bytes: its canonical ``{"crc":C,"epoch":E,"lsn":L,`` prefix names
+the epoch and LSN, and the CRC is taken over the body as written, so
+truncation decodes no JSON and copies the surviving lines verbatim.
 
 Sync modes
 ----------
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -105,6 +112,13 @@ def encode_record(record: WalRecord) -> bytes:
     return b'{"crc":%d,%s\n' % (zlib.crc32(canonical), canonical[1:])
 
 
+#: the canonical frame's head: CRC, then the first two sorted keys.
+_FRAME_HEAD = re.compile(
+    rb'\{"crc":(0|[1-9]\d*),("epoch":(-?(?:0|[1-9]\d*)),"lsn":(0|[1-9]\d*),)')
+#: running CRC32 of the ``{`` the frame head replaces in the body.
+_BODY_OPEN_CRC = zlib.crc32(b"{")
+
+
 def decode_line(line: bytes) -> WalRecord | None:
     """Decode one framed line; ``None`` when the frame is invalid
     (torn write, truncated JSON, or CRC mismatch)."""
@@ -124,6 +138,52 @@ def decode_line(line: bytes) -> WalRecord | None:
     return record
 
 
+def _frame_key(line: bytes) -> tuple[int, int] | None:
+    """``(lsn, epoch)`` of one valid framed line; ``None`` when the
+    frame is invalid.  A canonical line is checked on its bytes; any
+    other spelling of a record goes through :func:`decode_line`."""
+    head = _FRAME_HEAD.match(line)
+    if head is not None and zlib.crc32(
+            memoryview(line)[head.start(2):],
+            _BODY_OPEN_CRC) == int(head[1]):
+        return int(head[4]), int(head[3])
+    record = decode_line(line)
+    return None if record is None else (record.lsn, record.epoch)
+
+
+def _scan_frames(path: Path) -> tuple[list[tuple[int, int, bytes]], int]:
+    """``(lsn, epoch, line)`` of every valid frame of the log at
+    ``path`` in log order (line without its newline; missing file =
+    empty log), and the torn records dropped (0 or 1).  A hole or an
+    LSN jump raises :class:`WalCorruptionError`."""
+    if not path.exists():
+        return [], 0
+    lines = path.read_bytes().split(b"\n")
+    # A trailing newline leaves one empty chunk; drop it (it is not a
+    # record, torn or otherwise).
+    if lines and lines[-1] == b"":
+        lines.pop()
+    frames: list[tuple[int, int, bytes]] = []
+    invalid_at: int | None = None
+    for i, line in enumerate(lines):
+        key = _frame_key(line)
+        if key is None:
+            if invalid_at is None:
+                invalid_at = i
+            continue
+        if invalid_at is not None:
+            raise WalCorruptionError(
+                f"{path}: record {invalid_at + 1} failed its CRC frame "
+                f"but valid records follow — the log has a hole, not a "
+                f"torn tail")
+        if frames and key[0] != frames[-1][0] + 1:
+            raise WalCorruptionError(
+                f"{path}: LSN jumped from {frames[-1][0]} to "
+                f"{key[0]} — records are missing")
+        frames.append((*key, line))
+    return frames, 0 if invalid_at is None else 1
+
+
 @dataclass
 class WalReadResult:
     """What one WAL scan produced."""
@@ -133,9 +193,6 @@ class WalReadResult:
     torn_records: int = 0
     #: bytes of valid framed records (torn tail excluded).
     valid_bytes: int = 0
-    #: each record's framed line as read (newline excluded), so a
-    #: truncation copies survivors instead of re-encoding them.
-    lines: list[bytes] = field(default_factory=list)
 
 
 class WriteAheadLog:
@@ -245,53 +302,25 @@ class WriteAheadLog:
         old or the new log, never a half-written one.
         """
         self.close()
-        result = read_wal(self.path)
-        keep = [line for record, line
-                in zip(result.records, result.lines)
-                if record.epoch > epoch]
+        frames, _torn = _scan_frames(self.path)
+        keep = [line for _lsn, record_epoch, line in frames
+                if record_epoch > epoch]
         tmp = self.path.with_name(self.path.name + f".tmp-{os.getpid()}")
         with open(tmp, "wb") as fh:
             fh.write(b"".join(line + b"\n" for line in keep))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
-        if result.records:
-            self._next_lsn = result.records[-1].lsn + 1
-        return len(result.records) - len(keep)
+        if frames:
+            self._next_lsn = frames[-1][0] + 1
+        return len(frames) - len(keep)
 
 
 def read_wal(path: str | Path) -> WalReadResult:
     """Read and validate a WAL file (missing file = empty log)."""
-    path = Path(path)
-    if not path.exists():
-        return WalReadResult(records=[])
-    raw = path.read_bytes()
-    records: list[WalRecord] = []
-    invalid_at: int | None = None
-    valid_bytes = 0
-    lines = raw.split(b"\n")
-    # A trailing newline leaves one empty chunk; drop it (it is not a
-    # record, torn or otherwise).
-    if lines and lines[-1] == b"":
-        lines.pop()
-    for i, line in enumerate(lines):
-        record = decode_line(line)
-        if record is None:
-            if invalid_at is None:
-                invalid_at = i
-            continue
-        if invalid_at is not None:
-            raise WalCorruptionError(
-                f"{path}: record {invalid_at + 1} failed its CRC frame "
-                f"but valid records follow — the log has a hole, not a "
-                f"torn tail")
-        if records and record.lsn != records[-1].lsn + 1:
-            raise WalCorruptionError(
-                f"{path}: LSN jumped from {records[-1].lsn} to "
-                f"{record.lsn} — records are missing")
-        records.append(record)
-        valid_bytes += len(line) + 1
-    return WalReadResult(records=records,
-                         torn_records=0 if invalid_at is None else 1,
-                         valid_bytes=valid_bytes,
-                         lines=lines[:len(records)])
+    frames, torn = _scan_frames(Path(path))
+    return WalReadResult(
+        records=[WalRecord.from_dict(json.loads(line))
+                 for _lsn, _epoch, line in frames],
+        torn_records=torn,
+        valid_bytes=sum(len(line) + 1 for _lsn, _epoch, line in frames))

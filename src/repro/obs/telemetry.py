@@ -47,7 +47,12 @@ class Telemetry:
     slow_query_threshold_s:
         Modeled-latency threshold for the slow-query log.
 
-    The event log keeps the last ``EVENTS_MAXLEN`` events.
+    Every record is bounded: the event log keeps the last
+    ``EVENTS_MAXLEN`` events (``events.dropped_events`` counts the
+    rest), the tracer the newest
+    :data:`~repro.obs.tracing.TRACES_MAXLEN` span trees
+    (``tracer.dropped_roots``), the slow-query log its newest 1,000
+    slow requests.
     """
 
     def __init__(self, *, enabled: bool = True,

@@ -16,16 +16,25 @@ blocks — no plumbing of span objects through call signatures.  Layers
 reach the active tracer through the ambient
 :func:`repro.obs.telemetry.current` telemetry, which returns a
 disabled no-op tracer when nothing activated one.
+
+Finished trees live in a ring of the newest :data:`TRACES_MAXLEN`
+roots, so a serving process keeps a flat footprint however long it
+runs; ``Tracer.dropped_roots`` counts the trees the ring evicted.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 __all__ = ["Span", "Tracer", "NULL_SPAN"]
+
+#: ring-buffer bound on a tracer's root spans (one per request or
+#: batch); evicted trees are counted in ``Tracer.dropped_roots``.
+TRACES_MAXLEN = 1_000
 
 
 @dataclass
@@ -96,7 +105,12 @@ NULL_SPAN = _NullSpan(name="null")
 
 
 class Tracer:
-    """Creates and nests spans; finished roots land in ``roots``.
+    """Creates and nests spans; root spans land in ``roots``.
+
+    ``roots`` is a ring of the newest :data:`TRACES_MAXLEN` trees: each
+    new root past the bound evicts the oldest and increments
+    ``dropped_roots``, the way :class:`~repro.obs.events.EventLog`
+    counts ``dropped_events``.
 
     Single-threaded by design (the simulator is single-threaded): the
     active-span stack is plain instance state.
@@ -104,9 +118,16 @@ class Tracer:
 
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
-        self.roots: list[Span] = []
+        self.roots: deque[Span] = deque(maxlen=TRACES_MAXLEN)
+        #: oldest roots overwritten by the ring bound.
+        self.dropped_roots = 0
         self._stack: list[Span] = []
         self._ids = itertools.count(1)
+
+    def _add_root(self, span: Span) -> None:
+        if len(self.roots) == self.roots.maxlen:
+            self.dropped_roots += 1
+        self.roots.append(span)
 
     @contextmanager
     def start_span(self, name: str, **attributes):
@@ -120,7 +141,7 @@ class Tracer:
         if self._stack:
             self._stack[-1].children.append(span)
         else:
-            self.roots.append(span)
+            self._add_root(span)
         self._stack.append(span)
         try:
             yield span
@@ -140,9 +161,10 @@ class Tracer:
         if self._stack:
             self._stack[-1].children.append(span)
         else:
-            self.roots.append(span)
+            self._add_root(span)
         return span
 
     def clear(self) -> None:
-        """Drop finished roots (the active stack is left alone)."""
+        """Drop the held roots (the active stack and ``dropped_roots``
+        are left alone)."""
         self.roots.clear()

@@ -480,7 +480,8 @@ class QueryService:
                         segments=result.num_segments,
                         trajectories=list(result.trajectory_ids),
                         compaction_due=result.compaction_due)
-                else:
+                elif result:
+                    # A delete that hid nothing tombstoned nothing.
                     reg.counter("repro_tombstones_total",
                                 "trajectories tombstoned").inc()
                     self.telemetry.events.emit(

@@ -126,7 +126,9 @@ class TestTelemetryCommands:
         assert roots[0]["name"] == "service.batch"
         assert any(json.loads(line)["kind"] == "request"
                    for line in events.read_text().splitlines())
-        assert "slow queries" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert f"({len(roots)} trees, 0 dropped by the ring)" in out
+        assert "slow queries" in out
 
 
 class TestReport:

@@ -126,6 +126,87 @@ class TestWalFraming:
         rec = wal.append("compact", 5, {})
         assert rec.lsn == 5
 
+    def test_truncate_raises_on_a_corrupt_middle_frame(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        r1 = encode_record(WalRecord(lsn=1, op="compact", epoch=1))
+        r2 = bytearray(encode_record(WalRecord(lsn=2, op="compact",
+                                               epoch=2)))
+        r2[-3] ^= 0x01          # one flipped byte inside the body
+        r3 = encode_record(WalRecord(lsn=3, op="compact", epoch=3))
+        path.write_bytes(r1 + bytes(r2) + r3)
+        before = path.read_bytes()
+        with pytest.raises(WalCorruptionError):
+            WriteAheadLog(path, sync="flush").truncate_through(1)
+        assert path.read_bytes() == before
+
+    def test_truncate_raises_on_an_lsn_jump(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(
+            encode_record(WalRecord(lsn=1, op="compact", epoch=1))
+            + encode_record(WalRecord(lsn=3, op="compact", epoch=2)))
+        with pytest.raises(WalCorruptionError):
+            WriteAheadLog(path, sync="flush").truncate_through(1)
+
+    # SHA-1 of the log truncate_through(cut) leaves, as commit 2b3d02f
+    # (which decoded every record) wrote it from the same fixture.
+    TRUNCATED_SHA1 = {
+        "wal_golden.jsonl": {
+            0: "64fb027a63c68c1548bf35ce11a3bc17720b967f",
+            1: "7f30d2484644fd8ab7306cd990a45a9180577a49",
+            2: "e44e76f48d4b54a3ddec47d3eea8209460e69088",
+            3: "803ab36d5a8a4c84d56148d062141f7f12f1e519",
+            4: "af4743aa352c7becdbd41c1fc01d3c03ff356448",
+            5: "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+        "durable_63282b1/wal.jsonl": {
+            0: "1f39d1afb296bd47a3c8502fdb40524bf4dd6d84",
+            2: "a4dd6523d74f2831ce520d82c1f63aaafbf687ea",
+            4: "05971b30e972ecbaaa0e6cecbe67ad7607cdcd16",
+            5: "f71ab4b7e77c68920f97d2090e383b97550ff3c5"},
+        "durable_d7f7855/wal.jsonl": {
+            3: "eb68ae6937a08523ecb4d9cf6e044c9e17c4e4aa",
+            5: "398f0813326380d8d4ae4f6e0b82a5f008437fd1"},
+    }
+
+    @pytest.mark.parametrize("name", sorted(TRUNCATED_SHA1))
+    def test_truncated_bytes_match_the_decoding_truncation(self, tmp_path,
+                                                          name):
+        fixture = Path(__file__).parent / "data" / name
+        last_lsn = read_wal(fixture).records[-1].lsn
+        for cut, sha1 in self.TRUNCATED_SHA1[name].items():
+            path = tmp_path / f"wal-{cut}.jsonl"
+            shutil.copy(fixture, path)
+            wal = WriteAheadLog(path, sync="flush")
+            wal.truncate_through(cut)
+            assert hashlib.sha1(path.read_bytes()).hexdigest() == sha1
+            assert wal.append("compact", 99, {}).lsn == last_lsn + 1
+
+    def test_truncate_drops_a_torn_tail(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        half = encode_record(WalRecord(lsn=6, op="compact", epoch=6))
+        path.write_bytes((Path(__file__).parent / "data"
+                          / "wal_golden.jsonl").read_bytes()
+                         + half[:len(half) // 2])
+        assert WriteAheadLog(path, sync="flush").truncate_through(2) == 2
+        assert hashlib.sha1(path.read_bytes()).hexdigest() == \
+            self.TRUNCATED_SHA1["wal_golden.jsonl"][2]
+
+    def test_a_record_in_another_spelling_still_frames(self, tmp_path):
+        # The CRC covers the canonical encoding, not the bytes: a line
+        # with JSON's default separators is the same record (read_wal
+        # decodes it, truncation keeps it verbatim).
+        rec = WalRecord(lsn=1, op="delete", epoch=1,
+                        payload={"traj_id": 4})
+        body = rec.to_dict()
+        canonical = json.dumps(body, sort_keys=True,
+                               separators=(",", ":")).encode()
+        loose = json.dumps(dict(body, crc=zlib.crc32(canonical)))
+        tail = encode_record(WalRecord(lsn=2, op="compact", epoch=2))
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(loose.encode() + b"\n" + tail)
+        assert read_wal(path).records[0] == rec
+        assert WriteAheadLog(path, sync="flush").truncate_through(0) == 0
+        assert path.read_bytes() == loose.encode() + b"\n" + tail
+
     def test_drop_torn_tail_truncates_file(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog(path, sync="flush")

@@ -18,7 +18,8 @@ from repro.engines.cpu_scan import CpuScanEngine
 from repro.ingest import (CompactionPolicy, IngestError,
                           VersionedDatabase, overlay_search)
 from repro.service import QueryService, SearchRequest
-from tests.conftest import NON_FINITE, make_walk_trajectories, poisoned
+from tests.conftest import (NON_FINITE, make_walk_trajectories, poisoned,
+                            series_value)
 
 D = 2.5
 
@@ -389,6 +390,16 @@ class TestServiceIngestion:
         snap = svc.telemetry.metrics.snapshot()
         assert "repro_ingest_total" in snap
         assert "repro_delta_segments" in snap
+
+    def test_repeated_delete_counts_one_tombstone(self, base):
+        svc = QueryService(base)
+        victim = int(base.traj_ids[0])
+        assert svc.delete_trajectory(victim) > 0
+        assert svc.delete_trajectory(victim) == 0
+        reg = svc.telemetry.metrics
+        assert series_value(reg, "repro_tombstones_total") == 1
+        assert series_value(reg, "repro_tombstoned_trajectories") == 1
+        assert len(svc.telemetry.events.of_kind("delete")) == 1
 
 
 class TestKeepSegIds:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.obs import (DEFAULT_LATENCY_BUCKETS, Event, EventLog,
                        MetricsRegistry, SlowQueryLog, Telemetry, Tracer)
+from repro.obs import tracing
 from repro.obs.telemetry import DISABLED, current
 from tests.conftest import series_value
 
@@ -134,7 +135,7 @@ class TestTracer:
         with tr.start_span("root", a=1) as root:
             with tr.start_span("child") as child:
                 tr.record("leaf", 0.0, 0.5, k=2)
-        assert tr.roots == [root]
+        assert list(tr.roots) == [root]
         assert root.children == [child]
         assert child.children[0].name == "leaf"
         assert child.children[0].wall_dur_s == 0.5
@@ -170,9 +171,55 @@ class TestTracer:
             span.set_attribute("k", "v")
             span.set_modeled(0.0, 1.0)
             tr.record("leaf", 0.0, 1.0)
-        assert tr.roots == []
+        assert list(tr.roots) == []
         assert span.attributes == {}
         assert span.modeled_start_s is None
+
+
+class TestTraceRing:
+    """``Tracer.roots`` keeps the newest ``TRACES_MAXLEN`` trees."""
+
+    @pytest.fixture(autouse=True)
+    def ring_of_three(self, monkeypatch):
+        monkeypatch.setattr(tracing, "TRACES_MAXLEN", 3)
+
+    @staticmethod
+    def _serve(tr, names):
+        for name in names:
+            with tr.start_span(name):
+                tr.record("leaf", 0.0, 0.1)
+
+    def test_ring_evicts_the_oldest_root(self):
+        tr = Tracer()
+        self._serve(tr, "abcde")
+        assert [s.name for s in tr.roots] == ["c", "d", "e"]
+        assert [c.name for c in tr.roots[-1].children] == ["leaf"]
+
+    def test_dropped_roots_counts_the_evicted_roots(self):
+        tr = Tracer()
+        self._serve(tr, "abc")
+        assert tr.dropped_roots == 0
+        self._serve(tr, "de")
+        tr.record("top", 0.0, 0.1)      # a root recorded whole
+        assert tr.dropped_roots == 3
+        assert [s.name for s in tr.roots] == ["d", "e", "top"]
+
+    def test_clear_empties_the_ring(self):
+        tr = Tracer()
+        self._serve(tr, "abcd")
+        tr.clear()
+        assert list(tr.roots) == []
+        assert tr.dropped_roots == 1
+        self._serve(tr, "xyz")
+        assert [s.name for s in tr.roots] == ["x", "y", "z"]
+        assert tr.dropped_roots == 1
+
+    def test_disabled_tracer_still_records_nothing(self):
+        tr = Tracer(enabled=False)
+        self._serve(tr, "abcde")
+        tr.record("top", 0.0, 0.1)
+        assert list(tr.roots) == []
+        assert tr.dropped_roots == 0
 
 
 class TestEvents:
@@ -296,4 +343,4 @@ class TestTelemetryHub:
         assert hub.metrics.counter("c").total() == 0.0
         assert len(hub.events) == 0
         assert len(hub.slow_log) == 0
-        assert hub.tracer.roots == []
+        assert list(hub.tracer.roots) == []

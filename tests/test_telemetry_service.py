@@ -255,7 +255,7 @@ class TestDisabledTelemetry:
                                    method="gpu_temporal",
                                    params={"num_bins": 40}))
         assert resp.outcome.results is not None
-        assert svc.telemetry.tracer.roots == []
+        assert list(svc.telemetry.tracer.roots) == []
         assert len(svc.telemetry.events) == 0
         assert svc.telemetry.metrics.to_prometheus_text() == ""
         assert svc.stats()["num_requests"] == 1

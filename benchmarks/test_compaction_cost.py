@@ -8,7 +8,7 @@ scenario's four engines warm, default policies — ingests 400-step walks
 until the policy compacts, and splits that one compaction into the fold,
 each engine's rebuild and the checkpoint (seconds and bytes).
 
-The seconds are printed, not gated; three structural facts are:
+The seconds are printed, not gated; four structural facts are:
 
 * the checkpoint holds data, not engines: no ``engines/`` file, and
   little more than the base array (a restart rebuilds every warm engine
@@ -17,10 +17,18 @@ The seconds are printed, not gated; three structural facts are:
   the GPU indexes are vectorised sorts;
 * that R-tree is built >= 1.4x faster than by the straightforward
   builder the tests keep as the oracle (same tree, bit for bit:
-  ``tests/test_rtree_identity.py``).
+  ``tests/test_rtree_identity.py``);
+* the compaction holds one generation of engines: the same setup run
+  again under ``tracemalloc`` (started before the warm builds, so the
+  outgoing engines' frees show), the compacting ingest's traced peak
+  above the heap it started from is at most ``MAX_PEAK_OVER_BASE``
+  times the new base's bytes.  Keeping the outgoing engines alive
+  through the rebuild, and copying the base into the R-tree, read
+  ~7x.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -44,6 +52,7 @@ METHODS = ("gpu_spatial", "gpu_temporal", "gpu_spatiotemporal",
 D = 10.0
 SLOW_REBUILD_S = 0.1
 MIN_BUILDER_SPEEDUP = 1.4
+MAX_PEAK_OVER_BASE = 4.0
 
 
 def _params(scenario, method):
@@ -76,26 +85,45 @@ def _min_of_3_interleaved(database, params, monkeypatch):
     return best["new"], best["oracle"]
 
 
-def test_compaction_cost(tmp_path, monkeypatch):
+def _one_policy_compaction(state_dir, *, traced=False):
+    """The four engines warm, then 400-step walks ingested until the
+    policy compacts once.  Returns the service, the ``engine_build``
+    events before the compacting ingest, and (``traced``) that
+    ingest's ``tracemalloc`` peak above the heap it started from."""
     scenario = scenario_s1_random(SCALE)
     database = random_dataset(scale=SCALE, rng=np.random.default_rng(0))
-    svc = QueryService(database, durability_dir=tmp_path / "state")
     walks = _fresh_walks(13, first_traj_id=2_000_000)
     queries = SegmentArray.from_trajectories(walks[:1]).take(np.arange(64))
-    for method in METHODS:
-        response = svc.submit(SearchRequest(
-            queries=queries, d=D, method=method,
-            params=_params(scenario, method)))
-        assert response.ok
-
-    events = svc.telemetry.events
-    builds_before = len(events.of_kind("engine_build"))
-    for walk in walks[1:]:
-        svc.ingest(SegmentArray.from_trajectories([walk]))
-        if svc.versioned.total_compactions:
-            break
+    if traced:
+        tracemalloc.start()
+    try:
+        svc = QueryService(database, durability_dir=state_dir)
+        for method in METHODS:
+            response = svc.submit(SearchRequest(
+                queries=queries, d=D, method=method,
+                params=_params(scenario, method)))
+            assert response.ok
+        for walk in walks[1:]:
+            builds_before = len(svc.telemetry.events.of_kind(
+                "engine_build"))
+            if traced:
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+            svc.ingest(SegmentArray.from_trajectories([walk]))
+            if svc.versioned.total_compactions:
+                break
+        peak = tracemalloc.get_traced_memory()[1] - start if traced \
+            else None
+    finally:
+        tracemalloc.stop()
     assert svc.versioned.total_compactions == 1, \
         "twelve 400-step walks should trip the default policy once"
+    return svc, builds_before, peak
+
+
+def test_compaction_cost(tmp_path, monkeypatch):
+    svc, builds_before, _ = _one_policy_compaction(tmp_path / "state")
+    events = svc.telemetry.events
     compaction, = events.of_kind("compaction")
     assert compaction.fields["trigger"] == "policy"
     assert compaction.fields["prewarm"] == len(METHODS)
@@ -112,9 +140,13 @@ def test_compaction_cost(tmp_path, monkeypatch):
              for p in newest.rglob("*") if p.is_file()}
     svc.shutdown()
 
+    base = svc.current_snapshot().base
     rtree_params = {"segments_per_mbb": 4, "temporal_axis": True}
-    new_s, oracle_s = _min_of_3_interleaved(
-        svc.current_snapshot().base, rtree_params, monkeypatch)
+    new_s, oracle_s = _min_of_3_interleaved(base, rtree_params,
+                                            monkeypatch)
+    traced, _, peak = _one_policy_compaction(tmp_path / "traced",
+                                             traced=True)
+    traced.shutdown()
 
     rows = [f"{'stage':<34s} {'seconds':>9s} {'bytes':>11s}",
             f"{'fold (VersionedDatabase.compact)':<34s} {fold_s:9.4f}"]
@@ -124,9 +156,12 @@ def test_compaction_cost(tmp_path, monkeypatch):
                 f"{sum(sizes.values()):11d}")
     rows += [f"{'  ' + name:<34s} {'':9s} {size:11d}"
              for name, size in sorted(sizes.items())]
-    rows.append(f"R-tree build over {len(svc.current_snapshot().base)} "
+    rows.append(f"R-tree build over {len(base)} "
                 f"rows, min of 3 interleaved: {new_s:.3f} s, "
                 f"oracle {oracle_s:.3f} s ({oracle_s / new_s:.2f}x)")
+    rows.append(f"compacting ingest, traced peak above its start: "
+                f"{peak} B ({peak / base.nbytes():.2f}x the "
+                f"{base.nbytes()} B new base)")
     emit("compaction_cost",
          "one policy compaction, S1-random at 2 %, four warm engines\n"
          + "\n".join(rows))
@@ -139,3 +174,4 @@ def test_compaction_cost(tmp_path, monkeypatch):
     assert slow in ([], ["cpu_rtree"]), \
         f"a GPU index took over {SLOW_REBUILD_S} s to rebuild: {rebuild_s}"
     assert oracle_s / new_s >= MIN_BUILDER_SPEEDUP
+    assert peak <= MAX_PEAK_OVER_BASE * base.nbytes()

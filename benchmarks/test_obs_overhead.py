@@ -4,10 +4,16 @@ The observability layer (ISSUE: observability) must be cheap enough to
 leave on: on a warm-cache ``submit_batch`` workload — the steady state
 a long-lived service spends its life in — the wall-clock cost of full
 telemetry (spans, metrics, events) must stay under 5 % of the
-uninstrumented run.  Min-of-N timing on both sides filters scheduler
-noise.
+uninstrumented run.
+
+The two services run one batch each, alternately, ``REPEATS`` times;
+the overhead is the median of the per-pair time ratios.  A batch is
+``BATCH_SIZE`` requests, ~18 ms on a shared 2-vCPU box, and telemetry
+is ~4 % of it there: a min-of-N estimate swung between -6 % and +13 %
+from run to run on that box, while the paired median held at 3-4 %.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -21,8 +27,8 @@ from repro.service import QueryService, SearchRequest
 METHOD = "gpu_temporal"
 PARAMS = {"num_bins": 40}
 D = 1.0
-BATCH_SIZE = 4
-REPEATS = 20
+BATCH_SIZE = 24
+REPEATS = 200
 MAX_OVERHEAD = 0.05
 
 
@@ -62,12 +68,12 @@ def test_telemetry_overhead_under_five_percent(workload):
     svc_on.submit_batch(_requests(batches))
 
     # Interleave the two services so machine drift (frequency scaling,
-    # competing processes) hits both sides equally; min-of-N filters
-    # the rest.
-    base = instrumented = float("inf")
+    # competing processes) hits both sides of a pair alike; the median
+    # pair ratio filters the rest.
+    base, instrumented = [], []
     for _ in range(REPEATS):
-        base = min(base, _timed_batch(svc_off, batches))
-        instrumented = min(instrumented, _timed_batch(svc_on, batches))
+        base.append(_timed_batch(svc_off, batches))
+        instrumented.append(_timed_batch(svc_on, batches))
 
     # The instrumented service really did record everything.
     assert svc_on.telemetry.tracer.roots
@@ -76,12 +82,15 @@ def test_telemetry_overhead_under_five_percent(workload):
         "repro_requests_total").total() > 0
     assert not svc_off.telemetry.tracer.roots
 
-    overhead = instrumented / base - 1.0
+    overhead = statistics.median(
+        on / off for off, on in zip(base, instrumented)) - 1.0
     emit("obs_overhead",
-         "telemetry overhead (warm-cache submit_batch, "
-         f"min of {REPEATS})\n"
-         f"  disabled:     {base * 1e3:9.3f} ms/batch\n"
-         f"  instrumented: {instrumented * 1e3:9.3f} ms/batch\n"
+         f"telemetry overhead (warm-cache submit_batch of {BATCH_SIZE}, "
+         f"median of {REPEATS} interleaved pairs)\n"
+         f"  disabled:     {statistics.median(base) * 1e3:9.3f} "
+         "ms/batch (median)\n"
+         f"  instrumented: {statistics.median(instrumented) * 1e3:9.3f} "
+         "ms/batch (median)\n"
          f"  overhead:     {overhead * 100:+7.2f} %  "
          f"(budget {MAX_OVERHEAD * 100:.0f} %)")
     assert overhead < MAX_OVERHEAD

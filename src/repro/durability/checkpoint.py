@@ -110,12 +110,6 @@ class Checkpoint:
     applied_keys: dict = field(default_factory=dict)
 
 
-def _npz_bytes(segments: SegmentArray) -> bytes:
-    buf = io.BytesIO()
-    np.savez(buf, **{f: getattr(segments, f) for f in _FIELDS})
-    return buf.getvalue()
-
-
 def _npz_load(blob: bytes) -> SegmentArray:
     with np.load(io.BytesIO(blob)) as data:
         return SegmentArray(*(data[f] for f in _FIELDS))
@@ -128,6 +122,21 @@ def _write_file(path: Path, data: bytes) -> str:
         fh.flush()
         os.fsync(fh.fileno())
     return hashlib.sha1(data).hexdigest()
+
+
+def _write_npz(path: Path, segments: SegmentArray) -> str:
+    """Write + fsync one array file, ``np.savez`` straight into it (the
+    archive is never a second copy in memory); returns its SHA-1 for
+    the manifest, read back from the file in chunks."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **{f: getattr(segments, f) for f in _FIELDS})
+        fh.flush()
+        os.fsync(fh.fileno())
+    digest = hashlib.sha1()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def checkpoint_name(epoch: int) -> str:
@@ -169,8 +178,7 @@ def write_checkpoint(directory: str | Path, state: dict, *,
     if tmp.exists():
         shutil.rmtree(tmp)
     tmp.mkdir(parents=True)
-    files = {f"{name}.npz": _write_file(tmp / f"{name}.npz",
-                                       _npz_bytes(state[name]))
+    files = {f"{name}.npz": _write_npz(tmp / f"{name}.npz", state[name])
              for name in _ARRAYS}
     manifest = {
         "format": FORMAT_VERSION,

@@ -125,6 +125,32 @@ def _str_pack(lo: np.ndarray, hi: np.ndarray, fanout: int) -> np.ndarray:
     return group
 
 
+def _grouped(segments: SegmentArray) -> SegmentArray:
+    """``segments`` with each trajectory's rows contiguous and
+    time-ordered: the caller's array itself when it already is (every
+    generated dataset and every compacted base), else a sorted copy."""
+    order = np.lexsort((segments.ts, segments.traj_ids))
+    if np.array_equal(order, np.arange(len(order))):
+        return segments
+    return segments.take(order)
+
+
+def _chunk_boxes(seg: SegmentArray, first: np.ndarray, temporal: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(chunks, ndim)`` boxes of the contiguous row chunks that
+    start at ``first``, one axis at a time: no per-segment box array."""
+    shape = (first.shape[0], 4 if temporal else 3)
+    lo, hi = np.empty(shape), np.empty(shape)
+    for d, (start, end) in enumerate(((seg.xs, seg.xe), (seg.ys, seg.ye),
+                                      (seg.zs, seg.ze))):
+        lo[:, d] = np.minimum.reduceat(np.minimum(start, end), first)
+        hi[:, d] = np.maximum.reduceat(np.maximum(start, end), first)
+    if temporal:
+        lo[:, 3] = np.minimum.reduceat(seg.ts, first)
+        hi[:, 3] = np.maximum.reduceat(seg.te, first)
+    return lo, hi
+
+
 def _str_levels(lo: np.ndarray, hi: np.ndarray, ranges: np.ndarray,
                 fanout: int) -> tuple[RTreeLevel, ...]:
     """STR bulk load: pack the leaf entries into nodes, then those
@@ -151,8 +177,10 @@ def _str_levels(lo: np.ndarray, hi: np.ndarray, ranges: np.ndarray,
 class RTree:
     """An R-tree over a segment database (3-D spatial or 4-D boxes).
 
-    ``segments`` is the database re-sorted so every trajectory's segments
-    are contiguous and time-ordered (leaf MBBs cover consecutive rows).
+    ``segments`` is the database with every trajectory's segments
+    contiguous and time-ordered (leaf MBBs cover consecutive rows): the
+    caller's own array when it already was so ordered, else a re-sorted
+    copy.  The tree never writes to it.
     ``levels`` is the frozen tree, root level first (:func:`flatten`).
     """
 
@@ -203,12 +231,8 @@ class RTree:
 
         # Group rows so each trajectory's segments are contiguous and
         # time-ordered; leaf MBBs must never span trajectories.
-        order = np.lexsort((segments.ts, segments.traj_ids))
-        seg = segments.take(order)
+        seg = _grouped(segments)
         r = segments_per_mbb
-
-        boxes = segment_mbbs(seg, temporal=temporal_axis)
-        ndim = boxes.ndim
         # Chunk rows into runs of r consecutive same-trajectory segments.
         tid = seg.traj_ids
         run_break = np.ones(len(seg), dtype=bool)
@@ -217,11 +241,10 @@ class RTree:
             np.where(run_break, np.arange(len(seg)), 0))
         chunk_break = run_break | ((np.arange(len(seg)) - run_start_of)
                                    % r == 0)
-        # Chunks are contiguous row runs, so one reduceat per bound.
+        # Chunks are contiguous row runs, so each bound is a reduceat.
         first = np.flatnonzero(chunk_break)
         num_chunks = first.shape[0]
-        chunk_lo = np.minimum.reduceat(boxes.lo, first, axis=0)
-        chunk_hi = np.maximum.reduceat(boxes.hi, first, axis=0)
+        chunk_lo, chunk_hi = _chunk_boxes(seg, first, temporal_axis)
         last = np.empty_like(first)
         last[:-1] = first[1:] - 1
         last[-1] = len(seg) - 1
@@ -229,7 +252,8 @@ class RTree:
 
         if method == "guttman":
             from .rtree_insert import GuttmanBuilder
-            builder = GuttmanBuilder(fanout=fanout, ndim=ndim)
+            builder = GuttmanBuilder(fanout=fanout,
+                                     ndim=chunk_lo.shape[1])
             # Dynamic R-trees are sensitive to insertion order.  Snapshot
             # datasets (Merger, Random-dense) are produced timestep-major,
             # so the natural load order presents time-adjacent but

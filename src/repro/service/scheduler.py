@@ -513,19 +513,25 @@ class QueryService:
     def _compact(self, *, trigger: str) -> CompactionResult:
         """Fold the delta into a fresh base and re-warm the cache.
 
-        Engines cached for the outgoing base that served a request
-        since they were built are remembered, the stale entries
-        invalidated, and the same (method, params) engines are
-        rebuilt over the new base *inside this call* — off the query
-        hot path, but on the virtual GPU like any other build, so
-        injected faults (chaos) can and do fire mid-compaction.  A
-        failed prewarm build is logged and skipped: the next request
-        simply pays a cache miss (or walks the failover ladder).
+        The (method, params) recipes of the engines cached for the
+        outgoing base that served a request since they were built are
+        remembered, the stale entries invalidated, and the same
+        engines are rebuilt over the new base *inside this call* — off
+        the query hot path, but on the virtual GPU like any other
+        build, so injected faults (chaos) can and do fire
+        mid-compaction.  Only recipes are kept, never the entries, so
+        the invalidation frees the outgoing engines before the first
+        rebuild: a compaction holds one generation of engines plus
+        the rebuild's working set.  A failed prewarm build is logged
+        and skipped: the next request simply pays a cache miss (or
+        walks the failover ladder).
         """
         mutation = Mutation("compact")
         old_fp = self.fingerprint
-        cached = [e for e in self.cache.entries() if e.key[0] == old_fp]
-        warm = [(e.key[1], e.key[2]) for e in cached if e.served]
+        recipes = [(e.key[1], e.key[2], e.served)
+                   for e in self.cache.entries() if e.key[0] == old_fp]
+        warm = [(method, canon) for method, canon, served in recipes
+                if served]
         with self.telemetry.span("service.compaction",
                                  trigger=trigger) as span:
             result = self._commit(mutation)
@@ -551,7 +557,7 @@ class QueryService:
                 dropped_segments=result.dropped_segments,
                 new_base_rows=result.new_base_rows,
                 stale_entries=stale, prewarm=len(warm),
-                prewarm_skipped=len(cached) - len(warm))
+                prewarm_skipped=len(recipes) - len(warm))
             for method, canon in warm:
                 self._prewarm(method, dict(canon),
                               "compaction_prewarm_failed")

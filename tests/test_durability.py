@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import pickle
 import shutil
@@ -270,6 +271,25 @@ class TestCheckpoint:
         assert np.array_equal(ckpt.base.seg_ids,
                               db.snapshot().base.seg_ids)
         assert np.array_equal(ckpt.delta.xs, db.snapshot().delta.xs)
+
+    def test_array_files_are_the_in_memory_archives_bytes(self, tmp_path):
+        # np.savez streams into the open file; the bytes (and so the
+        # manifest's digests) are those of the archive built in a
+        # BytesIO, which is how checkpoints were written before.
+        db = VersionedDatabase(_db())
+        db.append(_db(seed=5, n=2, offset=100))
+        db.delete_trajectory(3)
+        state = _state(db)
+        path = write_checkpoint(tmp_path / "checkpoints", state)
+        digests = json.loads((path / "MANIFEST.json").read_text())["files"]
+        for name in ("base", "delta"):
+            buf = io.BytesIO()
+            np.savez(buf, **{f: getattr(state[name], f) for f in
+                             ("xs", "ys", "zs", "ts", "xe", "ye", "ze",
+                              "te", "traj_ids", "seg_ids")})
+            assert (path / f"{name}.npz").read_bytes() == buf.getvalue()
+            assert digests[f"{name}.npz"] \
+                == hashlib.sha1(buf.getvalue()).hexdigest()
 
     def test_checksum_mismatch_detected(self, tmp_path):
         db = VersionedDatabase(_db())

@@ -9,6 +9,8 @@ base-fingerprint cache keys that survive ingestion, and cache prewarm
 after compaction.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -362,6 +364,33 @@ class TestServiceIngestion:
         assert svc.submit(requests["gpu_temporal"]).metrics.cache_hit
         builds, event = compact_and_count_builds()
         assert builds == 2 and event["prewarm_skipped"] == 0
+
+    def test_outgoing_engines_die_before_the_first_rebuild(
+            self, base, queries, monkeypatch):
+        """A compaction holds one generation of engines: the stale
+        entries' engines are freed (by refcount, no collection) before
+        the first prewarm builds their successors."""
+        svc = QueryService(base, auto_compact=False)
+        for method, params in (("gpu_temporal", {"num_bins": 16}),
+                               ("cpu_rtree", {"segments_per_mbb": 2})):
+            svc.submit(SearchRequest(queries=queries, d=D, method=method,
+                                     params=params))
+        refs = [weakref.ref(e.engine) for e in svc.cache.entries()]
+        assert len(refs) == 2
+        dead_at_first_prewarm = []
+        prewarm = svc._prewarm
+
+        def recording_prewarm(*args):
+            if not dead_at_first_prewarm:
+                dead_at_first_prewarm.append(
+                    [ref() is None for ref in refs])
+            return prewarm(*args)
+
+        monkeypatch.setattr(svc, "_prewarm", recording_prewarm)
+        svc.ingest(_db(num_traj=1, seed=61, id_offset=6100))
+        svc.compact()
+        assert dead_at_first_prewarm == [[True, True]]
+        assert len(svc.cache.entries()) == 2
 
     def test_forced_compaction(self, base):
         svc = QueryService(base)

@@ -6,6 +6,8 @@ from pathlib import Path
 from repro.experiments.paper_report import (ARTIFACTS, build_report,
                                             write_report)
 
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
 
 class TestReport:
     def test_report_includes_available_artifacts(self, tmp_path):
@@ -38,3 +40,12 @@ class TestReport:
             (tmp_path / f"{art.file}.txt").write_text("data")
         report = build_report(tmp_path)
         assert "Missing artifacts" not in report
+
+    def test_committed_report_is_current(self, tmp_path):
+        # REPORT.md is rendered from results/*.txt; one regenerated
+        # without the other once kept a stale table.  Rendered into a
+        # temporary file, the committed results give the committed
+        # report, byte for byte.
+        out = write_report(RESULTS_DIR, tmp_path / "REPORT.md")
+        assert out.read_bytes() == (RESULTS_DIR / "REPORT.md").read_bytes(), \
+            "results/REPORT.md is stale: run python -m repro report"

@@ -79,6 +79,11 @@ DATASETS = {
     # The first 20,000 rows (104 walkers) of S3-random-dense.
     "S3": lambda: random_dense_dataset(
         scale=0.02, rng=np.random.default_rng(0)).take(np.arange(20_000)),
+    # The first 8,000 rows of S1 in a random row order: the one input
+    # ``RTree.build`` must re-sort (a copy) instead of keeping as given.
+    "S1-shuffled": lambda: random_dataset(
+        scale=0.02, rng=np.random.default_rng(0)).take(
+            np.random.default_rng(3).permutation(8_000)),
 }
 
 #: (dataset, rows used, temporal_axis, segments_per_mbb, fanout)
@@ -89,6 +94,7 @@ BUILDS = {
     "S1-3d-r1-f5": ("S1", 4_000, False, 1, 5),
     "S1-4d-r4-f4": ("S1", 8_000, True, 4, 4),
     "S3-3d-r4": ("S3", None, False, 4, 16),    # the S3 serving config
+    "S1-shuffled-3d-r4": ("S1-shuffled", None, False, 4, 16),
 }
 
 #: SHA-1 of the frozen tree as commit f7a6f96 built it.
@@ -123,6 +129,25 @@ def test_same_tree_as_the_reference_builder(datasets, name, monkeypatch):
     assert got.nbytes() == want.nbytes()
     if name in GOLDEN_SHA1:
         assert tree_sha1(got) == GOLDEN_SHA1[name]
+
+
+def test_an_ordered_base_is_indexed_in_place(datasets):
+    base = datasets["S1"]
+    assert RTree.build(base, segments_per_mbb=4, temporal_axis=True
+                       ).segments is base
+
+
+def test_a_shuffled_base_builds_the_ordered_tree(datasets):
+    """The re-sorting path: the same rows in another order give the
+    tree and the row order of the ordered prefix, bit for bit."""
+    got = _build(datasets, "S1-shuffled-3d-r4")
+    want = _build(datasets, "S1-3d-r4")
+    assert got.segments is not datasets["S1-shuffled"]
+    assert_same_tree(got.levels, want.levels)
+    for name in ("xs", "ys", "zs", "ts", "xe", "ye", "ze", "te",
+                 "traj_ids", "seg_ids"):
+        assert getattr(got.segments, name).tobytes() \
+            == getattr(want.segments, name).tobytes()
 
 
 # -- inputs that are all ties, straight into the builders ---------------------

@@ -12,12 +12,14 @@ The seconds are printed, not gated; four structural facts are:
 
 * the checkpoint holds data, not engines: no ``engines/`` file, and
   little more than the base array (a restart rebuilds every warm engine
-  from its recipe — ``cpu_rtree``, the slowest, in ~0.3 s);
+  from its recipe — ``cpu_rtree``, the slowest, in ~0.1 s);
 * the insertion-built R-tree is the only rebuild that takes real time —
   the GPU indexes are vectorised sorts;
-* that R-tree is built >= 1.4x faster than by the straightforward
-  builder the tests keep as the oracle (same tree, bit for bit:
-  ``tests/test_rtree_identity.py``);
+* that R-tree is built >= ``MIN_BUILDER_SPEEDUP`` times faster than by
+  the straightforward NumPy builder the tests keep as the oracle (same
+  tree, bit for bit: ``tests/test_rtree_identity.py``).  The builder
+  that ran ChooseLeaf and PickNext as NumPy calls on each node's few
+  rows read 2.6-2.9x; on Python floats it reads ~4.7x;
 * the compaction holds one generation of engines: the same setup run
   again under ``tracemalloc`` (started before the warm builds, so the
   outgoing engines' frees show), the compacting ingest's traced peak
@@ -51,7 +53,7 @@ METHODS = ("gpu_spatial", "gpu_temporal", "gpu_spatiotemporal",
            "cpu_rtree")
 D = 10.0
 SLOW_REBUILD_S = 0.1
-MIN_BUILDER_SPEEDUP = 1.4
+MIN_BUILDER_SPEEDUP = 3.5
 MAX_PEAK_OVER_BASE = 4.0
 
 

@@ -22,7 +22,7 @@ first: level ``i``'s node ``n`` owns entries ``start[n]:start[n+1]``,
 internal entry ``e`` *is* node ``e`` of level ``i + 1``, and the leaf
 level carries each entry's row range.  Both builders make balanced trees
 and go through the one :func:`flatten`.  The search walks the levels
-with one frontier of ``(query, node)`` pairs for the whole query batch,
+with one frontier of ``(query, node)`` pairs per block of queries,
 testing one axis at a time and compacting the frontier between axes; it
 produces exactly the candidates, in exactly the order, and the node-visit
 counts a per-query depth-first traversal would, which is what the CPU
@@ -41,6 +41,11 @@ from ..core.ranges import expand_ranges, range_offsets
 from ..core.types import SegmentArray
 
 __all__ = ["RTree", "RTreeLevel", "flatten"]
+
+#: Queries walked down the tree at once.  Every query set of the
+#: end-to-end benchmark (8 and 64 segments) is one block; a larger batch
+#: holds one block's frontier at a time, not the whole batch's.
+_QUERY_BLOCK = 128
 
 
 class RTreeLevel(NamedTuple):
@@ -252,8 +257,6 @@ class RTree:
 
         if method == "guttman":
             from .rtree_insert import GuttmanBuilder
-            builder = GuttmanBuilder(fanout=fanout,
-                                     ndim=chunk_lo.shape[1])
             # Dynamic R-trees are sensitive to insertion order.  Snapshot
             # datasets (Merger, Random-dense) are produced timestep-major,
             # so the natural load order presents time-adjacent but
@@ -263,10 +266,8 @@ class RTree:
                 insert_order = np.argsort(chunk_lo[:, 3], kind="stable")
             else:
                 insert_order = np.arange(num_chunks)
-            for c, row_range in zip(insert_order,
-                                    ranges[insert_order].tolist()):
-                builder.insert(chunk_lo[c], chunk_hi[c], tuple(row_range))
-            levels = builder.finalize()
+            levels = GuttmanBuilder(fanout=fanout).build(
+                chunk_lo, chunk_hi, ranges, insert_order)
         else:
             levels = _str_levels(chunk_lo, chunk_hi, ranges, fanout)
         return cls(segments=seg, levels=levels, segments_per_mbb=r,
@@ -281,13 +282,18 @@ class RTree:
         """Index phase of the search: every query's candidate rows.
 
         The query's MBB is expanded by ``d`` on the spatial axes only,
-        then walked down the levels with the whole batch at once.
+        then walked down the levels ``_QUERY_BLOCK`` queries at a time.
         Returns ``(candidate_rows, cand_start, node_visits)``: query
         ``k``'s candidates (all ``r`` segments of every overlapping leaf
         MBB, leaf visits in DFS order, leaf children in slot order) are
         ``candidate_rows[cand_start[k]:cand_start[k+1]]``, and
         ``node_visits[k]`` counts the nodes query ``k`` expanded — the
         traversal cost the CPU model charges.
+
+        Blocks split the batch by query, so each block's answer is a
+        contiguous stretch of the whole batch's: the walk holds one
+        block's frontier at a time, plus the leaf entries every block
+        reached, and expands those into the one output array.
         """
         nq = len(queries)
         qboxes = segment_mbbs(queries, temporal=self.temporal_axis)
@@ -295,9 +301,38 @@ class RTree:
         q_hi = np.ascontiguousarray(qboxes.hi.T)
         q_lo[:3] -= d
         q_hi[:3] += d
+        ranges = self.levels[-1].ranges
+        lens = np.zeros(nq, dtype=np.int64)
+        node_visits = np.zeros(nq, dtype=np.int64)
+        blocks = []
+        for first in range(0, nq, _QUERY_BLOCK):
+            block = slice(first, min(first + _QUERY_BLOCK, nq))
+            q, entry, node_visits[block] = self._walk(q_lo[:, block],
+                                                      q_hi[:, block])
+            span = ranges[entry]
+            length = span[:, 1] - span[:, 0] + 1
+            lens[block] = np.bincount(q, weights=length,
+                                      minlength=block.stop - first)
+            blocks.append((block, entry))
+        cand_start = range_offsets(lens)
+        if len(blocks) == 1:    # the whole batch was one block
+            return expand_ranges(span[:, 0], length), cand_start, node_visits
+        rows = np.empty(cand_start[-1], dtype=np.int64)
+        for block, entry in blocks:
+            span = ranges[entry]
+            rows[cand_start[block.start]:cand_start[block.stop]] = \
+                expand_ranges(span[:, 0], span[:, 1] - span[:, 0] + 1)
+        return rows, cand_start, node_visits
+
+    def _walk(self, q_lo: np.ndarray, q_hi: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Walk one block of query boxes (``(ndim, n)`` per bound) down
+        the levels with one frontier of ``(query, node)`` pairs.  Returns
+        the leaf frontier ``(query, leaf entry)`` — each query's leaf
+        entries in depth-first order — and each query's node visits."""
+        nq = q_lo.shape[1]
         # Time first on a 4-D tree: the order cannot change the outcome.
         axes = (3, 0, 1, 2) if self.temporal_axis else (0, 1, 2)
-
         # The frontier: (query, node) pairs sorted by query, then by
         # position in the level — each query's depth-first visit order.
         q = np.arange(nq, dtype=np.int64)
@@ -318,12 +353,7 @@ class RTree:
             if not q.size:
                 break
         # Past the loop the frontier holds leaf entries, or nothing.
-        ranges = self.levels[-1].ranges[node]
-        length = ranges[:, 1] - ranges[:, 0] + 1
-        lens = np.bincount(q, weights=length, minlength=nq).astype(np.int64)
-        cand_start = range_offsets(lens)
-        node_visits = np.bincount(np.concatenate(visited), minlength=nq)
-        return expand_ranges(ranges[:, 0], length), cand_start, node_visits
+        return q, node, np.bincount(np.concatenate(visited), minlength=nq)
 
     # -- reporting ------------------------------------------------------------------
 

@@ -135,8 +135,9 @@ class Tracer:
         if not self.enabled:
             yield NULL_SPAN
             return
+        # ``**attributes`` is already this call's own dict: no copy.
         span = Span(name=name, span_id=next(self._ids),
-                    attributes=dict(attributes),
+                    attributes=attributes,
                     wall_start_s=time.perf_counter())
         if self._stack:
             self._stack[-1].children.append(span)
@@ -156,7 +157,7 @@ class Tracer:
         if not self.enabled:
             return NULL_SPAN
         span = Span(name=name, span_id=next(self._ids),
-                    attributes=dict(attributes),
+                    attributes=attributes,
                     wall_start_s=wall_start_s, wall_dur_s=wall_dur_s)
         if self._stack:
             self._stack[-1].children.append(span)

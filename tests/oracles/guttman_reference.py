@@ -70,17 +70,26 @@ class GuttmanBuilder:
     same per-``r``-segment chunks the STR builder uses.
     """
 
-    def __init__(self, fanout: int = 16, ndim: int = 4) -> None:
+    def __init__(self, fanout: int = 16) -> None:
         if fanout < 4:
             raise ValueError("fanout must be at least 4 for quadratic "
                              "split's minimum-fill invariant")
         self.fanout = fanout
-        self.ndim = ndim
         self.min_fill = fanout // 2
-        self.root = _MutableNode(fanout, is_leaf=True, ndim=ndim)
-        self.num_nodes = 1
 
     # -- public API -----------------------------------------------------------
+
+    def build(self, lo: np.ndarray, hi: np.ndarray, ranges: np.ndarray,
+              order: np.ndarray) -> tuple[RTreeLevel, ...]:
+        """The shipped builder's entry point: insert chunk ``order[0]``,
+        then ``order[1]``, ... (each ``(lo[c], hi[c], ranges[c])``), and
+        freeze."""
+        self.ndim = lo.shape[1]
+        self.root = _MutableNode(self.fanout, is_leaf=True, ndim=self.ndim)
+        self.num_nodes = 1
+        for c, row_range in zip(order, ranges[order].tolist()):
+            self.insert(lo[c], hi[c], tuple(row_range))
+        return self.finalize()
 
     def insert(self, lo: np.ndarray, hi: np.ndarray,
                row_range: tuple[int, int]) -> None:

@@ -15,11 +15,15 @@ adversarial generator (zero-length segments, exact duplicates, one-bin
 bursts, out-of-extent queries), which is where vectorization bugs hide.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.types import SegmentArray
+from repro.indexes import rtree
 from repro.indexes.rtree import RTree
 from tests.oracles import perthread_reference
 from tests.test_differential import (ENGINE_FACTORIES, _byte_identical,
@@ -189,7 +193,8 @@ def _rtree_cases(draw):
     queries = draw(_segments(6))
     if draw(st.booleans()):
         queries = _far(queries)
-    return tree, queries, draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return (tree, queries, draw(st.sampled_from([0.0, 0.5, 2.0])),
+            draw(st.sampled_from([1, 2, 4, rtree._QUERY_BLOCK])))
 
 
 def _far(queries):
@@ -199,8 +204,11 @@ def _far(queries):
                         queries.ze, queries.te, queries.traj_ids)
 
 
-def _assert_walks_agree(tree, queries, d):
-    got = tree.query_candidates_flat(queries, d)
+def _assert_walks_agree(tree, queries, d, block=rtree._QUERY_BLOCK):
+    """``block`` queries walk the tree at a time: a block size below the
+    batch's splits it, and blocks must concatenate to the batch."""
+    with mock.patch.object(rtree, "_QUERY_BLOCK", block):
+        got = tree.query_candidates_flat(queries, d)
     want = perthread_reference.query_candidates_flat(tree, queries, d)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.int64
@@ -210,8 +218,9 @@ def _assert_walks_agree(tree, queries, d):
 @settings(max_examples=150, deadline=None)
 @given(case=_rtree_cases())
 def test_rtree_walk_equals_perquery_recursion(case):
-    """Both build methods, 3-D and 4-D boxes, zero to six queries, one-
-    level trees (fewer chunks than ``fanout``) and deep ones."""
+    """Both build methods, 3-D and 4-D boxes, zero to six queries in
+    blocks of one or more, one-level trees (fewer chunks than
+    ``fanout``) and deep ones."""
     _assert_walks_agree(*case)
 
 
@@ -229,7 +238,7 @@ def test_rtree_walk_edge_cases(method, temporal_axis):
     far = _far(queries)
     for tree in (one_level, deep):
         for q in (queries, queries.take([0]), SegmentArray.empty(), far):
-            for d in (0.0, 0.7):
-                _assert_walks_agree(tree, q, d)
+            for d, block in itertools.product((0.0, 0.7), (1, 3, 64)):
+                _assert_walks_agree(tree, q, d, block)
     _, _, visits = deep.query_candidates_flat(far, 0.7)
     assert visits.tolist() == [1] * len(far)

@@ -1,15 +1,16 @@
 """The Guttman builder freezes to the same tree, bit for bit.
 
-``repro.indexes.rtree_insert`` does the textbook algorithm with cached
-areas, incrementally tightened parent rows and a one-sided PickNext; the
-CPU cost model charges node visits, so "the same algorithm" has to mean
-the same bytes.  Two referees:
+``repro.indexes.rtree_insert`` does the textbook algorithm on Python
+floats, with cached areas, incrementally enlarged parent entries and a
+one-sided PickNext; the CPU cost model charges node visits, so "the same
+algorithm" has to mean the same bytes.  Two referees:
 
 * ``tests/oracles/guttman_reference.py`` — the straightforward builder
   the repository shipped through commit f7a6f96, kept verbatim but for
-  its freeze, which now goes through the same ``flatten`` — on the
-  paper's datasets, on inputs that are nothing but ties, and on random
-  small box sets;
+  its freeze, which now goes through the same ``flatten``, and its entry
+  point, the shipped builder's ``build(lo, hi, ranges, order)`` — on the
+  paper's datasets, on a compacted serving base, on inputs that are
+  nothing but ties, and on random small box sets;
 * SHA-1s of whole frozen trees, captured by running f7a6f96 itself, so
   the identity does not rest on the oracle file alone (they also cover
   ``RTree.build``'s chunking, which the oracle does not replace, and
@@ -19,14 +20,18 @@ the same bytes.  Two referees:
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.types import SegmentArray
 from repro.data import random_dataset, random_dense_dataset
+from repro.data.random_walk import make_random_walks
 from repro.indexes import rtree_insert
 from repro.indexes.rtree import RTree
+from repro.ingest import VersionedDatabase
 from tests.oracles.guttman_reference import GuttmanBuilder as Reference
 
 
@@ -73,6 +78,24 @@ def tree_sha1(tree: RTree) -> str:
 
 # -- the paper's datasets, through RTree.build --------------------------------
 
+
+def _compacted_base():
+    """The base a serving compaction hands ``RTree.build``: S1 at 2 %
+    plus twelve 400-step walks starting at times in (0, 100), one of
+    them deleted, folded by ``VersionedDatabase.compact``."""
+    side = 1000.0 * (50 / 2500.0) ** (1.0 / 3.0)    # S1's box at 2 %
+    walks = make_random_walks(
+        num_trajectories=12, num_timesteps=400, box_side=side,
+        step_sigma=1.0, start_time_range=(0.0, 100.0),
+        rng=np.random.default_rng(1), first_traj_id=2_000_000)
+    versioned = VersionedDatabase(
+        random_dataset(scale=0.02, rng=np.random.default_rng(0)))
+    versioned.append(SegmentArray.from_trajectories(walks))
+    versioned.delete_trajectory(walks[1].traj_id)
+    versioned.compact()
+    return versioned.base
+
+
 DATASETS = {
     "S1": lambda: random_dataset(scale=0.02,
                                  rng=np.random.default_rng(0)),
@@ -84,6 +107,7 @@ DATASETS = {
     "S1-shuffled": lambda: random_dataset(
         scale=0.02, rng=np.random.default_rng(0)).take(
             np.random.default_rng(3).permutation(8_000)),
+    "S1-compacted": _compacted_base,
 }
 
 #: (dataset, rows used, temporal_axis, segments_per_mbb, fanout)
@@ -95,6 +119,8 @@ BUILDS = {
     "S1-4d-r4-f4": ("S1", 8_000, True, 4, 4),
     "S3-3d-r4": ("S3", None, False, 4, 16),    # the S3 serving config
     "S1-shuffled-3d-r4": ("S1-shuffled", None, False, 4, 16),
+    # What a policy compaction rebuilds while serving S1.
+    "S1-compacted-4d-r4": ("S1-compacted", None, True, 4, 16),
 }
 
 #: SHA-1 of the frozen tree as commit f7a6f96 built it.
@@ -150,14 +176,33 @@ def test_a_shuffled_base_builds_the_ordered_tree(datasets):
             == getattr(want.segments, name).tobytes()
 
 
+#: The traced peak of ``RTree.build`` over the compacted base, as a
+#: multiple of its chunk-box arrays (``2 * chunks * 4 * 8`` bytes): 7.6x
+#: with leaves holding chunk indices; leaves holding each entry's box as
+#: a tuple of Python floats read 12.9x.
+MAX_BUILD_PEAK_OVER_BOXES = 10.0
+
+
+def test_build_memory_stays_near_the_chunk_boxes(datasets):
+    base = datasets["S1-compacted"]
+    tracemalloc.start()
+    try:
+        tree = RTree.build(base, segments_per_mbb=4, fanout=16,
+                           temporal_axis=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    box_bytes = 2 * tree.num_leaf_mbbs * 4 * 8
+    assert peak <= MAX_BUILD_PEAK_OVER_BOXES * box_bytes, peak / box_bytes
+
+
 # -- inputs that are all ties, straight into the builders ---------------------
 
 
 def _freeze(builder_cls, lo, hi, fanout):
-    builder = builder_cls(fanout=fanout, ndim=lo.shape[1])
-    for i in range(lo.shape[0]):
-        builder.insert(lo[i], hi[i], (i, i))
-    return builder.finalize()
+    n = lo.shape[0]
+    ranges = np.repeat(np.arange(n, dtype=np.int64), 2).reshape(n, 2)
+    return builder_cls(fanout=fanout).build(lo, hi, ranges, np.arange(n))
 
 
 def _assert_builders_agree(lo, hi, fanout):

@@ -8,6 +8,8 @@ regressions — at paper scale a 10x slower `compare_pairs` would make the
 suite unusable.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,16 @@ def test_compare_pairs_throughput(benchmark, db):
 
     result = benchmark(compare_pairs, db, db, q_idx, e_idx, 2.0)
     assert result.num_hits > 0
-    # Regression guard: at least 2M pairs/s on any modern CPU.
-    assert benchmark.stats["mean"] < 0.5
+    # Regression guard: at least 2M pairs/s on any modern CPU.  Under
+    # --benchmark-disable the fixture runs once and keeps no stats, so
+    # the call is timed here.
+    if benchmark.stats is None:
+        wall0 = time.perf_counter()
+        compare_pairs(db, db, q_idx, e_idx, 2.0)
+        mean = time.perf_counter() - wall0
+    else:
+        mean = benchmark.stats["mean"]
+    assert mean < 0.5
 
 
 def test_fsg_build(benchmark, db):

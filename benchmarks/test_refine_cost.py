@@ -4,24 +4,28 @@
 kernel: 240-segment query sets against S3-random-dense at 2 %,
 ``gpu_temporal`` / ``gpu_spatiotemporal``, d in {0.02, 0.05, 0.09}.  The
 indexes hand each thread hundreds of candidates per result; the device
-is charged for all of them, but the host solves only the pairs
-``core.distance.surviving_pairs`` cannot rule out.  This benchmark sends
-the workload's 24 bodies, decoded fresh per call as the wire does,
-through warm engines and gates what a stopwatch on a shared box cannot:
+is charged for all of them, but the host solves only the pairs the
+conservative reject cannot rule out, and reads only the rows its bin
+grid's windows find (``core.distance.surviving_bin_pairs``).  This
+benchmark sends the workload's 24 bodies, decoded fresh per call as the
+wire does, through warm engines and gates what a stopwatch on a shared
+box cannot:
 
-* on every body the reject leaves at most ``MAX_REFINED_SHARE`` of the
-  scheduled pairs to the exact solve (``pairs_refined`` /
-  ``pairs_scheduled`` on the ``engine.search`` span — program counts,
-  exact at a seed);
+* on every body the reject reads at most ``MAX_EXAMINED_SHARE`` of the
+  scheduled pairs (``pairs_examined`` / ``pairs_scheduled`` on the
+  ``engine.search`` span — program counts, exact at a seed) and leaves
+  at most ``MAX_REFINED_SHARE`` of them to the exact solve
+  (``pairs_refined``);
 * at the largest d the survivors are within ``MAX_REFINED_PER_HIT`` of
   the result items (the reject is a bounding-box test, not the answer);
 * a search is >= ``MIN_SPEEDUP`` faster than the same engine with the
   reject bypassed (same answers, bit for bit:
   ``tests/test_refine_filter.py``);
-* a warm ``gpu_temporal`` search allocates at most
-  ``MAX_TEMPORAL_PEAK_BYTES`` at its ``tracemalloc`` peak: its schedule
-  is two integers per query and only the reject's survivors get row
-  ids (materialising the ~940k scheduled row ids took ~16.5 MB).
+* a warm search allocates at most ``MAX_PEAK_BYTES[engine]`` at its
+  ``tracemalloc`` peak: both bin engines' schedules are a few integers
+  per query and only the rows the grid finds get row ids
+  (materialising GPUTemporal's ~940k scheduled row ids took ~16.5 MB,
+  GPUSpatioTemporal's ~240k candidate rows ~8 MB).
 
 The seconds are printed, not gated.
 """
@@ -29,8 +33,6 @@ The seconds are printed, not gated.
 import json
 import time
 import tracemalloc
-
-import numpy as np
 
 from .conftest import emit
 from .e2e import workloads
@@ -42,15 +44,17 @@ from repro.obs import Telemetry
 #: at this seed the largest share is gpu_spatiotemporal at d = 0.09
 #: (its schedule is already spatially selective): 1.3 %.
 MAX_REFINED_SHARE = 0.02
+#: the same body's examined rows are the same for both engines; the
+#: largest share is gpu_spatiotemporal's at d = 0.09.
+MAX_EXAMINED_SHARE = 0.10
 MAX_REFINED_PER_HIT = 8.0
 MIN_SPEEDUP = 4.0
-#: at this seed the largest peak is 2.56 MB (d = 0.09).
-MAX_TEMPORAL_PEAK_BYTES = 4_000_000
+MAX_PEAK_BYTES = {"gpu_temporal": 4_000_000,
+                  "gpu_spatiotemporal": 4_000_000}
 
 
-def _keep_everything(queries, entries, q_idx, e_idx, d, scale, *,
-                     lens=None):
-    return np.arange(q_idx.shape[0] if lens is None else lens.sum())
+def _keep_everything(queries, database, work, d, scale):
+    return work.batch.explicit(), 0
 
 
 def _replay(engines, wire):
@@ -74,7 +78,7 @@ def test_refine_cost(monkeypatch):
     wire = [(b.method, json.dumps(b.payload), b.d) for b in bodies]
     _replay(engines, wire)                                  # warm
 
-    rows, temporal_peaks = [], []
+    rows, peaks = [], {}
     for method, blob, d in wire:
         queries = SegmentArray.from_dict(json.loads(blob)["queries"])
         telemetry = Telemetry()
@@ -85,18 +89,18 @@ def test_refine_cost(monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        if method == "gpu_temporal":
-            temporal_peaks.append(peak)
+        peaks[method] = max(peaks.get(method, 0), peak)
         attrs = telemetry.tracer.roots[-1].attributes
         assert attrs["result_items"] == len(result)
         rows.append((method, d, attrs["pairs_scheduled"],
-                     attrs["pairs_refined"], len(result)))
+                     attrs["pairs_examined"], attrs["pairs_refined"],
+                     len(result)))
 
     best = {"filtered": float("inf"), "bypassed": float("inf")}
     for _ in range(5):          # interleaved: a noisy stretch hits both
         best["filtered"] = min(best["filtered"], _replay(engines, wire))
         with monkeypatch.context() as patch:
-            patch.setattr(base, "surviving_pairs", _keep_everything)
+            patch.setattr(base, "surviving_batch", _keep_everything)
             best["bypassed"] = min(best["bypassed"],
                                    _replay(engines, wire))
     speedup = best["bypassed"] / best["filtered"]
@@ -104,27 +108,33 @@ def test_refine_cost(monkeypatch):
     lines = [f"{len(wire)} dense_batch bodies decoded fresh, "
              f"S3-random-dense at 2 % ({len(schedule.database)} rows)",
              f"{'engine':20s} {'d':>5s} {'scheduled':>10s} "
+             f"{'examined':>9s} {'share':>7s} "
              f"{'refined':>8s} {'share':>7s} {'hits':>6s}"]
     for (method, d), group in _grouped(rows).items():
-        sched, refined, hits = (sum(r[i] for r in group)
-                                for i in (2, 3, 4))
-        lines.append(f"{method:20s} {d:5.2f} {sched:10d} {refined:8d} "
+        sched, examined, refined, hits = (sum(r[i] for r in group)
+                                          for i in (2, 3, 4, 5))
+        lines.append(f"{method:20s} {d:5.2f} {sched:10d} {examined:9d} "
+                     f"{examined / sched:7.2%} {refined:8d} "
                      f"{refined / sched:7.2%} {hits:6d}")
     lines += [
         f"decode + search, reject in front  {best['filtered'] * 1e3:9.3f} ms",
         f"decode + search, reject bypassed  {best['bypassed'] * 1e3:9.3f} ms "
         f"({speedup:.1f}x; min of 5 interleaved)",
-        f"gpu_temporal search, tracemalloc peak  "
-        f"{max(temporal_peaks) / 1e6:.2f} MB max "
-        f"(ceiling {MAX_TEMPORAL_PEAK_BYTES / 1e6:.2f} MB)"]
+        *(f"{method} search, tracemalloc peak  "
+          f"{peak / 1e6:.2f} MB max "
+          f"(ceiling {MAX_PEAK_BYTES[method] / 1e6:.2f} MB)"
+          for method, peak in sorted(peaks.items()))]
     emit("refine_cost", "\n".join(lines))
 
-    for method, d, sched, refined, hits in rows:
+    for method, d, sched, examined, refined, hits in rows:
+        assert refined <= examined <= MAX_EXAMINED_SHARE * sched, \
+            (method, d)
         assert hits <= refined <= MAX_REFINED_SHARE * sched, (method, d)
         if d == max(r[1] for r in rows):
             assert refined <= MAX_REFINED_PER_HIT * hits, (method, d)
     assert speedup >= MIN_SPEEDUP
-    assert max(temporal_peaks) <= MAX_TEMPORAL_PEAK_BYTES
+    for method, peak in peaks.items():
+        assert peak <= MAX_PEAK_BYTES[method], method
 
 
 def _grouped(rows) -> dict:

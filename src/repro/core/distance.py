@@ -37,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import cell_of
 from .ranges import expand_ranges, range_offsets
 from .types import SegmentArray
 
 __all__ = ["compare_pairs", "pair_coefficients", "solve_intervals",
-           "magnitude", "surviving_pairs", "PairCoefficients",
-           "PairIntervals"]
+           "magnitude", "surviving_pairs", "surviving_bin_pairs",
+           "BinGrid", "PairCoefficients", "PairIntervals"]
 
 # Relative tolerance used when deciding whether the quadratic coefficient
 # is numerically zero (parallel motion).  Scaled by the magnitude of the
@@ -61,13 +62,19 @@ _REJECT_BLOCK = 1 << 15
 #: Pairs of a batch sampled to put the most selective test first.
 _REJECT_SAMPLE = 1 << 10
 
-#: Rows from which a contiguous range takes its first test as a slice.
-#: A slice costs ~7 us of calls plus ~4 ns a row, a gathered pair
-#: ~11.5 ns; on GPUTemporal's S3-random-dense ranges (2-vCPU Xeon,
-#: NumPy 2.4) the two meet near 900 rows, so shorter ranges are cheaper
-#: expanded and gathered in blocks.
-_REJECT_RANGE_MIN = 1 << 10
+#: Scheduled pairs per ``searchsorted`` needle above which
+#: :meth:`BinGrid.pays`: a needle costs about what reading 2.5 rows
+#: costs, and a window's rows are read too.
+_GRID_PAIRS_PER_NEEDLE = 16
 
+#: :class:`BinGrid` x and y cell width over the largest segment extent.
+_GRID_CELLS_PER_EXTENT = 2.0
+
+#: :class:`BinGrid` cells at most on x and y, and on z: a key stays
+#: below ``ranks * 2**32``, ``ranks`` (non-empty bins) under the int32
+#: row count.
+_GRID_COARSE_CELLS = 1 << 10
+_GRID_FINE_CELLS = 1 << 12
 
 @dataclass(frozen=True)
 class PairIntervals:
@@ -298,8 +305,6 @@ def surviving_pairs(
     e_idx: np.ndarray,
     d: float,
     scale: float,
-    *,
-    lens: np.ndarray | None = None,
 ) -> np.ndarray:
     """Positions (ascending) of the candidate pairs that can hit at all.
 
@@ -310,14 +315,6 @@ def surviving_pairs(
     or when, on one spatial axis alone, the entry's extent
     ``[min(s, e), max(s, e)]`` stays further than ``d + tau`` from the
     query's.  Everything else is returned for the exact solve.
-
-    With ``lens`` the pairs come as contiguous ranges, two integers per
-    thread: thread ``i`` pairs query row ``q_idx[i]`` with entry rows
-    ``e_idx[i] .. e_idx[i] + lens[i] - 1`` (GPUTemporal's schedule), and
-    positions index the threads' pairs laid end to end — the same
-    positions as ``surviving_pairs(queries, entries, np.repeat(q_idx,
-    lens), expand_ranges(e_idx, lens), d, scale)``, without building
-    either pair-sized array.
 
     Why no dropped pair can be a hit of the exact *floating-point* path.
     Let ``S = scale = magnitude(queries) + magnitude(entries)``; it
@@ -346,77 +343,243 @@ def surviving_pairs(
     candidates are spatially close but mostly not contemporaneous,
     temporal-bin candidates the reverse — so the tests are ordered by
     how much of a strided sample of the batch each one keeps.  The
-    surviving set is the same in any order.  A range of at least
-    ``_REJECT_RANGE_MIN`` rows takes the first test on its contiguous
-    slice of the entry columns — no index array, no gather — and only
-    that test's survivors are gathered for the other three; shorter
-    ranges are expanded and take the blocked path.
+    surviving set is the same in any order.
     """
+    bounds = _bounds(queries, entries, d, scale)
+    n = q_idx.shape[0]
+    if n > _REJECT_SAMPLE:
+        sample = slice(None, None, n // _REJECT_SAMPLE)
+        _order(bounds, q_idx[sample], e_idx[sample])
+    return _blocked(bounds, q_idx, e_idx)
+
+
+def _bounds(queries: SegmentArray, entries: SegmentArray, d: float,
+            scale: float) -> list:
+    """The reject's four axis tests, time first: per axis the queries'
+    extents widened by the reach and the entries' two columns."""
     if not d >= 0:     # a NaN reach would silently drop every pair
         raise ValueError("query distance d must be non-negative")
     reach = d + _REJECT_MARGIN * scale
-    bounds = [(np.minimum(qs, qe) - r, np.maximum(qs, qe) + r, es, ee)
-              for qs, qe, es, ee, r in (
-                  (queries.ts, queries.te, entries.ts, entries.te, 0.0),
-                  (queries.xs, queries.xe, entries.xs, entries.xe, reach),
-                  (queries.ys, queries.ye, entries.ys, entries.ye, reach),
-                  (queries.zs, queries.ze, entries.zs, entries.ze, reach))]
-    if lens is not None:
-        long = lens >= _REJECT_RANGE_MIN
-        if not long.any():
-            # Short ranges only: expanded, they are the pair form.
-            q_idx = np.repeat(q_idx, lens)
-            e_idx = expand_ranges(e_idx, lens)
-            lens = None
-    if lens is None:
-        n = q_idx.shape[0]
-        if n > _REJECT_SAMPLE:
-            sample = slice(None, None, n // _REJECT_SAMPLE)
-            _order(bounds, q_idx[sample], e_idx[sample])
-        return _blocked(bounds, q_idx, e_idx)
-
-    start = range_offsets(lens)
-    n = int(start[-1])
-    if n > _REJECT_SAMPLE:
-        # The same strided sample of the same pairs as the flat form.
-        sample = np.arange(0, n, n // _REJECT_SAMPLE)
-        t = np.searchsorted(start, sample, side="right") - 1
-        _order(bounds, q_idx[t], e_idx[t] + (sample - start[t]))
-    # Short ranges: expanded and blocked, at their own positions.
-    short = np.flatnonzero(~long)
-    kept = [_blocked(bounds, np.repeat(q_idx[short], lens[short]),
-                     expand_ranges(e_idx[short], lens[short]),
-                     expand_ranges(start[short], lens[short]))]
-    # Long ranges: the first test on each slice, then the other three
-    # on its survivors, gathered about a block at a time.
-    for pos in _slice_hits(bounds[0], q_idx, e_idx, start,
-                           np.flatnonzero(long)):
-        t = np.searchsorted(start, pos, side="right") - 1
-        kept.append(_blocked(bounds[1:], q_idx[t],
-                             e_idx[t] + (pos - start[t]), pos))
-    return np.sort(np.concatenate(kept))
+    return [(np.minimum(qs, qe) - r, np.maximum(qs, qe) + r, es, ee)
+            for qs, qe, es, ee, r in (
+                (queries.ts, queries.te, entries.ts, entries.te, 0.0),
+                (queries.xs, queries.xe, entries.xs, entries.xe, reach),
+                (queries.ys, queries.ye, entries.ys, entries.ye, reach),
+                (queries.zs, queries.ze, entries.zs, entries.ze, reach))]
 
 
-def _slice_hits(bound, q_idx: np.ndarray, e_idx: np.ndarray,
-                start: np.ndarray, threads: np.ndarray):
-    """Positions passing one axis test, tested on each of ``threads``'
-    contiguous entry rows ``e_idx[t] ..`` as a slice; yielded in runs
-    of at least ``_REJECT_BLOCK`` (the last may be short)."""
-    q_lo, q_hi, es, ee = bound
-    run, size = [], 0
-    for t in threads:
-        q, lo = q_idx[t], e_idx[t]
-        hi = lo + (start[t + 1] - start[t])
-        s, e = es[lo:hi], ee[lo:hi]
-        hit = np.flatnonzero((np.minimum(s, e) <= q_hi[q])
-                             & (np.maximum(s, e) >= q_lo[q]))
-        run.append(hit + start[t])
-        size += hit.shape[0]
-        if size >= _REJECT_BLOCK:
-            yield np.concatenate(run)
-            run, size = [], 0
-    if run:
-        yield np.concatenate(run)
+@dataclass(frozen=True)
+class BinGrid:
+    """The reject's sweep structure over one time-sorted, binned base.
+
+    Every row of ``entries``, sorted stably by ``keys``: the rank of its
+    temporal bin among the non-empty ones, then the cells of its box's
+    low corner ``min(s, e)`` on x, y and z, on a regular grid of
+    ``cells`` per axis from ``origin``.  A thread whose candidates are
+    the rows of a bin span then finds every row whose box can meet its
+    query's widened box in a few ``searchsorted`` windows — one per
+    (rank, x cell, y cell), z cells a range — instead of reading the
+    whole span: paper §IV-C subdivides bins in space for the same
+    reason.  Host only: the device is charged for the schedule, never
+    for this.
+
+    A row sits in the cell of its low corner, so a query's window
+    reaches ``extent`` (the largest segment extent on that axis) below
+    its own low edge, and ``slack`` (``2**-40`` of the coordinates'
+    magnitude) further for rounding.  x and y cells are
+    ``_GRID_CELLS_PER_EXTENT`` largest extents wide, z cells as fine
+    as ``_GRID_FINE_CELLS`` allows: windows cost a probe each, rows
+    read inside them a gather and a test each, and on S3-random-dense
+    this split reads the fewest of both (measured against 2-D grids
+    and other widths).
+    """
+
+    entries: SegmentArray
+    #: non-empty bins before bin ``j``, ``j = 0 .. num_bins``.
+    rank_before: np.ndarray
+    origin: np.ndarray
+    width: np.ndarray
+    extent: np.ndarray
+    slack: np.ndarray
+    cells: tuple[int, int, int]
+    keys: np.ndarray
+    #: row of each sorted key (int32).
+    order: np.ndarray
+
+    @classmethod
+    def build(cls, entries: SegmentArray, row_bins: np.ndarray,
+              num_bins: int) -> "BinGrid":
+        """The grid over ``entries`` whose row ``i`` lies in temporal
+        bin ``row_bins[i]`` (non-decreasing, ``< num_bins``)."""
+        rank_before = range_offsets(
+            np.bincount(row_bins, minlength=num_bins) > 0)
+        origin, maxs = entries.spatial_bounds()
+        extent = entries.max_spatial_extent()
+        span = maxs - origin
+        coarse = np.array([_GRID_COARSE_CELLS, _GRID_COARSE_CELLS,
+                           _GRID_FINE_CELLS])
+        width = np.maximum(span / coarse, [
+            _GRID_CELLS_PER_EXTENT * extent[0],
+            _GRID_CELLS_PER_EXTENT * extent[1], 0.0])
+        width[width == 0] = 1.0       # one coordinate on the axis
+        cells = tuple(int(c) for c in np.minimum(
+            np.floor(span / width) + 1, coarse))
+        key = rank_before[row_bins]
+        for axis, (s, e) in enumerate(_axes(entries)):
+            key *= cells[axis]
+            key += cell_of(np.minimum(s, e), origin[axis], width[axis],
+                           cells[axis])
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        slack = np.maximum(np.abs(origin), np.abs(maxs)) * 2.0 ** -40
+        return cls(entries, rank_before, origin, width, extent, slack,
+                   cells, key, order.astype(np.int32))
+
+    def pays(self, queries: SegmentArray, q_rows: np.ndarray,
+             bin_lo: np.ndarray, bin_hi: np.ndarray, d: float,
+             scale: float, pairs: int) -> bool:
+        """Whether these threads' ``pairs`` scheduled pairs exceed
+        ``_GRID_PAIRS_PER_NEEDLE`` times the ``searchsorted`` needles
+        :func:`surviving_bin_pairs` would make for them, two per window.
+        A thread takes a window per rank at least, so short spans are
+        told apart by their ranks alone."""
+        ranks = self.rank_before[bin_hi + 1] - self.rank_before[bin_lo]
+        per_window = 2 * _GRID_PAIRS_PER_NEEDLE
+        if per_window * int(np.maximum(ranks, 0).sum()) >= pairs:
+            return False
+        return per_window * int(self._windows(
+            queries, q_rows, bin_lo, bin_hi, d, scale)[0].sum()) < pairs
+
+    def _windows(self, queries, q_rows, bin_lo, bin_hi, d, scale):
+        """Per thread: its window count, first rank, windows per rank
+        along x and y, and its cell spans.
+
+        Why no row a test would keep falls outside.  The high edge is
+        the test's own ``max(s, e) + reach``, and a row it keeps has
+        ``min(s, e)`` at most that.  A row it keeps has ``max(s, e) >=
+        min(qs, qe) - reach``, so its low corner lies at least the exact
+        ``|s - e| <= extent (1 + 2**-53)`` lower, which the rounded
+        ``... - extent - slack`` undershoots whenever the query's edge
+        is within 4x the coordinates' magnitude (beyond it no row is
+        kept on the high side, or every cell is in on the low side).
+        ``cell_of`` is non-decreasing, so the rows' cells lie in the
+        span.  A span over every z cell (y and z cells) merges a rank's
+        windows along y (along x and y).
+        """
+        reach = d + _REJECT_MARGIN * scale
+        rank_lo = self.rank_before[bin_lo]
+        ranks = np.maximum(self.rank_before[bin_hi + 1] - rank_lo, 0)
+        spans, full = [], []
+        for axis, (s, e) in enumerate(_axes(queries)):
+            s, e = s[q_rows], e[q_rows]
+            # The reject's own bounds, elementwise: the same floats.
+            lo = ((np.minimum(s, e) - reach) - self.extent[axis]) \
+                - self.slack[axis]
+            hi = np.maximum(s, e) + reach
+            args = self.origin[axis], self.width[axis], self.cells[axis]
+            spans.append((cell_of(lo, *args), cell_of(hi, *args)))
+            full.append((spans[-1][0] == 0)
+                        & (spans[-1][1] == self.cells[axis] - 1))
+        full_z = full[2]
+        full_yz = full[1] & full_z
+        along_x = np.where(full_yz, 1, spans[0][1] - spans[0][0] + 1)
+        along_y = np.where(full_z, 1, spans[1][1] - spans[1][0] + 1)
+        return (ranks * along_x * along_y, rank_lo, along_x, along_y,
+                full_yz, full_z, spans)
+
+
+def _axes(seg: SegmentArray):
+    """The spatial columns, axis by axis: ``(start, end)``."""
+    return ((seg.xs, seg.xe), (seg.ys, seg.ye), (seg.zs, seg.ze))
+
+
+def surviving_bin_pairs(
+    queries: SegmentArray,
+    grid: BinGrid,
+    q_rows: np.ndarray,
+    bin_lo: np.ndarray,
+    bin_hi: np.ndarray,
+    d: float,
+    scale: float,
+    *,
+    array_sel: np.ndarray | None = None,
+    subbin: np.ndarray | None = None,
+    subbins: tuple | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The survivors of :func:`surviving_pairs` among binned threads,
+    found through ``grid`` without reading every scheduled pair.
+
+    Thread ``i`` pairs query row ``q_rows[i]`` with every row of
+    ``grid.entries`` in temporal bins ``bin_lo[i] .. bin_hi[i]``
+    (empty when ``bin_lo > bin_hi``) — GPUTemporal's schedule, and a
+    defaulted GPUSpatioTemporal thread's.  With ``array_sel[i] >= 0``
+    (a GPUSpatioTemporal subbin thread) only the rows whose extent on
+    axis ``array_sel[i]`` covers subbin ``subbin[i]`` are its
+    candidates, by the arithmetic of the index's own layout:
+    ``subbins = (space_min, subbin_width, num_subbins)``.
+
+    Returns ``(thread, row, examined)``: the surviving pairs sorted by
+    thread, then row — exactly the pairs :func:`surviving_pairs` keeps
+    of the threads' candidates laid out in that order — and how many
+    rows the windows made the reject read.
+    """
+    bounds = _bounds(queries, grid.entries, d, scale)
+    (windows, rank_lo, along_x, along_y, full_yz, full_z,
+     ((x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi))) = grid._windows(
+        queries, q_rows, bin_lo, bin_hi, d, scale)
+    # Window w of thread t: rank rank_lo + w // (along_x * along_y),
+    # x cell x_lo + (w // along_y) % along_x, y cell y_lo + w % along_y
+    # — or all of x_lo .. x_hi / y_lo .. y_hi where they merge.
+    t = np.repeat(np.arange(q_rows.shape[0]), windows)
+    w = np.arange(t.shape[0]) - np.repeat(range_offsets(windows)[:-1],
+                                          windows)
+    w, y_first = np.divmod(w, along_y[t])
+    w, x_first = np.divmod(w, along_x[t])
+    rank = rank_lo[t] + w
+    x_first += x_lo[t]
+    y_first += y_lo[t]
+    x_last = np.where(full_yz[t], x_hi[t], x_first)
+    y_last = np.where(full_z[t], y_hi[t], y_first)
+    nx, ny, nz = grid.cells
+    lo = np.searchsorted(
+        grid.keys, ((rank * nx + x_first) * ny + y_first) * nz + z_lo[t])
+    found = np.searchsorted(
+        grid.keys, ((rank * nx + x_last) * ny + y_last) * nz + z_hi[t],
+        side="right") - lo
+    rows = grid.order[expand_ranges(lo, found)].astype(np.int64)
+    examined = rows.shape[0]
+    thread = np.repeat(t, found)
+    # The windows hold the threads' bins already, so time goes last; a
+    # fixed x, y, z, time order beat the sampled one on dense_batch.
+    kept = _blocked(bounds[1:] + bounds[:1], q_rows.take(thread), rows)
+    thread, rows = thread[kept], rows[kept]
+    if array_sel is not None and thread.size:
+        member = _subbin_members(grid.entries, rows, array_sel[thread],
+                                 subbin[thread], *subbins)
+        thread, rows = thread[member], rows[member]
+    # (thread, row) is unique: sort it as one integer, by value.
+    pair = thread * len(grid.entries) + rows
+    pair.sort()
+    thread, rows = np.divmod(pair, len(grid.entries))
+    return thread, rows, examined
+
+
+def _subbin_members(entries: SegmentArray, rows: np.ndarray,
+                    sel: np.ndarray, subbin: np.ndarray,
+                    space_min: np.ndarray, width: np.ndarray,
+                    v: int) -> np.ndarray:
+    """Which ``rows`` lie in their thread's subbin (``sel < 0``: no
+    subbin, every row): the subbins the row's extent on axis ``sel``
+    overlaps, by the index layout's ``cell_of`` arithmetic."""
+    member = sel < 0
+    for axis, (s, e) in enumerate(_axes(entries)):
+        at = np.flatnonzero(sel == axis)
+        r, j = rows[at], subbin[at]
+        s, e = s[r], e[r]
+        args = space_min[axis], width[axis], v
+        member[at] = (cell_of(np.minimum(s, e), *args) <= j) \
+            & (j <= cell_of(np.maximum(s, e), *args))
+    return member
 
 
 def _near(bound, qi: np.ndarray, ei: np.ndarray) -> np.ndarray:

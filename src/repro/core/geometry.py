@@ -19,6 +19,7 @@ from .types import SegmentArray
 
 __all__ = [
     "MBB",
+    "cell_of",
     "segment_mbbs",
     "expand",
 ]
@@ -91,3 +92,13 @@ def expand(boxes: MBB, margin: float, *, spatial_only: bool = True) -> MBB:
     if spatial_only and boxes.ndim > 3:
         delta[3:] = 0.0
     return MBB(boxes.lo - delta, boxes.hi + delta)
+
+
+def cell_of(values: np.ndarray, lo_edge: float, width: float,
+            cells: int) -> np.ndarray:
+    """Cell of each value on the regular grid of ``cells`` cells of
+    ``width`` from ``lo_edge``; values outside fall in the end cells.
+    Non-decreasing in ``values``, rounding included — the property
+    every caller's completeness rests on."""
+    return np.clip(np.floor((values - lo_edge) / width), 0,
+                   cells - 1).astype(np.int64)

@@ -42,8 +42,9 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..core.distance import compare_pairs, magnitude, surviving_pairs
-from ..core.ranges import range_offsets
+from ..core.distance import (BinGrid, compare_pairs, magnitude,
+                             surviving_bin_pairs, surviving_pairs)
+from ..core.ranges import expand_ranges, range_offsets
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.device import VirtualGPU
@@ -54,11 +55,12 @@ from ..obs.telemetry import current as current_telemetry
 from .config import EngineConfig
 
 __all__ = ["SearchEngine", "GpuEngineBase", "HostPlan", "NO_RETRY",
-           "QuerySetMemo", "RangeBatch", "RefineCache", "RetryPolicy",
-           "ThreadWork", "ResultBufferOverflowError",
+           "BinSpans", "QuerySetMemo", "RangeBatch", "RefineCache",
+           "RetryPolicy", "ThreadWork", "ResultBufferOverflowError",
            "KernelInvocationLimitError", "Deadline",
            "DeadlineExceededError", "current_deadline", "deadline_scope",
-           "refine_ranges", "first_fit_accept", "index_build_phase"]
+           "refine_ranges", "surviving_batch", "first_fit_accept",
+           "index_build_phase"]
 
 
 @contextmanager
@@ -285,16 +287,21 @@ class RangeBatch:
     are the batch positions ``cand_start[i] : cand_start[i+1]``.  Which
     database rows (in the engine's device-resident ordering) those are
     is said one of two ways: explicitly, ``candidate_rows[cand_start[i]
-    : cand_start[i+1]]``; or, GPUTemporal's schedule (§IV-B), as the
-    contiguous rows from ``row_lo[i]`` on, two integers per thread, with
-    ``candidate_rows`` None.  :meth:`keep` names the rows of the
-    positions it keeps, so only those are ever materialised.
+    : cand_start[i+1]]``; or as a range of two integers per thread, with
+    ``candidate_rows`` None: the rows from ``row_lo[i]`` on
+    (GPUTemporal's schedule, §IV-B), or, where ``array_sel[i] >= 0``,
+    the entries from ``row_lo[i]`` on of the lookup array
+    ``lookups[array_sel[i]]`` (GPUSpatioTemporal's, §IV-C).
+    :meth:`explicit` names every row, which only the pair-form reject
+    and the reference path need.
     """
 
     q_rows: np.ndarray
     candidate_rows: np.ndarray | None
     cand_start: np.ndarray
     row_lo: np.ndarray | None = None
+    array_sel: np.ndarray | None = None
+    lookups: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
         if self.cand_start.shape != (self.q_rows.shape[0] + 1,):
@@ -308,10 +315,13 @@ class RangeBatch:
 
     @classmethod
     def contiguous(cls, q_rows: np.ndarray, row_lo: np.ndarray,
-                   lens: np.ndarray) -> "RangeBatch":
+                   lens: np.ndarray, array_sel: np.ndarray | None = None,
+                   lookups: tuple[np.ndarray, ...] = ()) -> "RangeBatch":
         """The batch whose thread ``i`` owns rows ``row_lo[i] ..
-        row_lo[i] + lens[i] - 1``."""
-        return cls(q_rows, None, range_offsets(lens), row_lo)
+        row_lo[i] + lens[i] - 1`` — of ``lookups[array_sel[i]]`` where
+        that is ``>= 0``."""
+        return cls(q_rows, None, range_offsets(lens), row_lo, array_sel,
+                   lookups)
 
     @property
     def num_threads(self) -> int:
@@ -320,16 +330,47 @@ class RangeBatch:
     def lengths(self) -> np.ndarray:
         return np.diff(self.cand_start)
 
-    def keep(self, positions: np.ndarray) -> "RangeBatch":
-        """The same threads with only the candidates at ``positions``
-        (ascending batch positions), their rows explicit."""
-        thread = np.searchsorted(self.cand_start, positions,
-                                 side="right") - 1
-        rows = self.candidate_rows[positions] if self.row_lo is None \
-            else self.row_lo[thread] + (positions - self.cand_start[thread])
-        return RangeBatch.from_lengths(
-            self.q_rows, rows,
-            np.bincount(thread, minlength=self.num_threads))
+    def threads(self, first: int, end: int) -> "RangeBatch":
+        """Threads ``first .. end - 1`` alone, positions from 0."""
+        if first == 0 and end == self.num_threads:
+            return self
+        span = slice(self.cand_start[first], self.cand_start[end])
+        return RangeBatch(
+            self.q_rows[first:end],
+            None if self.candidate_rows is None
+            else self.candidate_rows[span],
+            self.cand_start[first:end + 1] - self.cand_start[first],
+            None if self.row_lo is None else self.row_lo[first:end],
+            None if self.array_sel is None else self.array_sel[first:end],
+            self.lookups)
+
+    def explicit(self) -> "RangeBatch":
+        """The same batch with every candidate row named."""
+        if self.candidate_rows is not None:
+            return self
+        lens = self.lengths()
+        rows = expand_ranges(self.row_lo, lens)
+        if self.array_sel is not None:
+            for dim, lookup in enumerate(self.lookups):
+                pick = np.flatnonzero(self.array_sel == dim)
+                at = expand_ranges(self.cand_start[pick], lens[pick])
+                rows[at] = lookup[rows[at]]
+        return RangeBatch(self.q_rows, rows, self.cand_start)
+
+
+class BinSpans(NamedTuple):
+    """A binned batch's threads in temporal bins, for the reject's
+    :func:`~repro.core.distance.surviving_bin_pairs`: thread ``i``'s
+    candidates are the rows of ``grid.entries`` in bins ``bin_lo[i] ..
+    bin_hi[i]`` — only those in subbin ``subbin[i]`` of the batch's
+    ``array_sel[i]`` where that is ``>= 0``, ``subbins`` being the
+    index's ``(space_min, subbin_width, num_subbins)``."""
+
+    grid: BinGrid
+    bin_lo: np.ndarray
+    bin_hi: np.ndarray
+    subbin: np.ndarray | None = None
+    subbins: tuple | None = None
 
 
 @dataclass
@@ -359,11 +400,14 @@ class ThreadWork:
     of the comparisons (None: none); ``blocked`` flags threads that
     overflowed their candidate slice ``U_k`` and terminated without
     refining — one atomic each, for the redo append (None: none can).
+    ``bins`` places the batch in temporal bins (None: its candidates
+    are explicit rows, rejected pair by pair).
     """
 
     batch: RangeBatch
     gather_work: np.ndarray | None = None
     blocked: np.ndarray | None = None
+    bins: BinSpans | None = None
 
 
 def _chunk_bounds(lens: np.ndarray) -> np.ndarray:
@@ -375,8 +419,10 @@ def _chunk_bounds(lens: np.ndarray) -> np.ndarray:
     accumulation loop).
     """
     nthreads = lens.shape[0]
-    bounds = [0]
     cum = np.cumsum(lens)
+    if nthreads and cum[-1] <= MAX_PAIRS_PER_CHUNK:
+        return np.array([0, nthreads])
+    bounds = [0]
     t = 0
     while t < nthreads:
         # Furthest thread end whose cumulative pair count stays within
@@ -408,7 +454,7 @@ def refine_ranges(
     ``MAX_PAIRS_PER_CHUNK`` so peak host memory stays flat).  Every pair
     handed in is solved exactly: the referees (``cpu_scan``,
     ``cpu_rtree``) call this directly, and only the GPU loop puts
-    :func:`surviving_pairs` in front of it.
+    :func:`surviving_batch` in front of it.
     """
     lens = batch.lengths()
     nthreads = batch.num_threads
@@ -444,6 +490,52 @@ def refine_ranges(
     return hits_per_thread, zi, zi.copy(), z, z.copy()
 
 
+def surviving_batch(queries: SegmentArray, database: SegmentArray,
+                    work: ThreadWork, d: float,
+                    scale: float) -> tuple[RangeBatch, int]:
+    """The scheduled pairs of ``work`` that survive the conservative
+    reject, their rows explicit, and how many rows the reject read.
+
+    A binned batch (``work.bins``) whose scheduled pairs outnumber its
+    grid needles enough (:meth:`~repro.core.distance.BinGrid.pays`) is
+    enumerated through the grid, reading only the rows its windows
+    find; any other batch is expanded and rejected pair by pair.  Both keep the same pairs, in the same order, and
+    take the threads in runs of at most ``MAX_PAIRS_PER_CHUNK``
+    scheduled pairs, so the host's working set stays flat.
+    """
+    batch, bins = work.batch, work.bins
+    lens = batch.lengths()
+    grid = bins is not None and bins.grid.pays(
+        queries, batch.q_rows, bins.bin_lo, bins.bin_hi, d, scale,
+        int(batch.cand_start[-1]))
+    kept, counts, examined = [], [], 0
+    bounds = _chunk_bounds(lens)
+    for t, t_end in zip(bounds[:-1], bounds[1:]):
+        part = batch.threads(t, t_end)
+        if grid:
+            thread, rows, read = surviving_bin_pairs(
+                queries, bins.grid, part.q_rows, bins.bin_lo[t:t_end],
+                bins.bin_hi[t:t_end], d, scale, array_sel=part.array_sel,
+                subbin=None if bins.subbin is None
+                else bins.subbin[t:t_end], subbins=bins.subbins)
+        else:
+            part = part.explicit()
+            pos = surviving_pairs(queries, database,
+                                  np.repeat(part.q_rows, lens[t:t_end]),
+                                  part.candidate_rows, d, scale)
+            thread = np.searchsorted(part.cand_start, pos,
+                                     side="right") - 1
+            rows, read = part.candidate_rows[pos], part.candidate_rows.size
+        counts.append(np.bincount(thread, minlength=t_end - t))
+        kept.append(rows)
+        examined += read
+    if len(kept) != 1:
+        kept = [np.concatenate([np.zeros(0, np.int64), *kept])]
+        counts = [np.concatenate([np.zeros(0, np.int64), *counts])]
+    return RangeBatch.from_lengths(batch.q_rows, kept[0],
+                                   counts[0]), examined
+
+
 class QuerySetMemo(NamedTuple):
     """What :class:`RefineCache` hands back for one query-set object."""
 
@@ -453,6 +545,8 @@ class QuerySetMemo(NamedTuple):
     #: as a :meth:`RangeBatch.contiguous` — GPUTemporal's whole
     #: schedule, two integers per query.
     batch: RangeBatch
+    #: the same ranges as inclusive bin spans ``(j_lo, j_hi)``.
+    bins: tuple[np.ndarray, np.ndarray]
 
 
 class RefineCache:
@@ -463,8 +557,8 @@ class RefineCache:
     schedule is reusable verbatim.  The memo holds one query set, keyed
     on the *identity* of the caller's object (a strong reference is
     kept, so the id cannot be recycled).  Nothing per pair is kept, not
-    even the row ids: :func:`surviving_pairs` reads each range as a
-    slice of the base, and only its survivors are named and solved.
+    even the row ids: :func:`surviving_batch` finds each range's
+    survivors through the bins, and only those are named and solved.
     """
 
     def __init__(self) -> None:
@@ -477,10 +571,11 @@ class RefineCache:
         memo = self._memo
         if memo is None or self._source is not queries:
             q_sorted = queries.sorted_by_start_time()
-            row_lo, row_hi = index.candidate_rows(q_sorted.ts, q_sorted.te)
+            bins = index.bin_range(q_sorted.ts, q_sorted.te)
+            row_lo, row_hi = index.bin_rows(*bins)
             memo = QuerySetMemo(q_sorted, RangeBatch.contiguous(
                 np.arange(len(q_sorted), dtype=np.int64), row_lo,
-                np.maximum(row_hi - row_lo + 1, 0)))
+                np.maximum(row_hi - row_lo + 1, 0)), bins)
             self._source, self._memo = queries, memo
         return memo
 
@@ -586,9 +681,10 @@ class GpuEngineBase(SearchEngine):
 
     def _search_once(self, queries: SegmentArray, d: float, *,
                      exclude_same_trajectory: bool = False
-                     ) -> tuple[ResultSet, SearchProfile, int]:
+                     ) -> tuple[ResultSet, SearchProfile, int, int]:
         """One search attempt with the current buffer capacities; also
-        returns how many scheduled pairs the reject left to refine."""
+        returns how many rows the reject read and how many scheduled
+        pairs it left to refine."""
         wall0 = time.perf_counter()
         self.gpu.reset_counters()
         launcher = KernelLauncher(self.gpu)
@@ -610,7 +706,7 @@ class GpuEngineBase(SearchEngine):
         parts: list[ResultSet] = []
         redo_total = 0
         raw_items = 0
-        pairs_refined = 0
+        pairs_examined = pairs_refined = 0
 
         for invocation in range(MAX_KERNEL_INVOCATIONS):
             if pending.size == 0:
@@ -620,22 +716,15 @@ class GpuEngineBase(SearchEngine):
                 else self._thread_work(plan, live, d)
 
             def kernel(k, live=live, work=work):
-                nonlocal pairs_refined
+                nonlocal pairs_examined, pairs_refined
                 if work is None:
                     work = self._thread_work(plan, live, d)
-                batch, lens = work.batch, work.batch.lengths()
+                lens = work.batch.lengths()
                 # The host solves only the pairs that can hit; the
                 # device is charged for every scheduled comparison.
-                if batch.row_lo is None:
-                    kept = surviving_pairs(
-                        q_sorted, self.database,
-                        np.repeat(batch.q_rows, lens),
-                        batch.candidate_rows, d, scale)
-                else:
-                    kept = surviving_pairs(
-                        q_sorted, self.database, batch.q_rows,
-                        batch.row_lo, d, scale, lens=lens)
-                batch = batch.keep(kept)
+                batch, examined = surviving_batch(
+                    q_sorted, self.database, work, d, scale)
+                pairs_examined += examined
                 pairs_refined += batch.candidate_rows.shape[0]
                 hits, pq, pe, plo, phi = refine_ranges(
                     q_sorted, self.database, batch, d,
@@ -691,7 +780,7 @@ class GpuEngineBase(SearchEngine):
             index_bytes=self.index.nbytes(),
             wall_seconds=time.perf_counter() - wall0,
         )
-        return final, profile, pairs_refined
+        return final, profile, pairs_examined, pairs_refined
 
     # -- the retried search ----------------------------------------------------------
 
@@ -713,7 +802,8 @@ class GpuEngineBase(SearchEngine):
             backoff_total = 0.0
             for attempt in range(1, self.retry.max_attempts + 1):
                 try:
-                    results, profile, pairs_refined = self._search_once(
+                    (results, profile, pairs_examined,
+                     pairs_refined) = self._search_once(
                         queries, d,
                         exclude_same_trajectory=exclude_same_trajectory)
                 except (ResultBufferOverflowError,
@@ -752,6 +842,7 @@ class GpuEngineBase(SearchEngine):
                         invocations=profile.num_kernel_invocations,
                         redo_queries=profile.redo_queries,
                         pairs_scheduled=pairs_scheduled,
+                        pairs_examined=pairs_examined,
                         pairs_refined=pairs_refined,
                         result_items=profile.result_items)
                     m = telemetry.metrics

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
 from ..indexes.spatiotemporal import SpatioTemporalIndex
-from .base import (GpuEngineBase, HostPlan, RangeBatch, ThreadWork,
-                   index_build_phase)
+from .base import (BinSpans, GpuEngineBase, HostPlan, RangeBatch,
+                   ThreadWork, index_build_phase)
 from .config import GpuSpatioTemporalConfig
 
 __all__ = ["GpuSpatioTemporalEngine"]
@@ -48,6 +47,7 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
             self._place_database(self.database, "st_db",
                                  result_buffer_items)
             self._place_index()
+            self._bin_grid = self.index.temporal.bin_grid()
 
     def _host_plan(self, queries: SegmentArray, d: float,
                    exclude_same_trajectory: bool) -> HostPlan:
@@ -63,21 +63,20 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
 
     def _thread_work(self, plan: HostPlan, live: np.ndarray,
                      d: float) -> ThreadWork:
-        schedule = plan.schedule
+        schedule, index = plan.schedule, self.index
         sel = schedule.array_sel[live]
         lo = schedule.ent_min[live]
         lens = np.maximum(schedule.ent_max[live] - lo + 1, 0)
-        batch = RangeBatch.from_lengths(
-            schedule.q_rows[live], np.empty(int(lens.sum()), dtype=np.int64),
-            lens)
-        # Indirect threads gather entry rows through X/Y/Z; defaulted
-        # threads (-1) take the range itself.
-        for dim in range(-1, 3):
-            pick = np.flatnonzero(sel == dim)
-            rows = expand_ranges(lo[pick], lens[pick])
-            if dim >= 0:
-                rows = self.index.dim_arrays[dim][rows]
-            batch.candidate_rows[expand_ranges(
-                batch.cand_start[pick], lens[pick])] = rows
+        # Subbin threads read entry rows through X/Y/Z; defaulted
+        # threads (-1) take the range itself.  Neither is expanded here:
+        # the reject reads them through the bins, or expands them itself
+        # when the grid does not pay.
+        batch = RangeBatch.contiguous(schedule.q_rows[live], lo, lens,
+                                      sel, index.dim_arrays)
+        bins = BinSpans(self._bin_grid, schedule.bin_lo[live],
+                        schedule.bin_hi[live], schedule.subbin[live],
+                        (index.space_min, index.subbin_width,
+                         index.num_subbins))
         # The extra indirection of subbin threads.
-        return ThreadWork(batch, gather_work=np.where(sel >= 0, lens, 0))
+        return ThreadWork(batch, gather_work=np.where(sel >= 0, lens, 0),
+                          bins=bins)

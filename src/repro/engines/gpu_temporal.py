@@ -28,8 +28,8 @@ import numpy as np
 
 from ..core.types import SegmentArray
 from ..indexes.temporal import TemporalIndex
-from .base import (GpuEngineBase, HostPlan, RangeBatch, RefineCache,
-                   ThreadWork, index_build_phase)
+from .base import (BinSpans, GpuEngineBase, HostPlan, RangeBatch,
+                   RefineCache, ThreadWork, index_build_phase)
 from .config import GpuTemporalConfig
 
 __all__ = ["GpuTemporalEngine"]
@@ -52,6 +52,7 @@ class GpuTemporalEngine(GpuEngineBase):
             self._place_database(self.database, "temporal_db",
                                  result_buffer_items)
             self._place_index()
+            self._bin_grid = self.index.bin_grid()
         self._refine_cache = RefineCache()
 
     def _host_plan(self, queries: SegmentArray, d: float,
@@ -65,11 +66,14 @@ class GpuTemporalEngine(GpuEngineBase):
 
     def _thread_work(self, plan: HostPlan, live: np.ndarray,
                      d: float) -> ThreadWork:
-        full = plan.schedule.batch
+        full, (bin_lo, bin_hi) = plan.schedule.batch, plan.schedule.bins
         if live.size == plan.num_threads:
             # Only the first invocation runs every thread (the first
             # live thread always publishes or ends the attempt): the
             # memoised schedule, as is.
-            return ThreadWork(full)
-        return ThreadWork(RangeBatch.contiguous(
-            live, full.row_lo[live], full.lengths()[live]))
+            return ThreadWork(full, bins=BinSpans(self._bin_grid, bin_lo,
+                                                  bin_hi))
+        return ThreadWork(
+            RangeBatch.contiguous(live, full.row_lo[live],
+                                  full.lengths()[live]),
+            bins=BinSpans(self._bin_grid, bin_lo[live], bin_hi[live]))

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.geometry import cell_of
 from ..core.ranges import expand_ranges
 from ..core.types import SegmentArray
 from ..gpu.memory import layout_nbytes
@@ -49,12 +50,20 @@ class Schedule:
     sorted database for defaulted queries.  ``q_rows[k]`` is the query row
     the entry refers to (schedules are sorted by ``array_sel`` to reduce
     thread divergence, so the mapping is explicit).
+
+    The same candidates in temporal bins, kept on the host for the
+    reject (never shipped): rows of bins ``bin_lo[k] .. bin_hi[k]``
+    (empty when ``bin_lo > bin_hi``), and for a subbin query only those
+    in ``subbin[k]`` of dimension ``array_sel[k]``.
     """
 
     array_sel: np.ndarray
     ent_min: np.ndarray
     ent_max: np.ndarray
     q_rows: np.ndarray
+    bin_lo: np.ndarray
+    bin_hi: np.ndarray
+    subbin: np.ndarray
 
     def __len__(self) -> int:
         return int(self.array_sel.shape[0])
@@ -76,10 +85,8 @@ def _subbin_layout(start: np.ndarray, end: np.ndarray, lo_edge: float,
     """One dimension's id array, grouped by ``(subbin j, temporal bin
     i)``, and its offsets.  Each total-sized temporary is deleted once
     the next one exists, so the build peaks at a few of them."""
-    s_lo = np.clip(np.floor((np.minimum(start, end) - lo_edge) / width),
-                   0, v - 1).astype(np.int64)
-    spans = np.clip(np.floor((np.maximum(start, end) - lo_edge) / width),
-                    0, v - 1).astype(np.int64)
+    s_lo = cell_of(np.minimum(start, end), lo_edge, width, v)
+    spans = cell_of(np.maximum(start, end), lo_edge, width, v)
     spans -= s_lo
     spans += 1
     # key = j * m + i, one per (row, overlapped subbin), row-major
@@ -187,6 +194,7 @@ class SpatioTemporalIndex:
         array_sel = np.full(nq, -1, dtype=np.int64)
         ent_min = np.zeros(nq, dtype=np.int64)
         ent_max = np.full(nq, -1, dtype=np.int64)
+        subbin = np.zeros(nq, dtype=np.int64)
         best_count = np.full(nq, np.iinfo(np.int64).max, dtype=np.int64)
         spatially_empty = np.zeros(nq, dtype=bool)
 
@@ -196,10 +204,8 @@ class SpatioTemporalIndex:
             dmax = dmin + w * v
             outside = (q_hi[:, dim] < dmin) | (q_lo[:, dim] > dmax)
             spatially_empty |= outside
-            s_lo = np.clip(np.floor((q_lo[:, dim] - dmin) / w),
-                           0, v - 1).astype(np.int64)
-            s_hi = np.clip(np.floor((q_hi[:, dim] - dmin) / w),
-                           0, v - 1).astype(np.int64)
+            s_lo = cell_of(q_lo[:, dim], dmin, w, v)
+            s_hi = cell_of(q_hi[:, dim], dmin, w, v)
             eligible = (s_lo == s_hi) & ~outside & ~no_bins
             offs = self.dim_offsets[dim]
             start = offs[s_lo * m + j_lo_c]
@@ -210,6 +216,7 @@ class SpatioTemporalIndex:
             ent_min[better] = start[better]
             ent_max[better] = end[better] - 1
             best_count[better] = count[better]
+            subbin[better] = s_lo[better]
 
         # Defaulted queries fall back to the temporal candidate row range.
         defaulted = (array_sel == -1) & ~no_bins & ~spatially_empty
@@ -222,12 +229,16 @@ class SpatioTemporalIndex:
         array_sel[dead] = 0
         ent_min[dead] = 0
         ent_max[dead] = -1
+        bin_lo = np.where(dead, 0, j_lo_c)
+        bin_hi = np.where(dead, -1, j_hi_c)
 
         # Sort by lookup-array selector to reduce thread divergence (§IV-C.2).
         order = np.argsort(array_sel, kind="stable")
         return Schedule(array_sel=array_sel[order], ent_min=ent_min[order],
                         ent_max=ent_max[order],
-                        q_rows=np.arange(nq, dtype=np.int64)[order])
+                        q_rows=np.arange(nq, dtype=np.int64)[order],
+                        bin_lo=bin_lo[order], bin_hi=bin_hi[order],
+                        subbin=subbin[order])
 
     # -- reporting ----------------------------------------------------------------
 

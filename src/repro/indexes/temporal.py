@@ -23,15 +23,22 @@ schedule computation is a negligible fraction of response time.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.distance import BinGrid
 from ..core.ranges import run_starts
 from ..core.types import SegmentArray
 from ..gpu.memory import layout_nbytes
 
 __all__ = ["TemporalIndex"]
+
+#: Each live :class:`BinGrid` by (its base's ``id``, bin count).  A grid
+#: holds its base, so the ``id`` cannot be reused while the entry lives,
+#: and the entry goes with the last engine holding the grid.
+_BIN_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -128,7 +135,12 @@ class TemporalIndex:
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Per-query inclusive candidate row range ``E_k`` (``lo > hi`` =>
         empty)."""
-        j_lo, j_hi = self.bin_range(q_start, q_end)
+        return self.bin_rows(*self.bin_range(q_start, q_end))
+
+    def bin_rows(self, j_lo: np.ndarray, j_hi: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """The inclusive row range of the bins ``j_lo .. j_hi`` (of
+        :meth:`bin_range`; ``lo > hi`` => empty)."""
         n = len(self.segments)
         empty = j_lo > j_hi
         j_lo_c = np.clip(j_lo, 0, self.num_bins - 1)
@@ -150,6 +162,18 @@ class TemporalIndex:
     def nbytes(self) -> int:
         """Device footprint of the bin descriptors (4 values per bin)."""
         return layout_nbytes(self.device_arrays())
+
+    def bin_grid(self) -> BinGrid:
+        """The reject's :class:`~repro.core.distance.BinGrid` over this
+        index's base: built once per time-sorted base and bin count and
+        shared, as the sorted base is, by the bin engines over it."""
+        key = (id(self.segments), self.num_bins)
+        grid = _BIN_GRIDS.get(key)
+        if grid is None:
+            grid = BinGrid.build(self.segments, self.bin_of_rows(),
+                                 self.num_bins)
+            _BIN_GRIDS[key] = grid
+        return grid
 
     def bin_of_rows(self) -> np.ndarray:
         """Bin id of every row of the sorted database (for subbin builds)."""

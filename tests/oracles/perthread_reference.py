@@ -16,7 +16,7 @@ reference in for one test with ``monkeypatch``:
 * :func:`gather` for ``GpuSpatialEngine._thread_work`` (Algorithm 1
   lines 1-12: rasterize, probe ``G``, fill ``U_k``);
 * :func:`query_candidates_flat` for ``RTree.query_candidates_flat``;
-* :func:`keep_all` for ``engines.base.surviving_pairs``: the reference
+* :func:`keep_all` for ``engines.base.surviving_batch``: the reference
   refines every scheduled pair, with no reject in front.
 
 The refine and gather bodies are the per-thread twins the engines
@@ -49,18 +49,17 @@ def install(patch) -> None:
     (``patch`` is pytest's ``monkeypatch`` or one of its contexts)."""
     for module in (base, cpu_scan, cpu_rtree):
         patch.setattr(module, "refine_ranges", refine_ranges)
-    patch.setattr(base, "surviving_pairs", keep_all)
+    patch.setattr(base, "surviving_batch", keep_all)
     patch.setattr(GpuSpatialEngine, "_thread_work", gather)
     patch.setattr(RTree, "query_candidates_flat", query_candidates_flat)
 
 
-def keep_all(queries: SegmentArray, entries: SegmentArray,
-             q_idx: np.ndarray, e_idx: np.ndarray, d: float,
-             scale: float, *, lens: np.ndarray | None = None
-             ) -> np.ndarray:
-    """The reject that rejects nothing: every position survives, pairs
-    or ranges."""
-    return np.arange(q_idx.shape[0] if lens is None else lens.sum())
+def keep_all(queries: SegmentArray, database: SegmentArray,
+             work: ThreadWork, d: float, scale: float
+             ) -> tuple[RangeBatch, int]:
+    """The reject that rejects nothing: every scheduled pair survives,
+    its row named, and none is read."""
+    return work.batch.explicit(), 0
 
 
 # -- refinement --------------------------------------------------------------------

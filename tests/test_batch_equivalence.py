@@ -146,8 +146,8 @@ def test_reference_is_installed(monkeypatch, small_db, small_queries):
                        perthread_reference.cpu_rtree):
             patch.setattr(module, "refine_ranges",
                           counting("refine", module.refine_ranges))
-        patch.setattr(base, "surviving_pairs",
-                      counting("reject", base.surviving_pairs))
+        patch.setattr(base, "surviving_batch",
+                      counting("reject", base.surviving_batch))
         cls = perthread_reference.GpuSpatialEngine
         patch.setattr(cls, "_thread_work",
                       counting("gather", cls._thread_work))

@@ -3,11 +3,15 @@ referees do not depend on it.
 
 ``core.distance.surviving_pairs`` drops candidate pairs whose bounding
 boxes are further apart than ``d + tau`` before the GPU loop solves
-them (``GpuEngineBase._search_once``).  Nothing observable may change:
+them (``GpuEngineBase._search_once``, through ``engines.base.
+surviving_batch``, which sends the two bin engines' batches through
+``surviving_bin_pairs`` instead when their bin grid pays).  Nothing
+observable may change:
 
 (a) on the schemes' real batches — redo invocations under tiny result
     buffers included — ``refine_ranges`` returns the same bytes with the
-    reject in front as with it bypassed;
+    reject in front as with it bypassed (``surviving_batch`` patched to
+    refine every scheduled pair);
 (b) on pairs built to sit on the threshold (one axis alone, ulps and
     ``tau / 2`` either side, degenerate geometry, large offsets) no pair
     the exact floating-point path accepts is dropped;
@@ -16,9 +20,11 @@ them (``GpuEngineBase._search_once``).  Nothing observable may change:
     empty while ``cpu_scan``, ``cpu_rtree`` and brute force answer as
     before — a bug in the reject cannot hide on both sides of a
     comparison;
-(e) the range form (GPUTemporal's two integers per thread, long ranges
-    tested as slices) keeps exactly the positions the pair form keeps
-    over the same ranges expanded.
+(e) the grid enumeration (``surviving_bin_pairs``) returns, for every
+    kind of bin-engine thread — contiguous, subbin, defaulted, dead —
+    exactly the ``(thread, row)`` pairs the pair form keeps over the
+    same candidates expanded, and ``surviving_batch`` builds the same
+    batch whichever way it goes.
 """
 
 import itertools
@@ -29,17 +35,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import distance
 from repro.core.bruteforce import brute_force_search
-from repro.core.distance import (_REJECT_MARGIN, _REJECT_RANGE_MIN,
-                                 compare_pairs, magnitude, surviving_pairs)
-from repro.core.ranges import expand_ranges
+from repro.core.distance import (_REJECT_MARGIN, compare_pairs, magnitude,
+                                 surviving_bin_pairs, surviving_pairs)
+from repro.core.ranges import range_offsets
 from repro.core.types import SegmentArray
 from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
                            GpuSpatioTemporalEngine, GpuTemporalEngine,
                            available, base, get_engine)
-from repro.engines.base import RangeBatch, refine_ranges
+from repro.engines.base import (BinSpans, RangeBatch, ThreadWork,
+                                refine_ranges)
 from repro.experiments.scenarios import (scenario_s1_random,
                                          scenario_s2_merger,
                                          scenario_s3_random_dense)
+from repro.indexes import SpatioTemporalIndex, TemporalIndex
 from repro.obs import Telemetry
 from tests.conftest import series_value
 
@@ -56,14 +64,24 @@ GPU_ENGINES = {"gpu_temporal": GpuTemporalEngine,
                "gpu_spatial": GpuSpatialEngine}
 
 
-def _keep_everything(queries, entries, q_idx, e_idx, d, scale, *,
-                     lens=None):
-    return np.arange(q_idx.shape[0] if lens is None else lens.sum())
+def _keep_everything(queries, database, work, d, scale):
+    return work.batch.explicit(), 0
 
 
-def _drop_everything(queries, entries, q_idx, e_idx, d, scale, *,
-                     lens=None):
-    return np.zeros(0, dtype=np.int64)
+def _drop_everything(queries, database, work, d, scale):
+    batch = work.batch
+    return RangeBatch.from_lengths(
+        batch.q_rows, np.zeros(0, dtype=np.int64),
+        np.zeros(batch.num_threads, dtype=np.int64)), 0
+
+
+def _keep(batch: RangeBatch, positions: np.ndarray) -> RangeBatch:
+    """An explicit batch's threads with only the candidates at
+    ``positions`` (ascending)."""
+    thread = np.searchsorted(batch.cand_start, positions, side="right") - 1
+    return RangeBatch.from_lengths(
+        batch.q_rows, batch.candidate_rows[positions],
+        np.bincount(thread, minlength=batch.num_threads))
 
 
 def _result_bytes(result) -> bytes:
@@ -95,9 +113,14 @@ def test_real_batches_refine_to_the_same_bytes(scenario_data, engine_name,
 
     def run(reject):
         """Every ``refine_ranges`` return of a whole sweep, as bytes,
-        and the pairs it was handed."""
-        seen, pairs = [], 0
-        real = refine_ranges
+        the pairs it was handed, and the reject's grid enumerations."""
+        seen, pairs, grids = [], 0, 0
+        real, real_grid = refine_ranges, base.surviving_bin_pairs
+
+        def grid_spy(*args, **kw):
+            nonlocal grids
+            grids += 1
+            return real_grid(*args, **kw)
 
         def spy(q, db, batch, d, **kw):
             nonlocal pairs
@@ -108,8 +131,9 @@ def test_real_batches_refine_to_the_same_bytes(scenario_data, engine_name,
 
         with monkeypatch.context() as patch:
             patch.setattr(base, "refine_ranges", spy)
+            patch.setattr(base, "surviving_bin_pairs", grid_spy)
             if reject is not None:
-                patch.setattr(base, "surviving_pairs", reject)
+                patch.setattr(base, "surviving_batch", reject)
             engine = GPU_ENGINES[engine_name](database, **params)
             for d, exclude in itertools.product(D_VALUES, (False, True)):
                 try:
@@ -123,13 +147,17 @@ def test_real_batches_refine_to_the_same_bytes(scenario_data, engine_name,
                     del record["wall_seconds"]
                     seen.append(_result_bytes(result)
                                 + repr(sorted(record.items())).encode())
-        return seen, pairs
+        return seen, pairs, grids
 
-    filtered, refined = run(None)
-    unfiltered, scheduled = run(_keep_everything)
+    filtered, refined, grids = run(None)
+    unfiltered, scheduled, _ = run(_keep_everything)
     assert len(filtered) == len(unfiltered) > 2 * len(D_VALUES)  # redos ran
     assert filtered == unfiltered
     assert refined < scheduled
+    # Both reject paths ran: the bin engines' S2 and S3 batches pay for
+    # the grid, S1's short spans and GPUSpatial's explicit rows do not.
+    assert (grids > 0) == (engine_name != "gpu_spatial"
+                           and scenario.name != "S1-random")
 
 
 # -- (b) pairs built to sit on the threshold --------------------------------------
@@ -304,7 +332,7 @@ def test_random_databases_refine_to_the_same_bytes(database, queries, d,
         batch.candidate_rows, d, magnitude(queries) + magnitude(database))
     want = refine_ranges(queries, database, batch, d,
                          exclude_same_trajectory=exclude)
-    got = refine_ranges(queries, database, batch.keep(kept), d,
+    got = refine_ranges(queries, database, _keep(batch, kept), d,
                         exclude_same_trajectory=exclude)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -331,77 +359,156 @@ def test_referees_are_independent_of_the_reject(small_db, small_queries,
     before = {name: _result_bytes(run()) for name, run in referees.items()}
     assert all(len(gpu(cls)) > 0 for cls in GPU_ENGINES.values())
 
-    monkeypatch.setattr(base, "surviving_pairs", _drop_everything)
+    monkeypatch.setattr(base, "surviving_batch", _drop_everything)
     for name, cls in GPU_ENGINES.items():
         assert len(gpu(cls)) == 0, name    # the sabotage bites
     for name, run in referees.items():
         assert _result_bytes(run()) == before[name], name
 
 
-# -- (e) the range form is the pair form -------------------------------------------
-
-#: lengths at and around the slice threshold, empty and single-row ranges.
-_EDGE_LENS = (0, 1, 2, _REJECT_RANGE_MIN - 1, _REJECT_RANGE_MIN,
-              _REJECT_RANGE_MIN + 1)
-_RANGE_DB_ROWS = 4 * _REJECT_RANGE_MIN
+# -- (e) the grid enumeration is the pair form ------------------------------------
 
 
-def _walks(rng, n, t_span) -> SegmentArray:
-    """``n`` short time-sorted segments in a 10-unit box."""
-    start = rng.uniform(0.0, 10.0, (n, 3))
-    end = start + rng.normal(0.0, 0.3, (n, 3))
-    ts = np.sort(rng.uniform(0.0, t_span, n))
-    return SegmentArray(*start.T, ts, *end.T,
-                        ts + rng.choice([0.0, 0.5, 3.0], n),
-                        rng.integers(0, 4, n))
+@st.composite
+def _binned_cases(draw):
+    """A small binned base and query set built to sit on the grid's
+    edges: a quarter-unit lattice (boxes exactly ``d`` apart), extents
+    of 0 or exactly the largest, one or many non-empty bins among empty
+    ones, coordinates near 0 or 1e8, queries inside or outside the
+    base's space and time."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    origin = draw(st.sampled_from([0.0, 1e8, -1e8]))
+    timing = draw(st.sampled_from(["one step", "steps", "continuous"]))
+
+    def segments(n, shift=0.0, t_shift=0.0):
+        start = origin + shift + rng.integers(-8, 9, (n, 3)) * 0.25
+        extent = rng.choice([0.0, 0.5, 1.0], (n, 3)) \
+            * rng.choice([-1.0, 1.0], (n, 3))
+        extent[rng.random(n) < 0.2] = 0.0       # points
+        if timing == "one step":
+            ts = np.zeros(n)
+        elif timing == "steps":
+            ts = rng.integers(0, 10, n).astype(np.float64)
+        else:
+            ts = rng.uniform(0.0, 10.0, n)
+        ts += t_shift
+        te = ts + rng.choice([0.0, 1.0, 3.0], n)
+        return SegmentArray(*start.T, ts, *(start + extent).T, te,
+                            rng.integers(0, 4, n))
+
+    database = segments(draw(st.integers(1, 80)))
+    where = draw(st.sampled_from(["inside", "own rows", "beyond space",
+                                  "before", "after"]))
+    nq = draw(st.integers(1, 6))
+    if where == "own rows":
+        queries = database.take(rng.integers(0, len(database), nq))
+    else:
+        queries = segments(nq, shift=50.0 if where == "beyond space"
+                           else 0.0,
+                           t_shift={"before": -100.0,
+                                    "after": 100.0}.get(where, 0.0))
+    d = draw(st.one_of(st.sampled_from([0.0, 0.25, 1.0, INF]),
+                       st.floats(0.0, 6.0, allow_nan=False)))
+    return (database, queries, d, draw(st.sampled_from([1, 3, 16, 50])),
+            draw(st.integers(1, 4)), rng)
 
 
-@given(st.integers(0, 2 ** 32 - 1),
-       st.lists(st.tuples(st.integers(0, 7),
-                          st.one_of(st.sampled_from(_EDGE_LENS),
-                                    st.integers(0, 3 * _REJECT_RANGE_MIN)),
-                          st.floats(0.0, 1.0)),
-                max_size=10),
-       st.one_of(st.sampled_from([0.0, 0.05, 1.0, INF, float("nan")]),
-                 st.floats(0.0, 20.0, allow_nan=False)),
-       st.sampled_from([distance._REJECT_BLOCK, 64, 5]),
-       st.sampled_from([400.0, 0.0]))
-@settings(max_examples=120, deadline=None)
-def test_range_form_keeps_the_pair_forms_positions(seed, threads, d,
-                                                   block, t_span):
-    # With no time span every pair is contemporaneous, so at a large d
-    # every row of a range survives, the first and the last included.
-    rng = np.random.default_rng(seed)
-    database = _walks(rng, _RANGE_DB_ROWS, t_span)
-    queries = _walks(rng, 8, t_span)
-    q_rows = np.asarray([q for q, _, _ in threads], dtype=np.int64)
-    lens = np.asarray([n for _, n, _ in threads], dtype=np.int64)
-    # Any start that fits: ranges overlap freely.
-    row_lo = np.asarray([int(at * (_RANGE_DB_ROWS - n))
-                         for _, n, at in threads], dtype=np.int64)
-    scale = magnitude(queries) + magnitude(database)
-    pairs = (queries, database, np.repeat(q_rows, lens),
-             expand_ranges(row_lo, lens))
-    ranges = (queries, database, q_rows, row_lo)
-    if np.isnan(d):
-        for args, kw in ((pairs, {}), (ranges, {"lens": lens})):
-            with pytest.raises(ValueError, match="must be non-negative"):
-                surviving_pairs(*args, d, scale, **kw)
-        return
-    want = surviving_pairs(*pairs, d, scale)
-    # Small blocks also send a long range's slice survivors on in
-    # several runs.
+def _drawn_threads(rng, index, num_queries):
+    """Threads over any subbin of any axis, or none, and any bin span,
+    empty spans included: an explicit batch and its bin spans."""
+    temporal, m = index.temporal, index.temporal.num_bins
+    n = 4 * num_queries
+    sel = rng.integers(-1, 3, n)
+    subbin = rng.integers(0, index.num_subbins, n)
+    bin_lo = rng.integers(0, m, n)
+    bin_hi = np.minimum(bin_lo + rng.integers(-1, 3, n), m - 1)
+    row_bins = temporal.bin_of_rows()
+    rows = [np.flatnonzero((row_bins >= lo) & (row_bins <= hi)) if s < 0
+            else index.dim_arrays[s][
+                index.dim_offsets[s][j * m + lo]:
+                index.dim_offsets[s][j * m + max(hi + 1, lo)]]
+            for s, j, lo, hi in zip(sel, subbin, bin_lo, bin_hi)]
+    batch = RangeBatch(rng.integers(0, num_queries, n),
+                       np.concatenate([np.zeros(0, np.int64), *rows]),
+                       range_offsets(np.asarray([len(r) for r in rows])),
+                       array_sel=sel)
+    return batch, bin_lo, bin_hi, subbin
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert a.tobytes() == b.tobytes()
+
+
+@given(_binned_cases(), st.sampled_from([distance._REJECT_BLOCK, 64, 5]),
+       st.sampled_from([distance._REJECT_SAMPLE, 8]),
+       st.sampled_from([base.MAX_PAIRS_PER_CHUNK, 7, 1]))
+@settings(max_examples=150, deadline=None)
+def test_grid_enumeration_keeps_the_pair_forms_pairs(case, block, sample,
+                                                     chunk):
+    database, queries, d, num_bins, num_subbins, rng = case
+    index = SpatioTemporalIndex.build(database, num_bins, num_subbins,
+                                      strict=False)
+    temporal = index.temporal
+    entries, grid = temporal.segments, temporal.bin_grid()
+    # One grid per time-sorted base and bin count, whoever asks.
+    assert grid is TemporalIndex.build(database, num_bins).bin_grid()
+    q = queries.sorted_by_start_time()
+    scale = magnitude(q) + magnitude(entries)
+    subbins = (index.space_min, index.subbin_width, num_subbins)
+
+    # GPUTemporal's threads: each query's bin span, dead ones included.
+    j_lo, j_hi = temporal.bin_range(q.ts, q.te)
+    row_lo, row_hi = temporal.candidate_rows(q.ts, q.te)
+    contiguous = RangeBatch.contiguous(np.arange(len(q)), row_lo,
+                                       np.maximum(row_hi - row_lo + 1, 0))
+    # GPUSpatioTemporal's: subbin, defaulted and dead threads.
+    schedule = index.make_schedule(q, d)
+    scheduled = RangeBatch.contiguous(
+        schedule.q_rows, schedule.ent_min,
+        np.maximum(schedule.ent_max - schedule.ent_min + 1, 0),
+        schedule.array_sel, index.dim_arrays)
+    drawn, b_lo, b_hi, subbin = _drawn_threads(rng, index, len(q))
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "_REJECT_BLOCK", block)
-        got = surviving_pairs(*ranges, d, scale, lens=lens)
-    assert got.dtype == want.dtype == np.int64
-    assert got.tobytes() == want.tobytes()
-    # ... and the kept positions name the same rows in either form.
-    flat = RangeBatch.from_lengths(q_rows, pairs[3], lens).keep(want)
-    contiguous = RangeBatch.contiguous(q_rows, row_lo, lens).keep(got)
-    assert contiguous.candidate_rows.tobytes() \
-        == flat.candidate_rows.tobytes()
-    assert contiguous.cand_start.tobytes() == flat.cand_start.tobytes()
+        patch.setattr(distance, "_REJECT_SAMPLE", sample)
+        # Small chunks send the seam's threads through in several runs.
+        patch.setattr(base, "MAX_PAIRS_PER_CHUNK", chunk)
+        for batch, bins in (
+                (contiguous, BinSpans(grid, j_lo, j_hi)),
+                (scheduled, BinSpans(grid, schedule.bin_lo,
+                                     schedule.bin_hi, schedule.subbin,
+                                     subbins)),
+                (drawn, BinSpans(grid, b_lo, b_hi, subbin, subbins))):
+            # The pair form over the candidates expanded ...
+            flat = batch.explicit()
+            kept = surviving_pairs(q, entries,
+                                   np.repeat(flat.q_rows, flat.lengths()),
+                                   flat.candidate_rows, d, scale)
+            want = _keep(flat, kept)
+            # ... is what the windows find.
+            thread, row, examined = surviving_bin_pairs(
+                q, grid, batch.q_rows, bins.bin_lo, bins.bin_hi, d,
+                scale, array_sel=batch.array_sel, subbin=bins.subbin,
+                subbins=bins.subbins)
+            _assert_same((row, np.bincount(thread,
+                                           minlength=batch.num_threads)),
+                         (want.candidate_rows, want.lengths()))
+            assert examined >= row.size
+            # And the seam builds that batch whichever way it goes.
+            for factor in (0, 1 << 62):
+                patch.setattr(distance, "_GRID_PAIRS_PER_NEEDLE", factor)
+                got, read = base.surviving_batch(
+                    q, entries, ThreadWork(batch, bins=bins), d, scale)
+                _assert_same((got.q_rows, got.candidate_rows,
+                              got.cand_start),
+                             (want.q_rows, want.candidate_rows,
+                              want.cand_start))
+                scheduled_pairs = flat.candidate_rows.size
+                assert read == (examined if factor == 0 < scheduled_pairs
+                                else scheduled_pairs)
 
 
 # -- what the span says, and what d is refused ------------------------------------
@@ -420,6 +527,10 @@ def test_span_and_counter_say_what_the_reject_removed(
     assert attrs["pairs_scheduled"] == profile.total_comparisons
     assert attrs["result_items"] == len(result)
     assert len(result) <= attrs["pairs_refined"] < attrs["pairs_scheduled"]
+    # The rows the reject read: every scheduled pair in the pair form.
+    assert attrs["pairs_refined"] <= attrs["pairs_examined"]
+    if engine_name == "gpu_spatial":
+        assert attrs["pairs_examined"] == attrs["pairs_scheduled"]
     for stage in ("scheduled", "refined"):
         assert series_value(telemetry.metrics, "repro_refine_pairs_total",
                             engine=engine_name, stage=stage) \

@@ -54,7 +54,7 @@ MAX_PEAK_BYTES = {"gpu_temporal": 4_000_000,
 
 
 def _keep_everything(queries, database, work, d, scale):
-    return work.batch.explicit(), 0
+    return work.explicit(), 0
 
 
 def _replay(engines, wire):

@@ -101,6 +101,7 @@ def _checked(kind: type, test, requirement: str):
 
 
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
 #: a distance threshold: >= 0, and NaN fails the comparison too.
 _DISTANCE = _checked(float, lambda v: v >= 0, ">= 0")
 _RATE = _checked(float, lambda v: 0 <= v <= 1, "within [0, 1]")
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", default="round_robin",
                    choices=list(PARTITION_STRATEGIES),
                    help="partition strategy (default round_robin)")
-    p.add_argument("--batches", type=int, default=6,
+    p.add_argument("--batches", type=_POSITIVE_INT, default=6,
                    help="query batches to serve (default 6)")
     p.add_argument("--method", default="auto",
                    choices=list(available()) + ["auto"],
@@ -276,15 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=list(available()) + ["auto"],
                    help="engine, or 'auto' for planner-driven "
                         "selection")
-    p.add_argument("--rounds", type=int, default=6,
+    p.add_argument("--rounds", type=_POSITIVE_INT, default=6,
                    help="ingest+query rounds to drive (default 6)")
-    p.add_argument("--arrivals-per-round", type=int, default=2,
+    p.add_argument("--arrivals-per-round", type=_POSITIVE_INT, default=2,
                    help="trajectories ingested per round (default 2)")
     p.add_argument("--initial-fraction", type=_FRACTION, default=0.6,
                    help="fraction of trajectories seeding the base "
                         "index; the rest arrive as the stream "
                         "(default 0.6)")
-    p.add_argument("--delete-every", type=int, default=0,
+    p.add_argument("--delete-every", type=_NON_NEGATIVE_INT, default=0,
                    help="tombstone the oldest ingested trajectory "
                         "every Nth round (0 = never)")
     p.add_argument("--max-delta", type=_POSITIVE_INT, default=None,
@@ -383,7 +384,7 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=_DISTANCE, default=None,
                    help="query distance threshold (required unless "
                         "--requests supplies per-request values)")
-    p.add_argument("--batches", type=int, default=8,
+    p.add_argument("--batches", type=_POSITIVE_INT, default=8,
                    help="number of query batches to synthesize "
                         "(default 8); ignored with --requests")
     p.add_argument("--requests", default=None, metavar="PATH",
@@ -396,10 +397,10 @@ def _add_batch_args(p: argparse.ArgumentParser) -> None:
                    help="size of the simulated GPU pool")
     p.add_argument("--query-trajectories", type=_POSITIVE_INT, default=4,
                    help="trajectories sampled per synthesized batch")
-    p.add_argument("--num-bins", type=int, default=1000)
-    p.add_argument("--num-subbins", type=int, default=4)
-    p.add_argument("--cells-per-dim", type=int, default=50)
-    p.add_argument("--segments-per-mbb", type=int, default=4)
+    p.add_argument("--num-bins", type=_POSITIVE_INT, default=1000)
+    p.add_argument("--num-subbins", type=_POSITIVE_INT, default=4)
+    p.add_argument("--cells-per-dim", type=_POSITIVE_INT, default=50)
+    p.add_argument("--segments-per-mbb", type=_POSITIVE_INT, default=4)
     p.add_argument("--seed", type=int, default=0)
 
 

@@ -511,12 +511,13 @@ def surviving_bin_pairs(
 
     Thread ``i`` pairs query row ``q_rows[i]`` with every row of
     ``grid.entries`` in temporal bins ``bin_lo[i] .. bin_hi[i]``
-    (empty when ``bin_lo > bin_hi``) — GPUTemporal's schedule, and a
-    defaulted GPUSpatioTemporal thread's.  With ``array_sel[i] >= 0``
-    (a GPUSpatioTemporal subbin thread) only the rows whose extent on
-    axis ``array_sel[i]`` covers subbin ``subbin[i]`` are its
-    candidates, by the arithmetic of the index's own layout:
-    ``subbins = (space_min, subbin_width, num_subbins)``.
+    (empty when ``bin_lo > bin_hi``) — a temporal thread of a
+    :class:`~repro.indexes.Schedule`.  Given the index's ``subbins =
+    (space_min, subbin_width, num_subbins)``, a thread with
+    ``array_sel[i] >= 0`` (a GPUSpatioTemporal subbin thread) has only
+    the rows whose extent on axis ``array_sel[i]`` covers subbin
+    ``subbin[i]`` for candidates, by the arithmetic of that index's own
+    layout.
 
     Returns ``(thread, row, examined)``: the surviving pairs sorted by
     thread, then row — exactly the pairs :func:`surviving_pairs` keeps
@@ -553,7 +554,7 @@ def surviving_bin_pairs(
     # fixed x, y, z, time order beat the sampled one on dense_batch.
     kept = _blocked(bounds[1:] + bounds[:1], q_rows.take(thread), rows)
     thread, rows = thread[kept], rows[kept]
-    if array_sel is not None and thread.size:
+    if subbins is not None and thread.size:
         member = _subbin_members(grid.entries, rows, array_sel[thread],
                                  subbin[thread], *subbins)
         thread, rows = thread[member], rows[member]

@@ -24,6 +24,11 @@ A scheme is what distinguishes it in the paper, three hooks:
 * :meth:`GpuEngineBase._resubmit_limit` — which of the unpublished
   queries the host resubmits, and when it gives up.
 
+The defaults are the two binned schemes' (Algorithms 2-3), which differ
+only in the index that builds their :class:`~repro.indexes.Schedule`:
+GPUSpatioTemporal's starts from GPUTemporal's and overrides the queries
+its subbins serve.  GPUSpatial overrides all three.
+
 Within one invocation the model completes queries in thread-id order
 (first-fit): a deterministic idealization of the hardware's nondeterministic
 atomic interleaving.  A query's results are published all-or-nothing so a
@@ -38,25 +43,24 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Any, NamedTuple
 
 import numpy as np
 
-from ..core.distance import (BinGrid, compare_pairs, magnitude,
-                             surviving_bin_pairs, surviving_pairs)
-from ..core.ranges import expand_ranges, range_offsets
+from ..core.distance import (compare_pairs, magnitude, surviving_bin_pairs,
+                             surviving_pairs)
+from ..core.ranges import range_offsets
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.device import VirtualGPU
 from ..gpu.kernel import KernelLauncher, LaunchSpec
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
-from ..indexes.temporal import TemporalIndex
+from ..indexes.spatiotemporal import SpatioTemporalIndex
+from ..indexes.temporal import Schedule, TemporalIndex
 from ..obs.telemetry import current as current_telemetry
 from .config import EngineConfig
 
 __all__ = ["SearchEngine", "GpuEngineBase", "HostPlan", "NO_RETRY",
-           "BinSpans", "QuerySetMemo", "RangeBatch", "RefineCache",
-           "RetryPolicy", "ThreadWork", "ResultBufferOverflowError",
+           "RangeBatch", "RetryPolicy", "ThreadWork", "ResultBufferOverflowError",
            "KernelInvocationLimitError", "Deadline",
            "DeadlineExceededError", "current_deadline", "deadline_scope",
            "refine_ranges", "surviving_batch", "first_fit_accept",
@@ -281,27 +285,16 @@ class SearchEngine(abc.ABC):
 
 @dataclass
 class RangeBatch:
-    """Per-thread candidate specifications for one kernel invocation.
+    """Per-thread candidate rows for one kernel invocation.
 
     ``q_rows[i]`` is the query row thread ``i`` handles; its candidates
-    are the batch positions ``cand_start[i] : cand_start[i+1]``.  Which
-    database rows (in the engine's device-resident ordering) those are
-    is said one of two ways: explicitly, ``candidate_rows[cand_start[i]
-    : cand_start[i+1]]``; or as a range of two integers per thread, with
-    ``candidate_rows`` None: the rows from ``row_lo[i]`` on
-    (GPUTemporal's schedule, §IV-B), or, where ``array_sel[i] >= 0``,
-    the entries from ``row_lo[i]`` on of the lookup array
-    ``lookups[array_sel[i]]`` (GPUSpatioTemporal's, §IV-C).
-    :meth:`explicit` names every row, which only the pair-form reject
-    and the reference path need.
+    are the database rows (in the engine's device-resident ordering)
+    ``candidate_rows[cand_start[i] : cand_start[i+1]]``.
     """
 
     q_rows: np.ndarray
-    candidate_rows: np.ndarray | None
+    candidate_rows: np.ndarray
     cand_start: np.ndarray
-    row_lo: np.ndarray | None = None
-    array_sel: np.ndarray | None = None
-    lookups: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
         if self.cand_start.shape != (self.q_rows.shape[0] + 1,):
@@ -313,16 +306,6 @@ class RangeBatch:
         """The batch whose thread ``i`` owns the next ``lens[i]`` rows."""
         return cls(q_rows, candidate_rows, range_offsets(lens))
 
-    @classmethod
-    def contiguous(cls, q_rows: np.ndarray, row_lo: np.ndarray,
-                   lens: np.ndarray, array_sel: np.ndarray | None = None,
-                   lookups: tuple[np.ndarray, ...] = ()) -> "RangeBatch":
-        """The batch whose thread ``i`` owns rows ``row_lo[i] ..
-        row_lo[i] + lens[i] - 1`` — of ``lookups[array_sel[i]]`` where
-        that is ``>= 0``."""
-        return cls(q_rows, None, range_offsets(lens), row_lo, array_sel,
-                   lookups)
-
     @property
     def num_threads(self) -> int:
         return int(self.q_rows.shape[0])
@@ -330,47 +313,18 @@ class RangeBatch:
     def lengths(self) -> np.ndarray:
         return np.diff(self.cand_start)
 
-    def threads(self, first: int, end: int) -> "RangeBatch":
-        """Threads ``first .. end - 1`` alone, positions from 0."""
+    def threads(self, first: int = 0, end: int | None = None
+                ) -> "RangeBatch":
+        """Threads ``first .. end - 1`` (default: to the last) alone,
+        positions from 0."""
+        end = self.num_threads if end is None else end
         if first == 0 and end == self.num_threads:
             return self
         span = slice(self.cand_start[first], self.cand_start[end])
-        return RangeBatch(
-            self.q_rows[first:end],
-            None if self.candidate_rows is None
-            else self.candidate_rows[span],
-            self.cand_start[first:end + 1] - self.cand_start[first],
-            None if self.row_lo is None else self.row_lo[first:end],
-            None if self.array_sel is None else self.array_sel[first:end],
-            self.lookups)
-
-    def explicit(self) -> "RangeBatch":
-        """The same batch with every candidate row named."""
-        if self.candidate_rows is not None:
-            return self
-        lens = self.lengths()
-        rows = expand_ranges(self.row_lo, lens)
-        if self.array_sel is not None:
-            for dim, lookup in enumerate(self.lookups):
-                pick = np.flatnonzero(self.array_sel == dim)
-                at = expand_ranges(self.cand_start[pick], lens[pick])
-                rows[at] = lookup[rows[at]]
-        return RangeBatch(self.q_rows, rows, self.cand_start)
-
-
-class BinSpans(NamedTuple):
-    """A binned batch's threads in temporal bins, for the reject's
-    :func:`~repro.core.distance.surviving_bin_pairs`: thread ``i``'s
-    candidates are the rows of ``grid.entries`` in bins ``bin_lo[i] ..
-    bin_hi[i]`` — only those in subbin ``subbin[i]`` of the batch's
-    ``array_sel[i]`` where that is ``>= 0``, ``subbins`` being the
-    index's ``(space_min, subbin_width, num_subbins)``."""
-
-    grid: BinGrid
-    bin_lo: np.ndarray
-    bin_hi: np.ndarray
-    subbin: np.ndarray | None = None
-    subbins: tuple | None = None
+        return RangeBatch(self.q_rows[first:end],
+                          self.candidate_rows[span],
+                          self.cand_start[first:end + 1]
+                          - self.cand_start[first])
 
 
 @dataclass
@@ -381,33 +335,45 @@ class HostPlan:
     invocation runs threads ``0 .. num_threads - 1`` and a redo list
     names a subset of them.  ``schedule_bytes`` is the size of the
     schedule ``S`` shipped next to ``Q`` (None: the scheme computes no
-    schedule); ``schedule`` is whatever the scheme's own
-    :meth:`GpuEngineBase._thread_work` reads back.
+    schedule); ``schedule`` is that schedule, thread ``k`` its entry
+    ``k``.
     """
 
     queries: SegmentArray
     num_threads: int
     schedule_bytes: int | None = None
     defaulted_queries: int = 0
-    schedule: Any = None
+    schedule: Schedule | None = None
 
 
 @dataclass
 class ThreadWork:
     """One invocation's work, one slot per live thread.
 
-    ``gather_work`` is the index-probe / buffer-fill units charged on top
-    of the comparisons (None: none); ``blocked`` flags threads that
+    ``batch`` names each thread's candidate rows, or — where ``index``
+    is set — is the live threads' slice of a binned scheme's schedule,
+    which ``index``, the index that built it, alone expands into rows
+    (:meth:`explicit`) and places in its bins and subbins.
+    ``gather_work`` is the index-probe / buffer-fill units charged on
+    top of the comparisons (None: none); ``blocked`` flags threads that
     overflowed their candidate slice ``U_k`` and terminated without
     refining — one atomic each, for the redo append (None: none can).
-    ``bins`` places the batch in temporal bins (None: its candidates
-    are explicit rows, rejected pair by pair).
     """
 
-    batch: RangeBatch
+    batch: RangeBatch | Schedule
     gather_work: np.ndarray | None = None
     blocked: np.ndarray | None = None
-    bins: BinSpans | None = None
+    index: TemporalIndex | SpatioTemporalIndex | None = None
+
+    def explicit(self, first: int = 0, end: int | None = None
+                 ) -> RangeBatch:
+        """Threads ``first .. end - 1`` (default: all) with every
+        candidate row named."""
+        if self.index is None:
+            return self.batch.threads(first, end)
+        part = self.batch[first:end]
+        return RangeBatch.from_lengths(
+            part.q_rows, self.index.schedule_rows(part), part.lengths())
 
 
 def _chunk_bounds(lens: np.ndarray) -> np.ndarray:
@@ -496,30 +462,32 @@ def surviving_batch(queries: SegmentArray, database: SegmentArray,
     """The scheduled pairs of ``work`` that survive the conservative
     reject, their rows explicit, and how many rows the reject read.
 
-    A binned batch (``work.bins``) whose scheduled pairs outnumber its
-    grid needles enough (:meth:`~repro.core.distance.BinGrid.pays`) is
-    enumerated through the grid, reading only the rows its windows
-    find; any other batch is expanded and rejected pair by pair.  Both keep the same pairs, in the same order, and
-    take the threads in runs of at most ``MAX_PAIRS_PER_CHUNK``
-    scheduled pairs, so the host's working set stays flat.
+    A schedule slice whose scheduled pairs outnumber its grid needles
+    enough (:meth:`~repro.core.distance.BinGrid.pays`) is enumerated
+    through its index's bin grid, reading only the rows its windows
+    find; any other batch is expanded and rejected pair by pair.  Both
+    keep the same pairs, in the same order, and take the threads in
+    runs of at most ``MAX_PAIRS_PER_CHUNK`` scheduled pairs, so the
+    host's working set stays flat.
     """
-    batch, bins = work.batch, work.bins
-    lens = batch.lengths()
-    grid = bins is not None and bins.grid.pays(
-        queries, batch.q_rows, bins.bin_lo, bins.bin_hi, d, scale,
-        int(batch.cand_start[-1]))
+    threads, index = work.batch, work.index
+    lens = threads.lengths()
+    grid = None if index is None else index.bin_grid()
+    if grid is not None and not grid.pays(
+            queries, threads.q_rows, threads.bin_lo, threads.bin_hi, d,
+            scale, int(lens.sum())):
+        grid = None
     kept, counts, examined = [], [], 0
     bounds = _chunk_bounds(lens)
     for t, t_end in zip(bounds[:-1], bounds[1:]):
-        part = batch.threads(t, t_end)
-        if grid:
+        if grid is not None:
+            part = threads[t:t_end]
             thread, rows, read = surviving_bin_pairs(
-                queries, bins.grid, part.q_rows, bins.bin_lo[t:t_end],
-                bins.bin_hi[t:t_end], d, scale, array_sel=part.array_sel,
-                subbin=None if bins.subbin is None
-                else bins.subbin[t:t_end], subbins=bins.subbins)
+                queries, grid, part.q_rows, part.bin_lo, part.bin_hi, d,
+                scale, array_sel=part.array_sel, subbin=part.subbin,
+                subbins=index.subbins)
         else:
-            part = part.explicit()
+            part = work.explicit(t, t_end)
             pos = surviving_pairs(queries, database,
                                   np.repeat(part.q_rows, lens[t:t_end]),
                                   part.candidate_rows, d, scale)
@@ -532,52 +500,8 @@ def surviving_batch(queries: SegmentArray, database: SegmentArray,
     if len(kept) != 1:
         kept = [np.concatenate([np.zeros(0, np.int64), *kept])]
         counts = [np.concatenate([np.zeros(0, np.int64), *counts])]
-    return RangeBatch.from_lengths(batch.q_rows, kept[0],
+    return RangeBatch.from_lengths(threads.q_rows, kept[0],
                                    counts[0]), examined
-
-
-class QuerySetMemo(NamedTuple):
-    """What :class:`RefineCache` hands back for one query-set object."""
-
-    #: ``Q`` sorted by non-decreasing start time (thread-id order).
-    q_sorted: SegmentArray
-    #: query ``k`` = thread ``k`` and its temporal-bin row range ``E_k``
-    #: as a :meth:`RangeBatch.contiguous` — GPUTemporal's whole
-    #: schedule, two integers per query.
-    batch: RangeBatch
-    #: the same ranges as inclusive bin spans ``(j_lo, j_hi)``.
-    bins: tuple[np.ndarray, np.ndarray]
-
-
-class RefineCache:
-    """The one thing GPUTemporal remembers between searches.
-
-    Sorting ``Q`` and each query's temporal-bin row range (§IV-B) do not
-    depend on ``d``, so across a ``d``-sweep over one query set the
-    schedule is reusable verbatim.  The memo holds one query set, keyed
-    on the *identity* of the caller's object (a strong reference is
-    kept, so the id cannot be recycled).  Nothing per pair is kept, not
-    even the row ids: :func:`surviving_batch` finds each range's
-    survivors through the bins, and only those are named and solved.
-    """
-
-    def __init__(self) -> None:
-        self._source: SegmentArray | None = None
-        self._memo: QuerySetMemo | None = None
-
-    def lookup(self, queries: SegmentArray,
-               index: TemporalIndex) -> QuerySetMemo:
-        """Fetch-or-compute everything ``d``-invariant about ``queries``."""
-        memo = self._memo
-        if memo is None or self._source is not queries:
-            q_sorted = queries.sorted_by_start_time()
-            bins = index.bin_range(q_sorted.ts, q_sorted.te)
-            row_lo, row_hi = index.bin_rows(*bins)
-            memo = QuerySetMemo(q_sorted, RangeBatch.contiguous(
-                np.arange(len(q_sorted), dtype=np.int64), row_lo,
-                np.maximum(row_hi - row_lo + 1, 0)), bins)
-            self._source, self._memo = queries, memo
-        return memo
 
 
 def first_fit_accept(hits_per_thread: np.ndarray,
@@ -643,17 +567,36 @@ class GpuEngineBase(SearchEngine):
 
     # -- what a scheme is ------------------------------------------------------------
 
-    @abc.abstractmethod
     def _host_plan(self, queries: SegmentArray, d: float,
                    exclude_same_trajectory: bool) -> HostPlan:
         """Order the queries and compute the schedule, if the scheme
-        has one.  Host-side only: no transfer, no launch."""
+        has one.  Host-side only: no transfer, no launch.
 
-    @abc.abstractmethod
+        Default (Algorithms 2-3): sort ``Q`` by start time and let the
+        index schedule it; thread ``k`` is schedule entry ``k``.
+        """
+        q_sorted = queries.sorted_by_start_time()
+        schedule = self.index.make_schedule(q_sorted, d)
+        return HostPlan(q_sorted, len(schedule),
+                        schedule_bytes=schedule.nbytes,
+                        # A temporal index has no subbin to default from.
+                        defaulted_queries=0 if self.index.subbins is None
+                        else schedule.num_defaulted,
+                        schedule=schedule)
+
     def _thread_work(self, plan: HostPlan, live: np.ndarray,
                      d: float) -> ThreadWork:
         """The candidates of threads ``live`` (ids into ``plan``) for
-        one invocation."""
+        one invocation.
+
+        Default (Algorithms 2-3): the live threads' schedule entries;
+        a subbin thread is charged one gather per candidate, the extra
+        id load of its indirection (§V-C).
+        """
+        schedule = plan.schedule[live]
+        return ThreadWork(schedule, index=self.index,
+                          gather_work=np.where(schedule.array_sel >= 0,
+                                               schedule.lengths(), 0))
 
     def _resubmit_limit(self, num_live: int, num_pending: int,
                         redo_hits: np.ndarray,

@@ -13,8 +13,11 @@ Workflow per search:
 4. If the device result buffer fills, unpublished queries are re-processed
    by another invocation after the host drains the buffer — the paper's
    incremental processing of large query sets, which is
-   ``GpuEngineBase._search_once``; this file is steps 1-2 and each
-   thread's candidate list.
+   ``GpuEngineBase._search_once``.
+
+Steps 1-2 and each thread's candidate list are ``GpuEngineBase``'s
+default hooks over :meth:`TemporalIndex.make_schedule` — the schedule
+GPUSpatioTemporal starts from — so this file is the offline build.
 
 The candidate count of a query does not depend on ``d`` — the scheme's
 signature behaviour: response time is flat in the query distance, except
@@ -24,12 +27,9 @@ invocations) at large ``d``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.types import SegmentArray
 from ..indexes.temporal import TemporalIndex
-from .base import (BinSpans, GpuEngineBase, HostPlan, RangeBatch,
-                   RefineCache, ThreadWork, index_build_phase)
+from .base import GpuEngineBase, index_build_phase
 from .config import GpuTemporalConfig
 
 __all__ = ["GpuTemporalEngine"]
@@ -52,28 +52,5 @@ class GpuTemporalEngine(GpuEngineBase):
             self._place_database(self.database, "temporal_db",
                                  result_buffer_items)
             self._place_index()
+            # Held: the shared grid lives as long as an engine over it.
             self._bin_grid = self.index.bin_grid()
-        self._refine_cache = RefineCache()
-
-    def _host_plan(self, queries: SegmentArray, d: float,
-                   exclude_same_trajectory: bool) -> HostPlan:
-        # The schedule is d-invariant (§IV-B): the memoised full
-        # temporal-range batch *is* S, two row ids per query.
-        memo = self._refine_cache.lookup(queries, self.index)
-        return HostPlan(memo.q_sorted, len(memo.q_sorted),
-                        schedule_bytes=len(memo.q_sorted) * 16,
-                        schedule=memo)
-
-    def _thread_work(self, plan: HostPlan, live: np.ndarray,
-                     d: float) -> ThreadWork:
-        full, (bin_lo, bin_hi) = plan.schedule.batch, plan.schedule.bins
-        if live.size == plan.num_threads:
-            # Only the first invocation runs every thread (the first
-            # live thread always publishes or ends the attempt): the
-            # memoised schedule, as is.
-            return ThreadWork(full, bins=BinSpans(self._bin_grid, bin_lo,
-                                                  bin_hi))
-        return ThreadWork(
-            RangeBatch.contiguous(live, full.row_lo[live],
-                                  full.lengths()[live]),
-            bins=BinSpans(self._bin_grid, bin_lo[live], bin_hi[live]))

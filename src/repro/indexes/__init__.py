@@ -13,10 +13,10 @@
 from .fsg import FlatGrid
 from .rtree import RTree, RTreeLevel
 from .rtree_insert import GuttmanBuilder
-from .spatiotemporal import Schedule, SpatioTemporalIndex
+from .spatiotemporal import SpatioTemporalIndex
 from .stats import (FsgStats, RTreeStats, SpatioTemporalStats,
                     TemporalStats, describe)
-from .temporal import TemporalIndex
+from .temporal import Schedule, TemporalIndex
 
 __all__ = ["FlatGrid", "FsgStats", "GuttmanBuilder", "RTree",
            "RTreeLevel", "RTreeStats", "Schedule", "SpatioTemporalIndex",

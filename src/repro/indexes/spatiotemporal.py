@@ -18,9 +18,10 @@ in some dimension maps to **one contiguous range** of that dimension's
 array — encodable in 2 integers, the property the whole scheme is built
 around.
 
-The host-side schedule picks, per query, the dimension with the fewest
-candidates among the dimensions where (b) holds; when no dimension
-qualifies the query *defaults* to the plain temporal scheme (arrayXYZ =
+The host-side schedule starts from the temporal index's and picks, per
+query, the dimension with the fewest candidates among the dimensions
+where (b) holds; when no dimension qualifies the query keeps its
+temporal entry — it *defaults* to the plain temporal scheme (arrayXYZ =
 -1), trading spatial selectivity for correctness exactly as the paper
 does.
 """
@@ -32,51 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.geometry import cell_of
-from ..core.ranges import expand_ranges
+from ..core.distance import BinGrid
+from ..core.ranges import expand_ranges, range_offsets
 from ..core.types import SegmentArray
 from ..gpu.memory import layout_nbytes
-from .temporal import TemporalIndex
+from .temporal import Schedule, TemporalIndex
 
-__all__ = ["SpatioTemporalIndex", "Schedule"]
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Per-query search specification (4 integers each, §IV-C.2).
-
-    ``array_sel[k]`` selects the lookup array (0 = X, 1 = Y, 2 = Z, -1 =
-    default to the temporal scheme); ``ent_min``/``ent_max`` give the
-    inclusive range — into the selected array for subbin queries, into the
-    sorted database for defaulted queries.  ``q_rows[k]`` is the query row
-    the entry refers to (schedules are sorted by ``array_sel`` to reduce
-    thread divergence, so the mapping is explicit).
-
-    The same candidates in temporal bins, kept on the host for the
-    reject (never shipped): rows of bins ``bin_lo[k] .. bin_hi[k]``
-    (empty when ``bin_lo > bin_hi``), and for a subbin query only those
-    in ``subbin[k]`` of dimension ``array_sel[k]``.
-    """
-
-    array_sel: np.ndarray
-    ent_min: np.ndarray
-    ent_max: np.ndarray
-    q_rows: np.ndarray
-    bin_lo: np.ndarray
-    bin_hi: np.ndarray
-    subbin: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.array_sel.shape[0])
-
-    @property
-    def num_defaulted(self) -> int:
-        """Queries that fell back to the temporal scheme."""
-        return int(np.count_nonzero(self.array_sel == -1))
-
-    @property
-    def nbytes(self) -> int:
-        """Host->device traffic for shipping the schedule (4 int32 each)."""
-        return 16 * len(self)
+__all__ = ["SpatioTemporalIndex"]
 
 
 def _subbin_layout(start: np.ndarray, end: np.ndarray, lo_edge: float,
@@ -176,27 +139,24 @@ class SpatioTemporalIndex:
         """Compute the per-query schedule ``S`` on the host.
 
         ``queries`` must already be sorted by ``t_start`` (the engine's
-        responsibility, as in GPUTemporal).  The query's spatial MBB is
-        expanded by ``d`` before subbin overlap is computed — required for
-        completeness of a distance-threshold search.
+        responsibility, as in GPUTemporal).  Every query starts as its
+        entry of the temporal schedule; the query's spatial MBB is
+        expanded by ``d`` before subbin overlap is computed — required
+        for completeness of a distance-threshold search — and only the
+        subbin-eligible and the dead queries are overridden.
         """
-        nq = len(queries)
+        schedule = self.temporal.make_schedule(queries, d)
         m, v = self.temporal.num_bins, self.num_subbins
-        j_lo, j_hi = self.temporal.bin_range(queries.ts, queries.te)
-        row_lo, row_hi = self.temporal.candidate_rows(queries.ts, queries.te)
-        no_bins = j_lo > j_hi
-        j_lo_c = np.clip(j_lo, 0, m - 1)
-        j_hi_c = np.clip(j_hi, 0, m - 1)
+        no_bins = schedule.bin_lo > schedule.bin_hi
+        j_lo_c = np.clip(schedule.bin_lo, 0, m - 1)
+        j_hi_c = np.clip(schedule.bin_hi, 0, m - 1)
 
         q_lo = np.minimum(queries.starts, queries.ends) - d
         q_hi = np.maximum(queries.starts, queries.ends) + d
 
-        array_sel = np.full(nq, -1, dtype=np.int64)
-        ent_min = np.zeros(nq, dtype=np.int64)
-        ent_max = np.full(nq, -1, dtype=np.int64)
-        subbin = np.zeros(nq, dtype=np.int64)
-        best_count = np.full(nq, np.iinfo(np.int64).max, dtype=np.int64)
-        spatially_empty = np.zeros(nq, dtype=bool)
+        best_count = np.full(len(schedule), np.iinfo(np.int64).max,
+                             dtype=np.int64)
+        spatially_empty = np.zeros(len(schedule), dtype=bool)
 
         for dim in range(3):
             dmin = self.space_min[dim]
@@ -212,33 +172,47 @@ class SpatioTemporalIndex:
             end = offs[s_lo * m + j_hi_c + 1]
             count = end - start
             better = eligible & (count < best_count)
-            array_sel[better] = dim
-            ent_min[better] = start[better]
-            ent_max[better] = end[better] - 1
+            schedule.array_sel[better] = dim
+            schedule.ent_min[better] = start[better]
+            schedule.ent_max[better] = end[better] - 1
             best_count[better] = count[better]
-            subbin[better] = s_lo[better]
-
-        # Defaulted queries fall back to the temporal candidate row range.
-        defaulted = (array_sel == -1) & ~no_bins & ~spatially_empty
-        ent_min[defaulted] = row_lo[defaulted]
-        ent_max[defaulted] = row_hi[defaulted]
+            schedule.subbin[better] = s_lo[better]
 
         # Queries with no temporal or spatial overlap at all: empty range,
         # arbitrarily tagged dimension 0 so they don't count as defaults.
         dead = no_bins | spatially_empty
-        array_sel[dead] = 0
-        ent_min[dead] = 0
-        ent_max[dead] = -1
-        bin_lo = np.where(dead, 0, j_lo_c)
-        bin_hi = np.where(dead, -1, j_hi_c)
+        schedule.array_sel[dead] = 0
+        schedule.ent_min[dead] = 0
+        schedule.ent_max[dead] = -1
+        schedule.bin_lo[dead] = 0
+        schedule.bin_hi[dead] = -1
 
         # Sort by lookup-array selector to reduce thread divergence (§IV-C.2).
-        order = np.argsort(array_sel, kind="stable")
-        return Schedule(array_sel=array_sel[order], ent_min=ent_min[order],
-                        ent_max=ent_max[order],
-                        q_rows=np.arange(nq, dtype=np.int64)[order],
-                        bin_lo=bin_lo[order], bin_hi=bin_hi[order],
-                        subbin=subbin[order])
+        return schedule[np.argsort(schedule.array_sel, kind="stable")]
+
+    def schedule_rows(self, schedule: Schedule) -> np.ndarray:
+        """Every candidate row of ``schedule``'s threads, thread by
+        thread: a subbin thread's read through its X/Y/Z array (the
+        kernel's extra indirection), a defaulted one's as the temporal
+        index reads them."""
+        rows = self.temporal.schedule_rows(schedule)
+        lens = schedule.lengths()
+        starts = range_offsets(lens)
+        for dim, lookup in enumerate(self.dim_arrays):
+            pick = np.flatnonzero(schedule.array_sel == dim)
+            at = expand_ranges(starts[pick], lens[pick])
+            rows[at] = lookup[rows[at]]
+        return rows
+
+    @property
+    def subbins(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The subbin geometry ``(space_min, subbin_width, num_subbins)``
+        the reject checks a subbin thread's rows against."""
+        return self.space_min, self.subbin_width, self.num_subbins
+
+    def bin_grid(self) -> BinGrid:
+        """The temporal index's :meth:`~TemporalIndex.bin_grid`."""
+        return self.temporal.bin_grid()
 
     # -- reporting ----------------------------------------------------------------
 

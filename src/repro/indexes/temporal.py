@@ -19,26 +19,80 @@ maximum of ``B_end`` so the earliest overlapping bin is found with one
 binary search; the whole schedule for a sorted query set is computed in
 near-linear time on the host, matching the paper's observation that
 schedule computation is a negligible fraction of response time.
+
+That schedule is a :class:`Schedule` with every thread temporal: the
+GPUSpatioTemporal index starts from it and overrides only the queries
+its subbins serve (§IV-C, Algorithm 3 line 15).
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..core.distance import BinGrid
-from ..core.ranges import run_starts
+from ..core.ranges import expand_ranges, run_starts
 from ..core.types import SegmentArray
 from ..gpu.memory import layout_nbytes
 
-__all__ = ["TemporalIndex"]
+__all__ = ["Schedule", "TemporalIndex"]
 
 #: Each live :class:`BinGrid` by (its base's ``id``, bin count).  A grid
 #: holds its base, so the ``id`` cannot be reused while the entry lives,
 #: and the entry goes with the last engine holding the grid.
 _BIN_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Per-query search specification (4 integers each, §IV-C.2).
+
+    ``array_sel[k]`` selects the lookup array (0 = X, 1 = Y, 2 = Z, -1 =
+    the temporal scheme: every thread of a GPUTemporal schedule, a
+    defaulted one of a GPUSpatioTemporal schedule); ``ent_min``/``ent_max``
+    give the inclusive range — into the selected array for subbin
+    queries, into the sorted database for temporal ones.  ``q_rows[k]``
+    is the query row the entry refers to (GPUSpatioTemporal sorts its
+    schedule by ``array_sel`` to reduce thread divergence, so the mapping
+    is explicit).
+
+    The same candidates in temporal bins, kept on the host for the
+    reject (never shipped): rows of bins ``bin_lo[k] .. bin_hi[k]``
+    (empty when ``bin_lo > bin_hi``), and for a subbin query only those
+    in ``subbin[k]`` of dimension ``array_sel[k]``.  ``schedule[k]``
+    (an index array or a slice) is the schedule of those entries alone.
+    """
+
+    array_sel: np.ndarray
+    ent_min: np.ndarray
+    ent_max: np.ndarray
+    q_rows: np.ndarray
+    bin_lo: np.ndarray
+    bin_hi: np.ndarray
+    subbin: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.array_sel.shape[0])
+
+    def __getitem__(self, entries) -> "Schedule":
+        return Schedule(*(getattr(self, f.name)[entries]
+                          for f in fields(self)))
+
+    def lengths(self) -> np.ndarray:
+        """Each entry's candidate count."""
+        return np.maximum(self.ent_max - self.ent_min + 1, 0)
+
+    @property
+    def num_defaulted(self) -> int:
+        """Queries that take the temporal scheme."""
+        return int(np.count_nonzero(self.array_sel == -1))
+
+    @property
+    def nbytes(self) -> int:
+        """Host->device traffic for shipping the schedule (4 int32 each)."""
+        return 16 * len(self)
 
 
 @dataclass(frozen=True)
@@ -50,6 +104,10 @@ class TemporalIndex:
     represented with ``B_first = n`` and ``B_last = -1`` sentinels, which
     make the prefix/suffix scans below work without special cases.
     """
+
+    #: no subbin geometry: every thread of a temporal schedule reads
+    #: every row of its bins.
+    subbins = None
 
     segments: SegmentArray
     num_bins: int
@@ -130,6 +188,25 @@ class TemporalIndex:
         j_lo = np.searchsorted(self._end_prefix_max, q_start,
                                side="left").astype(np.int64)
         return j_lo, j_hi
+
+    def make_schedule(self, queries: SegmentArray, d: float) -> Schedule:
+        """GPUTemporal's schedule ``S`` (§IV-B): query ``k`` is thread
+        ``k``, a temporal thread over the row range ``E_k`` of its bins.
+        ``queries`` must be sorted by ``t_start``; the schedule does not
+        depend on ``d``."""
+        nq = len(queries)
+        bin_lo, bin_hi = self.bin_range(queries.ts, queries.te)
+        ent_min, ent_max = self.bin_rows(bin_lo, bin_hi)
+        return Schedule(array_sel=np.full(nq, -1, dtype=np.int64),
+                        ent_min=ent_min, ent_max=ent_max,
+                        q_rows=np.arange(nq, dtype=np.int64),
+                        bin_lo=bin_lo, bin_hi=bin_hi,
+                        subbin=np.zeros(nq, dtype=np.int64))
+
+    def schedule_rows(self, schedule: Schedule) -> np.ndarray:
+        """Every candidate row of ``schedule``'s temporal threads, thread
+        by thread: rows ``ent_min .. ent_max`` of the sorted base."""
+        return expand_ranges(schedule.ent_min, schedule.lengths())
 
     def candidate_rows(self, q_start: np.ndarray, q_end: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:

@@ -59,7 +59,7 @@ def keep_all(queries: SegmentArray, database: SegmentArray,
              ) -> tuple[RangeBatch, int]:
     """The reject that rejects nothing: every scheduled pair survives,
     its row named, and none is read."""
-    return work.batch.explicit(), 0
+    return work.explicit(), 0
 
 
 # -- refinement --------------------------------------------------------------------

@@ -173,6 +173,33 @@ class TestUsageErrors:
         assert f"repro {argv[0]}: error: argument {argv[-2]}: " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, requirement", [
+        (["ingest", "--d", "1.0", "--arrivals-per-round", "-1"], ">= 1"),
+        (["ingest", "--d", "1.0", "--delete-every", "-1"], ">= 0"),
+        (["ingest", "--d", "1.0", "--rounds", "-2"], ">= 1"),
+        (["batch", "--d", "1.0", "--batches", "0"], ">= 1"),
+        (["metrics", "--d", "1.0", "--batches", "-1"], ">= 1"),
+        (["trace", "--d", "1.0", "--batches", "0"], ">= 1"),
+        (["shard", "--d", "1.0", "--kill-shard", "0", "--recover",
+          "--batches", "0"], ">= 1"),
+        (["batch", "--d", "1.0", "--num-bins", "0"], ">= 1"),
+        (["metrics", "--d", "1.0", "--num-subbins", "0"], ">= 1"),
+        (["trace", "--d", "1.0", "--cells-per-dim", "-1"], ">= 1"),
+        (["batch", "--d", "1.0", "--segments-per-mbb", "0"], ">= 1"),
+    ], ids=lambda v: v if isinstance(v, str) else f"{v[0]}{v[-2]}={v[-1]}")
+    def test_count_flag_outside_its_range_is_refused(self, db_path, argv,
+                                                     requirement, capsys):
+        """A count that would serve nothing, or the wrong slice, is a
+        usage error naming what the flag needs — not a run that exits
+        0."""
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, db_path, *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"repro {command}: error: argument {argv[-2]}: "
+                f"{argv[-1]!r} is not {requirement}") in err
+
     @pytest.mark.parametrize("value", ["-0.5", "2", "abc"])
     def test_bad_repro_scale_is_refused(self, monkeypatch, value, capsys):
         monkeypatch.setenv("REPRO_SCALE", value)

@@ -11,8 +11,9 @@ through :func:`run_case` (``tests/data/make_kernel_loop_golden.py``
 wrote ``tests/data/kernel_loop_golden.json``).
 
 One case = one engine instance answering a ``d``-sequence that revisits
-a value and is interrupted by a different query-set object, so the
-query-set memo is hit, evicted and refilled.  Per case the digest covers
+a value and is interrupted by a different query-set object, so nothing
+an engine could keep between searches may change an answer.  Per case
+the digest covers
 what a caller, the cost model, the fault injector and a trace can
 observe: result arrays in returned order, ``profile.to_dict()`` minus
 wall time, the transfer ledger, every fault-hook call, the

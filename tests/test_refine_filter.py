@@ -21,10 +21,11 @@ observable may change:
     before — a bug in the reject cannot hide on both sides of a
     comparison;
 (e) the grid enumeration (``surviving_bin_pairs``) returns, for every
-    kind of bin-engine thread — contiguous, subbin, defaulted, dead —
+    kind of bin-engine thread — temporal, subbin, defaulted, dead —
     exactly the ``(thread, row)`` pairs the pair form keeps over the
     same candidates expanded, and ``surviving_batch`` builds the same
-    batch whichever way it goes.
+    batch whichever way it goes; GPUSpatioTemporal's schedule keeps
+    GPUTemporal's entry for every query it defaults.
 """
 
 import itertools
@@ -37,17 +38,15 @@ from repro.core import distance
 from repro.core.bruteforce import brute_force_search
 from repro.core.distance import (_REJECT_MARGIN, compare_pairs, magnitude,
                                  surviving_bin_pairs, surviving_pairs)
-from repro.core.ranges import range_offsets
 from repro.core.types import SegmentArray
 from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
                            GpuSpatioTemporalEngine, GpuTemporalEngine,
                            available, base, get_engine)
-from repro.engines.base import (BinSpans, RangeBatch, ThreadWork,
-                                refine_ranges)
+from repro.engines.base import RangeBatch, ThreadWork, refine_ranges
 from repro.experiments.scenarios import (scenario_s1_random,
                                          scenario_s2_merger,
                                          scenario_s3_random_dense)
-from repro.indexes import SpatioTemporalIndex, TemporalIndex
+from repro.indexes import Schedule, SpatioTemporalIndex, TemporalIndex
 from repro.obs import Telemetry
 from tests.conftest import series_value
 
@@ -65,14 +64,14 @@ GPU_ENGINES = {"gpu_temporal": GpuTemporalEngine,
 
 
 def _keep_everything(queries, database, work, d, scale):
-    return work.batch.explicit(), 0
+    return work.explicit(), 0
 
 
 def _drop_everything(queries, database, work, d, scale):
-    batch = work.batch
+    q_rows = work.batch.q_rows
     return RangeBatch.from_lengths(
-        batch.q_rows, np.zeros(0, dtype=np.int64),
-        np.zeros(batch.num_threads, dtype=np.int64)), 0
+        q_rows, np.zeros(0, dtype=np.int64),
+        np.zeros(q_rows.shape[0], dtype=np.int64)), 0
 
 
 def _keep(batch: RangeBatch, positions: np.ndarray) -> RangeBatch:
@@ -415,24 +414,29 @@ def _binned_cases(draw):
 
 def _drawn_threads(rng, index, num_queries):
     """Threads over any subbin of any axis, or none, and any bin span,
-    empty spans included: an explicit batch and its bin spans."""
+    empty spans included: a :class:`Schedule` and each thread's rows,
+    found independently of the index's expansion."""
     temporal, m = index.temporal, index.temporal.num_bins
     n = 4 * num_queries
     sel = rng.integers(-1, 3, n)
     subbin = rng.integers(0, index.num_subbins, n)
     bin_lo = rng.integers(0, m, n)
     bin_hi = np.minimum(bin_lo + rng.integers(-1, 3, n), m - 1)
+    ent_min, ent_max = temporal.bin_rows(bin_lo, bin_hi)
     row_bins = temporal.bin_of_rows()
-    rows = [np.flatnonzero((row_bins >= lo) & (row_bins <= hi)) if s < 0
-            else index.dim_arrays[s][
-                index.dim_offsets[s][j * m + lo]:
-                index.dim_offsets[s][j * m + max(hi + 1, lo)]]
-            for s, j, lo, hi in zip(sel, subbin, bin_lo, bin_hi)]
-    batch = RangeBatch(rng.integers(0, num_queries, n),
-                       np.concatenate([np.zeros(0, np.int64), *rows]),
-                       range_offsets(np.asarray([len(r) for r in rows])),
-                       array_sel=sel)
-    return batch, bin_lo, bin_hi, subbin
+    rows = []
+    for k, (s, j, lo, hi) in enumerate(zip(sel, subbin, bin_lo, bin_hi)):
+        if s < 0:
+            rows.append(np.flatnonzero((row_bins >= lo) & (row_bins <= hi)))
+            continue
+        offs = index.dim_offsets[s]
+        ent_min[k], ent_max[k] = (offs[j * m + lo],
+                                  offs[j * m + max(hi + 1, lo)] - 1)
+        rows.append(index.dim_arrays[s][ent_min[k]:ent_max[k] + 1])
+    schedule = Schedule(sel, ent_min, ent_max,
+                        rng.integers(0, num_queries, n), bin_lo, bin_hi,
+                        subbin)
+    return schedule, np.concatenate([np.zeros(0, np.int64), *rows])
 
 
 def _assert_same(got, want):
@@ -454,54 +458,47 @@ def test_grid_enumeration_keeps_the_pair_forms_pairs(case, block, sample,
     entries, grid = temporal.segments, temporal.bin_grid()
     # One grid per time-sorted base and bin count, whoever asks.
     assert grid is TemporalIndex.build(database, num_bins).bin_grid()
+    assert index.bin_grid() is grid
     q = queries.sorted_by_start_time()
     scale = magnitude(q) + magnitude(entries)
-    subbins = (index.space_min, index.subbin_width, num_subbins)
 
-    # GPUTemporal's threads: each query's bin span, dead ones included.
-    j_lo, j_hi = temporal.bin_range(q.ts, q.te)
-    row_lo, row_hi = temporal.candidate_rows(q.ts, q.te)
-    contiguous = RangeBatch.contiguous(np.arange(len(q)), row_lo,
-                                       np.maximum(row_hi - row_lo + 1, 0))
-    # GPUSpatioTemporal's: subbin, defaulted and dead threads.
-    schedule = index.make_schedule(q, d)
-    scheduled = RangeBatch.contiguous(
-        schedule.q_rows, schedule.ent_min,
-        np.maximum(schedule.ent_max - schedule.ent_min + 1, 0),
-        schedule.array_sel, index.dim_arrays)
-    drawn, b_lo, b_hi, subbin = _drawn_threads(rng, index, len(q))
+    drawn, drawn_rows = _drawn_threads(rng, index, len(q))
+    assert ThreadWork(drawn, index=index).explicit().candidate_rows \
+        .tobytes() == drawn_rows.tobytes()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "_REJECT_BLOCK", block)
         patch.setattr(distance, "_REJECT_SAMPLE", sample)
         # Small chunks send the seam's threads through in several runs.
         patch.setattr(base, "MAX_PAIRS_PER_CHUNK", chunk)
-        for batch, bins in (
-                (contiguous, BinSpans(grid, j_lo, j_hi)),
-                (scheduled, BinSpans(grid, schedule.bin_lo,
-                                     schedule.bin_hi, schedule.subbin,
-                                     subbins)),
-                (drawn, BinSpans(grid, b_lo, b_hi, subbin, subbins))):
+        for work in (
+                # GPUTemporal's threads: each query's bin span, dead
+                # ones included.
+                ThreadWork(temporal.make_schedule(q, d), index=temporal),
+                # GPUSpatioTemporal's: subbin, defaulted and dead ones.
+                ThreadWork(index.make_schedule(q, d), index=index),
+                ThreadWork(drawn, index=index)):
+            schedule = work.batch
             # The pair form over the candidates expanded ...
-            flat = batch.explicit()
+            flat = work.explicit()
             kept = surviving_pairs(q, entries,
                                    np.repeat(flat.q_rows, flat.lengths()),
                                    flat.candidate_rows, d, scale)
             want = _keep(flat, kept)
             # ... is what the windows find.
             thread, row, examined = surviving_bin_pairs(
-                q, grid, batch.q_rows, bins.bin_lo, bins.bin_hi, d,
-                scale, array_sel=batch.array_sel, subbin=bins.subbin,
-                subbins=bins.subbins)
+                q, grid, schedule.q_rows, schedule.bin_lo, schedule.bin_hi,
+                d, scale, array_sel=schedule.array_sel,
+                subbin=schedule.subbin, subbins=work.index.subbins)
             _assert_same((row, np.bincount(thread,
-                                           minlength=batch.num_threads)),
+                                           minlength=len(schedule))),
                          (want.candidate_rows, want.lengths()))
             assert examined >= row.size
             # And the seam builds that batch whichever way it goes.
             for factor in (0, 1 << 62):
                 patch.setattr(distance, "_GRID_PAIRS_PER_NEEDLE", factor)
-                got, read = base.surviving_batch(
-                    q, entries, ThreadWork(batch, bins=bins), d, scale)
+                got, read = base.surviving_batch(q, entries, work, d,
+                                                 scale)
                 _assert_same((got.q_rows, got.candidate_rows,
                               got.cand_start),
                              (want.q_rows, want.candidate_rows,
@@ -509,6 +506,29 @@ def test_grid_enumeration_keeps_the_pair_forms_pairs(case, block, sample,
                 scheduled_pairs = flat.candidate_rows.size
                 assert read == (examined if factor == 0 < scheduled_pairs
                                 else scheduled_pairs)
+
+
+@given(_binned_cases())
+@settings(max_examples=100, deadline=None)
+def test_a_defaulted_query_keeps_its_temporal_entry(case):
+    database, queries, d, num_bins, num_subbins, _ = case
+    index = SpatioTemporalIndex.build(database, num_bins, num_subbins,
+                                      strict=False)
+    q = queries.sorted_by_start_time()
+    temporal = index.temporal.make_schedule(q, d)
+    # GPUTemporal's schedule is each query's candidate row range E_k.
+    row_lo, row_hi = index.temporal.candidate_rows(q.ts, q.te)
+    _assert_same((temporal.ent_min, temporal.ent_max, temporal.q_rows),
+                 (row_lo, row_hi, np.arange(len(q), dtype=np.int64)))
+    assert temporal.num_defaulted == len(temporal)
+    # GPUSpatioTemporal's defaults to that entry, bins and all.
+    schedule = index.make_schedule(q, d)
+    defaulted = schedule[schedule.array_sel == -1]
+    same = temporal[defaulted.q_rows]
+    _assert_same((defaulted.ent_min, defaulted.ent_max, defaulted.bin_lo,
+                  defaulted.bin_hi),
+                 (same.ent_min, same.ent_max, same.bin_lo, same.bin_hi))
+    assert sorted(schedule.q_rows) == list(range(len(q)))
 
 
 # -- what the span says, and what d is refused ------------------------------------

@@ -93,7 +93,7 @@ def main():
           f"dropped {rec.torn_dropped} torn record "
           f"-> epoch {svc2.versioned.epoch}")
     assert svc2.versioned.epoch == twin.versioned.epoch
-    assert svc2.fingerprint == twin.fingerprint
+    assert svc2.database == twin.database
 
     resp2 = svc2.submit(request)
     print(f"   first request after restart: cache_hit="

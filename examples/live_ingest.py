@@ -6,14 +6,14 @@ flowing.  The walkthrough narrates the LSM mechanics from
 ``docs/ARCHITECTURE.md`` (*Ingestion & snapshots*):
 
 * each append lands in the **delta**; the warm base engine keeps
-  cache-hitting (its key roots at the base fingerprint, which appends
-  do not change) and the delta is unioned exactly at refinement,
+  cache-hitting (it indexes the base, which appends do not change)
+  and the delta is unioned exactly at refinement,
 * a delete **tombstones** a trajectory — filtered from answers at once,
   physically dropped at the next compaction,
 * compaction — automatic once the delta outgrows the
   :class:`~repro.ingest.CompactionPolicy`, or on demand — folds the
   delta into a fresh base and prewarms the engines that were warm
-  under the old fingerprint.
+  over the old one.
 
 Every answer is checked exactly against a from-scratch ``cpu_scan``
 over the snapshot's logical database.

@@ -596,17 +596,16 @@ def _order(bounds: list, qi: np.ndarray, ei: np.ndarray) -> None:
     bounds.sort(key=lambda b: np.count_nonzero(_near(b, qi, ei)))
 
 
-def _blocked(bounds: list, q_idx: np.ndarray, e_idx: np.ndarray,
-             positions: np.ndarray | None = None) -> np.ndarray:
-    """``positions`` (default ``0 .. n-1``) of the pairs passing every
-    test in ``bounds``, ``_REJECT_BLOCK`` pairs at a time."""
+def _blocked(bounds: list, q_idx: np.ndarray,
+             e_idx: np.ndarray) -> np.ndarray:
+    """Positions (``0 .. n-1``) of the pairs passing every test in
+    ``bounds``, ``_REJECT_BLOCK`` pairs at a time."""
     n = q_idx.shape[0]
     kept = [np.zeros(0, dtype=np.int64)]
     for base in range(0, n, _REJECT_BLOCK):
         qi = q_idx[base:base + _REJECT_BLOCK]
         ei = e_idx[base:base + _REJECT_BLOCK]
-        pos = np.arange(base, base + ei.shape[0]) if positions is None \
-            else positions[base:base + _REJECT_BLOCK]
+        pos = np.arange(base, base + ei.shape[0])
         for bound in bounds:
             keep = np.flatnonzero(_near(bound, qi, ei))
             if keep.size < pos.size:

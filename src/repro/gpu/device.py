@@ -7,7 +7,8 @@ Express.  This module models that machine:
 * :class:`DeviceSpec` captures the architectural constants that drive the
   paper's performance behaviour — core count, warp width, clock, memory
   capacity, PCIe bandwidth/latency, kernel-launch overhead.
-* :class:`VirtualGPU` owns the device-side state: a global-memory
+* :class:`VirtualGPU` owns the device-side state of one
+  :data:`TESLA_C2075` (the only machine modeled): a global-memory
   ledger of name -> bytes (allocations must fit in ``global_mem_bytes``;
   it holds counts, not arrays, and is the only record of the card's
   bytes), a host<->device transfer ledger, and the per-kernel execution
@@ -85,17 +86,15 @@ class VirtualGPU:
     three record the operation counts the cost model consumes.
     """
 
-    def __init__(self, spec: DeviceSpec = TESLA_C2075, *,
-                 faults=None, lane: int | None = None) -> None:
-        self.spec = spec
+    def __init__(self, *, faults=None, lane: int | None = None) -> None:
         #: fault injector shared by memory, transfers and the kernel
         #: launcher (duck-typed, see :mod:`repro.faults`); None = off.
         self.faults = faults
         #: device-pool lane identity (None until homed by the pool).
         self.lane = lane
-        self.memory = MemoryManager(capacity_bytes=spec.global_mem_bytes,
-                                    device_name=spec.name,
-                                    faults=faults, lane=lane)
+        self.memory = MemoryManager(
+            capacity_bytes=TESLA_C2075.global_mem_bytes,
+            device_name=TESLA_C2075.name, faults=faults, lane=lane)
         self.transfers = TransferLedger(faults=faults, lane=lane)
         self.kernel_stats: list[KernelStats] = []  # filled by launcher
 
@@ -113,6 +112,6 @@ class VirtualGPU:
         self.kernel_stats = []
 
     def __repr__(self) -> str:
-        return (f"VirtualGPU({self.spec.name}, "
+        return (f"VirtualGPU({TESLA_C2075.name}, "
                 f"{self.memory.allocated_bytes / (1 << 20):.1f} MiB "
                 f"allocated, {len(self.kernel_stats)} kernels)")

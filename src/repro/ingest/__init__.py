@@ -20,9 +20,11 @@ Reads are MVCC-style: :meth:`VersionedDatabase.snapshot` returns an
 immutable :class:`Snapshot` pinning ``(base, delta, tombstones)`` under
 an epoch counter, so an in-flight request keeps the view it started on
 while writers append.  The serving layer
-(:class:`~repro.service.QueryService`) keys its engine cache by the
-*base* fingerprint, which appends do not change — a warm base index is
-reused across ingests instead of invalidated.
+(:class:`~repro.service.QueryService`) serves each batch against the
+snapshot it takes at arrival, and caches engines over the current base
+only.  Appends and deletes do not change the base, so a warm base index
+is reused across ingests; a compaction that changes it empties the
+cache.
 
 Every change is one :class:`Mutation` value (append / delete / compact
 plus exactly its arguments), which is what the service pipeline, the

@@ -13,8 +13,8 @@ Epoch bookkeeping
   it names a logical database state, and MVCC pinning is "remember the
   snapshot, which remembers its epoch".
 * ``delta_epoch`` increments on append/delete and resets to 0 at
-  compaction — together with the base fingerprint it names the exact
-  physical layout ``(base_fingerprint, delta_epoch)``.
+  compaction — with ``base_version`` it names the exact physical
+  layout ``(base_version, delta_epoch)``.
 * ``base_version`` increments only at compaction: cheap integer proxy
   for "the expensive indexes are stale".
 """

@@ -8,7 +8,8 @@ once the index exists:
 * amortizing the offline index build across batches (the engine cache),
 * choosing the right engine per workload (planner-driven ``"auto"``),
 * mutating the database without rebuilds: appends and deletes land in
-  a versioned delta (:mod:`repro.ingest`), queries pin MVCC snapshots,
+  a versioned delta (:mod:`repro.ingest`), each batch reads the
+  snapshot taken at its arrival,
   and compaction folds the delta into a fresh base off the hot path,
 * and surviving failures: a deterministic failover ladder (other GPU
   engines → ``cpu_rtree`` → ``cpu_scan``), per-engine circuit breakers,
@@ -33,8 +34,7 @@ Entry point::
 from ..ingest import (CompactionPolicy, CompactionResult, IngestError,
                       IngestReceipt, Snapshot, VersionedDatabase)
 from ..standing import Subscription
-from .cache import (CacheEntry, CacheStats, EngineCache,
-                    canonical_params, database_fingerprint)
+from .cache import CacheEntry, CacheStats, EngineCache, canonical_params
 from .requests import RESPONSE_STATUSES, SearchRequest, SearchResponse
 from .resilience import (CircuitBreaker, LaneHealth, NoUsableLaneError)
 from .scheduler import DeviceLane, DevicePool, QueryService
@@ -60,5 +60,4 @@ __all__ = [
     "Subscription",
     "VersionedDatabase",
     "canonical_params",
-    "database_fingerprint",
 ]

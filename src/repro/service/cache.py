@@ -3,8 +3,9 @@
 Building an index is the paper's offline phase (§V-B): expensive, done
 once, excluded from response time.  A service that rebuilt the index for
 every batch would throw that away, so the service keeps built engines in
-a cache keyed by *database fingerprint × method × canonical parameters*
-— the exact inputs that determine an index's contents.
+a cache keyed by *method × canonical parameters*: every entry indexes
+the service's current base, and a compaction that changes the base
+empties the cache.
 
 Eviction is LRU against a byte budget sized to the device pool's
 aggregate global memory: each cached GPU engine holds real allocations on
@@ -18,32 +19,17 @@ with a zero device footprint.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from ..core.types import SegmentArray
 from ..engines.base import SearchEngine
 from ..gpu.device import VirtualGPU
 
 __all__ = ["CacheEntry", "CacheStats", "EngineCache",
-           "canonical_params", "database_fingerprint"]
-
-
-def database_fingerprint(database: SegmentArray) -> str:
-    """Content hash of a database: equal arrays ⇒ equal fingerprint.
-
-    ``SegmentArray`` is unhashable by design (it holds mutable-looking
-    NumPy arrays); the service needs a stable dict key that survives
-    round-trips through files, so it hashes the raw column bytes.
-    """
-    h = hashlib.sha1()
-    for name in (*SegmentArray._FIELDS, "traj_ids", "seg_ids"):
-        h.update(np.ascontiguousarray(getattr(database, name)).tobytes())
-    return h.hexdigest()
+           "canonical_params"]
 
 
 def _hashable(value: Any) -> Any:
@@ -106,8 +92,9 @@ class CacheStats:
     ``failed_builds`` counts misses whose engine build then failed —
     those never become cache entries, so a failed build is visible in
     the stats without ever being mistaken for a usable cached engine.
-    ``invalidations`` counts entries dropped for health reasons (their
-    device lane was quarantined), as opposed to LRU ``evictions``.
+    ``invalidations`` counts entries dropped because their device lane
+    was quarantined or a compaction replaced their base, as opposed to
+    LRU ``evictions``.
     """
 
     hits: int = 0

@@ -80,8 +80,7 @@ from ..ingest import (CompactionPolicy, CompactionResult,
                       VersionedDatabase, overlay_search)
 from ..obs import Telemetry
 from ..standing import StandingQueryManager, StandingStore, Subscription
-from .cache import (CacheEntry, EngineCache, canonical_params,
-                    database_fingerprint)
+from .cache import CacheEntry, EngineCache, canonical_params
 from .requests import SearchRequest, SearchResponse
 from .resilience import CircuitBreaker, LaneHealth, NoUsableLaneError
 
@@ -92,17 +91,17 @@ _PLANNER_HINTS = ("num_bins", "num_subbins", "cells_per_dim",
                   "segments_per_mbb")
 
 
-def _cache_key(db_key, method: str, params: dict):
+def _cache_key(method: str, params: dict):
     """``(cache key, validated config)`` of engine ``method`` built
-    with ``params`` over the base ``db_key`` names.  The key holds the
+    with ``params`` over the current base.  The key holds the
     canonical *validated* parameters, so spellings of one configuration
     share an entry; a config-less engine keys on ``params`` as given
     (its config is None)."""
     cfg_type = get_engine(method).config_type
     if cfg_type is None:
-        return (db_key, method, canonical_params(params)), None
+        return (method, canonical_params(params)), None
     cfg = cfg_type.from_params(**params)
-    return (db_key, method, canonical_params(cfg.to_dict())), cfg
+    return (method, canonical_params(cfg.to_dict())), cfg
 
 
 @dataclass
@@ -308,8 +307,6 @@ class QueryService:
         self._breaker_states: dict[str, str] = {}
         self._lane_states: dict[int, str] = {}
         self._truth_cache: tuple[int, CpuScanEngine] | None = None
-        self._fp_version = -1
-        self._fp = ""
         #: the planner's (base_version, profile) of the current base.
         self._plan_profile: tuple[int, DatabaseProfile] | None = None
         self._prewarm_failures = 0
@@ -346,28 +343,13 @@ class QueryService:
         """
         return self.versioned.base
 
-    @property
-    def fingerprint(self) -> str:
-        """Content fingerprint of the current base (cache-key root).
-
-        Stable across appends and deletes — only a compaction, which
-        physically rewrites the base, changes it.  That stability is
-        what lets a warm base engine survive ingestion.
-        """
-        if self._fp_version != self.versioned.base_version:
-            self._fp = database_fingerprint(self.versioned.base)
-            self._fp_version = self.versioned.base_version
-        return self._fp
-
     # -- public API ---------------------------------------------------------------
 
-    def submit(self, request: SearchRequest, *,
-               snapshot: Snapshot | None = None) -> SearchResponse:
+    def submit(self, request: SearchRequest) -> SearchResponse:
         """Serve one request (a batch of one)."""
-        return self.submit_batch([request], snapshot=snapshot)[0]
+        return self.submit_batch([request])[0]
 
-    def submit_batch(self, requests: list[SearchRequest], *,
-                     snapshot: Snapshot | None = None
+    def submit_batch(self, requests: list[SearchRequest]
                      ) -> list[SearchResponse]:
         """Serve a batch of requests arriving together.
 
@@ -377,14 +359,11 @@ class QueryService:
         contending for one index serialize — that contention is exactly
         what ``queue_wait_s`` reports.
 
-        The whole batch is served against one *pinned*
-        :class:`~repro.ingest.Snapshot` — by default the database state
-        at arrival, MVCC-style; a client that captured an earlier
-        ``current_snapshot()`` may pass it to read that version even
-        after later ingests or compactions.
+        The whole batch is served against one
+        :class:`~repro.ingest.Snapshot`, the database state at arrival.
         """
         arrival = self._clock
-        snapshot = snapshot or self.versioned.snapshot()
+        snapshot = self.versioned.snapshot()
         with self.telemetry.activate(), \
                 self.telemetry.span("service.batch",
                                     batch_size=len(requests),
@@ -397,14 +376,13 @@ class QueryService:
         return responses
 
     def current_snapshot(self) -> Snapshot:
-        """Pin the current database version (see
-        :meth:`submit_batch`)."""
+        """The current database version (what :meth:`submit_batch`
+        serves a batch against)."""
         return self.versioned.snapshot()
 
     # -- ingestion ---------------------------------------------------------------
 
     def ingest(self, segments, *,
-               keep_seg_ids: bool = False,
                idempotency_key: str | None = None) -> IngestReceipt:
         """Append trajectory segments without rebuilding the base index.
 
@@ -413,9 +391,9 @@ class QueryService:
         them, or a raw :class:`~repro.core.types.SegmentArray`).  The
         rows land in the delta; queries see them immediately through
         the delta-overlay scan while every warm base engine stays
-        cached.  ``keep_seg_ids=True`` preserves caller-stamped segment
-        ids (the sharded router's global stamping — see
-        :meth:`~repro.ingest.VersionedDatabase.append`).  When the
+        cached.  (A caller that stamps its own segment ids, as the
+        sharded router does, applies ``Mutation("append", ...,
+        keep_seg_ids=True)`` through :meth:`apply`.)  When the
         append pushes the delta over the compaction policy and
         ``auto_compact`` is on, compaction runs before returning (off
         the query hot path — no request is in flight between batches).
@@ -426,9 +404,8 @@ class QueryService:
         returned with ``deduplicated=True``.  The table is carried in
         WAL records and checkpoints, so dedup survives a crash/recover.
         """
-        return self.apply(Mutation(
-            "append", segments=segments, keep_seg_ids=keep_seg_ids,
-            idempotency_key=idempotency_key))
+        return self.apply(Mutation("append", segments=segments,
+                                   idempotency_key=idempotency_key))
 
     def delete_trajectory(self, traj_id: int, *,
                           idempotency_key: str | None = None) -> int:
@@ -513,12 +490,13 @@ class QueryService:
     def _compact(self, *, trigger: str) -> CompactionResult:
         """Fold the delta into a fresh base and re-warm the cache.
 
-        The (method, params) recipes of the engines cached for the
-        outgoing base that served a request since they were built are
-        remembered, the stale entries invalidated, and the same
-        engines are rebuilt over the new base *inside this call* — off
-        the query hot path, but on the virtual GPU like any other
-        build, so injected faults (chaos) can and do fire
+        Every cached engine is over the outgoing base.  The (method,
+        params) recipes of those that served a request since they were
+        built are remembered; unless the new base equals the old one
+        (a clean database folds into itself), the cache is emptied and
+        the same engines are rebuilt over the new base *inside this
+        call* — off the query hot path, but on the virtual GPU like any
+        other build, so injected faults (chaos) can and do fire
         mid-compaction.  Only recipes are kept, never the entries, so
         the invalidation frees the outgoing engines before the first
         rebuild: a compaction holds one generation of engines plus
@@ -527,9 +505,8 @@ class QueryService:
         walks the failover ladder).
         """
         mutation = Mutation("compact")
-        old_fp = self.fingerprint
-        recipes = [(e.key[1], e.key[2], e.served)
-                   for e in self.cache.entries() if e.key[0] == old_fp]
+        old_base = self.database
+        recipes = [(*e.key, e.served) for e in self.cache.entries()]
         warm = [(method, canon) for method, canon, served in recipes
                 if served]
         with self.telemetry.span("service.compaction",
@@ -545,7 +522,9 @@ class QueryService:
             reg.histogram("repro_compaction_seconds",
                           "compaction wall seconds").observe(
                 result.wall_seconds)
-            stale = self._invalidate_stale_bases()
+            stale = (0 if self.database == old_base else
+                     self.cache.invalidate_where(lambda e: True))
+            del old_base  # it goes with its engines, before the rebuild
             self._gauge_ingest()
             # Compaction cannot change any answer (it preserves
             # logical()), but the pass still stamps the epoch.
@@ -578,7 +557,7 @@ class QueryService:
         the next request simply pays a cache miss)."""
         try:
             self._engine_entry(self.database, method, params,
-                               self.fingerprint, RequestMetrics())
+                               RequestMetrics())
         except Exception as exc:  # noqa: BLE001 - prewarm is best-effort
             self._prewarm_failures += 1
             self.telemetry.metrics.counter(
@@ -590,12 +569,6 @@ class QueryService:
                 error=f"{type(exc).__name__}: {exc}")
             return False
         return True
-
-    def _invalidate_stale_bases(self) -> int:
-        """Drop cached engines whose base was compacted away."""
-        current = self.fingerprint
-        return self.cache.invalidate_where(
-            lambda e: e.key[0] != current)
 
     def _gauge_ingest(self) -> None:
         reg = self.telemetry.metrics
@@ -662,11 +635,10 @@ class QueryService:
 
     def _warm_engines(self) -> list[tuple[str, dict]]:
         """``(method, params)`` recipes worth persisting in a
-        checkpoint: the engines over the current base."""
-        current = self.fingerprint
-        return [(entry.key[1], dict(entry.key[2]))
-                for entry in self.cache.entries()
-                if entry.key[0] == current]
+        checkpoint: every cached engine (all are over the current
+        base)."""
+        return [(entry.key[0], dict(entry.key[1]))
+                for entry in self.cache.entries()]
 
     @classmethod
     def recover(cls, durability_dir, *,
@@ -889,9 +861,9 @@ class QueryService:
                  snapshot: Snapshot) -> SearchResponse:
         """Build (or fetch) the engine for one rung and execute.
 
-        The cache key is rooted at the snapshot's *base* fingerprint,
-        which ingestion does not change: a warm engine keeps hitting
-        across appends/deletes, and only a compaction (new base) misses.
+        The engine indexes the snapshot's base, which ingestion does
+        not change: a warm engine keeps hitting across appends/deletes,
+        and only a compaction (new base) empties the cache.
         """
         span = (self.telemetry.span("service.failover",
                                     request_id=request.request_id,
@@ -899,8 +871,7 @@ class QueryService:
                 if hop else nullcontext())
         with span:
             entry, metrics.cache_hit = self._engine_entry(
-                snapshot.base, method, params,
-                self._base_fingerprint(snapshot), metrics)
+                snapshot.base, method, params, metrics)
             entry.served += 1
             return self._execute(request, method, entry, arrival,
                                  metrics, snapshot)
@@ -1025,12 +996,10 @@ class QueryService:
         """The planner's profile of a snapshot's base, and whether it
         was already there.
 
-        Kept like :attr:`fingerprint`: one for the current base, valid
-        until a compaction installs the next (appends and deletes never
-        touch the base).  A snapshot pinned to an older base gets a
-        profile of *its* base, which is not kept.  The pair is published
-        in one assignment, after the build, so a concurrent reader sees
-        a whole profile or none.
+        One is kept, for the current base, valid until a compaction
+        installs the next (appends and deletes never touch the base).
+        The pair is published in one assignment, after the build, so a
+        concurrent reader sees a whole profile or none.
         """
         kept = self._plan_profile
         if kept is not None and kept[0] == snapshot.base_version:
@@ -1039,21 +1008,13 @@ class QueryService:
         self.telemetry.metrics.counter(
             "repro_planner_profile_builds_total",
             "planner database profiles built").inc()
-        if snapshot.base_version == self.versioned.base_version:
-            self._plan_profile = (snapshot.base_version, profile)
+        self._plan_profile = (snapshot.base_version, profile)
         return profile, False
 
-    def _base_fingerprint(self, snapshot: Snapshot) -> str:
-        """Fingerprint of a snapshot's base (fast path: the current
-        one is cached on the service)."""
-        if snapshot.base_version == self.versioned.base_version:
-            return self.fingerprint
-        return database_fingerprint(snapshot.base)
-
     def _engine_entry(self, database: SegmentArray, method: str,
-                      params: dict, db_key, metrics: RequestMetrics
+                      params: dict, metrics: RequestMetrics
                       ) -> tuple[CacheEntry, bool]:
-        key, cfg = _cache_key(db_key, method, params)
+        key, cfg = _cache_key(method, params)
         reg = self.telemetry.metrics
         entry = self.cache.get(key)
         if entry is not None:
@@ -1344,10 +1305,10 @@ class QueryService:
     def _on_evict(self, entry: CacheEntry) -> None:
         self.telemetry.metrics.counter(
             "repro_cache_evictions_total",
-            "engine-cache evictions").inc(engine=entry.key[1])
+            "engine-cache evictions").inc(engine=entry.key[0])
         self.telemetry.events.emit(
             "eviction",
-            method=entry.key[1],
+            method=entry.key[0],
             nbytes=entry.nbytes,
             lane=entry.lane,
         )

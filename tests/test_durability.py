@@ -25,7 +25,7 @@ from repro.durability import (DurabilityError, DurabilityPolicy,
                               write_checkpoint)
 from repro.durability.checkpoint import CheckpointError
 from repro.durability.wal import decode_line, encode_record, WalRecord
-from repro.ingest import IngestError, VersionedDatabase
+from repro.ingest import IngestError, Mutation, VersionedDatabase
 from repro.service import QueryService, SearchRequest
 from repro.standing import StandingStoreError
 from tests.conftest import make_walk_trajectories, series_value
@@ -356,7 +356,7 @@ class TestRecovery:
         svc2 = QueryService.recover(tmp_path / "state",
                                     auto_compact=False)
         assert svc2.versioned.epoch == epoch
-        assert svc2.fingerprint == svc.fingerprint
+        assert svc2.database == svc.database
         got = svc2.submit(SearchRequest(queries=queries, d=2.5,
                                         method="cpu_scan"))
         a = ref.outcome.results.canonical()
@@ -376,7 +376,7 @@ class TestRecovery:
         two = QueryService.recover(tmp_path / "state",
                                    auto_compact=False)
         assert one.versioned.epoch == two.versioned.epoch
-        assert one.fingerprint == two.fingerprint
+        assert one.database == two.database
         assert one.versioned.next_seg_id == two.versioned.next_seg_id
         assert one.last_recovery.replayed == two.last_recovery.replayed
 
@@ -384,13 +384,13 @@ class TestRecovery:
         svc = self._durable_service(tmp_path)
         svc.ingest(_db(seed=3, n=2, offset=50))
         svc.checkpoint()
-        epoch, fp = svc.versioned.epoch, svc.fingerprint
+        epoch, base = svc.versioned.epoch, svc.database
         svc.shutdown()
         rec = QueryService.recover(tmp_path / "state",
                                    auto_compact=False)
         assert rec.last_recovery.replayed == 0
         assert rec.versioned.epoch == epoch
-        assert rec.fingerprint == fp
+        assert rec.database == base
 
     def test_prewarm_makes_restart_a_cache_hit(self, tmp_path):
         svc = self._durable_service(tmp_path)
@@ -494,7 +494,7 @@ class TestRecovery:
         svc.checkpoint()
         for i in range(tail_ops):
             svc.ingest(_db(seed=4 + i, n=1, offset=80 + 10 * i))
-        epoch, fp = svc.versioned.epoch, svc.fingerprint
+        epoch, base = svc.versioned.epoch, svc.database
         svc.shutdown()
         newest = list_checkpoints(
             tmp_path / "state" / "checkpoints")[0]
@@ -504,7 +504,7 @@ class TestRecovery:
         assert rec.last_recovery.invalid_checkpoints == 1
         assert rec.last_recovery.checkpoint_epoch == 0
         assert rec.versioned.epoch == epoch
-        assert rec.fingerprint == fp
+        assert rec.database == base
 
     def test_corrupt_newest_checkpoint_skipped(self, tmp_path):
         # The WAL is truncated through the *oldest retained*
@@ -625,14 +625,14 @@ class TestRecovery:
         svc = self._durable_service(tmp_path)
         svc.ingest(_db(seed=3, n=2, offset=50))
         svc.compact()
-        fp = svc.fingerprint
+        base = svc.database
         svc.shutdown()
         # Wipe the checkpoints; force a full WAL replay from the
         # bootstrap state... not possible (WAL truncated), so instead
-        # verify the recovered fingerprint matches the compacted one.
+        # verify the recovered base matches the compacted one.
         rec = QueryService.recover(tmp_path / "state",
                                    auto_compact=False)
-        assert rec.fingerprint == fp
+        assert rec.database == base
         assert rec.versioned.base_version == svc.versioned.base_version
 
 
@@ -821,7 +821,8 @@ class TestKeepSegIdsReplay:
             fresh.xe, fresh.ye, fresh.ze, fresh.te,
             fresh.traj_ids,
             np.arange(77_000, 77_000 + len(fresh), dtype=np.int64))
-        svc.ingest(stamped, keep_seg_ids=True)
+        svc.apply(Mutation("append", segments=stamped,
+                           keep_seg_ids=True))
         svc.shutdown()
 
         svc2 = QueryService.recover(tmp_path / "state",
@@ -842,7 +843,8 @@ class TestKeepSegIdsReplay:
             fresh.xe, fresh.ye, fresh.ze, fresh.te,
             fresh.traj_ids,
             np.arange(77_000, 77_000 + len(fresh), dtype=np.int64))
-        svc.ingest(stamped, keep_seg_ids=True)
+        svc.apply(Mutation("append", segments=stamped,
+                           keep_seg_ids=True))
         svc.ingest(_db(seed=6, n=1, steps=4, offset=400))
         svc.shutdown()
         records = read_wal(tmp_path / "state" / "wal.jsonl").records

@@ -9,7 +9,7 @@ from repro.campaigns.chaos import ChaosConfig, run as run_campaign
 from repro.faults import (FAULT_KINDS, FaultInjector, FaultSpec,
                           KernelAbortError, LaneBlackoutError,
                           TransferFault)
-from repro.gpu.device import TESLA_C2075, VirtualGPU
+from repro.gpu.device import VirtualGPU
 from repro.gpu.kernel import KernelLauncher, LaunchSpec
 from repro.gpu.memory import DeviceOutOfMemoryError
 
@@ -105,7 +105,7 @@ class TestFaultKindsOnDevice:
 
     def test_oom_names_lane_and_resident_allocations(self):
         inj = FaultInjector([FaultSpec(kind="oom", after=1)], seed=0)
-        gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=3)
+        gpu = VirtualGPU(faults=inj, lane=3)
         gpu.memory.alloc("db.coords", (8, 4))
         with pytest.raises(DeviceOutOfMemoryError) as ei:
             gpu.memory.alloc("result_buffer", (16, 4))
@@ -119,7 +119,7 @@ class TestFaultKindsOnDevice:
     @pytest.mark.parametrize("direction", ["h2d", "d2h"])
     def test_transfer_faults_keep_the_ledger_clean(self, direction):
         inj = FaultInjector([FaultSpec(kind=direction)], seed=0)
-        gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=1)
+        gpu = VirtualGPU(faults=inj, lane=1)
         op = getattr(gpu.transfers, direction)
         with pytest.raises(TransferFault) as ei:
             op("payload", 4096)
@@ -129,7 +129,7 @@ class TestFaultKindsOnDevice:
 
     def test_kernel_abort_records_nothing(self):
         inj = FaultInjector([FaultSpec(kind="kernel_abort")], seed=0)
-        gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=0)
+        gpu = VirtualGPU(faults=inj, lane=0)
         launcher = KernelLauncher(gpu)
         with pytest.raises(KernelAbortError):
             launcher.run(LaunchSpec("gpu_temporal", num_threads=4),
@@ -139,7 +139,7 @@ class TestFaultKindsOnDevice:
     def test_kernel_stall_inflates_thread_work(self):
         inj = FaultInjector(
             [FaultSpec(kind="kernel_stall", stall_factor=4.0)], seed=0)
-        gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=0)
+        gpu = VirtualGPU(faults=inj, lane=0)
         KernelLauncher(gpu).run(
             LaunchSpec("gpu_temporal", num_threads=4),
             _constant_work(10))
@@ -149,7 +149,7 @@ class TestFaultKindsOnDevice:
     def test_lane_blackout_kills_lane_until_revived(self):
         inj = FaultInjector(
             [FaultSpec(kind="lane_blackout", count=1)], seed=0)
-        gpu = VirtualGPU(TESLA_C2075, faults=inj, lane=2)
+        gpu = VirtualGPU(faults=inj, lane=2)
         with pytest.raises(LaneBlackoutError):
             gpu.transfers.h2d("queries", 100)
         assert inj.dead_lanes == {2}
@@ -165,9 +165,9 @@ class TestFaultKindsOnDevice:
     def test_lane_restriction_spares_other_lanes(self):
         inj = FaultInjector(
             [FaultSpec(kind="h2d", lanes=(1,))], seed=0)
-        healthy = VirtualGPU(TESLA_C2075, faults=inj, lane=0)
+        healthy = VirtualGPU(faults=inj, lane=0)
         healthy.transfers.h2d("queries", 64)
-        doomed = VirtualGPU(TESLA_C2075, faults=inj, lane=1)
+        doomed = VirtualGPU(faults=inj, lane=1)
         with pytest.raises(TransferFault):
             doomed.transfers.h2d("queries", 64)
 

@@ -4,8 +4,8 @@ The contract under test (see ``src/repro/ingest/``): appends and
 tombstones are *performance* mechanisms — for any mutation sequence, a
 search over a snapshot equals a search over a from-scratch database
 built from ``Snapshot.logical()``, and a compaction never changes any
-answer.  Plus the serving-layer guarantees: MVCC snapshot pinning,
-base-fingerprint cache keys that survive ingestion, and cache prewarm
+answer.  Plus the serving-layer guarantees: cached base engines that
+survive ingestion, one engine generation per base, and cache prewarm
 after compaction.
 """
 
@@ -253,8 +253,7 @@ class TestServiceIngestion:
 
     def test_base_engine_cache_hits_across_epochs(self, base, queries):
         """The acceptance criterion: a warm base engine is *reused*
-        across ingests — the cache key is rooted at the base
-        fingerprint, which appends do not change."""
+        across ingests — appends do not change the base it indexes."""
         svc = QueryService(base, auto_compact=False)
         req = dict(queries=queries, d=D, method="gpu_temporal",
                    params={"num_bins": 16})
@@ -268,19 +267,6 @@ class TestServiceIngestion:
             epochs.add(resp.metrics.snapshot_epoch)
         assert len(epochs) == 3
         assert svc.cache.stats.invalidations == 0
-
-    def test_pinned_snapshot_serves_old_version(self, base, queries):
-        svc = QueryService(base, auto_compact=False)
-        pinned = svc.current_snapshot()
-        truth_old = brute_force_search(queries, pinned.logical(), D)
-        svc.ingest(_db(num_traj=3, seed=30, id_offset=3000))
-        old = svc.submit(SearchRequest(queries=queries, d=D,
-                                       method="cpu_scan"),
-                         snapshot=pinned)
-        new = svc.submit(SearchRequest(queries=queries, d=D,
-                                       method="cpu_scan"))
-        assert old.outcome.results.equivalent_to(truth_old)
-        assert len(new.outcome.results) >= len(old.outcome.results)
 
     def test_delete_hides_results(self, base):
         svc = QueryService(base)
@@ -312,7 +298,7 @@ class TestServiceIngestion:
         assert stats["compactions"] == 1
         assert stats["delta_rows"] == 0
         # Prewarm rebuilt the warm engine over the new base: the next
-        # request cache-hits even though the fingerprint changed.
+        # request cache-hits even though the base changed.
         resp = svc.submit(req)
         assert resp.metrics.cache_hit
         truth = brute_force_search(
@@ -391,6 +377,41 @@ class TestServiceIngestion:
         svc.compact()
         assert dead_at_first_prewarm == [[True, True]]
         assert len(svc.cache.entries()) == 2
+
+    def test_one_engine_generation_per_base(self, base, queries):
+        """A compaction that changes the base replaces every cached
+        engine by one over the new base; one that folds a clean
+        database into itself keeps them, rebuilding nothing."""
+        svc = QueryService(base, auto_compact=False)
+        requests = [SearchRequest(queries=queries, d=D, method=method,
+                                  params=params)
+                    for method, params in (
+                        ("gpu_temporal", {"num_bins": 16}),
+                        ("cpu_rtree", {"segments_per_mbb": 2}))]
+        for request in requests:
+            svc.submit(request)
+        svc.ingest(_db(num_traj=2, seed=62, id_offset=6200))
+        entries = len(svc.cache.entries())
+        assert entries == 2
+        svc.compact()
+        event = svc.telemetry.events.of_kind("compaction")[-1]
+        assert event.fields["stale_entries"] == entries
+        new_ids = np.sort(svc.database.seg_ids)
+        for entry in svc.cache.entries():
+            assert np.array_equal(
+                np.sort(entry.engine.database.seg_ids), new_ids)
+        assert svc.submit(requests[0]).metrics.cache_hit
+
+        assert svc.current_snapshot().clean
+        warm = [e.engine for e in svc.cache.entries()]
+        builds = len(svc.telemetry.events.of_kind("engine_build"))
+        invalidations = svc.cache.stats.invalidations
+        svc.compact()
+        event = svc.telemetry.events.of_kind("compaction")[-1]
+        assert event.fields["stale_entries"] == 0
+        assert len(svc.telemetry.events.of_kind("engine_build")) == builds
+        assert svc.cache.stats.invalidations == invalidations
+        assert [e.engine for e in svc.cache.entries()] == warm
 
     def test_forced_compaction(self, base):
         svc = QueryService(base)

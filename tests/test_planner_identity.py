@@ -313,9 +313,9 @@ class TestServiceProfile:
         return svc, plans, built
 
     @staticmethod
-    def _auto(svc, queries, d=2.5, **kw):
+    def _auto(svc, queries, d=2.5):
         response = svc.submit(SearchRequest(queries=queries, d=d,
-                                            method="auto"), **kw)
+                                            method="auto"))
         assert response.ok and not response.metrics.degraded
         return response
 
@@ -368,23 +368,6 @@ class TestServiceProfile:
         assert self._builds(svc) == 2
         assert_same_plans(plans[3],
                           self._oracle(svc, new_base, small_queries))
-
-    def test_pinned_snapshot_is_planned_against_its_own_base(
-            self, watched, small_db, small_queries):
-        svc, plans, built = watched
-        old = svc.current_snapshot()
-        svc.ingest(_fresh(7, 700))
-        svc.compact()
-        self._auto(svc, small_queries)               # current base
-        self._auto(svc, small_queries, snapshot=old)
-        self._auto(svc, small_queries)
-        assert [b is old.base for b in built] == [False, True]
-        assert_same_plans(plans[1],
-                          self._oracle(svc, small_db, small_queries))
-        # ...and the old base's profile did not displace the current.
-        assert_same_plans(plans[2], plans[0])
-        assert_same_plans(
-            plans[2], self._oracle(svc, svc.database, small_queries))
 
     def test_checkpoint_does_not_carry_the_profile(self, tmp_path,
                                                    small_db,

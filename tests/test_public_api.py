@@ -74,8 +74,7 @@ def test_service_layer_entry_points_exist():
                                GpuTemporalConfig, CpuRTreeConfig,
                                RetryPolicy, NO_RETRY)
     from repro.gpu.profiler import RequestMetrics
-    from repro.service import EngineCache, database_fingerprint
-    assert callable(database_fingerprint)
+    from repro.service import EngineCache
     assert EngineCache and RequestMetrics and RetryPolicy
     assert NO_RETRY.max_attempts == 1
     assert GpuSpatialConfig and GpuSpatioTemporalConfig
@@ -141,6 +140,33 @@ def test_option_surface_is_pinned(owner):
 
 def test_option_census_total():
     assert sum(len(names) for names in OPTION_SURFACE.values()) == 34
+
+
+#: the keyword parameters of the serving calls, so a per-request
+#: option is a visible diff in this file, as a constructor knob is in
+#: OPTION_SURFACE.
+CALL_SURFACE = {
+    ("repro.service", "QueryService", "submit"): set(),
+    ("repro.service", "QueryService", "submit_batch"): set(),
+    ("repro.service", "QueryService", "ingest"): {"idempotency_key"},
+    ("repro.service", "QueryService", "delete_trajectory"): {
+        "idempotency_key"},
+    ("repro.sharding", "ShardedService", "submit"): set(),
+    ("repro.sharding", "ShardedService", "ingest"): {"idempotency_key"},
+    ("repro.sharding", "ShardedService", "delete_trajectory"): {
+        "idempotency_key"},
+}
+
+
+@pytest.mark.parametrize("call", sorted(CALL_SURFACE),
+                         ids=lambda call: f"{call[1]}.{call[2]}")
+def test_call_surface_is_pinned(call):
+    import inspect
+    cls = getattr(importlib.import_module(call[0]), call[1])
+    params = inspect.signature(getattr(cls, call[2])).parameters.values()
+    assert {p.name for p in params
+            if p.kind is p.KEYWORD_ONLY or p.default is not p.empty} \
+        == CALL_SURFACE[call]
 
 
 @pytest.mark.parametrize("owner", sorted(STATE_FIELDS),

@@ -12,7 +12,7 @@ from repro.data import random_dataset
 from repro.engines.config import ConfigError
 from repro.faults import FaultInjector, FaultSpec
 from repro.service import (EngineCache, QueryService, SearchRequest,
-                           canonical_params, database_fingerprint)
+                           canonical_params)
 from tests.conftest import BAD_PLANNER_HINTS, series_value
 
 
@@ -202,12 +202,6 @@ class TestCaching:
         assert svc.cache.lane_bytes(entry.lane) == ledger
         assert entry.engine.result_buffer_items == 16
 
-    def test_fingerprint_tracks_content(self, small_db, small_queries):
-        assert (database_fingerprint(small_db)
-                == database_fingerprint(small_db))
-        assert (database_fingerprint(small_db)
-                != database_fingerprint(small_queries))
-
     def test_canonical_params_order_independent(self):
         assert canonical_params({"a": 1, "b": [2, 3]}) \
             == canonical_params({"b": (2, 3), "a": 1})
@@ -265,7 +259,7 @@ class TestAutoSelection:
         # Whatever engine won, the matching hint must appear in its
         # cache key (which is built from the filled config).
         entry = service.cache.entries()[-1]
-        key_params = dict(entry.key[2])
+        key_params = dict(entry.key[1])
         hints = {"num_bins": 13, "segments_per_mbb": 3,
                  "cells_per_dim": 9}
         overlap = {k: v for k, v in hints.items() if k in key_params}

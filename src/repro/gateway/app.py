@@ -3,8 +3,8 @@
 :class:`Gateway` sits in front of a backend — a single
 :class:`~repro.service.QueryService` or a sharded
 :class:`~repro.sharding.ShardedService` (anything with ``submit`` /
-``ingest`` / ``delete_trajectory``) — and makes overload a first-class,
-*typed* regime instead of an accident:
+``ingest`` / ``delete_trajectory`` / ``pressure``) — and makes overload
+a first-class, *typed* regime instead of an accident:
 
 * every call authenticates by API key and is charged against the
   tenant's token bucket and daily quota
@@ -259,36 +259,12 @@ class Gateway:
         return self.brownout.update(self._pressure())
 
     def _pressure(self) -> float:
-        """Overload pressure in [0, 1]: the worst of queue fullness,
-        open circuit breakers, and dead/quarantined execution lanes."""
+        """Overload pressure in [0, 1]: the worse of queue fullness and
+        the backend's own :meth:`pressure` (open circuit breakers,
+        quarantined lanes or dead replicas)."""
         fullness = max(len(q) / self.queue_depth
                        for q in self._queues.values())
-        return min(1.0, max(fullness, self._backend_pressure()))
-
-    def _backend_pressure(self) -> float:
-        """Resilience pressure read off the backend's breaker/lane
-        (or replica) state — duck-typed over both backend shapes."""
-        backend = self.backend
-        signals = [0.0]
-        breakers = getattr(backend, "_breakers", None)
-        if breakers:
-            signals.append(
-                sum(1 for b in breakers.values() if b.state == "open")
-                / len(breakers))
-        pool = getattr(backend, "pool", None)
-        if pool is not None and pool.lanes:
-            signals.append(
-                sum(1 for lane in pool.lanes
-                    if lane.health.state == "quarantined")
-                / len(pool.lanes))
-        shards = getattr(backend, "shards", None)
-        if shards is not None:
-            replicas = [r for s in shards for r in s.replicas]
-            if replicas:
-                signals.append(
-                    sum(1 for r in replicas if not r.live)
-                    / len(replicas))
-        return max(signals)
+        return min(1.0, max(fullness, self.backend.pressure()))
 
     # -- the drain worker ---------------------------------------------------------
 

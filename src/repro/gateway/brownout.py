@@ -49,8 +49,8 @@ BROWNOUT_HYSTERESIS = 0.1
 class BrownoutLadder:
     """Pressure-driven degradation state machine (see module docs)."""
 
-    def __init__(self, *, telemetry: Telemetry | None = None) -> None:
-        self.telemetry = telemetry or Telemetry()
+    def __init__(self, *, telemetry: Telemetry) -> None:
+        self.telemetry = telemetry
         self.level = 0
         self.pressure = 0.0
         #: ``(from_level, to_level, pressure)`` per transition.

@@ -36,8 +36,9 @@ from ..ingest import (CompactionPolicy, CompactionResult, IngestError,
 from ..standing import Subscription
 from .cache import CacheEntry, CacheStats, EngineCache, canonical_params
 from .requests import RESPONSE_STATUSES, SearchRequest, SearchResponse
+from .pool import DeviceLane, DevicePool
 from .resilience import (CircuitBreaker, LaneHealth, NoUsableLaneError)
-from .scheduler import DeviceLane, DevicePool, QueryService
+from .scheduler import QueryService
 
 __all__ = [
     "CacheEntry",

@@ -26,6 +26,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..engines.base import SearchEngine
+from ..engines.registry import get_engine
 from ..gpu.device import VirtualGPU
 
 __all__ = ["CacheEntry", "CacheStats", "EngineCache",
@@ -57,6 +58,19 @@ def canonical_params(params: dict) -> tuple:
     """
     return tuple(sorted((str(k), _hashable(v))
                         for k, v in params.items()))
+
+
+def _cache_key(method: str, params: dict):
+    """``(cache key, validated config)`` of engine ``method`` built
+    with ``params`` over the current base.  The key holds the
+    canonical *validated* parameters, so spellings of one configuration
+    share an entry; a config-less engine keys on ``params`` as given
+    (its config is None)."""
+    cfg_type = get_engine(method).config_type
+    if cfg_type is None:
+        return (method, canonical_params(params)), None
+    cfg = cfg_type.from_params(**params)
+    return (method, canonical_params(cfg.to_dict())), cfg
 
 
 @dataclass

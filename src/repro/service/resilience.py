@@ -1,4 +1,4 @@
-"""Resilience primitives for the serving layer: breakers and lane health.
+"""Resilience for the serving layer: breakers, lane health, failover.
 
 Two small state machines keep a faulty pool from taking the service
 down, both driven by the service's *modeled* clock so recovery behaviour
@@ -16,14 +16,27 @@ is deterministic and testable:
   re-admitted — it takes traffic again, but one more failure
   re-quarantines it with a doubled window, while one success restores
   full health.
+
+:class:`Failover` is a service's failover bookkeeping: its per-engine
+breaker table, its degradations, and the sampled cross-check of
+failover answers.  :class:`~repro.service.pool.DevicePool` owns the
+lanes' health; both report state changes through one
+:class:`TransitionReporter`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["CircuitBreaker", "LaneHealth", "NoUsableLaneError",
-           "BREAKER_STATES", "LANE_STATES"]
+from ..engines.cpu_scan import CpuScanEngine
+from ..gpu.profiler import RequestMetrics
+from ..ingest import Snapshot
+from ..obs import Telemetry
+from .requests import SearchRequest, SearchResponse
+
+__all__ = ["CircuitBreaker", "Failover", "LaneHealth",
+           "NoUsableLaneError", "TransitionReporter", "BREAKER_STATES",
+           "LANE_STATES"]
 
 BREAKER_STATES = ("closed", "half_open", "open")
 LANE_STATES = ("healthy", "probation", "quarantined")
@@ -178,3 +191,187 @@ class LaneHealth:
                 "consecutive_failures": self.consecutive_failures,
                 "quarantine_count": self.quarantine_count,
                 "quarantined_until": self.quarantined_until}
+
+
+class TransitionReporter:
+    """Gauges one family of state machines and reports each change.
+
+    For ``kind="lane"``, say, :meth:`report` sets
+    ``repro_lane_state{lane}`` to the machine's ``state_code`` and,
+    when its state differs from the last one reported for that key
+    (``states[0]`` before the first), counts
+    ``repro_lane_transitions_total{lane,from_state,to_state}`` and
+    emits a ``lane_transition`` event.
+    """
+
+    def __init__(self, telemetry: Telemetry, kind: str, label: str,
+                 states: tuple[str, ...], state_help: str,
+                 transitions_help: str) -> None:
+        self.telemetry = telemetry
+        self.kind = kind
+        self.label = label
+        self.states = states
+        self.state_help = state_help
+        self.transitions_help = transitions_help
+        self._last: dict = {}
+
+    def report(self, key, machine: CircuitBreaker | LaneHealth) -> None:
+        """Gauge ``machine`` as ``key``; report a change of state."""
+        reg = self.telemetry.metrics
+        labels = {self.label: str(key)}
+        reg.gauge(f"repro_{self.kind}_state", self.state_help).set(
+            machine.state_code, **labels)
+        prev = self._last.get(key, self.states[0])
+        if machine.state != prev:
+            self._last[key] = machine.state
+            reg.counter(f"repro_{self.kind}_transitions_total",
+                        self.transitions_help).inc(
+                **labels, from_state=prev, to_state=machine.state)
+            self.telemetry.events.emit(
+                f"{self.kind}_transition", **{self.label: key},
+                from_state=prev, to_state=machine.state)
+
+
+class Failover:
+    """A service's failover bookkeeping.
+
+    * The per-engine breaker table.  A breaker is created the first
+      time its engine is tried, so the table holds only engines the
+      service has used (the gateway's pressure is the open share of
+      them).
+    * Degradations: requests answered by a fallback engine.
+    * Verification: every ``crosscheck_every``-th failover answer
+      (0 = none) is checked against ``cpu_scan`` over the snapshot's
+      logical database, off the serving clock; mismatches are counted
+      and logged (none are expected: degraded must mean *slower*,
+      never *wrong*).
+    """
+
+    def __init__(self, telemetry: Telemetry, *, breaker_reset_s: float,
+                 crosscheck_every: int) -> None:
+        self.telemetry = telemetry
+        self.breaker_reset_s = breaker_reset_s
+        self.crosscheck_every = crosscheck_every
+        self.breakers: dict[str, CircuitBreaker] = {}
+        self.degradations = 0
+        self.failover_serves = 0
+        self.crosschecks = 0
+        #: request ids whose failover response disagreed with cpu_scan
+        #: ground truth (expected to stay empty).
+        self.crosscheck_mismatches: list[str] = []
+        self._states = TransitionReporter(
+            telemetry, "breaker", "engine", BREAKER_STATES,
+            "per-engine breaker: 0 closed / 1 half-open / 2 open",
+            "breaker state transitions (labeled from/to)")
+        self._truth_cache: tuple[int, CpuScanEngine] | None = None
+
+    def _breaker(self, engine: str) -> CircuitBreaker:
+        breaker = self.breakers.get(engine)
+        if breaker is None:
+            breaker = CircuitBreaker(reset_after_s=self.breaker_reset_s)
+            self.breakers[engine] = breaker
+        return breaker
+
+    def allow(self, engine: str, now: float,
+              request: SearchRequest) -> bool:
+        """May ``request`` try ``engine`` at modeled instant ``now``?
+        A rung skipped on an open breaker is counted and logged."""
+        if self._breaker(engine).allow(now):
+            return True
+        self.telemetry.metrics.counter(
+            "repro_breaker_skips_total",
+            "ladder rungs skipped on an open breaker").inc(
+            engine=engine)
+        self.telemetry.events.emit(
+            "breaker_skip", request_id=request.request_id,
+            engine=engine)
+        return False
+
+    def record_failure(self, engine: str, now: float) -> None:
+        """``engine`` failed a request at modeled instant ``now``."""
+        breaker = self._breaker(engine)
+        if breaker.record_failure(now):
+            self.telemetry.events.emit(
+                "breaker_open", engine=engine, trips=breaker.trips)
+        self._states.report(engine, breaker)
+
+    def record_success(self, engine: str) -> None:
+        """``engine`` served a request."""
+        breaker = self._breaker(engine)
+        if breaker.record_success():
+            self.telemetry.events.emit("breaker_closed", engine=engine)
+        self._states.report(engine, breaker)
+
+    def open_fraction(self) -> float:
+        """Share of the engines tried so far whose breaker is open."""
+        if not self.breakers:
+            return 0.0
+        return (sum(1 for b in self.breakers.values()
+                    if b.state == "open") / len(self.breakers))
+
+    def degrade(self, request: SearchRequest, method: str,
+                reason: Exception | str | None,
+                metrics: RequestMetrics, *, fallback: str) -> None:
+        """``request`` asked for ``method`` and is answered by
+        ``fallback`` instead, because of ``reason``."""
+        if isinstance(reason, BaseException):
+            reason = f"{method}: {type(reason).__name__}: {reason}"
+        reason = reason or f"{method}: failed"
+        metrics.degraded = True
+        metrics.degradation_reason = reason
+        self.degradations += 1
+        self.telemetry.metrics.counter(
+            "repro_degradations_total",
+            "requests degraded to a fallback engine").inc(
+            from_method=method)
+        self.telemetry.events.emit(
+            "degradation",
+            request_id=request.request_id,
+            method=method,
+            fallback=fallback,
+            reason=reason,
+        )
+
+    def failed_over(self, request: SearchRequest,
+                    response: SearchResponse, snapshot: Snapshot,
+                    method: str, reason: str | None, hops: int) -> None:
+        """A rung ``hops`` below ``method`` answered ``request``:
+        record the degradation and cross-check the sampled answers."""
+        metrics = response.metrics
+        metrics.failovers = hops
+        self.failover_serves += 1
+        self.degrade(request, method, reason, metrics,
+                     fallback=metrics.engine)
+        if self.crosscheck_every <= 0:
+            return
+        if (self.failover_serves - 1) % self.crosscheck_every:
+            return
+        if metrics.engine == CpuScanEngine.name:
+            return  # served by the truth engine itself
+        with self.telemetry.span(
+                "service.crosscheck", request_id=request.request_id,
+                engine=metrics.engine):
+            truth, _ = self._truth(snapshot).search(
+                request.queries, request.d,
+                exclude_same_trajectory=request.exclude_same_trajectory)
+            match = response.outcome.results.equivalent_to(truth)
+        self.crosschecks += 1
+        self.telemetry.metrics.counter(
+            "repro_crosschecks_total",
+            "failover responses verified against cpu_scan").inc(
+            result="match" if match else "mismatch")
+        self.telemetry.events.emit(
+            "crosscheck", request_id=request.request_id,
+            engine=metrics.engine, match=match)
+        if not match:
+            self.crosscheck_mismatches.append(request.request_id)
+
+    def _truth(self, snapshot: Snapshot) -> CpuScanEngine:
+        """Ground-truth scan engine over the snapshot's logical view,
+        cached per epoch (every mutation bumps the epoch)."""
+        cached = self._truth_cache
+        if cached is not None and cached[0] == snapshot.epoch:
+            return cached[1]
+        engine = CpuScanEngine(snapshot.logical())
+        self._truth_cache = (snapshot.epoch, engine)
+        return engine

@@ -58,8 +58,6 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -71,138 +69,24 @@ from ..engines.base import (Deadline, DeadlineExceededError, GpuEngineBase,
                             RetryPolicy, deadline_scope)
 from ..engines.config import ConfigError, _require_positive_int
 from ..engines.registry import available, get_engine
-from ..engines.cpu_scan import CpuScanEngine
 from ..gpu.costmodel import price
-from ..gpu.device import TESLA_C2075, VirtualGPU
+from ..gpu.device import VirtualGPU
 from ..gpu.profiler import CpuSearchProfile, RequestMetrics
 from ..ingest import (CompactionPolicy, CompactionResult,
                       IngestReceipt, Mutation, Snapshot,
                       VersionedDatabase, overlay_search)
 from ..obs import Telemetry
 from ..standing import StandingQueryManager, StandingStore, Subscription
-from .cache import CacheEntry, EngineCache, canonical_params
+from .cache import CacheEntry, EngineCache, _cache_key
+from .pool import DevicePool
 from .requests import SearchRequest, SearchResponse
-from .resilience import CircuitBreaker, LaneHealth, NoUsableLaneError
+from .resilience import Failover, NoUsableLaneError
 
-__all__ = ["DeviceLane", "DevicePool", "QueryService"]
+__all__ = ["QueryService"]
 
 #: planner knobs a request may override through ``params`` hints.
 _PLANNER_HINTS = ("num_bins", "num_subbins", "cells_per_dim",
                   "segments_per_mbb")
-
-
-def _cache_key(method: str, params: dict):
-    """``(cache key, validated config)`` of engine ``method`` built
-    with ``params`` over the current base.  The key holds the
-    canonical *validated* parameters, so spellings of one configuration
-    share an entry; a config-less engine keys on ``params`` as given
-    (its config is None)."""
-    cfg_type = get_engine(method).config_type
-    if cfg_type is None:
-        return (method, canonical_params(params)), None
-    cfg = cfg_type.from_params(**params)
-    return (method, canonical_params(cfg.to_dict())), cfg
-
-
-@dataclass
-class DeviceLane:
-    """One device's modeled timeline and health (its residency is the
-    engine cache's :meth:`~repro.service.cache.EngineCache.lane_bytes`)."""
-
-    index: int
-    #: modeled time at which the lane next becomes free.
-    busy_until: float = 0.0
-    #: quarantine/probation state machine (modeled clock).
-    health: LaneHealth = field(default_factory=LaneHealth)
-
-
-class DevicePool:
-    """A pool of identical virtual GPUs (the paper's C2075) plus one
-    host lane.
-
-    Engines are *homed* on the least-loaded usable lane when built and
-    stay there (indexes are device-resident; migrating one would be a
-    rebuild).  Each engine still owns a private :class:`VirtualGPU` —
-    real devices isolate contexts, and sharing one memory manager would
-    collide allocation names — so a lane models the *timeline and
-    capacity* of a card, not a shared address space.
-
-    Each lane also carries a
-    :class:`~repro.service.resilience.LaneHealth`:
-    ``LANE_FAILURE_THRESHOLD`` consecutive failures quarantine the lane
-    for ``quarantine_s`` modeled seconds (doubling on repeat offenses),
-    after which it is probationally re-admitted.
-    The host lane is never quarantined — CPU engines are the fallback
-    of last resort and must stay reachable.
-    """
-
-    #: lane index used for CPU engines (host execution).
-    HOST_LANE = -1
-
-    def __init__(self, num_devices: int = 1, *,
-                 quarantine_s: float = 60.0) -> None:
-        if num_devices < 1:
-            raise ValueError("pool needs at least one device")
-        if quarantine_s <= 0:
-            raise ValueError("quarantine_s must be positive")
-        self.quarantine_s = quarantine_s
-        self.lanes = [DeviceLane(i) for i in range(num_devices)]
-        self.host = DeviceLane(self.HOST_LANE)
-
-    @property
-    def num_devices(self) -> int:
-        return len(self.lanes)
-
-    @property
-    def total_mem_bytes(self) -> int:
-        return self.num_devices * TESLA_C2075.global_mem_bytes
-
-    def lane(self, index: int) -> DeviceLane:
-        return self.host if index == self.HOST_LANE else self.lanes[index]
-
-    def usable_lanes(self) -> list[DeviceLane]:
-        """GPU lanes currently accepting work (healthy or probation)."""
-        return [lane for lane in self.lanes if lane.health.usable]
-
-    def home_for(self, lane_bytes: Callable[[int], int]) -> DeviceLane:
-        """Pick the usable lane with the most free memory for a new
-        engine, ``lane_bytes(index)`` being the device bytes already
-        homed there; raises :class:`NoUsableLaneError` when every GPU
-        lane is quarantined (the failover ladder then moves on to
-        CPU)."""
-        usable = self.usable_lanes()
-        if not usable:
-            raise NoUsableLaneError(
-                f"all {self.num_devices} GPU lanes are quarantined")
-        return min(usable, key=lambda lane: lane_bytes(lane.index))
-
-    def busiest_until(self) -> float:
-        """Latest modeled busy_until across all lanes (incl. host)."""
-        return max(self.host.busy_until,
-                   *(lane.busy_until for lane in self.lanes))
-
-    # -- health ------------------------------------------------------------------
-
-    def refresh_health(self, now: float) -> list[int]:
-        """Expire quarantine windows; returns lanes that just entered
-        probation."""
-        return [lane.index for lane in self.lanes
-                if lane.health.refresh(now)]
-
-    def record_lane_failure(self, index: int, now: float) -> bool:
-        """Charge one failure to a lane; True when it was quarantined.
-        The host lane absorbs failures without ever quarantining."""
-        if index == self.HOST_LANE:
-            return False
-        return self.lanes[index].health.record_failure(
-            now, quarantine_s=self.quarantine_s)
-
-    def record_lane_success(self, index: int) -> bool:
-        """Credit one served request to a lane; True when this
-        re-admitted a probational lane."""
-        if index == self.HOST_LANE:
-            return False
-        return self.lanes[index].health.record_success()
 
 
 class QueryService:
@@ -284,29 +168,22 @@ class QueryService:
             self.versioned = VersionedDatabase(database,
                                                policy=compaction)
         self.auto_compact = auto_compact
-        self.pool = DevicePool(num_devices, quarantine_s=lane_quarantine_s)
+        #: the unified telemetry hub: metrics registry, tracer,
+        #: structured event log, slow-query log.
+        self.telemetry = telemetry or Telemetry()
+        self.pool = DevicePool(
+            num_devices, quarantine_s=lane_quarantine_s,
+            telemetry=self.telemetry,
+            drop_lane=lambda lane: self.cache.invalidate_lane(lane))
         self.cache = EngineCache(self.pool.total_mem_bytes,
                                  on_evict=self._on_evict)
         self.retry = retry
         self.faults = faults
-        self.breaker_reset_s = breaker_reset_s
-        self.crosscheck_every = crosscheck_every
-        #: the unified telemetry hub: metrics registry, tracer,
-        #: structured event log, slow-query log.
-        self.telemetry = telemetry or Telemetry()
+        self.failover = Failover(self.telemetry,
+                                 breaker_reset_s=breaker_reset_s,
+                                 crosscheck_every=crosscheck_every)
         self._clock = 0.0
         self._num_requests = 0
-        self._degradations = 0
-        self._failover_serves = 0
-        self._crosschecks = 0
-        #: request ids whose failover response disagreed with cpu_scan
-        #: ground truth (expected to stay empty).
-        self.crosscheck_mismatches: list[str] = []
-        self._breakers: dict[str, CircuitBreaker] = {}
-        #: last gauged breaker/lane states, for transition counters.
-        self._breaker_states: dict[str, str] = {}
-        self._lane_states: dict[int, str] = {}
-        self._truth_cache: tuple[int, CpuScanEngine] | None = None
         #: the planner's (base_version, profile) of the current base.
         self._plan_profile: tuple[int, DatabaseProfile] | None = None
         self._prewarm_failures = 0
@@ -724,6 +601,13 @@ class QueryService:
         self.shutdown()
         return False
 
+    def pressure(self) -> float:
+        """Resilience pressure in [0, 1] for the gateway's brownout
+        ladder: the larger of the share of tried engines whose breaker
+        is open and the share of GPU lanes quarantined."""
+        return max(0.0, self.failover.open_fraction(),
+                   self.pool.quarantined_fraction())
+
     def stats(self) -> dict:
         """Service-level counters for dashboards and tests.
 
@@ -740,15 +624,16 @@ class QueryService:
             "clock_s": self._clock,
             "lane_busy_until_s": [lane.busy_until
                                   for lane in self.pool.lanes],
-            "degradations": self._degradations,
+            "degradations": self.failover.degradations,
             "slow_queries": len(self.telemetry.slow_log),
-            "failover_serves": self._failover_serves,
-            "crosschecks": self._crosschecks,
-            "crosscheck_mismatches": list(self.crosscheck_mismatches),
+            "failover_serves": self.failover.failover_serves,
+            "crosschecks": self.failover.crosschecks,
+            "crosscheck_mismatches": list(
+                self.failover.crosscheck_mismatches),
             "lane_health": {str(lane.index): lane.health.to_dict()
                             for lane in self.pool.lanes},
-            "breakers": {m_: b.to_dict()
-                         for m_, b in sorted(self._breakers.items())},
+            "breakers": {m_: b.to_dict() for m_, b
+                         in sorted(self.failover.breakers.items())},
             "ingest": {**self.versioned.stats(),
                        "prewarm_failures": self._prewarm_failures},
             "standing": self.standing.stats(),
@@ -770,8 +655,7 @@ class QueryService:
         with self.telemetry.span(
                 "service.request", request_id=request.request_id,
                 method=request.method, epoch=snapshot.epoch) as span:
-            for lane_idx in self.pool.refresh_health(arrival):
-                self._note_lane_probation(lane_idx)
+            self.pool.refresh(arrival)
             with deadline_scope(deadline):
                 response = self._serve_ladder(request, arrival, metrics,
                                               deadline, snapshot)
@@ -802,9 +686,7 @@ class QueryService:
                     f"{hop} ladder rungs"
                     + (f"; first failure: {first_failure}"
                        if first_failure else ""))
-            breaker = self._breaker(rung)
-            if not breaker.allow(arrival):
-                self._note_breaker_skip(request, rung)
+            if not self.failover.allow(rung, arrival, request):
                 if first_failure is None:
                     first_failure = f"{rung}: circuit breaker open"
                 continue
@@ -826,27 +708,16 @@ class QueryService:
                 self._note_engine_failure(request, rung, hop, exc)
                 continue
             except Exception as exc:  # noqa: BLE001 - any rung failure fails over
-                if breaker.record_failure(arrival):
-                    self.telemetry.events.emit(
-                        "breaker_open", engine=rung,
-                        trips=breaker.trips)
-                self._gauge_breaker(rung, breaker)
+                self.failover.record_failure(rung, arrival)
                 first_failure = first_failure or \
                     f"{rung}: {type(exc).__name__}: {exc}"
                 last_exc = exc
                 self._note_engine_failure(request, rung, hop, exc)
                 continue
-            if breaker.record_success():
-                self.telemetry.events.emit("breaker_closed",
-                                           engine=rung)
-            self._gauge_breaker(rung, breaker)
+            self.failover.record_success(rung)
             if hop > 0:
-                metrics.failovers = hop
-                self._failover_serves += 1
-                self._record_degradation(request, method,
-                                         first_failure, metrics,
-                                         fallback=rung)
-                self._maybe_crosscheck(request, response, snapshot)
+                self.failover.failed_over(request, response, snapshot,
+                                          method, first_failure, hop)
             return response
         if last_exc is not None:
             raise last_exc  # every rung failed; surface the last error
@@ -977,8 +848,8 @@ class QueryService:
                     profile="hit" if cached else "built",
                     rows_scanned=sum(p.rows_scanned for p in plans))
         except Exception as exc:  # noqa: BLE001 - degrade, don't fail
-            self._record_degradation(request, "auto", exc, metrics,
-                                     fallback=self.FALLBACK_METHOD)
+            self.failover.degrade(request, "auto", exc, metrics,
+                                  fallback=self.FALLBACK_METHOD)
             return self.FALLBACK_METHOD, {}
         best = plans[0]
         params = dict(best.params)
@@ -1043,7 +914,7 @@ class QueryService:
                                              **params)
             except Exception as exc:
                 self.cache.record_failed_build()
-                self._note_lane_failure(lane, exc)
+                self.pool.record_failure(lane, self._clock, exc)
                 raise
             if is_gpu and self.retry is not None:
                 engine.retry = self.retry
@@ -1077,9 +948,9 @@ class QueryService:
             except DeadlineExceededError:
                 raise  # budget ran out: not the lane's fault
             except Exception as exc:
-                self._note_lane_failure(entry.lane, exc)
+                self.pool.record_failure(entry.lane, self._clock, exc)
                 raise
-            self._note_lane_success(entry.lane)
+            self.pool.record_success(entry.lane)
             # Retry backoff is in the price (host-side modeled
             # waiting), so lane occupancy reflects it.
             modeled = price(profile)
@@ -1136,42 +1007,7 @@ class QueryService:
         return SearchResponse(request_id=request.request_id,
                               outcome=outcome, metrics=metrics)
 
-    # -- resilience bookkeeping ---------------------------------------------------
-
-    def _breaker(self, method: str) -> CircuitBreaker:
-        breaker = self._breakers.get(method)
-        if breaker is None:
-            breaker = CircuitBreaker(reset_after_s=self.breaker_reset_s)
-            self._breakers[method] = breaker
-        return breaker
-
-    def _gauge_breaker(self, method: str,
-                       breaker: CircuitBreaker) -> None:
-        self.telemetry.metrics.gauge(
-            "repro_breaker_state",
-            "per-engine breaker: 0 closed / 1 half-open / 2 open").set(
-            breaker.state_code, engine=method)
-        prev = self._breaker_states.get(method, "closed")
-        if breaker.state != prev:
-            self._breaker_states[method] = breaker.state
-            self.telemetry.metrics.counter(
-                "repro_breaker_transitions_total",
-                "breaker state transitions (labeled from/to)").inc(
-                engine=method, from_state=prev,
-                to_state=breaker.state)
-            self.telemetry.events.emit(
-                "breaker_transition", engine=method,
-                from_state=prev, to_state=breaker.state)
-
-    def _note_breaker_skip(self, request: SearchRequest,
-                           method: str) -> None:
-        self.telemetry.metrics.counter(
-            "repro_breaker_skips_total",
-            "ladder rungs skipped on an open breaker").inc(
-            engine=method)
-        self.telemetry.events.emit(
-            "breaker_skip", request_id=request.request_id,
-            engine=method)
+    # -- bookkeeping -------------------------------------------------------------
 
     def _note_engine_failure(self, request: SearchRequest, method: str,
                              hop: int, exc: Exception) -> None:
@@ -1183,124 +1019,6 @@ class QueryService:
             "failover", request_id=request.request_id,
             from_method=method, hop=hop,
             error=f"{type(exc).__name__}: {exc}")
-
-    def _gauge_lane(self, lane_idx: int) -> None:
-        health = self.pool.lanes[lane_idx].health
-        self.telemetry.metrics.gauge(
-            "repro_lane_state",
-            "lane health: 0 healthy / 1 probation / 2 quarantined").set(
-            health.state_code, lane=str(lane_idx))
-        prev = self._lane_states.get(lane_idx, "healthy")
-        if health.state != prev:
-            self._lane_states[lane_idx] = health.state
-            self.telemetry.metrics.counter(
-                "repro_lane_transitions_total",
-                "lane health transitions (labeled from/to)").inc(
-                lane=str(lane_idx), from_state=prev,
-                to_state=health.state)
-            self.telemetry.events.emit(
-                "lane_transition", lane=lane_idx,
-                from_state=prev, to_state=health.state)
-
-    def _note_lane_failure(self, lane_idx: int, exc: Exception) -> None:
-        if lane_idx == DevicePool.HOST_LANE:
-            return
-        quarantined = self.pool.record_lane_failure(lane_idx,
-                                                    self._clock)
-        self._gauge_lane(lane_idx)
-        if not quarantined:
-            return
-        # The lane's device-resident indexes are unreachable now;
-        # invalidate them so later requests rebuild on healthy lanes.
-        dropped = self.cache.invalidate_lane(lane_idx)
-        health = self.pool.lanes[lane_idx].health
-        self.telemetry.metrics.counter(
-            "repro_lane_quarantines_total",
-            "lane quarantine transitions").inc(lane=str(lane_idx))
-        self.telemetry.events.emit(
-            "lane_quarantined", lane=lane_idx,
-            dropped_entries=dropped,
-            until_s=health.quarantined_until,
-            error=f"{type(exc).__name__}: {exc}")
-
-    def _note_lane_success(self, lane_idx: int) -> None:
-        if lane_idx == DevicePool.HOST_LANE:
-            return
-        if self.pool.record_lane_success(lane_idx):
-            self.telemetry.events.emit("lane_readmitted",
-                                       lane=lane_idx)
-        self._gauge_lane(lane_idx)
-
-    def _note_lane_probation(self, lane_idx: int) -> None:
-        self._gauge_lane(lane_idx)
-        self.telemetry.events.emit("lane_probation", lane=lane_idx)
-
-    def _maybe_crosscheck(self, request: SearchRequest,
-                          response: SearchResponse,
-                          snapshot: Snapshot) -> None:
-        """Deterministically sampled verification of failover results
-        against ``cpu_scan`` ground truth over the pinned snapshot's
-        *logical* database (base minus tombstones plus delta).  The
-        check runs off the serving clock (verification overhead is not
-        charged to lanes); a degraded answer must be slower, never
-        wrong."""
-        if self.crosscheck_every <= 0:
-            return
-        if (self._failover_serves - 1) % self.crosscheck_every:
-            return
-        if response.metrics.engine == self.FALLBACK_METHOD:
-            return  # served by the truth engine itself
-        with self.telemetry.span(
-                "service.crosscheck", request_id=request.request_id,
-                engine=response.metrics.engine):
-            truth, _ = self._truth(snapshot).search(
-                request.queries, request.d,
-                exclude_same_trajectory=request.exclude_same_trajectory)
-            match = response.outcome.results.equivalent_to(truth)
-        self._crosschecks += 1
-        self.telemetry.metrics.counter(
-            "repro_crosschecks_total",
-            "failover responses verified against cpu_scan").inc(
-            result="match" if match else "mismatch")
-        self.telemetry.events.emit(
-            "crosscheck", request_id=request.request_id,
-            engine=response.metrics.engine, match=match)
-        if not match:
-            self.crosscheck_mismatches.append(request.request_id)
-
-    def _truth(self, snapshot: Snapshot) -> CpuScanEngine:
-        """Ground-truth scan engine over the snapshot's logical view,
-        cached per epoch (every mutation bumps the epoch)."""
-        cached = self._truth_cache
-        if cached is not None and cached[0] == snapshot.epoch:
-            return cached[1]
-        engine = CpuScanEngine(snapshot.logical())
-        self._truth_cache = (snapshot.epoch, engine)
-        return engine
-
-    # -- bookkeeping -------------------------------------------------------------
-
-    def _record_degradation(self, request: SearchRequest, method: str,
-                            reason: Exception | str | None,
-                            metrics: RequestMetrics, *,
-                            fallback: str) -> None:
-        if isinstance(reason, BaseException):
-            reason = f"{method}: {type(reason).__name__}: {reason}"
-        reason = reason or f"{method}: failed"
-        metrics.degraded = True
-        metrics.degradation_reason = reason
-        self._degradations += 1
-        self.telemetry.metrics.counter(
-            "repro_degradations_total",
-            "requests degraded to a fallback engine").inc(
-            from_method=method)
-        self.telemetry.events.emit(
-            "degradation",
-            request_id=request.request_id,
-            method=method,
-            fallback=fallback,
-            reason=reason,
-        )
 
     def _on_evict(self, entry: CacheEntry) -> None:
         self.telemetry.metrics.counter(

@@ -731,6 +731,14 @@ class ShardedService:
         return {s.index: [r.index for r in s.live_replicas()]
                 for s in self.shards if s.replicas}
 
+    def pressure(self) -> float:
+        """Resilience pressure in [0, 1] for the gateway's brownout
+        ladder: the share of replicas dead."""
+        replicas = [r for s in self.shards for r in s.replicas]
+        if not replicas:
+            return 0.0
+        return sum(1 for r in replicas if not r.live) / len(replicas)
+
     def stats(self) -> dict:
         """JSON-friendly router + per-shard health snapshot."""
         return {

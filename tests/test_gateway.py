@@ -22,7 +22,9 @@ from repro.gateway import (BROWNOUT_LEVELS, BrownoutLadder,
 from repro.gateway import http as gateway_http
 from repro.gateway.brownout import (BROWNOUT_HYSTERESIS,
                                     BROWNOUT_THRESHOLDS)
-from repro.service import QueryService, SearchRequest
+from repro.obs import Telemetry
+from repro.service import QueryService, SearchRequest, resilience
+from repro.sharding import ShardedService
 from tests.conftest import (BAD_PLANNER_HINTS, NON_FINITE,
                             make_walk_trajectories, poisoned,
                             series_value)
@@ -150,7 +152,7 @@ class TestTenantRegistry:
 
 class TestBrownoutLadder:
     def test_escalation_and_effects(self):
-        ladder = BrownoutLadder()
+        ladder = BrownoutLadder(telemetry=Telemetry())
         assert ladder.update(0.4) == 0 and not ladder.sheds_batch
         assert ladder.update(0.6) == 1 and ladder.sheds_batch
         assert ladder.update(0.8) == 2 and ladder.degrades_engine
@@ -160,12 +162,12 @@ class TestBrownoutLadder:
             [(0, 1), (1, 2), (2, 3)]
 
     def test_jumps_straight_to_the_binding_level(self):
-        ladder = BrownoutLadder()
+        ladder = BrownoutLadder(telemetry=Telemetry())
         assert ladder.update(0.95) == 3
         assert ladder.transitions == [(0, 3, 0.95)]
 
     def test_hysteresis_blocks_flapping(self):
-        ladder = BrownoutLadder()
+        ladder = BrownoutLadder(telemetry=Telemetry())
         ladder.update(0.5)
         # Inside the hysteresis band: holds at 1.
         assert ladder.update(0.45) == 1
@@ -173,7 +175,7 @@ class TestBrownoutLadder:
         assert ladder.update(0.39) == 0
 
     def test_transitions_are_labeled_counters(self):
-        ladder = BrownoutLadder()
+        ladder = BrownoutLadder(telemetry=Telemetry())
         ladder.update(0.95)
         ladder.update(0.0)
         reg = ladder.telemetry.metrics
@@ -188,6 +190,38 @@ class TestBrownoutLadder:
         assert len(BROWNOUT_THRESHOLDS) == len(BROWNOUT_LEVELS) - 1
         assert list(BROWNOUT_THRESHOLDS) == sorted(BROWNOUT_THRESHOLDS)
         assert BROWNOUT_HYSTERESIS >= 0
+
+
+class TestBackendPressure:
+    """The resilience pressure each backend feeds the brownout
+    ladder."""
+
+    def test_query_service_open_breakers_and_quarantined_lanes(
+            self, small_db, small_queries):
+        svc = QueryService(small_db, num_devices=2)
+        assert svc.pressure() == 0.0
+        for method in ("gpu_temporal", "cpu_rtree", "cpu_scan"):
+            assert svc.submit(_request(small_queries, method=method)).ok
+        # One breaker per engine tried, not per registered engine: a
+        # table of all five would read 1/5 below.
+        assert sorted(svc.stats()["breakers"]) == [
+            "cpu_rtree", "cpu_scan", "gpu_temporal"]
+        for _ in range(resilience.BREAKER_FAILURE_THRESHOLD):
+            svc.failover.record_failure("gpu_temporal", 0.0)
+        assert svc.pressure() == 1 / 3
+        for _ in range(resilience.LANE_FAILURE_THRESHOLD):
+            svc.pool.record_failure(1, 0.0, RuntimeError("card gone"))
+        assert svc.stats()["lane_health"]["1"]["state"] == "quarantined"
+        assert svc.pressure() == 0.5
+        svc.shutdown()
+
+    def test_sharded_service_dead_replicas(self, small_db):
+        svc = ShardedService(small_db, num_shards=3,
+                             replicas_per_shard=2)
+        assert svc.pressure() == 0.0
+        assert svc.kill_replica(0, 1) is not None
+        assert svc.pressure() == 1 / 6
+        svc.shutdown()
 
 
 class TestGatewayResponse:
@@ -332,7 +366,7 @@ class TestGatewayAdmission:
     def test_brownout_degrades_auto_to_exact_cpu_scan(self, small_db,
                                                       small_queries):
         gw = _gateway(small_db)
-        gw._backend_pressure = lambda: 0.8  # force level 2
+        gw.backend.pressure = lambda: 0.8  # force level 2
         resp = asyncio.run(gw.search(
             "key-alpha", _request(small_queries, method="auto")))
         assert resp.ok
@@ -347,7 +381,7 @@ class TestGatewayAdmission:
     def test_brownout_refuses_writes_reads_still_serve(self, small_db,
                                                        small_queries):
         gw = _gateway(small_db)
-        gw._backend_pressure = lambda: 0.95  # force level 3
+        gw.backend.pressure = lambda: 0.95  # force level 3
         denied = asyncio.run(gw.ingest("key-alpha", _fresh_walk(7)))
         assert denied.status == "writes_disabled"
         assert denied.retry_after_s is not None

@@ -432,7 +432,7 @@ class TestServiceIngestion:
             params={"num_bins": 16}))
         assert resp.ok and resp.metrics.degraded
         assert svc.stats()["crosschecks"] >= 1
-        assert not svc.crosscheck_mismatches
+        assert not svc.stats()["crosscheck_mismatches"]
 
     def test_ingest_counters_exported(self, base):
         svc = QueryService(base)

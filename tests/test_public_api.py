@@ -93,7 +93,7 @@ OPTION_SURFACE = {
         "durability_root", "telemetry", "service_kwargs"},
     ("repro.gateway", "Gateway"): {
         "queue_depth", "est_service_s", "clock", "telemetry"},
-    ("repro.gateway", "BrownoutLadder"): {"telemetry"},
+    ("repro.gateway", "BrownoutLadder"): set(),
     ("repro.standing", "StandingQueryManager"): {"store", "telemetry"},
     ("repro.obs", "Telemetry"): {"enabled", "slow_query_threshold_s"},
     ("repro.engines", "RetryPolicy"): {"max_attempts", "backoff_s"},
@@ -139,7 +139,7 @@ def test_option_surface_is_pinned(owner):
 
 
 def test_option_census_total():
-    assert sum(len(names) for names in OPTION_SURFACE.values()) == 34
+    assert sum(len(names) for names in OPTION_SURFACE.values()) == 33
 
 
 #: the keyword parameters of the serving calls, so a per-request
@@ -167,6 +167,40 @@ def test_call_surface_is_pinned(call):
     assert {p.name for p in params
             if p.kind is p.KEYWORD_ONLY or p.default is not p.empty} \
         == CALL_SURFACE[call]
+
+
+def test_the_traced_e2e_run_still_reaches_its_hooks(
+        small_db, small_queries, monkeypatch):
+    """``benchmarks/e2e/server.py::install_tracing`` wraps
+    ``QueryService.__dict__[name]`` for the names below and the module
+    globals ``repro.service.scheduler.plan_search`` / ``overlay_search``.
+    If a refactor moves one, the traced benchmark run dies on a
+    ``KeyError`` or reads ``core.planner.plan_ms`` /
+    ``ingest.overlay_ms`` as 0, and no other check fails."""
+    from collections import Counter
+
+    from repro.service import QueryService, SearchRequest, scheduler
+    assert {"submit", "ingest", "delete_trajectory", "_compact"} \
+        <= QueryService.__dict__.keys()
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(scheduler, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+    for name in ("plan_search", "overlay_search"):
+        monkeypatch.setattr(scheduler, name, counting(name))
+    svc = QueryService(small_db, auto_compact=False)
+    assert svc.submit(SearchRequest(queries=small_queries, d=2.5,
+                                    method="auto")).ok
+    assert calls == {"plan_search": 1}
+    svc.ingest(small_queries)  # the snapshot is dirty now
+    assert svc.submit(SearchRequest(queries=small_queries, d=2.5,
+                                    method="cpu_scan")).ok
+    assert calls == {"plan_search": 1, "overlay_search": 1}
 
 
 @pytest.mark.parametrize("owner", sorted(STATE_FIELDS),

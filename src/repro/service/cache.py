@@ -103,9 +103,11 @@ class CacheEntry:
 class CacheStats:
     """Hit/miss/eviction counters, exposed through service stats.
 
-    ``failed_builds`` counts misses whose engine build then failed —
-    those never become cache entries, so a failed build is visible in
-    the stats without ever being mistaken for a usable cached engine.
+    ``hits`` and ``misses`` count requests' lookups; a compaction's
+    or a recovery's prewarm is not one.  ``failed_builds`` counts
+    engine builds that failed (a miss's or a prewarm's) — those never
+    become cache entries, so a failed build is visible in the stats
+    without ever being mistaken for a usable cached engine.
     ``invalidations`` counts entries dropped because their device lane
     was quarantined or a compaction replaced their base, as opposed to
     LRU ``evictions``.

@@ -429,12 +429,15 @@ class QueryService:
 
     def _prewarm(self, method: str, params: dict, event: str) -> bool:
         """Build one previously-warm engine over the current base, after
-        a compaction or during recovery; a failure is counted and
-        logged as ``event`` and returns False (prewarm is best-effort:
-        the next request simply pays a cache miss)."""
+        a compaction or during recovery, unless the cache holds it.  A
+        prewarm is not a lookup: it leaves the hit/miss counts and the
+        LRU order alone.  A failure is counted and logged as ``event``
+        and returns False (prewarm is best-effort: the next request
+        simply pays a cache miss)."""
         try:
-            self._engine_entry(self.database, method, params,
-                               RequestMetrics())
+            key, cfg = _cache_key(method, params)
+            if key not in self.cache:
+                self._build_entry(self.database, key, cfg, params)
         except Exception as exc:  # noqa: BLE001 - prewarm is best-effort
             self._prewarm_failures += 1
             self.telemetry.metrics.counter(
@@ -885,6 +888,8 @@ class QueryService:
     def _engine_entry(self, database: SegmentArray, method: str,
                       params: dict, metrics: RequestMetrics
                       ) -> tuple[CacheEntry, bool]:
+        """A request's engine and whether the cache held it; a miss
+        builds it now."""
         key, cfg = _cache_key(method, params)
         reg = self.telemetry.metrics
         entry = self.cache.get(key)
@@ -894,7 +899,15 @@ class QueryService:
             return entry, True
         reg.counter("repro_cache_misses_total",
                     "engine-cache misses").inc(engine=method)
+        entry = self._build_entry(database, key, cfg, params)
+        metrics.engine_build_s += entry.build_wall_s
+        return entry, False
 
+    def _build_entry(self, database: SegmentArray, key: tuple, cfg,
+                     params: dict) -> CacheEntry:
+        """Build the engine of cache key ``key`` over ``database``,
+        home it on a lane and cache it."""
+        method = key[0]
         cls = get_engine(method)
         is_gpu = issubclass(cls, GpuEngineBase)
         # Pick the home lane *before* building so a build failure (real
@@ -926,14 +939,14 @@ class QueryService:
         entry = CacheEntry(key=key, engine=engine, gpu=gpu, lane=lane,
                            build_wall_s=build_s)
         self.cache.put(entry)
-        metrics.engine_build_s += build_s
-        reg.histogram("repro_engine_build_seconds",
-                      "engine+index build wall seconds").observe(
+        self.telemetry.metrics.histogram(
+            "repro_engine_build_seconds",
+            "engine+index build wall seconds").observe(
             build_s, engine=method)
         self.telemetry.events.emit(
             "engine_build", engine=method, lane=lane, nbytes=nbytes,
             build_wall_s=build_s)
-        return entry, False
+        return entry
 
     def _execute(self, request: SearchRequest, method: str,
                  entry: CacheEntry, arrival: float,

@@ -413,6 +413,27 @@ class TestServiceIngestion:
         assert svc.cache.stats.invalidations == invalidations
         assert [e.engine for e in svc.cache.entries()] == warm
 
+    def test_prewarm_is_not_a_cache_lookup(self, base, queries):
+        """Only requests look engines up: a compaction's prewarm keeps
+        or rebuilds the served engines without counting a hit or a
+        miss in the cache stats or the metrics."""
+        svc = QueryService(base, auto_compact=False)
+        svc.submit(SearchRequest(queries=queries, d=D,
+                                 method="gpu_temporal",
+                                 params={"num_bins": 16}))
+        svc.compact()  # clean: the engine stays
+        svc.ingest(_db(num_traj=1, seed=63, id_offset=6300))
+        svc.compact()  # dirty: the engine is rebuilt on the new base
+        cache = svc.stats()["cache"]
+        assert (cache["hits"], cache["misses"]) == (0, 1)
+        reg = svc.telemetry.metrics
+        assert reg.counter("repro_cache_hits_total").total() == 0
+        assert reg.counter("repro_cache_misses_total").total() == 1
+        (entry,) = svc.cache.entries()
+        assert np.array_equal(np.sort(entry.engine.database.seg_ids),
+                              np.sort(svc.database.seg_ids))
+        assert len(svc.telemetry.events.of_kind("engine_build")) == 2
+
     def test_forced_compaction(self, base):
         svc = QueryService(base)
         svc.ingest(_db(num_traj=1, seed=60, id_offset=6000))

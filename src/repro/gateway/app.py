@@ -75,7 +75,8 @@ class Gateway:
     backend:
         :class:`~repro.service.QueryService`,
         :class:`~repro.sharding.ShardedService`, or any object with
-        the same ``submit``/``ingest``/``delete_trajectory`` surface.
+        the same ``submit``/``ingest``/``delete_trajectory``/
+        ``pressure`` surface.
     tenants:
         A :class:`~repro.gateway.tenants.TenantRegistry` or an
         iterable of :class:`~repro.gateway.tenants.TenantConfig`.
@@ -256,15 +257,13 @@ class Gateway:
                    self._est_wait("batch") / max(1, self.queue_depth))
 
     def _refresh_brownout(self) -> int:
-        return self.brownout.update(self._pressure())
-
-    def _pressure(self) -> float:
-        """Overload pressure in [0, 1]: the worse of queue fullness and
-        the backend's own :meth:`pressure` (open circuit breakers,
-        quarantined lanes or dead replicas)."""
+        """Feed the brownout ladder the overload pressure in [0, 1]:
+        the worse of queue fullness and the backend's own ``pressure()``
+        (open circuit breakers, quarantined lanes or dead replicas)."""
         fullness = max(len(q) / self.queue_depth
                        for q in self._queues.values())
-        return min(1.0, max(fullness, self.backend.pressure()))
+        return self.brownout.update(
+            min(1.0, max(fullness, self.backend.pressure())))
 
     # -- the drain worker ---------------------------------------------------------
 

@@ -15,9 +15,13 @@ once the index exists:
   engines → ``cpu_rtree`` → ``cpu_scan``), per-engine circuit breakers,
   per-lane quarantine with probational re-admission, per-request
   deadlines, and sampled cross-checking of failover results against
-  ground truth (see :mod:`repro.service.resilience` and
-  :mod:`repro.faults`).  Overload is refused at the front door
-  (:mod:`repro.gateway`), not here.
+  ground truth (see :mod:`repro.faults`).  Overload is refused at the
+  front door (:mod:`repro.gateway`), not here; the gateway reads the
+  service's :meth:`~QueryService.pressure`.
+
+Modules: ``scheduler`` (:class:`QueryService`), ``cache`` (built
+engines), ``pool`` (device lanes and their health), ``resilience``
+(breakers, failover bookkeeping), ``requests`` (the typed API).
 
 Entry point::
 

@@ -103,11 +103,10 @@ class CacheEntry:
 class CacheStats:
     """Hit/miss/eviction counters, exposed through service stats.
 
-    ``hits`` and ``misses`` count requests' lookups; a compaction's
-    or a recovery's prewarm is not one.  ``failed_builds`` counts
-    engine builds that failed (a miss's or a prewarm's) — those never
-    become cache entries, so a failed build is visible in the stats
-    without ever being mistaken for a usable cached engine.
+    ``hits`` and ``misses`` count requests' lookups, never a prewarm.
+    ``failed_builds`` counts failed builds (a miss's or a prewarm's) —
+    those never become cache entries, so a failed build is visible in
+    the stats without ever being mistaken for a usable cached engine.
     ``invalidations`` counts entries dropped because their device lane
     was quarantined or a compaction replaced their base, as opposed to
     LRU ``evictions``.
@@ -188,16 +187,6 @@ class EngineCache:
             if self._on_evict is not None:
                 self._on_evict(victim)
         self._entries[entry.key] = entry
-
-    def record_failed_build(self) -> None:
-        """Count a miss whose engine build failed (no entry created)."""
-        self.stats.failed_builds += 1
-
-    def invalidate_lane(self, lane: int) -> int:
-        """Drop every entry homed on ``lane`` (the lane was quarantined;
-        its device-resident indexes are gone).  ``on_evict`` runs for
-        each dropped entry.  Returns the number of entries dropped."""
-        return self.invalidate_where(lambda e: e.lane == lane)
 
     def invalidate_where(self, predicate: Callable[[CacheEntry], bool]
                          ) -> int:

@@ -1,12 +1,5 @@
-"""The device pool: lane timelines, engine placement, and lane health.
-
-:class:`DevicePool` is the one owner of lane health.  It charges
-failures and credits successes to a lane's
-:class:`~repro.service.resilience.LaneHealth`, expires quarantine
-windows, gauges ``repro_lane_state``, counts transitions and
-quarantines, emits the ``lane_*`` events, and drops the engines homed
-on a lane it quarantines.
-"""
+"""The device pool: lane timelines, engine placement, and lane health,
+which :class:`DevicePool` alone records, gauges and reports."""
 
 from __future__ import annotations
 
@@ -45,12 +38,13 @@ class DevicePool:
     names — so a lane models the *timeline and capacity* of a card,
     not a shared address space.
 
-    ``LANE_FAILURE_THRESHOLD`` consecutive failures quarantine a lane
-    for ``quarantine_s`` modeled seconds (doubling on repeat offenses)
-    and drop its engines through ``drop_lane(index)``, which returns
-    how many it dropped; after the window the lane is probationally
-    re-admitted.  The host lane is never quarantined — CPU engines are
-    the fallback of last resort and must stay reachable.
+    Each lane's :class:`~repro.service.resilience.LaneHealth` is
+    charged and credited only here: ``LANE_FAILURE_THRESHOLD``
+    consecutive failures quarantine a lane for ``quarantine_s`` modeled
+    seconds (doubling on repeat offenses) and drop its engines through
+    ``drop_lane(index)`` (which returns how many); after the window the
+    lane is probationally re-admitted.  The host lane is never
+    quarantined — CPU engines are the fallback of last resort.
     """
 
     #: lane index used for CPU engines (host execution).
@@ -100,12 +94,6 @@ class DevicePool:
         """Latest modeled busy_until across all lanes (incl. host)."""
         return max(self.host.busy_until,
                    *(lane.busy_until for lane in self.lanes))
-
-    def quarantined_fraction(self) -> float:
-        """Share of the GPU lanes quarantined right now."""
-        return (sum(1 for lane in self.lanes
-                    if lane.health.state == "quarantined")
-                / len(self.lanes))
 
     # -- health ------------------------------------------------------------------
 

@@ -1,31 +1,19 @@
 """Resilience for the serving layer: breakers, lane health, failover.
 
 Two small state machines keep a faulty pool from taking the service
-down, both driven by the service's *modeled* clock so recovery behaviour
-is deterministic and testable:
-
-* :class:`CircuitBreaker` — per-engine.  Consecutive engine failures
-  open the breaker; while open, requests skip the engine and go straight
-  to the next failover rung instead of paying the failure again.  After
-  a reset window (modeled seconds, with a skip-count fallback so a
-  stalled clock cannot wedge the breaker open), one half-open probe is
-  admitted: success closes the breaker, failure re-opens it.
-* :class:`LaneHealth` — per device lane.  Consecutive failures
-  quarantine the lane (its cached indexes are invalidated and rebuilt
-  elsewhere); after the quarantine window the lane is *probationally*
-  re-admitted — it takes traffic again, but one more failure
-  re-quarantines it with a doubled window, while one success restores
-  full health.
-
-:class:`Failover` is a service's failover bookkeeping: its per-engine
-breaker table, its degradations, and the sampled cross-check of
-failover answers.  :class:`~repro.service.pool.DevicePool` owns the
-lanes' health; both report state changes through one
+down, both on the service's *modeled* clock so recovery is
+deterministic: a per-engine :class:`CircuitBreaker` (an open one makes
+requests skip the engine; a half-open probe re-admits it) and a
+per-lane :class:`LaneHealth` (quarantine, then probation).
+:class:`Failover` keeps a service's breakers, degradations and
+failover cross-checks; :class:`~repro.service.pool.DevicePool` keeps
+the lanes' health; both report state changes through a
 :class:`TransitionReporter`.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..engines.cpu_scan import CpuScanEngine
@@ -61,13 +49,8 @@ class CircuitBreaker:
 
     ``BREAKER_FAILURE_THRESHOLD`` consecutive failures open it; after
     ``reset_after_s`` modeled seconds (or ``PROBE_AFTER_SKIPS`` skipped
-    requests, whichever comes first) it admits a half-open probe.
-
-    Parameters
-    ----------
-    reset_after_s:
-        Modeled seconds an open breaker waits before admitting a
-        half-open probe.
+    requests, whichever comes first) it admits a half-open probe:
+    success closes the breaker, failure re-opens it.
     """
 
     reset_after_s: float = 30.0
@@ -135,7 +118,9 @@ class LaneHealth:
     """Quarantine/probation state machine of one device lane.
 
     ``LANE_FAILURE_THRESHOLD`` consecutive failures quarantine a
-    healthy lane."""
+    healthy lane; after its window it is *probationally* re-admitted:
+    one more failure re-quarantines it with a doubled window, one
+    success restores full health."""
 
     state: str = field(default="healthy", init=False)
     consecutive_failures: int = field(default=0, init=False)
@@ -193,27 +178,20 @@ class LaneHealth:
                 "quarantined_until": self.quarantined_until}
 
 
+@dataclass
 class TransitionReporter:
-    """Gauges one family of state machines and reports each change.
+    """Gauges one family of state machines, ``repro_<kind>_state``
+    labeled by ``label``, and counts and logs each change of state
+    (from ``states[0]`` at first): ``repro_<kind>_transitions_total``
+    and a ``<kind>_transition`` event."""
 
-    For ``kind="lane"``, say, :meth:`report` sets
-    ``repro_lane_state{lane}`` to the machine's ``state_code`` and,
-    when its state differs from the last one reported for that key
-    (``states[0]`` before the first), counts
-    ``repro_lane_transitions_total{lane,from_state,to_state}`` and
-    emits a ``lane_transition`` event.
-    """
-
-    def __init__(self, telemetry: Telemetry, kind: str, label: str,
-                 states: tuple[str, ...], state_help: str,
-                 transitions_help: str) -> None:
-        self.telemetry = telemetry
-        self.kind = kind
-        self.label = label
-        self.states = states
-        self.state_help = state_help
-        self.transitions_help = transitions_help
-        self._last: dict = {}
+    telemetry: Telemetry
+    kind: str
+    label: str
+    states: tuple[str, ...]
+    state_help: str
+    transitions_help: str
+    _last: dict = field(default_factory=dict, init=False)
 
     def report(self, key, machine: CircuitBreaker | LaneHealth) -> None:
         """Gauge ``machine`` as ``key``; report a change of state."""
@@ -233,26 +211,19 @@ class TransitionReporter:
 
 
 class Failover:
-    """A service's failover bookkeeping.
-
-    * The per-engine breaker table.  A breaker is created the first
-      time its engine is tried, so the table holds only engines the
-      service has used (the gateway's pressure is the open share of
-      them).
-    * Degradations: requests answered by a fallback engine.
-    * Verification: every ``crosscheck_every``-th failover answer
-      (0 = none) is checked against ``cpu_scan`` over the snapshot's
-      logical database, off the serving clock; mismatches are counted
-      and logged (none are expected: degraded must mean *slower*,
-      never *wrong*).
-    """
+    """A service's failover bookkeeping: the per-engine breakers, each
+    created when its engine is first tried; the degradations; and
+    the check of every ``crosscheck_every``-th failover answer (0 =
+    none) against ``cpu_scan`` over its snapshot's logical database,
+    off the serving clock (degraded must mean *slower*, never
+    *wrong*)."""
 
     def __init__(self, telemetry: Telemetry, *, breaker_reset_s: float,
                  crosscheck_every: int) -> None:
         self.telemetry = telemetry
-        self.breaker_reset_s = breaker_reset_s
         self.crosscheck_every = crosscheck_every
-        self.breakers: dict[str, CircuitBreaker] = {}
+        self.breakers: dict[str, CircuitBreaker] = defaultdict(
+            lambda: CircuitBreaker(reset_after_s=breaker_reset_s))
         self.degradations = 0
         self.failover_serves = 0
         self.crosschecks = 0
@@ -263,20 +234,14 @@ class Failover:
             telemetry, "breaker", "engine", BREAKER_STATES,
             "per-engine breaker: 0 closed / 1 half-open / 2 open",
             "breaker state transitions (labeled from/to)")
-        self._truth_cache: tuple[int, CpuScanEngine] | None = None
-
-    def _breaker(self, engine: str) -> CircuitBreaker:
-        breaker = self.breakers.get(engine)
-        if breaker is None:
-            breaker = CircuitBreaker(reset_after_s=self.breaker_reset_s)
-            self.breakers[engine] = breaker
-        return breaker
+        #: the ground-truth scan of one epoch's logical database.
+        self._truth: tuple[int, CpuScanEngine] | None = None
 
     def allow(self, engine: str, now: float,
               request: SearchRequest) -> bool:
         """May ``request`` try ``engine`` at modeled instant ``now``?
         A rung skipped on an open breaker is counted and logged."""
-        if self._breaker(engine).allow(now):
+        if self.breakers[engine].allow(now):
             return True
         self.telemetry.metrics.counter(
             "repro_breaker_skips_total",
@@ -287,27 +252,32 @@ class Failover:
             engine=engine)
         return False
 
-    def record_failure(self, engine: str, now: float) -> None:
-        """``engine`` failed a request at modeled instant ``now``."""
-        breaker = self._breaker(engine)
-        if breaker.record_failure(now):
-            self.telemetry.events.emit(
-                "breaker_open", engine=engine, trips=breaker.trips)
-        self._states.report(engine, breaker)
+    def record_failure(self, request: SearchRequest, engine: str,
+                       hop: int, exc: Exception, now: float) -> None:
+        """``engine`` failed ``request`` at ladder hop ``hop``, modeled
+        instant ``now``.  No usable lane is not the engine's fault: it
+        costs no breaker penalty."""
+        if not isinstance(exc, NoUsableLaneError):
+            breaker = self.breakers[engine]
+            if breaker.record_failure(now):
+                self.telemetry.events.emit(
+                    "breaker_open", engine=engine, trips=breaker.trips)
+            self._states.report(engine, breaker)
+        self.telemetry.metrics.counter(
+            "repro_engine_failures_total",
+            "engine failures observed by the service").inc(
+            engine=engine, error=type(exc).__name__)
+        self.telemetry.events.emit(
+            "failover", request_id=request.request_id,
+            from_method=engine, hop=hop,
+            error=f"{type(exc).__name__}: {exc}")
 
     def record_success(self, engine: str) -> None:
         """``engine`` served a request."""
-        breaker = self._breaker(engine)
+        breaker = self.breakers[engine]
         if breaker.record_success():
             self.telemetry.events.emit("breaker_closed", engine=engine)
         self._states.report(engine, breaker)
-
-    def open_fraction(self) -> float:
-        """Share of the engines tried so far whose breaker is open."""
-        if not self.breakers:
-            return 0.0
-        return (sum(1 for b in self.breakers.values()
-                    if b.state == "open") / len(self.breakers))
 
     def degrade(self, request: SearchRequest, method: str,
                 reason: Exception | str | None,
@@ -325,12 +295,8 @@ class Failover:
             "requests degraded to a fallback engine").inc(
             from_method=method)
         self.telemetry.events.emit(
-            "degradation",
-            request_id=request.request_id,
-            method=method,
-            fallback=fallback,
-            reason=reason,
-        )
+            "degradation", request_id=request.request_id, method=method,
+            fallback=fallback, reason=reason)
 
     def failed_over(self, request: SearchRequest,
                     response: SearchResponse, snapshot: Snapshot,
@@ -342,16 +308,18 @@ class Failover:
         self.failover_serves += 1
         self.degrade(request, method, reason, metrics,
                      fallback=metrics.engine)
-        if self.crosscheck_every <= 0:
-            return
-        if (self.failover_serves - 1) % self.crosscheck_every:
-            return
-        if metrics.engine == CpuScanEngine.name:
-            return  # served by the truth engine itself
+        if (self.crosscheck_every <= 0
+                or (self.failover_serves - 1) % self.crosscheck_every
+                or metrics.engine == CpuScanEngine.name):
+            return  # not sampled, or served by the truth engine itself
         with self.telemetry.span(
                 "service.crosscheck", request_id=request.request_id,
                 engine=metrics.engine):
-            truth, _ = self._truth(snapshot).search(
+            if self._truth is None or self._truth[0] != snapshot.epoch:
+                # Every mutation bumps the epoch.
+                self._truth = (snapshot.epoch,
+                               CpuScanEngine(snapshot.logical()))
+            truth, _ = self._truth[1].search(
                 request.queries, request.d,
                 exclude_same_trajectory=request.exclude_same_trajectory)
             match = response.outcome.results.equivalent_to(truth)
@@ -365,13 +333,3 @@ class Failover:
             engine=metrics.engine, match=match)
         if not match:
             self.crosscheck_mismatches.append(request.request_id)
-
-    def _truth(self, snapshot: Snapshot) -> CpuScanEngine:
-        """Ground-truth scan engine over the snapshot's logical view,
-        cached per epoch (every mutation bumps the epoch)."""
-        cached = self._truth_cache
-        if cached is not None and cached[0] == snapshot.epoch:
-            return cached[1]
-        engine = CpuScanEngine(snapshot.logical())
-        self._truth_cache = (snapshot.epoch, engine)
-        return engine

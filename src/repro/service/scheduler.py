@@ -4,17 +4,19 @@ selection, resilient serving.
 :class:`QueryService` is the serving-layer composition of everything the
 repository already knows how to do:
 
-* **Index caching** — engines are built once per (database, method,
-  parameters) and reused across batches (:mod:`repro.service.cache`);
+* **Index caching** — engines are built once per (method, parameters)
+  over the current base and reused across batches
+  (:mod:`repro.service.cache`);
   the index build is the paper's offline phase and is excluded from
   modeled response time, but its wall cost is reported per request.
 * **Adaptive engine selection** — ``method="auto"`` asks the cost-based
   planner (:func:`repro.core.planner.plan_search`) to rank engines for
   the batch's workload and uses the winner.
-* **Device pool** — a :class:`DevicePool` of virtual GPUs with modeled
-  per-lane clocks: concurrent batches queue on the lane their engine is
-  homed on, and a request's ``queue_wait_s`` is the modeled time it
-  spent waiting for its device.  (Partitioning the database is a
+* **Device pool** — a :class:`~repro.service.pool.DevicePool` of
+  virtual GPUs with modeled per-lane clocks: concurrent batches queue
+  on the lane their engine is homed on, and a request's
+  ``queue_wait_s`` is the modeled time it spent waiting for its
+  device.  (Partitioning the database is a
   deployment decision, not a per-request one: see
   :class:`repro.sharding.ShardedService`.)
 
@@ -27,14 +29,14 @@ And the failure-handling layer (see ``docs/ARCHITECTURE.md``,
   ladder: the other GPU engines, then ``cpu_rtree``, then the
   index-free ``cpu_scan``.  The response reports ``degraded=True``,
   the failing rung, and the hop count.
-* **Circuit breakers** — consecutive failures of one engine open a
-  per-engine :class:`~repro.service.resilience.CircuitBreaker`;
+* **Circuit breakers** — consecutive failures of one engine open its
+  breaker in the :class:`~repro.service.resilience.Failover` table;
   while open, requests skip that rung instead of paying the failure
   again, and a half-open probe re-admits the engine once it recovers.
-* **Lane health** — consecutive failures on one device lane quarantine
-  it: its cached engines are invalidated (indexes on a dead card are
-  gone), new builds avoid it, and after the quarantine window it is
-  probationally re-admitted.
+* **Lane health** — kept by the pool: consecutive failures on one
+  device lane quarantine it, its cached engines are invalidated
+  (indexes on a dead card are gone), new builds avoid it, and after
+  the quarantine window it is probationally re-admitted.
 * **Deadlines** — ``request.deadline_s`` opens a
   :func:`~repro.engines.base.deadline_scope` so one wall-clock budget
   bounds the engine retry loop *and* the failover ladder; an exhausted
@@ -174,7 +176,8 @@ class QueryService:
         self.pool = DevicePool(
             num_devices, quarantine_s=lane_quarantine_s,
             telemetry=self.telemetry,
-            drop_lane=lambda lane: self.cache.invalidate_lane(lane))
+            drop_lane=lambda lane: self.cache.invalidate_where(
+                lambda entry: entry.lane == lane))
         self.cache = EngineCache(self.pool.total_mem_bytes,
                                  on_evict=self._on_evict)
         self.retry = retry
@@ -429,11 +432,10 @@ class QueryService:
 
     def _prewarm(self, method: str, params: dict, event: str) -> bool:
         """Build one previously-warm engine over the current base, after
-        a compaction or during recovery, unless the cache holds it.  A
-        prewarm is not a lookup: it leaves the hit/miss counts and the
-        LRU order alone.  A failure is counted and logged as ``event``
-        and returns False (prewarm is best-effort: the next request
-        simply pays a cache miss)."""
+        a compaction or during recovery, unless the cache holds it (a
+        prewarm is no lookup: hit/miss counts and LRU order stay).  A
+        failure is counted and logged as ``event`` and returns False
+        (best-effort: the next request simply pays a cache miss)."""
         try:
             key, cfg = _cache_key(method, params)
             if key not in self.cache:
@@ -608,8 +610,12 @@ class QueryService:
         """Resilience pressure in [0, 1] for the gateway's brownout
         ladder: the larger of the share of tried engines whose breaker
         is open and the share of GPU lanes quarantined."""
-        return max(0.0, self.failover.open_fraction(),
-                   self.pool.quarantined_fraction())
+        breakers = self.failover.breakers.values()
+        lanes = self.pool.lanes
+        return max(sum(b.state == "open" for b in breakers)
+                   / max(1, len(breakers)),
+                   sum(not lane.health.usable for lane in lanes)
+                   / len(lanes))
 
     def stats(self) -> dict:
         """Service-level counters for dashboards and tests.
@@ -703,19 +709,13 @@ class QueryService:
             except DeadlineExceededError as exc:
                 return self._reject(request, metrics,
                                     "deadline_exceeded", str(exc))
-            except NoUsableLaneError as exc:
-                # Not the engine's fault — no breaker penalty; move to
-                # a rung that does not need a GPU lane.
-                first_failure = first_failure or \
-                    f"{rung}: {type(exc).__name__}: {exc}"
-                self._note_engine_failure(request, rung, hop, exc)
-                continue
             except Exception as exc:  # noqa: BLE001 - any rung failure fails over
-                self.failover.record_failure(rung, arrival)
+                self.failover.record_failure(request, rung, hop, exc,
+                                             arrival)
                 first_failure = first_failure or \
                     f"{rung}: {type(exc).__name__}: {exc}"
-                last_exc = exc
-                self._note_engine_failure(request, rung, hop, exc)
+                if not isinstance(exc, NoUsableLaneError):
+                    last_exc = exc
                 continue
             self.failover.record_success(rung)
             if hop > 0:
@@ -758,10 +758,8 @@ class QueryService:
         methods never fail *up* to a GPU: ``cpu_rtree`` falls back to
         ``cpu_scan``; ``cpu_scan`` has no rung below it.
         """
-        ladder = [method]
-        cls = (get_engine(method)
-               if method in available() else None)
-        if cls is not None and issubclass(cls, GpuEngineBase):
+        ladder = [method]  # a registered engine: resolved already
+        if issubclass(get_engine(method), GpuEngineBase):
             ladder += [m for m in self.GPU_LADDER
                        if m != method and m in available()]
         ladder += [m for m in self.CPU_LADDER
@@ -926,7 +924,7 @@ class QueryService:
                     engine = cls.from_config(database, gpu=gpu,
                                              **params)
             except Exception as exc:
-                self.cache.record_failed_build()
+                self.cache.stats.failed_builds += 1
                 self.pool.record_failure(lane, self._clock, exc)
                 raise
             if is_gpu and self.retry is not None:
@@ -1020,26 +1018,9 @@ class QueryService:
         return SearchResponse(request_id=request.request_id,
                               outcome=outcome, metrics=metrics)
 
-    # -- bookkeeping -------------------------------------------------------------
-
-    def _note_engine_failure(self, request: SearchRequest, method: str,
-                             hop: int, exc: Exception) -> None:
-        self.telemetry.metrics.counter(
-            "repro_engine_failures_total",
-            "engine failures observed by the service").inc(
-            engine=method, error=type(exc).__name__)
-        self.telemetry.events.emit(
-            "failover", request_id=request.request_id,
-            from_method=method, hop=hop,
-            error=f"{type(exc).__name__}: {exc}")
-
     def _on_evict(self, entry: CacheEntry) -> None:
         self.telemetry.metrics.counter(
             "repro_cache_evictions_total",
             "engine-cache evictions").inc(engine=entry.key[0])
-        self.telemetry.events.emit(
-            "eviction",
-            method=entry.key[0],
-            nbytes=entry.nbytes,
-            lane=entry.lane,
-        )
+        self.telemetry.events.emit("eviction", method=entry.key[0],
+                                   nbytes=entry.nbytes, lane=entry.lane)

@@ -735,9 +735,7 @@ class ShardedService:
         """Resilience pressure in [0, 1] for the gateway's brownout
         ladder: the share of replicas dead."""
         replicas = [r for s in self.shards for r in s.replicas]
-        if not replicas:
-            return 0.0
-        return sum(1 for r in replicas if not r.live) / len(replicas)
+        return sum(not r.live for r in replicas) / max(1, len(replicas))
 
     def stats(self) -> dict:
         """JSON-friendly router + per-shard health snapshot."""

@@ -207,7 +207,7 @@ class TestBackendPressure:
         assert sorted(svc.stats()["breakers"]) == [
             "cpu_rtree", "cpu_scan", "gpu_temporal"]
         for _ in range(resilience.BREAKER_FAILURE_THRESHOLD):
-            svc.failover.record_failure("gpu_temporal", 0.0)
+            svc.failover.breakers["gpu_temporal"].record_failure(0.0)
         assert svc.pressure() == 1 / 3
         for _ in range(resilience.LANE_FAILURE_THRESHOLD):
             svc.pool.record_failure(1, 0.0, RuntimeError("card gone"))

@@ -11,6 +11,7 @@ baseline on Random-dense).
 """
 
 
+from repro.engines.config import CpuRTreeConfig
 from repro.engines.cpu_rtree import CpuRTreeEngine
 from repro.gpu.costmodel import price
 
@@ -65,7 +66,8 @@ def test_rtree_construction_variants(benchmark, s3_runner):
                                 temporal_axis=True)),
             ("str-4d", dict(build_method="str", temporal_axis=True)),
         ]:
-            engine = CpuRTreeEngine(db, segments_per_mbb=4, **kw)
+            engine = CpuRTreeEngine(
+                db, CpuRTreeConfig(segments_per_mbb=4, **kw))
             _, prof = engine.search(queries, 0.05)
             out[label] = (price(prof).total,
                           prof.comparisons, prof.node_visits)

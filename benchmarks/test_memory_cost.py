@@ -93,7 +93,7 @@ def measure() -> None:
     stage("database", database.nbytes() / 2 ** 20)
     engines = {}
     for method in METHODS:
-        engines[method] = get_engine(method)(
+        engines[method] = get_engine(method).from_config(
             database, result_buffer_items=scenario.result_buffer_items,
             **scenario.engine_configs[method])
         stage(f"build {method}", _new_arrays_mb(engines[method], seen))

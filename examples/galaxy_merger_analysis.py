@@ -11,8 +11,9 @@ Run:  python examples/galaxy_merger_analysis.py
 import numpy as np
 
 from repro.data import MergerConfig, merger_dataset, queries_from_database
-from repro.engines import (CpuRTreeEngine, GpuSpatioTemporalEngine,
-                           GpuTemporalEngine)
+from repro.engines import (CpuRTreeConfig, CpuRTreeEngine,
+                           GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine)
 from repro.gpu.costmodel import price
 
 
@@ -25,10 +26,11 @@ def main():
           f"{len(db)} segments; {len(queries)} query segments\n")
 
     engines = {
-        "cpu_rtree": CpuRTreeEngine(db, segments_per_mbb=4),
-        "gpu_temporal": GpuTemporalEngine(db, num_bins=500),
+        "cpu_rtree": CpuRTreeEngine(db, CpuRTreeConfig(segments_per_mbb=4)),
+        "gpu_temporal": GpuTemporalEngine(db, GpuTemporalConfig(num_bins=500)),
         "gpu_spatiotemporal": GpuSpatioTemporalEngine(
-            db, num_bins=500, num_subbins=8, strict_subbins=False),
+            db, GpuSpatioTemporalConfig(num_bins=500, num_subbins=8,
+                                        strict_subbins=False)),
     }
 
     print(f"{'d':>6s} " + " ".join(f"{n:>20s}" for n in engines))

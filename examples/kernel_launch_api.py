@@ -16,7 +16,7 @@ Run:  python examples/kernel_launch_api.py
 
 import numpy as np
 
-from repro.engines import GpuTemporalEngine
+from repro.engines import GpuTemporalConfig, GpuTemporalEngine
 from repro.gpu.device import VirtualGPU
 from repro.gpu.kernel import KernelLauncher, LaunchSpec
 
@@ -60,7 +60,7 @@ def engine_stats():
     db = make_dataset(num_traj=120, steps=30, seed=1)
     queries = make_dataset(num_traj=8, steps=30, seed=42)
 
-    engine = GpuTemporalEngine(db, num_bins=64)
+    engine = GpuTemporalEngine(db, GpuTemporalConfig(num_bins=64))
     _, profile = engine.search(queries, d=3.0)
     for i, stats in enumerate(engine.gpu.kernel_stats):
         print(f"invocation {i}: {stats.num_threads} threads, "

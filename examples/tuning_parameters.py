@@ -10,8 +10,9 @@ import numpy as np
 from repro.data import random_dataset
 from repro.data.random_walk import make_random_walks
 from repro.core.types import SegmentArray
-from repro.engines import (GpuSpatialEngine, GpuSpatioTemporalEngine,
-                           GpuTemporalEngine)
+from repro.engines import (GpuSpatialConfig, GpuSpatialEngine,
+                           GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine)
 from repro.engines.cpu_rtree import tune_segments_per_mbb
 from repro.gpu.costmodel import price
 from repro.indexes import SpatioTemporalIndex
@@ -29,7 +30,7 @@ def main():
     print("GPUTemporal: temporal bin count m (more bins -> better")
     print("selectivity, saturating):")
     for m in (10, 100, 1000, 10000):
-        engine = GpuTemporalEngine(db, num_bins=m)
+        engine = GpuTemporalEngine(db, GpuTemporalConfig(num_bins=m))
         _, prof = engine.search(queries, d)
         print(f"  m={m:>6d}: {prof.total_comparisons:>9d} comparisons, "
               f"{price(prof).total:9.6f} s")
@@ -38,9 +39,8 @@ def main():
     print(f"\nGPUSpatioTemporal: subbin count v (admissible v <= {vmax}"
           " by the segment-extent constraint):")
     for v in (1, 2, 4, 8):
-        engine = GpuSpatioTemporalEngine(db, num_bins=1000,
-                                         num_subbins=v,
-                                         strict_subbins=False)
+        engine = GpuSpatioTemporalEngine(db, GpuSpatioTemporalConfig(
+            num_bins=1000, num_subbins=v, strict_subbins=False))
         _, prof = engine.search(queries, d)
         nq = len(queries)
         print(f"  v={v}: {prof.total_comparisons:>9d} comparisons, "
@@ -50,7 +50,7 @@ def main():
     print("\nGPUSpatial: FSG resolution (coarse -> poor selectivity,")
     print("fine -> duplicates and probes):")
     for cells in (10, 25, 50, 100):
-        engine = GpuSpatialEngine(db, cells_per_dim=cells)
+        engine = GpuSpatialEngine(db, GpuSpatialConfig(cells_per_dim=cells))
         _, prof = engine.search(queries, d)
         print(f"  {cells:>3d} cells/dim: {prof.total_comparisons:>9d} "
               f"comparisons, {prof.num_kernel_invocations} invocations, "

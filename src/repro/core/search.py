@@ -29,11 +29,14 @@ calls, exactly like a database that is indexed once and queried many
 times.
 
 Third-party engines register through the :func:`register_engine`
-decorator::
+decorator; their knobs are an ``EngineConfig`` subclass the
+constructor takes::
 
     @register_engine("my_engine")
     class MyEngine(SearchEngine):
-        ...
+        config_type = MyConfig
+        def __init__(self, database, config=MyConfig()):
+            ...
 
 Enumerate engines with :func:`repro.engines.available` and resolve a
 name with :func:`repro.engines.get_engine`.

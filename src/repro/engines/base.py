@@ -239,9 +239,9 @@ class SearchEngine(abc.ABC):
     """A distance-threshold search engine bound to a database."""
 
     name: str = "engine"
-    #: typed configuration class; ``None`` for engines without one
-    #: (third-party engines registered via ``@register_engine``).
-    config_type: type[EngineConfig] | None = None
+    #: the one declaration of the engine's knobs, defaults and
+    #: validation; the constructor takes ``config=config_type()``.
+    config_type: type[EngineConfig]
 
     @abc.abstractmethod
     def search(self, queries: SegmentArray, d: float, *,
@@ -265,22 +265,17 @@ class SearchEngine(abc.ABC):
         if config is not None and params:
             raise ValueError("pass either config= or keyword parameters, "
                              "not both")
-        kwargs: dict = {}
-        if cls.config_type is not None:
-            cfg = config if config is not None \
-                else cls.config_type.from_params(**params)
-            if not isinstance(cfg, cls.config_type):
-                raise TypeError(
-                    f"{cls.__name__} expects a {cls.config_type.__name__},"
-                    f" got {type(cfg).__name__}")
-            kwargs = cfg.to_kwargs()
-        else:
-            kwargs = dict(params)
+        if config is None:
+            config = cls.config_type.from_params(**params)
+        elif not isinstance(config, cls.config_type):
+            raise TypeError(
+                f"{cls.__name__} expects a {cls.config_type.__name__},"
+                f" got {type(config).__name__}")
         # CPU engines have no device; the placement hint applies only to
         # engines that own a VirtualGPU.
-        if gpu is not None and issubclass(cls, GpuEngineBase):
-            kwargs["gpu"] = gpu
-        return cls(database, **kwargs)
+        if issubclass(cls, GpuEngineBase):
+            return cls(database, config, gpu=gpu)
+        return cls(database, config)
 
 
 @dataclass

@@ -11,8 +11,12 @@ replaces that bag with one frozen dataclass per engine:
 * unknown or misspelled keys raise :class:`ConfigError` naming the engine
   and suggesting the nearest valid key.
 
-The configs are plain data — JSON-friendly via :meth:`EngineConfig.to_dict`
-— so service requests can carry them across process boundaries.
+Each engine's constructor takes its config (``GpuTemporalEngine(db,
+GpuTemporalConfig(num_bins=40))``) and reads every knob from it, so a
+knob, its default and its validation are declared here and nowhere
+else.  The configs are plain data — JSON-friendly via
+:meth:`EngineConfig.to_dict` — so service requests can carry them across
+process boundaries.
 """
 
 from __future__ import annotations
@@ -62,10 +66,6 @@ class EngineConfig:
         """Check field values; raise :class:`ConfigError` on bad ones."""
 
     # -- conversion -----------------------------------------------------------
-
-    def to_kwargs(self) -> dict:
-        """Constructor keyword arguments for the engine class."""
-        return asdict(self)
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (same keys as the fields)."""

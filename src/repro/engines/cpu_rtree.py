@@ -43,17 +43,15 @@ class CpuRTreeEngine(SearchEngine):
     name = "cpu_rtree"
     config_type = CpuRTreeConfig
 
-    def __init__(self, database: SegmentArray, *,
-                 segments_per_mbb: int = 4, fanout: int = 16,
-                 build_method: str = "guttman",
-                 temporal_axis: bool = True) -> None:
+    def __init__(self, database: SegmentArray,
+                 config: CpuRTreeConfig = CpuRTreeConfig()) -> None:
         if len(database) == 0:
             raise ValueError("database must not be empty")
         with index_build_phase(self.name):
-            self.index = RTree.build(database,
-                                     segments_per_mbb=segments_per_mbb,
-                                     fanout=fanout, method=build_method,
-                                     temporal_axis=temporal_axis)
+            self.index = RTree.build(
+                database, segments_per_mbb=config.segments_per_mbb,
+                fanout=config.fanout, method=config.build_method,
+                temporal_axis=config.temporal_axis)
             self.database = self.index.segments
 
     def search(self, queries: SegmentArray, d: float, *,
@@ -113,7 +111,8 @@ def tune_segments_per_mbb(
     """
     times: dict[int, float] = {}
     for r in r_values:
-        engine = CpuRTreeEngine(database, segments_per_mbb=r)
+        engine = CpuRTreeEngine(database,
+                                CpuRTreeConfig(segments_per_mbb=r))
         _, profile = engine.search(queries, d)
         times[r] = price(profile).total
     best = min(times, key=times.__getitem__)

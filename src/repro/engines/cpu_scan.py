@@ -33,7 +33,8 @@ class CpuScanEngine(SearchEngine):
     name = "cpu_scan"
     config_type = CpuScanConfig
 
-    def __init__(self, database: SegmentArray) -> None:
+    def __init__(self, database: SegmentArray,
+                 config: CpuScanConfig = CpuScanConfig()) -> None:
         if len(database) == 0:
             raise ValueError("database must not be empty")
         self.database = database.sorted_by_start_time()

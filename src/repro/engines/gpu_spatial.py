@@ -50,22 +50,17 @@ class GpuSpatialEngine(GpuEngineBase):
     config_type = GpuSpatialConfig
     gathers_on_device = True    # Algorithm 1 lines 1-12 run in the kernel
 
-    def __init__(self, database: SegmentArray, *,
-                 cells_per_dim: int | tuple[int, int, int] = 50,
-                 gpu=None,
-                 candidate_buffer_items: int = 8_000_000,
-                 result_buffer_items: int = 2_000_000,
-                 retry=None) -> None:
+    def __init__(self, database: SegmentArray,
+                 config: GpuSpatialConfig = GpuSpatialConfig(), *,
+                 gpu=None, retry=None) -> None:
         super().__init__(database, gpu=gpu, retry=retry)
-        if candidate_buffer_items <= 0:
-            raise ValueError("candidate buffer must be positive")
         #: the paper's overall buffer size ``s``, split across live queries.
-        self.candidate_buffer_items = int(candidate_buffer_items)
+        self.candidate_buffer_items = config.candidate_buffer_items
         with index_build_phase(self.name):
-            self.index = FlatGrid.build(database, cells_per_dim)
+            self.index = FlatGrid.build(database, config.cells_per_dim)
             self.database = database
             self._place_database(database, "fsg_db",
-                                 result_buffer_items)
+                                 config.result_buffer_items)
             self._place_index()
             self.gpu.memory.alloc("fsg_U", self.candidate_buffer_items,
                                   dtype=np.int32)

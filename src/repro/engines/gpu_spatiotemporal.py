@@ -34,17 +34,17 @@ class GpuSpatioTemporalEngine(GpuEngineBase):
     name = "gpu_spatiotemporal"
     config_type = GpuSpatioTemporalConfig
 
-    def __init__(self, database: SegmentArray, *, num_bins: int = 1000,
-                 num_subbins: int = 4, strict_subbins: bool = True,
-                 gpu=None, result_buffer_items: int = 2_000_000,
-                 retry=None) -> None:
+    def __init__(self, database: SegmentArray,
+                 config: GpuSpatioTemporalConfig = GpuSpatioTemporalConfig(),
+                 *, gpu=None, retry=None) -> None:
         super().__init__(database, gpu=gpu, retry=retry)
         with index_build_phase(self.name):
             self.index = SpatioTemporalIndex.build(
-                database, num_bins, num_subbins, strict=strict_subbins)
+                database, config.num_bins, config.num_subbins,
+                strict=config.strict_subbins)
             self.database = self.index.segments
             self._place_database(self.database, "st_db",
-                                 result_buffer_items)
+                                 config.result_buffer_items)
             self._place_index()
             # Held: the shared grid lives as long as an engine over it.
             self._bin_grid = self.index.bin_grid()

@@ -41,16 +41,16 @@ class GpuTemporalEngine(GpuEngineBase):
     name = "gpu_temporal"
     config_type = GpuTemporalConfig
 
-    def __init__(self, database: SegmentArray, *, num_bins: int = 1000,
-                 gpu=None, result_buffer_items: int = 2_000_000,
-                 retry=None) -> None:
+    def __init__(self, database: SegmentArray,
+                 config: GpuTemporalConfig = GpuTemporalConfig(), *,
+                 gpu=None, retry=None) -> None:
         super().__init__(database, gpu=gpu, retry=retry)
         # Offline: build the index and place D (sorted) + bins on device.
         with index_build_phase(self.name):
-            self.index = TemporalIndex.build(database, num_bins)
+            self.index = TemporalIndex.build(database, config.num_bins)
             self.database = self.index.segments
             self._place_database(self.database, "temporal_db",
-                                 result_buffer_items)
+                                 config.result_buffer_items)
             self._place_index()
             # Held: the shared grid lives as long as an engine over it.
             self._bin_grid = self.index.bin_grid()

@@ -8,6 +8,7 @@ extension point for third-party engines.
 from __future__ import annotations
 
 from .base import SearchEngine
+from .config import EngineConfig
 from .cpu_rtree import CpuRTreeEngine
 from .cpu_scan import CpuScanEngine
 from .gpu_spatial import GpuSpatialEngine
@@ -43,11 +44,16 @@ def get_engine(name: str) -> type[SearchEngine]:
 def register_engine(name: str):
     """Class decorator registering a :class:`SearchEngine` under ``name``.
 
-    The supported extension point for custom engines::
+    The supported extension point for custom engines; the engine's
+    knobs are an :class:`~repro.engines.config.EngineConfig` subclass
+    that its constructor takes::
 
         @register_engine("my_engine")
         class MyEngine(SearchEngine):
             name = "my_engine"
+            config_type = MyConfig
+            def __init__(self, database, config=MyConfig()):
+                ...
             def search(self, queries, d, *, exclude_same_trajectory=False):
                 ...
 
@@ -57,9 +63,13 @@ def register_engine(name: str):
         raise ValueError("engine name must be a non-empty string")
 
     def decorator(cls: type[SearchEngine]) -> type[SearchEngine]:
-        if not (isinstance(cls, type) and issubclass(cls, SearchEngine)):
+        cfg_type = getattr(cls, "config_type", None)
+        if not (isinstance(cls, type) and issubclass(cls, SearchEngine)
+                and isinstance(cfg_type, type)
+                and issubclass(cfg_type, EngineConfig)):
             raise TypeError(
                 f"@register_engine({name!r}) expects a SearchEngine "
+                f"subclass whose config_type is an EngineConfig "
                 f"subclass, got {cls!r}")
         _REGISTRY[name] = cls
         return cls

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..core.result import ResultSet
+from ..engines.base import SearchEngine
+from ..engines.config import EngineConfig
 from ..engines.registry import get_engine
-from ..engines.base import GpuEngineBase, SearchEngine
 from ..gpu.costmodel import price
 from ..gpu.profiler import CpuSearchProfile, SearchProfile
 from .scenarios import Scenario
@@ -53,27 +54,26 @@ class ExperimentRunner:
         self.scenario = scenario
         self.database = scenario.make_database()
         self.queries = scenario.make_queries(self.database)
-        self._engines: dict[str, SearchEngine] = {}
+        self._engines: dict[EngineConfig, SearchEngine] = {}
 
     # -- engine management -------------------------------------------------------
 
     def engine(self, name: str, **overrides: Any) -> SearchEngine:
         """Build (or fetch) an engine with the scenario's configuration.
 
-        ``overrides`` adjust the config (used by the ablation sweeps); an
-        overridden engine is cached under a derived key so repeated calls
+        ``overrides`` adjust the config (used by the ablation sweeps);
+        engines are cached by their validated config, so repeated calls
         don't rebuild the index.
         """
-        config = dict(self.scenario.engine_configs.get(name, {}))
-        config.update(overrides)
         cls = get_engine(name)
-        if issubclass(cls, GpuEngineBase):
-            config.setdefault("result_buffer_items",
+        params = {**self.scenario.engine_configs.get(name, {}), **overrides}
+        if "result_buffer_items" in cls.config_type.valid_keys():
+            params.setdefault("result_buffer_items",
                               self.scenario.result_buffer_items)
-        key = name + repr(sorted(config.items()))
-        if key not in self._engines:
-            self._engines[key] = cls(self.database, **config)
-        return self._engines[key]
+        config = cls.config_type.from_params(**params)
+        if config not in self._engines:
+            self._engines[config] = cls.from_config(self.database, config)
+        return self._engines[config]
 
     # -- measurement ---------------------------------------------------------------
 

@@ -61,7 +61,8 @@ class Scenario:
     make_database: Callable[[], SegmentArray]
     num_query_trajectories: int
     d_values: tuple[float, ...]
-    #: engine name -> constructor kwargs, the paper's per-dataset choices.
+    #: engine name -> fields of its config (``repro.engines.config``),
+    #: the paper's per-dataset choices.
     engine_configs: dict[str, dict] = field(default_factory=dict)
     #: device result-buffer capacity (items) for the GPU engines.
     result_buffer_items: int = 2_000_000

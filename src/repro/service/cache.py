@@ -64,12 +64,8 @@ def _cache_key(method: str, params: dict):
     """``(cache key, validated config)`` of engine ``method`` built
     with ``params`` over the current base.  The key holds the
     canonical *validated* parameters, so spellings of one configuration
-    share an entry; a config-less engine keys on ``params`` as given
-    (its config is None)."""
-    cfg_type = get_engine(method).config_type
-    if cfg_type is None:
-        return (method, canonical_params(params)), None
-    cfg = cfg_type.from_params(**params)
+    share an entry."""
+    cfg = get_engine(method).config_type.from_params(**params)
     return (method, canonical_params(cfg.to_dict())), cfg
 
 

@@ -69,7 +69,8 @@ from ..core.types import SegmentArray
 from ..durability import DurabilityManager, DurabilityPolicy
 from ..engines.base import (Deadline, DeadlineExceededError, GpuEngineBase,
                             RetryPolicy, deadline_scope)
-from ..engines.config import ConfigError, _require_positive_int
+from ..engines.config import (ConfigError, EngineConfig,
+                              _require_positive_int)
 from ..engines.registry import available, get_engine
 from ..gpu.costmodel import price
 from ..gpu.device import VirtualGPU
@@ -439,7 +440,7 @@ class QueryService:
         try:
             key, cfg = _cache_key(method, params)
             if key not in self.cache:
-                self._build_entry(self.database, key, cfg, params)
+                self._build_entry(self.database, key, cfg)
         except Exception as exc:  # noqa: BLE001 - prewarm is best-effort
             self._prewarm_failures += 1
             self.telemetry.metrics.counter(
@@ -856,11 +857,9 @@ class QueryService:
         params = dict(best.params)
         # Overlay the caller's hints the chosen engine understands
         # (e.g. a result_buffer_items override).
-        cfg_type = get_engine(best.engine).config_type
-        if cfg_type is not None:
-            valid = cfg_type.valid_keys()
-            params.update({k: v for k, v in request.params.items()
-                           if k in valid})
+        valid = get_engine(best.engine).config_type.valid_keys()
+        params.update({k: v for k, v in request.params.items()
+                       if k in valid})
         return best.engine, params
 
     def _planner_profile(self, snapshot: Snapshot
@@ -897,12 +896,12 @@ class QueryService:
             return entry, True
         reg.counter("repro_cache_misses_total",
                     "engine-cache misses").inc(engine=method)
-        entry = self._build_entry(database, key, cfg, params)
+        entry = self._build_entry(database, key, cfg)
         metrics.engine_build_s += entry.build_wall_s
         return entry, False
 
-    def _build_entry(self, database: SegmentArray, key: tuple, cfg,
-                     params: dict) -> CacheEntry:
+    def _build_entry(self, database: SegmentArray, key: tuple,
+                     cfg: EngineConfig) -> CacheEntry:
         """Build the engine of cache key ``key`` over ``database``,
         home it on a lane and cache it."""
         method = key[0]
@@ -918,11 +917,7 @@ class QueryService:
             gpu = (VirtualGPU(faults=self.faults, lane=lane)
                    if is_gpu else None)
             try:
-                if cfg is not None:
-                    engine = cls.from_config(database, cfg, gpu=gpu)
-                else:
-                    engine = cls.from_config(database, gpu=gpu,
-                                             **params)
+                engine = cls.from_config(database, cfg, gpu=gpu)
             except Exception as exc:
                 self.cache.stats.failed_builds += 1
                 self.pool.record_failure(lane, self._clock, exc)

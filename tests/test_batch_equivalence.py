@@ -107,18 +107,17 @@ def test_batch_equals_perthread_self_join_exclusion(monkeypatch,
 def test_redo_invocations_equivalent(monkeypatch, engine_name):
     """Force result-buffer pressure so the redo (re-invocation) path of
     the batch execution is exercised against the reference."""
-    from repro.engines import (GpuSpatioTemporalEngine, GpuTemporalEngine,
-                               NO_RETRY)
+    from repro.engines import (GpuSpatioTemporalConfig,
+                               GpuSpatioTemporalEngine, GpuTemporalConfig,
+                               GpuTemporalEngine, NO_RETRY)
 
     def build(db):
         if engine_name == "gpu_temporal":
-            return GpuTemporalEngine(db, num_bins=24,
-                                     result_buffer_items=32,
-                                     retry=NO_RETRY)
-        return GpuSpatioTemporalEngine(db, num_bins=24, num_subbins=2,
-                                       strict_subbins=False,
-                                       result_buffer_items=32,
-                                       retry=NO_RETRY)
+            return GpuTemporalEngine(db, GpuTemporalConfig(
+                num_bins=24, result_buffer_items=32), retry=NO_RETRY)
+        return GpuSpatioTemporalEngine(db, GpuSpatioTemporalConfig(
+            num_bins=24, num_subbins=2, strict_subbins=False,
+            result_buffer_items=32), retry=NO_RETRY)
 
     db = _make_db(1)
     batch, reference = _both(monkeypatch, build, db, _make_queries(1, db),

@@ -27,19 +27,24 @@ import pytest
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import SegmentArray
-from repro.engines import (CpuRTreeEngine, CpuScanEngine,
-                           GpuSpatialEngine, GpuSpatioTemporalEngine,
-                           GpuTemporalEngine)
+from repro.engines import (CpuRTreeConfig, CpuRTreeEngine, CpuScanEngine,
+                           GpuSpatialConfig, GpuSpatialEngine,
+                           GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine)
 from repro.service import QueryService, SearchRequest
 
 SEEDS = [0, 1, 2, 3, 4]
 
 ENGINE_FACTORIES = {
-    "gpu_temporal": lambda db: GpuTemporalEngine(db, num_bins=24),
+    "gpu_temporal": lambda db: GpuTemporalEngine(
+        db, GpuTemporalConfig(num_bins=24)),
     "gpu_spatiotemporal": lambda db: GpuSpatioTemporalEngine(
-        db, num_bins=24, num_subbins=2, strict_subbins=False),
-    "gpu_spatial": lambda db: GpuSpatialEngine(db, cells_per_dim=6),
-    "cpu_rtree": lambda db: CpuRTreeEngine(db, segments_per_mbb=4),
+        db, GpuSpatioTemporalConfig(num_bins=24, num_subbins=2,
+                                    strict_subbins=False)),
+    "gpu_spatial": lambda db: GpuSpatialEngine(
+        db, GpuSpatialConfig(cells_per_dim=6)),
+    "cpu_rtree": lambda db: CpuRTreeEngine(
+        db, CpuRTreeConfig(segments_per_mbb=4)),
     "cpu_scan": lambda db: CpuScanEngine(db),
 }
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import concatenate
-from repro.engines import GpuTemporalEngine
+from repro.engines import GpuTemporalConfig, GpuTemporalEngine
 from repro.gpu.costmodel import price
 from repro.service import SearchRequest
 from repro.sharding import (PARTITION_STRATEGIES, ShardedService, ShardMap,
@@ -96,7 +96,8 @@ class TestCluster:
         the per-shard engines searched on their own."""
         db, queries, d, _ = db_queries_truth
         resp = _serve(db, queries, d, 2)
-        per_node = [price(GpuTemporalEngine(base, num_bins=20)
+        per_node = [price(GpuTemporalEngine(base,
+                                            GpuTemporalConfig(num_bins=20))
                           .search(queries, d)[1]).total
                     for base in ShardMap(db, 2).shard_bases]
         assert resp.outcome.modeled.total == max(per_node)

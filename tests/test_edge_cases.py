@@ -5,17 +5,21 @@ import numpy as np
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import SegmentArray, Trajectory
-from repro.engines import (CpuRTreeEngine, CpuScanEngine,
-                           GpuSpatialEngine, GpuSpatioTemporalEngine,
-                           GpuTemporalEngine)
+from repro.engines import (CpuRTreeConfig, CpuRTreeEngine, CpuScanEngine,
+                           GpuSpatialConfig, GpuSpatialEngine,
+                           GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine)
 
 ALL_FACTORIES = [
-    ("gpu_temporal", lambda db: GpuTemporalEngine(db, num_bins=8)),
-    ("gpu_spatial", lambda db: GpuSpatialEngine(db, cells_per_dim=4)),
+    ("gpu_temporal",
+     lambda db: GpuTemporalEngine(db, GpuTemporalConfig(num_bins=8))),
+    ("gpu_spatial",
+     lambda db: GpuSpatialEngine(db, GpuSpatialConfig(cells_per_dim=4))),
     ("gpu_spatiotemporal",
-     lambda db: GpuSpatioTemporalEngine(db, num_bins=8, num_subbins=2,
-                                        strict_subbins=False)),
-    ("cpu_rtree", lambda db: CpuRTreeEngine(db, segments_per_mbb=2)),
+     lambda db: GpuSpatioTemporalEngine(db, GpuSpatioTemporalConfig(
+         num_bins=8, num_subbins=2, strict_subbins=False))),
+    ("cpu_rtree",
+     lambda db: CpuRTreeEngine(db, CpuRTreeConfig(segments_per_mbb=2))),
     ("cpu_scan", lambda db: CpuScanEngine(db)),
 ]
 
@@ -158,8 +162,8 @@ class TestProfileCoherence:
 
     def test_temporal_comparisons_equal_schedule_mass(self, small_db,
                                                       small_queries):
-        engine = GpuTemporalEngine(small_db, num_bins=16,
-                                   result_buffer_items=100_000)
+        engine = GpuTemporalEngine(small_db, GpuTemporalConfig(
+            num_bins=16, result_buffer_items=100_000))
         _, prof = engine.search(small_queries, 1.0)
         q = small_queries.sorted_by_start_time()
         lo, hi = engine.index.candidate_rows(q.ts, q.te)
@@ -167,8 +171,8 @@ class TestProfileCoherence:
             hi - lo + 1, 0).sum())
 
     def test_atomics_equal_raw_results(self, small_db, small_queries):
-        engine = GpuTemporalEngine(small_db, num_bins=16,
-                                   result_buffer_items=100_000)
+        engine = GpuTemporalEngine(small_db, GpuTemporalConfig(
+            num_bins=16, result_buffer_items=100_000))
         _, prof = engine.search(small_queries, 2.5)
         # Single invocation: every produced item attempted one atomic.
         assert prof.num_kernel_invocations == 1
@@ -177,16 +181,15 @@ class TestProfileCoherence:
 
     def test_transfers_scale_with_queries(self, small_db,
                                           small_queries):
-        engine = GpuTemporalEngine(small_db, num_bins=16)
+        engine = GpuTemporalEngine(small_db, GpuTemporalConfig(num_bins=16))
         _, p_all = engine.search(small_queries, 1.0)
         _, p_half = engine.search(
             small_queries.take(np.arange(len(small_queries) // 2)), 1.0)
         assert p_half.h2d_bytes < p_all.h2d_bytes
 
     def test_device_memory_holds_db_and_index(self, small_db):
-        engine = GpuSpatioTemporalEngine(small_db, num_bins=8,
-                                         num_subbins=2,
-                                         strict_subbins=False)
+        engine = GpuSpatioTemporalEngine(small_db, GpuSpatioTemporalConfig(
+            num_bins=8, num_subbins=2, strict_subbins=False))
         allocs = engine.gpu.memory.allocations()
         assert any("coords" in k for k in allocs)
         assert any(k.startswith("subbin_") for k in allocs)

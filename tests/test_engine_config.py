@@ -92,7 +92,7 @@ class TestFacadeIntegration:
 
     def test_from_config_builds_equivalent_engine(self, small_db,
                                                   small_queries):
-        direct = CpuRTreeEngine(small_db, segments_per_mbb=2)
+        direct = CpuRTreeEngine(small_db, CpuRTreeConfig(segments_per_mbb=2))
         via_cfg = CpuRTreeEngine.from_config(
             small_db, CpuRTreeConfig(segments_per_mbb=2))
         r1, _ = direct.search(small_queries, 2.0)

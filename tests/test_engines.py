@@ -7,19 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bruteforce import brute_force_search
 from repro.core.types import SegmentArray
-from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
-                           GpuSpatioTemporalEngine, GpuTemporalEngine)
+from repro.engines import (CpuRTreeConfig, CpuRTreeEngine, CpuScanEngine,
+                           GpuSpatialConfig, GpuSpatialEngine,
+                           GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine)
 from repro.engines.base import first_fit_accept
 from tests.conftest import make_walk_trajectories
 
 ENGINE_FACTORIES = {
     "gpu_temporal": lambda db, **kw: GpuTemporalEngine(
-        db, num_bins=40, **kw),
+        db, GpuTemporalConfig(num_bins=40, **kw)),
     "gpu_spatial": lambda db, **kw: GpuSpatialEngine(
-        db, cells_per_dim=8, **kw),
+        db, GpuSpatialConfig(cells_per_dim=8, **kw)),
     "gpu_spatiotemporal": lambda db, **kw: GpuSpatioTemporalEngine(
-        db, num_bins=40, num_subbins=2, strict_subbins=False, **kw),
-    "cpu_rtree": lambda db, **kw: CpuRTreeEngine(db, **kw),
+        db, GpuSpatioTemporalConfig(num_bins=40, num_subbins=2,
+                                    strict_subbins=False, **kw)),
+    "cpu_rtree": lambda db, **kw: CpuRTreeEngine(db, CpuRTreeConfig(**kw)),
 }
 
 
@@ -95,18 +98,19 @@ class TestIncrementalProcessing:
         per_query = np.bincount(truth.q_ids)
         if per_query.max() < 2:
             pytest.skip("no query with >1 result in this dataset")
-        engine = GpuTemporalEngine(db, num_bins=40,
-                                   result_buffer_items=1, retry=NO_RETRY)
+        engine = GpuTemporalEngine(
+            db, GpuTemporalConfig(num_bins=40, result_buffer_items=1),
+            retry=NO_RETRY)
         with pytest.raises(RuntimeError, match="result buffer too small"):
             engine.search(queries, d)
 
     def test_more_invocations_means_more_transfers(self,
                                                    db_queries_truth):
         db, queries, d, _ = db_queries_truth
-        big = GpuTemporalEngine(db, num_bins=40,
-                                result_buffer_items=10_000)
-        small = GpuTemporalEngine(db, num_bins=40,
-                                  result_buffer_items=29)
+        big = GpuTemporalEngine(db, GpuTemporalConfig(
+            num_bins=40, result_buffer_items=10_000))
+        small = GpuTemporalEngine(db, GpuTemporalConfig(
+            num_bins=40, result_buffer_items=29))
         _, p_big = big.search(queries, d)
         _, p_small = small.search(queries, d)
         assert p_small.num_kernel_invocations \
@@ -120,8 +124,8 @@ class TestGpuSpatialOverflow:
     def test_candidate_overflow_triggers_redo(self, db_queries_truth):
         db, queries, d, truth = db_queries_truth
         # ~9 slots per query in the first invocation: most overflow.
-        engine = GpuSpatialEngine(db, cells_per_dim=8,
-                                  candidate_buffer_items=9 * len(queries))
+        engine = GpuSpatialEngine(db, GpuSpatialConfig(
+            cells_per_dim=8, candidate_buffer_items=9 * len(queries)))
         res, prof = engine.search(queries, d)
         assert res.equivalent_to(truth)
         assert prof.num_kernel_invocations > 1
@@ -129,20 +133,22 @@ class TestGpuSpatialOverflow:
 
     def test_single_query_candidate_overflow_raises(self, small_db,
                                                     small_queries):
-        engine = GpuSpatialEngine(small_db, cells_per_dim=8,
-                                  candidate_buffer_items=2)
+        engine = GpuSpatialEngine(small_db, GpuSpatialConfig(
+            cells_per_dim=8, candidate_buffer_items=2))
         with pytest.raises(RuntimeError, match="candidate buffer"):
             engine.search(small_queries, 5.0)
 
     def test_invalid_buffer_rejected(self, small_db):
         with pytest.raises(ValueError):
-            GpuSpatialEngine(small_db, candidate_buffer_items=0)
+            GpuSpatialEngine(small_db,
+                             GpuSpatialConfig(candidate_buffer_items=0))
 
     def test_duplicate_candidates_filtered_on_host(self, small_db,
                                                    small_queries):
         """Raw GPU results may contain duplicates (ids occur once per
         overlapped cell); host output must not."""
-        engine = GpuSpatialEngine(small_db, cells_per_dim=10)
+        engine = GpuSpatialEngine(small_db,
+                                  GpuSpatialConfig(cells_per_dim=10))
         res, prof = engine.search(small_queries, 3.0)
         assert prof.raw_result_items >= len(res)
         assert len(res.deduplicated()) == len(res)
@@ -153,14 +159,14 @@ class TestGpuTemporalBehaviour:
                                           small_queries):
         """The scheme's signature (§V-C): candidates depend on time, not
         on d."""
-        engine = GpuTemporalEngine(small_db, num_bins=40,
-                                   result_buffer_items=100_000)
+        engine = GpuTemporalEngine(small_db, GpuTemporalConfig(
+            num_bins=40, result_buffer_items=100_000))
         _, p1 = engine.search(small_queries, 0.01)
         _, p2 = engine.search(small_queries, 50.0)
         assert p1.total_comparisons == p2.total_comparisons
 
     def test_schedule_transferred(self, small_db, small_queries):
-        engine = GpuTemporalEngine(small_db, num_bins=40)
+        engine = GpuTemporalEngine(small_db, GpuTemporalConfig(num_bins=40))
         _, prof = engine.search(small_queries, 1.0)
         assert prof.schedule_items == len(small_queries)
         assert prof.h2d_bytes > 0 and prof.d2h_bytes >= 0
@@ -170,10 +176,9 @@ class TestGpuSpatioTemporalBehaviour:
     def test_fewer_comparisons_than_temporal(self, small_db,
                                              small_queries):
         """Spatial subbins must add selectivity over pure temporal."""
-        t = GpuTemporalEngine(small_db, num_bins=40)
-        st_ = GpuSpatioTemporalEngine(small_db, num_bins=40,
-                                      num_subbins=2,
-                                      strict_subbins=False)
+        t = GpuTemporalEngine(small_db, GpuTemporalConfig(num_bins=40))
+        st_ = GpuSpatioTemporalEngine(small_db, GpuSpatioTemporalConfig(
+            num_bins=40, num_subbins=2, strict_subbins=False))
         _, pt = t.search(small_queries, 0.5)
         _, pst = st_.search(small_queries, 0.5)
         assert pst.total_comparisons < pt.total_comparisons
@@ -182,9 +187,9 @@ class TestGpuSpatioTemporalBehaviour:
             self, small_db, small_queries):
         """v=1: same candidate set as GPUTemporal, one extra indirection
         (the §V-C +12.4 % experiment)."""
-        t = GpuTemporalEngine(small_db, num_bins=40)
-        st1 = GpuSpatioTemporalEngine(small_db, num_bins=40,
-                                      num_subbins=1)
+        t = GpuTemporalEngine(small_db, GpuTemporalConfig(num_bins=40))
+        st1 = GpuSpatioTemporalEngine(small_db, GpuSpatioTemporalConfig(
+            num_bins=40, num_subbins=1))
         _, pt = t.search(small_queries, 2.0)
         _, pst = st1.search(small_queries, 2.0)
         assert pst.total_comparisons == pt.total_comparisons
@@ -194,9 +199,8 @@ class TestGpuSpatioTemporalBehaviour:
         assert gathers(pst) > 0 and gathers(pt) == 0
 
     def test_defaulted_counted(self, small_db, small_queries):
-        engine = GpuSpatioTemporalEngine(small_db, num_bins=40,
-                                         num_subbins=2,
-                                         strict_subbins=False)
+        engine = GpuSpatioTemporalEngine(small_db, GpuSpatioTemporalConfig(
+            num_bins=40, num_subbins=2, strict_subbins=False))
         _, p_small = engine.search(small_queries, 0.1)
         _, p_big = engine.search(small_queries, 30.0)
         assert p_big.defaulted_queries >= p_small.defaulted_queries

@@ -7,6 +7,7 @@ still executing the real figure pipelines end to end.
 import numpy as np
 import pytest
 
+from repro.engines import ConfigError
 from repro.experiments import (ExperimentRunner, RunRecord,
                                records_to_series, scenario_s1_random,
                                scenario_s2_merger, scenario_s3_random_dense,
@@ -68,6 +69,21 @@ class TestRunner:
         assert a is b
         c = s1_runner.engine("gpu_temporal", num_bins=17)
         assert c is not a
+
+    def test_engine_cache_keys_on_the_validated_config(self, s1_runner):
+        """A NumPy spelling of the scenario's value is the same
+        configuration, so the same engine."""
+        bins = s1_runner.scenario.engine_configs["gpu_temporal"]["num_bins"]
+        assert s1_runner.engine("gpu_temporal", num_bins=np.int64(bins)) \
+            is s1_runner.engine("gpu_temporal")
+
+    def test_misspelled_override_is_a_config_error(self, s1_runner):
+        with pytest.raises(ConfigError, match="did you mean 'num_bins'"):
+            s1_runner.engine("gpu_temporal", num_bin=5)
+
+    def test_invalid_override_is_a_config_error(self, s1_runner):
+        with pytest.raises(ConfigError, match="candidate_buffer_items"):
+            s1_runner.engine("gpu_spatial", candidate_buffer_items=0)
 
     def test_sweep_covers_grid(self, s1_runner):
         recs = s1_runner.sweep(["cpu_rtree", "gpu_temporal"],

@@ -66,11 +66,12 @@ class TestGpsDataset:
     def test_searchable(self, city):
         """The dataset works end to end with the engines."""
         from repro.core.bruteforce import brute_force_search
-        from repro.engines import GpuSpatioTemporalEngine
+        from repro.engines import (GpuSpatioTemporalConfig,
+                                   GpuSpatioTemporalEngine)
         cfg, db = city
         queries = db.take(np.arange(60))
-        engine = GpuSpatioTemporalEngine(db, num_bins=24, num_subbins=2,
-                                         strict_subbins=False)
+        engine = GpuSpatioTemporalEngine(db, GpuSpatioTemporalConfig(
+            num_bins=24, num_subbins=2, strict_subbins=False))
         res, _ = engine.search(queries, 30.0)
         truth = brute_force_search(queries, db, 30.0)
         assert res.equivalent_to(truth)

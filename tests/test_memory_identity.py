@@ -31,7 +31,8 @@ from repro.core.ranges import expand_ranges
 from repro.core.types import SegmentArray
 from repro.data import random_dataset, random_dense_dataset
 from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
-                           GpuSpatioTemporalEngine, GpuTemporalEngine)
+                           GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine)
 from repro.experiments.scenarios import (scenario_s1_random,
                                          scenario_s3_random_dense)
 from repro.indexes import (FlatGrid, RTree, SpatioTemporalIndex,
@@ -60,7 +61,7 @@ def database(name: str) -> SegmentArray:
 
 def build_engine(method: str, name: str):
     scenario = SCENARIOS[name](SCALE)
-    return GPU_ENGINES[method](
+    return GPU_ENGINES[method].from_config(
         database(name), result_buffer_items=scenario.result_buffer_items,
         **scenario.engine_configs.get(method, {}))
 
@@ -164,9 +165,9 @@ def test_index_bytes_is_the_placed_index(method, small_queries):
 
 
 def test_engines_share_the_time_sorted_base(small_db):
-    temporal = GpuTemporalEngine(small_db, num_bins=20)
-    spatiotemporal = GpuSpatioTemporalEngine(
-        small_db, num_bins=20, num_subbins=2, strict_subbins=False)
+    temporal = GpuTemporalEngine(small_db, GpuTemporalConfig(num_bins=20))
+    spatiotemporal = GpuSpatioTemporalEngine(small_db, GpuSpatioTemporalConfig(
+        num_bins=20, num_subbins=2, strict_subbins=False))
     scan = CpuScanEngine(small_db)
     assert temporal.database is spatiotemporal.database
     assert scan.database is temporal.database
@@ -177,9 +178,9 @@ def test_engines_share_the_time_sorted_base(small_db):
 
 def test_sorted_copy_freed_with_the_last_engine():
     db = random_dataset(scale=0.002, rng=np.random.default_rng(3))
-    engines = [GpuTemporalEngine(db, num_bins=20),
-               GpuSpatioTemporalEngine(db, num_bins=20, num_subbins=2,
-                                       strict_subbins=False),
+    engines = [GpuTemporalEngine(db, GpuTemporalConfig(num_bins=20)),
+               GpuSpatioTemporalEngine(db, GpuSpatioTemporalConfig(
+                   num_bins=20, num_subbins=2, strict_subbins=False)),
                CpuScanEngine(db)]
     sorted_copy = weakref.ref(engines[0].database)
     del engines[:2]

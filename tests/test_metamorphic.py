@@ -24,8 +24,10 @@ import pytest
 from repro.core.bruteforce import brute_force_search
 from repro.core.search import SearchOutcome
 from repro.core.types import SegmentArray, Trajectory
-from repro.engines import (CpuRTreeEngine, GpuSpatialEngine,
-                           GpuSpatioTemporalEngine, GpuTemporalEngine)
+from repro.engines import (CpuRTreeConfig, CpuRTreeEngine, GpuSpatialConfig,
+                           GpuSpatialEngine, GpuSpatioTemporalConfig,
+                           GpuSpatioTemporalEngine, GpuTemporalConfig,
+                           GpuTemporalEngine)
 from repro.engines.cpu_scan import CpuScanEngine
 from repro.gpu.costmodel import price
 from repro.ingest import (IngestError, VersionedDatabase,
@@ -33,11 +35,15 @@ from repro.ingest import (IngestError, VersionedDatabase,
 from tests.conftest import make_walk_trajectories
 
 FACTORIES = {
-    "gpu_temporal": lambda db: GpuTemporalEngine(db, num_bins=16),
-    "gpu_spatial": lambda db: GpuSpatialEngine(db, cells_per_dim=6),
+    "gpu_temporal": lambda db: GpuTemporalEngine(
+        db, GpuTemporalConfig(num_bins=16)),
+    "gpu_spatial": lambda db: GpuSpatialEngine(
+        db, GpuSpatialConfig(cells_per_dim=6)),
     "gpu_spatiotemporal": lambda db: GpuSpatioTemporalEngine(
-        db, num_bins=16, num_subbins=2, strict_subbins=False),
-    "cpu_rtree": lambda db: CpuRTreeEngine(db, segments_per_mbb=2),
+        db, GpuSpatioTemporalConfig(num_bins=16, num_subbins=2,
+                                    strict_subbins=False)),
+    "cpu_rtree": lambda db: CpuRTreeEngine(
+        db, CpuRTreeConfig(segments_per_mbb=2)),
 }
 
 
@@ -135,7 +141,7 @@ class TestMonotonicity:
 
     def test_subset_queries_subset_results(self, workload):
         db, q, d = workload
-        engine = GpuTemporalEngine(db, num_bins=16)
+        engine = GpuTemporalEngine(db, GpuTemporalConfig(num_bins=16))
         full, _ = engine.search(q, d)
         half_q = q.take(np.arange(0, len(q), 2))
         half, _ = engine.search(half_q, d)

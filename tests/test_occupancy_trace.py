@@ -11,9 +11,9 @@ from repro.gpu.trace import profile_to_trace, write_trace
 class TestTrace:
     @pytest.fixture()
     def profile(self, small_db, small_queries):
-        from repro.engines import GpuTemporalEngine
-        engine = GpuTemporalEngine(small_db, num_bins=20,
-                                   result_buffer_items=40)
+        from repro.engines import GpuTemporalConfig, GpuTemporalEngine
+        engine = GpuTemporalEngine(small_db, GpuTemporalConfig(
+            num_bins=20, result_buffer_items=40))
         _, prof = engine.search(small_queries, 2.5)
         return prof
 

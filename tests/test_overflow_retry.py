@@ -8,19 +8,23 @@ buffer and retries instead of burning kernel invocations)."""
 import numpy as np
 import pytest
 
-from repro.engines import (GpuSpatialEngine, GpuSpatioTemporalEngine,
-                           GpuTemporalEngine, NO_RETRY, RetryPolicy)
+from repro.engines import (GpuSpatialConfig, GpuSpatialEngine,
+                           GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine, NO_RETRY,
+                           RetryPolicy)
 from repro.engines import base
 from repro.engines.base import (KernelInvocationLimitError,
                                 ResultBufferOverflowError)
 
 RETRYABLE_FACTORIES = {
-    "gpu_temporal": lambda db, **kw: GpuTemporalEngine(
-        db, num_bins=40, **kw),
-    "gpu_spatiotemporal": lambda db, **kw: GpuSpatioTemporalEngine(
-        db, num_bins=40, num_subbins=2, strict_subbins=False, **kw),
-    "gpu_spatial": lambda db, **kw: GpuSpatialEngine(
-        db, cells_per_dim=8, **kw),
+    "gpu_temporal": lambda db, retry=None, **kw: GpuTemporalEngine(
+        db, GpuTemporalConfig(num_bins=40, **kw), retry=retry),
+    "gpu_spatiotemporal": lambda db, retry=None, **kw:
+        GpuSpatioTemporalEngine(db, GpuSpatioTemporalConfig(
+            num_bins=40, num_subbins=2, strict_subbins=False, **kw),
+            retry=retry),
+    "gpu_spatial": lambda db, retry=None, **kw: GpuSpatialEngine(
+        db, GpuSpatialConfig(cells_per_dim=8, **kw), retry=retry),
 }
 
 
@@ -96,7 +100,8 @@ class TestWithRetry:
         if np.bincount(truth.q_ids).max() < 2:
             pytest.skip("no query with >1 result in this dataset")
         monkeypatch.setattr(base, "RETRY_GROWTH_FACTOR", 4.0 * len(truth))
-        engine = GpuTemporalEngine(db, num_bins=40, result_buffer_items=1)
+        engine = GpuTemporalEngine(
+            db, GpuTemporalConfig(num_bins=40, result_buffer_items=1))
         res, prof = engine.search(queries, d)
         assert res.equivalent_to(truth)
         # One failed sliver attempt, then a buffer that holds everything.
@@ -112,7 +117,7 @@ class TestWithRetry:
             pytest.skip("needs a query with >=3 results")
         monkeypatch.setattr(base, "RETRY_GROWTH_FACTOR", 1.5)
         engine = GpuTemporalEngine(
-            db, num_bins=40, result_buffer_items=1,
+            db, GpuTemporalConfig(num_bins=40, result_buffer_items=1),
             retry=RetryPolicy(max_attempts=2))
         res, _ = engine.search(queries, d)
         assert res.equivalent_to(truth)
@@ -127,7 +132,7 @@ class TestWithRetry:
             pytest.skip("no query with >1 result in this dataset")
         monkeypatch.setattr(base, "RETRY_DEADLINE_S", 1e-12)
         engine = GpuTemporalEngine(
-            db, num_bins=40, result_buffer_items=1,
+            db, GpuTemporalConfig(num_bins=40, result_buffer_items=1),
             retry=RetryPolicy(max_attempts=10))
         with pytest.raises((ResultBufferOverflowError,
                             KernelInvocationLimitError)):

@@ -142,6 +142,22 @@ def test_option_census_total():
     assert sum(len(names) for names in OPTION_SURFACE.values()) == 33
 
 
+def test_engines_take_their_config():
+    """An engine's knobs live in its config alone: the constructor is
+    ``(database, config=<its config>())`` plus, at most, ``gpu`` and
+    ``retry``, so no config field reappears as a keyword."""
+    import inspect
+
+    from repro.engines import available, get_engine
+    for name in available():
+        cls = get_engine(name)
+        params = inspect.signature(cls).parameters
+        assert list(params)[:2] == ["database", "config"], name
+        assert set(params) <= {"database", "config", "gpu", "retry"}, name
+        assert params["config"].default == cls.config_type(), name
+        assert not set(params) & set(cls.config_type.valid_keys()), name
+
+
 #: the keyword parameters of the serving calls, so a per-request
 #: option is a visible diff in this file, as a constructor knob is in
 #: OPTION_SURFACE.
@@ -342,7 +358,7 @@ def test_register_engine_decorator():
     import pytest
 
     from repro.core.search import register_engine
-    from repro.engines import CpuScanEngine, get_engine
+    from repro.engines import CpuScanEngine, SearchEngine, get_engine
     from repro.engines.registry import _REGISTRY
 
     @register_engine("_decorated_test_engine")
@@ -355,6 +371,20 @@ def test_register_engine_decorator():
         del _REGISTRY["_decorated_test_engine"]
     with pytest.raises(TypeError):
         register_engine("_bad")(object)
+
+    # Every consumer builds through ``config_type``: an engine without
+    # an EngineConfig subclass there is refused, by name.
+    class _Untyped(CpuScanEngine):
+        """Test double."""
+        config_type = dict
+
+    class _Bare(SearchEngine):
+        """Test double."""
+
+    for cls in (_Untyped, _Bare):
+        with pytest.raises(TypeError, match=cls.__name__):
+            register_engine("_untyped_test_engine")(cls)
+        assert "_untyped_test_engine" not in _REGISTRY
     with pytest.raises(ValueError):
         register_engine("")
 

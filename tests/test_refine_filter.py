@@ -133,7 +133,8 @@ def test_real_batches_refine_to_the_same_bytes(scenario_data, engine_name,
             patch.setattr(base, "surviving_bin_pairs", grid_spy)
             if reject is not None:
                 patch.setattr(base, "surviving_batch", reject)
-            engine = GPU_ENGINES[engine_name](database, **params)
+            engine = GPU_ENGINES[engine_name].from_config(database,
+                                                          **params)
             for d, exclude in itertools.product(D_VALUES, (False, True)):
                 try:
                     result, profile = engine.search(

@@ -128,10 +128,11 @@ class TestGuttmanSpecifics:
                                                      small_queries):
         """Different orders give different trees but identical search
         results."""
-        from repro.engines.cpu_rtree import CpuRTreeEngine
+        from repro.engines import CpuRTreeConfig, CpuRTreeEngine
         res = []
         for method in ("guttman", "str"):
-            eng = CpuRTreeEngine(small_db, build_method=method)
+            eng = CpuRTreeEngine(small_db,
+                                 CpuRTreeConfig(build_method=method))
             r, _ = eng.search(small_queries, 2.5)
             res.append(r)
         assert res[0].equivalent_to(res[1])

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core.result import ResultSet
 from repro.core.verify import verify_results
-from repro.engines import GpuSpatioTemporalEngine, GpuTemporalEngine
+from repro.engines import (GpuSpatioTemporalConfig, GpuSpatioTemporalEngine,
+                           GpuTemporalConfig, GpuTemporalEngine)
 
 
 class TestVerifyPasses:
@@ -18,10 +19,9 @@ class TestVerifyPasses:
         report.raise_on_failure()  # no-op when ok
 
     @pytest.mark.parametrize("factory", [
-        lambda db: GpuTemporalEngine(db, num_bins=40),
-        lambda db: GpuSpatioTemporalEngine(db, num_bins=40,
-                                           num_subbins=2,
-                                           strict_subbins=False),
+        lambda db: GpuTemporalEngine(db, GpuTemporalConfig(num_bins=40)),
+        lambda db: GpuSpatioTemporalEngine(db, GpuSpatioTemporalConfig(
+            num_bins=40, num_subbins=2, strict_subbins=False)),
     ])
     def test_engine_output_passes(self, factory, db_queries_truth):
         db, queries, d, _ = db_queries_truth

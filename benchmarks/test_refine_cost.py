@@ -53,8 +53,8 @@ MAX_PEAK_BYTES = {"gpu_temporal": 4_000_000,
                   "gpu_spatiotemporal": 4_000_000}
 
 
-def _keep_everything(queries, database, work, d, scale):
-    return work.explicit(), 0
+def _keep_everything(queries, database, work, d, scale, grid):
+    return work.batch.lengths(), work.rows(), 0
 
 
 def _replay(engines, wire):
@@ -100,7 +100,7 @@ def test_refine_cost(monkeypatch):
     for _ in range(5):          # interleaved: a noisy stretch hits both
         best["filtered"] = min(best["filtered"], _replay(engines, wire))
         with monkeypatch.context() as patch:
-            patch.setattr(base, "surviving_batch", _keep_everything)
+            patch.setattr(base, "surviving_rows", _keep_everything)
             best["bypassed"] = min(best["bypassed"],
                                    _replay(engines, wire))
     speedup = best["bypassed"] / best["filtered"]

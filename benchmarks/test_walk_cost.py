@@ -1,20 +1,21 @@
 """What the R-tree walk holds beyond its answer.
 
-``RTree.query_candidates_flat`` walks the levels ``_QUERY_BLOCK``
-queries at a time (``indexes/rtree.py``).  Walking the whole batch at
-once held the full leaf-level frontier, ~32 B per expanded ``(query,
-entry)`` pair, several times the answer itself; a block's frontier is
-the batch's divided by the number of blocks, and what outlives a block
-is its leaf entries, 8 B each, a quarter of the ``r = 4`` candidate rows
-they expand to.
+``RTree.query_blocks`` walks the levels ``_QUERY_BLOCK`` queries at a
+time (``indexes/rtree.py``) and yields each block's leaf spans as it
+finishes.  Walking the whole batch at once held the full leaf-level
+frontier, ~32 B per expanded ``(query, entry)`` pair, several times the
+answer itself; a block's frontier is the batch's divided by the number
+of blocks, and what outlives a block is its answer: the leaf spans,
+16 B each (first row and length) for the ``r = 4`` candidate rows they
+name.
 
 This benchmark builds the S3 serving tree (3-D boxes, ``r = 4``, fanout
 16) on S3-random-dense at 2 % and at 5 %, walks 1,000 query segments at
-d = 0.02 under ``tracemalloc``, and gates the traced peak above the
-three returned arrays at ``MAX_ABOVE_OUTPUT_BYTES`` on both: the walk's
-working memory must not grow with the batch.  The whole-batch walk read
-13.3 MB and 25.9 MB.  The answers themselves are held to the per-query
-recursion in ``tests/test_batch_equivalence.py``.
+d = 0.02 under ``tracemalloc``, keeps every block's answer, and gates
+the traced peak above those arrays at ``MAX_ABOVE_OUTPUT_BYTES`` on
+both: the walk's working memory must not grow with the batch.  The
+whole-batch walk read 13.3 MB and 25.9 MB.  The answers themselves are
+held to the per-query recursion in ``tests/test_batch_equivalence.py``.
 """
 
 import tracemalloc
@@ -46,14 +47,15 @@ def test_walk_holds_one_block():
             segments_per_mbb=4, temporal_axis=False)
         tracemalloc.start()
         try:
-            answer = tree.query_candidates_flat(queries, D)
+            answer = [arrays for _, *arrays in tree.query_blocks(queries, D)]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output = sum(a.nbytes for a in answer)
+        output = sum(a.nbytes for arrays in answer for a in arrays)
         above[scale] = peak - output
+        candidates = sum(int(length.sum()) for _, _, length, _ in answer)
         rows.append(f"{f'S3 at {scale:g} ({len(tree.segments)} rows)':<24s} "
-                    f"{answer[0].shape[0]:11d} {output:11d} "
+                    f"{candidates:11d} {output:11d} "
                     f"{above[scale] / 1e6:8.1f} MB")
     emit("walk_cost",
          f"R-tree walk, {NUM_QUERIES} query segments, d = {D}, "

@@ -1,9 +1,9 @@
-"""Flat range expansion — the workhorse of whole-batch candidate gathers.
+"""Flat range expansion — how a run of threads' candidates get rows.
 
 Every index in this codebase describes a thread's candidates as row
-*ranges*; the vectorized execution paths flatten many ranges into one
-candidate array in a single pass instead of per-thread ``arange`` +
-``concatenate`` loops.
+*ranges*, and they stay ranges until the refine loop takes a run of
+threads; it flattens the run's ranges into one candidate array in a
+single pass instead of per-thread ``arange`` + ``concatenate`` loops.
 """
 
 from __future__ import annotations

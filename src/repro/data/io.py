@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.types import SegmentArray
+from ..durability.files import replace_file
 
 __all__ = ["save_segments", "load_segments"]
 
@@ -25,9 +26,10 @@ def save_segments(path: str | os.PathLike,
                   segments: SegmentArray) -> Path:
     """Write a segment database to ``path`` (npz, compressed).
 
-    The write is atomic (tmp file + ``os.replace``): a reader — or a
-    restart after a crash mid-save — sees either the previous complete
-    file or the new complete file, never a truncated archive.  Returns
+    The write is atomic (:func:`~repro.durability.files.replace_file`):
+    a reader — or a restart after a crash mid-save — sees either the
+    previous complete file or the new complete file, never a truncated
+    archive.  Returns
     the final path (numpy's ``.npz`` suffix appended if absent).
     """
     path = Path(path)
@@ -37,12 +39,7 @@ def save_segments(path: str | os.PathLike,
     buf = io.BytesIO()
     np.savez_compressed(buf, **{f: getattr(segments, f)
                                 for f in _FIELDS})
-    tmp = final.with_name(f".tmp-{os.getpid()}-{final.name}")
-    with open(tmp, "wb") as fh:
-        fh.write(buf.getvalue())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
+    replace_file(final, buf.getvalue())
     return final
 
 

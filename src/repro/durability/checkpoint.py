@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.types import SegmentArray
+from .files import fsync_dir
 from .wal import DurabilityError
 
 __all__ = ["CHECKPOINT_PREFIX", "Checkpoint", "CheckpointError",
@@ -202,21 +203,8 @@ def write_checkpoint(directory: str | Path, state: dict, *,
     if final.exists():
         shutil.rmtree(final)
     os.replace(tmp, final)
-    _fsync_dir(directory)
+    fsync_dir(directory)
     return final
-
-
-def _fsync_dir(directory: Path) -> None:
-    """fsync a directory so the rename itself is durable (best-effort
-    on platforms whose directories cannot be opened)."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

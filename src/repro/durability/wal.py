@@ -51,6 +51,8 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .files import replace_file
+
 __all__ = ["DurabilityError", "SYNC_MODES", "WalCorruptionError",
            "WalRecord", "WriteAheadLog", "encode_record", "decode_line"]
 
@@ -297,20 +299,16 @@ class WriteAheadLog:
         """Atomically drop records with ``record.epoch <= epoch`` (they
         are covered by a checkpoint).  Returns the number dropped.
 
-        The surviving tail is rewritten to a tmp file and swapped in
-        with ``os.replace`` so a crash mid-truncation leaves either the
-        old or the new log, never a half-written one.
+        The surviving tail is rewritten through
+        :func:`~repro.durability.files.replace_file`, so a crash
+        mid-truncation leaves either the old or the new log, never a
+        half-written one.
         """
         self.close()
         frames, _torn = _scan_frames(self.path)
         keep = [line for _lsn, record_epoch, line in frames
                 if record_epoch > epoch]
-        tmp = self.path.with_name(self.path.name + f".tmp-{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            fh.write(b"".join(line + b"\n" for line in keep))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        replace_file(self.path, b"".join(line + b"\n" for line in keep))
         if frames:
             self._next_lsn = frames[-1][0] + 1
         return len(frames) - len(keep)

@@ -43,12 +43,13 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..core.distance import (compare_pairs, magnitude, surviving_bin_pairs,
-                             surviving_pairs)
-from ..core.ranges import range_offsets
+from ..core.distance import (BinGrid, compare_pairs, magnitude,
+                             surviving_bin_pairs, surviving_pairs)
+from ..core.ranges import expand_ranges, range_offsets
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.device import VirtualGPU
@@ -63,7 +64,8 @@ __all__ = ["SearchEngine", "GpuEngineBase", "HostPlan", "NO_RETRY",
            "RangeBatch", "RetryPolicy", "ThreadWork", "ResultBufferOverflowError",
            "KernelInvocationLimitError", "Deadline",
            "DeadlineExceededError", "current_deadline", "deadline_scope",
-           "refine_ranges", "surviving_batch", "first_fit_accept",
+           "Refined", "refine", "run_bounds", "surviving_rows",
+           "first_fit_accept",
            "index_build_phase"]
 
 
@@ -80,8 +82,9 @@ def index_build_phase(engine_name: str):
         "offline index build wall seconds").observe(
         time.perf_counter() - wall0, engine=engine_name)
 
-#: Upper bound on candidate pairs refined per vectorized chunk; keeps peak
-#: host memory flat independent of the workload.
+#: Upper bound on the candidate pairs of one run of threads (see
+#: :func:`refine`); keeps peak host memory flat independent of the
+#: workload.
 MAX_PAIRS_PER_CHUNK = 1 << 21
 
 #: Bytes per query segment shipped host->device (8 coords + 2 ids, f64/i64).
@@ -280,46 +283,40 @@ class SearchEngine(abc.ABC):
 
 @dataclass
 class RangeBatch:
-    """Per-thread candidate rows for one kernel invocation.
+    """Per-thread candidates as row ranges.
 
-    ``q_rows[i]`` is the query row thread ``i`` handles; its candidates
-    are the database rows (in the engine's device-resident ordering)
-    ``candidate_rows[cand_start[i] : cand_start[i+1]]``.
+    Thread ``i`` handles query row ``q_rows[i]``; its candidates are the
+    ranges ``first[i] .. first[i+1] - 1``, and range ``j`` is the rows
+    ``start[j] .. start[j] + length[j] - 1`` of the engine's base (in its
+    device-resident ordering) — or, where ``lookup`` is set, the rows
+    ``lookup[start[j] : start[j] + length[j]]`` (GPUSpatial's cell
+    ranges into ``A``; an explicit row list is ranges over that list).
+    Rows are named only by :meth:`rows`, one run of threads at a time.
     """
 
     q_rows: np.ndarray
-    candidate_rows: np.ndarray
-    cand_start: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    first: np.ndarray
+    lookup: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        if self.cand_start.shape != (self.q_rows.shape[0] + 1,):
-            raise ValueError("cand_start must have len(q_rows)+1 entries")
-
-    @classmethod
-    def from_lengths(cls, q_rows: np.ndarray, candidate_rows: np.ndarray,
-                     lens: np.ndarray) -> "RangeBatch":
-        """The batch whose thread ``i`` owns the next ``lens[i]`` rows."""
-        return cls(q_rows, candidate_rows, range_offsets(lens))
-
-    @property
-    def num_threads(self) -> int:
-        return int(self.q_rows.shape[0])
+    def __getitem__(self, threads: slice) -> "RangeBatch":
+        """Threads ``threads`` (a slice of step 1) alone."""
+        t, end, _ = threads.indices(self.q_rows.shape[0])
+        a, b = self.first[t], self.first[end]
+        return RangeBatch(self.q_rows[t:end], self.start[a:b],
+                          self.length[a:b], self.first[t:end + 1] - a,
+                          self.lookup)
 
     def lengths(self) -> np.ndarray:
-        return np.diff(self.cand_start)
+        """Each thread's candidate count."""
+        ends = range_offsets(self.length)
+        return ends[self.first[1:]] - ends[self.first[:-1]]
 
-    def threads(self, first: int = 0, end: int | None = None
-                ) -> "RangeBatch":
-        """Threads ``first .. end - 1`` (default: to the last) alone,
-        positions from 0."""
-        end = self.num_threads if end is None else end
-        if first == 0 and end == self.num_threads:
-            return self
-        span = slice(self.cand_start[first], self.cand_start[end])
-        return RangeBatch(self.q_rows[first:end],
-                          self.candidate_rows[span],
-                          self.cand_start[first:end + 1]
-                          - self.cand_start[first])
+    def rows(self) -> np.ndarray:
+        """Every candidate row, thread by thread."""
+        at = expand_ranges(self.start, self.length)
+        return at if self.lookup is None else self.lookup[at]
 
 
 @dataclass
@@ -343,16 +340,18 @@ class HostPlan:
 
 @dataclass
 class ThreadWork:
-    """One invocation's work, one slot per live thread.
+    """The candidates of a sequence of threads, in thread order: one
+    kernel invocation's live threads, or a CPU engine's queries.
 
-    ``batch`` names each thread's candidate rows, or — where ``index``
-    is set — is the live threads' slice of a binned scheme's schedule,
-    which ``index``, the index that built it, alone expands into rows
-    (:meth:`explicit`) and places in its bins and subbins.
-    ``gather_work`` is the index-probe / buffer-fill units charged on
-    top of the comparisons (None: none); ``blocked`` flags threads that
-    overflowed their candidate slice ``U_k`` and terminated without
-    refining — one atomic each, for the redo append (None: none can).
+    ``batch`` names each thread's candidates as row ranges, or — where
+    ``index`` is set — is the live threads' slice of a binned scheme's
+    schedule, whose entries ``index``, the index that built it, alone
+    expands into rows (:meth:`rows`) and places in its bins and
+    subbins.  ``gather_work`` is the index-probe / buffer-fill units
+    charged on top of the comparisons (None: none); ``blocked`` flags
+    threads that overflowed their candidate slice ``U_k`` and
+    terminated without refining — one atomic each, for the redo append
+    (None: none can).
     """
 
     batch: RangeBatch | Schedule
@@ -360,143 +359,129 @@ class ThreadWork:
     blocked: np.ndarray | None = None
     index: TemporalIndex | SpatioTemporalIndex | None = None
 
-    def explicit(self, first: int = 0, end: int | None = None
-                 ) -> RangeBatch:
-        """Threads ``first .. end - 1`` (default: all) with every
-        candidate row named."""
+    def threads(self, first: int = 0, end: int | None = None
+                ) -> "ThreadWork":
+        """The candidates of threads ``first .. end - 1`` alone."""
+        return ThreadWork(self.batch[first:end], index=self.index)
+
+    def rows(self) -> np.ndarray:
+        """Every candidate row, thread by thread."""
         if self.index is None:
-            return self.batch.threads(first, end)
-        part = self.batch[first:end]
-        return RangeBatch.from_lengths(
-            part.q_rows, self.index.schedule_rows(part), part.lengths())
+            return self.batch.rows()
+        return self.index.schedule_rows(self.batch)
 
 
-def _chunk_bounds(lens: np.ndarray) -> np.ndarray:
-    """Thread indices splitting a batch into <= MAX_PAIRS_PER_CHUNK chunks.
+class Refined(NamedTuple):
+    """What :func:`refine` returns: each thread's hit count, the hits in
+    thread order — the order threads would publish to the result buffer
+    — how many rows the reject read and how many pairs were solved."""
 
-    Returns boundaries ``[0, b1, ..., nthreads]``; each chunk takes whole
-    threads and at least one thread, so a single oversized thread forms
-    its own chunk (vectorized replacement of the old per-thread
-    accumulation loop).
-    """
-    nthreads = lens.shape[0]
+    hits: np.ndarray
+    q_rows: np.ndarray
+    e_rows: np.ndarray
+    t_lo: np.ndarray
+    t_hi: np.ndarray
+    examined: int
+    refined: int
+
+
+def run_bounds(lens: np.ndarray, limit: int) -> list[int]:
+    """Indices splitting ``lens`` into runs of at most ``limit`` in
+    total: ``[0, b1, ..., len(lens)]``.  A run takes whole items and at
+    least one, so a single item over ``limit`` forms its own run."""
     cum = np.cumsum(lens)
-    if nthreads and cum[-1] <= MAX_PAIRS_PER_CHUNK:
-        return np.array([0, nthreads])
     bounds = [0]
-    t = 0
-    while t < nthreads:
-        # Furthest thread end whose cumulative pair count stays within
-        # budget of the chunk start; always advance at least one thread.
-        base = cum[t - 1] if t else 0
-        t_end = int(np.searchsorted(cum, base + MAX_PAIRS_PER_CHUNK,
-                                    side="right"))
-        t_end = max(t_end, t + 1)
-        bounds.append(t_end)
-        t = t_end
-    return np.asarray(bounds, dtype=np.int64)
+    while bounds[-1] < lens.shape[0]:
+        # The furthest end within budget of the run's start.
+        t = bounds[-1]
+        end = int(np.searchsorted(cum, (cum[t - 1] if t else 0) + limit,
+                                  side="right"))
+        bounds.append(max(end, t + 1))
+    return bounds
 
 
-def refine_ranges(
-    queries: SegmentArray,
-    database: SegmentArray,
-    batch: RangeBatch,
-    d: float,
-    *,
-    exclude_same_trajectory: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Refine every (thread, candidate) pair of a batch.
+def refine(queries: SegmentArray, database: SegmentArray,
+           work: ThreadWork, d: float, *, exclude_same_trajectory: bool,
+           scale: float | None = None) -> Refined:
+    """Solve every candidate pair of ``work`` exactly, one run of
+    threads at a time: every engine's one chunk loop.
 
-    Returns ``(hits_per_thread, q_rows, e_rows, t_lo, t_hi)`` where the
-    last four arrays list the surviving pairs in thread order — the order
-    in which threads would publish to the result buffer.
-
-    All pairs are refined in a few vectorized passes (chunked at
-    ``MAX_PAIRS_PER_CHUNK`` so peak host memory stays flat).  Every pair
-    handed in is solved exactly: the referees (``cpu_scan``,
-    ``cpu_rtree``) call this directly, and only the GPU loop puts
-    :func:`surviving_batch` in front of it.
+    A run takes whole threads, at most ``MAX_PAIRS_PER_CHUNK`` candidate
+    pairs or one thread's own when it alone holds more, and only then
+    are its candidates named as rows; so the host holds one run's
+    working set whatever the batch.  Given the GPU loop's ``scale``
+    (:func:`~repro.core.distance.magnitude` of both sides), each run
+    goes through the conservative reject, :func:`surviving_rows`, and
+    only its survivors are solved.  The referees (``cpu_scan``,
+    ``cpu_rtree``) pass none: every pair they hand in is solved.
     """
-    lens = batch.lengths()
-    nthreads = batch.num_threads
-
-    hits_per_thread = np.zeros(nthreads, dtype=np.int64)
-    out_q, out_e, out_lo, out_hi = [], [], [], []
-
-    bounds = _chunk_bounds(lens)
+    lens = work.batch.lengths()
+    q_rows = work.batch.q_rows
+    grid = None
+    if scale is not None and work.index is not None:
+        # The bin grid when its windows pay for the whole invocation.
+        grid, threads = work.index.bin_grid(), work.batch
+        if not grid.pays(queries, q_rows, threads.bin_lo, threads.bin_hi,
+                         d, scale, int(lens.sum())):
+            grid = None
+    hits = np.zeros(lens.shape[0], dtype=np.int64)
+    rows0, times0 = np.zeros(0, dtype=np.int64), np.zeros(0)
+    out_q, out_e, out_lo, out_hi = [rows0], [rows0], [times0], [times0]
+    examined = refined = 0
+    bounds = run_bounds(lens, MAX_PAIRS_PER_CHUNK)
     for t, t_end in zip(bounds[:-1], bounds[1:]):
-        span = slice(batch.cand_start[t], batch.cand_start[t_end])
-        e_idx = batch.candidate_rows[span]
-        q_idx = np.repeat(batch.q_rows[t:t_end], lens[t:t_end])
-        res = compare_pairs(queries, database, q_idx, e_idx, d,
+        run = work.threads(t, t_end)
+        if scale is None:
+            counts, rows = lens[t:t_end], run.rows()
+        else:
+            counts, rows, read = surviving_rows(queries, database, run, d,
+                                                scale, grid)
+            examined += read
+        refined += rows.shape[0]
+        q_idx = np.repeat(q_rows[t:t_end], counts)
+        res = compare_pairs(queries, database, q_idx, rows, d,
                             exclude_same_trajectory=exclude_same_trajectory)
         if res.num_hits:
             hit_pos = np.flatnonzero(res.mask)
-            local_thread = t + np.searchsorted(
-                batch.cand_start[t:t_end + 1] - batch.cand_start[t],
-                hit_pos, side="right") - 1
-            hits_per_thread += np.bincount(
-                local_thread, minlength=nthreads)
+            thread = np.searchsorted(range_offsets(counts), hit_pos,
+                                     side="right") - 1
+            hits[t:t_end] += np.bincount(thread, minlength=t_end - t)
             out_q.append(q_idx[hit_pos])
-            out_e.append(e_idx[hit_pos])
+            out_e.append(rows[hit_pos])
             out_lo.append(res.t_lo[hit_pos])
             out_hi.append(res.t_hi[hit_pos])
-
-    if out_q:
-        return (hits_per_thread, np.concatenate(out_q),
-                np.concatenate(out_e), np.concatenate(out_lo),
-                np.concatenate(out_hi))
-    z = np.zeros(0)
-    zi = np.zeros(0, dtype=np.int64)
-    return hits_per_thread, zi, zi.copy(), z, z.copy()
+    return Refined(hits, *map(np.concatenate, (out_q, out_e, out_lo,
+                                               out_hi)), examined, refined)
 
 
-def surviving_batch(queries: SegmentArray, database: SegmentArray,
-                    work: ThreadWork, d: float,
-                    scale: float) -> tuple[RangeBatch, int]:
-    """The scheduled pairs of ``work`` that survive the conservative
-    reject, their rows explicit, and how many rows the reject read.
+def surviving_rows(queries: SegmentArray, database: SegmentArray,
+                   work: ThreadWork, d: float, scale: float,
+                   grid: BinGrid | None
+                   ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The candidates of ``work``, one run of threads, that survive the
+    conservative reject: ``(counts, rows, read)`` — how many survive per
+    thread, their rows thread by thread, and how many rows the reject
+    read.  The one seam a test patches to bypass the reject.
 
-    A schedule slice whose scheduled pairs outnumber its grid needles
-    enough (:meth:`~repro.core.distance.BinGrid.pays`) is enumerated
-    through its index's bin grid, reading only the rows its windows
-    find; any other batch is expanded and rejected pair by pair.  Both
-    keep the same pairs, in the same order, and take the threads in
-    runs of at most ``MAX_PAIRS_PER_CHUNK`` scheduled pairs, so the
-    host's working set stays flat.
+    Through ``grid`` (the index's, when it pays for the invocation)
+    only the rows its windows find are read; otherwise the run's rows
+    are named and rejected pair by pair.  Both keep the same pairs, in
+    the same order.
     """
-    threads, index = work.batch, work.index
+    threads = work.batch
+    if grid is not None:
+        thread, rows, read = surviving_bin_pairs(
+            queries, grid, threads.q_rows, threads.bin_lo, threads.bin_hi,
+            d, scale, array_sel=threads.array_sel, subbin=threads.subbin,
+            subbins=work.index.subbins)
+        return np.bincount(thread, minlength=len(threads)), rows, read
     lens = threads.lengths()
-    grid = None if index is None else index.bin_grid()
-    if grid is not None and not grid.pays(
-            queries, threads.q_rows, threads.bin_lo, threads.bin_hi, d,
-            scale, int(lens.sum())):
-        grid = None
-    kept, counts, examined = [], [], 0
-    bounds = _chunk_bounds(lens)
-    for t, t_end in zip(bounds[:-1], bounds[1:]):
-        if grid is not None:
-            part = threads[t:t_end]
-            thread, rows, read = surviving_bin_pairs(
-                queries, grid, part.q_rows, part.bin_lo, part.bin_hi, d,
-                scale, array_sel=part.array_sel, subbin=part.subbin,
-                subbins=index.subbins)
-        else:
-            part = work.explicit(t, t_end)
-            pos = surviving_pairs(queries, database,
-                                  np.repeat(part.q_rows, lens[t:t_end]),
-                                  part.candidate_rows, d, scale)
-            thread = np.searchsorted(part.cand_start, pos,
-                                     side="right") - 1
-            rows, read = part.candidate_rows[pos], part.candidate_rows.size
-        counts.append(np.bincount(thread, minlength=t_end - t))
-        kept.append(rows)
-        examined += read
-    if len(kept) != 1:
-        kept = [np.concatenate([np.zeros(0, np.int64), *kept])]
-        counts = [np.concatenate([np.zeros(0, np.int64), *counts])]
-    return RangeBatch.from_lengths(threads.q_rows, kept[0],
-                                   counts[0]), examined
+    rows = work.rows()
+    pos = surviving_pairs(queries, database, np.repeat(threads.q_rows, lens),
+                          rows, d, scale)
+    thread = np.searchsorted(range_offsets(lens), pos, side="right") - 1
+    return (np.bincount(thread, minlength=lens.shape[0]), rows[pos],
+            rows.shape[0])
 
 
 def first_fit_accept(hits_per_thread: np.ndarray,
@@ -657,17 +642,16 @@ class GpuEngineBase(SearchEngine):
                 nonlocal pairs_examined, pairs_refined
                 if work is None:
                     work = self._thread_work(plan, live, d)
-                lens = work.batch.lengths()
                 # The host solves only the pairs that can hit; the
                 # device is charged for every scheduled comparison.
-                batch, examined = surviving_batch(
-                    q_sorted, self.database, work, d, scale)
-                pairs_examined += examined
-                pairs_refined += batch.candidate_rows.shape[0]
-                hits, pq, pe, plo, phi = refine_ranges(
-                    q_sorted, self.database, batch, d,
-                    exclude_same_trajectory=exclude_same_trajectory)
-                k.thread_work[:] = lens
+                solved = refine(
+                    q_sorted, self.database, work, d,
+                    exclude_same_trajectory=exclude_same_trajectory,
+                    scale=scale)
+                pairs_examined += solved.examined
+                pairs_refined += solved.refined
+                hits = solved.hits
+                k.thread_work[:] = work.batch.lengths()
                 if work.gather_work is not None:
                     k.gather_work[:] = work.gather_work
                 # Every produced result attempts one atomic append.
@@ -678,7 +662,8 @@ class GpuEngineBase(SearchEngine):
                     accept &= ~work.blocked
                 keep = np.repeat(accept, hits)
                 return hits, accept, work.blocked, (
-                    pq[keep], pe[keep], plo[keep], phi[keep])
+                    solved.q_rows[keep], solved.e_rows[keep],
+                    solved.t_lo[keep], solved.t_hi[keep])
 
             hits, accept, blocked, (qd, ed, lod, hid) = launcher.run(
                 LaunchSpec(name=self.name, num_threads=live.size,

@@ -30,8 +30,8 @@ from ..gpu.costmodel import price
 from ..gpu.profiler import CpuSearchProfile
 from ..indexes.rtree import RTree
 from ..obs.telemetry import current as current_telemetry
-from .base import (RangeBatch, SearchEngine, index_build_phase,
-                   refine_ranges)
+from .base import (RangeBatch, SearchEngine, ThreadWork,
+                   index_build_phase, refine)
 from .config import CpuRTreeConfig
 
 __all__ = ["CpuRTreeEngine", "tune_segments_per_mbb"]
@@ -60,39 +60,37 @@ class CpuRTreeEngine(SearchEngine):
         with current_telemetry().span(
                 "engine.search", engine=self.name,
                 num_queries=len(queries)) as span:
-            result, profile = self._search_impl(
-                queries, d,
-                exclude_same_trajectory=exclude_same_trajectory)
-            span.set_attributes(node_visits=profile.node_visits,
-                                comparisons=profile.comparisons,
+            wall0 = time.perf_counter()
+            # Each block of the walk is refined as it finishes (§V-B: a
+            # query's thread refines its own leaf MBBs), so the search
+            # holds one block's leaf spans, never every query's rows.
+            parts, node_visits, comparisons = [], 0, 0
+            for block, first, start, length, visits in \
+                    self.index.query_blocks(queries, d):
+                solved = refine(
+                    queries, self.database, ThreadWork(RangeBatch(
+                        np.arange(block.start, block.stop, dtype=np.int64),
+                        start, length, first)), d,
+                    exclude_same_trajectory=exclude_same_trajectory)
+                parts.append(ResultSet(queries.seg_ids[solved.q_rows],
+                                       self.database.seg_ids[solved.e_rows],
+                                       solved.t_lo, solved.t_hi))
+                node_visits += int(visits.sum())
+                comparisons += int(length.sum())
+            result = ResultSet.from_parts(parts).deduplicated()
+            profile = CpuSearchProfile(
+                engine=self.name,
+                num_queries=len(queries),
+                node_visits=node_visits,
+                comparisons=comparisons,
+                result_items=len(result),
+                index_bytes=self.index.nbytes(),
+                wall_seconds=time.perf_counter() - wall0,
+            )
+            span.set_attributes(node_visits=node_visits,
+                                comparisons=comparisons,
                                 result_items=profile.result_items)
             return result, profile
-
-    def _search_impl(self, queries: SegmentArray, d: float, *,
-                     exclude_same_trajectory: bool = False
-                     ) -> tuple[ResultSet, CpuSearchProfile]:
-        wall0 = time.perf_counter()
-        cand_rows, cand_start, node_visits = \
-            self.index.query_candidates_flat(queries, d)
-        lens = np.diff(cand_start)
-        batch = RangeBatch(q_rows=np.arange(len(queries), dtype=np.int64),
-                           candidate_rows=cand_rows, cand_start=cand_start)
-        hits, pq, pe, plo, phi = refine_ranges(
-            queries, self.database, batch, d,
-            exclude_same_trajectory=exclude_same_trajectory)
-
-        result = ResultSet(queries.seg_ids[pq], self.database.seg_ids[pe],
-                           plo, phi).deduplicated()
-        profile = CpuSearchProfile(
-            engine=self.name,
-            num_queries=len(queries),
-            node_visits=int(node_visits.sum()),
-            comparisons=int(lens.sum()),
-            result_items=len(result),
-            index_bytes=self.index.nbytes(),
-            wall_seconds=time.perf_counter() - wall0,
-        )
-        return result, profile
 
 
 def tune_segments_per_mbb(

@@ -16,12 +16,11 @@ import time
 
 import numpy as np
 
-from ..core.ranges import expand_ranges
 from ..core.result import ResultSet
 from ..core.types import SegmentArray
 from ..gpu.profiler import CpuSearchProfile
 from ..obs.telemetry import current as current_telemetry
-from .base import RangeBatch, SearchEngine, refine_ranges
+from .base import RangeBatch, SearchEngine, ThreadWork, refine
 from .config import CpuScanConfig
 
 __all__ = ["CpuScanEngine"]
@@ -49,39 +48,31 @@ class CpuScanEngine(SearchEngine):
         with current_telemetry().span(
                 "engine.search", engine=self.name,
                 num_queries=len(queries)) as span:
-            result, profile = self._search_impl(
-                queries, d,
+            wall0 = time.perf_counter()
+            db = self.database
+            # Candidate rows for query k: entries with ts <= q.te and
+            # ts >= q.ts - max_extent (a superset of temporal overlap).
+            lo = np.searchsorted(db.ts, queries.ts - self._max_extent,
+                                 side="left")
+            hi = np.searchsorted(db.ts, queries.te, side="right") - 1
+            lens = np.maximum(hi - lo + 1, 0)
+            one_each = np.arange(len(queries) + 1, dtype=np.int64)
+            solved = refine(
+                queries, db, ThreadWork(RangeBatch(one_each[:-1], lo, lens,
+                                                   one_each)), d,
                 exclude_same_trajectory=exclude_same_trajectory)
+            result = ResultSet(queries.seg_ids[solved.q_rows],
+                               db.seg_ids[solved.e_rows], solved.t_lo,
+                               solved.t_hi).deduplicated()
+            profile = CpuSearchProfile(
+                engine=self.name,
+                num_queries=len(queries),
+                node_visits=0,
+                comparisons=int(lens.sum()),
+                result_items=len(result),
+                index_bytes=0,
+                wall_seconds=time.perf_counter() - wall0,
+            )
             span.set_attributes(comparisons=profile.comparisons,
                                 result_items=profile.result_items)
             return result, profile
-
-    def _search_impl(self, queries: SegmentArray, d: float, *,
-                     exclude_same_trajectory: bool = False
-                     ) -> tuple[ResultSet, CpuSearchProfile]:
-        wall0 = time.perf_counter()
-        db = self.database
-        # Candidate rows for query k: entries with ts <= q.te and
-        # ts >= q.ts - max_extent (a superset of temporal overlap).
-        lo = np.searchsorted(db.ts, queries.ts - self._max_extent,
-                             side="left")
-        hi = np.searchsorted(db.ts, queries.te, side="right") - 1
-        lens = np.maximum(hi - lo + 1, 0)
-        batch = RangeBatch.from_lengths(
-            np.arange(len(queries), dtype=np.int64),
-            expand_ranges(lo, lens), lens)
-        hits, pq, pe, plo, phi = refine_ranges(
-            queries, db, batch, d,
-            exclude_same_trajectory=exclude_same_trajectory)
-        result = ResultSet(queries.seg_ids[pq], db.seg_ids[pe],
-                           plo, phi).deduplicated()
-        profile = CpuSearchProfile(
-            engine=self.name,
-            num_queries=len(queries),
-            node_visits=0,
-            comparisons=int(lens.sum()),
-            result_items=len(result),
-            index_bytes=0,
-            wall_seconds=time.perf_counter() - wall0,
-        )
-        return result, profile

@@ -29,11 +29,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.geometry import expand, segment_mbbs
-from ..core.ranges import expand_ranges
+from ..core.ranges import range_offsets
 from ..core.types import SegmentArray
 from ..indexes.fsg import FlatGrid
 from .base import (GpuEngineBase, HostPlan, RangeBatch, ThreadWork,
-                   index_build_phase)
+                   index_build_phase, run_bounds)
 from .config import GpuSpatialConfig
 
 __all__ = ["GpuSpatialEngine"]
@@ -104,7 +104,9 @@ class GpuSpatialEngine(GpuEngineBase):
         (``cell_end[i] == cell_start[i+1]``), so each z-run of a query's
         cell box — a contiguous linear-coordinate interval — collapses to
         two binary searches in ``G`` plus one contiguous ``lookup``
-        slice.  All live queries' runs are enumerated as flat
+        range, and a thread's candidates stay those ranges into ``A``
+        until the refine loop names a run of threads' rows.  All live
+        queries' runs are enumerated as flat
         ``(query, ix, iy)`` triples and searched in one vectorized pass;
         the per-cell op counts (``|cells| * log |G|`` probe charges) are
         modeled exactly as a per-cell gather records them (the referee
@@ -132,14 +134,8 @@ class GpuSpatialEngine(GpuEngineBase):
         count_parts: list[np.ndarray] = []
 
         # Chunk queries so the flat per-run arrays stay small.
-        cum = np.cumsum(nruns)
-        q = 0
-        while q < m:
-            base = cum[q - 1] if q else 0
-            q_end = int(np.searchsorted(cum, base + _MAX_PROBES_PER_CHUNK,
-                                        side="right"))
-            q_end = max(q_end, q + 1)
-
+        bounds = run_bounds(nruns, _MAX_PROBES_PER_CHUNK)
+        for q, q_end in zip(bounds[:-1], bounds[1:]):
             nr = nruns[q:q_end]
             total = int(nr.sum())
             # Enumerate the k-th (ix, iy) z-run of each query, y-fastest —
@@ -165,21 +161,16 @@ class GpuSpatialEngine(GpuEngineBase):
             row_parts.append(run_q[keep])
             start_parts.append(a[keep])
             count_parts.append(counts[keep])
-            q = q_end
 
         overflowed = totals > slice_cap
         gather_ops = np.where(overflowed, slice_cap, totals)
-        lens = np.where(overflowed, 0, totals)
-
-        run_q = np.concatenate(row_parts) if row_parts \
-            else np.zeros(0, dtype=np.int64)
+        # An overflowed thread terminated: its ranges are dropped.
+        run_q = np.concatenate(row_parts)
         keep = ~overflowed[run_q]
-        starts_f = np.concatenate(start_parts)[keep] if start_parts \
-            else np.zeros(0, dtype=np.int64)
-        counts_f = np.concatenate(count_parts)[keep] if count_parts \
-            else np.zeros(0, dtype=np.int64)
-        candidate_rows = index.lookup[expand_ranges(starts_f, counts_f)]
-
         return ThreadWork(
-            RangeBatch.from_lengths(live, candidate_rows, lens),
+            RangeBatch(live, np.concatenate(start_parts)[keep],
+                       np.concatenate(count_parts)[keep],
+                       range_offsets(np.bincount(run_q[keep],
+                                                 minlength=m)),
+                       index.lookup),
             gather_work=probe_ops + gather_ops, blocked=overflowed)

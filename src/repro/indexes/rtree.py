@@ -21,16 +21,20 @@ The frozen tree is arrays, one :class:`RTreeLevel` per depth, root level
 first: level ``i``'s node ``n`` owns entries ``start[n]:start[n+1]``,
 internal entry ``e`` *is* node ``e`` of level ``i + 1``, and the leaf
 level carries each entry's row range.  Both builders make balanced trees
-and go through the one :func:`flatten`.  The search walks the levels
-with one frontier of ``(query, node)`` pairs per block of queries,
-testing one axis at a time and compacting the frontier between axes; it
-produces exactly the candidates, in exactly the order, and the node-visit
-counts a per-query depth-first traversal would, which is what the CPU
-cost model charges.
+and go through the one :func:`flatten`, which takes a depth at a time:
+a leaf level is one gather (``take``) over its leaves' chunk indices.
+The search walks the levels with one frontier of ``(query, node)``
+pairs per block of queries, testing one axis at a time and compacting
+the frontier between axes; it produces exactly the candidates, in
+exactly the order, and the node-visit counts a per-query depth-first
+traversal would, which is what the CPU cost model charges.  Candidates
+leave the walk as leaf row spans, one block of queries at a time; the
+engine names their rows a run at a time.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,8 +48,10 @@ __all__ = ["RTree", "RTreeLevel", "flatten"]
 
 #: Queries walked down the tree at once.  Every query set of the
 #: end-to-end benchmark (8 and 64 segments) is one block; a larger batch
-#: holds one block's frontier at a time, not the whole batch's.
-_QUERY_BLOCK = 128
+#: holds one block's frontier at a time, not the whole batch's.  The
+#: frontier's peak is its leaf level, ~34 B per expanded (query, entry)
+#: pair: 4.1 MB for a 128-query block on S3 at 5 % (d = 0.02).
+_QUERY_BLOCK = 64
 
 
 class RTreeLevel(NamedTuple):
@@ -65,33 +71,30 @@ class RTreeLevel(NamedTuple):
     ranges: np.ndarray | None
 
 
-def flatten(root, parts) -> tuple[RTreeLevel, ...]:
+def flatten(root, is_leaf, level) -> tuple[RTreeLevel, ...]:
     """Freeze a balanced node graph into levels, root level first.
 
-    ``parts(node)`` returns ``(lo, hi, children, ranges)``: the node's
-    ``(k, ndim)`` entry boxes and either its ``k`` child nodes (then
-    ``ranges`` is None) or its ``k`` leaf row ranges (then ``children``
-    is None).  A level lists its nodes in the order their parents'
-    entries name them, so in a balanced tree breadth-first order within
-    a depth is depth-first order — which the search's emission order
-    and node-visit counts rest on.
+    ``level(nodes, leaf)`` describes one depth's ``nodes`` in one piece:
+    ``(sizes, lo, hi, below, ranges)`` — each node's entry count, the
+    ``(ndim, entries)`` entry-box bounds of all of them laid end to end,
+    and either the next depth's nodes (then ``ranges`` is None) or, when
+    ``leaf``, the ``(entries, 2)`` leaf row ranges (then ``below`` is
+    None).  A level lists its nodes in the order their parents' entries
+    name them, so in a balanced tree breadth-first order within a depth
+    is depth-first order — which the search's emission order and
+    node-visit counts rest on.
     """
     levels = []
     nodes = [root]
     while nodes:
-        lo, hi, children, ranges = zip(*map(parts, nodes))
-        leaf = ranges[0] is not None
-        assert all((r is not None) == leaf for r in ranges), \
+        leaf = is_leaf(nodes[0])
+        assert all(is_leaf(node) == leaf for node in nodes), \
             "leaves at more than one depth"
+        sizes, lo, hi, nodes, ranges = level(nodes, leaf)
         levels.append(RTreeLevel(
-            start=range_offsets(np.array([b.shape[0] for b in lo],
-                                         dtype=np.int64)),
-            lo=np.ascontiguousarray(np.concatenate(lo).T),
-            hi=np.ascontiguousarray(np.concatenate(hi).T),
-            ranges=(np.concatenate([
-                np.asarray(r, dtype=np.int64).reshape(-1, 2)
-                for r in ranges]) if leaf else None)))
-        nodes = [] if leaf else [c for cs in children for c in cs]
+            start=range_offsets(np.asarray(sizes, dtype=np.int64)),
+            lo=np.ascontiguousarray(lo), hi=np.ascontiguousarray(hi),
+            ranges=ranges))
     return tuple(levels)
 
 
@@ -160,22 +163,32 @@ def _str_levels(lo: np.ndarray, hi: np.ndarray, ranges: np.ndarray,
                 fanout: int) -> tuple[RTreeLevel, ...]:
     """STR bulk load: pack the leaf entries into nodes, then those
     nodes' boxes, until one node is left; freeze it with :func:`flatten`.
-    A node is a ``(lo, hi, children, ranges)`` tuple, its entries in
-    input order within their group."""
+    A node is ``(boxes, entries, children)``: its depth's packed
+    ``(lo, hi)`` boxes, its entries' positions among them (chunk indices
+    on the leaf level) in input order within their group, and its child
+    nodes (None on the leaf level)."""
     below = None
     while True:
         group = _str_pack(lo, hi, fanout)
         order = np.argsort(group, kind="stable")
-        nodes = [(lo[sel], hi[sel],
-                  None if below is None else [below[i] for i in sel],
-                  ranges[sel] if below is None else None)
+        nodes = [((lo, hi), sel,
+                  None if below is None else [below[i] for i in sel])
                  for sel in np.split(order,
                                      np.cumsum(np.bincount(group))[:-1])]
         if len(nodes) == 1:
-            return flatten(nodes[0], lambda node: node)
-        lo = np.array([node[0].min(axis=0) for node in nodes])
-        hi = np.array([node[1].max(axis=0) for node in nodes])
+            break
+        lo = np.array([lo[sel].min(axis=0) for _, sel, _ in nodes])
+        hi = np.array([hi[sel].max(axis=0) for _, sel, _ in nodes])
         below = nodes
+
+    def level(nodes, leaf):
+        (lo, hi), rows = nodes[0][0], np.concatenate([s for _, s, _ in nodes])
+        return ([sel.shape[0] for _, sel, _ in nodes],
+                lo.T.take(rows, axis=1), hi.T.take(rows, axis=1),
+                None if leaf else [c for *_, cs in nodes for c in cs],
+                ranges[rows] if leaf else None)
+
+    return flatten(nodes[0], lambda node: node[2] is None, level)
 
 
 @dataclass
@@ -276,24 +289,21 @@ class RTree:
 
     # -- search --------------------------------------------------------------------
 
-    def query_candidates_flat(
-        self, queries: SegmentArray, d: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index phase of the search: every query's candidate rows.
+    def query_blocks(self, queries: SegmentArray, d: float
+                     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray,
+                                         np.ndarray, np.ndarray]]:
+        """Index phase of the search, ``_QUERY_BLOCK`` queries at a time.
 
         The query's MBB is expanded by ``d`` on the spatial axes only,
-        then walked down the levels ``_QUERY_BLOCK`` queries at a time.
-        Returns ``(candidate_rows, cand_start, node_visits)``: query
-        ``k``'s candidates (all ``r`` segments of every overlapping leaf
-        MBB, leaf visits in DFS order, leaf children in slot order) are
-        ``candidate_rows[cand_start[k]:cand_start[k+1]]``, and
-        ``node_visits[k]`` counts the nodes query ``k`` expanded — the
-        traversal cost the CPU model charges.
-
-        Blocks split the batch by query, so each block's answer is a
-        contiguous stretch of the whole batch's: the walk holds one
-        block's frontier at a time, plus the leaf entries every block
-        reached, and expands those into the one output array.
+        then walked down the levels.  Yields, per block of queries,
+        ``(block, first, start, length, node_visits)``: query
+        ``block.start + i``'s candidates are the leaf spans ``first[i]
+        .. first[i+1] - 1`` (all ``r`` segments of every overlapping leaf
+        MBB, leaf visits in DFS order), span ``j`` the rows ``start[j]
+        .. start[j] + length[j] - 1``, and ``node_visits[i]`` counts the
+        nodes that query expanded — the traversal cost the CPU model
+        charges.  Blocks split the batch by query, so the walk holds one
+        block's frontier at a time, and the caller one block's spans.
         """
         nq = len(queries)
         qboxes = segment_mbbs(queries, temporal=self.temporal_axis)
@@ -302,27 +312,14 @@ class RTree:
         q_lo[:3] -= d
         q_hi[:3] += d
         ranges = self.levels[-1].ranges
-        lens = np.zeros(nq, dtype=np.int64)
-        node_visits = np.zeros(nq, dtype=np.int64)
-        blocks = []
         for first in range(0, nq, _QUERY_BLOCK):
             block = slice(first, min(first + _QUERY_BLOCK, nq))
-            q, entry, node_visits[block] = self._walk(q_lo[:, block],
-                                                      q_hi[:, block])
-            span = ranges[entry]
-            length = span[:, 1] - span[:, 0] + 1
-            lens[block] = np.bincount(q, weights=length,
-                                      minlength=block.stop - first)
-            blocks.append((block, entry))
-        cand_start = range_offsets(lens)
-        if len(blocks) == 1:    # the whole batch was one block
-            return expand_ranges(span[:, 0], length), cand_start, node_visits
-        rows = np.empty(cand_start[-1], dtype=np.int64)
-        for block, entry in blocks:
-            span = ranges[entry]
-            rows[cand_start[block.start]:cand_start[block.stop]] = \
-                expand_ranges(span[:, 0], span[:, 1] - span[:, 0] + 1)
-        return rows, cand_start, node_visits
+            q, entry, node_visits = self._walk(q_lo[:, block],
+                                               q_hi[:, block])
+            start = ranges[entry, 0]
+            yield (block, range_offsets(np.bincount(
+                       q, minlength=block.stop - first)),
+                   start, ranges[entry, 1] - start + 1, node_visits)
 
     def _walk(self, q_lo: np.ndarray, q_hi: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,8 +12,9 @@ log, and the standing layer keeps one file next to it:
         state.json      # atomic snapshot: subscriptions, match sets,
                         # last_seq, and the epoch they are settled at
 
-``state.json`` is written with the same tmp-file + ``os.replace`` +
-directory-fsync pattern as checkpoints, so a crash mid-save leaves the
+``state.json`` is written through
+:func:`repro.durability.files.replace_file` (tmp file + fsync +
+``os.replace`` + directory fsync), so a crash mid-save leaves the
 previous state intact.  The owning service saves it on register and
 unregister, right after every database checkpoint and at shutdown, so
 it is never older than the checkpoint before the newest one — and the
@@ -31,10 +32,9 @@ so each event comes back with its original ``seq`` and ``epoch``.  An
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
-from ..durability.checkpoint import _fsync_dir
+from ..durability.files import replace_file
 
 __all__ = ["StandingStore", "StandingStoreError"]
 
@@ -93,11 +93,5 @@ class StandingStore:
         payload["format"] = FORMAT_VERSION
         data = json.dumps(payload).encode()
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self.state_path.with_name(".tmp-" + STATE_NAME)
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.state_path)
-        _fsync_dir(self.directory)
+        replace_file(self.state_path, data)
         self.state_saves += 1

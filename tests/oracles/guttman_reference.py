@@ -105,7 +105,7 @@ class GuttmanBuilder:
 
     def finalize(self) -> tuple[RTreeLevel, ...]:
         """Freeze the mutable tree into the search's per-level arrays."""
-        return flatten(self.root, self._parts)
+        return flatten(self.root, lambda node: node.is_leaf, self._level)
 
     # -- insertion ---------------------------------------------------------------
 
@@ -225,8 +225,13 @@ class GuttmanBuilder:
     # -- freezing ------------------------------------------------------------------
 
     @staticmethod
-    def _parts(node: _MutableNode):
-        k = node.count
-        if node.is_leaf:
-            return node.lo[:k], node.hi[:k], None, node.ranges
-        return node.lo[:k], node.hi[:k], node.children, None
+    def _level(nodes: list[_MutableNode], leaf: bool):
+        lo = np.concatenate([node.lo[:node.count] for node in nodes]).T
+        hi = np.concatenate([node.hi[:node.count] for node in nodes]).T
+        sizes = [node.count for node in nodes]
+        if leaf:
+            return sizes, lo, hi, None, np.concatenate([
+                np.asarray(node.ranges, dtype=np.int64).reshape(-1, 2)
+                for node in nodes])
+        return (sizes, lo, hi, [c for node in nodes for c in node.children],
+                None)

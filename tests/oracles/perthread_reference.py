@@ -11,12 +11,12 @@ byte-identical results and identical ``KernelStats``.
 Nothing here is imported by ``src/``.  :func:`install` swaps the
 reference in for one test with ``monkeypatch``:
 
-* :func:`refine_ranges` for the module-level ``refine_ranges`` of
-  ``engines.base``, ``engines.cpu_scan`` and ``engines.cpu_rtree``;
+* :func:`refine` for the module-level ``refine`` (the one chunk loop)
+  of ``engines.base``, ``engines.cpu_scan`` and ``engines.cpu_rtree``;
 * :func:`gather` for ``GpuSpatialEngine._thread_work`` (Algorithm 1
   lines 1-12: rasterize, probe ``G``, fill ``U_k``);
-* :func:`query_candidates_flat` for ``RTree.query_candidates_flat``;
-* :func:`keep_all` for ``engines.base.surviving_batch``: the reference
+* :func:`query_blocks` for ``RTree.query_blocks``;
+* :func:`keep_all` for ``engines.base.surviving_rows``: the reference
   refines every scheduled pair, with no reject in front.
 
 The refine and gather bodies are the per-thread twins the engines
@@ -32,56 +32,63 @@ import numpy as np
 
 from repro.core.distance import compare_pairs
 from repro.core.geometry import expand, segment_mbbs
+from repro.core.ranges import range_offsets
 from repro.core.types import SegmentArray
 from repro.engines import base, cpu_rtree, cpu_scan
-from repro.engines.base import HostPlan, RangeBatch, ThreadWork
+from repro.engines.base import HostPlan, RangeBatch, Refined, ThreadWork
 from repro.engines.gpu_spatial import GpuSpatialEngine
 from repro.indexes.fsg import FlatGrid
 from repro.indexes.rtree import RTree
 
-__all__ = ["cells_overlapping_box", "gather", "install", "keep_all",
-           "probe", "query_candidates", "query_candidates_flat",
-           "refine_ranges"]
+__all__ = ["cells_overlapping_box", "explicit", "gather", "install",
+           "keep_all", "probe", "query_blocks", "query_spans", "refine"]
 
 
 def install(patch) -> None:
     """Run the engines on the reference path for the rest of the test
     (``patch`` is pytest's ``monkeypatch`` or one of its contexts)."""
     for module in (base, cpu_scan, cpu_rtree):
-        patch.setattr(module, "refine_ranges", refine_ranges)
-    patch.setattr(base, "surviving_batch", keep_all)
+        patch.setattr(module, "refine", refine)
+    patch.setattr(base, "surviving_rows", keep_all)
     patch.setattr(GpuSpatialEngine, "_thread_work", gather)
-    patch.setattr(RTree, "query_candidates_flat", query_candidates_flat)
+    patch.setattr(RTree, "query_blocks", query_blocks)
+
+
+def explicit(q_rows: np.ndarray, rows: np.ndarray,
+             lens: np.ndarray) -> RangeBatch:
+    """The batch whose thread ``i`` owns the next ``lens[i]`` of the
+    explicit ``rows``: one range over that list per thread."""
+    return RangeBatch(q_rows, range_offsets(lens)[:-1], lens,
+                      np.arange(q_rows.shape[0] + 1), rows)
 
 
 def keep_all(queries: SegmentArray, database: SegmentArray,
-             work: ThreadWork, d: float, scale: float
-             ) -> tuple[RangeBatch, int]:
+             work: ThreadWork, d: float, scale: float, grid
+             ) -> tuple[np.ndarray, np.ndarray, int]:
     """The reject that rejects nothing: every scheduled pair survives,
     its row named, and none is read."""
-    return work.explicit(), 0
+    return work.batch.lengths(), work.rows(), 0
 
 
 # -- refinement --------------------------------------------------------------------
 
 
-def refine_ranges(
-    queries: SegmentArray,
-    database: SegmentArray,
-    batch: RangeBatch,
-    d: float,
-    *,
-    exclude_same_trajectory: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Refine one logical thread at a time."""
-    lens = batch.lengths()
-    nthreads = batch.num_threads
+def refine(queries: SegmentArray, database: SegmentArray, work: ThreadWork,
+           d: float, *, exclude_same_trajectory: bool,
+           scale: float | None = None) -> Refined:
+    """Refine one logical thread at a time.  A GPU caller's candidates
+    (``scale`` given) pass the reject seam first, as one run."""
+    lens = work.batch.lengths()
+    if scale is not None:
+        lens, rows, _ = base.surviving_rows(queries, database, work, d,
+                                            scale, None)
+        work = ThreadWork(explicit(work.batch.q_rows, rows, lens))
+    nthreads = lens.shape[0]
     hits_per_thread = np.zeros(nthreads, dtype=np.int64)
     out_q, out_e, out_lo, out_hi = [], [], [], []
     for t in range(nthreads):
-        span = slice(batch.cand_start[t], batch.cand_start[t + 1])
-        e_idx = batch.candidate_rows[span]
-        q_idx = np.full(int(lens[t]), batch.q_rows[t], dtype=np.int64)
+        e_idx = work.threads(t, t + 1).rows()
+        q_idx = np.full(int(lens[t]), work.batch.q_rows[t], dtype=np.int64)
         res = compare_pairs(queries, database, q_idx, e_idx, d,
                             exclude_same_trajectory=exclude_same_trajectory)
         if res.num_hits:
@@ -91,13 +98,14 @@ def refine_ranges(
             out_e.append(e_idx[hit])
             out_lo.append(res.t_lo[hit])
             out_hi.append(res.t_hi[hit])
+    refined = int(lens.sum())
     if out_q:
-        return (hits_per_thread, np.concatenate(out_q),
-                np.concatenate(out_e), np.concatenate(out_lo),
-                np.concatenate(out_hi))
+        return Refined(hits_per_thread, np.concatenate(out_q),
+                       np.concatenate(out_e), np.concatenate(out_lo),
+                       np.concatenate(out_hi), 0, refined)
     z = np.zeros(0)
     zi = np.zeros(0, dtype=np.int64)
-    return hits_per_thread, zi, zi.copy(), z, z.copy()
+    return Refined(hits_per_thread, zi, zi.copy(), z, z.copy(), 0, refined)
 
 
 # -- GPUSpatial's gather (Algorithm 1 lines 1-12) -----------------------------------
@@ -176,24 +184,24 @@ def gather(engine: GpuSpatialEngine, plan: HostPlan, live: np.ndarray,
 
     candidate_rows = np.concatenate(cand_lists) if cand_lists else empty
     return ThreadWork(
-        RangeBatch.from_lengths(live, candidate_rows, lens),
+        explicit(live, candidate_rows, lens),
         gather_work=probe_ops + gather_ops, blocked=overflowed)
 
 
 # -- CPU-RTree's traversal ---------------------------------------------------------
 
 
-def query_candidates(tree: RTree, queries: SegmentArray,
-                     d: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """Index phase of the search: per-query candidate row arrays.
+def query_spans(tree: RTree, queries: SegmentArray, d: float
+                ) -> tuple[list[list[tuple[int, int]]], np.ndarray]:
+    """Index phase of the search: per-query leaf row spans.
 
     The query's MBB is expanded by ``d`` on the spatial axes only, then
     one query at a time descends depth-first: at each node it tests all
     of the node's entry boxes, recursing into the overlapping children
-    in slot order.  Returns ``(candidates, node_visits)`` where
-    ``candidates[k]`` are candidate rows for query ``k`` (all ``r``
-    segments of every overlapping leaf MBB) and ``node_visits[k]``
-    counts the nodes query ``k`` expanded.
+    in slot order.  Returns ``(spans, node_visits)`` where ``spans[k]``
+    lists the inclusive row range ``(lo, hi)`` of every leaf MBB query
+    ``k`` overlaps (its candidates are all ``r`` segments of each) and
+    ``node_visits[k]`` counts the nodes query ``k`` expanded.
     """
     nq = len(queries)
     qboxes = segment_mbbs(queries, temporal=tree.temporal_axis)
@@ -203,7 +211,7 @@ def query_candidates(tree: RTree, queries: SegmentArray,
     q_hi[:, :3] += d
     leaf_depth = len(tree.levels) - 1
 
-    candidates: list[list[np.ndarray]] = [[] for _ in range(nq)]
+    spans: list[list[tuple[int, int]]] = [[] for _ in range(nq)]
     node_visits = np.zeros(nq, dtype=np.int64)
 
     def descend(k: int, depth: int, node: int) -> None:
@@ -218,26 +226,21 @@ def query_candidates(tree: RTree, queries: SegmentArray,
             entry = int(first + slot)
             if depth == leaf_depth:
                 lo_r, hi_r = level.ranges[entry]
-                candidates[k].append(
-                    np.arange(lo_r, hi_r + 1, dtype=np.int64))
+                spans[k].append((int(lo_r), int(hi_r)))
             else:
                 descend(k, depth + 1, entry)    # entry e is node e below
 
     for k in range(nq):
         descend(k, 0, 0)
-    merged = [np.concatenate(c) if c else np.zeros(0, dtype=np.int64)
-              for c in candidates]
-    return merged, node_visits
+    return spans, node_visits
 
 
-def query_candidates_flat(tree: RTree, queries: SegmentArray, d: float
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`query_candidates` in the production method's flat form
-    ``(candidate_rows, cand_start, node_visits)``."""
-    candidates, node_visits = query_candidates(tree, queries, d)
-    lens = np.array([c.size for c in candidates], dtype=np.int64)
-    cand_start = np.zeros(len(queries) + 1, dtype=np.int64)
-    np.cumsum(lens, out=cand_start[1:])
-    cand_rows = (np.concatenate(candidates) if len(queries)
-                 else np.zeros(0, dtype=np.int64))
-    return cand_rows, cand_start, node_visits
+def query_blocks(tree: RTree, queries: SegmentArray, d: float):
+    """:func:`query_spans` in the production walk's form, every query
+    in one block: ``(block, first, start, length, node_visits)``."""
+    spans, node_visits = query_spans(tree, queries, d)
+    flat = np.array([s for per_query in spans for s in per_query],
+                    dtype=np.int64).reshape(-1, 2)
+    yield (slice(0, len(queries)),
+           range_offsets(np.array([len(s) for s in spans], dtype=np.int64)),
+           flat[:, 0], flat[:, 1] - flat[:, 0] + 1, node_visits)

@@ -143,16 +143,16 @@ def test_reference_is_installed(monkeypatch, small_db, small_queries):
         perthread_reference.install(patch)
         for module in (base, perthread_reference.cpu_scan,
                        perthread_reference.cpu_rtree):
-            patch.setattr(module, "refine_ranges",
-                          counting("refine", module.refine_ranges))
-        patch.setattr(base, "surviving_batch",
-                      counting("reject", base.surviving_batch))
+            patch.setattr(module, "refine",
+                          counting("refine", module.refine))
+        patch.setattr(base, "surviving_rows",
+                      counting("reject", base.surviving_rows))
         cls = perthread_reference.GpuSpatialEngine
         patch.setattr(cls, "_thread_work",
                       counting("gather", cls._thread_work))
         tree = perthread_reference.RTree
-        patch.setattr(tree, "query_candidates_flat",
-                      counting("traverse", tree.query_candidates_flat))
+        patch.setattr(tree, "query_blocks",
+                      counting("traverse", tree.query_blocks))
         for name in sorted(ENGINE_FACTORIES):
             ENGINE_FACTORIES[name](small_db).search(small_queries, 1.0)
     assert calls == {"refine": 5, "gather": 1, "traverse": 1, "reject": 3}
@@ -203,12 +203,32 @@ def _far(queries):
                         queries.ze, queries.te, queries.traj_ids)
 
 
+def _joined(blocks, num_queries):
+    """Blocks of ``(block, first, start, length, node_visits)`` laid end
+    to end: each query's span count, the spans, the node visits."""
+    counts, start, length, visits = [], [], [], []
+    covered = 0
+    for block, first, s, n, v in blocks:
+        assert block.start == covered and first.shape == (
+            block.stop - block.start + 1,) and v.shape == first[1:].shape
+        covered = block.stop
+        counts.append(np.diff(first))
+        start.append(s)
+        length.append(n)
+        visits.append(v)
+    assert covered == num_queries
+    empty = np.zeros(0, dtype=np.int64)
+    return tuple(np.concatenate([empty, *parts])
+                 for parts in (counts, start, length, visits))
+
+
 def _assert_walks_agree(tree, queries, d, block=rtree._QUERY_BLOCK):
     """``block`` queries walk the tree at a time: a block size below the
     batch's splits it, and blocks must concatenate to the batch."""
     with mock.patch.object(rtree, "_QUERY_BLOCK", block):
-        got = tree.query_candidates_flat(queries, d)
-    want = perthread_reference.query_candidates_flat(tree, queries, d)
+        got = _joined(tree.query_blocks(queries, d), len(queries))
+    want = _joined(perthread_reference.query_blocks(tree, queries, d),
+                   len(queries))
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.int64
         assert a.tobytes() == b.tobytes()
@@ -239,5 +259,5 @@ def test_rtree_walk_edge_cases(method, temporal_axis):
         for q in (queries, queries.take([0]), SegmentArray.empty(), far):
             for d, block in itertools.product((0.0, 0.7), (1, 3, 64)):
                 _assert_walks_agree(tree, q, d, block)
-    _, _, visits = deep.query_candidates_flat(far, 0.7)
+    visits = _joined(deep.query_blocks(far, 0.7), len(far))[3]
     assert visits.tolist() == [1] * len(far)

@@ -3,15 +3,15 @@ referees do not depend on it.
 
 ``core.distance.surviving_pairs`` drops candidate pairs whose bounding
 boxes are further apart than ``d + tau`` before the GPU loop solves
-them (``GpuEngineBase._search_once``, through ``engines.base.
-surviving_batch``, which sends the two bin engines' batches through
-``surviving_bin_pairs`` instead when their bin grid pays).  Nothing
-observable may change:
+them (``GpuEngineBase._search_once``, whose ``engines.base.refine``
+sends each run of threads through ``surviving_rows``, which sends the
+two bin engines' runs through ``surviving_bin_pairs`` instead when
+their bin grid pays).  Nothing observable may change:
 
 (a) on the schemes' real batches — redo invocations under tiny result
-    buffers included — ``refine_ranges`` returns the same bytes with the
-    reject in front as with it bypassed (``surviving_batch`` patched to
-    refine every scheduled pair);
+    buffers included — ``refine`` returns the same bytes with the
+    reject in front as with it bypassed (``surviving_rows`` patched to
+    keep every scheduled pair);
 (b) on pairs built to sit on the threshold (one axis alone, ulps and
     ``tau / 2`` either side, degenerate geometry, large offsets) no pair
     the exact floating-point path accepts is dropped;
@@ -23,8 +23,9 @@ observable may change:
 (e) the grid enumeration (``surviving_bin_pairs``) returns, for every
     kind of bin-engine thread — temporal, subbin, defaulted, dead —
     exactly the ``(thread, row)`` pairs the pair form keeps over the
-    same candidates expanded, and ``surviving_batch`` builds the same
-    batch whichever way it goes; GPUSpatioTemporal's schedule keeps
+    same candidates expanded, and ``refine`` hands the exact solve those
+    pairs, in runs, whichever way the reject goes; GPUSpatioTemporal's
+    schedule keeps
     GPUTemporal's entry for every query it defaults.
 """
 
@@ -38,17 +39,19 @@ from repro.core import distance
 from repro.core.bruteforce import brute_force_search
 from repro.core.distance import (_REJECT_MARGIN, compare_pairs, magnitude,
                                  surviving_bin_pairs, surviving_pairs)
+from repro.core.ranges import range_offsets
 from repro.core.types import SegmentArray
 from repro.engines import (CpuRTreeEngine, CpuScanEngine, GpuSpatialEngine,
                            GpuSpatioTemporalEngine, GpuTemporalEngine,
                            available, base, get_engine)
-from repro.engines.base import RangeBatch, ThreadWork, refine_ranges
+from repro.engines.base import RangeBatch, ThreadWork, refine
 from repro.experiments.scenarios import (scenario_s1_random,
                                          scenario_s2_merger,
                                          scenario_s3_random_dense)
 from repro.indexes import Schedule, SpatioTemporalIndex, TemporalIndex
 from repro.obs import Telemetry
 from tests.conftest import series_value
+from tests.oracles.perthread_reference import explicit
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -63,24 +66,23 @@ GPU_ENGINES = {"gpu_temporal": GpuTemporalEngine,
                "gpu_spatial": GpuSpatialEngine}
 
 
-def _keep_everything(queries, database, work, d, scale):
-    return work.explicit(), 0
+def _keep_everything(queries, database, work, d, scale, grid):
+    return work.batch.lengths(), work.rows(), 0
 
 
-def _drop_everything(queries, database, work, d, scale):
-    q_rows = work.batch.q_rows
-    return RangeBatch.from_lengths(
-        q_rows, np.zeros(0, dtype=np.int64),
-        np.zeros(q_rows.shape[0], dtype=np.int64)), 0
+def _drop_everything(queries, database, work, d, scale, grid):
+    return (np.zeros(work.batch.q_rows.shape[0], dtype=np.int64),
+            np.zeros(0, dtype=np.int64), 0)
 
 
 def _keep(batch: RangeBatch, positions: np.ndarray) -> RangeBatch:
-    """An explicit batch's threads with only the candidates at
-    ``positions`` (ascending)."""
-    thread = np.searchsorted(batch.cand_start, positions, side="right") - 1
-    return RangeBatch.from_lengths(
-        batch.q_rows, batch.candidate_rows[positions],
-        np.bincount(thread, minlength=batch.num_threads))
+    """A batch's threads with only the candidates at ``positions``
+    (ascending), their rows explicit."""
+    thread = np.searchsorted(range_offsets(batch.lengths()), positions,
+                             side="right") - 1
+    return explicit(
+        batch.q_rows, batch.rows()[positions],
+        np.bincount(thread, minlength=batch.q_rows.shape[0]))
 
 
 def _result_bytes(result) -> bytes:
@@ -111,28 +113,28 @@ def test_real_batches_refine_to_the_same_bytes(scenario_data, engine_name,
                   result_buffer_items=40)    # redo on nearly every search
 
     def run(reject):
-        """Every ``refine_ranges`` return of a whole sweep, as bytes,
-        the pairs it was handed, and the reject's grid enumerations."""
+        """Every ``refine`` return of a whole sweep, as bytes, the pairs
+        it solved, and the reject's grid enumerations."""
         seen, pairs, grids = [], 0, 0
-        real, real_grid = refine_ranges, base.surviving_bin_pairs
+        real, real_grid = refine, base.surviving_bin_pairs
 
         def grid_spy(*args, **kw):
             nonlocal grids
             grids += 1
             return real_grid(*args, **kw)
 
-        def spy(q, db, batch, d, **kw):
+        def spy(q, db, work, d, **kw):
             nonlocal pairs
-            pairs += batch.candidate_rows.shape[0]
-            out = real(q, db, batch, d, **kw)
-            seen.append(b"|".join(a.tobytes() for a in out))
+            out = real(q, db, work, d, **kw)
+            pairs += out.refined
+            seen.append(b"|".join(a.tobytes() for a in out[:5]))
             return out
 
         with monkeypatch.context() as patch:
-            patch.setattr(base, "refine_ranges", spy)
+            patch.setattr(base, "refine", spy)
             patch.setattr(base, "surviving_bin_pairs", grid_spy)
             if reject is not None:
-                patch.setattr(base, "surviving_batch", reject)
+                patch.setattr(base, "surviving_rows", reject)
             engine = GPU_ENGINES[engine_name].from_config(database,
                                                           **params)
             for d, exclude in itertools.product(D_VALUES, (False, True)):
@@ -155,7 +157,7 @@ def test_real_batches_refine_to_the_same_bytes(scenario_data, engine_name,
     assert filtered == unfiltered
     assert refined < scheduled
     # Both reject paths ran: the bin engines' S2 and S3 batches pay for
-    # the grid, S1's short spans and GPUSpatial's explicit rows do not.
+    # the grid, S1's short spans and GPUSpatial's cell ranges do not.
     assert (grids > 0) == (engine_name != "gpu_spatial"
                            and scenario.name != "S1-random")
 
@@ -323,18 +325,18 @@ def _segment_sets(draw, max_rows):
 def test_random_databases_refine_to_the_same_bytes(database, queries, d,
                                                    exclude):
     nq, nd = len(queries), len(database)
-    batch = RangeBatch.from_lengths(
+    batch = explicit(
         np.arange(nq, dtype=np.int64),
         np.tile(np.arange(nd, dtype=np.int64), nq),
         np.full(nq, nd, dtype=np.int64))
     kept = surviving_pairs(
         queries, database, np.repeat(batch.q_rows, batch.lengths()),
-        batch.candidate_rows, d, magnitude(queries) + magnitude(database))
-    want = refine_ranges(queries, database, batch, d,
-                         exclude_same_trajectory=exclude)
-    got = refine_ranges(queries, database, _keep(batch, kept), d,
-                        exclude_same_trajectory=exclude)
-    for a, b in zip(got, want):
+        batch.rows(), d, magnitude(queries) + magnitude(database))
+    want = refine(queries, database, ThreadWork(batch), d,
+                  exclude_same_trajectory=exclude)
+    got = refine(queries, database, ThreadWork(_keep(batch, kept)), d,
+                 exclude_same_trajectory=exclude)
+    for a, b in zip(got[:5], want[:5]):
         assert a.tobytes() == b.tobytes()
 
 
@@ -359,7 +361,7 @@ def test_referees_are_independent_of_the_reject(small_db, small_queries,
     before = {name: _result_bytes(run()) for name, run in referees.items()}
     assert all(len(gpu(cls)) > 0 for cls in GPU_ENGINES.values())
 
-    monkeypatch.setattr(base, "surviving_batch", _drop_everything)
+    monkeypatch.setattr(base, "surviving_rows", _drop_everything)
     for name, cls in GPU_ENGINES.items():
         assert len(gpu(cls)) == 0, name    # the sabotage bites
     for name, run in referees.items():
@@ -464,8 +466,8 @@ def test_grid_enumeration_keeps_the_pair_forms_pairs(case, block, sample,
     scale = magnitude(q) + magnitude(entries)
 
     drawn, drawn_rows = _drawn_threads(rng, index, len(q))
-    assert ThreadWork(drawn, index=index).explicit().candidate_rows \
-        .tobytes() == drawn_rows.tobytes()
+    assert ThreadWork(drawn, index=index).rows().tobytes() \
+        == drawn_rows.tobytes()
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(distance, "_REJECT_BLOCK", block)
@@ -479,12 +481,13 @@ def test_grid_enumeration_keeps_the_pair_forms_pairs(case, block, sample,
                 # GPUSpatioTemporal's: subbin, defaulted and dead ones.
                 ThreadWork(index.make_schedule(q, d), index=index),
                 ThreadWork(drawn, index=index)):
-            schedule = work.batch
+            schedule, lens = work.batch, work.batch.lengths()
             # The pair form over the candidates expanded ...
-            flat = work.explicit()
+            flat = explicit(schedule.q_rows, work.rows(),
+                                           lens)
             kept = surviving_pairs(q, entries,
-                                   np.repeat(flat.q_rows, flat.lengths()),
-                                   flat.candidate_rows, d, scale)
+                                   np.repeat(flat.q_rows, lens),
+                                   flat.rows(), d, scale)
             want = _keep(flat, kept)
             # ... is what the windows find.
             thread, row, examined = surviving_bin_pairs(
@@ -493,20 +496,39 @@ def test_grid_enumeration_keeps_the_pair_forms_pairs(case, block, sample,
                 subbin=schedule.subbin, subbins=work.index.subbins)
             _assert_same((row, np.bincount(thread,
                                            minlength=len(schedule))),
-                         (want.candidate_rows, want.lengths()))
+                         (want.rows(), want.lengths()))
             assert examined >= row.size
-            # And the seam builds that batch whichever way it goes.
+            # And the loop hands the exact solve those pairs, a run at a
+            # time, whichever way the reject goes.
+            exact = refine(q, entries, ThreadWork(want), d,
+                           exclude_same_trajectory=False)
             for factor in (0, 1 << 62):
                 patch.setattr(distance, "_GRID_PAIRS_PER_NEEDLE", factor)
-                got, read = base.surviving_batch(q, entries, work, d,
-                                                 scale)
-                _assert_same((got.q_rows, got.candidate_rows,
-                              got.cand_start),
-                             (want.q_rows, want.candidate_rows,
-                              want.cand_start))
-                scheduled_pairs = flat.candidate_rows.size
-                assert read == (examined if factor == 0 < scheduled_pairs
-                                else scheduled_pairs)
+                solved = []
+
+                def spy(queries, entries, q_idx, e_idx, d, **kw):
+                    solved.append((q_idx, e_idx))
+                    return compare_pairs(queries, entries, q_idx, e_idx,
+                                         d, **kw)
+
+                patch.setattr(base, "compare_pairs", spy)
+                got = refine(q, entries, work, d,
+                             exclude_same_trajectory=False, scale=scale)
+                empty = np.zeros(0, dtype=np.int64)
+                _assert_same(
+                    [np.concatenate([empty, *parts])
+                     for parts in zip(*solved)] or [empty, empty],
+                    (np.repeat(want.q_rows, want.lengths()), want.rows()))
+                assert all(e_idx.size <= max(chunk, lens.max(initial=0))
+                           for _, e_idx in solved)
+                _assert_same(got[:3], exact[:3])
+                assert all(a.tobytes() == b.tobytes()
+                           for a, b in zip(got[3:5], exact[3:5]))
+                assert got.refined == want.rows().size
+                scheduled_pairs = int(lens.sum())
+                assert got.examined == (examined
+                                        if factor == 0 < scheduled_pairs
+                                        else scheduled_pairs)
 
 
 @given(_binned_cases())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.geometry import segment_mbbs
+from repro.core.ranges import expand_ranges, range_offsets
 from repro.core.types import SegmentArray
 from repro.indexes.rtree import RTree, flatten
 from repro.indexes.rtree_insert import GuttmanBuilder
@@ -103,13 +104,21 @@ class TestBuild:
         assert all(level.lo.shape[0] == 3 for level in t.levels)
 
     def test_freeze_refuses_an_unbalanced_tree(self):
-        box = np.zeros((1, 3))
-        leaf = (box, box, None, [(0, 0)])
-        node = (np.zeros((2, 3)), np.zeros((2, 3)), [leaf, leaf], None)
-        lopsided = (np.zeros((2, 3)), np.zeros((2, 3)), [node, leaf], None)
-        flatten(node, lambda n: n)
+        leaf = (None, [(0, 0)])          # (children, leaf row ranges)
+        node = ([leaf, leaf], None)
+        lopsided = ([node, leaf], None)
+
+        def level(nodes, is_leaf):
+            sizes = [len(n[1] if is_leaf else n[0]) for n in nodes]
+            box = np.zeros((3, sum(sizes)))
+            if is_leaf:
+                return sizes, box, box, None, np.array(
+                    [r for n in nodes for r in n[1]]).reshape(-1, 2)
+            return sizes, box, box, [c for n in nodes for c in n[0]], None
+
+        flatten(node, lambda n: n[0] is None, level)
         with pytest.raises(AssertionError, match="more than one depth"):
-            flatten(lopsided, lambda n: n)
+            flatten(lopsided, lambda n: n[0] is None, level)
 
 
 class TestGuttmanSpecifics:
@@ -138,8 +147,25 @@ class TestGuttmanSpecifics:
         assert res[0].equivalent_to(res[1])
 
 
+def _candidates(tree, queries, d):
+    """``(rows, cand_start, node_visits)``: query ``k``'s candidate rows
+    are ``rows[cand_start[k]:cand_start[k+1]]``, assembled from every
+    block of the walk."""
+    rows, lens, visits = [np.zeros(0, dtype=np.int64)], [], []
+    for _, first, start, length, node_visits in tree.query_blocks(queries,
+                                                                  d):
+        rows.append(expand_ranges(start, length))
+        per_span = range_offsets(length)
+        lens.append(per_span[first[1:]] - per_span[first[:-1]])
+        visits.append(node_visits)
+    empty = np.zeros(0, dtype=np.int64)
+    return (np.concatenate(rows),
+            range_offsets(np.concatenate([empty, *lens])),
+            np.concatenate([empty, *visits]))
+
+
 class TestQueryCandidates:
-    """The traversal the engine runs, ``query_candidates_flat``."""
+    """The traversal the engine runs, ``query_blocks``."""
 
     def test_candidates_complete(self, tree, small_queries):
         """Every true result pair's entry row appears among the query's
@@ -148,7 +174,7 @@ class TestQueryCandidates:
         d = 2.5
         from repro.core.bruteforce import brute_force_search
         truth = brute_force_search(small_queries, t.segments, d)
-        rows, start, _ = t.query_candidates_flat(small_queries, d)
+        rows, start, _ = _candidates(t, small_queries, d)
         row_of_id = {int(s): r for r, s in enumerate(t.segments.seg_ids)}
         qrow_of_id = {int(s): r
                       for r, s in enumerate(small_queries.seg_ids)}
@@ -158,7 +184,7 @@ class TestQueryCandidates:
 
     def test_visits_positive_and_bounded(self, tree, small_queries):
         t, _ = tree
-        _, _, visits = t.query_candidates_flat(small_queries, 1.0)
+        _, _, visits = _candidates(t, small_queries, 1.0)
         assert visits.shape == (len(small_queries),)
         assert np.all(visits >= 1)          # at least the root
         assert np.all(visits <= t.num_nodes)
@@ -167,7 +193,7 @@ class TestQueryCandidates:
         t, _ = tree
         sizes = []
         for d in (0.1, 2.0, 10.0):
-            rows, start, _ = t.query_candidates_flat(small_queries, d)
+            rows, start, _ = _candidates(t, small_queries, d)
             assert start[-1] == rows.size
             assert np.all(np.diff(start) >= 0)
             sizes.append(rows.size)
@@ -179,13 +205,13 @@ class TestQueryCandidates:
         small = RTree.build(small_db, segments_per_mbb=1, fanout=8)
         large = RTree.build(small_db, segments_per_mbb=16, fanout=8)
         assert large.num_nodes < small.num_nodes
-        c_small, _, _ = small.query_candidates_flat(small_queries, 1.0)
-        c_large, _, _ = large.query_candidates_flat(small_queries, 1.0)
+        c_small, _, _ = _candidates(small, small_queries, 1.0)
+        c_large, _, _ = _candidates(large, small_queries, 1.0)
         assert c_large.size >= c_small.size
 
     def test_empty_query_set(self, tree):
         t, _ = tree
-        rows, start, visits = t.query_candidates_flat(SegmentArray.empty(),
+        rows, start, visits = _candidates(t, SegmentArray.empty(),
                                                       1.0)
         assert rows.size == 0 and visits.size == 0
         assert start.tolist() == [0]

@@ -177,10 +177,11 @@ def test_a_shuffled_base_builds_the_ordered_tree(datasets):
 
 
 #: The traced peak of ``RTree.build`` over the compacted base, as a
-#: multiple of its chunk-box arrays (``2 * chunks * 4 * 8`` bytes): 7.6x
-#: with leaves holding chunk indices; leaves holding each entry's box as
-#: a tuple of Python floats read 12.9x.
-MAX_BUILD_PEAK_OVER_BOXES = 10.0
+#: multiple of its chunk-box arrays (``2 * chunks * 4 * 8`` bytes): 5.8x
+#: with the freeze gathering each level's boxes in one index; 7.6x when
+#: it copied three arrays per leaf before one concatenate per level, and
+#: 12.9x with leaves holding each entry's box as a tuple of Python floats.
+MAX_BUILD_PEAK_OVER_BOXES = 6.5
 
 
 def test_build_memory_stays_near_the_chunk_boxes(datasets):
